@@ -3,12 +3,14 @@ icosahedral gate set {rho, sigma, tau}.
 
 The package is layered bottom-up:
 
+  intfactor    -- rational primality, factoring, square roots mod p
   golden       -- arithmetic in Z[phi]
   gaussgolden  -- arithmetic in Z[i, phi] and the norm-Euclidean check
   sots         -- sums of two squares in Z[phi]
   icosian      -- the binary icosahedral group and exact factoring
   unitary      -- big-float PU(2) numerics and diagonal tuning
-  lattice      -- planar integer-point enumeration under constraints
+  lattice      -- outward rounding of big-float scan bounds
+  goldengrid   -- Z[phi] elements with both embeddings in a rectangle
   diagonal     -- approximate synthesis of diagonal rotations
   general      -- approximate synthesis of arbitrary unitaries
   cli          -- the icogate command line tool

@@ -3,11 +3,20 @@
 The approximating quaternion gamma = (x0, x1, x2, x3) must satisfy
 x0^2 + x1^2 + x2^2 + x3^2 = eta^m exactly with (x0 + i x1)/eta^{m/2}
 close to e^{i theta}.  Searching shortest-first in m, the candidate
-pairs (x1, x0) come from planar lattice enumeration of the linear
-constraints below, and (x2, x3) is a sum-of-two-squares certificate for
-the exact residual.  Success at exponent m gives a word with exactly m
-taus, and m lands at (1+o(1))*log_59(1/eps^3) because each residual has
-a roughly constant chance of being representable.
+pairs (x1, x0) come from enumerating Z[phi] elements whose two real
+embeddings lie in a rectangle (goldengrid), and (x2, x3) is a
+sum-of-two-squares certificate for the exact residual.  Success at
+exponent m gives a word with exactly m taus, and m lands at
+(1+o(1))*log_59(1/eps^3) because each residual has a roughly constant
+chance of being representable.
+
+Each shell needs cos(theta) > 0: the fidelity slab on x0 is then a
+plus-embedding interval, so every search region is a rectangle.
+synth_diagonal folds theta into [-pi/2, pi/2) and snaps to the C60
+element u(pi/2) before any shell when theta is near the quarter turn,
+which covers the folded angle -pi/2.  A residual is skipped when its
+factorization runs out of the Pollard-rho budget, the only abandonment
+rule.
 
 All operations here expect to run under mp.workprec(precision_for(eps))
 or wider; synth_diagonal sets that up itself.
@@ -26,23 +35,18 @@ from .errors import (Abandoned, BudgetExhausted, MalformedInput,
 from .golden import ETA, GoldenInt, embed, eta_power
 from .goldengrid import enumerate_region, stream_center_out
 from .icosian import GateWord, GoldenQuat, evaluate_word, exact_synthesize
-from .lattice import LinearConstraint
 from .sots import sots_exact
 from .unitary import distance, precision_for, u_of_theta
 
 __all__ = ["DiagonalProblem", "solve_x1", "solve_x0", "solve_x23",
-           "synth_diagonal", "SYNTH_ABANDON_THRESHOLD"]
-
-# Synthesis keeps its own Tonelli-Shanks abandonment threshold: modular
-# square roots stay cheap for enormous primes, so only the factoring
-# iteration budget should decide when a residual is abandoned.
-SYNTH_ABANDON_THRESHOLD = 10 ** 30
+           "synth_diagonal"]
 
 
 @dataclass(frozen=True)
 class DiagonalProblem:
     """One shell of the search: approximate u(theta) to epsilon with a
-    quaternion of reduced norm eta^m_exp."""
+    quaternion of reduced norm eta^m_exp; theta must have
+    cos(theta) > 0."""
 
     theta: object
     epsilon: object
@@ -54,12 +58,8 @@ class DiagonalProblem:
             raise MalformedInput("epsilon must be in (0, 1)")
         if self.m_exp < 0:
             raise MalformedInput("m_exp must be nonnegative")
-        if mp.cos(mpf(self.theta)) < -mpf(2) ** (-mp.prec // 2):
-            raise MalformedInput("theta must be folded so cos(theta) >= 0")
-
-
-def _phi_plus():
-    return (1 + mp.sqrt(5)) / 2
+        if not mp.cos(mpf(self.theta)) > 0:
+            raise MalformedInput("theta must be folded so cos(theta) > 0")
 
 
 def _eta_pow(m_half_exp: int, which: str):
@@ -121,19 +121,11 @@ def solve_x0(prob: DiagonalProblem, x1: GoldenInt) -> list[GoldenInt]:
     sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
     lo_f = cap - x1p * s
     hi_f = hp - x1p * s
-    plus_lo, plus_hi = -sp, sp
-    rows = []
-    if c > 0:
-        # the fidelity slab is itself a plus-embedding interval, so it
-        # folds into the rectangle and the scan stays on the fast path
-        plus_lo = max(plus_lo, lo_f / c)
-        plus_hi = min(plus_hi, hi_f / c)
-    else:
-        phi_p = _phi_plus()
-        rows = [LinearConstraint(-c, -c * phi_p, -lo_f),
-                LinearConstraint(c, c * phi_p, hi_f)]
+    # cos(theta) > 0, so the fidelity slab is a plus-embedding interval
+    plus_lo = max(-sp, lo_f / c)
+    plus_hi = min(sp, hi_f / c)
     out = []
-    for x in enumerate_region(plus_lo, plus_hi, -sm, sm, extra_rows=rows):
+    for x in enumerate_region(plus_lo, plus_hi, -sm, sm):
         xp = embed(x, "plus", mp.prec)
         xm = embed(x, "minus", mp.prec)
         overlap = xp * c + x1p * s
@@ -143,15 +135,14 @@ def solve_x0(prob: DiagonalProblem, x1: GoldenInt) -> list[GoldenInt]:
     return [x for _, _, x in out]
 
 
-def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt,
-              threshold: int = SYNTH_ABANDON_THRESHOLD
+def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
               ) -> tuple[GoldenInt, GoldenInt] | None:
     """Certificate (x2, x3) with x0^2 + x1^2 + x2^2 + x3^2 = eta^m_exp,
     or None when the residual is not a sum of two squares.  Abandoned
     factorizations propagate for the caller to count."""
     residual = eta_power(m_exp) - x0 * x0 - x1 * x1
     try:
-        x2, x3 = sots_exact(residual, threshold=threshold)
+        x2, x3 = sots_exact(residual)
     except NotRepresentable:
         return None
     assert x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 == eta_power(m_exp)
@@ -159,8 +150,14 @@ def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt,
 
 
 def _fold_theta(theta):
-    """Reduce mod pi (projective period) into [-pi/2, pi/2)."""
-    t = mp.fmod(mpf(theta), mp.pi)
+    """Reduce mod pi (projective period) into [-pi/2, pi/2).
+
+    The remainder is taken with as many extra bits as theta has integer
+    bits, so it is accurate to working precision however large theta
+    is; angles below 1 fold exactly as at working precision."""
+    with mp.workprec(mp.prec + max(0, mp.mag(theta))):
+        t = mp.fmod(mpf(theta), mp.pi)
+    t = +t
     if t < -mp.pi / 2:
         t += mp.pi
     elif t >= mp.pi / 2:
@@ -169,7 +166,6 @@ def _fold_theta(theta):
 
 
 def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
-                   abandon_threshold: int = SYNTH_ABANDON_THRESHOLD,
                    precision_bits: int | None = None,
                    stats: dict | None = None
                    ) -> tuple[GoldenQuat, GateWord, object]:
@@ -183,12 +179,14 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
 
     When ``stats`` is given, its "abandoned" entry is incremented for
-    every residual whose factorization gave up, so callers can report
-    how much work the abandonment threshold discarded.
+    every residual whose factorization ran out of its Pollard-rho
+    budget, so callers can report how much work was discarded.
     """
     eps = mpf(epsilon)
     if not 0 < eps < 1:
         raise MalformedInput("epsilon must be in (0, 1)")
+    if not mp.isfinite(theta):
+        raise MalformedInput(f"theta must be finite, got {theta}")
     bits = precision_bits or precision_for(float(eps))
     with mp.workprec(bits):
         t = _fold_theta(theta)
@@ -209,7 +207,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
             for x1 in solve_x1(prob):
                 for x0 in solve_x0(prob, x1):
                     try:
-                        pair = solve_x23(m, x0, x1, abandon_threshold)
+                        pair = solve_x23(m, x0, x1)
                     except Abandoned:
                         if stats is not None:
                             stats["abandoned"] = stats.get("abandoned", 0) + 1

@@ -2,7 +2,10 @@
 
 Recoverable conditions (abandoned factorizations, unrepresentable sums of
 squares, missing peeling candidates) get their own classes so that search
-loops can catch them narrowly and move on to the next candidate.
+loops can catch them narrowly and move on to the next candidate.  The
+one effort limit that abandons a factorization is the Pollard-rho
+iteration budget (intfactor.RHO_ITERATION_BUDGET); prime size is not
+limited, since square roots modulo a prime stay cheap.
 """
 
 from __future__ import annotations
@@ -25,15 +28,11 @@ class InertPrime(IcogateError):
 
 
 class Abandoned(IcogateError):
-    """A factoring subroutine gave up within its effort budget.
+    """A factorization gave up: its Pollard-rho iteration budget ran out.
 
     This is a recoverable skip signal: the caller is expected to move on
     to the next candidate rather than abort.
     """
-
-
-class PrimeTooLarge(Abandoned):
-    """A required prime exceeded the configured abandonment threshold."""
 
 
 class NotRepresentable(IcogateError):
@@ -52,10 +51,6 @@ class NotInGroup(IcogateError):
 
 class NoPeelingCandidate(NotInGroup):
     """No table element produced a divisible product during peeling."""
-
-
-class UnboundedRegion(IcogateError):
-    """Constraint set given to the lattice enumerator is not bounded."""
 
 
 class HypothesisViolation(IcogateError):

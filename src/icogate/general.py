@@ -26,7 +26,7 @@ from typing import Iterator
 
 from mpmath import mp, mpf
 
-from .diagonal import SYNTH_ABANDON_THRESHOLD, synth_diagonal
+from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
@@ -36,8 +36,8 @@ from .icosian import (RHO, GateWord, GoldenQuat, evaluate_word,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
 from .unitary import (DEFAULT_DELTA, DEFAULT_EPSILON0, ProjUnitary, distance,
-                      precision_for, to_alpha_beta, tune_diagonals,
-                      tuning_constant, u_of_theta)
+                      precision_for, require_unitary, to_alpha_beta,
+                      tune_diagonals, tuning_constant, u_of_theta)
 
 __all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
            "synth_general"]
@@ -61,7 +61,6 @@ class SynthConfig:
     delta: float = DEFAULT_DELTA
     strict: bool = False
     k_cap: int | None = None
-    abandon_threshold: int = SYNTH_ABANDON_THRESHOLD
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +85,8 @@ class SynthReport:
     central_tau and outer_tau count the word pieces before seam
     cancellation; word.tau_count can be slightly smaller.  k is the
     central shell exponent (0 for targets that never needed a central
-    element), and abandoned_count totals every factorization the
-    abandonment threshold discarded along the way.
+    element), and abandoned_count totals every factorization that ran
+    out of its Pollard-rho budget along the way.
     """
 
     word: GateWord
@@ -138,8 +137,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
             yield s
 
 
-def build_central(k: int, s: GoldenInt, rng: random.Random | None = None,
-                  threshold: int = SYNTH_ABANDON_THRESHOLD
+def build_central(k: int, s: GoldenInt, rng: random.Random | None = None
                   ) -> GoldenQuat | None:
     """Quaternion with reduced norm exactly eta^k and x0^2 + x1^2 = s.
 
@@ -148,8 +146,8 @@ def build_central(k: int, s: GoldenInt, rng: random.Random | None = None,
     for the caller to count.
     """
     try:
-        x0, x1 = sots_exact(s, rng=rng, threshold=threshold)
-        x2, x3 = sots_exact(eta_power(k) - s, rng=rng, threshold=threshold)
+        x0, x1 = sots_exact(s, rng=rng)
+        x2, x3 = sots_exact(eta_power(k) - s, rng=rng)
     except NotRepresentable:
         return None
     q = GoldenQuat(x0, x1, x2, x3)
@@ -169,10 +167,12 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     beats (C + 2) * epsilon and the 1.5 * epsilon stopping rule is
     reachable as soon as the shell makes the band spacing fine enough.
 
-    Raises BudgetExhausted past k_cap and PrecisionInsufficient when
-    the target matrix is stored too coarsely to certify distances at
-    epsilon.
+    Raises BudgetExhausted past k_cap, PrecisionInsufficient when the
+    target matrix is stored too coarsely to certify distances at
+    epsilon, and MalformedInput when it is not a scalar multiple of a
+    unitary.
     """
+    require_unitary(g)
     eps = cfg.internal_epsilon()
     bits = precision_for(float(eps))
     if mpf(2) ** (-(g.precision_bits // 2)) > eps / 8:
@@ -195,32 +195,27 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         if best_d < eps:
             return SynthReport(GateWord((best_seg,)), 0, (0, 0), best_d, 0, 0)
 
-        alpha, _ = to_alpha_beta(g)
-        theta_d = mp.arg(alpha) if abs(alpha) > 0 else mpf(0)
-        d0 = distance(g, u_of_theta(theta_d, bits))
-        if d0 < eps / 2:
-            _, word, _ = synth_diagonal(
-                theta_d, eps - d0, precision_bits=bits,
-                abandon_threshold=cfg.abandon_threshold, stats=stats)
-            achieved = distance(g, evaluate_word(word, bits))
-            return SynthReport(word, 0, (word.tau_count, 0), achieved, 0,
-                               stats["abandoned"])
+        def diagonal_word(theta, budget) -> GateWord:
+            return synth_diagonal(theta, budget, precision_bits=bits,
+                                  stats=stats)[1]
 
+        # g itself, then g j^-1, as a diagonal rotation times a C60 tail
         j_quat = GoldenQuat(0, 0, 1, 0)
-        gj = g @ j_quat.to_unitary(bits).dagger()
-        aj, _ = to_alpha_beta(gj)
-        theta_a = mp.arg(aj) if abs(aj) > 0 else mpf(0)
-        d1 = distance(gj, u_of_theta(theta_a, bits))
-        if d1 < eps / 2:
-            _, word, _ = synth_diagonal(
-                theta_a, eps - d1, precision_bits=bits,
-                abandon_threshold=cfg.abandon_threshold, stats=stats)
-            word = word.concat(GateWord((table.word_for(j_quat),)))
-            achieved = distance(g, evaluate_word(word, bits))
-            return SynthReport(word, 0, (word.tau_count, 0), achieved, 0,
-                               stats["abandoned"])
+        routes = ((g, ""), (g @ j_quat.to_unitary(bits).dagger(),
+                            table.word_for(j_quat)))
+        for h, tail_seg in routes:
+            a_h, _ = to_alpha_beta(h)
+            theta_h = mp.arg(a_h) if abs(a_h) > 0 else mpf(0)
+            d_h = distance(h, u_of_theta(theta_h, bits))
+            if d_h < eps / 2:
+                word = diagonal_word(theta_h, eps - d_h).concat(
+                    GateWord((tail_seg,)))
+                achieved = distance(g, evaluate_word(word, bits))
+                return SynthReport(word, 0, (word.tau_count, 0), achieved,
+                                   0, stats["abandoned"])
 
         g_work, tail = g, None
+        alpha, _ = to_alpha_beta(g)
         abs_a = abs(alpha)
         eps0 = mpf(cfg.epsilon0)
         if abs_a <= eps0 or abs_a ** 2 >= 1 - eps0 ** 2:
@@ -236,7 +231,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         for k in range(k_cap + 1):
             for s in candidate_norms(k, abs_a, eps):
                 try:
-                    q = build_central(k, s, rng, cfg.abandon_threshold)
+                    q = build_central(k, s, rng)
                 except Abandoned:
                     stats["abandoned"] += 1
                     continue
@@ -252,12 +247,8 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 except HypothesisViolation:
                     continue
                 try:
-                    _, w1, _ = synth_diagonal(
-                        tuned.theta1, outer_eps, precision_bits=bits,
-                        abandon_threshold=cfg.abandon_threshold, stats=stats)
-                    _, w2, _ = synth_diagonal(
-                        tuned.theta2, outer_eps, precision_bits=bits,
-                        abandon_threshold=cfg.abandon_threshold, stats=stats)
+                    w1 = diagonal_word(tuned.theta1, outer_eps)
+                    w2 = diagonal_word(tuned.theta2, outer_eps)
                 except BudgetExhausted:
                     continue
                 word = w1.concat(central).concat(w2)

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpf
 
 from .errors import Abandoned, InertPrime, MalformedInput
-from .intfactor import (
-    PRIME_ABANDON_THRESHOLD,
-    factor_int,
-    is_probable_prime,
-    tonelli_shanks,
-)
+from .intfactor import factor_int, tonelli_shanks
 
 __all__ = [
     "GoldenInt",
@@ -391,8 +386,7 @@ def unit_decompose(u: GoldenInt) -> tuple[int, int]:
     raise AssertionError(f"unit decomposition failed for {u!r}")
 
 
-def split_prime(p: int, rng: random.Random | None = None,
-                threshold: int = PRIME_ABANDON_THRESHOLD) -> GoldenInt:
+def split_prime(p: int, rng: random.Random | None = None) -> GoldenInt:
     """An irreducible factor of p in Z[phi].
 
     Primes p = +-2 (mod 5) are inert (raises InertPrime); p = 5 ramifies
@@ -407,7 +401,7 @@ def split_prime(p: int, rng: random.Random | None = None,
     inv2 = pow(2, p - 2, p)
     # complete the square: (x - 1/2)^2 = 1 + 1/4 mod p.  Taking the
     # smaller of the two square roots fixes which prime above p we get.
-    root = tonelli_shanks((1 + inv2 * inv2) % p, p, rng, threshold)
+    root = tonelli_shanks((1 + inv2 * inv2) % p, p, rng)
     root = min(root, p - root)
     x = (inv2 + root) % p
     g = gcd(GoldenInt(p, 0), GoldenInt(x, -1))
@@ -429,15 +423,15 @@ class GoldenFactorization:
         return out
 
 
-def factor(x: GoldenInt, rng: random.Random | None = None,
-           threshold: int = PRIME_ABANDON_THRESHOLD) -> GoldenFactorization:
+def factor(x: GoldenInt, rng: random.Random | None = None
+           ) -> GoldenFactorization:
     """Factor x into canonical irreducibles (plus a unit in front).
 
     Works through the rational prime factorization of N(x): inert primes
     divide x directly, split primes contribute via split_prime and its
-    conjugate.  Raises Abandoned when the integer factorization or a
-    needed square root is over budget, which synthesis loops treat as
-    "skip this candidate".
+    conjugate.  Raises Abandoned when the integer factorization runs out
+    of its Pollard-rho budget, which synthesis loops treat as "skip this
+    candidate".
     """
     if not x:
         raise MalformedInput("cannot factor 0")
@@ -452,7 +446,7 @@ def factor(x: GoldenInt, rng: random.Random | None = None,
             elif p % 5 in (2, 3):
                 pi_list = [GoldenInt(p, 0)]
             else:
-                pi = split_prime(p, rng, threshold)
+                pi = split_prime(p, rng)
                 pi_list = [canonical_associate(pi),
                            canonical_associate(pi.conj())]
                 if pi_list[0] == pi_list[1]:

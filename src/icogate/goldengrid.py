@@ -21,12 +21,12 @@ under mp.workprec sized for the magnitudes involved.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from mpmath import mp, mpf
 
 from .golden import GoldenInt, _phi_embedded, embed, phi_power
-from .lattice import LinearConstraint, _slack, enumerate_points
+from .lattice import _slack
 
 __all__ = ["enumerate_region", "stream_center_out"]
 
@@ -58,7 +58,7 @@ def _box_points(plus_lo, plus_hi, minus_lo, minus_hi):
 
     Row scan over b = (sigma_plus - sigma_minus)/sqrt(5); assumes the
     caller already balanced the rectangle, so only a handful of rows
-    survive.  Intervals are padded outward like lattice scans are."""
+    survive.  Intervals are padded outward (see lattice._slack)."""
     php = _phi_embedded("plus", mp.prec)
     phm = _phi_embedded("minus", mp.prec)
     r5 = php - phm
@@ -76,29 +76,6 @@ def _box_points(plus_lo, plus_hi, minus_lo, minus_hi):
             yield (a, b)
 
 
-def _base_rows(plus_lo, plus_hi, minus_lo, minus_hi):
-    phi_p = _phi_embedded("plus", mp.prec)
-    phi_m = _phi_embedded("minus", mp.prec)
-    return [
-        LinearConstraint(1, phi_p, plus_hi),
-        LinearConstraint(-1, -phi_p, -plus_lo),
-        LinearConstraint(1, phi_m, minus_hi),
-        LinearConstraint(-1, -phi_m, -minus_lo),
-    ]
-
-
-def _rescale_rows(rows, t: int):
-    """Rewrite constraints on x-coordinates for y, where x = phi^t * y."""
-    if t == 0:
-        return list(rows)
-    u, v = phi_power(t).a, phi_power(t).b
-    out = []
-    for row in rows:
-        p, q = mpf(row.p), mpf(row.q)
-        out.append(LinearConstraint(p * u + q * v, p * v + q * (u + v), row.r))
-    return out
-
-
 def _balance_exp(plus_width, minus_width) -> int:
     if plus_width <= 0 or minus_width <= 0:
         return 0
@@ -107,12 +84,10 @@ def _balance_exp(plus_width, minus_width) -> int:
     return round((mp.mag(plus_width) - mp.mag(minus_width)) * 0.7202100452)
 
 
-def enumerate_region(plus_lo, plus_hi, minus_lo, minus_hi,
-                     extra_rows: Sequence[LinearConstraint] = ()
+def enumerate_region(plus_lo, plus_hi, minus_lo, minus_hi
                      ) -> list[GoldenInt]:
     """All x in Z[phi] with sigma_plus(x) in [plus_lo, plus_hi] and
-    sigma_minus(x) in [minus_lo, minus_hi], plus any extra constraints
-    (stated on the (c, d) coordinates of x).
+    sigma_minus(x) in [minus_lo, minus_hi].
 
     Boundary points may be included spuriously by one ulp; callers that
     care filter with the exact sign tests.
@@ -123,26 +98,16 @@ def enumerate_region(plus_lo, plus_hi, minus_lo, minus_hi,
         return []
     t = _balance_exp(plus_hi - plus_lo, minus_hi - minus_lo)
     pt = phi_power(t)
-    if not extra_rows:
-        # pure rectangle: skip the generic vertex machinery and scan
-        # the balanced box directly (this is the synthesis hot path)
-        pp, pm = _phi_pow_embedded(t, mp.prec)
-        yp_lo, yp_hi = plus_lo / pp, plus_hi / pp
-        ym_lo, ym_hi = minus_lo / pm, minus_hi / pm
-        if pm < 0:
-            ym_lo, ym_hi = ym_hi, ym_lo
-        return [GoldenInt(a, b) * pt
-                for a, b in _box_points(yp_lo, yp_hi, ym_lo, ym_hi)]
-    rows = _base_rows(plus_lo, plus_hi, minus_lo, minus_hi)
-    rows.extend(extra_rows)
-    out = []
-    for a, b in enumerate_points(_rescale_rows(rows, t)):
-        out.append(GoldenInt(a, b) * pt)
-    return out
+    pp, pm = _phi_pow_embedded(t, mp.prec)
+    yp_lo, yp_hi = plus_lo / pp, plus_hi / pp
+    ym_lo, ym_hi = minus_lo / pm, minus_hi / pm
+    if pm < 0:
+        ym_lo, ym_hi = ym_hi, ym_lo
+    return [GoldenInt(a, b) * pt
+            for a, b in _box_points(yp_lo, yp_hi, ym_lo, ym_hi)]
 
 
 def stream_center_out(plus_lo, plus_hi, minus_lo, minus_hi,
-                      extra_rows: Sequence[LinearConstraint] = (),
                       center=None, slab_points: int = 2000
                       ) -> Iterator[GoldenInt]:
     """Yield the elements of the band ordered by |sigma_plus(x) - center|.
@@ -179,7 +144,7 @@ def stream_center_out(plus_lo, plus_hi, minus_lo, minus_hi,
             lo, hi = max(lo, plus_lo), min(hi, plus_hi)
             if hi < lo:
                 continue
-            for x in enumerate_region(lo, hi, minus_lo, minus_hi, extra_rows):
+            for x in enumerate_region(lo, hi, minus_lo, minus_hi):
                 if x not in seen:
                     seen.add(x)
                     dist = abs(embed(x, "plus", mp.prec) - center)

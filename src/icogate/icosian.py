@@ -297,11 +297,13 @@ class GateWord:
         return word
 
     def concat(self, other: GateWord) -> GateWord:
-        """Concatenation as group elements; a tau-(empty)-tau seam is a
-        scalar (tau^2 = -eta) and cancels."""
+        """Concatenation as group elements.  A seam tau-xi-tau whose
+        joined {r, s}-segment xi is a projective scalar is itself a
+        scalar (tau^2 = -eta) and cancels, taking both taus with it."""
         left = list(self.segments)
         right = list(other.segments)
-        while len(left) > 1 and len(right) > 1 and not (left[-1] + right[0]):
+        while (len(left) > 1 and len(right) > 1
+               and _is_scalar_segment(left[-1] + right[0])):
             left.pop()
             right.pop(0)
         merged = left[:-1] + [left[-1] + right[0]] + right[1:]
@@ -309,6 +311,11 @@ class GateWord:
 
 
 _GENERATORS = {"r": RHO, "s": SIGMA, "t": TAU}
+
+
+def _is_scalar_segment(seg: str) -> bool:
+    """Whether an {r, s}-segment is the identity of C60."""
+    return generate_c60().word_for(word_to_quat(GateWord((seg,)))) == ""
 
 
 def word_to_quat(word: GateWord) -> GoldenQuat:

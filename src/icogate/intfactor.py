@@ -3,7 +3,7 @@
 Nothing here is specific to the golden ring; these are the standard
 building blocks (deterministic Miller-Rabin below 2^64, Brent's variant
 of Pollard rho, Tonelli-Shanks) tuned for the moderate sizes produced by
-norm computations, with explicit effort budgets so callers can treat a
+norm computations, with an explicit effort budget so callers can treat a
 stuck factorization as a skippable candidate instead of a hang.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import Abandoned, NonResidue, PrimeTooLarge
+from .errors import Abandoned, NonResidue
 
 # Verifying these witnesses suffices for all n < 3.3 * 10^24, which covers
 # every 64-bit input and then some.
@@ -21,11 +21,8 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SMALL_PRIME_BOUND = 100_000
 _small_primes: list[int] | None = None
 
-# Default ceiling on primes we are willing to run Tonelli-Shanks against.
-# Larger primes abort the surrounding factorization attempt instead.
-PRIME_ABANDON_THRESHOLD = 1_000_000
-
-# Iteration budget for a full Pollard rho factorization.
+# Iteration budget for a full Pollard rho factorization: the one effort
+# limit under which synthesis abandons a candidate.
 RHO_ITERATION_BUDGET = 2_000_000
 
 
@@ -154,16 +151,10 @@ def factor_int(n: int, rng: random.Random | None = None,
     return out
 
 
-def tonelli_shanks(a: int, p: int, rng: random.Random | None = None,
-                   threshold: int = PRIME_ABANDON_THRESHOLD) -> int:
-    """Square root of a modulo an odd prime p.
-
-    Raises NonResidue when a has no root, and PrimeTooLarge when p exceeds
-    the abandonment threshold (the caller treats that as a skip, since a
-    huge split prime just means this synthesis candidate is too expensive).
-    """
-    if p > threshold:
-        raise PrimeTooLarge(f"prime {p} exceeds threshold {threshold}")
+def tonelli_shanks(a: int, p: int, rng: random.Random | None = None) -> int:
+    """Square root of a modulo a prime p; raises NonResidue when a has
+    no root.  The cost is polynomial in log p, so any prime that
+    factoring produced is affordable."""
     if p == 2:
         return a % 2
     a %= p

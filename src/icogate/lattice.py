@@ -1,38 +1,16 @@
-"""Complete enumeration of integer points under linear constraints in
-the plane.
+"""Outward rounding for integer scans over big-float bounds.
 
-This plays the role usually delegated to Lenstra's fixed-dimension
-integer programming: in dimension 2 a direct approach is simpler and
-still polynomial — find the polygon's vertices, take the bounding box,
-and scan it row by row, intersecting each row with the constraint
-half-planes to get one integer interval.
-
-Constraint coefficients are big floats (they carry quantities like
-eta^{m/2} sin(theta)), so interval endpoints are rounded *outward* by a
-few ulps: no true solution is ever excluded, and callers discard any
-spurious boundary point by exact arithmetic on their side.  Run under
-an mp.workprec block wide enough for the magnitudes involved.
+Enumeration bounds carry quantities like eta^{m/2} sin(theta), so the
+integer interval a scan covers is widened by a few ulps on each side:
+no true solution is ever excluded, and callers discard any spurious
+boundary point by exact arithmetic on their side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
-
 from mpmath import mp, mpf
 
-from .errors import UnboundedRegion
-
-__all__ = ["LinearConstraint", "enumerate_points"]
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    """The half-plane p*c + q*d <= r."""
-
-    p: object
-    q: object
-    r: object
+__all__: list[str] = []
 
 
 def _slack(*terms) -> object:
@@ -46,93 +24,3 @@ def _slack(*terms) -> object:
     for t in terms:
         mag = max(mag, abs(t))
     return mp.eps * 16 * mag
-
-
-def enumerate_points(constraints: Iterable[LinearConstraint]
-                     ) -> Iterator[tuple[int, int]]:
-    """Yield every integer (c, d) satisfying all constraints.
-
-    Points come out in row-major order: d ascending, c ascending within
-    each d.  Raises UnboundedRegion when the constraint normals leave a
-    half-plane gap (a necessary and sufficient test in the plane);
-    infeasible systems yield nothing.
-    """
-    rows = []
-    for con in constraints:
-        p, q, r = mpf(con.p), mpf(con.q), mpf(con.r)
-        if p == 0 and q == 0:
-            if r < 0:
-                return  # 0 <= r fails: infeasible
-            continue
-        rows.append((p, q, r))
-    if len(rows) < 3:
-        raise UnboundedRegion("fewer than three effective constraints")
-
-    angles = sorted(mp.atan2(q, p) for p, q, r in rows)
-    worst = angles[0] + 2 * mp.pi - angles[-1]
-    for a, b in zip(angles, angles[1:]):
-        worst = max(worst, b - a)
-    if worst >= mp.pi * (1 - mpf(2) ** -40):
-        raise UnboundedRegion("constraint normals leave a half-plane gap")
-
-    vertices = _feasible_vertices(rows)
-    if not vertices:
-        return
-    dmin = min(v[1] for v in vertices)
-    dmax = max(v[1] for v in vertices)
-    d_lo = int(mp.ceil(dmin - _slack(dmin)))
-    d_hi = int(mp.floor(dmax + _slack(dmax)))
-    for d in range(d_lo, d_hi + 1):
-        interval = _c_interval(rows, d)
-        if interval is None:
-            continue
-        c_lo, c_hi = interval
-        for c in range(c_lo, c_hi + 1):
-            yield (c, d)
-
-
-def _feasible_vertices(rows):
-    n = len(rows)
-    out = []
-    for i in range(n):
-        pi, qi, ri = rows[i]
-        for j in range(i + 1, n):
-            pj, qj, rj = rows[j]
-            det = pi * qj - pj * qi
-            scale = (abs(pi) + abs(qi)) * (abs(pj) + abs(qj))
-            if abs(det) <= scale * mp.eps * 16:
-                continue  # parallel boundaries
-            c = (ri * qj - rj * qi) / det
-            d = (pi * rj - pj * ri) / det
-            ok = True
-            for p, q, r in rows:
-                if p * c + q * d > r + _slack(p * c, q * d, r):
-                    ok = False
-                    break
-            if ok:
-                out.append((c, d))
-    return out
-
-
-def _c_interval(rows, d: int):
-    lo, hi = None, None
-    for p, q, r in rows:
-        rhs = r - q * d
-        if p == 0:
-            if rhs < -_slack(r, q * d):
-                return None
-            continue
-        bound = rhs / p
-        slack = _slack(r, q * d) / abs(p) + _slack(bound)
-        if p > 0:
-            cand = bound + slack
-            hi = cand if hi is None else min(hi, cand)
-        else:
-            cand = bound - slack
-            lo = cand if lo is None else max(lo, cand)
-    # boundedness guarantees both sides exist at this point
-    c_lo = int(mp.ceil(lo))
-    c_hi = int(mp.floor(hi))
-    if c_lo > c_hi:
-        return None
-    return (c_lo, c_hi)

@@ -30,10 +30,11 @@ from .golden import (
     exact_div,
     factor,
     norm,
+    phi_power,
     tonelli_shanks,
     unit_decompose,
 )
-from .intfactor import PRIME_ABANDON_THRESHOLD, is_probable_prime
+from .intfactor import is_probable_prime
 
 __all__ = [
     "SotsResult",
@@ -77,18 +78,18 @@ def associated_prime(u: GoldenInt) -> int:
     return n
 
 
-def _even_root(p: int, a: int, rng, threshold) -> int:
+def _even_root(p: int, a: int, rng) -> int:
     # even square root of a mod p (p odd, so one of x, p-x is even)
-    x = tonelli_shanks(a % p, p, rng, threshold)
+    x = tonelli_shanks(a % p, p, rng)
     return x if x % 2 == 0 else p - x
 
 
-def _even_nonquintic_root(p: int, rng, threshold) -> int:
+def _even_nonquintic_root(p: int, rng) -> int:
     """A lift x of a square root of -5 mod p with x even and 5 not
     dividing x.  Adding multiples of p preserves the root mod p while
     cycling parity and the residue mod 5, so a suitable lift always
     exists among x0 + j*p for small j."""
-    x0 = tonelli_shanks(-5 % p, p, rng, threshold)
+    x0 = tonelli_shanks(-5 % p, p, rng)
     for j in range(10):
         x = x0 + j * p
         if x % 2 == 0 and x % 5:
@@ -99,7 +100,7 @@ def _even_nonquintic_root(p: int, rng, threshold) -> int:
     raise AssertionError("no valid lift of sqrt(-5); arithmetic bug")
 
 
-def _piece(u: GoldenInt, rng, threshold) -> tuple[GoldenInt, GoldenInt]:
+def _piece(u: GoldenInt, rng) -> tuple[GoldenInt, GoldenInt]:
     """(s, t) with s^2 + t^2 an associate of u (the exact value is
     whatever the GCD produces; callers reconcile units globally)."""
     p = associated_prime(u)
@@ -114,10 +115,10 @@ def _piece(u: GoldenInt, rng, threshold) -> tuple[GoldenInt, GoldenInt]:
         raise UnsupportedResidue(
             f"associated prime {p} = {cls} (mod 20) has no decomposition")
     if p % 4 == 1:
-        x = _even_root(p, -1, rng, threshold)
+        x = _even_root(p, -1, rng)
         probe = GaussGoldenInt(x, 0, 1, 0)  # x + i
     else:  # cls in (3, 7)
-        x = _even_nonquintic_root(p, rng, threshold)
+        x = _even_nonquintic_root(p, rng)
         probe = GaussGoldenInt.from_golden(
             GoldenInt(x, 0), SQRT5_IRREDUCIBLE)  # x + i*sqrt5
     g = gcd_ne(GaussGoldenInt.from_golden(u), probe)
@@ -129,8 +130,25 @@ def _piece(u: GoldenInt, rng, threshold) -> tuple[GoldenInt, GoldenInt]:
     return (s, t)
 
 
-def sots_irreducible(u: GoldenInt, rng: random.Random | None = None,
-                     threshold: int = PRIME_ABANDON_THRESHOLD) -> SotsResult:
+def _absorb_unit(x: GoldenInt, s: GoldenInt, t: GoldenInt) -> SotsResult:
+    """Rescale (s, t), whose s^2 + t^2 equals x up to a unit +-phi^m,
+    into a representation of x itself when m is even and of x*phi when
+    m is odd (the twist).  A minus sign proves x is not totally
+    nonnegative, hence not representable at either twist."""
+    ratio = exact_div(x, s * s + t * t)
+    if ratio is None or abs(norm(ratio)) != 1:
+        raise AssertionError("two-squares value is not an associate")
+    sign, m = unit_decompose(ratio)
+    if sign < 0:
+        raise NotRepresentable(f"{x!r} is not totally nonnegative")
+    shift = phi_power((m + 1) // 2)
+    result = SotsResult(s * shift, t * shift, "phi" if m % 2 else "plain")
+    assert result.value() == (x * PHI if m % 2 else x)
+    return result
+
+
+def sots_irreducible(u: GoldenInt, rng: random.Random | None = None
+                     ) -> SotsResult:
     """Represent u or u*phi as a sum of two squares, for irreducible u
     (the rational primes 2 and 5 are also accepted).
 
@@ -138,34 +156,11 @@ def sots_irreducible(u: GoldenInt, rng: random.Random | None = None,
     through by phi-powers walks that to u itself when the leftover
     exponent is even, and to u*phi when odd.
     """
-    rng = rng or random.Random(0)
-    s, t = _piece(u, rng, threshold)
-    v = s * s + t * t
-    ratio = exact_div(u, v)
-    if ratio is None or abs(norm(ratio)) != 1:
-        raise AssertionError("piece value is not an associate")
-    sign, m = unit_decompose(ratio)
-    if sign < 0:
-        raise NotRepresentable(
-            f"{u!r} is not totally nonnegative up to an even phi-power")
-    if m % 2 == 0:
-        h, twist = m // 2, "plain"
-    else:
-        h, twist = (m + 1) // 2, "phi"
-    shift = _phi_pow(h)
-    result = SotsResult(s * shift, t * shift, twist)
-    expect = u if twist == "plain" else u * PHI
-    assert result.value() == expect
-    return result
+    s, t = _piece(u, rng or random.Random(0))
+    return _absorb_unit(u, s, t)
 
 
-def _phi_pow(n: int) -> GoldenInt:
-    base = PHI if n >= 0 else GoldenInt(-1, 1)
-    return base ** abs(n)
-
-
-def sots(x: GoldenInt, rng: random.Random | None = None,
-         threshold: int = PRIME_ABANDON_THRESHOLD) -> SotsResult:
+def sots(x: GoldenInt, rng: random.Random | None = None) -> SotsResult:
     """Represent x or x*phi as a sum of two squares, if the
     factor-by-factor criteria allow it.
 
@@ -173,17 +168,14 @@ def sots(x: GoldenInt, rng: random.Random | None = None,
     lies in a good class mod 20, or simply occurs with even
     multiplicity.  Odd-multiplicity factors contribute one piece each;
     pieces compose by (s,t)*(s',t') = (ss'-tt', st'+ts').  The leftover
-    unit is +-phi^M exactly; a minus sign proves x is not totally
-    nonnegative, hence not representable at either twist.
+    unit is +-phi^M exactly and is absorbed by parity.
     """
     if not x:
         raise MalformedInput("sots(0): use sots_exact for the zero case")
     rng = rng or random.Random(0)
-    fac = factor(x, rng, threshold)
     square = ONE
     s_acc, t_acc = ONE, ZERO
-    value = ONE
-    for u, mult in fac.factors:
+    for u, mult in factor(x, rng).factors:
         square = square * u ** (mult // 2)
         if mult % 2 == 0:
             continue
@@ -191,27 +183,12 @@ def sots(x: GoldenInt, rng: random.Random | None = None,
         if p not in (2, 5) and p % 20 not in GOOD_RESIDUES:
             raise UnsupportedResidue(
                 f"factor {u!r} (associated prime {p}) with odd multiplicity")
-        s, t = _piece(u, rng, threshold)
+        s, t = _piece(u, rng)
         s_acc, t_acc = s_acc * s - t_acc * t, s_acc * t + t_acc * s
-        value = value * (s * s + t * t)
-    ratio = exact_div(x, square * square * value)
-    assert ratio is not None and abs(norm(ratio)) == 1
-    sign, m = unit_decompose(ratio)
-    if sign < 0:
-        raise NotRepresentable(f"{x!r} is not totally nonnegative")
-    if m % 2 == 0:
-        h, twist = m // 2, "plain"
-    else:
-        h, twist = (m + 1) // 2, "phi"
-    scale = square * _phi_pow(h)
-    result = SotsResult(s_acc * scale, t_acc * scale, twist)
-    expect = x if twist == "plain" else x * PHI
-    assert result.value() == expect
-    return result
+    return _absorb_unit(x, s_acc * square, t_acc * square)
 
 
-def sots_exact(x: GoldenInt, rng: random.Random | None = None,
-               threshold: int = PRIME_ABANDON_THRESHOLD
+def sots_exact(x: GoldenInt, rng: random.Random | None = None
                ) -> tuple[GoldenInt, GoldenInt]:
     """(s, t) with s^2 + t^2 = x exactly, or NotRepresentable.
 
@@ -220,7 +197,7 @@ def sots_exact(x: GoldenInt, rng: random.Random | None = None,
     """
     if not x:
         return (ZERO, ZERO)
-    result = sots(x, rng, threshold)
+    result = sots(x, rng)
     if result.twist != "plain":
         raise NotRepresentable(f"only {x!r}*phi is a sum of two squares")
     return (result.s, result.t)

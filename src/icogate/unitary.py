@@ -22,6 +22,7 @@ __all__ = [
     "TuningAngles",
     "DEFAULT_PRECISION_BITS",
     "precision_for",
+    "require_unitary",
     "distance",
     "u_of_theta",
     "u_of_alpha_beta",
@@ -95,11 +96,37 @@ class ProjUnitary:
             return self.entries[0][0] + self.entries[1][1]
 
 
+def _roundoff(precision_bits: int):
+    """Relative error allowance for a few operations on entries stored
+    at the given precision."""
+    return mpf(2) ** (8 - precision_bits)
+
+
+def require_unitary(u: ProjUnitary) -> None:
+    """Raise MalformedInput unless u is finite and a nonzero scalar
+    multiple of a unitary, up to round-off at its stored precision
+    (the columns are orthogonal and of equal squared length |det u|)."""
+    (a, b), (c, d) = u.entries
+    with mp.workprec(u.precision_bits):
+        if not all(mp.isfinite(x) for x in (a, b, c, d)):
+            raise MalformedInput("matrix entries must be finite")
+        scale = abs(u.det())
+        defect = max(abs(abs(a) ** 2 + abs(c) ** 2 - scale),
+                     abs(abs(b) ** 2 + abs(d) ** 2 - scale),
+                     abs(a.conjugate() * b + c.conjugate() * d))
+        if not scale > 0 or defect > _roundoff(u.precision_bits) * scale:
+            raise MalformedInput("matrix is not a scalar multiple of a "
+                                 "unitary")
+
+
 def distance(a: ProjUnitary, b: ProjUnitary):
     """Bi-invariant distance sqrt(1 - |tr(a^dag b)| / 2) on PU(2).
 
     Inputs may carry any nonzero scalar (exact-arithmetic lifts do);
-    the trace is normalized by sqrt|det| so the scalar cancels.
+    the trace is normalized by sqrt|det| so the scalar cancels.  A
+    negative radicand is clamped to 0 only when it is round-off at the
+    coarser input's precision; a larger one, or NaN, means an input is
+    not a scalar multiple of a unitary and raises MalformedInput.
     """
     bits = max(a.precision_bits, b.precision_bits)
     with mp.workprec(bits):
@@ -108,6 +135,10 @@ def distance(a: ProjUnitary, b: ProjUnitary):
         if scale == 0:
             raise MalformedInput("singular input to distance")
         val = 1 - abs(m.trace()) / (2 * scale)
+        if mp.isnan(val) or val < -_roundoff(min(a.precision_bits,
+                                                 b.precision_bits)):
+            raise MalformedInput("distance needs finite scalar multiples "
+                                 "of unitaries")
         return mp.sqrt(val if val > 0 else mpf(0))
 
 

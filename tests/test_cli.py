@@ -105,6 +105,15 @@ def test_synth_matrix_entry_parsing(capsys):
             < mpf("1.5e-3")
 
 
+def test_non_finite_and_non_unitary_inputs_exit_3(capsys):
+    code, out, err = run(capsys, "synth-diag", "--theta", "nan",
+                         "--eps", "1e-3")
+    assert code == 3 and not out and "finite" in err
+    code, out, err = run(capsys, "synth", "--matrix", "1", "0", "0", "2",
+                         "--eps", "1e-3")
+    assert code == 3 and not out and "unitary" in err
+
+
 def test_synth_needs_exactly_one_target(capsys):
     code, _, err = run(capsys, "synth", "--eps", "1e-3")
     assert code == 3

@@ -129,6 +129,17 @@ def test_fold_theta_period_and_range():
         assert _fold_theta(mp.pi / 2) == -mp.pi / 2
 
 
+def test_synth_large_angle_reports_true_distance():
+    # folding 1e400 mod pi needs ~1330 more bits than the working
+    # precision; achieved must be the distance to u(1e400) itself
+    theta = mpf("1e400")
+    _, word, achieved = synth_diagonal(theta, 1e-3)
+    with mp.workprec(2000):
+        true = distance(u_of_theta(theta, 2000), evaluate_word(word, 2000))
+    assert true < 1e-3
+    assert abs(achieved - true) < mpf(2) ** -60
+
+
 def test_problem_validation():
     with pytest.raises(MalformedInput):
         DiagonalProblem(0.1, 0, 2)

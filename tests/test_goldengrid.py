@@ -4,7 +4,6 @@ from mpmath import mp
 
 from icogate.goldengrid import enumerate_region, stream_center_out
 from icogate.golden import GoldenInt, embed
-from icogate.lattice import LinearConstraint
 
 
 def brute_region(plus_lo, plus_hi, minus_lo, minus_hi, box=80):
@@ -32,14 +31,6 @@ def test_enumerate_skewed_band_matches_brute_force():
     expected = brute_region(50, 51, -40, 40)
     assert expected  # non-vacuous
     assert got == expected
-
-
-def test_extra_rows_respected():
-    # keep only elements with c >= 0
-    row = LinearConstraint(-1, 0, 0)
-    with mp.workprec(96):
-        got = set(enumerate_region(-8, 8, -8, 8, extra_rows=[row]))
-    assert got == {x for x in brute_region(-8, 8, -8, 8, box=16) if x.a >= 0}
 
 
 def test_stream_matches_region_and_is_center_ordered():

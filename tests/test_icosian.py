@@ -165,6 +165,18 @@ def test_concat_cancels_tau_tau():
     assert a.concat(b) == GateWord(("rs",))
 
 
+def test_concat_cancels_scalar_seam():
+    # X + X is a nonempty {r, s}-segment that is a projective scalar, so
+    # tau X X tau is a scalar and both taus cancel
+    x = "rsrrsrsrrsrs"
+    assert generate_c60().word_for(word_to_quat(GateWord((x + x,)))) == ""
+    left, right = GateWord(("rs", x)), GateWord((x, "sr"))
+    joined = left.concat(right)
+    assert joined.tau_count == 0
+    assert canonical(word_to_quat(joined)) == canonical(
+        word_to_quat(left) * word_to_quat(right))
+
+
 def random_word(rng, seg_pool, k):
     segs = [rng.choice(seg_pool)]
     for i in range(k):

@@ -10,7 +10,8 @@ from icogate.errors import (
     NotRepresentable,
     UnsupportedResidue,
 )
-from icogate.golden import ETA, PHI, GoldenInt, norm, sign_minus, sign_plus
+from icogate.golden import (ETA, PHI, GoldenInt, factor, norm, sign_minus,
+                            sign_plus)
 from icogate.intfactor import small_primes
 from icogate.sots import (
     GOOD_RESIDUES,
@@ -179,3 +180,13 @@ def test_good_residue_density():
     good = sum(1 for p in primes if p % 20 in GOOD_RESIDUES or p in (2, 5))
     frac = good / len(primes)
     assert 0.72 < frac < 0.78
+
+
+def test_split_prime_above_a_million_is_not_abandoned():
+    # the norm is 5 * 3209 * 62450981; prime size alone never makes
+    # factoring or the two-squares solver give up
+    x = GoldenInt(1000, 1) ** 2 + GoldenInt(3, 1) ** 2
+    assert factor(x).value() == x
+    assert 62450981 in {abs(norm(u)) for u, _ in factor(x).factors}
+    s, t = sots_exact(x)
+    assert s * s + t * t == x

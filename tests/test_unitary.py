@@ -46,6 +46,15 @@ def test_distance_ignores_scalar():
     assert float(distance(g, scaled)) < 1e-15
 
 
+def test_distance_rejects_nan_and_non_unitary():
+    ident = u_of_theta(0)
+    with pytest.raises(MalformedInput):
+        distance(ident, ProjUnitary([[mpf("nan"), 0], [0, 1]]))
+    # |tr| = 3 > 2 sqrt|det| = 2.83: far beyond round-off, not clamped
+    with pytest.raises(MalformedInput):
+        distance(ident, ProjUnitary([[1, 0], [0, 2]]))
+
+
 def test_metric_axioms():
     rng = random.Random(5)
     mats = [rand_su2(rng) for _ in range(12)]
