@@ -2,21 +2,23 @@
 
 The approximating quaternion gamma = (x0, x1, x2, x3) must satisfy
 x0^2 + x1^2 + x2^2 + x3^2 = eta^m exactly with (x0 + i x1)/eta^{m/2}
-close to e^{i theta}.  Searching shortest-first in m, the candidate
-pairs (x1, x0) come from enumerating Z[phi] elements whose two real
-embeddings lie in a rectangle (goldengrid), and (x2, x3) is a
-sum-of-two-squares certificate for the exact residual.  Success at
-exponent m gives a word with exactly m taus, and m lands at
+close to e^{i theta}.  Searching shortest-first in m, each shell's
+candidate pairs (x0, x1) in Z[phi]^2 = Z^4 are the lattice points of
+one 4-dimensional ellipsoid around the plus-side eps-cap times the
+minus-side disk (solve_shell, enumerated exactly by
+goldengrid.lattice_points), so the work per shell tracks the number of
+pairs rather than the eps^(-1/2) values x1 can take alone.  (x2, x3)
+is a sum-of-two-squares certificate for the exact residual.  Success
+at exponent m gives a word with exactly m taus, and m lands at
 (1+o(1))*log_59(1/eps^3) because each residual has a roughly constant
 chance of being representable.
 
-Each shell needs cos(theta) > 0: the fidelity slab on x0 is then a
-plus-embedding interval, so every search region is a rectangle.
-synth_diagonal folds theta into [-pi/2, pi/2) and snaps to the C60
-element u(pi/2) before any shell when theta is near the quarter turn,
-which covers the folded angle -pi/2.  A residual is skipped when its
-factorization runs out of the Pollard-rho budget, the only abandonment
-rule.
+Each shell needs cos(theta) > 0, so that the fidelity slab on x0 is a
+plus-embedding interval.  synth_diagonal folds theta into
+[-pi/2, pi/2) and snaps to the C60 element u(pi/2) before any shell
+when theta is near the quarter turn, which covers the folded angle
+-pi/2.  A residual is skipped when its factorization runs out of the
+Pollard-rho budget, the only abandonment rule.
 
 All operations here expect to run under mp.workprec(precision_for(eps))
 or wider; synth_diagonal sets that up itself.
@@ -26,20 +28,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from itertools import groupby
+from operator import itemgetter
 
 from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NoPeelingCandidate, NotInGroup, NotRepresentable)
-from .golden import ETA, GoldenInt, embed, eta_power
-from .goldengrid import enumerate_region, stream_center_out
+from .golden import ETA, PHI, GoldenInt, embed, eta_power
+from .goldengrid import lattice_points
 from .icosian import GateWord, GoldenQuat, evaluate_word, exact_synthesize
 from .sots import sots_exact
 from .unitary import distance, precision_for, u_of_theta
 
-__all__ = ["DiagonalProblem", "solve_x1", "solve_x0", "solve_x23",
-           "synth_diagonal"]
+__all__ = ["DiagonalProblem", "solve_shell", "solve_x23", "synth_diagonal"]
 
 
 @dataclass(frozen=True)
@@ -83,56 +85,105 @@ def _shell(prob: DiagonalProblem, prec: int):
     return hp, hm, s, c, cap, mu, w, ep, em
 
 
-def solve_x1(prob: DiagonalProblem) -> Iterator[GoldenInt]:
-    """Stream x1 = c + d*phi satisfying, for h = eta^{m/2}:
+def solve_shell(prob: DiagonalProblem, warm: dict | None = None
+                ) -> list[tuple[GoldenInt, GoldenInt]]:
+    """Every pair (x0, x1) of one shell, in the order the search tries
+    them.  A pair qualifies when, for h = eta^{m/2}:
 
         x1 sin(theta) <= h (1 - eps^2)
         |sigma_+ x1| <= h,   |sigma_- x1| <= (sigma_- eta)^{m/2}
-        |x1 - h (1 - eps^2) sin(theta)| <= h |cos(theta)| sqrt(2-eps^2) eps
-
-    ordered center-out from the band midpoint.  Enumeration covers the
-    rectangle rows only; the first inequality (which cuts the band only
-    when theta is within about eps of a quarter turn) and any spurious
-    boundary points are enforced by the numeric recheck before a value
-    is yielded.
-    """
-    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
-    plus_lo, plus_hi = max(mu - w, -hp), min(mu + w, hp)
-    for x in stream_center_out(plus_lo, plus_hi, -hm, hm, center=mu):
-        xp = embed(x, "plus", mp.prec)
-        xm = embed(x, "minus", mp.prec)
-        if (xp * s <= cap and abs(xp) <= hp and abs(xm) <= hm
-                and abs(xp - mu) <= w):
-            yield x
-
-
-def solve_x0(prob: DiagonalProblem, x1: GoldenInt) -> list[GoldenInt]:
-    """All x0 = a + b*phi satisfying, for h = eta^{m/2}:
-
+        |x1 - h (1 - eps^2) sin(theta)| <= h cos(theta) sqrt(2-eps^2) eps
         h (1 - eps^2) <= x0 cos(theta) + x1 sin(theta) <= h
         |sigma_pm x0| <= sqrt(max(0, (sigma_pm eta)^m - (sigma_pm x1)^2))
 
-    sorted by decreasing trace overlap x0 cos(theta) + x1 sin(theta), so
-    the first candidate gives the smallest distance."""
+    each checked numerically at working precision.  Pairs are sorted
+    by |x1 - h (1 - eps^2) sin(theta)| (x1 nearest the band centre
+    first), then by decreasing trace overlap x0 cos(theta) +
+    x1 sin(theta), so the first x0 of an x1 gives the smallest
+    distance; ties go by coordinates.
+
+    The candidates are the points of Z[phi]^2 = Z^4 inside one
+    ellipsoid (see _shell_lattice) that holds every qualifying pair.
+    warm, a dict shared by the shells of one search, carries the
+    lattice reduction from shell to shell: each shell's reduction
+    starts from the transform the previous one left there.
+    """
     hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
-    x1p = embed(x1, "plus", mp.prec)
-    x1m = embed(x1, "minus", mp.prec)
-    sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
-    sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
-    lo_f = cap - x1p * s
-    hi_f = hp - x1p * s
-    # cos(theta) > 0, so the fidelity slab is a plus-embedding interval
-    plus_lo = max(-sp, lo_f / c)
-    plus_hi = min(sp, hi_f / c)
+    basis, center, radius_sq = _shell_lattice(prob, mp.prec)
+    points, transform = lattice_points(
+        basis, center, radius_sq, warm.get("transform") if warm else None)
+    if warm is not None:
+        warm["transform"] = transform
+    x1_of = itemgetter(2, 3)
+    points.sort(key=x1_of)
     out = []
-    for x in enumerate_region(plus_lo, plus_hi, -sm, sm):
-        xp = embed(x, "plus", mp.prec)
-        xm = embed(x, "minus", mp.prec)
-        overlap = xp * c + x1p * s
-        if (lo_f <= xp * c <= hi_f and abs(xp) <= sp and abs(xm) <= sm):
-            out.append((overlap, (x.a, x.b), x))
-    out.sort(key=lambda item: (-item[0], item[1]))
-    return [x for _, _, x in out]
+    for (a1, b1), group in groupby(points, key=x1_of):
+        x1 = GoldenInt(a1, b1)
+        x1p = embed(x1, "plus", mp.prec)
+        x1m = embed(x1, "minus", mp.prec)
+        if not (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
+                and abs(x1p - mu) <= w):
+            continue
+        sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
+        sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
+        lo_f = cap - x1p * s
+        hi_f = hp - x1p * s
+        for a0, b0, _, _ in group:
+            x0 = GoldenInt(a0, b0)
+            x0p = embed(x0, "plus", mp.prec)
+            x0m = embed(x0, "minus", mp.prec)
+            # cos(theta) > 0: the fidelity slab is a plus-side interval
+            if lo_f <= x0p * c <= hi_f and abs(x0p) <= sp and abs(x0m) <= sm:
+                overlap = x0p * c + x1p * s
+                out.append(((abs(x1p - mu), (a1, b1), -overlap, (a0, b0)),
+                            (x0, x1)))
+    out.sort(key=lambda item: item[0])
+    return [pair for _, pair in out]
+
+
+def _shell_lattice(prob: DiagonalProblem, prec: int):
+    """The search ellipsoid of one shell as an integer lattice problem.
+
+    On the plus side (sigma_+ x0, sigma_+ x1) lies in the eps-cap, whose
+    rotated coordinates r = x0 cos(theta) + x1 sin(theta) and
+    t = x1 cos(theta) - x0 sin(theta) satisfy r in [h (1 - eps^2), h]
+    and |t| <= h eps sqrt(2 - eps^2); on the minus side
+    (sigma_- x0, sigma_- x1) lies in the disk of radius
+    (sigma_- eta)^{m/2}.  Normalising the rectangle and the disk to
+    unit size, their product sits inside sum_i L_i(z)^2 <= 3 for four
+    linear forms L_i of z = (a0, b0, a1, b1).  Scaled by a power of two
+    S > 2^16 (4h + 4) and rounded, the forms give an integer basis and
+    centre.  A qualifying z has every |z_j| <= h, so rounding moves the
+    scaled point by at most 4h + 1 < S / 2^16, which the radius
+    S (sqrt(3) + 0.01) absorbs.
+
+    Returns (basis, center, radius_sq) for goldengrid.lattice_points:
+    basis[j] is the image of the j-th unit vector of Z^4.
+    """
+    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, prec)
+    k = int(4 * hp + 4).bit_length() + 16  # S = 2^k
+    with mp.workprec(prec):
+        eps = mpf(prob.epsilon)
+        half_r = (hp - cap) / 2
+        t_max = hp * eps * mp.sqrt(2 - eps ** 2)
+        php = embed(PHI, "plus", prec)
+        phm = embed(PHI, "minus", prec)
+        # L_i as coefficients on z: r and t over the rectangle's
+        # half-sides, then sigma_- x0 and sigma_- x1 over the disk radius
+        r0, r1 = c / half_r, s / half_r
+        t0, t1 = -s / t_max, c / t_max
+        g = 1 / hm
+        rows = [(r0, r0 * php, r1, r1 * php),
+                (t0, t0 * php, t1, t1 * php),
+                (g, g * phm, 0, 0),
+                (0, 0, g, g * phm)]
+        basis = [[int(mp.nint(mp.ldexp(row[j], k))) for row in rows]
+                 for j in range(4)]
+        center = [int(mp.nint(mp.ldexp((hp + cap) / 2 / half_r, k))),
+                  0, 0, 0]
+    radius = (1742051 << k) // 10 ** 6 + 1  # > S (sqrt(3) + 0.01)
+    radius_sq = radius * radius
+    return basis, center, radius_sq
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -202,26 +253,26 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
             return q, word, achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
+        warm: dict = {}
         for m in range(m_cap + 1):
             prob = DiagonalProblem(t, eps, m)
-            for x1 in solve_x1(prob):
-                for x0 in solve_x0(prob, x1):
-                    try:
-                        pair = solve_x23(m, x0, x1)
-                    except Abandoned:
-                        if stats is not None:
-                            stats["abandoned"] = stats.get("abandoned", 0) + 1
-                        continue
-                    if pair is None:
-                        continue
-                    q = GoldenQuat(x0, x1, *pair)
-                    try:
-                        word = exact_synthesize(q)
-                    except (NotInGroup, NoPeelingCandidate):
-                        continue
-                    achieved = distance(target, evaluate_word(word, bits))
-                    if achieved < eps:
-                        return q, word, achieved
+            for x0, x1 in solve_shell(prob, warm):
+                try:
+                    pair = solve_x23(m, x0, x1)
+                except Abandoned:
+                    if stats is not None:
+                        stats["abandoned"] = stats.get("abandoned", 0) + 1
+                    continue
+                if pair is None:
+                    continue
+                q = GoldenQuat(x0, x1, *pair)
+                try:
+                    word = exact_synthesize(q)
+                except (NotInGroup, NoPeelingCandidate):
+                    continue
+                achieved = distance(target, evaluate_word(word, bits))
+                if achieved < eps:
+                    return q, word, achieved
     raise BudgetExhausted(
         f"no approximation of u({theta}) within {epsilon} "
         f"up to eta-exponent {m_cap}")

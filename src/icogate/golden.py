@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpf
 
@@ -166,20 +167,13 @@ def galois_conj(x: GoldenInt) -> GoldenInt:
     return x.conj()
 
 
-_PHI_EMBED_CACHE: dict[tuple[int, str], object] = {}
-
-
+@lru_cache(maxsize=64)
 def _phi_embedded(which: str, precision_bits: int):
     """phi under the requested embedding, memoized per precision (embed
     sits on the hot path of lattice scans)."""
-    key = (precision_bits, which)
-    val = _PHI_EMBED_CACHE.get(key)
-    if val is None:
-        with mp.workprec(precision_bits):
-            root = mp.sqrt(5)
-            val = (1 + root) / 2 if which == "plus" else (1 - root) / 2
-        _PHI_EMBED_CACHE[key] = val
-    return val
+    with mp.workprec(precision_bits):
+        root = mp.sqrt(5)
+        return (1 + root) / 2 if which == "plus" else (1 - root) / 2
 
 
 def embed(x: GoldenInt, which: str = "plus", precision_bits: int = 64):

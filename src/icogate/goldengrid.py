@@ -1,26 +1,35 @@
-"""Enumeration of Z[phi] elements by their pair of real embeddings.
+"""Enumeration of Z[phi] elements by their pair of real embeddings,
+and of integer lattice points in an ellipsoid.
 
 An element x = c + d*phi is a lattice point (c, d), and the conditions
 sigma_plus(x) in [A, B], sigma_minus(x) in [A', B'] are four linear
 constraints on (c, d).  Taken literally that region is usually a very
-thin, very long parallelogram (the synthesis search bands have
-sigma_plus width ~ eps*eta^{m/2} against sigma_minus width ~ 2), and a
-bounding-box scan would be hopeless.  Substituting x = phi^t * y with
-t chosen to balance the two widths turns the region into a roughly
-square one, and the substitution is an exact integer change of basis,
-so nothing is lost.
+thin, very long parallelogram (a norm band of general synthesis is
+about eps * sigma_plus(eta^k) wide on the plus side and
+sigma_minus(eta^k) on the minus side), and a bounding-box scan would
+be hopeless.  Substituting x = phi^t * y with t chosen to balance the
+two widths turns the region into a roughly square one, and the
+substitution is an exact integer change of basis, so nothing is lost.
 
-Two entry points: enumerate_region materializes a whole region, and
-stream_center_out walks an unboundedly large band lazily in exact
-order of |sigma_plus(x) - center|, by splitting the band into slabs of
-a few thousand points and merging them center-outward.
+enumerate_region materializes a whole rectangle, and stream_center_out
+walks an unboundedly large band lazily in exact order of
+|sigma_plus(x) - center|, by splitting the band into slabs of a few
+thousand points and merging them center-outward.  lattice_points
+solves the n-dimensional version once the caller has scaled it to
+integers: every y in Z^n with |sum_i y_i b_i - c|^2 <= R^2, found by
+LLL reduction and Fincke-Pohst enumeration in exact integer
+arithmetic; diagonal synthesis poses each shell as one such problem in
+Z[phi]^2 = Z^4.
 
-All floating arithmetic happens at the ambient mpmath precision; run
-under mp.workprec sized for the magnitudes involved.
+The rectangle enumerators do their floating arithmetic at the ambient
+mpmath precision; run them under mp.workprec sized for the magnitudes
+involved.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import isqrt
 from typing import Iterator
 
 from mpmath import mp, mpf
@@ -28,11 +37,10 @@ from mpmath import mp, mpf
 from .golden import GoldenInt, _phi_embedded, embed, phi_power
 from .lattice import _slack
 
-__all__ = ["enumerate_region", "stream_center_out"]
-
-_POW_EMBED_CACHE: dict[tuple[int, int], tuple] = {}
+__all__ = ["enumerate_region", "stream_center_out", "lattice_points"]
 
 
+@lru_cache(maxsize=512)
 def _phi_pow_embedded(t: int, prec: int):
     """Both embeddings of phi^t, memoized, accurate to a few roundings.
 
@@ -40,17 +48,11 @@ def _phi_pow_embedded(t: int, prec: int):
     coordinates (that cancels catastrophically); phi is a unit, so
     sigma_plus(phi^t) * sigma_minus(phi^t) = (-1)^t turns the accurate
     big embedding into an equally accurate small one."""
-    key = (prec, t)
-    val = _POW_EMBED_CACHE.get(key)
-    if val is None:
-        big = embed(phi_power(abs(t)), "plus", prec)  # positive coords
-        with mp.workprec(prec):
-            if t >= 0:
-                val = (big, (1 / big if t % 2 == 0 else -1 / big))
-            else:
-                val = (1 / big, (big if t % 2 == 0 else -big))
-        _POW_EMBED_CACHE[key] = val
-    return val
+    big = embed(phi_power(abs(t)), "plus", prec)  # positive coords
+    with mp.workprec(prec):
+        if t >= 0:
+            return big, (1 / big if t % 2 == 0 else -1 / big)
+        return 1 / big, (big if t % 2 == 0 else -big)
 
 
 def _box_points(plus_lo, plus_hi, minus_lo, minus_hi):
@@ -160,3 +162,138 @@ def stream_center_out(plus_lo, plus_hi, minus_lo, minus_hi,
         if done and not pending:
             return
         k += 1
+
+
+def lattice_points(basis, center, radius_sq, start=None):
+    """Every integer y with |sum_i y_i basis[i] - center|^2 <= radius_sq.
+
+    basis holds n linearly independent integer vectors of length n,
+    center is an integer vector and radius_sq an integer, so the answer
+    is exact: the basis is LLL-reduced in integer arithmetic and the
+    ellipsoid enumerated depth-first (Fincke-Pohst) over the exact
+    Gram-Schmidt data of the reduced basis.  When start is given (a
+    unimodular transform returned by an earlier call on a nearby basis)
+    the reduction begins from start * basis, which is nearly reduced
+    already.
+
+    Returns (points, transform): the points as tuples in the original
+    basis coordinates, in no particular order, and the unimodular
+    transform U with U * basis the reduced basis.
+    """
+    n = len(basis)
+    if start is None:
+        start = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[_dot(row, col) for col in zip(*basis)] for row in start]
+    rows, transform, d, lam = _lll(rows, [list(r) for r in start])
+    transform = transform[1:]
+    # lam_c[j] = d_{j-1} <center, b*_j>, by the same recurrence that
+    # gives the lambda of a basis vector
+    lam_c = [0] * (n + 1)
+    for j in range(1, n + 1):
+        u = _dot(center, rows[j])
+        for i in range(1, j):
+            u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
+        lam_c[j] = u
+    columns = list(zip(*transform))
+    points = [tuple(_dot(y, col) for col in columns)
+              for y in _fincke_pohst(d, lam, lam_c, radius_sq)]
+    return points, transform
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _lll(b, h):
+    """Integral LLL with delta = 99/100 (Cohen, GTM 138, Alg. 2.6.7).
+
+    Reduces the rows of b, applying every row operation to the rows of
+    h as well.  Returns 1-based (b, h, d, lam): d[j] is the Gram
+    determinant of the first j rows (d[0] = 1), and lam[k][j] =
+    d[j] * mu_kj, both integers, so B_j = d[j] / d[j-1] is the squared
+    length of the j-th Gram-Schmidt vector."""
+    n = len(b)
+    b, h = [None] + b, [None] + h
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k]
+        d[k - 1] = new_d
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+            if d[k] == 0:
+                raise ValueError("lattice basis is linearly dependent")
+        if k > 1:
+            reduce(k, k - 1)
+            if (100 * d[k] * d[k - 2]
+                    < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2):
+                swap(k)
+                k = max(2, k - 1)
+                continue
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+        k += 1
+    return b, h, d, lam
+
+
+def _fincke_pohst(d, lam, lam_c, radius_sq):
+    """Yield every coordinate vector [y_1, ..., y_n] with
+
+        sum_j (d_j y_j - N_j)^2 / (d_j d_{j-1}) <= radius_sq,
+        N_j = lam_c[j] - sum_{k > j} lam[k][j] y_k,
+
+    which is |sum_j y_j b_j - center|^2 <= radius_sq written over the
+    Gram-Schmidt basis.  Everything is scaled by the common denominator
+    P = prod_j d_j d_{j-1}, so each level's range comes from one isqrt
+    and no bound is rounded."""
+    n = len(d) - 1
+    den = [d[j] * d[j - 1] for j in range(n + 1)]
+    p = 1
+    for j in range(1, n + 1):
+        p *= den[j]
+    weight = [p // den[j] if j else 0 for j in range(n + 1)]
+    y = [0] * (n + 1)
+
+    def descend(j, budget):
+        nj = lam_c[j] - sum(lam[k][j] * y[k] for k in range(j + 1, n + 1))
+        r = isqrt(budget // weight[j])
+        dj = d[j]
+        for v in range(-((r - nj) // dj), (nj + r) // dj + 1):
+            e = dj * v - nj
+            y[j] = v
+            if j == 1:
+                yield y[1:]
+            else:
+                yield from descend(j - 1, budget - e * e * weight[j])
+
+    yield from descend(n, radius_sq * p)

@@ -1,8 +1,8 @@
 import pytest
 from mpmath import mp, mpf
 
-from icogate.diagonal import (DiagonalProblem, _fold_theta, solve_x0,
-                              solve_x1, solve_x23, synth_diagonal)
+from icogate.diagonal import (DiagonalProblem, _fold_theta, solve_shell,
+                              solve_x23, synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import GoldenInt, embed, eta_power, eta_valuation
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
@@ -59,40 +59,91 @@ def brute_x0(prob, x1):
     return out
 
 
-@pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("theta,eps", [(0.4, 0.3), (0.3926990817, 0.15)])
-def test_solve_x1_matches_brute_force(m, theta, eps):
+def brute_pairs(prob):
+    """The pairs the two scans accept, in the search order: x1 by
+    distance from the band centre, then x0 by decreasing trace overlap,
+    ties by coordinates."""
+    theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+    hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
+    s, c = mp.sin(theta), mp.cos(theta)
+    mu = hp * (1 - eps ** 2) * s
+    out = []
+    for x1 in brute_x1(prob):
+        x1p = embed(x1, "plus", mp.prec)
+        for x0 in brute_x0(prob, x1):
+            overlap = embed(x0, "plus", mp.prec) * c + x1p * s
+            out.append(((abs(x1p - mu), (x1.a, x1.b), -overlap, (x0.a, x0.b)),
+                        (x0, x1)))
+    out.sort(key=lambda item: item[0])
+    return [pair for _, pair in out]
+
+
+@pytest.mark.parametrize("theta,eps,m", [
+    (0.4, 0.3, 0), (0.4, 0.3, 1), (0.4, 0.3, 2), (0.4, 0.3, 3),
+    (0.3926990817, 0.15, 0), (0.3926990817, 0.15, 1),
+    (0.3926990817, 0.15, 2), (0.3926990817, 0.15, 3),
+    (0.3926990817, 0.15, 4),
+])
+def test_solve_x1_matches_brute_force(theta, eps, m):
+    """Every x1 that solve_shell pairs passes the x1 scan, each x1 forms
+    one run of pairs, and the runs go centre-out."""
     with mp.workprec(BITS):
         prob = DiagonalProblem(theta, eps, m)
-        got = list(solve_x1(prob))
-        assert set(got) == brute_x1(prob)
+        pairs = solve_shell(prob)
+        got = [x1 for i, (_, x1) in enumerate(pairs)
+               if i == 0 or pairs[i - 1][1] != x1]
         assert len(got) == len(set(got))
+        assert set(got) <= brute_x1(prob)
         # center-out ordering, ties up to representation noise
         mu = (mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
               * (1 - mpf(eps) ** 2) * mp.sin(theta))
         dists = [abs(embed(x, "plus", mp.prec) - mu) for x in got]
         assert all(d1 - d2 <= mp.mpf(2) ** -60
                    for d1, d2 in zip(dists, dists[1:]))
+        if m >= 2:
+            assert got
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_solve_x0_matches_brute_force(m):
+    """For every x1 of the x1 scan, solve_shell pairs it with exactly
+    the x0 of the x0 scan, by decreasing trace overlap."""
     with mp.workprec(BITS):
         prob = DiagonalProblem(0.4, 0.35, m)
-        found_any = False
-        for x1 in solve_x1(prob):
-            got = solve_x0(prob, x1)
-            assert set(got) == brute_x0(prob, x1)
-            assert len(got) == len(set(got))
-            # sorted by decreasing trace overlap
-            s, c = mp.sin(mpf(0.4)), mp.cos(mpf(0.4))
-            x1p = embed(x1, "plus", mp.prec)
-            overlaps = [embed(x, "plus", mp.prec) * c + x1p * s for x in got]
-            assert all(o1 - o2 >= -mp.mpf(2) ** -60
-                       for o1, o2 in zip(overlaps, overlaps[1:]))
-            found_any = found_any or bool(got)
+        pairs = solve_shell(prob)
+        assert pairs == brute_pairs(prob)
         if m >= 1:
-            assert found_any
+            assert pairs
+
+
+@pytest.mark.parametrize("theta,eps,m", [
+    (0.4, 0.3, 0), (0.4, 0.3, 1), (0.4, 0.3, 2),
+    (0.3926990817, 0.15, 0), (0.3926990817, 0.15, 1),
+    (0.3926990817, 0.15, 2),
+    (-0.5, 0.3, 2), (-0.5, 0.05, 3),
+    # within 1e-3 of the quarter turn: cos(theta) = 9e-4
+    (1.5698963268, 0.05, 4),
+    # cap half-width h eps sqrt(2 - eps^2) = 0.99, below one lattice
+    # spacing; the ellipsoid is held only by the radius margin
+    (0.68, 0.012, 3),
+])
+def test_solve_shell_matches_brute_force(theta, eps, m):
+    with mp.workprec(BITS):
+        prob = DiagonalProblem(theta, eps, m)
+        pairs = solve_shell(prob)
+        assert pairs == brute_pairs(prob)
+        if m >= 2:
+            assert pairs
+
+
+def test_solve_shell_warm_start_agrees():
+    # one search's shells, reduced from the previous shell's transform
+    # and from scratch
+    with mp.workprec(precision_for(1e-6)):
+        warm = {}
+        for m in range(12):
+            prob = DiagonalProblem(mp.pi / 8, mpf("1e-6"), m)
+            assert solve_shell(prob, warm) == solve_shell(prob)
 
 
 def test_solve_x23_zero_residual():
@@ -224,3 +275,18 @@ def test_tau_count_tracks_epsilon():
     assert all(t <= cap for t in taus)
     taus.sort()
     assert taus[len(taus) // 2] <= 13
+
+
+def test_synth_deep_t_gate():
+    # a 35-tau word; achieved is recomputed from the word at
+    # twice the working precision
+    eps = mpf("1e-20")
+    bits = precision_for(eps)
+    with mp.workprec(2 * bits):
+        theta = mp.pi / 8
+    _, word, achieved = synth_diagonal(theta, eps)
+    with mp.workprec(2 * bits):
+        true = distance(u_of_theta(theta, 2 * bits),
+                        evaluate_word(word, 2 * bits))
+        assert true < eps
+        assert abs(true - achieved) < mpf(2) ** (-bits // 2)

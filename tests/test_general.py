@@ -10,8 +10,9 @@ from icogate.general import (SynthConfig, SynthReport, build_central,
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
 from icogate.icosian import (RHO, GoldenQuat, canonical, evaluate_word,
                              exact_synthesize, generate_c60, word_to_quat)
-from icogate.unitary import (ProjUnitary, distance, named_gate, to_alpha_beta,
-                             tuning_constant, u_of_alpha_beta, u_of_theta)
+from icogate.unitary import (ProjUnitary, distance, named_gate,
+                             precision_for, to_alpha_beta, tuning_constant,
+                             u_of_alpha_beta, u_of_theta)
 
 BITS = 160
 
@@ -223,3 +224,16 @@ def test_halting_scale():
     base = mp.log(1 / mpf(eps)) / mp.log(59)
     med = sorted(ks)[len(ks) // 2]
     assert base - 2 <= med <= base + 3
+
+
+def test_deep_hadamard():
+    # outer diagonals at 6e-13; achieved is recomputed from the word at
+    # twice the working precision
+    eps = 1e-12
+    bits = precision_for(eps)
+    r = synth_general(named_gate("H", 2 * bits), SynthConfig(eps))
+    with mp.workprec(2 * bits):
+        true = distance(named_gate("H", 2 * bits),
+                        evaluate_word(r.word, 2 * bits))
+        assert true < (tuning_constant() + 2) * mpf(eps)
+        assert abs(true - r.achieved) < mpf(2) ** (-bits // 2)
