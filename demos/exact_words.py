@@ -11,11 +11,26 @@ import random
 
 from icogate.icosian import (RHO, SIGMA, TAU, GateWord, GoldenQuat, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
-                             peel_candidates, tau_count, word_to_quat)
+                             tau_count, word_to_quat)
 from icogate.unitary import distance
 
 def coords(q):
     return "(" + ", ".join(str(p) for p in q.parts()) + ")"
+
+
+def residues(q):
+    """q mod eta: Z[phi]/(eta) is the field F_59, with phi -> 34."""
+    return tuple((x.a + 34 * x.b) % 59 for x in q.parts())
+
+
+def hamilton_mod(g, h):
+    """The quaternion product of two residue vectors, in F_59^4."""
+    g0, g1, g2, g3 = g
+    h0, h1, h2, h3 = h
+    return tuple(v % 59 for v in (g0 * h0 - g1 * h1 - g2 * h2 - g3 * h3,
+                                  g0 * h1 + g1 * h0 + g2 * h3 - g3 * h2,
+                                  g0 * h2 - g1 * h3 + g2 * h0 + g3 * h1,
+                                  g0 * h3 + g1 * h2 - g2 * h1 + g3 * h0))
 
 
 print("== the tau-free part: 60 classes ==")
@@ -43,14 +58,20 @@ print(f"distance between the two evaluations: {e}")
 print()
 
 print("== the peeling is forced at every step ==")
+print("eta divides gamma*c*tau exactly when the residues mod eta multiply")
+print("to zero, and for each gamma one cofactor c of the 60 does that")
 gamma = canonical(q)
 step = 0
 while tau_count(gamma) > 0:
-    cands = peel_candidates(gamma)
-    print(f"step {step}: {len(cands)} candidate (unique)")
-    gamma = canonical(gamma * (cands[0] * TAU))
+    g = residues(gamma)
+    hits = [(c, w) for c, w in table
+            if not any(hamilton_mod(g, residues(c * TAU)))]
+    c, w = hits[0]
+    print(f"step {step}: gamma = {g} mod eta; the product vanishes for "
+          f"{len(hits)} of 60: c = ({w}), c*tau = {residues(c * TAU)}")
+    gamma = canonical(gamma * (c * TAU))
     step += 1
-print(f"after {step} peels the residue is tau-free: {coords(gamma)}")
+print(f"after {step} peels the residual is tau-free: {coords(gamma)}")
 print()
 
 print("== random words round-trip (and get reduced) ==")

@@ -14,6 +14,11 @@ The package is layered bottom-up:
   diagonal     -- approximate synthesis of diagonal rotations
   general      -- approximate synthesis of arbitrary unitaries
   cli          -- the icogate command line tool
+
+The compiler is not thread-safe: every layer sets mpmath's working
+precision with mp.workprec, which is global to the process, so
+concurrent threads corrupt each other's precision.  Use one thread, or
+separate processes.
 """
 
 __version__ = "0.1.0"

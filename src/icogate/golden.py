@@ -280,6 +280,10 @@ def _assoc_key(x: GoldenInt) -> tuple:
     return (_keysize(x), 0 if x.a > 0 else 1, 0 if x.b >= 0 else 1, x.a, x.b)
 
 
+def _positive(x: GoldenInt) -> GoldenInt:
+    return -x if x.a < 0 or (x.a == 0 and x.b < 0) else x
+
+
 def canonical_associate(x: GoldenInt) -> GoldenInt:
     """The distinguished associate of x among +-phi^n multiples.
 
@@ -292,29 +296,28 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
     """
     if not x:
         return ZERO
-    n0 = _balance_exponent(x)
-    x0 = x * phi_power(n0)
-    best = None
-    lo, hi = -8, 8
-    shifts = {d: x0 * phi_power(d) for d in range(lo, hi + 1)}
+    # the window [lo, hi] of phi-powers around the balanced point grows
+    # by 8 a side, one multiplication by phi or phi^-1 per new entry;
+    # distinct powers have distinct keys, so the scan order is immaterial
+    up = down = x * phi_power(_balance_exponent(x))
+    lo = hi = 0
+    out = _positive(up)
+    key, dbest = _assoc_key(out), 0
     while True:
-        for d in sorted(shifts):
-            w = shifts[d]
-            if w.a < 0 or (w.a == 0 and w.b < 0):
-                w = -w
-            k = _assoc_key(w)
-            if best is None or k < best[0]:
-                best = (k, w, d)
+        for _ in range(8):
+            hi += 1
+            lo -= 1
+            up = up * PHI
+            down = down * PHI_INV
+            for d, w in ((hi, _positive(up)), (lo, _positive(down))):
+                k = _assoc_key(w)
+                if k < key:
+                    key, out, dbest = k, w, d
         # widen if the optimum sits on the window edge
-        _, _, dbest = best
-        if dbest > lo and dbest < hi:
+        if lo < dbest < hi:
             break
-        lo -= 8
-        hi += 8
-        shifts = {d: x0 * phi_power(d) for d in range(lo, hi + 1)}
-        if hi > 2000:
+        if hi >= 2000:
             raise AssertionError("canonicalization window runaway")
-    out = best[1]
     if out == GoldenInt(2, 1):  # the norm-5 ramified class
         return SQRT5_IRREDUCIBLE
     return out

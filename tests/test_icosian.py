@@ -2,15 +2,42 @@ import random
 
 import pytest
 
-from icogate.errors import MalformedInput, NotInGroup
+from icogate.errors import MalformedInput, NoPeelingCandidate, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
                              canonical, evaluate_word, exact_synthesize,
-                             generate_c60, peel_candidates, tau_count,
-                             word_to_quat)
+                             generate_c60, tau_count, word_to_quat)
 from icogate.unitary import ProjUnitary, distance
 
 PROJ_TOL = 1e-15
+
+
+def peel_oracle(q):
+    """All c in C60 with q*c*tau divisible by eta, by trial division."""
+    return [c for c, _ in generate_c60()
+            if all(exact_div(x, ETA) is not None
+                   for x in (q * (c * TAU)).parts())]
+
+
+def reference_synthesize(q):
+    """exact_synthesize by trial division: canonicalize, peel the first
+    oracle cofactor (the identity last) and canonicalize again, tau by
+    tau.  Returns the word, or the exception exact_synthesize must raise."""
+    table = generate_c60()
+    gamma = canonical(q)
+    tails = []
+    for _ in range(tau_count(gamma)):
+        cands = sorted(peel_oracle(gamma),
+                       key=lambda c: table.word_for(c) == "")
+        if not cands:
+            return NoPeelingCandidate(
+                f"no C60 cofactor peels a tau from {gamma!r}")
+        tails.append(table.word_for(cands[0].conjugate()))
+        gamma = canonical(gamma * (cands[0] * TAU))
+    base = table.word_for(gamma)
+    if base is None:
+        return NotInGroup(f"residual {gamma!r} is outside C60")
+    return GateWord(tuple([base] + tails[::-1]))
 
 
 def rand_quat(rng, span=4):
@@ -96,6 +123,9 @@ def test_c60_inverse_words():
         inv = table.inverse_word_for(q)
         prod = q * word_to_quat(GateWord((inv,)))
         assert canonical(prod) == canonical(ONE_QUAT)
+        assert inv == table.word_for(q.conjugate())
+    with pytest.raises(NotInGroup):
+        table.inverse_word_for(TAU)
 
 
 def test_c60_deterministic():
@@ -238,8 +268,37 @@ def test_peeling_unique():
         word = random_word(rng, words, 4)
         gamma = canonical(word_to_quat(word))
         while eta_valuation(gamma.nrd()) > 0:
-            cands = peel_candidates(gamma)
+            cands = peel_oracle(gamma)
             assert len(cands) == 1
             quotient = gamma * (cands[0] * TAU)
             parts = [exact_div(x, ETA) for x in quotient.parts()]
             gamma = canonical(GoldenQuat(*parts))
+
+
+def test_exact_synthesize_matches_trial_division():
+    """Each cofactor exact_synthesize picks by residue mod eta is the one
+    trial division finds, step by step; non-group inputs fail alike."""
+    rng = random.Random(10)
+    words = [w for _, w in generate_c60()]
+    scalar_seg = "rsrrsrsrrsrs" * 2  # a nonempty segment equal to 1 in C60
+    cases = [random_word(rng, words, rng.randint(0, 12)) for _ in range(25)]
+    cases += [GateWord.parse(text) for text in (
+        "(rs)t(srs)t()", "()t(r)t(s)", "()t()", f"(r)t({scalar_seg})t(s)",
+        f"()t(rr)t({scalar_seg})t(s)t()")]
+    quats = [word_to_quat(w) for w in cases]
+    m = GoldenQuat(1, 1, 0, 0)  # nrd 2: no word reaches it
+    quats += [m, TAU * m, TAU * m * TAU, m * TAU * RHO * TAU * m,
+              TAU * GoldenQuat(1, GoldenInt(0, 1), 1, 0)]
+    for q in quats:
+        expected = reference_synthesize(q)
+        if isinstance(expected, Exception):
+            with pytest.raises(type(expected)) as info:
+                exact_synthesize(q)
+            assert type(info.value) is type(expected)
+            assert str(info.value) == str(expected)
+            continue
+        got = exact_synthesize(q)
+        assert got.tau_count == expected.tau_count
+        for step in range(1, got.tau_count + 1):
+            assert got.segments[-step] == expected.segments[-step], step
+        assert got == expected
