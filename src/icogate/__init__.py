@@ -9,8 +9,8 @@ The package is layered bottom-up:
   sots         -- sums of two squares in Z[phi]
   icosian      -- the binary icosahedral group and exact factoring
   unitary      -- big-float PU(2) numerics and diagonal tuning
-  lattice      -- outward rounding of big-float scan bounds
-  goldengrid   -- Z[phi] elements with both embeddings in a rectangle
+  lattice      -- exact integer lattice points in an ellipsoid
+  goldengrid   -- Z[phi] embedding problems posed as lattice problems
   diagonal     -- approximate synthesis of diagonal rotations
   general      -- approximate synthesis of arbitrary unitaries
   cli          -- the icogate command line tool

@@ -6,7 +6,7 @@ close to e^{i theta}.  Searching shortest-first in m, each shell's
 candidate pairs (x0, x1) in Z[phi]^2 = Z^4 are the lattice points of
 one 4-dimensional ellipsoid around the plus-side eps-cap times the
 minus-side disk (solve_shell, enumerated exactly by
-goldengrid.lattice_points), so the work per shell tracks the number of
+goldengrid.ellipsoid_points), so the work per shell tracks the number of
 pairs rather than the eps^(-1/2) values x1 can take alone.  (x2, x3)
 is a sum-of-two-squares certificate for the exact residual.  Success
 at exponent m gives a word with exactly m taus, and m lands at
@@ -34,9 +34,9 @@ from operator import itemgetter
 from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
-                     NoPeelingCandidate, NotInGroup, NotRepresentable)
+                     NotInGroup, NotRepresentable)
 from .golden import ETA, PHI, GoldenInt, embed, eta_power
-from .goldengrid import lattice_points
+from .goldengrid import ellipsoid_points
 from .icosian import GateWord, GoldenQuat, evaluate_word, exact_synthesize
 from .sots import sots_exact
 from .unitary import distance, precision_for, u_of_theta
@@ -103,15 +103,15 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
     distance; ties go by coordinates.
 
     The candidates are the points of Z[phi]^2 = Z^4 inside one
-    ellipsoid (see _shell_lattice) that holds every qualifying pair.
+    ellipsoid (see _shell_forms) that holds every qualifying pair.
     warm, a dict shared by the shells of one search, carries the
     lattice reduction from shell to shell: each shell's reduction
     starts from the transform the previous one left there.
     """
     hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
-    basis, center, radius_sq = _shell_lattice(prob, mp.prec)
-    points, transform = lattice_points(
-        basis, center, radius_sq, warm.get("transform") if warm else None)
+    forms, center = _shell_forms(prob, mp.prec)
+    points, transform = ellipsoid_points(
+        forms, center, mp.sqrt(3), hp, warm.get("transform") if warm else None)
     if warm is not None:
         warm["transform"] = transform
     x1_of = itemgetter(2, 3)
@@ -141,8 +141,8 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
     return [pair for _, pair in out]
 
 
-def _shell_lattice(prob: DiagonalProblem, prec: int):
-    """The search ellipsoid of one shell as an integer lattice problem.
+def _shell_forms(prob: DiagonalProblem, prec: int):
+    """The search ellipsoid of one shell as linear forms on Z^4.
 
     On the plus side (sigma_+ x0, sigma_+ x1) lies in the eps-cap, whose
     rotated coordinates r = x0 cos(theta) + x1 sin(theta) and
@@ -150,18 +150,13 @@ def _shell_lattice(prob: DiagonalProblem, prec: int):
     and |t| <= h eps sqrt(2 - eps^2); on the minus side
     (sigma_- x0, sigma_- x1) lies in the disk of radius
     (sigma_- eta)^{m/2}.  Normalising the rectangle and the disk to
-    unit size, their product sits inside sum_i L_i(z)^2 <= 3 for four
-    linear forms L_i of z = (a0, b0, a1, b1).  Scaled by a power of two
-    S > 2^16 (4h + 4) and rounded, the forms give an integer basis and
-    centre.  A qualifying z has every |z_j| <= h, so rounding moves the
-    scaled point by at most 4h + 1 < S / 2^16, which the radius
-    S (sqrt(3) + 0.01) absorbs.
+    unit size, their product sits inside |L z - c| <= sqrt(3) for four
+    linear forms L_i of z = (a0, b0, a1, b1), and a qualifying z has
+    every |z_j| <= h.
 
-    Returns (basis, center, radius_sq) for goldengrid.lattice_points:
-    basis[j] is the image of the j-th unit vector of Z^4.
+    Returns (forms, center) for goldengrid.ellipsoid_points.
     """
     hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, prec)
-    k = int(4 * hp + 4).bit_length() + 16  # S = 2^k
     with mp.workprec(prec):
         eps = mpf(prob.epsilon)
         half_r = (hp - cap) / 2
@@ -173,17 +168,12 @@ def _shell_lattice(prob: DiagonalProblem, prec: int):
         r0, r1 = c / half_r, s / half_r
         t0, t1 = -s / t_max, c / t_max
         g = 1 / hm
-        rows = [(r0, r0 * php, r1, r1 * php),
-                (t0, t0 * php, t1, t1 * php),
-                (g, g * phm, 0, 0),
-                (0, 0, g, g * phm)]
-        basis = [[int(mp.nint(mp.ldexp(row[j], k))) for row in rows]
-                 for j in range(4)]
-        center = [int(mp.nint(mp.ldexp((hp + cap) / 2 / half_r, k))),
-                  0, 0, 0]
-    radius = (1742051 << k) // 10 ** 6 + 1  # > S (sqrt(3) + 0.01)
-    radius_sq = radius * radius
-    return basis, center, radius_sq
+        forms = [(r0, r0 * php, r1, r1 * php),
+                 (t0, t0 * php, t1, t1 * php),
+                 (g, g * phm, 0, 0),
+                 (0, 0, g, g * phm)]
+        center = ((hp + cap) / 2 / half_r, 0, 0, 0)
+    return forms, center
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -268,7 +258,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                 q = GoldenQuat(x0, x1, *pair)
                 try:
                     word = exact_synthesize(q)
-                except (NotInGroup, NoPeelingCandidate):
+                except NotInGroup:
                     continue
                 achieved = distance(target, evaluate_word(word, bits))
                 if achieved < eps:

@@ -1,11 +1,11 @@
 """Exception types shared across the compiler.
 
-Recoverable conditions (abandoned factorizations, unrepresentable sums of
-squares, missing peeling candidates) get their own classes so that search
-loops can catch them narrowly and move on to the next candidate.  The
-one effort limit that abandons a factorization is the Pollard-rho
-iteration budget (intfactor.RHO_ITERATION_BUDGET); prime size is not
-limited, since square roots modulo a prime stay cheap.
+Recoverable conditions (abandoned factorizations, unrepresentable sums
+of squares, quaternions outside the gate group) get their own classes so
+that search loops can catch them narrowly and move on to the next
+candidate.  The one effort limit that abandons a factorization is the
+Pollard-rho iteration budget (intfactor.RHO_ITERATION_BUDGET); prime
+size is not limited, since square roots modulo a prime stay cheap.
 """
 
 from __future__ import annotations
@@ -47,10 +47,6 @@ class UnsupportedResidue(NotRepresentable):
 
 class NotInGroup(IcogateError):
     """Quaternion does not lie in the gate group lattice."""
-
-
-class NoPeelingCandidate(NotInGroup):
-    """No table element produced a divisible product during peeling."""
 
 
 class HypothesisViolation(IcogateError):

@@ -5,7 +5,8 @@ gamma * u(theta2): the central gamma is a quaternion of reduced norm
 eta^k chosen so that |alpha(gamma)| matches |alpha(g)| to epsilon, and
 the two diagonal rotations that align the phases are synthesized by the
 diagonal pipeline.  The central norm candidates s = x0^2 + x1^2 live in
-a planar lattice band of width ~ eta^k * epsilon, which first contains
+a planar lattice band of width ~ eta^k * epsilon, enumerated exactly as
+one 2-D lattice problem (candidate_norms).  The band first contains
 representable points when 59^k * epsilon reaches O(1), so k lands at
 log_59(1/eps) + O(1): one third of the tau budget, with the remaining
 two thirds split between the diagonal words.
@@ -30,8 +31,8 @@ from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
-from .golden import GoldenInt, embed, eta_power, sign_minus, sign_plus
-from .goldengrid import stream_center_out
+from .golden import PHI, GoldenInt, embed, eta_power, sign_minus, sign_plus
+from .goldengrid import ellipsoid_points
 from .icosian import (RHO, GateWord, GoldenQuat, evaluate_word,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
@@ -104,13 +105,14 @@ class SynthReport:
 def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     """Norm candidates s = x0^2 + x1^2 for a central element at shell k.
 
-    Streams every s in Z[phi] with both embeddings inside
+    Yields every s in Z[phi] with both embeddings inside
     [0, embedding of eta^k] and sigma_plus(s) in the band
     |sigma_plus(s) - |alpha|^2 eta^k| < eps * |alpha| * eta^k, nearest
-    the band center first.  Points come from the padded rectangle
-    enumerator; the box constraints are re-checked with exact integer
-    signs and the band numerically, so padding only ever admits
-    near-boundary points for the recheck to reject, never drops one.
+    the band center first (ties by coordinates).  The band's box,
+    normalised to the square [-1, 1]^2 in the embeddings of
+    s = a + b*phi, lies in the disk of radius sqrt(2), whose lattice
+    points goldengrid.ellipsoid_points finds exactly; the box is then
+    re-checked with exact integer signs and the band numerically.
     """
     if not 0 < abs_alpha < 1:
         raise MalformedInput("abs_alpha must be in (0, 1)")
@@ -123,18 +125,29 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     hm = embed(ek, "minus", mp.prec)
     center = a * a * hp
     half = eps * a * hp
-    lo = center - half
+    lo = max(center - half, mpf(0))
     hi = min(hp, center + half)
-    if lo < 0:
-        lo = mpf(0)
-    for s in stream_center_out(lo, hi, mpf(0), hm, center=center):
+    # (sigma_plus(s) - mid) / w_plus and (sigma_minus(s) - hm/2) / (hm/2)
+    # as forms on (a, b); qualifying points have |a|, |b| <= hp + hm
+    w_plus, w_minus = (hi - lo) / 2, hm / 2
+    php = embed(PHI, "plus", mp.prec)
+    phm = embed(PHI, "minus", mp.prec)
+    forms = [(1 / w_plus, php / w_plus), (1 / w_minus, phm / w_minus)]
+    points, _ = ellipsoid_points(forms, ((lo + hi) / 2 / w_plus, 1),
+                                 mp.sqrt(2), hp + hm)
+    found = []
+    for c, d in points:
+        s = GoldenInt(c, d)
         if sign_plus(s) < 0 or sign_minus(s) < 0:
             continue
-        d = ek - s
-        if sign_plus(d) < 0 or sign_minus(d) < 0:
+        r = ek - s
+        if sign_plus(r) < 0 or sign_minus(r) < 0:
             continue
-        if abs(embed(s, "plus", mp.prec) - center) < half:
-            yield s
+        dist = abs(embed(s, "plus", mp.prec) - center)
+        if dist < half:
+            found.append((dist, (c, d), s))
+    found.sort(key=lambda item: item[:2])
+    yield from (s for _, _, s in found)
 
 
 def build_central(k: int, s: GoldenInt, rng: random.Random | None = None

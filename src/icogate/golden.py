@@ -299,7 +299,7 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
     # the window [lo, hi] of phi-powers around the balanced point grows
     # by 8 a side, one multiplication by phi or phi^-1 per new entry;
     # distinct powers have distinct keys, so the scan order is immaterial
-    up = down = x * phi_power(_balance_exponent(x))
+    up = down = x * phi_power(_balancing_power(x))
     lo = hi = 0
     out = _positive(up)
     key, dbest = _assoc_key(out), 0
@@ -342,7 +342,7 @@ def _log_abs(a: int, b: int) -> float:
     return math.log(v) + max(scale, 0) * math.log(2)
 
 
-def _balance_exponent(x: GoldenInt) -> int:
+def _balancing_power(x: GoldenInt) -> int:
     lp = _log_abs(x.a, x.b)
     xc = x.conj()
     lm = _log_abs(xc.a, xc.b)
@@ -355,7 +355,7 @@ def unit_decompose(u: GoldenInt) -> tuple[int, int]:
     """Write a unit as sign * phi^n, returning (sign, n)."""
     if abs(u.norm()) != 1:
         raise MalformedInput(f"{u!r} is not a unit")
-    n = -_balance_exponent(u)  # phi^n has balanced point at -n
+    n = -_balancing_power(u)  # phi^n has balanced point at -n
     for d in range(-4, 5):
         cand = phi_power(n + d)
         if u == cand:

@@ -21,9 +21,9 @@ integer products and one exact division by eta.
 The loop needs no canonical().  A scalar prime to eta does not change
 which cofactor works, and the scalars that reach gamma from a word are
 units and powers of 2 (the representatives have reduced norm 4,
-4*phi^2 or phi^2).  A parity test strips common factors of 2.  A
-residue of 0 would mean eta divides gamma's content; canonical() then
-divides it out.  The unit gamma carries needs no rebalancing either:
+4*phi^2 or phi^2).  A parity test strips common factors of 2, and no
+other prime ever divides gamma's content (see exact_synthesize).  The
+unit gamma carries needs no rebalancing either:
 each step divides the reduced norm by eta (about 15.1 and 3.9 under
 the two embeddings) and multiplies it by nrd(c) (at most 10.5 and 4),
 so apart from the powers of 2 the strip removes, the norm and with it
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .errors import IcogateError, MalformedInput, NoPeelingCandidate, NotInGroup
+from .errors import IcogateError, MalformedInput, NotInGroup
 from .golden import (ETA, GoldenInt, ONE, PHI, ZERO, embed, eta_valuation,
                      exact_div, gcd, phi_power)
 from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
@@ -415,8 +415,28 @@ def _strip_twos(q: GoldenQuat) -> GoldenQuat:
 
 def exact_synthesize(q: GoldenQuat) -> GateWord:
     """Factor q (with nrd a unit times eta^k) into a gate word with
-    exactly k taus.  Raises NotInGroup / NoPeelingCandidate when q is
-    not in the projective image of the order's unit lattice."""
+    exactly k taus.  Raises NotInGroup when q is not in the projective
+    image of the order's unit lattice.
+
+    Exactly one cofactor peels at every step.  gamma starts primitive
+    (canonical divides out its content) and stays so: the quotient
+    gamma*c*tau/eta times the conjugate of c*tau is gamma*nrd(c), and
+    nrd(c) is a unit times a power of 2, so a prime dividing the
+    quotient's content is 2, which the strip removes, or divides gamma.
+    Hence gamma's residues mod eta are never all 0.  Mod eta the
+    quaternions are the 2x2 matrices over F_59, where a nonzero gamma
+    with eta | nrd(gamma) has rank 1, and so has tau: gamma*c*tau
+    vanishes exactly when c maps the image line of tau onto the kernel
+    line of gamma.  C60 = A5 embeds in PGL_2(F_59) (the table checks
+    that its 60 residue keys differ), and none of its nonidentity
+    elements fixes a line: A5 is simple, so it lies in PSL_2(F_59), and
+    a lift to SL_2 of an element of order 2, 3 or 5 that fixed a line
+    would have an eigenvalue in F_59 of order 3, 4, 5, 6 or 10, none of
+    which divides 58.  So C60 acts simply transitively on the 60 lines
+    of F_59^2, and exactly one c peels.  The first two AssertionErrors
+    below guard that invariant; a quaternion outside the group always
+    reaches the final lookup.
+    """
     table = generate_c60()
     gamma = canonical(q)
     k = tau_count(gamma)
@@ -424,15 +444,16 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     for _ in range(k):
         g0, g1, g2, g3 = _residues(gamma)
         if not (g0 or g1 or g2 or g3):
-            gamma = canonical(gamma)
-            g0, g1, g2, g3 = _residues(gamma)
+            raise AssertionError("eta divides the content of gamma, which "
+                                 "stays primitive; arithmetic bug")
         for rows, c_tau, inverse in table._peel:
             if all((m0 * g0 + m1 * g1 + m2 * g2 + m3 * g3) % _ETA_PRIME == 0
                    for m0, m1, m2, m3 in rows):
                 break
         else:
-            raise NoPeelingCandidate(
-                f"no C60 cofactor peels a tau from {canonical(gamma)!r}")
+            raise AssertionError("no C60 cofactor peels a tau, though C60 "
+                                 "acts simply transitively on the lines "
+                                 "mod eta; arithmetic bug")
         quotient = _divide_eta(gamma * c_tau)
         if quotient is None:
             raise AssertionError("eta divides the residues but not the "

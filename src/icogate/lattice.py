@@ -1,26 +1,150 @@
-"""Outward rounding for integer scans over big-float bounds.
+"""Exact integer lattice points in an ellipsoid.
 
-Enumeration bounds carry quantities like eta^{m/2} sin(theta), so the
-integer interval a scan covers is widened by a few ulps on each side:
-no true solution is ever excluded, and callers discard any spurious
-boundary point by exact arithmetic on their side.
+lattice_points takes a problem already scaled to integers (a basis of
+Z^n's image, a centre and a squared radius, all integers) and returns
+every lattice point inside, found by LLL reduction and Fincke-Pohst
+enumeration in exact integer arithmetic, so no bound is ever rounded.
+goldengrid poses the Z[phi] searches of the synthesis layers as such
+problems.
 """
 
 from __future__ import annotations
 
-from mpmath import mp, mpf
+from math import isqrt
 
-__all__: list[str] = []
+__all__ = ["lattice_points"]
 
 
-def _slack(*terms) -> object:
-    """Absolute rounding allowance for a sum of the given terms.
+def lattice_points(basis, center, radius_sq, start=None):
+    """Every integer y with |sum_i y_i basis[i] - center|^2 <= radius_sq.
 
-    Scaled by the largest term magnitude, not the result: the result of
-    p*c + q*d can be tiny through cancellation while each product
-    carries roundoff proportional to its own size.
+    basis holds n linearly independent integer vectors of length n,
+    center is an integer vector and radius_sq an integer, so the answer
+    is exact: the basis is LLL-reduced in integer arithmetic and the
+    ellipsoid enumerated depth-first (Fincke-Pohst) over the exact
+    Gram-Schmidt data of the reduced basis.  When start is given (a
+    unimodular transform returned by an earlier call on a nearby basis)
+    the reduction begins from start * basis, which is nearly reduced
+    already.
+
+    Returns (points, transform): the points as tuples in the original
+    basis coordinates, in no particular order, and the unimodular
+    transform U with U * basis the reduced basis.
     """
-    mag = mpf(1)
-    for t in terms:
-        mag = max(mag, abs(t))
-    return mp.eps * 16 * mag
+    n = len(basis)
+    if start is None:
+        start = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[_dot(row, col) for col in zip(*basis)] for row in start]
+    rows, transform, d, lam = _lll(rows, [list(r) for r in start])
+    transform = transform[1:]
+    # lam_c[j] = d_{j-1} <center, b*_j>, by the same recurrence that
+    # gives the lambda of a basis vector
+    lam_c = [0] * (n + 1)
+    for j in range(1, n + 1):
+        u = _dot(center, rows[j])
+        for i in range(1, j):
+            u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
+        lam_c[j] = u
+    columns = list(zip(*transform))
+    points = [tuple(_dot(y, col) for col in columns)
+              for y in _fincke_pohst(d, lam, lam_c, radius_sq)]
+    return points, transform
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def _lll(b, h):
+    """Integral LLL with delta = 99/100 (Cohen, GTM 138, Alg. 2.6.7).
+
+    Reduces the rows of b, applying every row operation to the rows of
+    h as well.  Returns 1-based (b, h, d, lam): d[j] is the Gram
+    determinant of the first j rows (d[0] = 1), and lam[k][j] =
+    d[j] * mu_kj, both integers, so B_j = d[j] / d[j-1] is the squared
+    length of the j-th Gram-Schmidt vector."""
+    n = len(b)
+    b, h = [None] + b, [None] + h
+    d = [1] + [0] * n
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def reduce(k, l):
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        h[k], h[k - 1] = h[k - 1], h[k]
+        for j in range(1, k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lk = lam[k][k - 1]
+        new_d = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
+            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k]
+        d[k - 1] = new_d
+
+    k, kmax = 1, 0
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = _dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+            if d[k] == 0:
+                raise ValueError("lattice basis is linearly dependent")
+        if k > 1:
+            reduce(k, k - 1)
+            if (100 * d[k] * d[k - 2]
+                    < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2):
+                swap(k)
+                k = max(2, k - 1)
+                continue
+            for l in range(k - 2, 0, -1):
+                reduce(k, l)
+        k += 1
+    return b, h, d, lam
+
+
+def _fincke_pohst(d, lam, lam_c, radius_sq):
+    """Yield every coordinate vector [y_1, ..., y_n] with
+
+        sum_j (d_j y_j - N_j)^2 / (d_j d_{j-1}) <= radius_sq,
+        N_j = lam_c[j] - sum_{k > j} lam[k][j] y_k,
+
+    which is |sum_j y_j b_j - center|^2 <= radius_sq written over the
+    Gram-Schmidt basis.  Everything is scaled by the common denominator
+    P = prod_j d_j d_{j-1}, so each level's range comes from one isqrt
+    and no bound is rounded."""
+    n = len(d) - 1
+    den = [d[j] * d[j - 1] for j in range(n + 1)]
+    p = 1
+    for j in range(1, n + 1):
+        p *= den[j]
+    weight = [p // den[j] if j else 0 for j in range(n + 1)]
+    y = [0] * (n + 1)
+
+    def descend(j, budget):
+        nj = lam_c[j] - sum(lam[k][j] * y[k] for k in range(j + 1, n + 1))
+        r = isqrt(budget // weight[j])
+        dj = d[j]
+        for v in range(-((r - nj) // dj), (nj + r) // dj + 1):
+            e = dj * v - nj
+            y[j] = v
+            if j == 1:
+                yield y[1:]
+            else:
+                yield from descend(j - 1, budget - e * e * weight[j])
+
+    yield from descend(n, radius_sq * p)

@@ -8,24 +8,24 @@ entry points only.
 """
 
 import json
+import math
 import random
 import statistics
 import time
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from band_oracle import band, band_scan
 from icogate.cli import main
 from icogate.errors import InertPrime, NotRepresentable
-from icogate.general import SynthConfig, synth_general
-from icogate.goldengrid import enumerate_region
+from icogate.general import SynthConfig, candidate_norms, synth_general
 from icogate.golden import (ETA, GoldenInt, PHI, eta_valuation, exact_div,
                             factor, sign_minus, sign_plus, split_prime)
 from icogate.icosian import (TAU, GateWord, canonical, exact_synthesize,
                              generate_c60, word_to_quat)
 from icogate.sots import sots_exact
-from icogate.unitary import (distance, tune_diagonals, tuning_constant,
-                             u_of_alpha_beta, u_of_theta)
+from icogate.unitary import (distance, precision_for, tune_diagonals,
+                             tuning_constant, u_of_alpha_beta, u_of_theta)
 
 
 def report(capsys, number, ok, detail):
@@ -247,68 +247,33 @@ def test_criterion_6_ring_and_sots_oracles(capsys):
     report(capsys, 6, ok, "; ".join(notes))
 
 
-def _rational(rng, lo, hi):
-    """An integer, or a fraction with a small denominator, in [lo, hi]."""
-    den = rng.choice((1, 1, 2, 3, 7, 64))
-    return Fraction(rng.randint(lo * den, hi * den), den)
-
-
-def _interval(rng, narrow):
-    width = (Fraction(1, rng.choice((1, 4, 64, 512))) if narrow
-             else Fraction(rng.randint(4, 16)))
-    lo = _rational(rng, -8, 8)
-    return lo, lo + width
-
-
-def _grid_scan(plus, minus):
-    """Every a + b*phi with sigma_plus in plus and sigma_minus in minus,
-    by a full scan of a box that provably contains them, tested with
-    exact integer signs."""
-    big_p = max(abs(v) for v in plus)
-    big_m = max(abs(v) for v in minus)
-    # b*sqrt5 = sigma_plus - sigma_minus and 2a + b = sigma_plus + sigma_minus
-    b_max = int((big_p + big_m) / 2) + 1
-    a_max = int((big_p + big_m + b_max) / 2) + 1
-    tests = []
-    for sign, (lo, hi) in ((sign_plus, plus), (sign_minus, minus)):
-        tests.append((sign, lo.numerator, lo.denominator, 1))
-        tests.append((sign, hi.numerator, hi.denominator, -1))
-    out = set()
-    for b in range(-b_max, b_max + 1):
-        for a in range(-a_max, a_max + 1):
-            x = GoldenInt(a, b)
-            if all(sign(direction * (x * den - num)) >= 0
-                   for sign, num, den, direction in tests):
-                out.add(x)
-    return out
-
-
 def test_criterion_7_lattice_oracle(capsys):
-    """500 random rectangles in the embedding plane, with integer or
-    rational endpoints and strongly unbalanced plus/minus widths, give
-    goldengrid.enumerate_region exactly the points of a full scan."""
+    """500 seeded norm bands (k, |alpha|, eps) of general synthesis,
+    most of them far narrower on the plus side than on the minus side,
+    give general.candidate_norms exactly the points of an exact row
+    scan that uses no lattice reduction, in the same order."""
     rng = random.Random(777)
     ok = True
     points = unbalanced = 0
     for trial in range(500):
-        shape = trial % 3  # narrow plus, narrow minus, or both random
-        narrow_plus = shape == 0 or (shape == 2 and rng.random() < 0.5)
-        plus = _interval(rng, narrow_plus)
-        narrow_minus = shape == 1 or (shape == 2 and rng.random() < 0.5)
-        minus = _interval(rng, narrow_minus)
-        widths = sorted((plus[1] - plus[0], minus[1] - minus[0]))
-        unbalanced += widths[1] >= 64 * widths[0]
-        with mp.workprec(96):
-            got = enumerate_region(*(mpf(v.numerator) / v.denominator
-                                     for v in plus + minus))
-        expected = _grid_scan(plus, minus)
+        k = rng.randint(0, 10)
+        abs_alpha = rng.uniform(0.05, 0.95)
+        # a band holds about 0.9 eps |alpha| 59^k points: aim for 0.5-300
+        count = math.exp(rng.uniform(math.log(0.5), math.log(300)))
+        eps = min(0.9, count / (0.9 * abs_alpha * 59 ** k))
+        with mp.workprec(precision_for(eps)):
+            _, _, lo, hi, hm = band(k, abs_alpha, eps)
+            widths = sorted((hi - lo, hm))
+            unbalanced += widths[1] >= 64 * widths[0]
+            got = list(candidate_norms(k, abs_alpha, eps))
+            expected = band_scan(k, abs_alpha, eps)
         points += len(expected)
-        if len(got) != len(set(got)) or set(got) != expected:
+        if got != expected:
             ok = False
             break
-    report(capsys, 7, ok and points > 500,
-           f"{trial + 1} rectangles ({unbalanced} with width ratio >= 64, "
-           f"{points} points) against full box scans")
+    report(capsys, 7, ok and points > 5000 and 3 * unbalanced >= 500,
+           f"{trial + 1} bands ({unbalanced} with width ratio >= 64, "
+           f"{points} points) against exact row scans")
 
 
 def test_criterion_8_tuning_bound(capsys):

@@ -1,61 +1,132 @@
-import itertools
+"""The exact lattice solver and the norm band that general synthesis
+enumerates with it, each against a scan that uses no lattice reduction."""
 
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
 from mpmath import mp
 
-from icogate.goldengrid import enumerate_region, stream_center_out
-from icogate.golden import GoldenInt, embed
+from band_oracle import band_scan
+from icogate.general import candidate_norms
+from icogate.lattice import lattice_points
+from icogate.unitary import precision_for
 
 
-def brute_region(plus_lo, plus_hi, minus_lo, minus_hi, box=80):
+def _inverse_and_det(rows):
+    """Exact inverse (None when singular) and determinant of an integer
+    matrix, by Gauss-Jordan elimination over the rationals."""
+    n = len(rows)
+    m = [[Fraction(v) for v in row] + [Fraction(int(i == j))
+                                       for j in range(n)]
+         for i, row in enumerate(rows)]
+    det = Fraction(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if m[r][c]), None)
+        if p is None:
+            return None, 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        m[c] = [v / m[c][c] for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [v - m[r][c] * w for v, w in zip(m[r], m[c])]
+    return [row[n:] for row in m], det
+
+
+def _box(basis, center, radius_sq):
+    """Ranges of each y_i over the ellipsoid: x = y B runs over
+    center + v with |v|^2 <= radius_sq, and y = x B^-1."""
+    inv, _ = _inverse_and_det(basis)
+    n = len(basis)
+    ranges = []
+    for i in range(n):
+        col = [inv[j][i] for j in range(n)]
+        mid = sum(c * x for c, x in zip(center, col))
+        reach = float(sum(c * c for c in col) * radius_sq) ** 0.5
+        ranges.append(range(int(mid - reach) - 1, int(mid + reach) + 2))
+    return ranges
+
+
+def brute_points(basis, center, radius_sq):
+    """Every y with |sum_i y_i basis[i] - center|^2 <= radius_sq, by a
+    scan of a box that holds the ellipsoid."""
+    n = len(basis)
     out = []
-    for a in range(-box, box + 1):
-        for b in range(-box, box + 1):
-            x = GoldenInt(a, b)
-            p = embed(x, "plus", 96)
-            m = embed(x, "minus", 96)
-            if plus_lo <= p <= plus_hi and minus_lo <= m <= minus_hi:
-                out.append(x)
-    return set(out)
+    for y in itertools.product(*_box(basis, center, radius_sq)):
+        x = [sum(y[i] * basis[i][j] for i in range(n)) for j in range(n)]
+        if sum((a - c) ** 2 for a, c in zip(x, center)) <= radius_sq:
+            out.append(y)
+    return sorted(out)
 
 
-def test_enumerate_square_region():
-    with mp.workprec(96):
-        got = set(enumerate_region(-10, 10, -10, 10))
-    assert got == brute_region(-10, 10, -10, 10, box=20)
+def small_box(basis, radius_sq):
+    """Whether the basis is nonsingular and its ellipsoids fit in a
+    brute-force box of at most 40,000 points."""
+    if not _inverse_and_det(basis)[1]:
+        return False
+    size = 1
+    for r in _box(basis, [0] * len(basis), radius_sq):
+        size *= len(r)
+    return size <= 40000
 
 
-def test_enumerate_skewed_band_matches_brute_force():
-    # sigma_plus narrow, sigma_minus wide: the rescaling path
-    with mp.workprec(96):
-        got = set(enumerate_region(50, 51, -40, 40))
-    expected = brute_region(50, 51, -40, 40)
-    assert expected  # non-vacuous
+def random_problem(rng, n, span, radius_sq):
+    while True:
+        basis = [[rng.randint(-span, span) for _ in range(n)]
+                 for _ in range(n)]
+        if small_box(basis, radius_sq):
+            center = [rng.randint(-3 * span, 3 * span) for _ in range(n)]
+            return basis, center
+
+
+@pytest.mark.parametrize("n,span,radius_sq", [
+    (2, 9, 50), (2, 40, 2000), (3, 6, 60), (4, 5, 40), (4, 12, 300)])
+def test_lattice_points_match_brute_force(n, span, radius_sq):
+    rng = random.Random(n * 1000 + span)
+    total = 0
+    for _ in range(12):
+        basis, center = random_problem(rng, n, span, radius_sq)
+        points, transform = lattice_points(basis, center, radius_sq)
+        expected = brute_points(basis, center, radius_sq)
+        assert sorted(points) == expected
+        total += len(expected)
+        assert abs(_inverse_and_det(transform)[1]) == 1  # unimodular
+    assert total > 12
+
+
+def test_lattice_points_warm_start_agrees_with_cold_start():
+    rng = random.Random(41)
+    for n in (2, 4):
+        basis, center = random_problem(rng, n, 8, 120)
+        _, transform = lattice_points(basis, center, 120)
+        for _ in range(5):
+            nearby = [[v + rng.randint(-1, 1) for v in row] for row in basis]
+            if not small_box(nearby, 120):
+                continue
+            cold, _ = lattice_points(nearby, center, 120)
+            warm, _ = lattice_points(nearby, center, 120, transform)
+            assert sorted(warm) == sorted(cold)
+            assert sorted(cold) == brute_points(nearby, center, 120)
+
+
+@pytest.mark.parametrize("basis", [
+    [[1, 2], [2, 4]],
+    [[1, 0, 2, 0], [0, 3, 1, 1], [1, 3, 3, 1], [5, -2, 0, 7]]])
+def test_lattice_points_dependent_basis_raises(basis):
+    with pytest.raises(ValueError):
+        lattice_points(basis, [0] * len(basis), 10)
+
+
+@pytest.mark.parametrize("k,abs_alpha,eps", [
+    (6, 0.6, 1e-8), (8, 0.31, 1e-12), (10, 0.77, 1e-15), (12, 0.5, 1e-19)])
+def test_candidate_norms_thin_bands_match_row_scan(k, abs_alpha, eps):
+    # the minus side is 10^4 to 10^12 times wider than the plus side
+    with mp.workprec(precision_for(eps)):
+        got = list(candidate_norms(k, abs_alpha, eps))
+        expected = band_scan(k, abs_alpha, eps)
+    assert expected
     assert got == expected
-
-
-def test_stream_matches_region_and_is_center_ordered():
-    with mp.workprec(96):
-        streamed = list(stream_center_out(-30, 30, -5, 5, center=3,
-                                          slab_points=40))
-        dists = [abs(embed(x, "plus", 96) - 3) for x in streamed]
-    assert set(streamed) == set(enumerate_region(-30, 30, -5, 5))
-    assert len(streamed) == len(set(streamed))
-    # mirror pairs tie up to one 96-bit ulp; compare differences, which
-    # mpf represents exactly even below ambient-precision resolution
-    assert all(d1 - d2 <= mp.mpf(2) ** -60 for d1, d2 in zip(dists, dists[1:]))
-
-
-def test_stream_lazy_prefix():
-    # taking a prefix must agree with the sorted full enumeration
-    with mp.workprec(96):
-        prefix = list(itertools.islice(
-            stream_center_out(-200, 200, -8, 8, slab_points=25), 40))
-        full = enumerate_region(-200, 200, -8, 8)
-        full.sort(key=lambda x: (abs(embed(x, "plus", 96)), (x.a, x.b)))
-    assert prefix == full[:40]
-
-
-def test_empty_band():
-    with mp.workprec(96):
-        assert enumerate_region(5, 4, -1, 1) == []
-        assert list(stream_center_out(5, 4, -1, 1)) == []

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from icogate.errors import MalformedInput, NoPeelingCandidate, NotInGroup
+from icogate.errors import MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
                              canonical, evaluate_word, exact_synthesize,
@@ -20,18 +20,16 @@ def peel_oracle(q):
 
 
 def reference_synthesize(q):
-    """exact_synthesize by trial division: canonicalize, peel the first
-    oracle cofactor (the identity last) and canonicalize again, tau by
-    tau.  Returns the word, or the exception exact_synthesize must raise."""
+    """exact_synthesize by trial division: canonicalize, peel the oracle
+    cofactor, which must be unique, and canonicalize again, tau by tau.
+    Returns the word, or the exception exact_synthesize must raise."""
     table = generate_c60()
     gamma = canonical(q)
     tails = []
     for _ in range(tau_count(gamma)):
-        cands = sorted(peel_oracle(gamma),
-                       key=lambda c: table.word_for(c) == "")
-        if not cands:
-            return NoPeelingCandidate(
-                f"no C60 cofactor peels a tau from {gamma!r}")
+        cands = peel_oracle(gamma)
+        # C60 acts simply transitively on the lines mod eta
+        assert len(cands) == 1, gamma
         tails.append(table.word_for(cands[0].conjugate()))
         gamma = canonical(gamma * (cands[0] * TAU))
     base = table.word_for(gamma)

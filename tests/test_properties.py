@@ -1,14 +1,23 @@
-"""Property tests (Hypothesis) for the exact layer and its ring.
+"""Property tests (Hypothesis) for the exact layer, its rings and the
+distance general synthesis reports.
 
 Every test runs derandomized with a bounded example count, so the
 suite is deterministic and its run time fixed.
 """
 
-from hypothesis import given, settings, strategies as st
+import math
 
+from hypothesis import given, settings, strategies as st
+from mpmath import mp, mpf
+
+from icogate.gaussgolden import I_UNIT, GaussGoldenInt, quartic_norm
+from icogate.general import SynthConfig, synth_general
 from icogate.golden import ONE, ZERO, GoldenInt, euclid_divmod
-from icogate.icosian import (GateWord, canonical, exact_synthesize,
-                             generate_c60, tau_count, word_to_quat)
+from icogate.icosian import (GateWord, canonical, evaluate_word,
+                             exact_synthesize, generate_c60, tau_count,
+                             word_to_quat)
+from icogate.unitary import (ProjUnitary, distance, precision_for,
+                             tuning_constant)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=200)
@@ -16,6 +25,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 coeff = st.integers(min_value=-10**40, max_value=10**40)
 golden = st.builds(GoldenInt, coeff, coeff)
 nonzero_golden = golden.filter(bool)
+gauss_golden = st.builds(GaussGoldenInt, coeff, coeff, coeff, coeff)
 
 _C60_WORDS = [w for _, w in generate_c60()]
 _segment = st.sampled_from(_C60_WORDS)
@@ -58,3 +68,46 @@ def test_word_quat_word_round_trip(word):
     assert redone.tau_count == word.tau_count == tau_count(q)
     assert canonical(word_to_quat(redone)) == canonical(q)
     assert redone == word
+
+
+@PROPERTY
+@given(gauss_golden, gauss_golden, gauss_golden)
+def test_gauss_golden_ring_axioms(x, y, z):
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x + y == y + x
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x and x * 1 == x
+    assert x + (-x) == 0 and x - y == x + (-y)
+    assert I_UNIT * I_UNIT == -1
+    # both conjugations are ring automorphisms, and the quartic norm
+    # (the norm down to Z) is multiplicative
+    for conj in (GaussGoldenInt.complex_conj, GaussGoldenInt.golden_conj):
+        assert conj(x * y) == conj(x) * conj(y)
+        assert conj(x + y) == conj(x) + conj(y)
+    assert quartic_norm(x * y) == quartic_norm(x) * quartic_norm(y)
+
+
+HAAR_EPS = 1e-3
+_BITS = precision_for(HAAR_EPS)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(st.floats(0, 1), st.floats(-math.pi, math.pi),
+       st.floats(-math.pi, math.pi))
+def test_general_achieved_is_true_distance(abs_alpha_sq, phase_a, phase_b):
+    # a Haar-random SU(2) target: |alpha|^2 uniform, phases uniform;
+    # stored at twice the working precision, like the check
+    with mp.workprec(2 * _BITS):
+        alpha = mp.sqrt(mpf(abs_alpha_sq)) * mp.expj(mpf(phase_a))
+        beta = mp.sqrt(1 - mpf(abs_alpha_sq)) * mp.expj(mpf(phase_b))
+        g = ProjUnitary(((alpha, beta), (-mp.conj(beta), mp.conj(alpha))),
+                        2 * _BITS)
+    report = synth_general(g, SynthConfig(HAAR_EPS))
+    with mp.workprec(2 * _BITS):
+        true = distance(g, evaluate_word(report.word, 2 * _BITS))
+        assert true < (tuning_constant() + 2) * mpf(HAAR_EPS)
+        # distance is sqrt(1 - |tr|/2), with the radicand computed to
+        # about 2^-p at p bits: the squares agree to working precision
+        assert abs(true ** 2 - report.achieved ** 2) < mpf(2) ** (8 - _BITS)
