@@ -30,7 +30,7 @@ from .errors import BudgetExhausted, IcogateError, MalformedInput
 from .gaussgolden import verify_norm_euclidean
 from .general import SynthConfig, SynthReport, synth_general
 from .diagonal import synth_diagonal
-from .golden import GoldenInt, eta_valuation
+from .golden import GoldenInt
 from .icosian import (GateWord, GoldenQuat, canonical, evaluate_word,
                       exact_synthesize, generate_c60, tau_count, word_to_quat)
 from .unitary import (DEFAULT_PRECISION_BITS, GATE_NAMES, ProjUnitary,
@@ -135,7 +135,7 @@ def _cmd_synth_diag(args) -> int:
     start = time.perf_counter()
     q, word, achieved = synth_diagonal(theta, args.eps, precision_bits=bits)
     elapsed = time.perf_counter() - start
-    m = eta_valuation(q.nrd()) if q.nrd() else 0
+    m = tau_count(q)
     payload = {
         "word": word.to_json(),
         "achieved": float(achieved),

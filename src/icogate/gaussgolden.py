@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInput
-from .golden import ZERO, GoldenInt, exact_div
+from .golden import ZERO, GoldenInt
 
 __all__ = [
     "GaussGoldenInt",
@@ -125,9 +125,6 @@ class GaussGoldenInt:
     def golden_conj(self) -> GaussGoldenInt:
         return GaussGoldenInt.from_golden(self.re.conj(), self.im.conj())
 
-    def is_unit(self) -> bool:
-        return quartic_norm(self) == 1
-
 
 I_UNIT = GaussGoldenInt(0, 0, 1, 0)
 
@@ -144,7 +141,11 @@ def _coerce(v) -> GaussGoldenInt | None:
 
 def quartic_norm(alpha: GaussGoldenInt) -> int:
     """The norm down to Q, as an explicit quartic in the coordinates."""
-    w, x, y, z = alpha.coords()
+    return _quartic(*alpha.coords())
+
+
+def _quartic(w, x, y, z):
+    # the norm of w + x*phi + (y + z*phi)*i, over any numeric type
     return (w**4 + 2 * w**3 * x - w**2 * x**2 - 2 * w * x**3 + x**4
             + 2 * w**2 * y**2 + 2 * w * x * y**2 + 3 * x**2 * y**2 + y**4
             + 2 * w**2 * y * z - 8 * w * x * y * z - 2 * x**2 * y * z
@@ -176,12 +177,16 @@ def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
                      ) -> tuple[GaussGoldenInt, GaussGoldenInt]:
     """Division with remainder under the quartic norm.
 
-    The exact quotient in Q(i,phi) is rounded componentwise.  When the
-    rounded point misses (the unit cube does contain points of norm
-    at least 1), shifting a single component of the quotient by one,
-    in the direction of that component's fractional part, always
-    recovers a remainder of smaller norm; a full 3^4 neighborhood scan
-    remains as a defensive last tier.
+    The exact quotient in Q(i,phi) is rounded componentwise, leaving a
+    fraction f = alpha/beta - q with coordinates in [-1/2, 1/2] and a
+    remainder of norm N(beta) * N(f).  If the rounded quotient misses
+    (the cube does contain points of norm at least 1), shifting one
+    component of q by one, in the direction of that component's
+    fractional part, works.  verify_norm_euclidean(6, 1/12) == [] (the
+    selftest's norm-Euclidean check) certifies that rule: every f lies
+    within 1/12 per coordinate of a grid point g of spacing 1/6, and
+    the bound is below 1 around g or around g shifted by -sign(g_i) in
+    one coordinate with g_i != 0, where sign(f_i) = sign(g_i).
     """
     n = quartic_norm(beta)
     if n == 0:
@@ -212,20 +217,8 @@ def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
         r = alpha - q * beta
         if quartic_norm(r) < n:
             return q, r
-    best = None
-    for d0 in (-1, 0, 1):
-        for d1 in (-1, 0, 1):
-            for d2 in (-1, 0, 1):
-                for d3 in (-1, 0, 1):
-                    q = GaussGoldenInt(q0[0] + d0, q0[1] + d1,
-                                       q0[2] + d2, q0[3] + d3)
-                    r = alpha - q * beta
-                    nr = quartic_norm(r)
-                    if nr < n and (best is None or nr < best[2]):
-                        best = (q, r, nr)
-    if best is None:
-        raise AssertionError("norm-Euclidean division failed; arithmetic bug")
-    return best[0], best[1]
+    raise AssertionError("norm-Euclidean division failed, against the "
+                         "verify_norm_euclidean certificate; arithmetic bug")
 
 
 _PHI_NE = GaussGoldenInt(0, 1, 0, 0)
@@ -281,12 +274,7 @@ def _bound_parts(w, x, y, z, r):
     degree 4 in (w, x, y, z, r), so integer inputs give integer output
     (used by the exact verification path).
     """
-    p0 = abs(w**4 + 2 * w**3 * x - w**2 * x**2 - 2 * w * x**3 + x**4
-             + 2 * w**2 * y**2 + 2 * w * x * y**2 + 3 * x**2 * y**2
-             + y**4 + 2 * w**2 * y * z - 8 * w * x * y * z
-             - 2 * x**2 * y * z + 2 * y**3 * z + 3 * w**2 * z**2
-             - y**2 * z**2 - 2 * y * z**3 + z**4 - 2 * w * x * z**2
-             + 2 * x**2 * z**2)
+    p0 = abs(_quartic(w, x, y, z))
     p1 = 2 * r * (abs(2 * w**3 + 3 * w**2 * x - w * x**2 - x**3
                       + 2 * w * y**2 + x * y**2 + 2 * w * y * z
                       + 3 * w * z**2 - x * z**2 - 4 * x * y * z)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
@@ -36,9 +36,9 @@ from .goldengrid import ellipsoid_points
 from .icosian import (RHO, GateWord, GoldenQuat, evaluate_word,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
-from .unitary import (DEFAULT_DELTA, DEFAULT_EPSILON0, ProjUnitary, distance,
-                      precision_for, require_unitary, to_alpha_beta,
-                      tune_diagonals, tuning_constant, u_of_theta)
+from .unitary import (DELTA, EPSILON0, ProjUnitary, distance, precision_for,
+                      require_unitary, to_alpha_beta, tune_diagonals,
+                      tuning_constant, u_of_theta)
 
 __all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
            "synth_general"]
@@ -54,27 +54,27 @@ class SynthConfig:
     1.5 * epsilon (a couple of shells past the first nonempty band make
     the tuning term negligible, so this costs O(1) extra taus).  Strict
     mode shrinks the internal epsilon to epsilon / (C + 2) up front so
-    the guarantee itself lands under the requested value.
+    the guarantee itself lands under the requested value.  delta and
+    epsilon0 are the tuning lemma's constants, the same for every
+    search.
     """
 
     epsilon: float
-    epsilon0: float = DEFAULT_EPSILON0
-    delta: float = DEFAULT_DELTA
     strict: bool = False
     k_cap: int | None = None
     seed: int = 0
+    delta: ClassVar[float] = DELTA
+    epsilon0: ClassVar[float] = EPSILON0
 
     def __post_init__(self):
         if not 0 < self.epsilon < self.delta:
             raise MalformedInput("need 0 < epsilon < delta")
-        if not 0 < self.epsilon0 < 1:
-            raise MalformedInput("epsilon0 must be in (0, 1)")
         if self.k_cap is not None and self.k_cap < 0:
             raise MalformedInput("k_cap must be nonnegative")
 
     def internal_epsilon(self):
         if self.strict:
-            c = tuning_constant(self.delta, self.epsilon0)
+            c = tuning_constant()
             return mpf(self.epsilon) / (c + 2)
         return mpf(self.epsilon)
 
@@ -196,7 +196,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     rng = random.Random(cfg.seed)
     with mp.workprec(bits):
         eps = mpf(eps)
-        bound = (tuning_constant(cfg.delta, cfg.epsilon0) + 2) * eps
+        bound = (tuning_constant() + 2) * eps
         goal = bound if cfg.strict else mpf("1.5") * eps
         table = generate_c60()
 
@@ -255,8 +255,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 except NotInGroup:
                     continue
                 try:
-                    tuned = tune_diagonals(g_work, q.to_unitary(bits),
-                                           cfg.delta, cfg.epsilon0)
+                    tuned = tune_diagonals(g_work, q.to_unitary(bits))
                 except HypothesisViolation:
                     continue
                 try:

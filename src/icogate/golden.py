@@ -137,9 +137,6 @@ class GoldenInt:
     def norm(self) -> int:
         return self.a * self.a + self.a * self.b - self.b * self.b
 
-    def divides(self, other: GoldenInt) -> bool:
-        return exact_div(other, self) is not None
-
 
 def _coerce(x) -> GoldenInt | None:
     if isinstance(x, GoldenInt):
@@ -223,32 +220,20 @@ def exact_div(x: GoldenInt, y: GoldenInt) -> GoldenInt | None:
 def euclid_divmod(x: GoldenInt, y: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
     """Division with remainder: x = q*y + r and |N(r)| < |N(y)|.
 
-    The quotient in Q(phi) is x * conj(y) / N(y); rounding both rational
-    coordinates to nearest usually works, and a small neighborhood search
-    covers the exceptional corners (Z[phi] is norm-Euclidean but its
-    Euclidean minimum leaves nearest-rounding short now and then).
+    q rounds both coordinates of the exact quotient x/y = x*conj(y)/N(y)
+    to nearest, and that always suffices.  r = y*f where f = x/y - q
+    has both coordinates in [-1/2, 1/2], and N is multiplicative, so
+    |N(r)| = |N(y)| * |N(f)|.  On that square N(a + b*phi) =
+    a^2 + ab - b^2 has no interior extremum (it is indefinite), and on
+    the edges it ranges over [-5/16, 5/16], reached at (1/2, 1/4) and
+    (-1/4, 1/2).  Hence |N(r)| <= 5/16 |N(y)|.
     """
     n = y.norm()
     if n == 0:
         raise ZeroDivisionError("euclid_divmod by zero")
     t = x * y.conj()
-    ny = abs(n)
-    qa = _round_div(t.a, n)
-    qb = _round_div(t.b, n)
-    best: tuple[GoldenInt, GoldenInt] | None = None
-    for radius in (1, 2):
-        for da in range(-radius, radius + 1):
-            for db in range(-radius, radius + 1):
-                if radius == 2 and max(abs(da), abs(db)) < 2:
-                    continue  # already tried inside radius 1
-                q = GoldenInt(qa + da, qb + db)
-                r = x - q * y
-                if abs(r.norm()) < ny:
-                    if best is None or abs(r.norm()) < abs(best[1].norm()):
-                        best = (q, r)
-        if best is not None:
-            return best
-    raise AssertionError("norm-Euclidean division failed; arithmetic bug")
+    q = GoldenInt(_round_div(t.a, n), _round_div(t.b, n))
+    return q, x - q * y
 
 
 def _round_div(num: int, den: int) -> int:
@@ -270,14 +255,11 @@ def gcd(x: GoldenInt, y: GoldenInt) -> GoldenInt:
     return canonical_associate(x)
 
 
-def _keysize(x: GoldenInt) -> int:
-    return max(abs(x.a), abs(x.b))
-
-
 def _assoc_key(x: GoldenInt) -> tuple:
     # total order implementing: minimal max(|a|,|b|), prefer a > 0, then
     # b >= 0, then plain lexicographic so ties cannot occur
-    return (_keysize(x), 0 if x.a > 0 else 1, 0 if x.b >= 0 else 1, x.a, x.b)
+    return (max(abs(x.a), abs(x.b)), 0 if x.a > 0 else 1,
+            0 if x.b >= 0 else 1, x.a, x.b)
 
 
 def _positive(x: GoldenInt) -> GoldenInt:
@@ -288,36 +270,34 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
     """The distinguished associate of x among +-phi^n multiples.
 
     Chosen to minimize max(|a|, |b|), preferring a > 0 and then b >= 0
-    on ties.  Scanning a window of phi-powers around the
-    embedding-balanced point is enough: the coordinates grow
-    geometrically in both directions away from it.  One exception by
-    convention: the ramified class above 5 gets the representative
-    -1 + 2*phi, matching how its square is usually written.
+    on ties.  One exception by convention: the ramified class above 5
+    gets the representative -1 + 2*phi, matching how its square is
+    usually written.
+
+    The minimum lies in the window of phi^(n0 - 8) .. phi^(n0 + 8)
+    around n0 = _balancing_power(x).  Write M = max(|a|, |b|) and L for
+    the larger of the two embeddings of a + b*phi.  From
+    b = (sigma_plus - sigma_minus)/sqrt5 and
+    a = (sigma_plus/phi + sigma_minus*phi)/sqrt5 follows M <= L, and
+    from |a + b*phi| and |a - b/phi| being at most phi^2*M follows
+    L <= phi^2*M.  Multiplying by phi^n scales the two embeddings by
+    phi^n and phi^-n, so at distance d from the real balance point the
+    larger embedding is sqrt|N(x)| * phi^d.  The power nearest the
+    balance point therefore has M <= sqrt|N(x)| * phi^(1/2), and every
+    power at d > 5/2 has M >= sqrt|N(x)| * phi^(d - 2), which is larger.
+    So every associate of minimal M lies within 5/2 of the balance
+    point; several can share it (1, phi and 1 + phi all have M = 1), and
+    the rest of the key picks one of them.  n0 lies within 1/2 of the
+    balance point, up to float round-off, so the window holds them all.
     """
     if not x:
         return ZERO
-    # the window [lo, hi] of phi-powers around the balanced point grows
-    # by 8 a side, one multiplication by phi or phi^-1 per new entry;
-    # distinct powers have distinct keys, so the scan order is immaterial
-    up = down = x * phi_power(_balancing_power(x))
-    lo = hi = 0
-    out = _positive(up)
-    key, dbest = _assoc_key(out), 0
-    while True:
-        for _ in range(8):
-            hi += 1
-            lo -= 1
-            up = up * PHI
-            down = down * PHI_INV
-            for d, w in ((hi, _positive(up)), (lo, _positive(down))):
-                k = _assoc_key(w)
-                if k < key:
-                    key, out, dbest = k, w, d
-        # widen if the optimum sits on the window edge
-        if lo < dbest < hi:
-            break
-        if hi >= 2000:
-            raise AssertionError("canonicalization window runaway")
+    w = x * phi_power(_balancing_power(x) - 8)
+    window = []
+    for _ in range(17):
+        window.append(_positive(w))
+        w = w * PHI
+    out = min(window, key=_assoc_key)
     if out == GoldenInt(2, 1):  # the norm-5 ramified class
         return SQRT5_IRREDUCIBLE
     return out
@@ -328,58 +308,53 @@ def phi_power(n: int) -> GoldenInt:
     return base ** abs(n)
 
 
-def _log_abs(a: int, b: int) -> float:
-    # rough log of |a + b*PHI_FLOAT| that survives huge integers
-    if a == 0 and b == 0:
-        return float("-inf")
-    scale = max(abs(a), abs(b)).bit_length() - 53
-    if scale > 0:
-        a >>= scale
-        b >>= scale
-    v = abs(a + b * _PHI_FLOAT)
-    if v == 0.0:
-        v = 0.25  # massive cancellation; caller's window absorbs the slack
-    return math.log(v) + max(scale, 0) * math.log(2)
+def _log_abs_plus(x: GoldenInt) -> float:
+    """log |sigma_plus(x)| for an x whose plus embedding is the larger.
+
+    Then max(|a|, |b|) <= |a + b*phi| (see canonical_associate), so the
+    53 leading bits of a and b fix the value to a relative 2^-50 and
+    nothing cancels, however large the integers.
+    """
+    scale = max(max(abs(x.a), abs(x.b)).bit_length() - 53, 0)
+    v = abs((x.a >> scale) + (x.b >> scale) * _PHI_FLOAT)
+    return math.log(v) + scale * math.log(2)
 
 
 def _balancing_power(x: GoldenInt) -> int:
-    lp = _log_abs(x.a, x.b)
-    xc = x.conj()
-    lm = _log_abs(xc.a, xc.b)
-    if lp == float("-inf") or lm == float("-inf"):
-        return 0
+    """The integer nearest the real n at which the two embeddings of
+    x*phi^n have equal size, for nonzero x.
+
+    |sigma_plus(x)| >= |sigma_minus(x)| exactly when b(2a + b) >= 0,
+    since sigma_plus^2 - sigma_minus^2 = sqrt5 * b(2a + b).  Only the
+    larger embedding's log is taken in floats, where it cannot cancel;
+    the smaller one's is log|N(x)| minus that, as N(x) is their product.
+    """
+    if x.b * (2 * x.a + x.b) >= 0:
+        lp = _log_abs_plus(x)
+        lm = math.log(abs(x.norm())) - lp
+    else:
+        lm = _log_abs_plus(x.conj())
+        lp = math.log(abs(x.norm())) - lm
+    # phi^n scales |sigma_plus| by phi^n and |sigma_minus| by phi^-n
     return round((lm - lp) / (2 * math.log(_PHI_FLOAT)))
 
 
 def unit_decompose(u: GoldenInt) -> tuple[int, int]:
-    """Write a unit as sign * phi^n, returning (sign, n)."""
+    """Write a unit as sign * phi^n, returning (sign, n).
+
+    phi^n balances at -n, and for a unit the balancing power is exact up
+    to float round-off (log|N| = 0), so n is -_balancing_power(u); its
+    two neighbours are tried as well.
+    """
     if abs(u.norm()) != 1:
         raise MalformedInput(f"{u!r} is not a unit")
-    n = -_balancing_power(u)  # phi^n has balanced point at -n
-    for d in range(-4, 5):
-        cand = phi_power(n + d)
+    n = -_balancing_power(u)
+    for m in (n, n - 1, n + 1):
+        cand = phi_power(m)
         if u == cand:
-            return (1, n + d)
+            return (1, m)
         if u == -cand:
-            return (-1, n + d)
-    # fall back to an exact walk (huge exponents, off float range)
-    n = 0
-    w = u
-    while _keysize(w) > 1:
-        nxt = w * PHI_INV
-        if _keysize(nxt) < _keysize(w):
-            w, n = nxt, n + 1
-            continue
-        nxt = w * PHI
-        if _keysize(nxt) >= _keysize(w):
-            break
-        w, n = nxt, n - 1
-    for d in range(-2, 3):
-        cand = phi_power(d)
-        if w == cand:
-            return (1, n + d)
-        if w == -cand:
-            return (-1, n + d)
+            return (-1, m)
     raise AssertionError(f"unit decomposition failed for {u!r}")
 
 

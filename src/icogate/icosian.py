@@ -41,8 +41,8 @@ from functools import lru_cache
 from mpmath import mp
 
 from .errors import IcogateError, MalformedInput, NotInGroup
-from .golden import (ETA, GoldenInt, ONE, PHI, ZERO, embed, eta_valuation,
-                     exact_div, gcd, phi_power)
+from .golden import (ETA, GoldenInt, ONE, PHI, ZERO, _balancing_power, embed,
+                     eta_valuation, exact_div, gcd, phi_power)
 from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
 
 __all__ = [
@@ -178,30 +178,36 @@ def canonical(q: GoldenQuat) -> GoldenQuat:
 
     Scalar multiples by Z[phi] embed as real multiples of the same
     matrix, so the class is fixed by dividing out the golden content,
-    balancing the remaining unit ambiguity +/- phi^n and normalizing
-    the sign.  The balancing exponent minimizes the coordinate 1-norm;
-    that objective grows like phi^|n| in both directions, so a greedy
-    walk followed by a local window scan finds the global minimum with
-    exact integer arithmetic only.
+    picking the unit multiple +-phi^n of least coordinate 1-norm S
+    (ties by the coordinates) and normalizing the sign.
+
+    nrd(q*phi^n) = nrd(q)*phi^(2n), so n0 = _balancing_power(nrd(q)) // 2
+    lies within 3/4 of the real n_b at which the embeddings of
+    nrd(q*phi^n) balance, and the window n0 - 8 .. n0 + 8 holds every
+    minimizer of S.  For one coordinate a + b*phi,
+    a = (sigma_plus/phi + sigma_minus*phi)/sqrt5 and
+    b = (sigma_plus - sigma_minus)/sqrt5 give
+    |a| + |b| <= (phi*|sigma_plus| + phi^2*|sigma_minus|)/sqrt5, and
+    |a + b*phi| <= phi(|a| + |b|), |a - b/phi| <= |a| + |b| give
+    |a| + |b| >= max(|sigma_plus|/phi, |sigma_minus|).  Summed over the
+    four coordinates (a sum of four absolute values lies between the
+    root of their sum of squares and twice it), with
+    K = |N(nrd(q))|^(1/4) and t = n - n_b:
+    K*max(phi^(t-1), phi^-t) <= S <= (2/sqrt5)*K*(phi^(1+t) + phi^(2-t)).
+    Some integer n has |t| <= 1/2, where S <= 4.12*K, and S exceeds that
+    once t > 3.95 or t < -2.95.
     """
     g = _content(q)
     if g == ZERO:
         raise MalformedInput("zero quaternion has no projective class")
     if g != ONE:
         q = GoldenQuat(*(exact_div(x, g) for x in q.parts()))
-
-    up, down = phi_power(1), phi_power(-1)
-    while _flat_key(q * up)[0] < _flat_key(q)[0]:
-        q = q * up
-    while _flat_key(q * down)[0] < _flat_key(q)[0]:
-        q = q * down
-    best = None
-    for n in range(-8, 9):
-        cand = _sign_fixed(q * phi_power(n))
-        key = _flat_key(cand)
-        if best is None or key < best[0]:
-            best = (key, cand)
-    return best[1]
+    q = q * phi_power(_balancing_power(q.nrd()) // 2 - 8)
+    window = []
+    for _ in range(17):
+        window.append(_sign_fixed(q))
+        q = q * PHI
+    return min(window, key=_flat_key)
 
 
 def tau_count(q: GoldenQuat) -> int:
@@ -329,9 +335,6 @@ class GateWord:
 
     def __str__(self) -> str:
         return "t".join(f"({seg})" for seg in self.segments)
-
-    def text(self) -> str:
-        return str(self)
 
     @classmethod
     def parse(cls, text: str) -> GateWord:

@@ -109,8 +109,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     return g, used
 
 
-def factor_int(n: int, rng: random.Random | None = None,
-               budget: int = RHO_ITERATION_BUDGET) -> dict[int, int]:
+def factor_int(n: int, rng: random.Random | None = None) -> dict[int, int]:
     """Factor a positive integer into {prime: multiplicity}.
 
     Trial division below 10^5, then Brent-Pollard rho on what remains.
@@ -130,7 +129,7 @@ def factor_int(n: int, rng: random.Random | None = None,
     if n == 1:
         return out
     stack = [n]
-    remaining = budget
+    remaining = RHO_ITERATION_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:

@@ -35,9 +35,9 @@ __all__ = [
 
 DEFAULT_PRECISION_BITS = 128
 
-# default Lemma-5-style tuning constants; C is derived from these
-DEFAULT_DELTA = 0.5
-DEFAULT_EPSILON0 = 0.05
+# Lemma-5-style tuning constants; C is derived from these
+DELTA = 0.5
+EPSILON0 = 0.05
 
 
 def precision_for(epsilon: float) -> int:
@@ -188,14 +188,13 @@ class TuningAngles:
     bound_constant: object
 
 
-def tuning_constant(delta=DEFAULT_DELTA, epsilon0=DEFAULT_EPSILON0):
+def tuning_constant():
     """C = sqrt(1/2 + ((2+delta)/epsilon0)^2 / 2)."""
     with mp.workprec(64):
-        return mp.sqrt(mpf(1) / 2 + ((2 + mpf(delta)) / mpf(epsilon0)) ** 2 / 2)
+        return mp.sqrt(mpf(1) / 2 + ((2 + mpf(DELTA)) / mpf(EPSILON0)) ** 2 / 2)
 
 
-def tune_diagonals(gamma1: ProjUnitary, gamma2: ProjUnitary,
-                   delta=DEFAULT_DELTA, epsilon0=DEFAULT_EPSILON0) -> TuningAngles:
+def tune_diagonals(gamma1: ProjUnitary, gamma2: ProjUnitary) -> TuningAngles:
     """Diagonal rotations aligning gamma2 with gamma1.
 
     For gamma_l = u(alpha_l, beta_l) with ||alpha_1| - |alpha_2|| < delta
@@ -207,10 +206,10 @@ def tune_diagonals(gamma1: ProjUnitary, gamma2: ProjUnitary,
     with mp.workprec(bits):
         a1, b1 = to_alpha_beta(gamma1)
         a2, b2 = to_alpha_beta(gamma2)
-        if abs(abs(a1) - abs(a2)) >= delta:
+        if abs(abs(a1) - abs(a2)) >= DELTA:
             raise HypothesisViolation(
                 "| |alpha1| - |alpha2| | exceeds delta")
-        if min(abs(a1), abs(a2)) ** 2 >= 1 - mpf(epsilon0) ** 2:
+        if min(abs(a1), abs(a2)) ** 2 >= 1 - mpf(EPSILON0) ** 2:
             raise HypothesisViolation(
                 "both alphas too close to the unit circle; use the "
                 "diagonal pipeline instead")
@@ -220,7 +219,7 @@ def tune_diagonals(gamma1: ProjUnitary, gamma2: ProjUnitary,
         ab2 = mp.arg(b2) if abs(b2) != 0 else mpf(0)
         theta1 = ((aa1 - aa2) + (ab1 - ab2)) / 2
         theta2 = ((aa1 - aa2) - (ab1 - ab2)) / 2
-    return TuningAngles(theta1, theta2, tuning_constant(delta, epsilon0))
+    return TuningAngles(theta1, theta2, tuning_constant())
 
 
 # --- named gates and entry parsing ---

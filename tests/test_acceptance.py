@@ -16,13 +16,14 @@ import time
 from mpmath import mp, mpf
 
 from band_oracle import band, band_scan
+from peel_oracle import peel_oracle
 from icogate.cli import main
 from icogate.errors import InertPrime, NotRepresentable
 from icogate.general import SynthConfig, candidate_norms, synth_general
-from icogate.golden import (ETA, GoldenInt, PHI, eta_valuation, exact_div,
-                            factor, sign_minus, sign_plus, split_prime)
+from icogate.golden import (GoldenInt, PHI, eta_valuation, factor,
+                            sign_minus, sign_plus, split_prime)
 from icogate.icosian import (TAU, GateWord, canonical, exact_synthesize,
-                             generate_c60, word_to_quat)
+                             word_to_quat)
 from icogate.sots import sots_exact
 from icogate.unitary import (distance, precision_for, tune_diagonals,
                              tuning_constant, u_of_alpha_beta, u_of_theta)
@@ -114,13 +115,6 @@ def _segment(rng, allow_empty):
     return "".join(rng.choice("rs") for _ in range(length))
 
 
-def _peel_oracle(q):
-    """All c in C60 with q*c*tau divisible by eta, by trial division."""
-    return [c for c, _ in generate_c60()
-            if all(exact_div(x, ETA) is not None
-                   for x in (q * (c * TAU)).parts())]
-
-
 def test_criterion_4_exact_roundtrip(capsys):
     """200 random reduced words, k <= 30: refactoring is projectively
     exact with the same tau-count and a unique peeling at every step."""
@@ -139,7 +133,7 @@ def test_criterion_4_exact_roundtrip(capsys):
             ok = False
         gamma = canonical(q)
         for _ in range(word.tau_count):
-            cands = _peel_oracle(gamma)
+            cands = peel_oracle(gamma)
             if len(cands) != 1:
                 ok = False
                 break

@@ -6,7 +6,8 @@ from mpmath import mp, mpf
 from icogate import cli
 from icogate.cli import main, parse_angle, parse_quat
 from icogate.errors import BudgetExhausted, MalformedInput
-from icogate.icosian import GateWord, evaluate_word
+from icogate.golden import phi_power
+from icogate.icosian import RHO, GateWord, evaluate_word
 from icogate.unitary import distance, named_gate
 
 
@@ -47,6 +48,15 @@ def test_exact_word_roundtrip(capsys):
     code, out, _ = run(capsys, "exact", "--word", "(r)t(srs)")
     assert code == 0
     assert "round-trip  ok" in out
+
+
+def test_exact_quat_with_a_huge_unit_scalar(capsys):
+    # rho * phi^2100: its coordinates are far beyond float range
+    q = RHO * phi_power(2100)
+    code, out, _ = run(capsys, "exact", "--quat",
+                       *(f"{x.a},{x.b}" for x in q.parts()))
+    assert code == 0
+    assert "word        (r)" in out
 
 
 def test_exact_rejects_garbage_word(capsys):

@@ -34,10 +34,32 @@ def brute_x1(prob):
     return out
 
 
-def brute_x0(prob, x1):
+def x0_box(prob):
+    """Every (a, b) of the shell's x0 scans, as (x, x_plus * cos(theta),
+    |x_plus|, |x_minus|).  Each x1's box grows with the square roots of
+    its slack, which are largest, sqrt(ep) and sqrt(em), at x1 = 0, so
+    this one box holds them all, and it is embedded only once."""
+    ep = mp.power(embed(eta_power(1), "plus", mp.prec), prob.m_exp)
+    em = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), prob.m_exp)
+    sp, sm = mp.sqrt(ep), mp.sqrt(em)
+    c = mp.cos(mpf(prob.theta))
+    box_d = int(mp.floor((sp + sm) / mp.sqrt(5))) + 2
+    box_a = int(mp.floor(sp + box_d * 1.7)) + 2
+    out = []
+    for a in range(-box_a, box_a + 1):
+        for b in range(-box_d, box_d + 1):
+            x = GoldenInt(a, b)
+            xp = embed(x, "plus", mp.prec)
+            out.append((x, xp * c, abs(xp), abs(embed(x, "minus", mp.prec))))
+    return out
+
+
+def brute_x0(prob, x1, box):
+    """The x0 of x0_box that pass the solve_x0 inequalities for x1, at
+    the same precision the solver uses."""
     theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
-    s, c = mp.sin(theta), mp.cos(theta)
+    s = mp.sin(theta)
     x1p = embed(x1, "plus", mp.prec)
     x1m = embed(x1, "minus", mp.prec)
     ep = mp.power(embed(eta_power(1), "plus", mp.prec), m)
@@ -46,17 +68,8 @@ def brute_x0(prob, x1):
     sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
     lo_f = hp * (1 - eps ** 2) - x1p * s
     hi_f = hp - x1p * s
-    box_d = int(mp.floor((sp + sm) / mp.sqrt(5))) + 2
-    box_a = int(mp.floor(sp + box_d * 1.7)) + 2
-    out = set()
-    for a in range(-box_a, box_a + 1):
-        for b in range(-box_d, box_d + 1):
-            x = GoldenInt(a, b)
-            xp = embed(x, "plus", mp.prec)
-            xm = embed(x, "minus", mp.prec)
-            if lo_f <= xp * c <= hi_f and abs(xp) <= sp and abs(xm) <= sm:
-                out.add(x)
-    return out
+    return {x for x, xpc, xp, xm in box
+            if lo_f <= xpc <= hi_f and xp <= sp and xm <= sm}
 
 
 def brute_pairs(prob):
@@ -67,10 +80,11 @@ def brute_pairs(prob):
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     s, c = mp.sin(theta), mp.cos(theta)
     mu = hp * (1 - eps ** 2) * s
+    box = x0_box(prob)
     out = []
     for x1 in brute_x1(prob):
         x1p = embed(x1, "plus", mp.prec)
-        for x0 in brute_x0(prob, x1):
+        for x0 in brute_x0(prob, x1, box):
             overlap = embed(x0, "plus", mp.prec) * c + x1p * s
             out.append(((abs(x1p - mu), (x1.a, x1.b), -overlap, (x0.a, x0.b)),
                         (x0, x1)))

@@ -113,8 +113,6 @@ def test_config_validation():
     with pytest.raises(MalformedInput):
         SynthConfig(0.6)  # epsilon >= delta
     with pytest.raises(MalformedInput):
-        SynthConfig(1e-3, epsilon0=1.0)
-    with pytest.raises(MalformedInput):
         SynthConfig(1e-3, k_cap=-1)
 
 

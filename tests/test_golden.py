@@ -18,6 +18,7 @@ from icogate.golden import (
     gcd,
     galois_conj,
     norm,
+    phi_power,
     sign_minus,
     sign_plus,
     split_prime,
@@ -161,6 +162,10 @@ def test_canonical_associate():
     assert canonical_associate(GoldenInt(-2, 7)) == ETA  # (-2+7phi) = eta/phi
     assert canonical_associate(GoldenInt(0, 2)) == GoldenInt(2, 0)
     assert canonical_associate(GoldenInt(2, 1)) == GoldenInt(-1, 2)
+    # units whose smaller embedding is below the coordinates' float
+    # resolution, or whose coordinates are beyond float range
+    assert canonical_associate(phi_power(52)) == GoldenInt(1, 0)
+    assert canonical_associate(-phi_power(2100)) == GoldenInt(1, 0)
     rng = random.Random(29)
     for _ in range(200):
         x = rand_elt(rng, 40)
@@ -173,12 +178,41 @@ def test_canonical_associate():
             assert q is not None and abs(norm(q)) == 1
 
 
+def test_canonical_associate_ignores_unit_factors():
+    for e in range(-3000, 3001):
+        u = phi_power(e)
+        assert canonical_associate(u) == GoldenInt(1, 0), e
+        assert canonical_associate(-u) == GoldenInt(1, 0), e
+    rng = random.Random(37)
+    xs = [GoldenInt(-1, 2), ETA] + [rand_elt(rng, 10**6) for _ in range(3)]
+    for x in xs:
+        c = canonical_associate(x)
+        for e in range(-3000, 3001, 29):
+            u = phi_power(e)
+            assert canonical_associate(x * u) == c, (x, e)
+            assert canonical_associate(-x * u) == c, (x, e)
+
+
+def test_gcd_of_coprime_unit_multiples_is_one():
+    one = GoldenInt(1, 0)
+    u = phi_power(52)
+    assert gcd(GoldenInt(2, 0), u) == one
+    assert gcd(GoldenInt(1, -3) * u, GoldenInt(3, 0)) == one
+    assert gcd(GoldenInt(3, 0), GoldenInt(1, -4) * u) == one
+    assert gcd(ETA * u, GoldenInt(7, 1) * u) == one
+    assert gcd(GoldenInt(2, 0), phi_power(2100)) == one
+
+
 def test_unit_decompose():
     assert unit_decompose(GoldenInt(1, 0)) == (1, 0)
     assert unit_decompose(GoldenInt(-1, 0)) == (-1, 0)
     assert unit_decompose(PHI**5) == (1, 5)
     s, n = unit_decompose(-(GoldenInt(-1, 1) ** 3))
     assert (s, n) == (-1, -3)
+    for e in range(-5000, 5001):
+        u = phi_power(e)
+        assert unit_decompose(u) == (1, e)
+        assert unit_decompose(-u) == (-1, e)
     with pytest.raises(MalformedInput):
         unit_decompose(GoldenInt(2, 0))
 

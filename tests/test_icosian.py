@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from peel_oracle import peel_oracle
 from icogate.errors import MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
@@ -10,13 +11,6 @@ from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
 from icogate.unitary import ProjUnitary, distance
 
 PROJ_TOL = 1e-15
-
-
-def peel_oracle(q):
-    """All c in C60 with q*c*tau divisible by eta, by trial division."""
-    return [c for c, _ in generate_c60()
-            if all(exact_div(x, ETA) is not None
-                   for x in (q * (c * TAU)).parts())]
 
 
 def reference_synthesize(q):
@@ -82,6 +76,17 @@ def test_canonical_collapses_scalars():
         for scalar in (GoldenInt(-3, 0), phi_power(4), -phi_power(-3),
                        GoldenInt(2, 0) * phi_power(1)):
             assert canonical(q * scalar) == rep
+
+
+def test_canonical_ignores_unit_factors():
+    rng = random.Random(6)
+    quats = [RHO, TAU * SIGMA * TAU, rand_quat(rng, 10**6)]
+    for q in quats:
+        rep = canonical(q)
+        for e in range(-3000, 3001, 29):
+            u = phi_power(e)
+            assert canonical(q * u) == rep, (q, e)
+            assert canonical(-q * u) == rep, (q, e)
 
 
 def test_canonical_rejects_zero():
