@@ -31,11 +31,11 @@ from .gaussgolden import verify_norm_euclidean
 from .general import SynthConfig, SynthReport, synth_general
 from .diagonal import synth_diagonal
 from .golden import GoldenInt
-from .icosian import (GateWord, GoldenQuat, canonical, evaluate_word,
-                      exact_synthesize, generate_c60, tau_count, word_to_quat)
+from .icosian import (GateWord, GoldenQuat, canonical, exact_synthesize,
+                      generate_c60, tau_count, word_to_quat)
 from .unitary import (DEFAULT_PRECISION_BITS, GATE_NAMES, ProjUnitary,
-                      distance, named_gate, parse_complex, precision_for,
-                      to_alpha_beta, tuning_constant, u_of_theta)
+                      named_gate, parse_complex, precision_for,
+                      tuning_constant)
 
 __all__ = ["main"]
 

@@ -37,9 +37,9 @@ from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotInGroup, NotRepresentable)
 from .golden import ETA, PHI, GoldenInt, embed, eta_power
 from .goldengrid import ellipsoid_points
-from .icosian import GateWord, GoldenQuat, evaluate_word, exact_synthesize
+from .icosian import GateWord, GoldenQuat, exact_synthesize
 from .sots import sots_exact
-from .unitary import distance, precision_for, u_of_theta
+from .unitary import precision_for, quaternion_distance
 
 __all__ = ["DiagonalProblem", "solve_shell", "solve_x23", "synth_diagonal"]
 
@@ -216,6 +216,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     satisfies nrd = eta^m exactly for the winning exponent m; the word
     factors its primitive part, so its tau-count is at most m (less
     when the solution has golden content, e.g. the identity at theta=0).
+    achieved is measured on the quaternion, which the word equals up to
+    a scalar, against the unit quaternion (cos t, sin t, 0, 0) of the
+    folded angle t; only a candidate within epsilon is factored.
     Raises BudgetExhausted if no shell up to the cap (default
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
 
@@ -231,16 +234,15 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     bits = precision_bits or precision_for(float(eps))
     with mp.workprec(bits):
         t = _fold_theta(theta)
-        target = u_of_theta(t, bits)
+        target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
         # u(+-pi/2) = diag(i, -i) projectively, a C60 element.  Snap to
         # it whenever it is already close enough; this covers exact
         # cos(theta) = 0 and the nearby regime where the search bands
         # (whose widths scale with cos(theta)) degenerate.
         q = GoldenQuat(0, 1, 0, 0)
-        word = exact_synthesize(q)
-        achieved = distance(target, evaluate_word(word, bits))
+        achieved = quaternion_distance(target, q.to_vector(bits))
         if achieved < eps:
-            return q, word, achieved
+            return q, exact_synthesize(q), achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
         warm: dict = {}
@@ -256,13 +258,12 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                 if pair is None:
                     continue
                 q = GoldenQuat(x0, x1, *pair)
-                try:
-                    word = exact_synthesize(q)
-                except NotInGroup:
-                    continue
-                achieved = distance(target, evaluate_word(word, bits))
+                achieved = quaternion_distance(target, q.to_vector(bits))
                 if achieved < eps:
-                    return q, word, achieved
+                    try:
+                        return q, exact_synthesize(q), achieved
+                    except NotInGroup:
+                        continue
     raise BudgetExhausted(
         f"no approximation of u({theta}) within {epsilon} "
         f"up to eta-exponent {m_cap}")

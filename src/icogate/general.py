@@ -33,12 +33,12 @@ from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      PrecisionInsufficient)
 from .golden import PHI, GoldenInt, embed, eta_power, sign_minus, sign_plus
 from .goldengrid import ellipsoid_points
-from .icosian import (RHO, GateWord, GoldenQuat, evaluate_word,
+from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
-from .unitary import (DELTA, EPSILON0, ProjUnitary, distance, precision_for,
-                      require_unitary, to_alpha_beta, tune_diagonals,
-                      tuning_constant, u_of_theta)
+from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
+                      quaternion_distance, require_unitary, to_alpha_beta,
+                      tune_diagonals, tuning_constant)
 
 __all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
            "synth_general"]
@@ -168,6 +168,34 @@ def build_central(k: int, s: GoldenInt, rng: random.Random | None = None
     return q
 
 
+def _snap(table: C60Table, target) -> tuple[str, object]:
+    """The C60 element nearest the unit quaternion target, as (segment,
+    distance): the first in table order with the strictly smallest
+    distance.  Float dot products against the table's unit vectors
+    screen the 60; only those within 1e-9 of the best float score (a
+    window far wider than float round-off, so it holds every element
+    that can tie the best) are measured at working precision."""
+    tf = [float(x) for x in target]
+    scores = [abs(sum(a * b for a, b in zip(tf, v)))
+              for v in table.unit_vectors]
+    top = max(scores)
+    best_seg, best_d = "", mp.inf
+    for (q, seg), score in zip(table, scores):
+        if score >= top - 1e-9:
+            d = quaternion_distance(target, q.to_vector(mp.prec))
+            if d < best_d:
+                best_seg, best_d = seg, d
+    return best_seg, best_d
+
+
+def _right_half_arg(re, im):
+    """arg(+-(re + im i)) in (-pi/2, pi/2], the sign to_alpha_beta
+    picks, or 0 for 0."""
+    if re < 0 or (re == 0 and im < 0):
+        re, im = -re, -im
+    return mp.atan2(im, re) if re or im else mpf(0)
+
+
 def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     """Approximate g over the gate set to the configured accuracy.
 
@@ -179,6 +207,13 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     diagonals get budget 0.6 * epsilon each, so any in-band candidate
     beats (C + 2) * epsilon and the 1.5 * epsilon stopping rule is
     reachable as soon as the shell makes the band spacing fine enough.
+
+    Every distance is measured against g as a unit quaternion, at the
+    larger of g's and the working precision.
+    A word's achieved distance is taken on the exact product of its
+    pieces' quaternions (the diagonal's q, times j on the j-route;
+    q1 * central * q2, times conj(rho) when twisted), which the word
+    equals up to a Z[phi] scalar.
 
     Raises BudgetExhausted past k_cap, PrecisionInsufficient when the
     target matrix is stored too coarsely to certify distances at
@@ -194,42 +229,48 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             f"distances at {float(eps):.3g}")
     stats = {"abandoned": 0}
     rng = random.Random(cfg.seed)
+    wbits = max(g.precision_bits, bits)
+    table = generate_c60()
+    with mp.workprec(wbits):
+        # (Re alpha, Im alpha, Re beta, Im beta), the unit quaternion of g
+        alpha, beta = to_alpha_beta(ProjUnitary(g.entries, wbits))
+        target = (alpha.real, alpha.imag, beta.real, beta.imag)
+        best_seg, best_d = _snap(table, target)
+
+    def measure(h, q):
+        with mp.workprec(wbits):
+            return quaternion_distance(h, q)
+
     with mp.workprec(bits):
         eps = mpf(eps)
         bound = (tuning_constant() + 2) * eps
         goal = bound if cfg.strict else mpf("1.5") * eps
-        table = generate_c60()
-
-        best_seg, best_d = "", mp.inf
-        for q, seg in table:
-            d = distance(g, q.to_unitary(bits))
-            if d < best_d:
-                best_seg, best_d = seg, d
         if best_d < eps:
             return SynthReport(GateWord((best_seg,)), 0, (0, 0), best_d, 0, 0)
 
-        def diagonal_word(theta, budget) -> GateWord:
-            return synth_diagonal(theta, budget, precision_bits=bits,
-                                  stats=stats)[1]
+        def diagonal(theta, budget) -> tuple[GoldenQuat, GateWord]:
+            q, word, _ = synth_diagonal(theta, budget, precision_bits=bits,
+                                        stats=stats)
+            return q, word
 
-        # g itself, then g j^-1, as a diagonal rotation times a C60 tail
+        # g itself, then g j^-1 = (g2, g3, -g0, -g1), as a diagonal
+        # rotation times a C60 tail
+        g0, g1, g2, g3 = target
         j_quat = GoldenQuat(0, 0, 1, 0)
-        routes = ((g, ""), (g @ j_quat.to_unitary(bits).dagger(),
-                            table.word_for(j_quat)))
-        for h, tail_seg in routes:
-            a_h, _ = to_alpha_beta(h)
-            theta_h = mp.arg(a_h) if abs(a_h) > 0 else mpf(0)
-            d_h = distance(h, u_of_theta(theta_h, bits))
+        routes = ((target, ONE_QUAT, ""),
+                  ((g2, g3, -g0, -g1), j_quat, table.word_for(j_quat)))
+        for h, tail_quat, tail_seg in routes:
+            theta_h = _right_half_arg(h[0], h[1])
+            d_h = measure(h, (mp.cos(theta_h), mp.sin(theta_h), 0, 0))
             if d_h < eps / 2:
-                word = diagonal_word(theta_h, eps - d_h).concat(
-                    GateWord((tail_seg,)))
-                achieved = distance(g, evaluate_word(word, bits))
+                q_d, w_d = diagonal(theta_h, eps - d_h)
+                word = w_d.concat(GateWord((tail_seg,)))
+                achieved = measure(target, (q_d * tail_quat).to_vector(wbits))
                 return SynthReport(word, 0, (word.tau_count, 0), achieved,
                                    0, stats["abandoned"])
 
         g_work, tail = g, None
-        alpha, _ = to_alpha_beta(g)
-        abs_a = abs(alpha)
+        abs_a = abs(mp.mpc(g0, g1))
         eps0 = mpf(cfg.epsilon0)
         if abs_a <= eps0 or abs_a ** 2 >= 1 - eps0 ** 2:
             g_work = g @ RHO.to_unitary(bits)
@@ -259,14 +300,16 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 except HypothesisViolation:
                     continue
                 try:
-                    w1 = diagonal_word(tuned.theta1, outer_eps)
-                    w2 = diagonal_word(tuned.theta2, outer_eps)
+                    q1, w1 = diagonal(tuned.theta1, outer_eps)
+                    q2, w2 = diagonal(tuned.theta2, outer_eps)
                 except BudgetExhausted:
                     continue
                 word = w1.concat(central).concat(w2)
+                product = q1 * q * q2
                 if tail is not None:
                     word = word.concat(tail)
-                achieved = distance(g, evaluate_word(word, bits))
+                    product = product * RHO.conjugate()
+                achieved = measure(target, product.to_vector(wbits))
                 report = SynthReport(word, central.tau_count,
                                      (w1.tau_count, w2.tau_count), achieved,
                                      k, stats["abandoned"])

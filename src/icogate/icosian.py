@@ -33,6 +33,7 @@ the coefficients shrink as the taus go; on 300 random words of up to
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -41,8 +42,9 @@ from functools import lru_cache
 from mpmath import mp
 
 from .errors import IcogateError, MalformedInput, NotInGroup
-from .golden import (ETA, GoldenInt, ONE, PHI, ZERO, _balancing_power, embed,
-                     eta_valuation, exact_div, gcd, phi_power)
+from .golden import (_PHI_FLOAT, ETA, GoldenInt, ONE, PHI, ZERO,
+                     _balancing_power, embed, eta_valuation, exact_div, gcd,
+                     phi_power)
 from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
 
 __all__ = [
@@ -130,14 +132,18 @@ class GoldenQuat:
         return (self.x0 * self.x0 + self.x1 * self.x1
                 + self.x2 * self.x2 + self.x3 * self.x3)
 
+    def to_vector(self, precision_bits: int) -> tuple:
+        """The plus embeddings of the four coordinates: the real
+        quaternion sigma_+(q), a multiple of a point of PU(2)."""
+        return tuple(embed(x, "plus", precision_bits) for x in self.parts())
+
     def to_unitary(self, precision_bits: int = DEFAULT_PRECISION_BITS
                    ) -> ProjUnitary:
         """Image under x0 + x1*i + x2*j + x3*k ->
         [[x0 + x1 i, x2 + x3 i], [-x2 + x3 i, x0 - x1 i]],
         a multiple of a unitary matrix."""
         with mp.workprec(precision_bits + 16):
-            w0, w1, w2, w3 = (embed(x, "plus", precision_bits + 16)
-                              for x in self.parts())
+            w0, w1, w2, w3 = self.to_vector(precision_bits + 16)
             rows = ((mp.mpc(w0, w1), mp.mpc(w2, w3)),
                     (mp.mpc(-w2, w3), mp.mpc(w0, -w1)))
         return ProjUnitary(rows, precision_bits)
@@ -245,15 +251,26 @@ def _right_mul_rows(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             (h2, n3, h0, h1), (h3, h2, n1, h0))
 
 
+def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
+    """sigma_+(q) / |sigma_+(q)| in floats, for small coordinates."""
+    v = [x.a + x.b * _PHI_FLOAT for x in q.parts()]
+    n = math.sqrt(sum(x * x for x in v))
+    return tuple(x / n for x in v)
+
+
 class C60Table:
     """The 60 projective classes generated by rho and sigma, each with
     the shortest {r, s}-word the breadth-first closure found, its
-    inverse word, and the peeling entries exact_synthesize scans."""
+    inverse word, its point of PU(2) as a float unit quaternion (for a
+    nearest-element screen), and the peeling entries exact_synthesize
+    scans."""
 
-    __slots__ = ("elements", "_word_map", "_inverse", "_peel")
+    __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
+                 "_peel")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
+        self.unit_vectors = tuple(_float_unit(q) for q, _ in elements)
         self._word_map = dict(elements)
         # C60 embeds in PGL_2(F_59), so the residue keys name the classes
         # and conjugating a key finds the inverse without canonical()
@@ -382,14 +399,24 @@ def _is_scalar_segment(seg: str) -> bool:
     return generate_c60().word_for(word_to_quat(GateWord((seg,)))) == ""
 
 
+@lru_cache(maxsize=1024)
+def _piece_quat(seg: str, after_tau: bool) -> GoldenQuat:
+    """Exact product of the piece (seg), or t(seg) when after_tau.
+    Words repeat few pieces (exact_synthesize emits one shortest word
+    per C60 element), so the store stays small."""
+    q = TAU if after_tau else ONE_QUAT
+    for ch in seg:
+        q = q * _GENERATORS[ch]
+    return q
+
+
 def word_to_quat(word: GateWord) -> GoldenQuat:
-    """Exact quaternion product of the word's letters."""
-    q = ONE_QUAT
-    for i, seg in enumerate(word.segments):
-        if i:
-            q = q * TAU
-        for ch in seg:
-            q = q * _GENERATORS[ch]
+    """Exact quaternion product of the word's letters, taken as one
+    product per tau of the pieces (seg0), t(seg1), ..."""
+    first, *rest = word.segments
+    q = _piece_quat(first, False)
+    for seg in rest:
+        q = q * _piece_quat(seg, True)
     return q
 
 

@@ -1,11 +1,19 @@
 """Projective single-qubit unitaries over big floats.
 
-Everything downstream measures approximation quality with the
-bi-invariant metric d(A,B) = sqrt(1 - |tr(A^dag B)|/2) on PU(2), which
-is insensitive to global phase.  Matrices are stored with an explicit
-working precision in bits; the synthesis layers pick the precision from
-the target accuracy so that the huge eta^k scalings cancel without
-eating the answer.
+Approximation quality is the bi-invariant metric
+d(A,B) = sqrt(1 - |tr(A^dag B)|/2) on PU(2), which is insensitive to
+global phase.  At the API boundary (parsing, require_unitary, the CLI,
+and as the reference tests compare against) targets are 2x2 matrices,
+stored with an explicit working precision in bits; the synthesis layers
+pick the precision from the target accuracy so that the huge eta^k
+scalings cancel without eating the answer.
+
+On the hot path PU(2) is the unit quaternions modulo sign instead: the
+map x0 + x1 i + x2 j + x3 k -> [[x0 + x1 i, x2 + x3 i],
+[-x2 + x3 i, x0 - x1 i]] turns quaternion products into matrix
+products and tr(A^dag B)/2 into the real dot product <a, b>, so the
+distance from a unit target g to any nonzero quaternion q is
+sqrt(1 - |<g, q>|/|q|) (quaternion_distance), one dot product.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ __all__ = [
     "u_of_theta",
     "u_of_alpha_beta",
     "to_alpha_beta",
+    "quaternion_distance",
     "tune_diagonals",
     "named_gate",
     "parse_complex",
@@ -179,6 +188,19 @@ def to_alpha_beta(u: ProjUnitary):
         if a <= -mp.pi / 2 or a > mp.pi / 2:
             alpha, beta = -alpha, -beta
         return alpha, beta
+
+
+def quaternion_distance(g, q):
+    """sqrt(1 - |<g, q>| / |q|) at the working precision: the distance()
+    between the matrices of the unit 4-vector g and of the real 4-vector
+    q, which may carry any nonzero scale.  Both dot products are summed
+    exactly before rounding, and a radicand that round-off pushes below
+    0 reads as 0."""
+    norm = mp.sqrt(mp.fdot(q, q))
+    if norm == 0:
+        raise MalformedInput("zero quaternion has no distance")
+    val = 1 - abs(mp.fdot(g, q)) / norm
+    return mp.sqrt(val) if val > 0 else mpf(0)
 
 
 @dataclass(frozen=True)

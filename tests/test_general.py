@@ -8,8 +8,9 @@ from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
 from icogate.general import (SynthConfig, SynthReport, build_central,
                              candidate_norms, synth_general)
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
-from icogate.icosian import (RHO, GoldenQuat, canonical, evaluate_word,
-                             exact_synthesize, generate_c60, word_to_quat)
+from icogate.icosian import (RHO, GateWord, GoldenQuat, canonical,
+                             evaluate_word, exact_synthesize, generate_c60,
+                             word_to_quat)
 from icogate.unitary import (ProjUnitary, distance, named_gate,
                              precision_for, to_alpha_beta, tuning_constant,
                              u_of_alpha_beta, u_of_theta)
@@ -235,3 +236,114 @@ def test_deep_hadamard():
                         evaluate_word(r.word, 2 * bits))
         assert true < (tuning_constant() + 2) * mpf(eps)
         assert abs(true - r.achieved) < mpf(2) ** (-bits // 2)
+
+
+def scan_snap(g, bits):
+    """The snap by brute force: every C60 element measured with the
+    matrix distance, the first strictly smallest kept."""
+    best_seg, best_d = "", mp.inf
+    for q, seg in generate_c60():
+        d = distance(g, q.to_unitary(bits))
+        if d < best_d:
+            best_seg, best_d = seg, d
+    return best_seg, best_d
+
+
+def haar_target(rng, bits):
+    with mp.workprec(bits):
+        a = mp.sqrt(mpf(rng.random())) * mp.expj(mpf(rng.uniform(-3, 3)))
+        b = mp.sqrt(1 - abs(a) ** 2) * mp.expj(mpf(rng.uniform(-3, 3)))
+        return u_of_alpha_beta(a, b, bits)
+
+
+def quat_target(v, bits):
+    """The matrix of the real quaternion v, stored at bits."""
+    with mp.workprec(bits):
+        w0, w1, w2, w3 = v
+        return ProjUnitary(((mp.mpc(w0, w1), mp.mpc(w2, w3)),
+                            (mp.mpc(-w2, w3), mp.mpc(w0, -w1))), bits)
+
+
+def snap_cases():
+    rng = random.Random(3)
+    # Haar targets; at eps = 0.3 every target is within eps of C60 (its
+    # covering radius is about 0.27)
+    for _ in range(12):
+        yield haar_target(rng, BITS), 0.3
+    # targets within about 1e-4 of every seventh element
+    for q, _ in list(generate_c60())[::7]:
+        with mp.workprec(BITS):
+            tilt = u_of_alpha_beta(mp.expj(mpf(rng.uniform(-1, 1)) * 1e-4),
+                                   mpf(rng.uniform(-1, 1)) * 1e-4, BITS)
+        yield q.to_unitary(BITS) @ tilt, 1e-3
+
+
+@pytest.mark.parametrize("g,eps", list(snap_cases()))
+def test_snap_matches_full_scan(g, eps):
+    r = synth_general(g, SynthConfig(eps))
+    seg, d = scan_snap(g, BITS)
+    assert r.word == GateWord((seg,))
+    assert abs(r.achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
+
+
+def test_snap_on_an_exact_tie():
+    # the quaternion midpoint of two adjacent elements (36 degrees apart)
+    # is 0.22 from both and farther from the rest; either may win, but
+    # the winner must be a nearest element and report its distance
+    table = list(generate_c60())
+    with mp.workprec(BITS):
+        vecs = [q.to_vector(BITS) for q, _ in table]
+        unit = [[x / mp.sqrt(mp.fdot(v, v)) for x in v] for v in vecs]
+        b = max(range(1, len(table)), key=lambda i: abs(mp.fdot(unit[0],
+                                                                unit[i])))
+        sign = 1 if mp.fdot(unit[0], unit[b]) > 0 else -1
+        g = quat_target([x + sign * y for x, y in zip(unit[0], unit[b])],
+                        BITS)
+    r = synth_general(g, SynthConfig(0.3))
+    dists = {seg: distance(g, q.to_unitary(BITS)) for q, seg in table}
+    nearest = min(dists.values())
+    tol = mpf(2) ** (8 - BITS)
+    assert abs(nearest - mpf("0.2212")) < 1e-4
+    assert sum(abs(d ** 2 - nearest ** 2) < tol for d in dists.values()) == 2
+    (seg,) = r.word.segments
+    assert abs(dists[seg] ** 2 - nearest ** 2) < tol
+    assert abs(r.achieved ** 2 - nearest ** 2) < tol
+
+
+def route_target(route, bits):
+    with mp.workprec(bits):
+        if route == "snap":
+            return RHO.to_unitary(bits) @ u_of_theta(mpf("1e-5"), bits)
+        if route == "diagonal":
+            return u_of_theta(mpf("0.35"), bits)
+        if route == "j":
+            return (u_of_theta(mpf("0.35"), bits)
+                    @ GoldenQuat(0, 0, 1, 0).to_unitary(bits))
+        if route == "twist-near-1":
+            a = mpf("0.9995") * mp.expj(mpf("0.3"))
+        elif route == "twist-near-0":
+            a = mpf("0.01") * mp.expj(mpf("-0.7"))
+        else:
+            return named_gate("H", bits)
+        b = mp.sqrt(1 - abs(a) ** 2) * mp.expj(mpf("1.1"))
+        return u_of_alpha_beta(a, b, bits)
+
+
+@pytest.mark.parametrize("route", ["snap", "diagonal", "j", "twist-near-1",
+                                   "twist-near-0", "H"])
+def test_achieved_is_the_words_distance_on_every_route(route):
+    # achieved comes from the pieces' exact quaternions; the word,
+    # multiplied out letter by letter at twice the precision, must agree
+    eps = 1e-4
+    bits = precision_for(eps)
+    g = route_target(route, bits)
+    r = synth_general(g, SynthConfig(eps))
+    if route == "snap":
+        assert r.tau_count == 0 and r.achieved > 0
+    elif route in ("diagonal", "j"):
+        assert r.k == 0 and r.tau_count > 0
+    else:
+        assert r.k > 0
+    with mp.workprec(2 * bits):
+        true = distance(g, evaluate_word(r.word, 2 * bits))
+        assert abs(true ** 2 - r.achieved ** 2) < mpf(2) ** (8 - bits)

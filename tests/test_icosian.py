@@ -224,6 +224,21 @@ def random_word(rng, seg_pool, k):
     return GateWord(tuple(segs))
 
 
+def test_word_to_quat_is_the_letter_product():
+    # word_to_quat multiplies whole pieces; the result must still be the
+    # exact product of the letters, scalar and all
+    rng = random.Random(7)
+    letters = {"r": RHO, "s": SIGMA, "t": TAU}
+    for _ in range(40):
+        segs = [""] + ["".join(rng.choice("rs") for _ in range(rng.randint(1, 6)))
+                       for _ in range(rng.randint(0, 12))] + [""]
+        word = GateWord(tuple(segs[rng.randint(0, 1):]))
+        expected = ONE_QUAT
+        for ch in str(word).replace("(", "").replace(")", ""):
+            expected = expected * letters[ch]
+        assert word_to_quat(word) == expected
+
+
 def test_evaluate_word_basics():
     eye = ProjUnitary(((1, 0), (0, 1)))
     assert distance(evaluate_word(GateWord(("",))), eye) < PROJ_TOL

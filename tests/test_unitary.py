@@ -12,6 +12,7 @@ from icogate.unitary import (
     named_gate,
     parse_complex,
     precision_for,
+    quaternion_distance,
     to_alpha_beta,
     tune_diagonals,
     tuning_constant,
@@ -101,6 +102,32 @@ def test_to_alpha_beta_convention():
             assert -mp.pi / 2 < mp.arg(anchor) <= mp.pi / 2
         # round trip is projectively the same matrix
         assert float(distance(g, u_of_alpha_beta(alpha, beta, 96))) < 1e-25
+
+
+def test_quaternion_distance_matches_matrix_distance():
+    # a scaled real quaternion q against a unit target, and the matrix
+    # distance between their 2x2 images as the reference; includes q
+    # near the target and near its negative
+    rng = random.Random(17)
+    bits = 160
+    for i in range(60):
+        g = rand_su2(rng, bits)
+        with mp.workprec(bits):
+            alpha, beta = to_alpha_beta(g)
+            v = (alpha.real, alpha.imag, beta.real, beta.imag)
+            if i % 3 == 0:
+                q = [x + mpf(rng.uniform(-1, 1)) * 1e-20 for x in v]
+            else:
+                q = [mpf(rng.uniform(-1, 1)) for _ in range(4)]
+            q = [x * (-1 if i % 2 else 1) * mpf(rng.uniform(0.1, 1e6))
+                 for x in q]
+            rows = ((mpc(q[0], q[1]), mpc(q[2], q[3])),
+                    (mpc(-q[2], q[3]), mpc(q[0], -q[1])))
+            d = quaternion_distance(v, q)
+            ref = distance(g, ProjUnitary(rows, bits))
+            assert abs(d ** 2 - ref ** 2) < mpf(2) ** (8 - bits)
+    with pytest.raises(MalformedInput):
+        quaternion_distance(v, [0, 0, 0, 0])
 
 
 def test_to_alpha_beta_antidiagonal():
