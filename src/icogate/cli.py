@@ -50,6 +50,8 @@ def parse_angle(text: str):
     m = _PI_FRACTION.match(flat)
     if m:
         sign, num, den = m.groups()
+        if den is not None and int(den) == 0:
+            raise MalformedInput(f"zero denominator in angle {text!r}")
         value = mp.pi * int(num or 1) / int(den or 1)
         return -value if sign == "-" else value
     try:

@@ -35,8 +35,9 @@ from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotInGroup, NotRepresentable)
-from .golden import ETA, PHI, GoldenInt, embed, eta_power
-from .goldengrid import ellipsoid_points
+from .golden import (ETA, PHI, GoldenInt, embed, eta_power, sign_minus,
+                     sign_plus)
+from .goldengrid import ellipsoid_points, fixed_point, margin_sorted, phi_fixed
 from .icosian import GateWord, GoldenQuat, exact_synthesize
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
@@ -64,9 +65,11 @@ class DiagonalProblem:
             raise MalformedInput("theta must be folded so cos(theta) > 0")
 
 
-def _eta_pow(m_half_exp: int, which: str):
-    base = embed(ETA, which, mp.prec)
-    return mp.power(base, mpf(m_half_exp) / 2)
+@lru_cache(maxsize=256)
+def _eta_pow(m_half_exp: int, which: str, prec: int):
+    """(sigma eta)^(m_half_exp / 2) at precision prec."""
+    with mp.workprec(prec):
+        return mp.power(embed(ETA, which, prec), mpf(m_half_exp) / 2)
 
 
 @lru_cache(maxsize=128)
@@ -74,31 +77,29 @@ def _shell(prob: DiagonalProblem, prec: int):
     """Real quantities shared by every row of one search shell."""
     with mp.workprec(prec):
         theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
-        hp = _eta_pow(m, "plus")
-        hm = _eta_pow(m, "minus")
+        hp = _eta_pow(m, "plus", prec)
+        hm = _eta_pow(m, "minus", prec)
         s, c = mp.sin(theta), mp.cos(theta)
         cap = hp * (1 - eps ** 2)
         mu = cap * s
         w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
-        ep = _eta_pow(2 * m, "plus")
-        em = _eta_pow(2 * m, "minus")
-    return hp, hm, s, c, cap, mu, w, ep, em
+    return hp, hm, s, c, cap, mu, w
 
 
 def solve_shell(prob: DiagonalProblem, warm: dict | None = None
                 ) -> list[tuple[GoldenInt, GoldenInt]]:
     """Every pair (x0, x1) of one shell, in the order the search tries
-    them.  A pair qualifies when, for h = eta^{m/2}:
+    them.  For h = (sigma_+ eta)^{m/2} a pair qualifies when
 
+        sigma_pm(eta^m - x1^2) >= 0,  sigma_pm(eta^m - x1^2 - x0^2) >= 0
         x1 sin(theta) <= h (1 - eps^2)
-        |sigma_+ x1| <= h,   |sigma_- x1| <= (sigma_- eta)^{m/2}
         |x1 - h (1 - eps^2) sin(theta)| <= h cos(theta) sqrt(2-eps^2) eps
         h (1 - eps^2) <= x0 cos(theta) + x1 sin(theta) <= h
-        |sigma_pm x0| <= sqrt(max(0, (sigma_pm eta)^m - (sigma_pm x1)^2))
 
-    each checked numerically at working precision.  Pairs are sorted
-    by |x1 - h (1 - eps^2) sin(theta)| (x1 nearest the band centre
-    first), then by decreasing trace overlap x0 cos(theta) +
+    (the disks, the cap, the band and the fidelity slab; x0 and x1
+    stand for their plus embeddings after the first line).  Pairs are
+    sorted by |x1 - h (1 - eps^2) sin(theta)| (x1 nearest the band
+    centre first), then by decreasing trace overlap x0 cos(theta) +
     x1 sin(theta), so the first x0 of an x1 gives the smallest
     distance; ties go by coordinates.
 
@@ -107,38 +108,123 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
     warm, a dict shared by the shells of one search, carries the
     lattice reduction from shell to shell: each shell's reduction
     starts from the transform the previous one left there.
+
+    Every decision is the one the mpf form of these tests makes at the
+    working precision p (h, sin, cos and the other bounds being the mpf
+    values of _shell, the embeddings mpf(a) + mpf(b) * phi), made in
+    integers where that is certain:
+
+    - The disks are exact signs of eta^m - x1^2 and eta^m - x1^2 - x0^2.
+      A zero residual, which occurs only at (x0, x1) = (+-eta^{m/2}, 0)
+      or (0, +-eta^{m/2}), is a tie and runs the mpf test.  Off a tie
+      the exact sign is the mpf answer whenever
+      (sigma_+ eta)^m 59^{m/2} 2^5 (m + 17) < 2^p: a nonzero residual z
+      has |sigma_+ z| |sigma_- z| = |N(z)| >= 1, and the embedding the
+      other disk accepts is at most (sigma eta)^m, so the one under test
+      is at least 1/(sigma_+ eta)^m away from 0, while the mpf tests
+      round within (5m + 116) 2^-p 59^{m/2} of it (the minus embedding
+      loses the size of the coordinates, up to h, to cancellation).  At
+      precision_for(eps) and eps >= 1e-10 that covers every shell up
+      to ten past log_59(1/eps^3), where searches end; past it, a
+      residual inside the mpf rounding gets the exact answer.
+    - The cap, band and slab tests and both sort keys are made at scale
+      2^p (goldengrid).  After the disks, |sigma_pm x| <= h for x = x0,
+      x1, so both coordinates of x are at most h in size and, with
+      H = floor(h) + 2 and u = 2^-p, the mpf plus embedding is within
+      9 u H of the true one (phi off by 3 u, three roundings).  A
+      product with sin or cos is then within 11 u H, and a test value
+      (a slab edge minus the overlap, the cap minus x1 sin, the band
+      half-width minus |x1 - mu|) or key within 23 u H.  The integer
+      embedding is within H 2^p u of the true one and each scaled bound
+      within 1/2, so an integer test value is within 5 u H of the
+      true value, and of the mpf value within tol = 64 u H (tol << p
+      for the products at scale 2^2p).  A point farther than tol from
+      an edge takes the integer answer; one within tol (x0 = eta at
+      theta = 0, m = 2 lies exactly on the slab edge) runs the mpf
+      test, and margin_sorted computes the mpf keys of neighbours
+      within 2 tol.
     """
-    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
+    sh = hp, hm, s, c, cap, mu, w = _shell(prob, mp.prec)
     forms, center = _shell_forms(prob, mp.prec)
     points, transform = ellipsoid_points(
         forms, center, mp.sqrt(3), hp, warm.get("transform") if warm else None)
     if warm is not None:
         warm["transform"] = transform
+    p = mp.prec
+    phi_p = phi_fixed(p)
+    s_p, c_p, mu_p, w_p = (fixed_point(v, p) for v in (s, c, mu, w))
+    cap_2p, hp_2p = fixed_point(cap, 2 * p), fixed_point(hp, 2 * p)
+    tol = (int(hp) + 2) << 6
+    tol_2p = tol << p
+    eta_m = eta_power(prob.m_exp)
     x1_of = itemgetter(2, 3)
     points.sort(key=x1_of)
-    out = []
+    rows = []
     for (a1, b1), group in groupby(points, key=x1_of):
         x1 = GoldenInt(a1, b1)
-        x1p = embed(x1, "plus", mp.prec)
-        x1m = embed(x1, "minus", mp.prec)
-        if not (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
-                and abs(x1p - mu) <= w):
+        z1 = eta_m - x1 * x1
+        disk = min(sign_plus(z1), sign_minus(z1))
+        if disk < 0:
             continue
-        sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
-        sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
-        lo_f = cap - x1p * s
-        hi_f = hp - x1p * s
+        x1p = (a1 << p) + b1 * phi_p
+        x1s = x1p * s_p
+        below_cap = cap_2p - x1s
+        in_band = w_p - abs(x1p - mu_p)
+        if below_cap < -tol_2p or in_band < -tol:
+            continue
+        if ((disk == 0 or below_cap <= tol_2p or in_band <= tol)
+                and not _mpf_x1_test(x1, sh)):
+            continue
+        pairs = []
         for a0, b0, _, _ in group:
             x0 = GoldenInt(a0, b0)
-            x0p = embed(x0, "plus", mp.prec)
-            x0m = embed(x0, "minus", mp.prec)
-            # cos(theta) > 0: the fidelity slab is a plus-side interval
-            if lo_f <= x0p * c <= hi_f and abs(x0p) <= sp and abs(x0m) <= sm:
-                overlap = x0p * c + x1p * s
-                out.append(((abs(x1p - mu), (a1, b1), -overlap, (a0, b0)),
-                            (x0, x1)))
-    out.sort(key=lambda item: item[0])
-    return [pair for _, pair in out]
+            z0 = z1 - x0 * x0
+            disk = min(sign_plus(z0), sign_minus(z0))
+            if disk < 0:
+                continue
+            overlap = ((a0 << p) + b0 * phi_p) * c_p + x1s
+            lo, hi = overlap - cap_2p, hp_2p - overlap
+            if lo < -tol_2p or hi < -tol_2p:
+                continue
+            if ((disk == 0 or lo <= tol_2p or hi <= tol_2p)
+                    and not _mpf_x0_test(prob, x0, x1, sh)):
+                continue
+            pairs.append((-overlap, (a0, b0), x0))
+        if pairs:
+            pairs = margin_sorted(
+                pairs, tol_2p,
+                lambda pair, x1=x1: -(embed(pair[2], "plus", p) * c
+                                      + embed(x1, "plus", p) * s))
+            rows.append((abs(x1p - mu_p), (a1, b1), x1, pairs))
+    rows = margin_sorted(rows, tol,
+                         lambda row: abs(embed(row[2], "plus", p) - mu))
+    return [(x0, x1) for _, _, x1, pairs in rows for _, _, x0 in pairs]
+
+
+def _mpf_x1_test(x1: GoldenInt, sh) -> bool:
+    """solve_shell's tests on x1 alone, in mpf at working precision."""
+    hp, hm, s, c, cap, mu, w = sh
+    x1p = embed(x1, "plus", mp.prec)
+    x1m = embed(x1, "minus", mp.prec)
+    return (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
+            and abs(x1p - mu) <= w)
+
+
+def _mpf_x0_test(prob: DiagonalProblem, x0: GoldenInt, x1: GoldenInt,
+                 sh) -> bool:
+    """solve_shell's tests on x0 given x1, in mpf at working precision."""
+    hp, hm, s, c, cap, mu, w = sh
+    ep = _eta_pow(2 * prob.m_exp, "plus", mp.prec)
+    em = _eta_pow(2 * prob.m_exp, "minus", mp.prec)
+    x1p = embed(x1, "plus", mp.prec)
+    x1m = embed(x1, "minus", mp.prec)
+    sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
+    sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
+    x0p = embed(x0, "plus", mp.prec)
+    x0m = embed(x0, "minus", mp.prec)
+    # cos(theta) > 0: the fidelity slab is a plus-side interval
+    return (cap - x1p * s <= x0p * c <= hp - x1p * s
+            and abs(x0p) <= sp and abs(x0m) <= sm)
 
 
 def _shell_forms(prob: DiagonalProblem, prec: int):
@@ -156,7 +242,7 @@ def _shell_forms(prob: DiagonalProblem, prec: int):
 
     Returns (forms, center) for goldengrid.ellipsoid_points.
     """
-    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, prec)
+    hp, hm, s, c, cap, mu, w = _shell(prob, prec)
     with mp.workprec(prec):
         eps = mpf(prob.epsilon)
         half_r = (hp - cap) / 2

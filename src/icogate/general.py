@@ -32,7 +32,7 @@ from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
 from .golden import PHI, GoldenInt, embed, eta_power, sign_minus, sign_plus
-from .goldengrid import ellipsoid_points
+from .goldengrid import ellipsoid_points, fixed_point, margin_sorted, phi_fixed
 from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
@@ -111,8 +111,22 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     the band center first (ties by coordinates).  The band's box,
     normalised to the square [-1, 1]^2 in the embeddings of
     s = a + b*phi, lies in the disk of radius sqrt(2), whose lattice
-    points goldengrid.ellipsoid_points finds exactly; the box is then
-    re-checked with exact integer signs and the band numerically.
+    points goldengrid.ellipsoid_points finds exactly.
+
+    The box is decided by exact signs of s and eta^k - s.  The band and
+    the sort key are the mpf test and key at the working precision p
+    (the centre, the half-width and sigma_plus(s) as mpf values),
+    decided at scale 2^p (goldengrid): inside the box both coordinates
+    of s are at most sigma_plus(eta^k) in size, so with H its floor
+    plus 2 and u = 2^-p the mpf distance |sigma_plus(s) - centre| is
+    within 11 u H of the true one (embedding 9 u H, one subtraction),
+    and the integer distance |(a << p) + b phi_fixed(p) - centre| is
+    within H + 1/2 units of 2^-p of it, so with the scaled half-width
+    the integer test is within tol = 64 u H of the mpf one.  A point
+    farther than tol from the band edge takes the integer answer; one
+    within tol runs the mpf test (s = 0 lies exactly on the strict edge
+    of candidate_norms(0, 0.5, 0.5) and is left out), and margin_sorted
+    computes the mpf keys of neighbours within 2 tol.
     """
     if not 0 < abs_alpha < 1:
         raise MalformedInput("abs_alpha must be in (0, 1)")
@@ -135,6 +149,10 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     forms = [(1 / w_plus, php / w_plus), (1 / w_minus, phm / w_minus)]
     points, _ = ellipsoid_points(forms, ((lo + hi) / 2 / w_plus, 1),
                                  mp.sqrt(2), hp + hm)
+    p = mp.prec
+    phi_p = phi_fixed(p)
+    center_p, half_p = fixed_point(center, p), fixed_point(half, p)
+    tol = (int(hp) + 2) << 6
     found = []
     for c, d in points:
         s = GoldenInt(c, d)
@@ -143,10 +161,15 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
         r = ek - s
         if sign_plus(r) < 0 or sign_minus(r) < 0:
             continue
-        dist = abs(embed(s, "plus", mp.prec) - center)
-        if dist < half:
-            found.append((dist, (c, d), s))
-    found.sort(key=lambda item: item[:2])
+        dist = abs((c << p) + d * phi_p - center_p)
+        if dist >= half_p + tol:
+            continue
+        if (dist >= half_p - tol
+                and not abs(embed(s, "plus", p) - center) < half):
+            continue
+        found.append((dist, (c, d), s))
+    found = margin_sorted(found, tol,
+                          lambda item: abs(embed(item[2], "plus", p) - center))
     yield from (s for _, _, s in found)
 
 

@@ -8,18 +8,34 @@ plane (n = 2), diagonal synthesis the pairs (x0, x1) of a shell
 (n = 4).  Each caller normalises its region to unit size, bounds it by
 an ellipsoid |L z - c| <= r in the coordinates z of Z[phi]^(n/2) = Z^n,
 and hands L, c and r to ellipsoid_points, which scales them to integers
-and solves the problem exactly with lattice.lattice_points.  The
-ellipsoid may hold points outside the region; callers keep the region's
-own checks.
+and solves the problem exactly with lattice.lattice_points.
+
+The ellipsoid may hold points outside the region, so each caller then
+decides its region's own predicates in integers, point by point.  A
+test on the sign of an element of Z[phi] is exact (golden.sign_plus,
+golden.sign_minus).  A test against a real bound of the region (an
+mpf at working precision p) is made at the one scale 2^p: the point's
+plus embedding as the integer (a << p) + b * phi_fixed(p), the bound as
+fixed_point(bound, p), and the caller proves in its docstring a margin
+tol within which that integer difference agrees with the same test
+evaluated in mpf at precision p.  A point farther than tol from the
+edge is decided by the integer comparison; a point within tol of it
+(an exact tie included) is decided by the mpf test itself, so the
+result is the mpf answer either way.  Sort keys work the same way
+through margin_sorted.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from math import isqrt
+from operator import itemgetter
 
 from mpmath import mp
 
 from .lattice import lattice_points
 
-__all__ = ["ellipsoid_points"]
+__all__ = ["ellipsoid_points", "fixed_point", "margin_sorted", "phi_fixed"]
 
 
 def ellipsoid_points(forms, center, radius, bound, start=None):
@@ -44,8 +60,47 @@ def ellipsoid_points(forms, center, radius, bound, start=None):
     """
     n = len(forms)
     e = (n * (n * (int(bound) + 1) + 1)).bit_length() + 16
-    basis = [[int(mp.nint(mp.ldexp(row[j], e))) for row in forms]
-             for j in range(n)]
-    scaled_center = [int(mp.nint(mp.ldexp(c, e))) for c in center]
+    basis = [[fixed_point(row[j], e) for row in forms] for j in range(n)]
+    scaled_center = [fixed_point(c, e) for c in center]
     r = int(mp.ceil(mp.ldexp(radius, e))) + (1 << (e - 8))
     return lattice_points(basis, scaled_center, r * r, start)
+
+
+def fixed_point(x, scale: int) -> int:
+    """The integer nearest x * 2^scale, for an mpf x taken as exact: off
+    by at most 1/2."""
+    return int(mp.nint(mp.ldexp(x, scale)))
+
+
+@lru_cache(maxsize=16)
+def phi_fixed(scale: int) -> int:
+    """floor(phi * 2^scale) for phi = (1 + sqrt 5) / 2, from an integer
+    square root: off by less than 1, so (a << scale) + b * phi_fixed(scale)
+    is the plus embedding of a + b*phi at scale 2^scale, off by less
+    than |b|."""
+    return ((1 << scale) + isqrt(5 << (2 * scale))) >> 1
+
+
+def margin_sorted(items, tol: int, exact_key):
+    """items in the order of (exact_key(item), item[1]).
+
+    Each item is a tuple (key, tiebreak, ...) whose integer key is
+    within tol of exact_key(item) at the caller's scale (so exact_key
+    returns an mpf, key its fixed-point image), and whose tiebreaks are
+    distinct.  The items are sorted by (key, tiebreak) and cut into runs
+    wherever two neighbouring keys differ by more than 2 tol.  Items of
+    different runs then have exact keys in the same order as their
+    keys, since each exact key is within tol of its key; so only a run
+    of more than one item is re-sorted, by (exact_key, tiebreak), and
+    exact_key is called only for the items of such runs.
+    """
+    items = sorted(items, key=itemgetter(0, 1))
+    out, start = [], 0
+    for i in range(1, len(items) + 1):
+        if i == len(items) or items[i][0] - items[i - 1][0] > 2 * tol:
+            run = items[start:i]
+            if len(run) > 1:
+                run.sort(key=lambda item: (exact_key(item), item[1]))
+            out.extend(run)
+            start = i
+    return out

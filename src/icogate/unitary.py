@@ -292,6 +292,8 @@ def _num_value(token: str):
         p, q = token.split("/")
         if "." in p or "e" in p.lower():
             raise MalformedInput(f"bad rational {token!r}")
+        if int(q) == 0:
+            raise MalformedInput(f"zero denominator in {token!r}")
         return sign * mpf(int(p)) / mpf(int(q))
     return sign * mpf(token)
 

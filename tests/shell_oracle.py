@@ -1,0 +1,104 @@
+"""Reference filters for replaying the grid searches.
+
+diagonal.solve_shell and general.candidate_norms decide their points in
+integers and fall back to mpf arithmetic only near an edge.  The
+functions here are the filters as they stood before that (commit
+522b15f), verbatim: every point that goldengrid.ellipsoid_points
+returns is embedded at working precision, tested with mpf comparisons
+and sorted by mpf keys.  They take the same ellipsoid, so the two must
+agree list for list.
+"""
+
+from itertools import groupby
+from operator import itemgetter
+
+from mpmath import mp, mpf
+
+from icogate.diagonal import _shell_forms
+from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
+                            sign_minus, sign_plus)
+from icogate.goldengrid import ellipsoid_points
+
+
+def _eta_pow(m_half_exp, which):
+    base = embed(ETA, which, mp.prec)
+    return mp.power(base, mpf(m_half_exp) / 2)
+
+
+def _shell(prob, prec):
+    with mp.workprec(prec):
+        theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+        hp = _eta_pow(m, "plus")
+        hm = _eta_pow(m, "minus")
+        s, c = mp.sin(theta), mp.cos(theta)
+        cap = hp * (1 - eps ** 2)
+        mu = cap * s
+        w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
+        ep = _eta_pow(2 * m, "plus")
+        em = _eta_pow(2 * m, "minus")
+    return hp, hm, s, c, cap, mu, w, ep, em
+
+
+def oracle_shell(prob):
+    """solve_shell(prob) by mpf filters and keys."""
+    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
+    forms, center = _shell_forms(prob, mp.prec)
+    points, _ = ellipsoid_points(forms, center, mp.sqrt(3), hp)
+    x1_of = itemgetter(2, 3)
+    points.sort(key=x1_of)
+    out = []
+    for (a1, b1), group in groupby(points, key=x1_of):
+        x1 = GoldenInt(a1, b1)
+        x1p = embed(x1, "plus", mp.prec)
+        x1m = embed(x1, "minus", mp.prec)
+        if not (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
+                and abs(x1p - mu) <= w):
+            continue
+        sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
+        sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
+        lo_f = cap - x1p * s
+        hi_f = hp - x1p * s
+        for a0, b0, _, _ in group:
+            x0 = GoldenInt(a0, b0)
+            x0p = embed(x0, "plus", mp.prec)
+            x0m = embed(x0, "minus", mp.prec)
+            # cos(theta) > 0: the fidelity slab is a plus-side interval
+            if lo_f <= x0p * c <= hi_f and abs(x0p) <= sp and abs(x0m) <= sm:
+                overlap = x0p * c + x1p * s
+                out.append(((abs(x1p - mu), (a1, b1), -overlap, (a0, b0)),
+                            (x0, x1)))
+    out.sort(key=lambda item: item[0])
+    return [pair for _, pair in out]
+
+
+def oracle_norms(k, abs_alpha, epsilon):
+    """list(candidate_norms(k, abs_alpha, epsilon)) by mpf filters and
+    keys."""
+    a = mpf(abs_alpha)
+    eps = mpf(epsilon)
+    ek = eta_power(k)
+    hp = embed(ek, "plus", mp.prec)
+    hm = embed(ek, "minus", mp.prec)
+    center = a * a * hp
+    half = eps * a * hp
+    lo = max(center - half, mpf(0))
+    hi = min(hp, center + half)
+    w_plus, w_minus = (hi - lo) / 2, hm / 2
+    php = embed(PHI, "plus", mp.prec)
+    phm = embed(PHI, "minus", mp.prec)
+    forms = [(1 / w_plus, php / w_plus), (1 / w_minus, phm / w_minus)]
+    points, _ = ellipsoid_points(forms, ((lo + hi) / 2 / w_plus, 1),
+                                 mp.sqrt(2), hp + hm)
+    found = []
+    for c, d in points:
+        s = GoldenInt(c, d)
+        if sign_plus(s) < 0 or sign_minus(s) < 0:
+            continue
+        r = ek - s
+        if sign_plus(r) < 0 or sign_minus(r) < 0:
+            continue
+        dist = abs(embed(s, "plus", mp.prec) - center)
+        if dist < half:
+            found.append((dist, (c, d), s))
+    found.sort(key=lambda item: item[:2])
+    return [s for _, _, s in found]

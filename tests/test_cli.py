@@ -122,6 +122,14 @@ def test_non_finite_and_non_unitary_inputs_exit_3(capsys):
     code, out, err = run(capsys, "synth", "--matrix", "1", "0", "0", "2",
                          "--eps", "1e-3")
     assert code == 3 and not out and "unitary" in err
+    for theta in ("pi/0", "3pi/0"):
+        code, out, err = run(capsys, "synth-diag", "--theta", theta,
+                             "--eps", "1e-3")
+        assert code == 3 and not out and "zero denominator" in err
+    for entry in ("1/0", "0/0"):
+        code, out, err = run(capsys, "synth", "--matrix", entry, "0", "0",
+                             "1", "--eps", "1e-3")
+        assert code == 3 and not out and "zero denominator" in err
 
 
 def test_synth_needs_exactly_one_target(capsys):

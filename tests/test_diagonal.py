@@ -140,6 +140,8 @@ def test_solve_x0_matches_brute_force(m):
     # cap half-width h eps sqrt(2 - eps^2) = 0.99, below one lattice
     # spacing; the ellipsoid is held only by the radius margin
     (0.68, 0.012, 3),
+    # theta = 0: x0 = eta lies exactly on the slab edge r = h
+    (0, 0.3, 2), (0, 0.05, 2),
 ])
 def test_solve_shell_matches_brute_force(theta, eps, m):
     with mp.workprec(BITS):

@@ -49,6 +49,8 @@ def brute_norms(k, abs_alpha, eps):
     (1, 0.7071067811865476, 0.2),
     (2, 0.31, 0.05),
     (2, 0.83, 0.02),
+    # s = 0 lies exactly on the strict band edge, then just inside it
+    (0, 0.5, 0.5), (0, 0.5, 0.5000001),
 ])
 def test_candidate_norms_matches_brute_force(k, abs_alpha, eps):
     with mp.workprec(BITS):

@@ -1,0 +1,104 @@
+"""solve_shell and candidate_norms against the mpf filters they replace.
+
+shell_oracle holds the filters as they stood before the integer
+decisions; both sides take the same ellipsoid_points output, so they
+must agree list for list.  The shells are seeded: eps log-uniform in
+[1e-10, 0.3], theta uniform, exactly 0 or within 1e-2 of the quarter
+turn, |alpha| uniform or 1/sqrt(2), and m (k for the norms) from about
+the first shell whose region holds one lattice point to a few shells
+past it, each at the working precision synthesis uses for its eps.
+"""
+
+import math
+import random
+
+import pytest
+from mpmath import mp, mpf
+
+from icogate.diagonal import DiagonalProblem, solve_shell
+from icogate.general import candidate_norms
+from icogate.unitary import precision_for
+from shell_oracle import oracle_norms, oracle_shell
+
+
+with mp.workprec(512):
+    SQRT_HALF = 1 / mp.sqrt(2)
+
+
+def diagonal_cases(count, seed):
+    rng = random.Random(seed)
+    # theta = 0: x0 = eta lies exactly on the slab edge r = h
+    cases = [(0.0, 0.3, 2), (0.0, 0.05, 2)]
+    while len(cases) < count:
+        eps = 10 ** rng.uniform(-10, math.log10(0.3))
+        kind = rng.random()
+        if kind < 0.15:
+            theta = 0.0
+        elif kind < 0.3:
+            theta = rng.choice((-1, 1)) * (math.pi / 2
+                                          - 10 ** rng.uniform(-4, -2))
+        else:
+            theta = rng.uniform(-1.55, 1.55)
+        # the shell's region holds about 59^m eps^3 cos(theta) points
+        first = math.log(1 / (eps ** 3 * math.cos(theta))) / math.log(59)
+        m = max(0, math.floor(first) + rng.randint(-1, 2))
+        cases.append((theta, eps, m))
+    return cases
+
+
+def norm_cases(count, seed):
+    rng = random.Random(seed)
+    # s = 0 lies exactly on the strict band edge, then just inside it
+    cases = [(0, 0.5, 0.5), (0, 0.5, 0.5000001)]
+    while len(cases) < count:
+        eps = 10 ** rng.uniform(-10, math.log10(0.3))
+        # |alpha|^2 = 1/2 to working precision, as for H: s and
+        # eta^k - s tie in distance from the band centre
+        if rng.random() < 0.2:
+            abs_alpha = SQRT_HALF
+        else:
+            abs_alpha = rng.uniform(0.05, 0.95)
+        # the band holds about 59^k eps points
+        k = max(0, math.floor(math.log(1 / eps) / math.log(59))
+                + rng.randint(0, 2))
+        cases.append((k, abs_alpha, eps))
+    return cases
+
+
+@pytest.mark.parametrize("theta,eps,m", diagonal_cases(64, 1))
+def test_solve_shell_replays_mpf_filters(theta, eps, m):
+    with mp.workprec(precision_for(eps)):
+        prob = DiagonalProblem(theta, eps, m)
+        assert solve_shell(prob) == oracle_shell(prob)
+
+
+@pytest.mark.parametrize("k,abs_alpha,eps", norm_cases(40, 2))
+def test_candidate_norms_replays_mpf_filters(k, abs_alpha, eps):
+    with mp.workprec(precision_for(eps)):
+        assert list(candidate_norms(k, abs_alpha, eps)) == oracle_norms(
+            k, abs_alpha, eps)
+
+
+@pytest.mark.parametrize("eps,m,bits", [
+    (0.3, 0, 200), (0.3, 2, 160), (0.05, 2, 160), (0.1, 2, 131),
+    (0.01, 4, 131),
+])
+def test_solve_shell_replays_the_cap_corner(eps, m, bits):
+    # sin(theta) = 1 - eps^2 puts (0, eta^{m/2}) on the edges of the
+    # cap, the band, the slab and the disk at once, where the cap meets
+    # the circle; whether the mpf tests keep it is decided by rounding
+    with mp.workprec(bits):
+        prob = DiagonalProblem(mp.asin(1 - mpf(eps) ** 2), eps, m)
+        assert solve_shell(prob) == oracle_shell(prob)
+
+
+@pytest.mark.parametrize("eps,m,bits", [
+    (0.01, 4, 100), (0.01, 4, 107), (0.003, 6, 107), (0.003, 6, 114),
+])
+def test_solve_shell_replays_the_disk_edge(eps, m, bits):
+    # a small theta puts (eta^{m/2}, 0) inside the slab with a zero
+    # residual: the disk's edge alone, which the mpf test keeps or
+    # drops by rounding (here it keeps it at 100 and 114 bits)
+    with mp.workprec(bits):
+        prob = DiagonalProblem(mpf(eps) / 10, eps, m)
+        assert solve_shell(prob) == oracle_shell(prob)

@@ -1,0 +1,175 @@
+"""Pinned words: the exact gate words the pipelines emit for fixed
+targets.
+
+The targets are the benchmark's deep-headline targets (u(pi/8) at
+1e-6, 1e-7 and 1e-8 through synth_diagonal, H at 1e-6 and 1e-7 through
+synth_general), the first 8 Haar targets of the haar-shallow
+construction with seed 1 (eps 1e-3, through synth_general) and
+`icogate synth-diag` at theta = 0 and pi/8 with eps 1e-10.  Every
+target is built at icogate's working precision for its eps,
+ceil(3 log2(1/eps)) + 96 bits, as the benchmark builds it.  The pins
+were recorded from commit 522b15f; a change to the search order or to
+any filter of the grid layers that moves a word fails here.
+"""
+
+import json
+import math
+import random
+
+import pytest
+from mpmath import mp, mpc, mpf
+
+from icogate.cli import main
+from icogate.diagonal import synth_diagonal
+from icogate.general import SynthConfig, synth_general
+from icogate.unitary import ProjUnitary
+
+
+def working_bits(eps):
+    return math.ceil(3 * math.log2(1 / eps)) + 96
+
+
+def u_pi_8(eps):
+    with mp.workprec(working_bits(eps)):
+        theta = mp.pi * 1 / 8
+    _, word, _ = synth_diagonal(theta, eps, precision_bits=working_bits(eps))
+    return str(word)
+
+
+def general_word(rows, bits, eps):
+    report = synth_general(ProjUnitary(rows, bits), SynthConfig(epsilon=eps))
+    return str(report.word)
+
+
+def hadamard(eps):
+    bits = working_bits(eps)
+    with mp.workprec(bits):
+        r = 1 / mp.sqrt(2)
+        rows = ((mpc(r), mpc(r)), (mpc(r), mpc(-r)))
+    return general_word(rows, bits, eps)
+
+
+def haar_rows(seed, count, eps=1e-3, strata=64):
+    """The first count targets of the benchmark's haar-shallow
+    construction: |alpha|^2 drawn once in each of the shuffled equal
+    strata, the phases of alpha and beta uniform."""
+    rng = random.Random(seed)
+    bits = working_bits(eps)
+    order = list(range(strata))
+    rng.shuffle(order)
+    out = []
+    for stratum in order[:count]:
+        a2 = (stratum + rng.random()) / strata
+        pa = rng.uniform(-math.pi, math.pi)
+        pb = rng.uniform(-math.pi, math.pi)
+        with mp.workprec(bits):
+            alpha = mp.sqrt(mpf(a2)) * mp.expj(mpf(pa))
+            beta = mp.sqrt(1 - mpf(a2)) * mp.expj(mpf(pb))
+            rows = ((alpha, beta), (-mp.conj(beta), mp.conj(alpha)))
+        out.append(rows)
+    return out
+
+
+DEEP_DIAGONAL = {
+    1e-06: (
+        "(rsrrsr)t(rrsrs)t(rsrsrs)t(rrsrsr)t(srsrr)t(rrsrrsrsr)t(rsrr)"
+        "t(srrs)t(rrsrsrr)t(srsrs)t(rsr)t(srsrrsrsrrs)"),
+    1e-07: (
+        "(rsrrsrsr)t(rrsrrs)t(rrsrsrs)t(rsrrsrsrrsr)t(rsrrsr)t(rs)"
+        "t(srrsrsrr)t(rsrsrrsr)t(rsrsrrsrs)t(srs)t(srsr)t(srrsrsr)"
+        "t(srrsrsrrs)"),
+    1e-08: (
+        "(srsrrs)t(rs)t(s)t(rsrrsrsrrsr)t(srsrr)t(srsrrsrsrr)t(srrsr)"
+        "t(rr)t(srsrr)t(srrsrsrs)t(rrsrrsrsrs)t(srrsr)t(srsrrs)t(srsr)"
+        "t(rsrsrs)"),
+}
+
+DEEP_HADAMARD = {
+    1e-06: (
+        "(rsrsr)t(rrs)t(rrsrrsr)t(rsrrsrsr)t(srsr)t(srrsrsr)t(srrsrsrs)"
+        "t(rsrrsrsr)t(srsrrsr)t(srs)t(srrsr)t(rrsrrssrrsr)t(rsrrsrs)"
+        "t(srrsrs)t(rsrsrr)t(rsrs)t(rrsrrsrsrrrsrsrrs)t(rrsrrsrsr)"
+        "t(rrsrr)t(srrsrsrrsr)t(rsrrsr)t(rsrrsrsrrsr)t(rrsrsrr)"
+        "t(rrsrsrs)t(rrsrrsrs)t(rsrrsrsrr)t(srrsrsr)t(rs)"),
+    1e-07: (
+        "(srsrrsrsr)t(rrsrr)t(rr)t(rsrsrrs)t(rsrsrr)t(rrsrsr)"
+        "t(srrsrsrs)t(r)t(rsrrs)t(srsrrsrsrr)t(rrsrrsrs)t(rsrsrr)"
+        "t(rsrsrrs)t(srsrrsrsrrsrrsr)t(rsrrsrs)t(srrsrs)t(rsrsrr)"
+        "t(rsrs)t(rrsrrsrsrsrsrrs)t(srsrrsrs)t(rrsrsr)t(rsrrsrsrr)t(s)"
+        "t(rrsrr)t(rsrsrrsr)t(srrsrsrs)t(rsrsrs)t(rsrsrrsr)t(rsrsrrsrs)"
+        "t(rsrrsrsr)t(srrsrsrs)t(rrsrrsrsrr)"),
+}
+
+HAAR_SEED_1 = [
+    (
+        "(rsrrsrsrr)t(srrsrsrr)t(sr)t(rsrsrr)t(rrsrr)t(rrsrsrrsr)"
+        "t(srrsrsrsrsrs)t(srrsrs)t(rsrrsrsrrs)t(rsrrsrsrrsrrsrr)t(srs)"
+        "t(srsr)t(rsrsrs)t(srr)t(rrs)t(rrsrrsrsrr)"),
+    (
+        "(srrsrsrrsrs)t(rsrsrrs)t(rsrsrs)t(rrsrrsrs)t(srrsrsrrsr)"
+        "t(srrsrsrrsrsrsrsrrsr)t(srsr)t(rsrsrrsrsrsrs)t(rsr)t(rsrsrrsr)"
+        "t(rrsrrsrsrs)t(rsrrsrsrrs)t(srsrr)t(rsrsrs)"),
+    (
+        "(s)t(srsr)t(rsrrsrsrrsrs)t(srrsrsrr)t(srr)t(rrsrsrs)"
+        "t(rsrrsrsrrrsrrsr)t(srrsrsrs)t(rsrrsrrsrsrrsrs)t(rrsrrsrsrr)"
+        "t(srrsr)t(sr)t(srrsrsrrs)t(sr)t(rrsrrs)"),
+    (
+        "()t(srs)t(rsrs)t(sr)t(srrsrsrrsr)t(rrsrsrs)"
+        "t(rsrrsrsrrsrssrsrrsrsr)t(srsrrsrsrrs)t(r)t(srrsrsrrsrs)"
+        "t(srrsrsrr)t(rrs)t(rsrrsr)t(rrsr)t(rrsrrsrs)"),
+    (
+        "(rrsr)t(rrsr)t(srsrrsrsrrs)t(srsrrsr)t(srrsr)t(rsrsrrsrs)"
+        "t(rsrrsrsrrssrsr)t(rrsrsrrs)t(srrsrsrs)t(rrsrrsrsrrrsrsrrsr)"
+        "t(srsrrsrsrr)t(rrsrrsrsrr)t(rrsrrsrsr)t(rrsrrsrsrs)"
+        "t(srsrrsrsrrs)"),
+    (
+        "(srsrr)t(rrsrrsr)t(rrsrrsrsrr)t(rsrsrr)t(rsrsrrsrs)t(rsrrsrs)"
+        "t(rrsrrsrsrrrrsr)t(srrsrsrrs)t(rrsr)t(rrsrsrrrrsrrsrs)t(rrs)"
+        "t(rrsrrsr)t(rrsrrsrsrr)t(srrsrsrs)t(rrsrs)t(rrsrsrrsrs)"),
+    (
+        "(rrsrrsrsr)t(srsrr)t(sr)t(srrsrsrrsrs)t(rrs)t(rsrs)"
+        "t(rsrrsrsrrsrsrsrrsrsrr)t(rsrrsr)t(srrsrsrrsrrsrsrrsrs)"
+        "t(rrsrrsr)t(rsrrsrsrrsr)t(sr)t(rrsrrsr)t(rsrrsrsrrsr)"
+        "t(rsrrsrsrrs)"),
+    (
+        "(srsrr)t(rsrsrrsrs)t(rsrsrs)t(rrsrsrrs)t(rsrrsrsrrsr)"
+        "t(rrsrsrrs)t(rrsrsrrsrsr)t(rrsrsrrs)t(rrsrrsrsr)"
+        "t(srrsrsrrssrsrs)t(srrsrsrs)t(srrsrsrrs)t(srsrrsrsr)"
+        "t(rrsrrsrsr)t(rsrrsrs)t(rs)"),
+]
+
+SYNTH_DIAG_1E_10 = {
+    "0": {"tau_count": 0, "segments": [
+        "",
+    ]},
+    "pi/8": {"tau_count": 18, "segments": [
+        "rrsrrsrsrr", "rsrrs", "rsrrsrsrr", "rrsrrsr", "rrsrsr", "rrsrsr",
+        "rsrsrr", "srsr", "rrsrrsrsrr", "rsrr", "srsrrsrsrrs", "rrsrrs",
+        "rsrsrs", "r", "rsrrsrsrrsrs", "rrsrr", "srr", "rrsrsrs", "srrs",
+    ]},
+}
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 1e-8])
+def test_deep_headline_diagonal_words(eps):
+    assert u_pi_8(eps) == DEEP_DIAGONAL[eps]
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7])
+def test_deep_headline_hadamard_words(eps):
+    assert hadamard(eps) == DEEP_HADAMARD[eps]
+
+
+def test_haar_words():
+    bits = working_bits(1e-3)
+    words = [general_word(rows, bits, 1e-3) for rows in haar_rows(1, 8)]
+    assert words == HAAR_SEED_1
+
+
+@pytest.mark.parametrize("theta", ["0", "pi/8"])
+def test_synth_diag_cli_words(capsys, monkeypatch, theta):
+    monkeypatch.delenv("ICOGATE_BITS", raising=False)
+    code = main(["synth-diag", "--theta", theta, "--eps", "1e-10", "--json"])
+    assert code == 0
+    word = json.loads(capsys.readouterr().out)["word"]
+    assert word == SYNTH_DIAG_1E_10[theta]
