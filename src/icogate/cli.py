@@ -9,16 +9,14 @@ Subcommands map one-to-one onto the library pipelines:
   selftest    -- quick end-to-end invariant checks
 
 Exit codes: 0 success, 1 selftest failure, 2 depth budget exhausted,
-3 malformed or unsatisfiable input.  The ICOGATE_BITS environment
-variable raises the default working precision (it never lowers the
-floor the requested accuracy implies).
+3 malformed or unsatisfiable input.  synth and synth-diag work at
+precision_for(--eps), as the library does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -33,9 +31,8 @@ from .diagonal import synth_diagonal
 from .golden import GoldenInt
 from .icosian import (GateWord, GoldenQuat, canonical, exact_synthesize,
                       generate_c60, tau_count, word_to_quat)
-from .unitary import (DEFAULT_PRECISION_BITS, GATE_NAMES, ProjUnitary,
-                      named_gate, parse_complex, precision_for,
-                      tuning_constant)
+from .unitary import (GATE_NAMES, ProjUnitary, named_gate, parse_complex,
+                      precision_for, tuning_constant)
 
 __all__ = ["main"]
 
@@ -43,21 +40,29 @@ _PI_FRACTION = re.compile(r"^([+-]?)(\d+)?\s*\*?\s*pi(?:\s*/\s*(\d+))?$")
 
 
 def parse_angle(text: str):
-    """An angle in radians: a decimal, or an exact fraction of pi like
-    pi/8, -3pi/4, 2*pi/5 (kept symbolic until the working precision is
-    known, so the interface adds no round-off)."""
+    """An angle in radians, accurate to the working precision mp.prec.
+
+    A fraction of pi like pi/8, -3pi/4 or 2*pi/5 is reduced exactly
+    modulo 2 pi, a period of u(theta), and only then evaluated.  A
+    decimal is read with as many extra bits as it has integer bits, so
+    the fold modulo pi still has mp.prec bits after the point."""
     flat = text.strip().lower()
     m = _PI_FRACTION.match(flat)
     if m:
         sign, num, den = m.groups()
-        if den is not None and int(den) == 0:
+        num, den = int(num or 1), int(den or 1)
+        if den == 0:
             raise MalformedInput(f"zero denominator in angle {text!r}")
-        value = mp.pi * int(num or 1) / int(den or 1)
+        value = mp.pi * (num % (2 * den)) / den
         return -value if sign == "-" else value
     try:
-        return mpf(flat)
+        value = mpf(flat)
     except ValueError:
         raise MalformedInput(f"cannot parse angle {text!r}") from None
+    if not mp.isfinite(value):
+        return value
+    with mp.workprec(mp.prec + max(0, mp.mag(value))):
+        return mpf(flat)
 
 
 def parse_quat(tokens: list[str]) -> GoldenQuat:
@@ -74,15 +79,6 @@ def parse_quat(tokens: list[str]) -> GoldenQuat:
         except ValueError:
             raise MalformedInput(f"bad coordinate pair {tok!r}") from None
     return GoldenQuat(*parts)
-
-
-def _default_bits(epsilon: float) -> int:
-    floor = precision_for(epsilon)
-    try:
-        env = int(os.environ.get("ICOGATE_BITS", DEFAULT_PRECISION_BITS))
-    except ValueError:
-        raise MalformedInput("ICOGATE_BITS must be an integer") from None
-    return max(env, floor)
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -109,13 +105,13 @@ def _report_payload(report: SynthReport, epsilon: float, elapsed: float) -> dict
 def _cmd_synth(args) -> int:
     if (args.gate is None) == (args.matrix is None):
         raise MalformedInput("give exactly one of --gate or --matrix")
-    bits = _default_bits(args.eps)
+    bits = precision_for(args.eps)
     if args.gate is not None:
         target = named_gate(args.gate, bits)
     else:
         entries = [parse_complex(tok, bits) for tok in args.matrix]
         target = ProjUnitary((entries[:2], entries[2:]), bits)
-    cfg = SynthConfig(args.eps, strict=args.strict, seed=args.seed)
+    cfg = SynthConfig(args.eps, strict=args.strict)
     start = time.perf_counter()
     report = synth_general(target, cfg)
     elapsed = time.perf_counter() - start
@@ -132,8 +128,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_synth_diag(args) -> int:
-    theta = parse_angle(args.theta)
-    bits = _default_bits(args.eps)
+    bits = precision_for(args.eps)
+    with mp.workprec(bits):
+        theta = parse_angle(args.theta)
     start = time.perf_counter()
     q, word, achieved = synth_diagonal(theta, args.eps, precision_bits=bits)
     elapsed = time.perf_counter() - start
@@ -254,7 +251,6 @@ def _build_parser() -> _Parser:
     synth.add_argument("--strict", action="store_true",
                        help="meet --eps with the proven bound, not just "
                             "the measured distance")
-    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--json", action="store_true")
     synth.set_defaults(func=_cmd_synth)
 

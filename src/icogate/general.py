@@ -21,7 +21,6 @@ the word for rho^-1 is appended at the end.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterator
 
@@ -62,7 +61,6 @@ class SynthConfig:
     epsilon: float
     strict: bool = False
     k_cap: int | None = None
-    seed: int = 0
     delta: ClassVar[float] = DELTA
     epsilon0: ClassVar[float] = EPSILON0
 
@@ -173,8 +171,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     yield from (s for _, _, s in found)
 
 
-def build_central(k: int, s: GoldenInt, rng: random.Random | None = None
-                  ) -> GoldenQuat | None:
+def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     """Quaternion with reduced norm exactly eta^k and x0^2 + x1^2 = s.
 
     Returns None when s or eta^k - s has no two-square certificate, so
@@ -182,8 +179,8 @@ def build_central(k: int, s: GoldenInt, rng: random.Random | None = None
     for the caller to count.
     """
     try:
-        x0, x1 = sots_exact(s, rng=rng)
-        x2, x3 = sots_exact(eta_power(k) - s, rng=rng)
+        x0, x1 = sots_exact(s)
+        x2, x3 = sots_exact(eta_power(k) - s)
     except NotRepresentable:
         return None
     q = GoldenQuat(x0, x1, x2, x3)
@@ -251,7 +248,6 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             f"target stored at {g.precision_bits} bits cannot certify "
             f"distances at {float(eps):.3g}")
     stats = {"abandoned": 0}
-    rng = random.Random(cfg.seed)
     wbits = max(g.precision_bits, bits)
     table = generate_c60()
     with mp.workprec(wbits):
@@ -308,7 +304,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         for k in range(k_cap + 1):
             for s in candidate_norms(k, abs_a, eps):
                 try:
-                    q = build_central(k, s, rng)
+                    q = build_central(k, s)
                 except Abandoned:
                     stats["abandoned"] += 1
                     continue

@@ -13,7 +13,6 @@ so a few eta-specific helpers (valuation, exact division) live here too.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -358,7 +357,7 @@ def unit_decompose(u: GoldenInt) -> tuple[int, int]:
     raise AssertionError(f"unit decomposition failed for {u!r}")
 
 
-def split_prime(p: int, rng: random.Random | None = None) -> GoldenInt:
+def split_prime(p: int) -> GoldenInt:
     """An irreducible factor of p in Z[phi].
 
     Primes p = +-2 (mod 5) are inert (raises InertPrime); p = 5 ramifies
@@ -373,7 +372,7 @@ def split_prime(p: int, rng: random.Random | None = None) -> GoldenInt:
     inv2 = pow(2, p - 2, p)
     # complete the square: (x - 1/2)^2 = 1 + 1/4 mod p.  Taking the
     # smaller of the two square roots fixes which prime above p we get.
-    root = tonelli_shanks((1 + inv2 * inv2) % p, p, rng)
+    root = tonelli_shanks((1 + inv2 * inv2) % p, p)
     root = min(root, p - root)
     x = (inv2 + root) % p
     g = gcd(GoldenInt(p, 0), GoldenInt(x, -1))
@@ -395,8 +394,7 @@ class GoldenFactorization:
         return out
 
 
-def factor(x: GoldenInt, rng: random.Random | None = None
-           ) -> GoldenFactorization:
+def factor(x: GoldenInt) -> GoldenFactorization:
     """Factor x into canonical irreducibles (plus a unit in front).
 
     Works through the rational prime factorization of N(x): inert primes
@@ -407,18 +405,17 @@ def factor(x: GoldenInt, rng: random.Random | None = None
     """
     if not x:
         raise MalformedInput("cannot factor 0")
-    rng = rng or random.Random(0)
     n = abs(x.norm())
     out: list[tuple[GoldenInt, int]] = []
     rest = x
     if n > 1:
-        for p in sorted(factor_int(n, rng)):
+        for p in sorted(factor_int(n)):
             if p == 5:
                 pi_list = [SQRT5_IRREDUCIBLE]
             elif p % 5 in (2, 3):
                 pi_list = [GoldenInt(p, 0)]
             else:
-                pi = split_prime(p, rng)
+                pi = split_prime(p)
                 pi_list = [canonical_associate(pi),
                            canonical_associate(pi.conj())]
                 if pi_list[0] == pi_list[1]:

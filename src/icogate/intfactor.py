@@ -10,12 +10,11 @@ stuck factorization as a skippable candidate instead of a hang.
 from __future__ import annotations
 
 import math
-import random
 
 from .errors import Abandoned, NonResidue
 
-# Verifying these witnesses suffices for all n < 3.3 * 10^24, which covers
-# every 64-bit input and then some.
+# Verifying these witnesses suffices for all n < 3.18 * 10^23, which
+# covers every 64-bit input and then some (3.3 * 10^24 needs 41 too).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIME_BOUND = 100_000
@@ -40,11 +39,12 @@ def small_primes() -> list[int]:
     return _small_primes
 
 
-def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
-    """Miller-Rabin: deterministic below 2^64, 40 random rounds above."""
+def is_probable_prime(n: int) -> bool:
+    """Miller-Rabin: exact below 2^64; above it, 40 rounds on the first
+    40 primes as bases."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -63,23 +63,19 @@ def is_probable_prime(n: int, rng: random.Random | None = None) -> bool:
                 return False
         return True
 
-    if n < (1 << 64):
-        bases = _MR_WITNESSES
-    else:
-        rng = rng or random.Random(0)
-        bases = tuple(rng.randrange(2, n - 1) for _ in range(40))
+    bases = _MR_WITNESSES if n < (1 << 64) else small_primes()[:40]
     return not any(witness(a) for a in bases)
 
 
-def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
-    """One Brent cycle hunt. Returns (factor, iterations_used).
+def _brent_rho(n: int, c: int, budget: int) -> tuple[int, int]:
+    """One Brent cycle hunt on y -> y^2 + c from y = 2. Returns
+    (factor, iterations_used).
 
-    The factor may equal n on failure of this particular (y, c) choice.
+    The factor may equal n on failure of this particular c.
     """
     if n % 2 == 0:
         return 2, 0
-    y = rng.randrange(1, n)
-    c = rng.randrange(1, n)
+    y = 2
     m = 128
     g = r = q = 1
     used = 0
@@ -109,16 +105,16 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int, int]:
     return g, used
 
 
-def factor_int(n: int, rng: random.Random | None = None) -> dict[int, int]:
+def factor_int(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: multiplicity}.
 
-    Trial division below 10^5, then Brent-Pollard rho on what remains.
-    Raises Abandoned if the rho budget runs out, so norm-level callers
-    can simply skip the candidate that produced an unlucky cofactor.
+    Trial division below 10^5, then Brent-Pollard rho on what remains,
+    trying c = 1, 2, ... per cofactor.  Raises Abandoned if the rho
+    budget runs out, so norm-level callers can simply skip the
+    candidate that produced an unlucky cofactor.
     """
     if n <= 0:
         raise ValueError("factor_int expects a positive integer")
-    rng = rng or random.Random(0)
     out: dict[int, int] = {}
     for p in small_primes():
         if p * p > n:
@@ -134,14 +130,15 @@ def factor_int(n: int, rng: random.Random | None = None) -> dict[int, int]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_probable_prime(m, rng):
+        if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        g = m
+        g, c = m, 0
         while g == m:
             if remaining <= 0:
                 raise Abandoned(f"rho budget exhausted on cofactor {m}")
-            g, used = _brent_rho(m, rng, remaining)
+            c += 1
+            g, used = _brent_rho(m, c, remaining)
             remaining -= max(used, 1)
             if g in (0, 1):
                 g = m
@@ -150,7 +147,7 @@ def factor_int(n: int, rng: random.Random | None = None) -> dict[int, int]:
     return out
 
 
-def tonelli_shanks(a: int, p: int, rng: random.Random | None = None) -> int:
+def tonelli_shanks(a: int, p: int) -> int:
     """Square root of a modulo a prime p; raises NonResidue when a has
     no root.  The cost is polynomial in log p, so any prime that
     factoring produced is affordable."""
@@ -169,10 +166,9 @@ def tonelli_shanks(a: int, p: int, rng: random.Random | None = None) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    rng = rng or random.Random(0)
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
-        z = rng.randrange(2, p)
+        z += 1
     m = s
     c = pow(z, q, p)
     t = pow(a, q, p)

@@ -15,7 +15,6 @@ outcome as failure; no element has both x and x*phi representable.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from .errors import MalformedInput, NotRepresentable, UnsupportedResidue
@@ -78,18 +77,18 @@ def associated_prime(u: GoldenInt) -> int:
     return n
 
 
-def _even_root(p: int, a: int, rng) -> int:
+def _even_root(p: int, a: int) -> int:
     # even square root of a mod p (p odd, so one of x, p-x is even)
-    x = tonelli_shanks(a % p, p, rng)
+    x = tonelli_shanks(a % p, p)
     return x if x % 2 == 0 else p - x
 
 
-def _even_nonquintic_root(p: int, rng) -> int:
+def _even_nonquintic_root(p: int) -> int:
     """A lift x of a square root of -5 mod p with x even and 5 not
     dividing x.  Adding multiples of p preserves the root mod p while
     cycling parity and the residue mod 5, so a suitable lift always
     exists among x0 + j*p for small j."""
-    x0 = tonelli_shanks(-5 % p, p, rng)
+    x0 = tonelli_shanks(-5 % p, p)
     for j in range(10):
         x = x0 + j * p
         if x % 2 == 0 and x % 5:
@@ -100,7 +99,7 @@ def _even_nonquintic_root(p: int, rng) -> int:
     raise AssertionError("no valid lift of sqrt(-5); arithmetic bug")
 
 
-def _piece(u: GoldenInt, rng) -> tuple[GoldenInt, GoldenInt]:
+def _piece(u: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
     """(s, t) with s^2 + t^2 an associate of u (the exact value is
     whatever the GCD produces; callers reconcile units globally)."""
     p = associated_prime(u)
@@ -115,10 +114,10 @@ def _piece(u: GoldenInt, rng) -> tuple[GoldenInt, GoldenInt]:
         raise UnsupportedResidue(
             f"associated prime {p} = {cls} (mod 20) has no decomposition")
     if p % 4 == 1:
-        x = _even_root(p, -1, rng)
+        x = _even_root(p, -1)
         probe = GaussGoldenInt(x, 0, 1, 0)  # x + i
     else:  # cls in (3, 7)
-        x = _even_nonquintic_root(p, rng)
+        x = _even_nonquintic_root(p)
         probe = GaussGoldenInt.from_golden(
             GoldenInt(x, 0), SQRT5_IRREDUCIBLE)  # x + i*sqrt5
     g = gcd_ne(GaussGoldenInt.from_golden(u), probe)
@@ -147,8 +146,7 @@ def _absorb_unit(x: GoldenInt, s: GoldenInt, t: GoldenInt) -> SotsResult:
     return result
 
 
-def sots_irreducible(u: GoldenInt, rng: random.Random | None = None
-                     ) -> SotsResult:
+def sots_irreducible(u: GoldenInt) -> SotsResult:
     """Represent u or u*phi as a sum of two squares, for irreducible u
     (the rational primes 2 and 5 are also accepted).
 
@@ -156,11 +154,11 @@ def sots_irreducible(u: GoldenInt, rng: random.Random | None = None
     through by phi-powers walks that to u itself when the leftover
     exponent is even, and to u*phi when odd.
     """
-    s, t = _piece(u, rng or random.Random(0))
+    s, t = _piece(u)
     return _absorb_unit(u, s, t)
 
 
-def sots(x: GoldenInt, rng: random.Random | None = None) -> SotsResult:
+def sots(x: GoldenInt) -> SotsResult:
     """Represent x or x*phi as a sum of two squares, if the
     factor-by-factor criteria allow it.
 
@@ -172,10 +170,9 @@ def sots(x: GoldenInt, rng: random.Random | None = None) -> SotsResult:
     """
     if not x:
         raise MalformedInput("sots(0): use sots_exact for the zero case")
-    rng = rng or random.Random(0)
     square = ONE
     s_acc, t_acc = ONE, ZERO
-    for u, mult in factor(x, rng).factors:
+    for u, mult in factor(x).factors:
         square = square * u ** (mult // 2)
         if mult % 2 == 0:
             continue
@@ -183,13 +180,12 @@ def sots(x: GoldenInt, rng: random.Random | None = None) -> SotsResult:
         if p not in (2, 5) and p % 20 not in GOOD_RESIDUES:
             raise UnsupportedResidue(
                 f"factor {u!r} (associated prime {p}) with odd multiplicity")
-        s, t = _piece(u, rng)
+        s, t = _piece(u)
         s_acc, t_acc = s_acc * s - t_acc * t, s_acc * t + t_acc * s
     return _absorb_unit(x, s_acc * square, t_acc * square)
 
 
-def sots_exact(x: GoldenInt, rng: random.Random | None = None
-               ) -> tuple[GoldenInt, GoldenInt]:
+def sots_exact(x: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
     """(s, t) with s^2 + t^2 = x exactly, or NotRepresentable.
 
     A twisted result means x*phi is representable but x is not, so it
@@ -197,7 +193,7 @@ def sots_exact(x: GoldenInt, rng: random.Random | None = None
     """
     if not x:
         return (ZERO, ZERO)
-    result = sots(x, rng)
+    result = sots(x)
     if result.twist != "plain":
         raise NotRepresentable(f"only {x!r}*phi is a sum of two squares")
     return (result.s, result.t)

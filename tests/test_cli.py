@@ -1,14 +1,21 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
 
+import icogate
 from icogate import cli
 from icogate.cli import main, parse_angle, parse_quat
 from icogate.errors import BudgetExhausted, MalformedInput
+from icogate.general import SynthConfig, synth_general
 from icogate.golden import phi_power
-from icogate.icosian import RHO, GateWord, evaluate_word
-from icogate.unitary import distance, named_gate
+from icogate.icosian import RHO, GateWord, evaluate_word, word_to_quat
+from icogate.unitary import (distance, named_gate, precision_for,
+                             quaternion_distance)
 
 
 def run(capsys, *argv):
@@ -92,15 +99,50 @@ def test_synth_json_word_reproduces_achieved(capsys):
     assert payload["central_tau"] + sum(payload["outer_tau"]) >= word.tau_count
 
 
-def test_synth_deterministic_for_seed(capsys):
-    code1, out1, _ = run(capsys, "synth", "--gate", "H", "--eps", "1e-3",
-                         "--seed", "3", "--json")
-    code2, out2, _ = run(capsys, "synth", "--gate", "H", "--eps", "1e-3",
-                         "--seed", "3", "--json")
-    assert code1 == code2 == 0
-    p1, p2 = json.loads(out1), json.loads(out2)
-    assert p1["word"] == p2["word"]
-    assert p1["achieved"] == p2["achieved"]
+def test_synth_is_deterministic():
+    """The word, k and achieved depend on the input alone: two fresh
+    interpreters with different hash seeds agree, and so do two calls
+    in one process."""
+    # the interpreters import the same icogate as this one
+    path = str(Path(icogate.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "icogate.cli", "synth", "--gate", "H",
+             "--eps", "1e-6", "--json"],
+            env=env, capture_output=True, text=True, check=True, timeout=600)
+        payload = json.loads(proc.stdout)
+        outputs.append((payload["word"], payload["k"], payload["achieved"]))
+    assert outputs[0] == outputs[1]
+    g = named_gate("H", precision_for(1e-4))
+    r1, r2 = (synth_general(g, SynthConfig(1e-4)) for _ in range(2))
+    assert r1 == r2
+
+
+@pytest.mark.parametrize("theta, exact, eps", [
+    ("pi/8", lambda: mp.pi / 8, 1e-20),
+    ("0.3", lambda: mpf("0.3"), 1e-20),
+    ("1e30", lambda: mpf(10) ** 30, 1e-6),
+    ("1000001pi/8", lambda: 1000001 * mp.pi / 8, 1e-10),
+], ids=["pi/8", "0.3", "1e30", "1000001pi/8"])
+def test_synth_diag_true_distance_below_eps(capsys, theta, exact, eps):
+    """The word is within eps of u(theta) for the exact theta, measured
+    at twice the working precision, and achieved reports that
+    distance."""
+    code, out, _ = run(capsys, "synth-diag", "--theta", theta,
+                       "--eps", str(eps), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    q = word_to_quat(GateWord.from_json(payload["word"]))
+    bits = 2 * precision_for(eps)
+    with mp.workprec(bits + 128):  # room for the integer bits of 1e30
+        t = exact()
+        target = (mp.cos(t), mp.sin(t), 0, 0)
+    with mp.workprec(bits):
+        d = quaternion_distance(target, q.to_vector(bits))
+    assert d < eps
+    assert abs(d - mpf(payload["achieved"])) <= d / 100
 
 
 def test_synth_matrix_entry_parsing(capsys):
@@ -171,16 +213,6 @@ def test_verify_ne_reports_failures_on_coarse_grid(capsys):
                        "--json")
     assert code == 1
     assert json.loads(out)["violations"]
-
-
-def test_env_var_precision(capsys, monkeypatch):
-    monkeypatch.setenv("ICOGATE_BITS", "256")
-    code, _, _ = run(capsys, "synth-diag", "--theta", "0.3", "--eps", "1e-3")
-    assert code == 0
-    monkeypatch.setenv("ICOGATE_BITS", "many")
-    code, _, err = run(capsys, "synth-diag", "--theta", "0.3",
-                       "--eps", "1e-3")
-    assert code == 3
 
 
 def test_selftest_green(capsys):

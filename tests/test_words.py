@@ -167,8 +167,7 @@ def test_haar_words():
 
 
 @pytest.mark.parametrize("theta", ["0", "pi/8"])
-def test_synth_diag_cli_words(capsys, monkeypatch, theta):
-    monkeypatch.delenv("ICOGATE_BITS", raising=False)
+def test_synth_diag_cli_words(capsys, theta):
     code = main(["synth-diag", "--theta", theta, "--eps", "1e-10", "--json"])
     assert code == 0
     word = json.loads(capsys.readouterr().out)["word"]
