@@ -235,6 +235,13 @@ def _cmd_selftest(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # read a token with one leading minus (-3pi/4, -1/2, -0.6+0.8i,
+        # -i) as a value, as argparse reads -1: no option here is spelt
+        # with one dash but -h, which argparse matches before this test
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
     def error(self, message):
         raise MalformedInput(message)
 

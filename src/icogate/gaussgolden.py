@@ -221,37 +221,34 @@ def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
                          "verify_norm_euclidean certificate; arithmetic bug")
 
 
-_PHI_NE = GaussGoldenInt(0, 1, 0, 0)
-_PHI_NE_INV = GaussGoldenInt(-1, 1, 0, 0)
-
-
-def _assoc_candidates(alpha: GaussGoldenInt):
-    for p in (_PHI_NE_INV, GaussGoldenInt(1), _PHI_NE):
-        base = alpha * p
-        yield base
-        yield base * I_UNIT
-        yield -base
-        yield -(base * I_UNIT)
-
-
 def canonical_associate_ne(alpha: GaussGoldenInt) -> GaussGoldenInt:
     """Distinguished associate: minimal coordinate max-norm over the
     unit multiples i^a phi^e (e in {-1,0,1}), ties broken
     lexicographically; iterated to a fixed point so the result is
-    idempotent even when a longer phi-walk pays off."""
+    idempotent even when a longer phi-walk pays off.
+
+    The candidates are coordinate maps of (w, x, y, z), in the order
+    phi^-1, 1, phi, each followed by its multiples by i, -1 and -i:
+    phi sends (w, x, y, z) to (x, w + x, z, y + z), phi^-1 to
+    (x - w, w, z - y, y) and i to (-y, -z, w, x)."""
     if not alpha:
         return alpha
-
-    def key(v: GaussGoldenInt):
-        c = v.coords()
-        return (max(abs(u) for u in c), c)
-
-    current = alpha
+    cur = alpha.coords()
+    cur_key = (max(map(abs, cur)), cur)
     while True:
-        best = min(_assoc_candidates(current), key=key)
-        if key(best) >= key(current):
-            return current
-        current = best
+        w, x, y, z = cur
+        best = None
+        for b in ((x - w, w, z - y, y), cur, (x, w + x, z, y + z)):
+            bw, bx, by, bz = b
+            for v in (b, (-by, -bz, bw, bx), (-bw, -bx, -by, -bz),
+                      (by, bz, -bw, -bx)):
+                key = (max(map(abs, v)), v)
+                if best is None or key < best:
+                    best = key
+        if best >= cur_key:
+            return GaussGoldenInt(*cur)
+        cur_key = best
+        cur = best[1]
 
 
 def gcd_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt) -> GaussGoldenInt:

@@ -227,12 +227,22 @@ def euclid_divmod(x: GoldenInt, y: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
     the edges it ranges over [-5/16, 5/16], reached at (1/2, 1/4) and
     (-1/4, 1/2).  Hence |N(r)| <= 5/16 |N(y)|.
     """
-    n = y.norm()
-    if n == 0:
+    if not y:
         raise ZeroDivisionError("euclid_divmod by zero")
-    t = x * y.conj()
-    q = GoldenInt(_round_div(t.a, n), _round_div(t.b, n))
-    return q, x - q * y
+    qa, qb, ra, rb = _divmod_pair(x.a, x.b, y.a, y.b)
+    return GoldenInt(qa, qb), GoldenInt(ra, rb)
+
+
+def _divmod_pair(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """euclid_divmod on int pairs: (q, r) for x = a + b*phi and the
+    nonzero y = c + d*phi, flattened."""
+    n = c * c + c * d - d * d
+    # x * conj(y) = (a + b phi)((c + d) - d phi)
+    qa = _round_div(a * (c + d) - b * d, n)
+    qb = _round_div(b * c - a * d, n)
+    # r = x - q*y
+    qbd = qb * d
+    return qa, qb, a - qa * c - qbd, b - qa * d - qb * c - qbd
 
 
 def _round_div(num: int, den: int) -> int:
@@ -248,21 +258,16 @@ def gcd(x: GoldenInt, y: GoldenInt) -> GoldenInt:
     """Greatest common divisor, canonicalized (see canonical_associate)."""
     if not x and not y:
         raise MalformedInput("gcd(0, 0) is undefined")
-    while y:
-        _, r = euclid_divmod(x, y)
-        x, y = y, r
-    return canonical_associate(x)
+    return canonical_associate(GoldenInt(*_gcd_pair(x.a, x.b, y.a, y.b)))
 
 
-def _assoc_key(x: GoldenInt) -> tuple:
-    # total order implementing: minimal max(|a|,|b|), prefer a > 0, then
-    # b >= 0, then plain lexicographic so ties cannot occur
-    return (max(abs(x.a), abs(x.b)), 0 if x.a > 0 else 1,
-            0 if x.b >= 0 else 1, x.a, x.b)
-
-
-def _positive(x: GoldenInt) -> GoldenInt:
-    return -x if x.a < 0 or (x.a == 0 and x.b < 0) else x
+def _gcd_pair(a: int, b: int, c: int, d: int) -> tuple[int, int]:
+    """A gcd of a + b*phi and c + d*phi, up to a unit, by Euclid's
+    algorithm on int pairs."""
+    while c or d:
+        _, _, ra, rb = _divmod_pair(a, b, c, d)
+        a, b, c, d = c, d, ra, rb
+    return a, b
 
 
 def canonical_associate(x: GoldenInt) -> GoldenInt:
@@ -288,18 +293,24 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
     point; several can share it (1, phi and 1 + phi all have M = 1), and
     the rest of the key picks one of them.  n0 lies within 1/2 of the
     balance point, up to float round-off, so the window holds them all.
+    The scan multiplies by phi as (a, b) -> (b, a + b); the key is the
+    total order max(|a|, |b|), then a > 0, then b >= 0, then (a, b),
+    taken after the sign that makes a > 0, or a = 0 and b > 0.
     """
     if not x:
         return ZERO
     w = x * phi_power(_balancing_power(x) - 8)
-    window = []
+    a, b = w.a, w.b
+    best = None
     for _ in range(17):
-        window.append(_positive(w))
-        w = w * PHI
-    out = min(window, key=_assoc_key)
-    if out == GoldenInt(2, 1):  # the norm-5 ramified class
+        pa, pb = (-a, -b) if a < 0 or (a == 0 and b < 0) else (a, b)
+        key = (max(abs(pa), abs(pb)), pa <= 0, pb < 0, pa, pb)
+        if best is None or key < best:
+            best = key
+        a, b = b, a + b
+    if best[3:] == (2, 1):  # the norm-5 ramified class
         return SQRT5_IRREDUCIBLE
-    return out
+    return GoldenInt(best[3], best[4])
 
 
 def phi_power(n: int) -> GoldenInt:
@@ -416,8 +427,8 @@ def factor(x: GoldenInt) -> GoldenFactorization:
                 pi_list = [GoldenInt(p, 0)]
             else:
                 pi = split_prime(p)
-                pi_list = [canonical_associate(pi),
-                           canonical_associate(pi.conj())]
+                # split_prime's gcd is already canonical
+                pi_list = [pi, canonical_associate(pi.conj())]
                 if pi_list[0] == pi_list[1]:
                     pi_list = pi_list[:1]
             for pi in pi_list:

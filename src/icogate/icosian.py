@@ -43,8 +43,8 @@ from mpmath import mp
 
 from .errors import IcogateError, MalformedInput, NotInGroup
 from .golden import (_PHI_FLOAT, ETA, GoldenInt, ONE, PHI, ZERO,
-                     _balancing_power, embed, eta_valuation, exact_div, gcd,
-                     phi_power)
+                     _balancing_power, _coerce, _gcd_pair, embed,
+                     eta_valuation, exact_div, phi_power)
 from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
 
 __all__ = [
@@ -55,24 +55,56 @@ __all__ = [
 ]
 
 
-def _coerce(x) -> GoldenInt:
-    if isinstance(x, GoldenInt):
-        return x
-    if isinstance(x, int):
-        return GoldenInt(x, 0)
-    raise MalformedInput(f"not a Z[phi] coefficient: {x!r}")
+def _hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The Hamilton product of two flat quaternions (see GoldenQuat).
+
+    Split each into integer quaternions, p = A + B*phi and
+    q = C + D*phi; with phi^2 = phi + 1, p*q = (AC + BD) +
+    ((A + B)(C + D) - AC)*phi, three integer Hamilton products."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = p
+    c0, d0, c1, d1, c2, d2, c3, d3 = q
+    r0, r1, r2, r3 = _int_hamilton(a0, a1, a2, a3, c0, c1, c2, c3)
+    s0, s1, s2, s3 = _int_hamilton(b0, b1, b2, b3, d0, d1, d2, d3)
+    t0, t1, t2, t3 = _int_hamilton(a0 + b0, a1 + b1, a2 + b2, a3 + b3,
+                                   c0 + d0, c1 + d1, c2 + d2, c3 + d3)
+    return (r0 + s0, t0 - r0, r1 + s1, t1 - r1,
+            r2 + s2, t2 - r2, r3 + s3, t3 - r3)
+
+
+def _int_hamilton(a0, a1, a2, a3, b0, b1, b2, b3):
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
 class GoldenQuat:
-    """x0 + x1*i + x2*j + x3*k with coefficients in Z[phi]."""
+    """x0 + x1*i + x2*j + x3*k with coefficients in Z[phi].
 
-    __slots__ = ("x0", "x1", "x2", "x3")
+    The eight integer coordinates are stored flat, as the tuple
+    (a0, b0, a1, b1, a2, b2, a3, b3) with xn = an + bn*phi, which is
+    what coords() returns; the arithmetic runs on that tuple.
+    GoldenInts are built only at the API boundary: by the constructor's
+    arguments, parts() and the properties x0 .. x3."""
+
+    __slots__ = ("_flat",)
 
     def __init__(self, x0, x1, x2, x3):
-        self.x0 = _coerce(x0)
-        self.x1 = _coerce(x1)
-        self.x2 = _coerce(x2)
-        self.x3 = _coerce(x3)
+        flat = []
+        for x in (x0, x1, x2, x3):
+            g = _coerce(x)
+            if g is None:
+                raise MalformedInput(f"not a Z[phi] coefficient: {x!r}")
+            flat += (g.a, g.b)
+        self._flat = tuple(flat)
+
+    @classmethod
+    def _from_coords(cls, flat: tuple[int, ...]) -> GoldenQuat:
+        """The quaternion with the given flat coordinates (a tuple of
+        eight ints, as coords() returns)."""
+        q = cls.__new__(cls)
+        q._flat = flat
+        return q
 
     def __repr__(self) -> str:
         return (f"GoldenQuat({self.x0!r}, {self.x1!r}, "
@@ -81,43 +113,42 @@ class GoldenQuat:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GoldenQuat):
             return NotImplemented
-        return self.coords() == other.coords()
+        return self._flat == other._flat
 
     def __hash__(self) -> int:
-        return hash(self.coords())
+        return hash(self._flat)
 
     def coords(self) -> tuple[int, ...]:
-        return (self.x0.a, self.x0.b, self.x1.a, self.x1.b,
-                self.x2.a, self.x2.b, self.x3.a, self.x3.b)
+        return self._flat
 
     def parts(self) -> tuple[GoldenInt, GoldenInt, GoldenInt, GoldenInt]:
-        return (self.x0, self.x1, self.x2, self.x3)
+        f = self._flat
+        return (GoldenInt(f[0], f[1]), GoldenInt(f[2], f[3]),
+                GoldenInt(f[4], f[5]), GoldenInt(f[6], f[7]))
+
+    x0 = property(lambda self: GoldenInt(*self._flat[0:2]))
+    x1 = property(lambda self: GoldenInt(*self._flat[2:4]))
+    x2 = property(lambda self: GoldenInt(*self._flat[4:6]))
+    x3 = property(lambda self: GoldenInt(*self._flat[6:8]))
 
     def __neg__(self) -> GoldenQuat:
-        return GoldenQuat(-self.x0, -self.x1, -self.x2, -self.x3)
+        return GoldenQuat._from_coords(tuple(-v for v in self._flat))
 
     def __add__(self, other: GoldenQuat) -> GoldenQuat:
-        return GoldenQuat(self.x0 + other.x0, self.x1 + other.x1,
-                          self.x2 + other.x2, self.x3 + other.x3)
+        return GoldenQuat._from_coords(
+            tuple(u + v for u, v in zip(self._flat, other._flat)))
 
     def __sub__(self, other: GoldenQuat) -> GoldenQuat:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, GoldenInt)):
-            s = _coerce(other)
-            return GoldenQuat(self.x0 * s, self.x1 * s,
-                              self.x2 * s, self.x3 * s)
-        if not isinstance(other, GoldenQuat):
+        if isinstance(other, GoldenQuat):
+            return GoldenQuat._from_coords(_hamilton(self._flat, other._flat))
+        s = _coerce(other)
+        if s is None:
             return NotImplemented
-        a0, a1, a2, a3 = self.parts()
-        b0, b1, b2, b3 = other.parts()
-        return GoldenQuat(
-            a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-        )
+        return GoldenQuat._from_coords(
+            _hamilton(self._flat, (s.a, s.b, 0, 0, 0, 0, 0, 0)))
 
     def __rmul__(self, other):
         if isinstance(other, (int, GoldenInt)):
@@ -125,12 +156,17 @@ class GoldenQuat:
         return NotImplemented
 
     def conjugate(self) -> GoldenQuat:
-        return GoldenQuat(self.x0, -self.x1, -self.x2, -self.x3)
+        a0, b0, *rest = self._flat
+        return GoldenQuat._from_coords((a0, b0, *(-v for v in rest)))
 
     def nrd(self) -> GoldenInt:
-        """Reduced norm, a totally nonnegative element of Z[phi]."""
-        return (self.x0 * self.x0 + self.x1 * self.x1
-                + self.x2 * self.x2 + self.x3 * self.x3)
+        """Reduced norm, a totally nonnegative element of Z[phi]:
+        the sum of the (a + b*phi)^2 = a^2 + b^2 + (2ab + b^2)*phi."""
+        f = self._flat
+        a, b = f[0::2], f[1::2]
+        bb = sum(v * v for v in b)
+        return GoldenInt(sum(v * v for v in a) + bb,
+                         2 * sum(u * v for u, v in zip(a, b)) + bb)
 
     def to_vector(self, precision_bits: int) -> tuple:
         """The plus embeddings of the four coordinates: the real
@@ -155,28 +191,14 @@ SIGMA = GoldenQuat(ZERO, PHI, ONE, GoldenInt(1, 1))
 TAU = GoldenQuat(ZERO, GoldenInt(2, 1), ONE, ONE)
 
 
-def _content(q: GoldenQuat) -> GoldenInt:
-    """Z[phi]-gcd of the coordinates (the scalar ring is Z[phi], so
-    primitivity means no common golden divisor, units aside)."""
-    g = ZERO
-    for x in q.parts():
-        if x != ZERO:
-            g = x if g == ZERO else gcd(g, x)
-    return g
-
-
-def _flat_key(q: GoldenQuat) -> tuple:
-    flat = q.coords()
-    return (sum(abs(v) for v in flat), flat)
-
-
-def _sign_fixed(q: GoldenQuat) -> GoldenQuat:
-    for v in q.coords():
-        if v > 0:
-            return q
-        if v < 0:
-            return -q
-    return q
+def _content(flat: tuple[int, ...]) -> tuple[int, int]:
+    """A Z[phi]-gcd of a flat quaternion's coordinates, up to a unit
+    (the scalar ring is Z[phi], so primitivity means no common golden
+    divisor, units aside)."""
+    a, b = 0, 0
+    for i in (0, 2, 4, 6):
+        a, b = _gcd_pair(a, b, flat[i], flat[i + 1])
+    return a, b
 
 
 def canonical(q: GoldenQuat) -> GoldenQuat:
@@ -201,19 +223,27 @@ def canonical(q: GoldenQuat) -> GoldenQuat:
     K = |N(nrd(q))|^(1/4) and t = n - n_b:
     K*max(phi^(t-1), phi^-t) <= S <= (2/sqrt5)*K*(phi^(1+t) + phi^(2-t)).
     Some integer n has |t| <= 1/2, where S <= 4.12*K, and S exceeds that
-    once t > 3.95 or t < -2.95.
+    once t > 3.95 or t < -2.95.  The scan multiplies by phi as
+    (a, b) -> (b, a + b) on each coordinate; the sign makes the first
+    nonzero coordinate positive, and the key is (S, coordinates).
     """
-    g = _content(q)
-    if g == ZERO:
+    ga, gb = _content(q.coords())
+    if not (ga or gb):
         raise MalformedInput("zero quaternion has no projective class")
-    if g != ONE:
+    if abs(ga * ga + ga * gb - gb * gb) != 1:  # not a unit
+        g = GoldenInt(ga, gb)
         q = GoldenQuat(*(exact_div(x, g) for x in q.parts()))
-    q = q * phi_power(_balancing_power(q.nrd()) // 2 - 8)
-    window = []
+    flat = (q * phi_power(_balancing_power(q.nrd()) // 2 - 8)).coords()
+    best = None
     for _ in range(17):
-        window.append(_sign_fixed(q))
-        q = q * PHI
-    return min(window, key=_flat_key)
+        if next(v for v in flat if v) < 0:
+            flat = tuple(-v for v in flat)
+        key = (sum(map(abs, flat)), flat)
+        if best is None or key < best:
+            best = key
+        a0, b0, a1, b1, a2, b2, a3, b3 = flat
+        flat = (b0, a0 + b0, b1, a1 + b1, b2, a2 + b2, b3, a3 + b3)
+    return GoldenQuat._from_coords(best[1])
 
 
 def tau_count(q: GoldenQuat) -> int:
@@ -229,15 +259,20 @@ _ETA_PRIME = 59
 _PHI_MOD_ETA = 34  # the root of x^2 - x - 1 mod 59 that eta maps to 0
 
 
-def _residues(q: GoldenQuat) -> tuple[int, int, int, int]:
-    """The coordinates of q reduced mod eta, as elements of F_59."""
-    return tuple((x.a + _PHI_MOD_ETA * x.b) % _ETA_PRIME for x in q.parts())
+def _residues(flat: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The coordinates of a flat quaternion (see GoldenQuat) reduced
+    mod eta, as elements of F_59."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = flat
+    return ((a0 + _PHI_MOD_ETA * b0) % _ETA_PRIME,
+            (a1 + _PHI_MOD_ETA * b1) % _ETA_PRIME,
+            (a2 + _PHI_MOD_ETA * b2) % _ETA_PRIME,
+            (a3 + _PHI_MOD_ETA * b3) % _ETA_PRIME)
 
 
 def _residue_key(q: GoldenQuat) -> tuple[int, ...]:
     """The residues of q scaled so that the first nonzero one is 1: the
     image of q's projective class in PGL_2(F_59)."""
-    res = _residues(q)
+    res = _residues(q.coords())
     lead = next(v for v in res if v)
     inv = pow(lead, -1, _ETA_PRIME)
     return tuple(v * inv % _ETA_PRIME for v in res)
@@ -283,8 +318,11 @@ class C60Table:
         # outermost segments may carry, and a letter-bearing cofactor
         # that also peels is always the right choice for inner positions
         ordered = sorted(elements, key=lambda entry: entry[1] == "")
+        # each entry: the residue test for c*tau, c*tau*conj(eta) as
+        # flat coordinates, and the word for c^-1
         self._peel = tuple(
-            (_right_mul_rows(_residues(c * TAU)), c * TAU, self._inverse[c])
+            (_right_mul_rows(_residues((c * TAU).coords())),
+             (c * TAU * ETA.conj()).coords(), self._inverse[c])
             for c, _ in ordered)
 
     def __len__(self) -> int:
@@ -425,22 +463,14 @@ def evaluate_word(word: GateWord,
     return word_to_quat(word).to_unitary(precision_bits)
 
 
-def _divide_eta(q: GoldenQuat) -> GoldenQuat | None:
-    parts = [exact_div(x, ETA) for x in q.parts()]
-    if any(p is None for p in parts):
-        return None
-    return GoldenQuat(*parts)
-
-
-def _strip_twos(q: GoldenQuat) -> GoldenQuat:
-    """q divided by the largest power of 2 dividing every coordinate
-    (2 is prime in Z[phi]: it divides a + b*phi iff a and b are even)."""
-    flat = q.coords()
+def _strip_twos(flat: tuple[int, ...]) -> tuple[int, ...]:
+    """A flat quaternion divided by the largest power of 2 dividing
+    every coordinate (2 is prime in Z[phi]: it divides a + b*phi iff a
+    and b are even)."""
     if any(v & 1 for v in flat):
-        return q
+        return flat
     shift = min((v & -v).bit_length() for v in flat if v) - 1
-    flat = [v >> shift for v in flat]
-    return GoldenQuat(*(GoldenInt(flat[i], flat[i + 1]) for i in (0, 2, 4, 6)))
+    return tuple(v >> shift for v in flat)
 
 
 def exact_synthesize(q: GoldenQuat) -> GateWord:
@@ -470,13 +500,14 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     table = generate_c60()
     gamma = canonical(q)
     k = tau_count(gamma)
+    flat = gamma.coords()
     tails: list[str] = []
     for _ in range(k):
-        g0, g1, g2, g3 = _residues(gamma)
+        g0, g1, g2, g3 = _residues(flat)
         if not (g0 or g1 or g2 or g3):
             raise AssertionError("eta divides the content of gamma, which "
                                  "stays primitive; arithmetic bug")
-        for rows, c_tau, inverse in table._peel:
+        for rows, c_tau_eta_bar, inverse in table._peel:
             if all((m0 * g0 + m1 * g1 + m2 * g2 + m3 * g3) % _ETA_PRIME == 0
                    for m0, m1, m2, m3 in rows):
                 break
@@ -484,14 +515,15 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
             raise AssertionError("no C60 cofactor peels a tau, though C60 "
                                  "acts simply transitively on the lines "
                                  "mod eta; arithmetic bug")
-        quotient = _divide_eta(gamma * c_tau)
-        if quotient is None:
+        # gamma*c*tau/eta = gamma*c*tau*conj(eta)/59
+        product = _hamilton(flat, c_tau_eta_bar)
+        if any(v % _ETA_PRIME for v in product):
             raise AssertionError("eta divides the residues but not the "
                                  "product; arithmetic bug")
-        gamma = _strip_twos(quotient)
+        flat = _strip_twos(tuple(v // _ETA_PRIME for v in product))
         tails.append(inverse)
-    gamma = canonical(gamma)
+    gamma = GoldenQuat._from_coords(flat)
     base = table.word_for(gamma)
     if base is None:
-        raise NotInGroup(f"residual {gamma!r} is outside C60")
+        raise NotInGroup(f"residual {canonical(gamma)!r} is outside C60")
     return GateWord(tuple([base] + tails[::-1]))

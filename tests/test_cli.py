@@ -13,7 +13,8 @@ from icogate.cli import main, parse_angle, parse_quat
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import phi_power
 from icogate.icosian import RHO, GateWord, evaluate_word, word_to_quat
-from icogate.unitary import (distance, named_gate, precision_for,
+from icogate.unitary import (ProjUnitary, distance, named_gate,
+                             parse_complex, precision_for,
                              quaternion_distance)
 
 
@@ -150,6 +151,33 @@ def test_synth_matrix_entry_parsing(capsys):
     with mp.workprec(200):
         assert distance(named_gate("H", 200), evaluate_word(word, 200)) \
             < mpf("1.5e-3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth-diag", "--theta", "-3pi/4"),
+    ("synth", "--matrix", "-0.6+0.8i", "0", "0", "-0.6-0.8i"),
+    ("synth", "--matrix", "0", "-i", "-i", "0"),
+], ids=["theta", "matrix-diagonal", "matrix-antidiagonal"])
+def test_values_with_a_leading_minus(capsys, argv):
+    """A value that starts with a minus is read as a value, not as an
+    unknown option, and compiled like the same value written after '='
+    (--theta) or measured against the matrix it names (--matrix)."""
+    code, out, err = run(capsys, *argv, "--eps", "1e-3", "--json")
+    assert code == 0, err
+    word = GateWord.from_json(json.loads(out)["word"])
+    bits = precision_for(1e-3)
+    if argv[0] == "synth-diag":
+        _, joined, _ = run(capsys, "synth-diag", f"--theta={argv[2]}",
+                           "--eps", "1e-3", "--json")
+        assert word == GateWord.from_json(json.loads(joined)["word"])
+        with mp.workprec(bits):
+            target = ProjUnitary(((mp.expjpi(-0.75), 0),
+                                  (0, mp.expjpi(0.75))), bits)
+    else:
+        entries = [parse_complex(tok, bits) for tok in argv[2:]]
+        target = ProjUnitary((entries[:2], entries[2:]), bits)
+    with mp.workprec(bits):
+        assert distance(target, evaluate_word(word, bits)) < mpf("1.5e-3")
 
 
 def test_non_finite_and_non_unitary_inputs_exit_3(capsys):
