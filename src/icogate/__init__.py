@@ -4,8 +4,10 @@ icosahedral gate set {rho, sigma, tau}.
 The package is layered bottom-up:
 
   intfactor    -- rational primality, factoring, square roots mod p
-  golden       -- arithmetic in Z[phi]
-  gaussgolden  -- arithmetic in Z[i, phi] and the norm-Euclidean check
+  golden       -- arithmetic in Z[phi] and the Hamilton product kernel
+  gaussgolden  -- arithmetic in Z[i, phi] on (w, x, y, z) int tuples,
+                  multiplied by golden's Hamilton kernel, and the
+                  norm-Euclidean check
   sots         -- sums of two squares in Z[phi]
   icosian      -- the binary icosahedral group and exact factoring
   unitary      -- big-float PU(2) numerics and diagonal tuning

@@ -1,13 +1,15 @@
 """Arithmetic in Z[i,phi], the ring of integers of Q(i,phi).
 
 Elements are written w + x*phi + y*i + z*i*phi over the Z-basis
-{1, phi, i, i*phi}.  The quartic field norm is nonnegative and the ring
-is norm-Euclidean, which is what makes GCDs (and hence the two-squares
-machinery built on top) effective.  The norm-Euclidean property itself
-is re-verified here by a finite grid computation over exact rationals:
-every coset of the unit cube contains a lattice point of norm < 1, as
-certified by an effective perturbation bound evaluated at finitely many
-grid points.
+{1, phi, i, i*phi} and stored as the int tuple (w, x, y, z).  That is
+the quaternion (w + x*phi) + (y + z*phi)*i with no j or k part, so
+products run through golden's Hamilton kernel.  The quartic field norm
+is nonnegative and the ring is norm-Euclidean, which is what makes GCDs
+(and hence the two-squares machinery built on top) effective.  The
+norm-Euclidean property itself is re-verified here by a finite grid
+computation over exact rationals: every coset of the unit cube contains
+a lattice point of norm < 1, as certified by an effective perturbation
+bound evaluated at finitely many grid points.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInput
-from .golden import ZERO, GoldenInt
+from .golden import _hamilton
 
 __all__ = [
-    "GaussGoldenInt",
     "quartic_norm",
     "euclid_divmod_ne",
-    "exact_div_ne",
     "gcd_ne",
     "canonical_associate_ne",
     "norm_upper_bound",
@@ -30,118 +30,14 @@ __all__ = [
 ]
 
 
-class GaussGoldenInt:
-    """An element w + x*phi + (y + z*phi)*i of Z[i,phi].
-
-    Stored as a pair of GoldenInt (real and imaginary golden parts),
-    which is the shape the two-squares code wants; the w, x, y, z basis
-    coordinates stay available as properties.
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, w: int, x: int = 0, y: int = 0, z: int = 0):
-        self.re = GoldenInt(w, x)
-        self.im = GoldenInt(y, z)
-
-    @classmethod
-    def from_golden(cls, re: GoldenInt, im: GoldenInt = ZERO) -> GaussGoldenInt:
-        out = cls.__new__(cls)
-        out.re = re
-        out.im = im
-        return out
-
-    @property
-    def w(self) -> int:
-        return self.re.a
-
-    @property
-    def x(self) -> int:
-        return self.re.b
-
-    @property
-    def y(self) -> int:
-        return self.im.a
-
-    @property
-    def z(self) -> int:
-        return self.im.b
-
-    def coords(self) -> tuple[int, int, int, int]:
-        return (self.re.a, self.re.b, self.im.a, self.im.b)
-
-    def __repr__(self) -> str:
-        return "GaussGoldenInt({}, {}, {}, {})".format(*self.coords())
-
-    def __hash__(self) -> int:
-        return hash(self.coords())
-
-    def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
-
-    def __neg__(self) -> GaussGoldenInt:
-        return GaussGoldenInt.from_golden(-self.re, -self.im)
-
-    def __add__(self, other) -> GaussGoldenInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussGoldenInt.from_golden(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> GaussGoldenInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussGoldenInt.from_golden(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> GaussGoldenInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other) -> GaussGoldenInt:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussGoldenInt.from_golden(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def complex_conj(self) -> GaussGoldenInt:
-        return GaussGoldenInt.from_golden(self.re, -self.im)
-
-    def golden_conj(self) -> GaussGoldenInt:
-        return GaussGoldenInt.from_golden(self.re.conj(), self.im.conj())
+def _mul(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
+    """The product in Z[i,phi] of two (w, x, y, z) tuples."""
+    return _hamilton((*alpha, 0, 0, 0, 0), (*beta, 0, 0, 0, 0))[:4]
 
 
-I_UNIT = GaussGoldenInt(0, 0, 1, 0)
-
-
-def _coerce(v) -> GaussGoldenInt | None:
-    if isinstance(v, GaussGoldenInt):
-        return v
-    if isinstance(v, GoldenInt):
-        return GaussGoldenInt.from_golden(v, ZERO)
-    if isinstance(v, int):
-        return GaussGoldenInt(v, 0, 0, 0)
-    return None
-
-
-def quartic_norm(alpha: GaussGoldenInt) -> int:
+def quartic_norm(alpha: tuple[int, ...]) -> int:
     """The norm down to Q, as an explicit quartic in the coordinates."""
-    return _quartic(*alpha.coords())
+    return _quartic(*alpha)
 
 
 def _quartic(w, x, y, z):
@@ -153,29 +49,20 @@ def _quartic(w, x, y, z):
             + 2 * x**2 * z**2 - y**2 * z**2 - 2 * y * z**3 + z**4)
 
 
-def exact_div_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt) -> GaussGoldenInt | None:
-    """alpha / beta when beta divides alpha exactly, else None."""
-    n = quartic_norm(beta)
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Z[i,phi]")
-    t = _times_conj_tower(alpha, beta)
-    coords = t.coords()
-    if any(c % n for c in coords):
-        return None
-    return GaussGoldenInt(*(c // n for c in coords))
-
-
-def _times_conj_tower(alpha: GaussGoldenInt, beta: GaussGoldenInt) -> GaussGoldenInt:
+def _times_conj_tower(alpha: tuple[int, ...], beta: tuple[int, ...]
+                      ) -> tuple[int, ...]:
     # alpha * complex_conj(beta) * golden_conj(beta * complex_conj(beta));
     # dividing the result by quartic_norm(beta) gives alpha/beta in Q(i,phi)
-    bc = beta.complex_conj()
-    g = beta * bc  # lies in Z[phi], totally nonnegative
-    return alpha * bc * g.golden_conj()
+    w, x, y, z = beta
+    bc = (w, x, -y, -z)
+    g0, g1, _, _ = _mul(beta, bc)  # lies in Z[phi], totally nonnegative
+    return _mul(_mul(alpha, bc), (g0 + g1, -g1, 0, 0))
 
 
-def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
-                     ) -> tuple[GaussGoldenInt, GaussGoldenInt]:
-    """Division with remainder under the quartic norm.
+def euclid_divmod_ne(alpha: tuple[int, ...], beta: tuple[int, ...]
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Division with remainder under the quartic norm: (q, r) with
+    alpha = q*beta + r and quartic_norm(r) < quartic_norm(beta).
 
     The exact quotient in Q(i,phi) is rounded componentwise, leaving a
     fraction f = alpha/beta - q with coordinates in [-1/2, 1/2] and a
@@ -191,17 +78,14 @@ def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
     n = quartic_norm(beta)
     if n == 0:
         raise ZeroDivisionError("euclid_divmod_ne by zero")
-    t = _times_conj_tower(alpha, beta).coords()
     q0 = []
     fsign = []
-    for c in t:
+    for c in _times_conj_tower(alpha, beta):
         q, rem2 = divmod(2 * c, 2 * n)  # floor at half-integer resolution
-        # nearest integer, remembering which side the fraction was on
-        if rem2 > n:
+        # nearest integer (half-up), remembering which side the
+        # fraction was on
+        if rem2 >= n:
             q0.append(q + 1)
-            fsign.append(-1)
-        elif rem2 == n:
-            q0.append(q + 1)  # half-up
             fsign.append(-1)
         else:
             q0.append(q)
@@ -212,16 +96,15 @@ def euclid_divmod_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt
             shifted = list(q0)
             shifted[i] += fsign[i]
             candidates.append(tuple(shifted))
-    for cand in candidates:
-        q = GaussGoldenInt(*cand)
-        r = alpha - q * beta
+    for q in candidates:
+        r = tuple(a - b for a, b in zip(alpha, _mul(q, beta)))
         if quartic_norm(r) < n:
             return q, r
     raise AssertionError("norm-Euclidean division failed, against the "
                          "verify_norm_euclidean certificate; arithmetic bug")
 
 
-def canonical_associate_ne(alpha: GaussGoldenInt) -> GaussGoldenInt:
+def canonical_associate_ne(alpha: tuple[int, ...]) -> tuple[int, ...]:
     """Distinguished associate: minimal coordinate max-norm over the
     unit multiples i^a phi^e (e in {-1,0,1}), ties broken
     lexicographically; iterated to a fixed point so the result is
@@ -231,9 +114,9 @@ def canonical_associate_ne(alpha: GaussGoldenInt) -> GaussGoldenInt:
     phi^-1, 1, phi, each followed by its multiples by i, -1 and -i:
     phi sends (w, x, y, z) to (x, w + x, z, y + z), phi^-1 to
     (x - w, w, z - y, y) and i to (-y, -z, w, x)."""
-    if not alpha:
+    if not any(alpha):
         return alpha
-    cur = alpha.coords()
+    cur = alpha
     cur_key = (max(map(abs, cur)), cur)
     while True:
         w, x, y, z = cur
@@ -246,16 +129,16 @@ def canonical_associate_ne(alpha: GaussGoldenInt) -> GaussGoldenInt:
                 if best is None or key < best:
                     best = key
         if best >= cur_key:
-            return GaussGoldenInt(*cur)
+            return cur
         cur_key = best
         cur = best[1]
 
 
-def gcd_ne(alpha: GaussGoldenInt, beta: GaussGoldenInt) -> GaussGoldenInt:
+def gcd_ne(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
     """GCD under the norm-Euclidean division, canonicalized."""
-    if not alpha and not beta:
+    if not any(alpha) and not any(beta):
         raise MalformedInput("gcd_ne(0, 0) is undefined")
-    while beta:
+    while any(beta):
         _, r = euclid_divmod_ne(alpha, beta)
         alpha, beta = beta, r
     return canonical_associate_ne(alpha)

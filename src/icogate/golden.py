@@ -8,6 +8,10 @@ be negative; the ring is Euclidean with respect to |N|, and its units are
 
 The compiler leans on one particular element, eta = 7 + 5*phi of norm 59,
 so a few eta-specific helpers (valuation, exact division) live here too.
+
+_hamilton is the one product kernel of the rings above Z[phi]: the
+icosians multiply through it as flat 8-int quaternions, and Z[i, phi]
+as their sub-ring x0 + x1*i, the 4-int tuples of gaussgolden.
 """
 
 from __future__ import annotations
@@ -152,6 +156,31 @@ PHI_INV = GoldenInt(-1, 1)  # phi^-1 = phi - 1
 ETA = GoldenInt(7, 5)  # norm 59
 # The representative used for the ramified prime: 5 = (-1 + 2 phi)^2.
 SQRT5_IRREDUCIBLE = GoldenInt(-1, 2)
+
+
+def _hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The Hamilton product of two flat quaternions over Z[phi], each
+    the tuple (a0, b0, a1, b1, a2, b2, a3, b3) of x0 + x1*i + x2*j +
+    x3*k with xn = an + bn*phi.
+
+    Split each into integer quaternions, p = A + B*phi and
+    q = C + D*phi; with phi^2 = phi + 1, p*q = (AC + BD) +
+    ((A + B)(C + D) - AC)*phi, three integer Hamilton products."""
+    a0, b0, a1, b1, a2, b2, a3, b3 = p
+    c0, d0, c1, d1, c2, d2, c3, d3 = q
+    r0, r1, r2, r3 = _int_hamilton(a0, a1, a2, a3, c0, c1, c2, c3)
+    s0, s1, s2, s3 = _int_hamilton(b0, b1, b2, b3, d0, d1, d2, d3)
+    t0, t1, t2, t3 = _int_hamilton(a0 + b0, a1 + b1, a2 + b2, a3 + b3,
+                                   c0 + d0, c1 + d1, c2 + d2, c3 + d3)
+    return (r0 + s0, t0 - r0, r1 + s1, t1 - r1,
+            r2 + s2, t2 - r2, r3 + s3, t3 - r3)
+
+
+def _int_hamilton(a0, a1, a2, a3, b0, b1, b2, b3):
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
 def norm(x: GoldenInt) -> int:

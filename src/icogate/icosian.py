@@ -43,7 +43,7 @@ from mpmath import mp
 
 from .errors import IcogateError, MalformedInput, NotInGroup
 from .golden import (_PHI_FLOAT, ETA, GoldenInt, ONE, PHI, ZERO,
-                     _balancing_power, _coerce, _gcd_pair, embed,
+                     _balancing_power, _coerce, _gcd_pair, _hamilton, embed,
                      eta_valuation, exact_div, phi_power)
 from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
 
@@ -53,29 +53,6 @@ __all__ = [
     "GateWord", "word_to_quat", "evaluate_word",
     "exact_synthesize",
 ]
-
-
-def _hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    """The Hamilton product of two flat quaternions (see GoldenQuat).
-
-    Split each into integer quaternions, p = A + B*phi and
-    q = C + D*phi; with phi^2 = phi + 1, p*q = (AC + BD) +
-    ((A + B)(C + D) - AC)*phi, three integer Hamilton products."""
-    a0, b0, a1, b1, a2, b2, a3, b3 = p
-    c0, d0, c1, d1, c2, d2, c3, d3 = q
-    r0, r1, r2, r3 = _int_hamilton(a0, a1, a2, a3, c0, c1, c2, c3)
-    s0, s1, s2, s3 = _int_hamilton(b0, b1, b2, b3, d0, d1, d2, d3)
-    t0, t1, t2, t3 = _int_hamilton(a0 + b0, a1 + b1, a2 + b2, a3 + b3,
-                                   c0 + d0, c1 + d1, c2 + d2, c3 + d3)
-    return (r0 + s0, t0 - r0, r1 + s1, t1 - r1,
-            r2 + s2, t2 - r2, r3 + s3, t3 - r3)
-
-
-def _int_hamilton(a0, a1, a2, a3, b0, b1, b2, b3):
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
 
 
 class GoldenQuat:

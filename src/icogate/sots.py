@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import MalformedInput, NotRepresentable, UnsupportedResidue
-from .gaussgolden import GaussGoldenInt, gcd_ne
+from .gaussgolden import gcd_ne
 from .golden import (
     ONE,
     PHI,
@@ -114,14 +114,11 @@ def _piece(u: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
         raise UnsupportedResidue(
             f"associated prime {p} = {cls} (mod 20) has no decomposition")
     if p % 4 == 1:
-        x = _even_root(p, -1)
-        probe = GaussGoldenInt(x, 0, 1, 0)  # x + i
+        probe = (_even_root(p, -1), 0, 1, 0)  # x + i
     else:  # cls in (3, 7)
-        x = _even_nonquintic_root(p)
-        probe = GaussGoldenInt.from_golden(
-            GoldenInt(x, 0), SQRT5_IRREDUCIBLE)  # x + i*sqrt5
-    g = gcd_ne(GaussGoldenInt.from_golden(u), probe)
-    s, t = g.re, g.im
+        probe = (_even_nonquintic_root(p), 0, -1, 2)  # x + i*(-1 + 2*phi)
+    w, x, y, z = gcd_ne((u.a, u.b, 0, 0), probe)
+    s, t = GoldenInt(w, x), GoldenInt(y, z)
     v = s * s + t * t
     q = exact_div(u, v) if v else None
     if q is None or abs(norm(q)) != 1:

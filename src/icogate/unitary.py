@@ -56,8 +56,8 @@ def precision_for(epsilon: float) -> int:
     k ~ log_59(1/eps^3); 3*log2(1/eps) bits cover the dynamic range and
     the constant keeps a healthy mantissa after cancellation.
     """
-    if not epsilon > 0:
-        raise MalformedInput("epsilon must be positive")
+    if not 0 < epsilon < mp.inf:
+        raise MalformedInput("epsilon must be positive and finite")
     with mp.workprec(64):
         bits = int(mp.ceil(3 * mp.log(1 / mpf(epsilon), 2)))
     return max(bits, 0) + 96

@@ -1,16 +1,17 @@
 """Reference arithmetic for the exact layer's integer kernels.
 
 GoldenQuat keeps its coordinates as eight ints, golden.gcd and
-canonical_associate run on int pairs, and canonical_associate_ne forms
-its candidates as coordinate maps.  The functions here are the object
-versions they replaced (commit fc78430), verbatim apart from taking
-the quaternion as an argument and spelling GoldenQuat's own product,
-scaling, negation and reduced norm through GoldenInt operators: every
-step builds GoldenInt and GaussGoldenInt values.  Both must agree
-exactly on every input.
+canonical_associate run on int pairs, and Z[i, phi] elements are
+(w, x, y, z) int tuples multiplied by golden's Hamilton kernel, with
+canonical_associate_ne forming its candidates as coordinate maps.  The
+functions here are the object versions they replaced, verbatim apart
+from dropping unused helpers, taking the quaternion as an argument,
+spelling GoldenQuat's own product, scaling, negation and reduced norm
+through GoldenInt operators, and computing the quartic norm down the
+tower as N(alpha * complex_conj(alpha)): every step builds GoldenInt
+and GaussGoldenInt values.  Both must agree exactly on every input.
 """
 
-from icogate.gaussgolden import I_UNIT, GaussGoldenInt
 from icogate.golden import (PHI, SQRT5_IRREDUCIBLE, ZERO, GoldenInt,
                             _balancing_power, _round_div, exact_div,
                             phi_power)
@@ -121,6 +122,159 @@ def canonical(q):
 
 
 # --- gaussgolden.py ---
+
+class GaussGoldenInt:
+    """An element w + x*phi + (y + z*phi)*i of Z[i,phi], stored as a
+    pair of GoldenInt (real and imaginary golden parts)."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, w, x=0, y=0, z=0):
+        self.re = GoldenInt(w, x)
+        self.im = GoldenInt(y, z)
+
+    @classmethod
+    def from_golden(cls, re, im=ZERO):
+        out = cls.__new__(cls)
+        out.re = re
+        out.im = im
+        return out
+
+    def coords(self):
+        return (self.re.a, self.re.b, self.im.a, self.im.b)
+
+    def __repr__(self):
+        return "GaussGoldenInt({}, {}, {}, {})".format(*self.coords())
+
+    def __hash__(self):
+        return hash(self.coords())
+
+    def __eq__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.im)
+
+    def __neg__(self):
+        return GaussGoldenInt.from_golden(-self.re, -self.im)
+
+    def __add__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussGoldenInt.from_golden(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussGoldenInt.from_golden(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return GaussGoldenInt.from_golden(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def complex_conj(self):
+        return GaussGoldenInt.from_golden(self.re, -self.im)
+
+    def golden_conj(self):
+        return GaussGoldenInt.from_golden(self.re.conj(), self.im.conj())
+
+
+I_UNIT = GaussGoldenInt(0, 0, 1, 0)
+
+
+def _coerce(v):
+    if isinstance(v, GaussGoldenInt):
+        return v
+    if isinstance(v, GoldenInt):
+        return GaussGoldenInt.from_golden(v, ZERO)
+    if isinstance(v, int):
+        return GaussGoldenInt(v, 0, 0, 0)
+    return None
+
+
+def quartic_norm(alpha):
+    t = alpha * alpha.complex_conj()
+    assert not t.im
+    return t.re.norm()
+
+
+def exact_div_ne(alpha, beta):
+    """alpha / beta when beta divides alpha exactly, else None."""
+    n = quartic_norm(beta)
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Z[i,phi]")
+    coords = _times_conj_tower(alpha, beta).coords()
+    if any(c % n for c in coords):
+        return None
+    return GaussGoldenInt(*(c // n for c in coords))
+
+
+def _times_conj_tower(alpha, beta):
+    bc = beta.complex_conj()
+    g = beta * bc
+    return alpha * bc * g.golden_conj()
+
+
+def euclid_divmod_ne(alpha, beta):
+    n = quartic_norm(beta)
+    if n == 0:
+        raise ZeroDivisionError("euclid_divmod_ne by zero")
+    t = _times_conj_tower(alpha, beta).coords()
+    q0 = []
+    fsign = []
+    for c in t:
+        q, rem2 = divmod(2 * c, 2 * n)
+        if rem2 > n:
+            q0.append(q + 1)
+            fsign.append(-1)
+        elif rem2 == n:
+            q0.append(q + 1)
+            fsign.append(-1)
+        else:
+            q0.append(q)
+            fsign.append(1 if rem2 > 0 else 0)
+    candidates = [tuple(q0)]
+    for i in range(4):
+        if fsign[i]:
+            shifted = list(q0)
+            shifted[i] += fsign[i]
+            candidates.append(tuple(shifted))
+    for cand in candidates:
+        q = GaussGoldenInt(*cand)
+        r = alpha - q * beta
+        if quartic_norm(r) < n:
+            return q, r
+    raise AssertionError("norm-Euclidean division failed")
+
+
+def gcd_ne(alpha, beta):
+    if not alpha and not beta:
+        raise MalformedInput("gcd_ne(0, 0) is undefined")
+    while beta:
+        _, r = euclid_divmod_ne(alpha, beta)
+        alpha, beta = beta, r
+    return canonical_associate_ne(alpha)
+
 
 _PHI_NE = GaussGoldenInt(0, 1, 0, 0)
 _PHI_NE_INV = GaussGoldenInt(-1, 1, 0, 0)

@@ -4,11 +4,15 @@ replaced (arith_oracle.py): results must agree exactly."""
 import random
 
 import arith_oracle as oracle
-from icogate.gaussgolden import GaussGoldenInt, canonical_associate_ne
+from arith_oracle import GaussGoldenInt
+from icogate import sots
+from icogate.gaussgolden import (_mul, canonical_associate_ne,
+                                 euclid_divmod_ne, gcd_ne, quartic_norm)
 from icogate.golden import (ETA, GoldenInt, canonical_associate,
-                            euclid_divmod, gcd, phi_power)
+                            euclid_divmod, gcd, phi_power, split_prime)
 from icogate.icosian import (RHO, SIGMA, TAU, GateWord, GoldenQuat,
                              canonical, word_to_quat)
+from icogate.intfactor import is_probable_prime
 
 RAMIFIED = GoldenInt(2, 1)  # 2 + phi = sqrt5 * phi, the class above 5
 
@@ -107,5 +111,82 @@ def test_canonical_associate_ne_matches_oracle():
         small = GaussGoldenInt(*(rng.randint(-9, 9) for _ in range(4)))
         alphas.append(small * rng.choice(units))
     for alpha in alphas:
-        assert (canonical_associate_ne(alpha)
-                == oracle.canonical_associate_ne(alpha)), alpha
+        assert (canonical_associate_ne(alpha.coords())
+                == oracle.canonical_associate_ne(alpha).coords()), alpha
+
+
+def _ne(rng):
+    """A random element of Z[i, phi] with coordinates up to 2^80."""
+    return GaussGoldenInt(*(rng.randint(-2**80, 2**80) for _ in range(4)))
+
+
+def test_gauss_golden_product_matches_oracle():
+    rng = random.Random(89)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            a, b = _ne(rng), _ne(rng)
+        else:
+            a = GaussGoldenInt.from_golden(_golden(rng), _golden(rng))
+            b = GaussGoldenInt.from_golden(_golden(rng), _golden(rng))
+        assert _mul(a.coords(), b.coords()) == (a * b).coords(), (a, b)
+        assert quartic_norm(a.coords()) == oracle.quartic_norm(a), a
+
+
+def _assert_ne_matches_oracle(a, b):
+    assert (gcd_ne(a.coords(), b.coords())
+            == oracle.gcd_ne(a, b).coords()), (a, b)
+    assert (canonical_associate_ne(a.coords())
+            == oracle.canonical_associate_ne(a).coords()), a
+    if b:
+        q, r = oracle.euclid_divmod_ne(a, b)
+        assert (euclid_divmod_ne(a.coords(), b.coords())
+                == (q.coords(), r.coords())), (a, b)
+
+
+def test_gcd_and_divmod_ne_match_oracle_on_random_elements():
+    rng = random.Random(97)
+    pairs = [(GaussGoldenInt(0), GaussGoldenInt(1, 0, 1, 0)),
+             (GaussGoldenInt(2, 3, -1, 0), GaussGoldenInt(0))]
+    for _ in range(200):
+        a, b = _ne(rng), _ne(rng)
+        if rng.random() < 0.3:  # a common factor
+            g = GaussGoldenInt(*(rng.randint(-2**20, 2**20)
+                                 for _ in range(4)))
+            a, b = a * g, b * g
+        pairs.append((a, b))
+    for _ in range(50):
+        # a/b = q + e/2 with e in {0, 1}^4: exact halves, where the
+        # rounding must go up
+        half = GaussGoldenInt(*(rng.randint(-2**20, 2**20)
+                                for _ in range(4)))
+        e = GaussGoldenInt(*(rng.randint(0, 1) for _ in range(4)))
+        q = GaussGoldenInt(*(rng.randint(-2**20, 2**20) for _ in range(4)))
+        if half:
+            pairs.append((q * half * 2 + half * e, half * 2))
+    for a, b in pairs:
+        _assert_ne_matches_oracle(a, b)
+
+
+def test_gcd_ne_matches_oracle_on_sots_probes(monkeypatch):
+    # the (u, probe) pairs sots._piece hands to gcd_ne: x + i or
+    # x + i*sqrt5 against an irreducible above p, over every good class
+    calls = []
+
+    def recording_gcd_ne(alpha, beta):
+        calls.append((alpha, beta))
+        return gcd_ne(alpha, beta)
+
+    monkeypatch.setattr(sots, "gcd_ne", recording_gcd_ne)
+    rng = random.Random(101)
+    seen = {cls: 0 for cls in sots.GOOD_RESIDUES}
+    while min(seen.values()) < 6:
+        p = rng.randrange(3, 2**rng.choice((10, 30, 60)))
+        if p % 20 not in seen or not is_probable_prime(p):
+            continue
+        seen[p % 20] += 1
+        u = split_prime(p) if p % 5 in (1, 4) else GoldenInt(p)
+        sots.sots_irreducible(u * phi_power(rng.randint(-20, 20)))
+    assert len(calls) == sum(seen.values())
+    for alpha, beta in calls:
+        _assert_ne_matches_oracle(GaussGoldenInt(*alpha),
+                                  GaussGoldenInt(*beta))

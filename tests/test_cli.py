@@ -184,6 +184,12 @@ def test_non_finite_and_non_unitary_inputs_exit_3(capsys):
     code, out, err = run(capsys, "synth-diag", "--theta", "nan",
                          "--eps", "1e-3")
     assert code == 3 and not out and "finite" in err
+    for eps in ("inf", "nan"):
+        for argv in (("synth", "--gate", "H"),
+                     ("synth-diag", "--theta", "0.3")):
+            code, out, err = run(capsys, *argv, "--eps", eps)
+            assert code == 3 and not out and "finite" in err
+            assert "Traceback" not in err
     code, out, err = run(capsys, "synth", "--matrix", "1", "0", "0", "2",
                          "--eps", "1e-3")
     assert code == 3 and not out and "unitary" in err

@@ -1,4 +1,8 @@
-"""Tests for the Z[i,phi] layer and the norm-Euclidean verification."""
+"""Tests for the Z[i,phi] layer and the norm-Euclidean verification.
+
+Elements are (w, x, y, z) tuples for w + x*phi + (y + z*phi)*i; the
+ring laws are checked on the tuple product gaussgolden._mul, and
+divisibility against the object arithmetic of arith_oracle."""
 
 import math
 import random
@@ -6,12 +10,12 @@ from fractions import Fraction
 
 import pytest
 
+import arith_oracle as oracle
 from icogate.errors import MalformedInput
 from icogate.gaussgolden import (
-    GaussGoldenInt,
+    _mul,
     canonical_associate_ne,
     euclid_divmod_ne,
-    exact_div_ne,
     gcd_ne,
     norm_upper_bound,
     quartic_norm,
@@ -19,34 +23,64 @@ from icogate.gaussgolden import (
 )
 from icogate.golden import GoldenInt, norm
 
+ZERO_NE = (0, 0, 0, 0)
+ONE_NE = (1, 0, 0, 0)
+PHI_NE = (0, 1, 0, 0)
+I_NE = (0, 0, 1, 0)
+
 
 def rand_ne(rng, bound=12):
-    return GaussGoldenInt(*(rng.randint(-bound, bound) for _ in range(4)))
+    return tuple(rng.randint(-bound, bound) for _ in range(4))
+
+
+def add(a, b):
+    return tuple(u + v for u, v in zip(a, b))
+
+
+def neg(a):
+    return tuple(-u for u in a)
+
+
+def complex_conj(a):
+    w, x, y, z = a
+    return (w, x, -y, -z)
+
+
+def golden_conj(a):
+    # phi -> 1 - phi on both golden parts
+    w, x, y, z = a
+    return (w + x, -x, y + z, -z)
+
+
+def exact_div(alpha, beta):
+    """alpha / beta when beta divides alpha exactly, else None, by the
+    object arithmetic of the oracle."""
+    d = oracle.exact_div_ne(oracle.GaussGoldenInt(*alpha),
+                            oracle.GaussGoldenInt(*beta))
+    return None if d is None else d.coords()
 
 
 def test_ring_identities():
-    i = GaussGoldenInt(0, 0, 1, 0)
-    phi = GaussGoldenInt(0, 1, 0, 0)
-    assert i * i == GaussGoldenInt(-1)
-    assert phi * phi == phi + 1
-    assert i * phi == phi * i == GaussGoldenInt(0, 0, 0, 1)
-    a = GaussGoldenInt(1, 2, 3, 4)
-    assert a.coords() == (1, 2, 3, 4)
-    assert (a - a) == GaussGoldenInt(0)
-    assert a * 1 == a
+    assert _mul(I_NE, I_NE) == neg(ONE_NE)
+    assert _mul(PHI_NE, PHI_NE) == add(PHI_NE, ONE_NE)
+    assert _mul(I_NE, PHI_NE) == _mul(PHI_NE, I_NE) == (0, 0, 0, 1)
+    a = (1, 2, 3, 4)
+    assert add(a, neg(a)) == ZERO_NE
+    assert _mul(a, ONE_NE) == _mul(ONE_NE, a) == a
+    assert _mul(a, ZERO_NE) == ZERO_NE
 
 
 def test_quartic_norm_examples():
-    assert quartic_norm(GaussGoldenInt(1, 0, 0, 0)) == 1
-    assert quartic_norm(GaussGoldenInt(0, 0, 1, 0)) == 1
-    assert quartic_norm(GaussGoldenInt(1, 0, 1, 0)) == 4
+    assert quartic_norm((1, 0, 0, 0)) == 1
+    assert quartic_norm((0, 0, 1, 0)) == 1
+    assert quartic_norm((1, 0, 1, 0)) == 4
 
 
 def test_quartic_norm_multiplicative():
     rng = random.Random(41)
     for _ in range(1000):
         a, b = rand_ne(rng), rand_ne(rng)
-        assert quartic_norm(a * b) == quartic_norm(a) * quartic_norm(b)
+        assert quartic_norm(_mul(a, b)) == quartic_norm(a) * quartic_norm(b)
 
 
 def test_quartic_norm_matches_tower_norm():
@@ -54,29 +88,30 @@ def test_quartic_norm_matches_tower_norm():
     rng = random.Random(43)
     for _ in range(500):
         a = rand_ne(rng)
-        t = a * a.complex_conj()
-        assert not t.im
-        assert quartic_norm(a) == norm(t.re)
+        t0, t1, t2, t3 = _mul(a, complex_conj(a))
+        assert t2 == t3 == 0
+        assert quartic_norm(a) == norm(GoldenInt(t0, t1))
 
 
 def test_conjugations_are_ring_maps():
     rng = random.Random(47)
     for _ in range(200):
         a, b = rand_ne(rng), rand_ne(rng)
-        assert (a * b).complex_conj() == a.complex_conj() * b.complex_conj()
-        assert (a * b).golden_conj() == a.golden_conj() * b.golden_conj()
-        assert a.complex_conj().complex_conj() == a
-        assert a.golden_conj().golden_conj() == a
+        for conj in (complex_conj, golden_conj):
+            assert conj(_mul(a, b)) == _mul(conj(a), conj(b))
+            assert conj(add(a, b)) == add(conj(a), conj(b))
+            assert conj(conj(a)) == a
+    # golden_conj sends phi to 1 - phi, the other root of x^2 - x - 1
+    assert golden_conj(PHI_NE) == (1, -1, 0, 0)
 
 
 def test_basis_discriminant_is_400():
-    basis = [GaussGoldenInt(1, 0, 0, 0), GaussGoldenInt(0, 1, 0, 0),
-             GaussGoldenInt(0, 0, 1, 0), GaussGoldenInt(0, 0, 0, 1)]
+    basis = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
 
     def trace(v):  # sum over the four embeddings
-        return 4 * v.w + 2 * v.x
+        return 4 * v[0] + 2 * v[1]
 
-    gram = [[Fraction(trace(bi * bj)) for bj in basis] for bi in basis]
+    gram = [[Fraction(trace(_mul(bi, bj))) for bj in basis] for bi in basis]
     # determinant by fraction-free elimination
     det = Fraction(1)
     for c in range(4):
@@ -93,45 +128,46 @@ def test_basis_discriminant_is_400():
 
 
 def test_euclid_divmod_ne_examples():
-    a = GaussGoldenInt(3, -1, 2, 7)
-    q, r = euclid_divmod_ne(a, GaussGoldenInt(1))
+    a = (3, -1, 2, 7)
+    q, r = euclid_divmod_ne(a, ONE_NE)
     assert (q, quartic_norm(r)) == (a, 0)
 
-    q, r = euclid_divmod_ne(GaussGoldenInt(1, 0, 1, 0), GaussGoldenInt(2))
-    assert GaussGoldenInt(1, 0, 1, 0) == q * GaussGoldenInt(2) + r
+    two = (2, 0, 0, 0)
+    q, r = euclid_divmod_ne((1, 0, 1, 0), two)
+    assert (1, 0, 1, 0) == add(_mul(q, two), r)
     assert quartic_norm(r) < 16
 
-    q, r = euclid_divmod_ne(GaussGoldenInt(0), a)
-    assert not q and not r
+    q, r = euclid_divmod_ne(ZERO_NE, a)
+    assert q == r == ZERO_NE
 
     with pytest.raises(ZeroDivisionError):
-        euclid_divmod_ne(a, GaussGoldenInt(0))
+        euclid_divmod_ne(a, ZERO_NE)
 
 
 def test_euclid_divmod_ne_contract():
     rng = random.Random(53)
     for _ in range(1000):
         a, b = rand_ne(rng), rand_ne(rng)
-        if not b:
+        if not any(b):
             continue
         q, r = euclid_divmod_ne(a, b)
-        assert a == q * b + r
+        assert a == add(_mul(q, b), r)
         assert quartic_norm(r) < quartic_norm(b)
 
 
 def test_gcd_ne_examples():
-    a = GaussGoldenInt(2, 3, -1, 0)
-    assert gcd_ne(a, GaussGoldenInt(0)) == canonical_associate_ne(a)
+    a = (2, 3, -1, 0)
+    assert gcd_ne(a, ZERO_NE) == canonical_associate_ne(a)
 
-    one_plus_i = GaussGoldenInt(1, 0, 1, 0)
-    g = gcd_ne(one_plus_i, GaussGoldenInt(2))
+    one_plus_i = (1, 0, 1, 0)
+    g = gcd_ne(one_plus_i, (2, 0, 0, 0))
     assert quartic_norm(g) == 4
-    assert exact_div_ne(g, one_plus_i) is not None
+    assert exact_div(g, one_plus_i) is not None
 
-    assert quartic_norm(gcd_ne(GaussGoldenInt(2), GaussGoldenInt(3))) == 1
+    assert quartic_norm(gcd_ne((2, 0, 0, 0), (3, 0, 0, 0))) == 1
 
     with pytest.raises(MalformedInput):
-        gcd_ne(GaussGoldenInt(0), GaussGoldenInt(0))
+        gcd_ne(ZERO_NE, ZERO_NE)
 
 
 def test_gcd_ne_against_brute_force():
@@ -139,14 +175,15 @@ def test_gcd_ne_against_brute_force():
     pairs = []
     while len(pairs) < 3:
         g = rand_ne(rng, 1)
-        x = g * rand_ne(rng, 1)
-        y = g * rand_ne(rng, 1)
-        if x and y and quartic_norm(x) <= 10**4 and quartic_norm(y) <= 10**4:
+        x = _mul(g, rand_ne(rng, 1))
+        y = _mul(g, rand_ne(rng, 1))
+        if (any(x) and any(y) and quartic_norm(x) <= 10**4
+                and quartic_norm(y) <= 10**4):
             pairs.append((x, y))
     for x, y in pairs:
         g = gcd_ne(x, y)
-        assert exact_div_ne(x, g) is not None
-        assert exact_div_ne(y, g) is not None
+        assert exact_div(x, g) is not None
+        assert exact_div(y, g) is not None
         qx, qy = quartic_norm(x), quartic_norm(y)
         qg = math.gcd(qx, qy)
         best = 1
@@ -154,13 +191,13 @@ def test_gcd_ne_against_brute_force():
             for xx in range(-10, 11):
                 for yy in range(-10, 11):
                     for zz in range(-10, 11):
-                        d = GaussGoldenInt(w, xx, yy, zz)
+                        d = (w, xx, yy, zz)
                         nd = quartic_norm(d)
                         if nd == 0 or qg % nd:
                             continue
-                        if (exact_div_ne(x, d) is not None
-                                and exact_div_ne(y, d) is not None):
-                            assert exact_div_ne(g, d) is not None
+                        if (exact_div(x, d) is not None
+                                and exact_div(y, d) is not None):
+                            assert exact_div(g, d) is not None
                             best = max(best, nd)
         assert quartic_norm(g) == best
 
@@ -169,13 +206,23 @@ def test_canonical_associate_ne():
     rng = random.Random(61)
     for _ in range(100):
         a = rand_ne(rng, 9)
-        if not a:
+        if not any(a):
             continue
         c = canonical_associate_ne(a)
         assert canonical_associate_ne(c) == c
-        u = exact_div_ne(a, c)
+        u = exact_div(a, c)
         assert u is not None and quartic_norm(u) == 1
-        assert max(map(abs, c.coords())) <= max(map(abs, a.coords()))
+        assert max(map(abs, c)) <= max(map(abs, a))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "canonical_associate_ne walks phi one step at a time to a local "
+    "fixed point, so two associates can end at different representatives"))
+def test_canonical_associate_ne_agrees_on_associates():
+    alpha = (10, -2, 40, 0)  # 10 - 2*phi + 40i
+    # today (-40, 0, 10, -2) against (-40, -40, 8, 6)
+    assert (canonical_associate_ne(alpha)
+            == canonical_associate_ne(_mul(alpha, PHI_NE)))
 
 
 def test_norm_upper_bound_examples():
@@ -184,7 +231,7 @@ def test_norm_upper_bound_examples():
     rng = random.Random(67)
     for _ in range(50):
         a = rand_ne(rng, 5)
-        assert norm_upper_bound(a.coords(), 0) == quartic_norm(a)
+        assert norm_upper_bound(a, 0) == quartic_norm(a)
 
 
 def test_norm_upper_bound_dominates_perturbed_norm():

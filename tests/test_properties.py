@@ -10,7 +10,7 @@ import math
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from icogate.gaussgolden import I_UNIT, GaussGoldenInt, quartic_norm
+from icogate.gaussgolden import _mul, quartic_norm
 from icogate.general import SynthConfig, synth_general
 from icogate.golden import ONE, ZERO, GoldenInt, euclid_divmod
 from icogate.icosian import (GateWord, canonical, evaluate_word,
@@ -18,6 +18,8 @@ from icogate.icosian import (GateWord, canonical, evaluate_word,
                              word_to_quat)
 from icogate.unitary import (ProjUnitary, distance, precision_for,
                              tuning_constant)
+from test_gaussgolden import (I_NE, ONE_NE, PHI_NE, ZERO_NE, add,
+                              complex_conj, golden_conj, neg)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=200)
@@ -25,7 +27,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 coeff = st.integers(min_value=-10**40, max_value=10**40)
 golden = st.builds(GoldenInt, coeff, coeff)
 nonzero_golden = golden.filter(bool)
-gauss_golden = st.builds(GaussGoldenInt, coeff, coeff, coeff, coeff)
+gauss_golden = st.tuples(coeff, coeff, coeff, coeff)
 
 _C60_WORDS = [w for _, w in generate_c60()]
 _segment = st.sampled_from(_C60_WORDS)
@@ -73,20 +75,22 @@ def test_word_quat_word_round_trip(word):
 @PROPERTY
 @given(gauss_golden, gauss_golden, gauss_golden)
 def test_gauss_golden_ring_axioms(x, y, z):
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-    assert x + 0 == x and x * 1 == x
-    assert x + (-x) == 0 and x - y == x + (-y)
-    assert I_UNIT * I_UNIT == -1
+    # (w, x, y, z) tuples under golden's Hamilton kernel
+    assert add(add(x, y), z) == add(x, add(y, z))
+    assert _mul(_mul(x, y), z) == _mul(x, _mul(y, z))
+    assert add(x, y) == add(y, x)
+    assert _mul(x, y) == _mul(y, x)
+    assert _mul(x, add(y, z)) == add(_mul(x, y), _mul(x, z))
+    assert add(x, ZERO_NE) == x and _mul(x, ONE_NE) == x
+    assert add(x, neg(x)) == ZERO_NE
+    assert _mul(I_NE, I_NE) == neg(ONE_NE)
+    assert _mul(PHI_NE, PHI_NE) == add(PHI_NE, ONE_NE)
     # both conjugations are ring automorphisms, and the quartic norm
     # (the norm down to Z) is multiplicative
-    for conj in (GaussGoldenInt.complex_conj, GaussGoldenInt.golden_conj):
-        assert conj(x * y) == conj(x) * conj(y)
-        assert conj(x + y) == conj(x) + conj(y)
-    assert quartic_norm(x * y) == quartic_norm(x) * quartic_norm(y)
+    for conj in (complex_conj, golden_conj):
+        assert conj(_mul(x, y)) == _mul(conj(x), conj(y))
+        assert conj(add(x, y)) == add(conj(x), conj(y))
+    assert quartic_norm(_mul(x, y)) == quartic_norm(x) * quartic_norm(y)
 
 
 HAAR_EPS = 1e-3
