@@ -6,8 +6,8 @@ The package is layered bottom-up:
   intfactor    -- rational primality, factoring, square roots mod p
   golden       -- arithmetic in Z[phi] and the Hamilton product kernel
   gaussgolden  -- arithmetic in Z[i, phi] on (w, x, y, z) int tuples,
-                  multiplied by golden's Hamilton kernel, and the
-                  norm-Euclidean check
+                  multiplied by golden's Hamilton kernel without its j
+                  and k terms, and the norm-Euclidean check
   sots         -- sums of two squares in Z[phi]
   icosian      -- the binary icosahedral group and exact factoring
   unitary      -- big-float PU(2) numerics and diagonal tuning

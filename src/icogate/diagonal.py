@@ -6,10 +6,10 @@ close to e^{i theta}.  Searching shortest-first in m, each shell's
 candidate pairs (x0, x1) in Z[phi]^2 = Z^4 are the lattice points of
 one 4-dimensional ellipsoid around the plus-side eps-cap times the
 minus-side disk (solve_shell, enumerated exactly by
-goldengrid.ellipsoid_points), so the work per shell tracks the number of
-pairs rather than the eps^(-1/2) values x1 can take alone.  (x2, x3)
-is a sum-of-two-squares certificate for the exact residual.  Success
-at exponent m gives a word with exactly m taus, and m lands at
+goldengrid.scaled_ellipsoid_points), so the work per shell tracks the
+number of pairs rather than the eps^(-1/2) values x1 can take alone.
+(x2, x3) is a sum-of-two-squares certificate for the exact residual.
+Success at exponent m gives a word with exactly m taus, and m lands at
 (1+o(1))*log_59(1/eps^3) because each residual has a roughly constant
 chance of being representable.
 
@@ -20,8 +20,14 @@ when theta is near the quarter turn, which covers the folded angle
 -pi/2.  A residual is skipped when its factorization runs out of the
 Pollard-rho budget, the only abandonment rule.
 
-All operations here expect to run under mp.workprec(precision_for(eps))
-or wider; synth_diagonal sets that up itself.
+The working precision p is the one mp.prec holds when a search or a
+shell starts; synth_diagonal sets it to precision_for(eps) itself.
+sin(theta) and cos(theta) are computed once per target in mpf, each
+shell is posed from them and from the exact eta^m in integers, and the
+mpf bounds of a shell are computed only for a point within rounding
+reach of one of its edges (solve_shell).  The integer ellipsoid needs
+p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
+log2(1/eps) + 64.
 """
 
 from __future__ import annotations
@@ -29,15 +35,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from math import isqrt
 from operator import itemgetter
 
 from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotInGroup, NotRepresentable)
-from .golden import (ETA, PHI, GoldenInt, embed, eta_power, sign_minus,
-                     sign_plus)
-from .goldengrid import ellipsoid_points, fixed_point, margin_sorted, phi_fixed
+from .golden import ETA, GoldenInt, _sign_of, embed, eta_power
+from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
+                         scaled_ellipsoid_points)
 from .icosian import GateWord, GoldenQuat, exact_synthesize
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
@@ -72,14 +79,55 @@ def _eta_pow(m_half_exp: int, which: str, prec: int):
         return mp.power(embed(ETA, which, prec), mpf(m_half_exp) / 2)
 
 
-@lru_cache(maxsize=128)
-def _shell(prob: DiagonalProblem, prec: int):
-    """Real quantities shared by every row of one search shell."""
-    with mp.workprec(prec):
-        theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
-        hp = _eta_pow(m, "plus", prec)
-        hm = _eta_pow(m, "minus", prec)
-        s, c = mp.sin(theta), mp.cos(theta)
+class _Target:
+    """What every shell of one search shares, posed once at the working
+    precision p = mp.prec.
+
+    s and c are sin(theta) and cos(theta) as mpf values, s_p and c_p
+    their images at scale 2^p.  epsilon is read exactly, as
+    eps^2 = eps2 / 2^k2, so cap_p = floor((1 - eps^2) 2^p) and
+    band_p = floor(eps sqrt(2 - eps^2) 2^p) are off by less than 1.
+    root_eta and root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale
+    2^2p, each within 1 below.  r_num and t_num are the coefficients of
+    (c, s) and (-s, c) on z = (a0, b0, a1, b1), that is
+    (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its plus
+    embedding, at scale 2^2p: shell 0's plus-side forms up to the
+    factors 2 / eps^2 and 1 / (eps sqrt(2 - eps^2)).
+    """
+
+    __slots__ = ("p", "eps", "s", "c", "s_p", "c_p", "phi_p",
+                 "eps2", "k2", "cap_p", "band_p", "root_eta", "root_59",
+                 "r_num", "t_num")
+
+    def __init__(self, theta, epsilon):
+        p = self.p = mp.prec
+        theta, self.eps = mpf(theta), mpf(epsilon)
+        self.s, self.c = mp.sin(theta), mp.cos(theta)
+        if not self.c > 0:
+            raise MalformedInput("theta must be folded so cos(theta) > 0")
+        s_p = self.s_p = fixed_point(self.s, p)
+        c_p = self.c_p = fixed_point(self.c, p)
+        phi_p = self.phi_p = phi_fixed(p)
+        man, exp = self.eps.man_exp
+        eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
+        self.cap_p = (((1 << k2) - eps2) << p) >> k2
+        self.band_p = isqrt((eps2 * ((2 << k2) - eps2) << (2 * p)) >> (2 * k2))
+        two_p = 2 * p
+        sigma_eta = (7 << two_p) + 5 * phi_fixed(two_p)
+        self.root_eta = isqrt(sigma_eta << two_p)
+        self.root_59 = isqrt(59 << (2 * two_p))
+        self.r_num = (c_p << p, c_p * phi_p, s_p << p, s_p * phi_p)
+        self.t_num = (-s_p << p, -s_p * phi_p, c_p << p, c_p * phi_p)
+
+
+def _shell(target: _Target, m: int):
+    """Shell m's bounds as mpf values at the working precision: the
+    reference that solve_shell's integer decisions reproduce."""
+    p = target.p
+    with mp.workprec(p):
+        eps, s, c = target.eps, target.s, target.c
+        hp = _eta_pow(m, "plus", p)
+        hm = _eta_pow(m, "minus", p)
         cap = hp * (1 - eps ** 2)
         mu = cap * s
         w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
@@ -103,11 +151,43 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
     x1 sin(theta), so the first x0 of an x1 gives the smallest
     distance; ties go by coordinates.
 
-    The candidates are the points of Z[phi]^2 = Z^4 inside one
-    ellipsoid (see _shell_forms) that holds every qualifying pair.
     warm, a dict shared by the shells of one search, carries the
     lattice reduction from shell to shell: each shell's reduction
     starts from the transform the previous one left there.
+    synth_diagonal poses the target once (_Target) and runs every shell
+    through _solve; this entry poses it for the one shell prob names.
+
+    The shell is posed in integers.  With k = floor(m/2), h is the plus
+    embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
+    times root_eta >> 2p when m is odd; 1/h_minus = h / 59^{m/2} needs
+    no minus embedding, so nothing cancels.  Every other value is an
+    integer multiple of the target's constants: cap = h cap_p,
+    mu = cap s_p, w = h c_p band_p, each shifted to its scale.
+
+    The candidates are the points of Z[phi]^2 = Z^4 inside one
+    ellipsoid.  On the plus side (sigma_+ x0, sigma_+ x1) lies in the
+    eps-cap, whose rotated coordinates r = x0 c + x1 s and
+    t = x1 c - x0 s satisfy r in [h (1 - eps^2), h] and, since
+    |x|^2 <= h^2, |t| <= h eps sqrt(2 - eps^2); on the minus side
+    (sigma_- x0, sigma_- x1) lies in the disk of radius h_minus.
+    Normalising the rectangle and the disk to unit size, their product
+    sits inside |L z - c| <= sqrt(3), where L's rows are
+    r_num 2 / (h eps^2), t_num / (h eps sqrt(2 - eps^2)),
+    (1, phi_-, 0, 0) / h_minus and (0, 0, 1, phi_-) / h_minus, and
+    c = ((2 - eps^2) / eps^2, 0, 0, 0); a qualifying z has every
+    |z_j| <= h.  Each integer of the basis and the centre handed to
+    goldengrid.scaled_ellipsoid_points at scale 2^e is one floor
+    division of the target's constants by h, by 59^{m/2} or by eps2,
+    and lies within 2 of 2^e times the exact entry.  The floor loses
+    less than 1.  c_p and s_p are off by at most 3/2 units of 2^-p and
+    their phi products by 7/2, which moves a plus-row entry by less
+    than 2^(e + 3 - p) / (h eps^2) < 2^(27 - p) / eps^2; that is below
+    1/2 when p >= 2 log2(1/eps) + 32.  h and 59^{m/2} are off by a
+    relative 2^(2 - 2p), which moves an entry by less than 1/2 while
+    h < 2^(2p - 28), true of every shell a search reaches.  A pair the
+    mpf tests keep misses each of the true inequalities by at most
+    23 u H (below), a 2^(8 - p) / eps^2 part of its half-width at most,
+    so it lies inside the entry's radius sqrt(3) + 1/257.
 
     Every decision is the one the mpf form of these tests makes at the
     working precision p (h, sin, cos and the other bounds being the mpf
@@ -129,41 +209,83 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
       residual inside the mpf rounding gets the exact answer.
     - The cap, band and slab tests and both sort keys are made at scale
       2^p (goldengrid).  After the disks, |sigma_pm x| <= h for x = x0,
-      x1, so both coordinates of x are at most h in size and, with
-      H = floor(h) + 2 and u = 2^-p, the mpf plus embedding is within
-      9 u H of the true one (phi off by 3 u, three roundings).  A
-      product with sin or cos is then within 11 u H, and a test value
-      (a slab edge minus the overlap, the cap minus x1 sin, the band
-      half-width minus |x1 - mu|) or key within 23 u H.  The integer
-      embedding is within H 2^p u of the true one and each scaled bound
-      within 1/2, so an integer test value is within 5 u H of the
-      true value, and of the mpf value within tol = 64 u H (tol << p
-      for the products at scale 2^2p).  A point farther than tol from
-      an edge takes the integer answer; one within tol (x0 = eta at
-      theta = 0, m = 2 lies exactly on the slab edge) runs the mpf
-      test, and margin_sorted computes the mpf keys of neighbours
-      within 2 tol.
+      x1, so both coordinates of x are at most h in size.  Let u = 2^-p
+      and H = (h's integer >> 2p) + 3 >= h + 1.  The mpf plus embedding
+      is within 9 u H of the true one (phi off by 3 u, three roundings),
+      a product with sin or cos within 11 u H, and an mpf test value (a
+      slab edge minus the overlap, the cap minus x1 sin, the band
+      half-width minus |x1 - mu|) or key within 23 u H.  On the integer
+      side, in real units: the embedding is off by less than u H, s_p
+      and c_p by 3u/2 (an mpf sin or cos within u, then a rounding),
+      cap_p and band_p by u, h by a relative 2^(2 - 2p); so cap is
+      within u H, mu within 7 u H / 2, w within 3 u H, x1 sin within
+      5 u H / 2, and a test value or key within 15 u H / 2.  The two
+      differ by at most 31 u H, inside tol = 64 u H (tol << p for the
+      values at scale 2^2p).  A point farther than tol from an edge
+      takes the integer answer; one within tol (x0 = eta at theta = 0,
+      m = 2 lies exactly on the slab edge) runs the mpf test, and
+      margin_sorted computes the mpf keys of neighbours within 2 tol.
+      The mpf values of _shell are computed only then.
     """
-    sh = hp, hm, s, c, cap, mu, w = _shell(prob, mp.prec)
-    forms, center = _shell_forms(prob, mp.prec)
-    points, transform = ellipsoid_points(
-        forms, center, mp.sqrt(3), hp, warm.get("transform") if warm else None)
+    return _solve(_Target(prob.theta, prob.epsilon), prob.m_exp, warm)
+
+
+def _solve(target: _Target, m: int, warm: dict | None
+           ) -> list[tuple[GoldenInt, GoldenInt]]:
+    """solve_shell for shell m of a posed target."""
+    p, two_p = target.p, 2 * target.p
+    k, odd = divmod(m, 2)
+    eta_k = eta_power(k)
+    hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
+    if odd:
+        hp_2p = (hp_2p * target.root_eta) >> two_p
+        root_59 = 59 ** k * target.root_59
+    else:
+        root_59 = 59 ** k << two_p
+    cap_2p = (hp_2p * target.cap_p) >> p
+    s_p, c_p, phi_p = target.s_p, target.c_p, target.phi_p
+    mu_p = (cap_2p * s_p) >> two_p
+    w_p = (hp_2p * c_p * target.band_p) >> (3 * p)
+    h_int = hp_2p >> two_p
+    tol = (h_int + 3) << 6
+    tol_2p = tol << p
+
+    e = grid_scale(4, h_int + 1)
+    eps2, k2 = target.eps2, target.k2
+    r_den, t_den = hp_2p * eps2, hp_2p * target.band_p
+    g = (hp_2p << e) // root_59
+    # the minus embedding of phi is 1 - phi
+    g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
+        root_59 << two_p)
+    basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den, g3, g4)
+             for r, t, g3, g4 in zip(target.r_num, target.t_num,
+                                     (g, g_phi, 0, 0), (0, 0, g, g_phi))]
+    center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
+    points, transform = scaled_ellipsoid_points(
+        basis, center, e, 3, warm.get("transform") if warm else None)
     if warm is not None:
         warm["transform"] = transform
-    p = mp.prec
-    phi_p = phi_fixed(p)
-    s_p, c_p, mu_p, w_p = (fixed_point(v, p) for v in (s, c, mu, w))
-    cap_2p, hp_2p = fixed_point(cap, 2 * p), fixed_point(hp, 2 * p)
-    tol = (int(hp) + 2) << 6
-    tol_2p = tol << p
-    eta_m = eta_power(prob.m_exp)
+
+    mpf_shell = None
+
+    def shell():
+        nonlocal mpf_shell
+        if mpf_shell is None:
+            mpf_shell = _shell(target, m)
+        return mpf_shell
+
+    eta_m = eta_k * eta_k * ETA if odd else eta_k * eta_k
+    ea, eb = eta_m.a, eta_m.b
+    s, c = target.s, target.c
     x1_of = itemgetter(2, 3)
     points.sort(key=x1_of)
     rows = []
     for (a1, b1), group in groupby(points, key=x1_of):
-        x1 = GoldenInt(a1, b1)
-        z1 = eta_m - x1 * x1
-        disk = min(sign_plus(z1), sign_minus(z1))
+        # z1 = eta^m - x1^2, with x1^2 = a1^2 + b1^2 + (2 a1 b1 + b1^2) phi
+        bb = b1 * b1
+        za, zb = ea - a1 * a1 - bb, eb - 2 * a1 * b1 - bb
+        u = 2 * za + zb
+        disk = min(_sign_of(u, zb), _sign_of(u, -zb))
         if disk < 0:
             continue
         x1p = (a1 << p) + b1 * phi_p
@@ -172,22 +294,25 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
         in_band = w_p - abs(x1p - mu_p)
         if below_cap < -tol_2p or in_band < -tol:
             continue
+        x1 = GoldenInt(a1, b1)
         if ((disk == 0 or below_cap <= tol_2p or in_band <= tol)
-                and not _mpf_x1_test(x1, sh)):
+                and not _mpf_x1_test(x1, shell())):
             continue
         pairs = []
         for a0, b0, _, _ in group:
-            x0 = GoldenInt(a0, b0)
-            z0 = z1 - x0 * x0
-            disk = min(sign_plus(z0), sign_minus(z0))
+            bb = b0 * b0
+            ya, yb = za - a0 * a0 - bb, zb - 2 * a0 * b0 - bb
+            u = 2 * ya + yb
+            disk = min(_sign_of(u, yb), _sign_of(u, -yb))
             if disk < 0:
                 continue
             overlap = ((a0 << p) + b0 * phi_p) * c_p + x1s
             lo, hi = overlap - cap_2p, hp_2p - overlap
             if lo < -tol_2p or hi < -tol_2p:
                 continue
+            x0 = GoldenInt(a0, b0)
             if ((disk == 0 or lo <= tol_2p or hi <= tol_2p)
-                    and not _mpf_x0_test(prob, x0, x1, sh)):
+                    and not _mpf_x0_test(m, x0, x1, shell())):
                 continue
             pairs.append((-overlap, (a0, b0), x0))
         if pairs:
@@ -196,8 +321,8 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
                 lambda pair, x1=x1: -(embed(pair[2], "plus", p) * c
                                       + embed(x1, "plus", p) * s))
             rows.append((abs(x1p - mu_p), (a1, b1), x1, pairs))
-    rows = margin_sorted(rows, tol,
-                         lambda row: abs(embed(row[2], "plus", p) - mu))
+    rows = margin_sorted(
+        rows, tol, lambda row: abs(embed(row[2], "plus", p) - shell()[5]))
     return [(x0, x1) for _, _, x1, pairs in rows for _, _, x0 in pairs]
 
 
@@ -210,12 +335,11 @@ def _mpf_x1_test(x1: GoldenInt, sh) -> bool:
             and abs(x1p - mu) <= w)
 
 
-def _mpf_x0_test(prob: DiagonalProblem, x0: GoldenInt, x1: GoldenInt,
-                 sh) -> bool:
+def _mpf_x0_test(m: int, x0: GoldenInt, x1: GoldenInt, sh) -> bool:
     """solve_shell's tests on x0 given x1, in mpf at working precision."""
     hp, hm, s, c, cap, mu, w = sh
-    ep = _eta_pow(2 * prob.m_exp, "plus", mp.prec)
-    em = _eta_pow(2 * prob.m_exp, "minus", mp.prec)
+    ep = _eta_pow(2 * m, "plus", mp.prec)
+    em = _eta_pow(2 * m, "minus", mp.prec)
     x1p = embed(x1, "plus", mp.prec)
     x1m = embed(x1, "minus", mp.prec)
     sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
@@ -225,41 +349,6 @@ def _mpf_x0_test(prob: DiagonalProblem, x0: GoldenInt, x1: GoldenInt,
     # cos(theta) > 0: the fidelity slab is a plus-side interval
     return (cap - x1p * s <= x0p * c <= hp - x1p * s
             and abs(x0p) <= sp and abs(x0m) <= sm)
-
-
-def _shell_forms(prob: DiagonalProblem, prec: int):
-    """The search ellipsoid of one shell as linear forms on Z^4.
-
-    On the plus side (sigma_+ x0, sigma_+ x1) lies in the eps-cap, whose
-    rotated coordinates r = x0 cos(theta) + x1 sin(theta) and
-    t = x1 cos(theta) - x0 sin(theta) satisfy r in [h (1 - eps^2), h]
-    and |t| <= h eps sqrt(2 - eps^2); on the minus side
-    (sigma_- x0, sigma_- x1) lies in the disk of radius
-    (sigma_- eta)^{m/2}.  Normalising the rectangle and the disk to
-    unit size, their product sits inside |L z - c| <= sqrt(3) for four
-    linear forms L_i of z = (a0, b0, a1, b1), and a qualifying z has
-    every |z_j| <= h.
-
-    Returns (forms, center) for goldengrid.ellipsoid_points.
-    """
-    hp, hm, s, c, cap, mu, w = _shell(prob, prec)
-    with mp.workprec(prec):
-        eps = mpf(prob.epsilon)
-        half_r = (hp - cap) / 2
-        t_max = hp * eps * mp.sqrt(2 - eps ** 2)
-        php = embed(PHI, "plus", prec)
-        phm = embed(PHI, "minus", prec)
-        # L_i as coefficients on z: r and t over the rectangle's
-        # half-sides, then sigma_- x0 and sigma_- x1 over the disk radius
-        r0, r1 = c / half_r, s / half_r
-        t0, t1 = -s / t_max, c / t_max
-        g = 1 / hm
-        forms = [(r0, r0 * php, r1, r1 * php),
-                 (t0, t0 * php, t1, t1 * php),
-                 (g, g * phm, 0, 0),
-                 (0, 0, g, g * phm)]
-        center = ((hp + cap) / 2 / half_r, 0, 0, 0)
-    return forms, center
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -331,10 +420,10 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
             return q, exact_synthesize(q), achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
+        posed = _Target(t, eps)
         warm: dict = {}
         for m in range(m_cap + 1):
-            prob = DiagonalProblem(t, eps, m)
-            for x0, x1 in solve_shell(prob, warm):
+            for x0, x1 in _solve(posed, m, warm):
                 try:
                     pair = solve_x23(m, x0, x1)
                 except Abandoned:

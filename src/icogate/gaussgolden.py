@@ -3,8 +3,9 @@
 Elements are written w + x*phi + y*i + z*i*phi over the Z-basis
 {1, phi, i, i*phi} and stored as the int tuple (w, x, y, z).  That is
 the quaternion (w + x*phi) + (y + z*phi)*i with no j or k part, so
-products run through golden's Hamilton kernel.  The quartic field norm
-is nonnegative and the ring is norm-Euclidean, which is what makes GCDs
+products run through golden's Hamilton kernel, in its entry
+_hamilton_i that leaves those parts out.  The quartic field norm is
+nonnegative and the ring is norm-Euclidean, which is what makes GCDs
 (and hence the two-squares machinery built on top) effective.  The
 norm-Euclidean property itself is re-verified here by a finite grid
 computation over exact rationals: every coset of the unit cube contains
@@ -18,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInput
-from .golden import _hamilton
+from .golden import _hamilton_i
 
 __all__ = [
     "quartic_norm",
@@ -32,16 +33,21 @@ __all__ = [
 
 def _mul(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
     """The product in Z[i,phi] of two (w, x, y, z) tuples."""
-    return _hamilton((*alpha, 0, 0, 0, 0), (*beta, 0, 0, 0, 0))[:4]
+    return _hamilton_i(alpha, beta)
 
 
 def quartic_norm(alpha: tuple[int, ...]) -> int:
-    """The norm down to Q, as an explicit quartic in the coordinates."""
-    return _quartic(*alpha)
+    """The norm down to Q: the Z[phi] norm g0^2 + g0 g1 - g1^2 of
+    g = alpha * complex_conj(alpha) = |w + x phi|^2 + |y + z phi|^2."""
+    w, x, y, z = alpha
+    g0 = w * w + x * x + y * y + z * z
+    g1 = (2 * w + x) * x + (2 * y + z) * z
+    return g0 * g0 + g0 * g1 - g1 * g1
 
 
 def _quartic(w, x, y, z):
-    # the norm of w + x*phi + (y + z*phi)*i, over any numeric type
+    # the norm of w + x*phi + (y + z*phi)*i as an explicit quartic, over
+    # any numeric type
     return (w**4 + 2 * w**3 * x - w**2 * x**2 - 2 * w * x**3 + x**4
             + 2 * w**2 * y**2 + 2 * w * x * y**2 + 3 * x**2 * y**2 + y**4
             + 2 * w**2 * y * z - 8 * w * x * y * z - 2 * x**2 * y * z

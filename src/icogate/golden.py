@@ -10,8 +10,9 @@ The compiler leans on one particular element, eta = 7 + 5*phi of norm 59,
 so a few eta-specific helpers (valuation, exact division) live here too.
 
 _hamilton is the one product kernel of the rings above Z[phi]: the
-icosians multiply through it as flat 8-int quaternions, and Z[i, phi]
-as their sub-ring x0 + x1*i, the 4-int tuples of gaussgolden.
+icosians multiply through it as flat 8-int quaternions, and Z[i, phi],
+their sub-ring x0 + x1*i of 4-int tuples, through _hamilton_i, the
+same kernel without the j and k terms.
 """
 
 from __future__ import annotations
@@ -174,6 +175,20 @@ def _hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
                                    c0 + d0, c1 + d1, c2 + d2, c3 + d3)
     return (r0 + s0, t0 - r0, r1 + s1, t1 - r1,
             r2 + s2, t2 - r2, r3 + s3, t3 - r3)
+
+
+def _hamilton_i(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """_hamilton on the sub-ring x0 + x1*i, each element the tuple
+    (a0, b0, a1, b1): the same split over phi, with the j and k terms,
+    which vanish there, left out, so the three integer products are
+    products of Gaussian integers."""
+    a0, b0, a1, b1 = p
+    c0, d0, c1, d1 = q
+    r0, r1 = a0 * c0 - a1 * c1, a0 * c1 + a1 * c0
+    s0, s1 = b0 * d0 - b1 * d1, b0 * d1 + b1 * d0
+    e0, e1, f0, f1 = a0 + b0, a1 + b1, c0 + d0, c1 + d1
+    t0, t1 = e0 * f0 - e1 * f1, e0 * f1 + e1 * f0
+    return (r0 + s0, t0 - r0, r1 + s1, t1 - r1)
 
 
 def _int_hamilton(a0, a1, a2, a3, b0, b1, b2, b3):
@@ -343,8 +358,24 @@ def canonical_associate(x: GoldenInt) -> GoldenInt:
 
 
 def phi_power(n: int) -> GoldenInt:
-    base = PHI if n >= 0 else PHI_INV
-    return base ** abs(n)
+    """phi^n for any integer n, from Fibonacci numbers:
+    phi^n = F(n-1) + F(n)*phi and phi^-n = (-1)^n (F(n+1) - F(n)*phi)."""
+    f, g = _fibonacci_pair(abs(n))
+    if n >= 0:
+        return GoldenInt(g - f, f)
+    sign = -1 if n & 1 else 1
+    return GoldenInt(sign * g, -sign * f)
+
+
+def _fibonacci_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) by fast doubling: F(2k) = F(k) (2 F(k+1) - F(k))
+    and F(2k+1) = F(k)^2 + F(k+1)^2, one bit of n at a time."""
+    f, g = 0, 1
+    for bit in bin(n)[2:]:
+        f, g = f * (2 * g - f), f * f + g * g
+        if bit == "1":
+            f, g = g, f + g
+    return f, g
 
 
 def _log_abs_plus(x: GoldenInt) -> float:

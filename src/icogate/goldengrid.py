@@ -5,24 +5,30 @@ embeddings sigma_pm(x) = a + b*sigma_pm(phi) are linear forms in it, so
 both synthesis searches are lattice-point problems: general synthesis
 wants the norms s = x0^2 + x1^2 in a band of the (sigma_+, sigma_-)
 plane (n = 2), diagonal synthesis the pairs (x0, x1) of a shell
-(n = 4).  Each caller normalises its region to unit size, bounds it by
-an ellipsoid |L z - c| <= r in the coordinates z of Z[phi]^(n/2) = Z^n,
-and hands L, c and r to ellipsoid_points, which scales them to integers
-and solves the problem exactly with lattice.lattice_points.
+(n = 4).  Each caller normalises its region to unit size and bounds it
+by an ellipsoid |L z - c| <= r in the coordinates z of
+Z[phi]^(n/2) = Z^n.  Either it hands L, c and r as mpf values to
+ellipsoid_points, which scales them to integers (general synthesis),
+or it scales them itself, in integer arithmetic, and hands the integer
+basis and centre to scaled_ellipsoid_points at a scale grid_scale
+picks (diagonal synthesis, whose shells are one problem rescaled by
+powers of eta).  Both solve the problem exactly with
+lattice.lattice_points.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
 test on the sign of an element of Z[phi] is exact (golden.sign_plus,
-golden.sign_minus).  A test against a real bound of the region (an
-mpf at working precision p) is made at the one scale 2^p: the point's
-plus embedding as the integer (a << p) + b * phi_fixed(p), the bound as
-fixed_point(bound, p), and the caller proves in its docstring a margin
-tol within which that integer difference agrees with the same test
-evaluated in mpf at precision p.  A point farther than tol from the
-edge is decided by the integer comparison; a point within tol of it
-(an exact tie included) is decided by the mpf test itself, so the
-result is the mpf answer either way.  Sort keys work the same way
-through margin_sorted.
+golden.sign_minus).  A test against a real bound of the region is
+made at the one scale 2^p of the working precision p: the point's
+plus embedding as the integer (a << p) + b * phi_fixed(p), the bound
+as an integer at that scale (fixed_point of its mpf value, or a
+product of such integers and exact ones), and the caller proves in its
+docstring a margin tol within which that integer difference agrees
+with the same test evaluated on the bound's mpf value at precision p.
+A point farther than tol from the edge is decided by the integer
+comparison; a point within tol of it (an exact tie included) is
+decided by the mpf test itself, so the result is the mpf answer either
+way.  Sort keys work the same way through margin_sorted.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from mpmath import mp
 
 from .lattice import lattice_points
 
-__all__ = ["ellipsoid_points", "fixed_point", "margin_sorted", "phi_fixed"]
+__all__ = ["ellipsoid_points", "fixed_point", "grid_scale", "margin_sorted",
+           "phi_fixed", "scaled_ellipsoid_points"]
 
 
 def ellipsoid_points(forms, center, radius, bound, start=None):
@@ -64,6 +71,34 @@ def ellipsoid_points(forms, center, radius, bound, start=None):
     scaled_center = [fixed_point(c, e) for c in center]
     r = int(mp.ceil(mp.ldexp(radius, e))) + (1 << (e - 8))
     return lattice_points(basis, scaled_center, r * r, start)
+
+
+def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
+                            start=None):
+    """Every z in Z^n with max_j |z_j| <= bound and
+    |L z - c| <= sqrt(radius_sq) + 1/257, and possibly some points
+    outside, for forms L and a centre c the caller has already scaled
+    to integers at S = 2^scale, with scale >= grid_scale(n, bound).
+
+    basis[j] is the image of the j-th unit vector of Z^n and center
+    that of c, each integer within 2 of S times the exact value.  For
+    |z_j| <= bound each component of basis z - center is then within
+    2 (n bound + 1) of S (L z - c), so the scaled point moves by at
+    most 2 sqrt(n) (n bound + 1) < S / 2^16.  The integer radius
+    isqrt(radius_sq S^2) + 1 + S / 256 exceeds S sqrt(radius_sq) by
+    S / 256, which absorbs that drift and leaves the 1/257.
+
+    start is passed on to lattice_points as a warm start.  Returns
+    (points, transform) as lattice_points does.
+    """
+    r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
+    return lattice_points(basis, center, r * r, start)
+
+
+def grid_scale(n: int, bound: int) -> int:
+    """The scale exponent e for scaled_ellipsoid_points on Z^n with
+    |z_j| <= bound: 2 n (n bound + 1) < 2^(e - 16)."""
+    return (2 * n * (n * bound + 1)).bit_length() + 16
 
 
 def fixed_point(x, scale: int) -> int:

@@ -11,6 +11,7 @@ problems.
 from __future__ import annotations
 
 from math import isqrt
+from operator import add
 
 __all__ = ["lattice_points"]
 
@@ -45,9 +46,7 @@ def lattice_points(basis, center, radius_sq, start=None):
         for i in range(1, j):
             u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
         lam_c[j] = u
-    columns = list(zip(*transform))
-    points = [tuple(_dot(y, col) for col in columns)
-              for y in _fincke_pohst(d, lam, lam_c, radius_sq)]
+    points = list(_fincke_pohst(d, lam, lam_c, radius_sq, transform))
     return points, transform
 
 
@@ -117,8 +116,9 @@ def _lll(b, h):
     return b, h, d, lam
 
 
-def _fincke_pohst(d, lam, lam_c, radius_sq):
-    """Yield every coordinate vector [y_1, ..., y_n] with
+def _fincke_pohst(d, lam, lam_c, radius_sq, transform):
+    """Yield sum_j y_j transform[j - 1], the point in the original basis
+    coordinates, for every coordinate vector [y_1, ..., y_n] with
 
         sum_j (d_j y_j - N_j)^2 / (d_j d_{j-1}) <= radius_sq,
         N_j = lam_c[j] - sum_{k > j} lam[k][j] y_k,
@@ -126,7 +126,8 @@ def _fincke_pohst(d, lam, lam_c, radius_sq):
     which is |sum_j y_j b_j - center|^2 <= radius_sq written over the
     Gram-Schmidt basis.  Everything is scaled by the common denominator
     P = prod_j d_j d_{j-1}, so each level's range comes from one isqrt
-    and no bound is rounded."""
+    and no bound is rounded.  The point is carried down the levels as
+    the partial sum over k >= j, so a leaf costs one vector addition."""
     n = len(d) - 1
     den = [d[j] * d[j - 1] for j in range(n + 1)]
     p = 1
@@ -135,16 +136,22 @@ def _fincke_pohst(d, lam, lam_c, radius_sq):
     weight = [p // den[j] if j else 0 for j in range(n + 1)]
     y = [0] * (n + 1)
 
-    def descend(j, budget):
+    def descend(j, budget, partial):
         nj = lam_c[j] - sum(lam[k][j] * y[k] for k in range(j + 1, n + 1))
         r = isqrt(budget // weight[j])
         dj = d[j]
-        for v in range(-((r - nj) // dj), (nj + r) // dj + 1):
+        lo, hi = -((r - nj) // dj), (nj + r) // dj
+        row = transform[j - 1]
+        if j == 1:
+            point = tuple(a + lo * b for a, b in zip(partial, row))
+            for _ in range(lo, hi + 1):
+                yield point
+                point = tuple(map(add, point, row))
+            return
+        for v in range(lo, hi + 1):
             e = dj * v - nj
             y[j] = v
-            if j == 1:
-                yield y[1:]
-            else:
-                yield from descend(j - 1, budget - e * e * weight[j])
+            yield from descend(j - 1, budget - e * e * weight[j],
+                               [a + v * b for a, b in zip(partial, row)])
 
-    yield from descend(n, radius_sq * p)
+    yield from descend(n, radius_sq * p, [0] * n)

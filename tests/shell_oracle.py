@@ -14,7 +14,6 @@ from operator import itemgetter
 
 from mpmath import mp, mpf
 
-from icogate.diagonal import _shell_forms
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
                             sign_minus, sign_plus)
 from icogate.goldengrid import ellipsoid_points
@@ -37,6 +36,41 @@ def _shell(prob, prec):
         ep = _eta_pow(2 * m, "plus")
         em = _eta_pow(2 * m, "minus")
     return hp, hm, s, c, cap, mu, w, ep, em
+
+
+def _shell_forms(prob, prec):
+    """The search ellipsoid of one shell as linear forms on Z^4.
+
+    On the plus side (sigma_+ x0, sigma_+ x1) lies in the eps-cap, whose
+    rotated coordinates r = x0 cos(theta) + x1 sin(theta) and
+    t = x1 cos(theta) - x0 sin(theta) satisfy r in [h (1 - eps^2), h]
+    and |t| <= h eps sqrt(2 - eps^2); on the minus side
+    (sigma_- x0, sigma_- x1) lies in the disk of radius
+    (sigma_- eta)^{m/2}.  Normalising the rectangle and the disk to
+    unit size, their product sits inside |L z - c| <= sqrt(3) for four
+    linear forms L_i of z = (a0, b0, a1, b1), and a qualifying z has
+    every |z_j| <= h.
+
+    Returns (forms, center) for goldengrid.ellipsoid_points.
+    """
+    hp, hm, s, c, cap, mu, w, _, _ = _shell(prob, prec)
+    with mp.workprec(prec):
+        eps = mpf(prob.epsilon)
+        half_r = (hp - cap) / 2
+        t_max = hp * eps * mp.sqrt(2 - eps ** 2)
+        php = embed(PHI, "plus", prec)
+        phm = embed(PHI, "minus", prec)
+        # L_i as coefficients on z: r and t over the rectangle's
+        # half-sides, then sigma_- x0 and sigma_- x1 over the disk radius
+        r0, r1 = c / half_r, s / half_r
+        t0, t1 = -s / t_max, c / t_max
+        g = 1 / hm
+        forms = [(r0, r0 * php, r1, r1 * php),
+                 (t0, t0 * php, t1, t1 * php),
+                 (g, g * phm, 0, 0),
+                 (0, 0, g, g * phm)]
+        center = ((hp + cap) / 2 / half_r, 0, 0, 0)
+    return forms, center
 
 
 def oracle_shell(prob):

@@ -8,6 +8,7 @@ from icogate.errors import InertPrime, MalformedInput, NonResidue
 from icogate.golden import (
     ETA,
     PHI,
+    PHI_INV,
     GoldenInt,
     canonical_associate,
     embed,
@@ -201,6 +202,14 @@ def test_gcd_of_coprime_unit_multiples_is_one():
     assert gcd(GoldenInt(3, 0), GoldenInt(1, -4) * u) == one
     assert gcd(ETA * u, GoldenInt(7, 1) * u) == one
     assert gcd(GoldenInt(2, 0), phi_power(2100)) == one
+
+
+def test_phi_power_matches_repeated_products():
+    # phi_power takes phi^n from Fibonacci numbers; the powers of phi
+    # and phi^-1 by square-and-multiply are the reference
+    for n in list(range(-300, 301)) + [-2100, 2100]:
+        expected = PHI ** n if n >= 0 else PHI_INV ** -n
+        assert phi_power(n) == expected, n
 
 
 def test_unit_decompose():

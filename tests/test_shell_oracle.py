@@ -1,12 +1,15 @@
 """solve_shell and candidate_norms against the mpf filters they replace.
 
 shell_oracle holds the filters as they stood before the integer
-decisions; both sides take the same ellipsoid_points output, so they
-must agree list for list.  The shells are seeded: eps log-uniform in
-[1e-10, 0.3], theta uniform, exactly 0 or within 1e-2 of the quarter
-turn, |alpha| uniform or 1/sqrt(2), and m (k for the norms) from about
-the first shell whose region holds one lattice point to a few shells
-past it, each at the working precision synthesis uses for its eps.
+decisions, and the mpf ellipsoid solve_shell used before it posed its
+shells in integers; each side's ellipsoid holds every point the
+filters keep, so they must agree list for list.  The shells are
+seeded: eps log-uniform in [1e-10, 0.3], theta uniform, exactly 0 or
+within 1e-2 of the quarter turn, |alpha| uniform or 1/sqrt(2), and m
+(k for the norms) from about the first shell whose region holds one
+lattice point to a few shells past it, each at the working precision
+synthesis uses for its eps.  The deep shells take eps = 1e-20 and
+1e-30 with m from one before that first shell to one after it.
 """
 
 import math
@@ -46,6 +49,17 @@ def diagonal_cases(count, seed):
     return cases
 
 
+def deep_cases(count, seed):
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        eps = (1e-20, 1e-30)[len(cases) % 2]
+        theta = rng.uniform(-1.55, 1.55)
+        first = math.log(1 / (eps ** 3 * math.cos(theta))) / math.log(59)
+        cases.append((theta, eps, math.floor(first) + rng.randint(-1, 1)))
+    return cases
+
+
 def norm_cases(count, seed):
     rng = random.Random(seed)
     # s = 0 lies exactly on the strict band edge, then just inside it
@@ -67,6 +81,16 @@ def norm_cases(count, seed):
 
 @pytest.mark.parametrize("theta,eps,m", diagonal_cases(64, 1))
 def test_solve_shell_replays_mpf_filters(theta, eps, m):
+    with mp.workprec(precision_for(eps)):
+        prob = DiagonalProblem(theta, eps, m)
+        assert solve_shell(prob) == oracle_shell(prob)
+
+
+@pytest.mark.parametrize("theta,eps,m", [(0.0, 0.1, 3)] + deep_cases(12, 3))
+def test_solve_shell_replays_deep_and_odd_shells(theta, eps, m):
+    # m = 32 .. 53: the integer eta powers and their square roots carry
+    # their error through the deepest shells searches reach; at
+    # theta = 0 with m odd no x0 lies on the slab edge
     with mp.workprec(precision_for(eps)):
         prob = DiagonalProblem(theta, eps, m)
         assert solve_shell(prob) == oracle_shell(prob)
