@@ -33,7 +33,7 @@ log2(1/eps) + 64.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from itertools import groupby
 from math import isqrt
 from operator import itemgetter
@@ -266,14 +266,7 @@ def _solve(target: _Target, m: int, warm: dict | None
     if warm is not None:
         warm["transform"] = transform
 
-    mpf_shell = None
-
-    def shell():
-        nonlocal mpf_shell
-        if mpf_shell is None:
-            mpf_shell = _shell(target, m)
-        return mpf_shell
-
+    shell = cache(partial(_shell, target, m))
     eta_m = eta_k * eta_k * ETA if odd else eta_k * eta_k
     ea, eb = eta_m.a, eta_m.b
     s, c = target.s, target.c

@@ -45,16 +45,6 @@ def quartic_norm(alpha: tuple[int, ...]) -> int:
     return g0 * g0 + g0 * g1 - g1 * g1
 
 
-def _quartic(w, x, y, z):
-    # the norm of w + x*phi + (y + z*phi)*i as an explicit quartic, over
-    # any numeric type
-    return (w**4 + 2 * w**3 * x - w**2 * x**2 - 2 * w * x**3 + x**4
-            + 2 * w**2 * y**2 + 2 * w * x * y**2 + 3 * x**2 * y**2 + y**4
-            + 2 * w**2 * y * z - 8 * w * x * y * z - 2 * x**2 * y * z
-            + 2 * y**3 * z + 3 * w**2 * z**2 - 2 * w * x * z**2
-            + 2 * x**2 * z**2 - y**2 * z**2 - 2 * y * z**3 + z**4)
-
-
 def _times_conj_tower(alpha: tuple[int, ...], beta: tuple[int, ...]
                       ) -> tuple[int, ...]:
     # alpha * complex_conj(beta) * golden_conj(beta * complex_conj(beta));
@@ -160,7 +150,7 @@ def _bound_parts(w, x, y, z, r):
     degree 4 in (w, x, y, z, r), so integer inputs give integer output
     (used by the exact verification path).
     """
-    p0 = abs(_quartic(w, x, y, z))
+    p0 = abs(quartic_norm((w, x, y, z)))
     p1 = 2 * r * (abs(2 * w**3 + 3 * w**2 * x - w * x**2 - x**3
                       + 2 * w * y**2 + x * y**2 + 2 * w * y * z
                       + 3 * w * z**2 - x * z**2 - 4 * x * y * z)
