@@ -1,5 +1,6 @@
-"""The exact lattice solver and the norm band that general synthesis
-enumerates with it, each against a scan that uses no lattice reduction."""
+"""The exact lattice solver, the integer-posed ellipsoid entry and the
+norm band that general synthesis enumerates with them, each against a
+scan that uses no lattice reduction."""
 
 import itertools
 import random
@@ -10,6 +11,7 @@ from mpmath import mp
 
 from band_oracle import band_scan
 from icogate.general import candidate_norms
+from icogate.goldengrid import grid_scale, scaled_ellipsoid_points
 from icogate.lattice import lattice_points
 from icogate.unitary import precision_for
 
@@ -119,6 +121,40 @@ def test_lattice_points_warm_start_agrees_with_cold_start():
 def test_lattice_points_dependent_basis_raises(basis):
     with pytest.raises(ValueError):
         lattice_points(basis, [0] * len(basis), 10)
+
+
+@pytest.mark.parametrize("n,bound", [(2, 40), (4, 5)])
+def test_scaled_ellipsoid_points_hold_the_exact_ellipsoid(n, bound):
+    # forms L = A / den and centre c = C / den with |L z - c|^2 <= 3 about
+    # bound wide, posed at grid_scale with every integer off by up to 2
+    # (a rounding and a seeded offset), must keep every z of the box
+    # |z_j| <= bound in the exact ellipsoid, boundary points included
+    rng = random.Random(n * 100 + bound)
+    scale = grid_scale(n, bound)
+    den = 4 * bound
+
+    def posed(v):
+        return (2 * (v << scale) + den) // (2 * den) + rng.randint(-1, 1)
+
+    inside_total = 0
+    for _ in range(8):
+        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+        if not _inverse_and_det(a)[1]:
+            continue
+        z0 = [rng.randint(-bound, bound) for _ in range(n)]
+        c = [sum(a[i][j] * z0[j] for j in range(n)) + rng.randint(-den, den)
+             for i in range(n)]
+        basis = [[posed(a[i][j]) for i in range(n)] for j in range(n)]
+        points, _ = scaled_ellipsoid_points(basis, [posed(v) for v in c],
+                                            scale, 3)
+        found = set(points)
+        for z in itertools.product(range(-bound, bound + 1), repeat=n):
+            dist_sq = sum((sum(a[i][j] * z[j] for j in range(n)) - c[i]) ** 2
+                          for i in range(n))
+            if dist_sq <= 3 * den * den:
+                inside_total += 1
+                assert z in found, (a, c, z)
+    assert inside_total > 8
 
 
 @pytest.mark.parametrize("k,abs_alpha,eps", [
