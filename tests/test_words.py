@@ -10,6 +10,11 @@ target is built at icogate's working precision for its eps,
 ceil(3 log2(1/eps)) + 96 bits, as the benchmark builds it.  The pins
 were recorded from commit 522b15f; a change to the search order or to
 any filter of the grid layers that moves a word fails here.
+
+The route pins cover the branches of synth_general that those targets
+never take: the C60 snap, the diagonal and j-routes, the rho twist at
+either end of |alpha|, a tuning the lemma's hypotheses reject, and
+strict mode.  They were recorded from commit ac28085.
 """
 
 import json
@@ -19,8 +24,10 @@ import random
 import pytest
 from mpmath import mp, mpc, mpf
 
+import icogate.general
 from icogate.cli import main
 from icogate.diagonal import synth_diagonal
+from icogate.errors import HypothesisViolation
 from icogate.general import SynthConfig, synth_general
 from icogate.unitary import ProjUnitary
 
@@ -172,3 +179,91 @@ def test_synth_diag_cli_words(capsys, theta):
     assert code == 0
     word = json.loads(capsys.readouterr().out)["word"]
     assert word == SYNTH_DIAG_1E_10[theta]
+
+
+def sandwich_rows(abs_alpha, arg_alpha, arg_beta, bits):
+    """u(alpha, beta) with |alpha| = abs_alpha and the given phases, all
+    mpf values at bits."""
+    with mp.workprec(bits):
+        alpha = abs_alpha * mp.expj(arg_alpha)
+        beta = mp.sqrt(1 - abs_alpha * abs_alpha) * mp.expj(arg_beta)
+        return ((alpha, beta), (-mp.conj(beta), mp.conj(alpha)))
+
+
+def route_target(route):
+    """(rows, bits, config) of the route pin's target.  The tuning one
+    is stored 64 bits above the working precision, with |alpha|^2
+    within rounding of 1 - epsilon0^2: below it at the working
+    precision, so there is no rho twist, and not below it at the
+    stored precision, where the tuning lemma reads |alpha|."""
+    eps = 1e-2 if route == "strict" else 1e-3
+    bits = working_bits(eps) + (64 if route == "rejected tuning" else 0)
+    with mp.workprec(bits):
+        tiny = mpf("1e-4")
+        quarter = mp.pi / 4 + tiny
+        polar = {
+            # (1 + i + j + k) / 2 = rho, with both phases moved by 1e-4
+            "C60 snap": (mp.sqrt(mpf(1) / 2), quarter, quarter),
+            "diagonal": (mp.cos(tiny), mpf("0.3"), mpf("1.1")),
+            "j-route": (mp.sin(tiny), mpf("0.7"), mpf("0.5")),
+            "rho twist, small alpha": (mpf("0.03"), mpf("0.4"), mpf("-1.2")),
+            "rho twist, large alpha": (mpf("0.999"), mpf("0.9"), mpf("2")),
+            "rejected tuning": (
+                mpf("0.998749217771908945650067440037408353801563866778"
+                    "315472274761"),
+                mpf(-1.2190670044149767), mpf("2")),
+            "strict": (mpf("0.6"), mpf("0.5"), mpf("-2")),
+        }[route]
+    rows = sandwich_rows(*polar, bits)
+    return rows, bits, SynthConfig(epsilon=eps, strict=route == "strict")
+
+
+ROUTE_WORDS = {
+    "C60 snap": "(r)",
+    "diagonal": (
+        "(rsrr)t(srsrrsrs)t(srsrrsrsrr)t(srrsrs)t(rrsrrsrsr)t(srrsrsrs)"
+        "t(s)"),
+    "j-route": (
+        "(rsrrsrsr)t(r)t(rrsrrsr)t(rsrr)t(rsrsrr)t(rrsrrsrs)"
+        "t(srsrsrrsrsrrsr)"),
+    "rho twist, small alpha": (
+        "(rsrrs)t(rsrsrrsrs)t(rsrrsrsrrs)t(rrsrsrrsrs)t(rsrrsrs)"
+        "t(rrsrr)t(rrsrrsrsr)t(rrsrsr)t(rsrrsrsrr)t(srrsrsrs)"
+        "t(rrsrsrrsrs)t(srrsr)t(rsrrsrsrs)t(rrsrsrrsrs)t(rsrrsrsrr)"),
+    "rho twist, large alpha": (
+        "(rsrrsrsrr)t(srsrs)t(rrsrrsrsrr)t(rrsrrs)t(rrsr)t(s)"
+        "t(rrsrsrsrrsrsrrsr)t(rsrrsrsrs)t(rsrrsrsrsrsrrsrs)t(rsrs)"
+        "t(rrsrrsrs)t(rsrsrr)t(rsrs)t(rsrsrsrr)"),
+    "rejected tuning": (
+        "(srsrrsrsr)t(rsrrs)t(rsrs)t(rrsrrsrs)t(srrsrs)t(rsrsrr)"
+        "t(rrsrsrrsrs)t(srrsrs)t(srr)t(rsrrsrsrs)t(rrsrsrrsrrrs)"
+        "t(rsrrsrsrrsrs)t(srrs)t(rsrsr)t(rsrrsr)t(s)t(rrsrs)"),
+    "strict": (
+        "(srsrrsr)t(rrsrrsrsrs)t(rrsrsr)t(rsrsrr)t(srs)t(srsrrsrsr)"
+        "t(srs)t(srsrss)t(rsrrsrsrrs)t(rrsrsrrsr)t(rsrrsrsrrsrsrrsr)"
+        "t(srrsrsrs)t(rsrsrr)t(srsrrsrsrr)t(rsrrsrs)t(rsrsrrsrs)"
+        "t(rrsrrs)t(srrs)"),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTE_WORDS))
+def test_route_words(monkeypatch, route):
+    tuning = {"calls": 0, "rejected": 0}
+    tune = icogate.general.tune_diagonals
+
+    def counted(*args):
+        tuning["calls"] += 1
+        try:
+            return tune(*args)
+        except HypothesisViolation:
+            tuning["rejected"] += 1
+            raise
+
+    monkeypatch.setattr(icogate.general, "tune_diagonals", counted)
+    rows, bits, cfg = route_target(route)
+    report = synth_general(ProjUnitary(rows, bits), cfg)
+    assert str(report.word) == ROUTE_WORDS[route]
+    sandwich = report.k > 0
+    assert sandwich == (tuning["calls"] > 0)
+    assert sandwich == (route not in ("C60 snap", "diagonal", "j-route"))
+    assert (tuning["rejected"] > 0) == (route == "rejected tuning")
