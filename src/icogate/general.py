@@ -17,6 +17,10 @@ diagonal pipeline; targets whose alpha pins one of the tuning lemma's
 hypotheses (|alpha| near 1 or near 0) are first multiplied by rho,
 which moves |alpha| into [(1 - eps0)/sqrt(2), (1 + eps0)/sqrt(2)], and
 the word for rho^-1 is appended at the end.
+
+From the parsed matrix to the word the target is one real unit
+4-vector (unitary.to_quaternion); the rho twist is a Hamilton product
+and the tuning lemma reads its phases from 4-vectors.
 """
 
 from __future__ import annotations
@@ -26,17 +30,19 @@ from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
-from .diagonal import synth_diagonal
+from .diagonal import solve_x23, synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
-from .golden import PHI, GoldenInt, embed, eta_power, sign_minus, sign_plus
-from .goldengrid import ellipsoid_points, fixed_point, margin_sorted, phi_fixed
+from .golden import (PHI, GoldenInt, _int_hamilton, embed, eta_power,
+                     sign_minus, sign_plus)
+from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
+                         scaled_ellipsoid_points)
 from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import sots_exact
 from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
-                      quaternion_distance, require_unitary, to_alpha_beta,
+                      quaternion_distance, require_unitary, to_quaternion,
                       tune_diagonals, tuning_constant)
 
 __all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
@@ -109,7 +115,9 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     the band center first (ties by coordinates).  The band's box,
     normalised to the square [-1, 1]^2 in the embeddings of
     s = a + b*phi, lies in the disk of radius sqrt(2), whose lattice
-    points goldengrid.ellipsoid_points finds exactly.
+    points goldengrid.scaled_ellipsoid_points finds exactly, from mpf
+    forms that fixed_point rounds to within the 2 it allows (1/2), its
+    1/257 radius margin covering their working-precision rounding.
 
     The box is decided by exact signs of s and eta^k - s.  The band and
     the sort key are the mpf test and key at the working precision p
@@ -128,10 +136,11 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     """
     if not 0 < abs_alpha < 1:
         raise MalformedInput("abs_alpha must be in (0, 1)")
+    a, eps = mpf(abs_alpha), mpf(epsilon)
+    if not 0 < eps < 1:
+        raise MalformedInput("epsilon must be in (0, 1)")
     if k < 0:
         raise MalformedInput("k must be nonnegative")
-    a = mpf(abs_alpha)
-    eps = mpf(epsilon)
     ek = eta_power(k)
     hp = embed(ek, "plus", mp.prec)
     hm = embed(ek, "minus", mp.prec)
@@ -144,9 +153,11 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     w_plus, w_minus = (hi - lo) / 2, hm / 2
     php = embed(PHI, "plus", mp.prec)
     phm = embed(PHI, "minus", mp.prec)
-    forms = [(1 / w_plus, php / w_plus), (1 / w_minus, phm / w_minus)]
-    points, _ = ellipsoid_points(forms, ((lo + hi) / 2 / w_plus, 1),
-                                 mp.sqrt(2), hp + hm)
+    e = grid_scale(2, int(hp + hm) + 1)
+    basis = [[fixed_point(1 / w_plus, e), fixed_point(1 / w_minus, e)],
+             [fixed_point(php / w_plus, e), fixed_point(phm / w_minus, e)]]
+    scaled_center = [fixed_point((lo + hi) / 2 / w_plus, e), 1 << e]
+    points, _ = scaled_ellipsoid_points(basis, scaled_center, e, 2)
     p = mp.prec
     phi_p = phi_fixed(p)
     center_p, half_p = fixed_point(center, p), fixed_point(half, p)
@@ -180,12 +191,10 @@ def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     """
     try:
         x0, x1 = sots_exact(s)
-        x2, x3 = sots_exact(eta_power(k) - s)
     except NotRepresentable:
         return None
-    q = GoldenQuat(x0, x1, x2, x3)
-    assert q.nrd() == eta_power(k)
-    return q
+    pair = solve_x23(k, x0, x1)
+    return None if pair is None else GoldenQuat(x0, x1, *pair)
 
 
 def _snap(table: C60Table, target) -> tuple[str, object]:
@@ -206,14 +215,6 @@ def _snap(table: C60Table, target) -> tuple[str, object]:
             if d < best_d:
                 best_seg, best_d = seg, d
     return best_seg, best_d
-
-
-def _right_half_arg(re, im):
-    """arg(+-(re + im i)) in (-pi/2, pi/2], the sign to_alpha_beta
-    picks, or 0 for 0."""
-    if re < 0 or (re == 0 and im < 0):
-        re, im = -re, -im
-    return mp.atan2(im, re) if re or im else mpf(0)
 
 
 def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
@@ -251,9 +252,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     wbits = max(g.precision_bits, bits)
     table = generate_c60()
     with mp.workprec(wbits):
-        # (Re alpha, Im alpha, Re beta, Im beta), the unit quaternion of g
-        alpha, beta = to_alpha_beta(ProjUnitary(g.entries, wbits))
-        target = (alpha.real, alpha.imag, beta.real, beta.imag)
+        target = to_quaternion(ProjUnitary(g.entries, wbits))
         best_seg, best_d = _snap(table, target)
 
     def measure(h, q):
@@ -279,7 +278,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         routes = ((target, ONE_QUAT, ""),
                   ((g2, g3, -g0, -g1), j_quat, table.word_for(j_quat)))
         for h, tail_quat, tail_seg in routes:
-            theta_h = _right_half_arg(h[0], h[1])
+            theta_h = mp.atan2(h[1], h[0])
             d_h = measure(h, (mp.cos(theta_h), mp.sin(theta_h), 0, 0))
             if d_h < eps / 2:
                 q_d, w_d = diagonal(theta_h, eps - d_h)
@@ -288,13 +287,18 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 return SynthReport(word, 0, (word.tau_count, 0), achieved,
                                    0, stats["abandoned"])
 
-        g_work, tail = g, None
+        # the mpc rounds g0 and g1 to bits, so for a target stored at more
+        # bits the tuning lemma (at wbits) can read |alpha| differently
+        g_work, tail = target, None
         abs_a = abs(mp.mpc(g0, g1))
         eps0 = mpf(cfg.epsilon0)
         if abs_a <= eps0 or abs_a ** 2 >= 1 - eps0 ** 2:
-            g_work = g @ RHO.to_unitary(bits)
+            # rho has reduced norm 4, so target * rho / 2 is a unit
+            with mp.workprec(wbits):
+                g_work = tuple(x / 2 for x in _int_hamilton(
+                    *target, *RHO.to_vector(wbits)))
             tail = GateWord((table.inverse_word_for(RHO),))
-            abs_a = abs(to_alpha_beta(g_work)[0])
+            abs_a = mp.hypot(g_work[0], g_work[1])
 
         k_cap = cfg.k_cap
         if k_cap is None:
@@ -315,7 +319,8 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 except NotInGroup:
                     continue
                 try:
-                    tuned = tune_diagonals(g_work, q.to_unitary(bits))
+                    with mp.workprec(wbits):
+                        tuned = tune_diagonals(g_work, q.to_vector(wbits))
                 except HypothesisViolation:
                     continue
                 try:

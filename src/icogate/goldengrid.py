@@ -5,15 +5,14 @@ embeddings sigma_pm(x) = a + b*sigma_pm(phi) are linear forms in it, so
 both synthesis searches are lattice-point problems: general synthesis
 wants the norms s = x0^2 + x1^2 in a band of the (sigma_+, sigma_-)
 plane (n = 2), diagonal synthesis the pairs (x0, x1) of a shell
-(n = 4).  Each caller normalises its region to unit size and bounds it
+(n = 4).  Each caller normalises its region to unit size, bounds it
 by an ellipsoid |L z - c| <= r in the coordinates z of
-Z[phi]^(n/2) = Z^n.  Either it hands L, c and r as mpf values to
-ellipsoid_points, which scales them to integers (general synthesis),
-or it scales them itself, in integer arithmetic, and hands the integer
-basis and centre to scaled_ellipsoid_points at a scale grid_scale
-picks (diagonal synthesis, whose shells are one problem rescaled by
-powers of eta).  Both solve the problem exactly with
-lattice.lattice_points.
+Z[phi]^(n/2) = Z^n, scales L and c to integers at a scale grid_scale
+picks, and hands the integer basis and centre to
+scaled_ellipsoid_points, which solves the problem exactly with
+lattice.lattice_points.  General synthesis rounds mpf forms with
+fixed_point; diagonal synthesis, whose shells are one problem rescaled
+by powers of eta, scales them in integer arithmetic.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
@@ -41,36 +40,8 @@ from mpmath import mp
 
 from .lattice import lattice_points
 
-__all__ = ["ellipsoid_points", "fixed_point", "grid_scale", "margin_sorted",
-           "phi_fixed", "scaled_ellipsoid_points"]
-
-
-def ellipsoid_points(forms, center, radius, bound, start=None):
-    """Every z in Z^n with |L z - c| <= radius and max_j |z_j| <= bound,
-    and possibly some points outside.
-
-    forms holds the n rows of L (row i gives the coefficients of the
-    linear form L_i on z), center the n reals c_i; all are taken as the
-    exact values of the mpf numbers given.  L and c are scaled by
-    S = 2^e and rounded to the integer basis and centre of a lattice
-    problem (basis[j] is the image of the j-th unit vector of Z^n).
-    For |z_j| <= bound each component of the rounded S (L z - c) is off
-    by at most (n bound + 1) / 2: a half for each coefficient times
-    |z_j|, and a half for the centre.  So the scaled point moves by at
-    most sqrt(n) (n bound + 1) / 2, and e is picked so that this is
-    below S / 2^16.  The integer radius is S radius + S / 256, which
-    absorbs that drift; the rest of the margin covers a caller whose L,
-    c and radius carry working-precision rounding.
-
-    start is passed on to lattice_points as a warm start.  Returns
-    (points, transform) as lattice_points does.
-    """
-    n = len(forms)
-    e = (n * (n * (int(bound) + 1) + 1)).bit_length() + 16
-    basis = [[fixed_point(row[j], e) for row in forms] for j in range(n)]
-    scaled_center = [fixed_point(c, e) for c in center]
-    r = int(mp.ceil(mp.ldexp(radius, e))) + (1 << (e - 8))
-    return lattice_points(basis, scaled_center, r * r, start)
+__all__ = ["fixed_point", "grid_scale", "margin_sorted", "phi_fixed",
+           "scaled_ellipsoid_points"]
 
 
 def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,

@@ -14,6 +14,9 @@ map x0 + x1 i + x2 j + x3 k -> [[x0 + x1 i, x2 + x3 i],
 products and tr(A^dag B)/2 into the real dot product <a, b>, so the
 distance from a unit target g to any nonzero quaternion q is
 sqrt(1 - |<g, q>|/|q|) (quaternion_distance), one dot product.
+to_quaternion is the one way from a matrix to a real 4-vector, and
+the tuning lemma (tune_diagonals) reads |alpha| and the phases of
+alpha = x0 + x1 i and beta = x2 + x3 i from the 4-vectors directly.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
     "u_of_theta",
     "u_of_alpha_beta",
     "to_alpha_beta",
+    "to_quaternion",
     "quaternion_distance",
     "tune_diagonals",
     "named_gate",
@@ -190,6 +194,13 @@ def to_alpha_beta(u: ProjUnitary):
         return alpha, beta
 
 
+def to_quaternion(u: ProjUnitary) -> tuple:
+    """(Re alpha, Im alpha, Re beta, Im beta) of to_alpha_beta(u): the
+    unit quaternion of u, at u's precision."""
+    alpha, beta = to_alpha_beta(u)
+    return alpha.real, alpha.imag, beta.real, beta.imag
+
+
 def quaternion_distance(g, q):
     """sqrt(1 - |<g, q>| / |q|) at the working precision: the distance()
     between the matrices of the unit 4-vector g and of the real 4-vector
@@ -216,32 +227,33 @@ def tuning_constant():
         return mp.sqrt(mpf(1) / 2 + ((2 + mpf(DELTA)) / mpf(EPSILON0)) ** 2 / 2)
 
 
-def tune_diagonals(gamma1: ProjUnitary, gamma2: ProjUnitary) -> TuningAngles:
-    """Diagonal rotations aligning gamma2 with gamma1.
+def tune_diagonals(gamma1, gamma2) -> TuningAngles:
+    """Diagonal rotations aligning gamma2 with gamma1, at the working
+    precision.
 
-    For gamma_l = u(alpha_l, beta_l) with ||alpha_1| - |alpha_2|| < delta
-    and min |alpha_l| < sqrt(1 - epsilon0^2), the returned angles give
+    gamma1 is a unit quaternion (x0, x1, x2, x3) and gamma2 a real
+    4-vector at any positive scale; each stands for u(alpha, beta) with
+    alpha = x0 + x1 i and beta = x2 + x3 i over its norm.  For
+    ||alpha_1| - |alpha_2|| < delta and min |alpha_l| <
+    sqrt(1 - epsilon0^2), the returned angles give
     d(gamma1, u(theta1) gamma2 u(theta2)) < C * ||alpha_1| - |alpha_2||
-    with C = sqrt(1/2 + ((2+delta)/epsilon0)^2 / 2).
+    with C = sqrt(1/2 + ((2+delta)/epsilon0)^2 / 2).  The phases are
+    atan2 values, and atan2(0, 0) = 0.
     """
-    bits = max(gamma1.precision_bits, gamma2.precision_bits)
-    with mp.workprec(bits):
-        a1, b1 = to_alpha_beta(gamma1)
-        a2, b2 = to_alpha_beta(gamma2)
-        if abs(abs(a1) - abs(a2)) >= DELTA:
-            raise HypothesisViolation(
-                "| |alpha1| - |alpha2| | exceeds delta")
-        if min(abs(a1), abs(a2)) ** 2 >= 1 - mpf(EPSILON0) ** 2:
-            raise HypothesisViolation(
-                "both alphas too close to the unit circle; use the "
-                "diagonal pipeline instead")
-        aa1 = mp.arg(a1) if abs(a1) != 0 else mpf(0)
-        aa2 = mp.arg(a2) if abs(a2) != 0 else mpf(0)
-        ab1 = mp.arg(b1) if abs(b1) != 0 else mpf(0)
-        ab2 = mp.arg(b2) if abs(b2) != 0 else mpf(0)
-        theta1 = ((aa1 - aa2) + (ab1 - ab2)) / 2
-        theta2 = ((aa1 - aa2) - (ab1 - ab2)) / 2
-    return TuningAngles(theta1, theta2, tuning_constant())
+    x0, x1, x2, x3 = gamma1
+    y0, y1, y2, y3 = gamma2
+    abs_a1 = mp.hypot(x0, x1)
+    abs_a2 = mp.hypot(y0, y1)
+    abs_a2 /= mp.hypot(abs_a2, mp.hypot(y2, y3))
+    if abs(abs_a1 - abs_a2) >= DELTA:
+        raise HypothesisViolation("| |alpha1| - |alpha2| | exceeds delta")
+    if min(abs_a1, abs_a2) ** 2 >= 1 - mpf(EPSILON0) ** 2:
+        raise HypothesisViolation(
+            "both alphas too close to the unit circle; use the "
+            "diagonal pipeline instead")
+    da = mp.atan2(x1, x0) - mp.atan2(y1, y0)
+    db = mp.atan2(x3, x2) - mp.atan2(y3, y2)
+    return TuningAngles((da + db) / 2, (da - db) / 2, tuning_constant())
 
 
 # --- named gates and entry parsing ---

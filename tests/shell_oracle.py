@@ -3,10 +3,12 @@
 diagonal.solve_shell and general.candidate_norms decide their points in
 integers and fall back to mpf arithmetic only near an edge.  The
 functions here are the filters as they stood before that (commit
-522b15f), verbatim: every point that goldengrid.ellipsoid_points
-returns is embedded at working precision, tested with mpf comparisons
-and sorted by mpf keys.  They take the same ellipsoid, so the two must
-agree list for list.
+522b15f), verbatim: every point that ellipsoid_points returns is
+embedded at working precision, tested with mpf comparisons and sorted
+by mpf keys.  ellipsoid_points is goldengrid's mpf entry as it stood
+at commit ac28085, verbatim: it rounds mpf forms to an integer lattice
+problem at its own scale.  Each side's ellipsoid holds every point the
+filters keep, so the two must agree list for list.
 """
 
 from itertools import groupby
@@ -16,7 +18,36 @@ from mpmath import mp, mpf
 
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
                             sign_minus, sign_plus)
-from icogate.goldengrid import ellipsoid_points
+from icogate.goldengrid import fixed_point
+from icogate.lattice import lattice_points
+
+
+def ellipsoid_points(forms, center, radius, bound, start=None):
+    """Every z in Z^n with |L z - c| <= radius and max_j |z_j| <= bound,
+    and possibly some points outside.
+
+    forms holds the n rows of L (row i gives the coefficients of the
+    linear form L_i on z), center the n reals c_i; all are taken as the
+    exact values of the mpf numbers given.  L and c are scaled by
+    S = 2^e and rounded to the integer basis and centre of a lattice
+    problem (basis[j] is the image of the j-th unit vector of Z^n).
+    For |z_j| <= bound each component of the rounded S (L z - c) is off
+    by at most (n bound + 1) / 2: a half for each coefficient times
+    |z_j|, and a half for the centre.  So the scaled point moves by at
+    most sqrt(n) (n bound + 1) / 2, and e is picked so that this is
+    below S / 2^16.  The integer radius is S radius + S / 256, which
+    absorbs that drift; the rest of the margin covers a caller whose L,
+    c and radius carry working-precision rounding.
+
+    start is passed on to lattice_points as a warm start.  Returns
+    (points, transform) as lattice_points does.
+    """
+    n = len(forms)
+    e = (n * (n * (int(bound) + 1) + 1)).bit_length() + 16
+    basis = [[fixed_point(row[j], e) for row in forms] for j in range(n)]
+    scaled_center = [fixed_point(c, e) for c in center]
+    r = int(mp.ceil(mp.ldexp(radius, e))) + (1 << (e - 8))
+    return lattice_points(basis, scaled_center, r * r, start)
 
 
 def _eta_pow(m_half_exp, which):
@@ -51,7 +82,7 @@ def _shell_forms(prob, prec):
     linear forms L_i of z = (a0, b0, a1, b1), and a qualifying z has
     every |z_j| <= h.
 
-    Returns (forms, center) for goldengrid.ellipsoid_points.
+    Returns (forms, center) for ellipsoid_points.
     """
     hp, hm, s, c, cap, mu, w, _, _ = _shell(prob, prec)
     with mp.workprec(prec):

@@ -25,8 +25,9 @@ from icogate.golden import (GoldenInt, PHI, eta_valuation, factor,
 from icogate.icosian import (TAU, GateWord, canonical, exact_synthesize,
                              word_to_quat)
 from icogate.sots import sots_exact
-from icogate.unitary import (distance, precision_for, tune_diagonals,
-                             tuning_constant, u_of_alpha_beta, u_of_theta)
+from icogate.unitary import (distance, precision_for, to_quaternion,
+                             tune_diagonals, tuning_constant,
+                             u_of_alpha_beta, u_of_theta)
 
 
 def report(capsys, number, ok, detail):
@@ -288,7 +289,8 @@ def test_criterion_8_tuning_bound(capsys):
                 a = m * mp.expj(mpf(rng.uniform(-3.14, 3.14)))
                 b = mp.sqrt(1 - m ** 2) * mp.expj(mpf(rng.uniform(-3.14, 3.14)))
                 gs.append(u_of_alpha_beta(a, b, 160))
-            tuned = tune_diagonals(gs[0], gs[1])
+            tuned = tune_diagonals(to_quaternion(gs[0]),
+                                   to_quaternion(gs[1]))
             d = distance(gs[0], u_of_theta(tuned.theta1, 160) @ gs[1]
                          @ u_of_theta(tuned.theta2, 160))
             ratio = d / (c * abs(m1 - m2))

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -77,6 +78,9 @@ def test_candidate_norms_validates_input():
             list(candidate_norms(0, 0.0, 0.1))
         with pytest.raises(MalformedInput):
             list(candidate_norms(-1, 0.5, 0.1))
+        for eps in (0.0, -0.1, 1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(MalformedInput):
+                list(candidate_norms(0, 0.5, eps))
 
 
 def test_build_central_unit_shell():

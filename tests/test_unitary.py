@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from icogate.errors import HypothesisViolation, MalformedInput
+from icogate.golden import _int_hamilton
 from icogate.unitary import (
     ProjUnitary,
     distance,
@@ -14,6 +15,7 @@ from icogate.unitary import (
     precision_for,
     quaternion_distance,
     to_alpha_beta,
+    to_quaternion,
     tune_diagonals,
     tuning_constant,
     u_of_alpha_beta,
@@ -113,8 +115,7 @@ def test_quaternion_distance_matches_matrix_distance():
     for i in range(60):
         g = rand_su2(rng, bits)
         with mp.workprec(bits):
-            alpha, beta = to_alpha_beta(g)
-            v = (alpha.real, alpha.imag, beta.real, beta.imag)
+            v = to_quaternion(g)
             if i % 3 == 0:
                 q = [x + mpf(rng.uniform(-1, 1)) * 1e-20 for x in v]
             else:
@@ -136,9 +137,24 @@ def test_to_alpha_beta_antidiagonal():
     assert abs(beta) > 0.9
 
 
+def test_to_quaternion_turns_products_into_hamilton_products():
+    # the map behind the rho twist: the unit quaternion of g @ h is, up
+    # to sign, the Hamilton product of those of g and h
+    rng = random.Random(29)
+    bits = 160
+    for _ in range(20):
+        g, h = rand_su2(rng, bits), rand_su2(rng, bits)
+        with mp.workprec(bits):
+            product = _int_hamilton(*to_quaternion(g), *to_quaternion(h))
+            want = to_quaternion(g @ h)
+            sign = 1 if mp.fdot(product, want) > 0 else -1
+            assert max(abs(x - sign * y)
+                       for x, y in zip(product, want)) < mpf(2) ** -140
+
+
 def test_tune_diagonals_identical_pair():
     g = u_of_alpha_beta(0.6, parse_complex("0.8i"))
-    t = tune_diagonals(g, g)
+    t = tune_diagonals(to_quaternion(g), to_quaternion(g))
     assert abs(t.theta1) < 1e-25 and abs(t.theta2) < 1e-25
     assert float(t.bound_constant) == pytest.approx(
         float(tuning_constant()), rel=1e-12)
@@ -151,7 +167,7 @@ def test_tune_diagonals_recovers_phases():
         g1 = u_of_alpha_beta(a, b, 96)
         g2 = u_of_alpha_beta(a * mp.expj(mpf("0.4")),
                              b * mp.expj(mpf("-0.9")), 96)
-        t = tune_diagonals(g1, g2)
+        t = tune_diagonals(to_quaternion(g1), to_quaternion(g2))
         tuned = u_of_theta(t.theta1, 96) @ g2 @ u_of_theta(t.theta2, 96)
         assert float(distance(g1, tuned)) < 1e-24
 
@@ -160,11 +176,12 @@ def test_tune_diagonals_hypothesis_violations():
     nearly_diag = u_of_alpha_beta(mpf("0.9999"),
                                   mp.sqrt(1 - mpf("0.9999") ** 2))
     with pytest.raises(HypothesisViolation):
-        tune_diagonals(nearly_diag, nearly_diag)
+        tune_diagonals(to_quaternion(nearly_diag),
+                       to_quaternion(nearly_diag))
     g1 = u_of_alpha_beta(0.1, parse_complex("0.99498743710662i"))
     g2 = u_of_alpha_beta(0.8, 0.6)
     with pytest.raises(HypothesisViolation):
-        tune_diagonals(g1, g2)
+        tune_diagonals(to_quaternion(g1), to_quaternion(g2))
 
 
 def test_tuning_bound_on_random_pairs():
@@ -189,7 +206,7 @@ def test_tuning_bound_on_random_pairs():
             g2 = u_of_alpha_beta(
                 r2 * mp.expj(rng.uniform(-3, 3)),
                 mp.sqrt(1 - r2**2) * mp.expj(rng.uniform(-3, 3)), 96)
-            t = tune_diagonals(g1, g2)
+            t = tune_diagonals(to_quaternion(g1), to_quaternion(g2))
             tuned = u_of_theta(t.theta1, 96) @ g2 @ u_of_theta(t.theta2, 96)
             assert distance(g1, tuned) < c * e
         checked += 1
