@@ -160,6 +160,29 @@ def test_tune_diagonals_identical_pair():
         float(tuning_constant()), rel=1e-12)
 
 
+def test_tune_diagonals_reads_gamma2_at_any_scale():
+    # synthesis passes the central quaternion unnormalised, at norm
+    # eta^(k/2); the angles and the hypotheses must not see the scale
+    rng = random.Random(31)
+    checked = 0
+    with mp.workprec(96):
+        while checked < 20:
+            g1 = to_quaternion(rand_su2(rng))
+            g2 = to_quaternion(rand_su2(rng))
+            scale = mpf(rng.uniform(1e-3, 1e6))
+            scaled = [scale * x for x in g2]
+            try:
+                want = tune_diagonals(g1, g2)
+            except HypothesisViolation:
+                with pytest.raises(HypothesisViolation):
+                    tune_diagonals(g1, scaled)
+                continue
+            got = tune_diagonals(g1, scaled)
+            assert abs(got.theta1 - want.theta1) < mpf(2) ** -80
+            assert abs(got.theta2 - want.theta2) < mpf(2) ** -80
+            checked += 1
+
+
 def test_tune_diagonals_recovers_phases():
     with mp.workprec(96):
         a = mpf("0.62") * mp.expj(mpf("0.35"))
