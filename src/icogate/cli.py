@@ -59,6 +59,8 @@ def parse_angle(text: str):
         value = mpf(flat)
     except ValueError:
         raise MalformedInput(f"cannot parse angle {text!r}") from None
+    except ZeroDivisionError:
+        raise MalformedInput(f"zero denominator in angle {text!r}") from None
     if not mp.isfinite(value):
         return value
     with mp.workprec(mp.prec + max(0, mp.mag(value))):

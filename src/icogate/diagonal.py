@@ -20,19 +20,19 @@ when theta is near the quarter turn, which covers the folded angle
 -pi/2.  A residual is skipped when its factorization runs out of the
 Pollard-rho budget, the only abandonment rule.
 
-The working precision p is the one mp.prec holds when a search or a
-shell starts; synth_diagonal sets it to precision_for(eps) itself.
-sin(theta) and cos(theta) are computed once per target in mpf, each
-shell is posed from them and from the exact eta^m in integers, and the
-mpf bounds of a shell are computed only for a point within rounding
-reach of one of its edges (solve_shell).  The integer ellipsoid needs
+A search is posed once, as a DiagonalTarget, at the working precision
+p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
+itself.  sin(theta) and cos(theta) are computed once per target in mpf,
+each shell is posed from them and from the exact eta^m in integers, and
+the mpf bounds of a shell are computed only for a point within rounding
+reach of one of its edges (solve_shell).  The target also carries the
+lattice reduction from shell to shell.  The integer ellipsoid needs
 p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
-log2(1/eps) + 64.
+log2(1/eps) + 64; a target or a search asked for less is rejected.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import groupby
 from math import isqrt
@@ -49,27 +49,7 @@ from .icosian import GateWord, GoldenQuat, exact_synthesize
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
-__all__ = ["DiagonalProblem", "solve_shell", "solve_x23", "synth_diagonal"]
-
-
-@dataclass(frozen=True)
-class DiagonalProblem:
-    """One shell of the search: approximate u(theta) to epsilon with a
-    quaternion of reduced norm eta^m_exp; theta must have
-    cos(theta) > 0."""
-
-    theta: object
-    epsilon: object
-    m_exp: int
-
-    def __post_init__(self):
-        eps = mpf(self.epsilon)
-        if not 0 < eps < 1:
-            raise MalformedInput("epsilon must be in (0, 1)")
-        if self.m_exp < 0:
-            raise MalformedInput("m_exp must be nonnegative")
-        if not mp.cos(mpf(self.theta)) > 0:
-            raise MalformedInput("theta must be folded so cos(theta) > 0")
+__all__ = ["DiagonalTarget", "solve_shell", "solve_x23", "synth_diagonal"]
 
 
 @lru_cache(maxsize=256)
@@ -79,29 +59,46 @@ def _eta_pow(m_half_exp: int, which: str, prec: int):
         return mp.power(embed(ETA, which, prec), mpf(m_half_exp) / 2)
 
 
-class _Target:
-    """What every shell of one search shares, posed once at the working
-    precision p = mp.prec.
+def _check_precision(bits: int, eps) -> None:
+    """Reject a working precision below 2 log2(1/eps) + 32 bits, the
+    floor of the integer ellipsoid (solve_shell).  With eps = man 2^exp
+    read exactly, it is the least p with man^2 2^(p - 32) >= 2^(-2 exp)."""
+    man, exp = eps.man_exp
+    floor = 33 - 2 * exp - (man * man).bit_length()
+    if bits < floor:
+        raise MalformedInput(f"epsilon {mp.nstr(eps, 3)} needs at least "
+                             f"{floor} bits of working precision, got {bits}")
 
-    s and c are sin(theta) and cos(theta) as mpf values, s_p and c_p
-    their images at scale 2^p.  epsilon is read exactly, as
-    eps^2 = eps2 / 2^k2, so cap_p = floor((1 - eps^2) 2^p) and
+
+class DiagonalTarget:
+    """One search: approximate u(theta) to epsilon, posed once at the
+    working precision p = mp.prec for every shell of it (solve_shell).
+
+    theta must have cos(theta) > 0, 0 < epsilon < 1, and p must be at
+    least 2 log2(1/eps) + 32; otherwise MalformedInput.  s and c are
+    sin(theta) and cos(theta) as mpf values, s_p and c_p their images
+    at scale 2^p.  epsilon is read exactly, as eps^2 = eps2 / 2^k2, so
+    cap_p = floor((1 - eps^2) 2^p) and
     band_p = floor(eps sqrt(2 - eps^2) 2^p) are off by less than 1.
     root_eta and root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale
     2^2p, each within 1 below.  r_num and t_num are the coefficients of
     (c, s) and (-s, c) on z = (a0, b0, a1, b1), that is
     (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its plus
     embedding, at scale 2^2p: shell 0's plus-side forms up to the
-    factors 2 / eps^2 and 1 / (eps sqrt(2 - eps^2)).
+    factors 2 / eps^2 and 1 / (eps sqrt(2 - eps^2)).  transform is the
+    lattice transform of the last shell solved, None before the first.
     """
 
     __slots__ = ("p", "eps", "s", "c", "s_p", "c_p", "phi_p",
                  "eps2", "k2", "cap_p", "band_p", "root_eta", "root_59",
-                 "r_num", "t_num")
+                 "r_num", "t_num", "transform")
 
     def __init__(self, theta, epsilon):
         p = self.p = mp.prec
         theta, self.eps = mpf(theta), mpf(epsilon)
+        if not 0 < self.eps < 1:
+            raise MalformedInput("epsilon must be in (0, 1)")
+        _check_precision(p, self.eps)
         self.s, self.c = mp.sin(theta), mp.cos(theta)
         if not self.c > 0:
             raise MalformedInput("theta must be folded so cos(theta) > 0")
@@ -118,9 +115,10 @@ class _Target:
         self.root_59 = isqrt(59 << (2 * two_p))
         self.r_num = (c_p << p, c_p * phi_p, s_p << p, s_p * phi_p)
         self.t_num = (-s_p << p, -s_p * phi_p, c_p << p, c_p * phi_p)
+        self.transform = None
 
 
-def _shell(target: _Target, m: int):
+def _shell(target: DiagonalTarget, m: int):
     """Shell m's bounds as mpf values at the working precision: the
     reference that solve_shell's integer decisions reproduce."""
     p = target.p
@@ -134,10 +132,10 @@ def _shell(target: _Target, m: int):
     return hp, hm, s, c, cap, mu, w
 
 
-def solve_shell(prob: DiagonalProblem, warm: dict | None = None
+def solve_shell(target: DiagonalTarget, m: int
                 ) -> list[tuple[GoldenInt, GoldenInt]]:
-    """Every pair (x0, x1) of one shell, in the order the search tries
-    them.  For h = (sigma_+ eta)^{m/2} a pair qualifies when
+    """Every pair (x0, x1) of shell m of target, in the order the search
+    tries them.  For h = (sigma_+ eta)^{m/2} a pair qualifies when
 
         sigma_pm(eta^m - x1^2) >= 0,  sigma_pm(eta^m - x1^2 - x0^2) >= 0
         x1 sin(theta) <= h (1 - eps^2)
@@ -151,11 +149,10 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
     x1 sin(theta), so the first x0 of an x1 gives the smallest
     distance; ties go by coordinates.
 
-    warm, a dict shared by the shells of one search, carries the
-    lattice reduction from shell to shell: each shell's reduction
-    starts from the transform the previous one left there.
-    synth_diagonal poses the target once (_Target) and runs every shell
-    through _solve; this entry poses it for the one shell prob names.
+    m must be a nonnegative int (MalformedInput).  The target carries
+    the lattice reduction from shell to shell: each shell's reduction
+    starts from the transform the last one left in target.transform,
+    and the pairs do not depend on it.
 
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
@@ -227,12 +224,8 @@ def solve_shell(prob: DiagonalProblem, warm: dict | None = None
       margin_sorted computes the mpf keys of neighbours within 2 tol.
       The mpf values of _shell are computed only then.
     """
-    return _solve(_Target(prob.theta, prob.epsilon), prob.m_exp, warm)
-
-
-def _solve(target: _Target, m: int, warm: dict | None
-           ) -> list[tuple[GoldenInt, GoldenInt]]:
-    """solve_shell for shell m of a posed target."""
+    if not isinstance(m, int) or m < 0:
+        raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
     p, two_p = target.p, 2 * target.p
     k, odd = divmod(m, 2)
     eta_k = eta_power(k)
@@ -261,10 +254,8 @@ def _solve(target: _Target, m: int, warm: dict | None
              for r, t, g3, g4 in zip(target.r_num, target.t_num,
                                      (g, g_phi, 0, 0), (0, 0, g, g_phi))]
     center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
-    points, transform = scaled_ellipsoid_points(
-        basis, center, e, 3, warm.get("transform") if warm else None)
-    if warm is not None:
-        warm["transform"] = transform
+    points, target.transform = scaled_ellipsoid_points(
+        basis, center, e, 3, target.transform)
 
     shell = cache(partial(_shell, target, m))
     eta_m = eta_k * eta_k * ETA if odd else eta_k * eta_k
@@ -389,6 +380,8 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     folded angle t; only a candidate within epsilon is factored.
     Raises BudgetExhausted if no shell up to the cap (default
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
+    The search runs at precision_bits, precision_for(epsilon) when
+    None; fewer than 2 log2(1/eps) + 32 raise MalformedInput.
 
     When ``stats`` is given, its "abandoned" entry is incremented for
     every residual whose factorization ran out of its Pollard-rho
@@ -399,7 +392,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         raise MalformedInput("epsilon must be in (0, 1)")
     if not mp.isfinite(theta):
         raise MalformedInput(f"theta must be finite, got {theta}")
-    bits = precision_bits or precision_for(float(eps))
+    bits = (precision_for(float(eps)) if precision_bits is None
+            else precision_bits)
+    _check_precision(bits, eps)
     with mp.workprec(bits):
         t = _fold_theta(theta)
         target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
@@ -413,10 +408,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
             return q, exact_synthesize(q), achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
-        posed = _Target(t, eps)
-        warm: dict = {}
+        posed = DiagonalTarget(t, eps)
         for m in range(m_cap + 1):
-            for x0, x1 in _solve(posed, m, warm):
+            for x0, x1 in solve_shell(posed, m):
                 try:
                     pair = solve_x23(m, x0, x1)
                 except Abandoned:

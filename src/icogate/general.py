@@ -315,13 +315,13 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 if q is None:
                     continue
                 try:
-                    central = exact_synthesize(q)
-                except NotInGroup:
-                    continue
-                try:
                     with mp.workprec(wbits):
                         tuned = tune_diagonals(g_work, q.to_vector(wbits))
                 except HypothesisViolation:
+                    continue
+                try:
+                    central = exact_synthesize(q)
+                except NotInGroup:
                     continue
                 try:
                     q1, w1 = diagonal(tuned.theta1, outer_eps)

@@ -59,8 +59,8 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
     isqrt(radius_sq S^2) + 1 + S / 256 exceeds S sqrt(radius_sq) by
     S / 256, which absorbs that drift and leaves the 1/257.
 
-    start is passed on to lattice_points as a warm start.  Returns
-    (points, transform) as lattice_points does.
+    start, a transform to begin the reduction from, is passed on to
+    lattice_points.  Returns (points, transform) as lattice_points does.
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)

@@ -55,9 +55,9 @@ def _eta_pow(m_half_exp, which):
     return mp.power(base, mpf(m_half_exp) / 2)
 
 
-def _shell(prob, prec):
+def _shell(theta, eps, m, prec):
     with mp.workprec(prec):
-        theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+        theta, eps = mpf(theta), mpf(eps)
         hp = _eta_pow(m, "plus")
         hm = _eta_pow(m, "minus")
         s, c = mp.sin(theta), mp.cos(theta)
@@ -69,7 +69,7 @@ def _shell(prob, prec):
     return hp, hm, s, c, cap, mu, w, ep, em
 
 
-def _shell_forms(prob, prec):
+def _shell_forms(theta, eps, m, prec):
     """The search ellipsoid of one shell as linear forms on Z^4.
 
     On the plus side (sigma_+ x0, sigma_+ x1) lies in the eps-cap, whose
@@ -84,9 +84,9 @@ def _shell_forms(prob, prec):
 
     Returns (forms, center) for ellipsoid_points.
     """
-    hp, hm, s, c, cap, mu, w, _, _ = _shell(prob, prec)
+    hp, hm, s, c, cap, mu, w, _, _ = _shell(theta, eps, m, prec)
     with mp.workprec(prec):
-        eps = mpf(prob.epsilon)
+        eps = mpf(eps)
         half_r = (hp - cap) / 2
         t_max = hp * eps * mp.sqrt(2 - eps ** 2)
         php = embed(PHI, "plus", prec)
@@ -104,10 +104,11 @@ def _shell_forms(prob, prec):
     return forms, center
 
 
-def oracle_shell(prob):
-    """solve_shell(prob) by mpf filters and keys."""
-    hp, hm, s, c, cap, mu, w, ep, em = _shell(prob, mp.prec)
-    forms, center = _shell_forms(prob, mp.prec)
+def oracle_shell(theta, eps, m):
+    """solve_shell(DiagonalTarget(theta, eps), m) by mpf filters and
+    keys."""
+    hp, hm, s, c, cap, mu, w, ep, em = _shell(theta, eps, m, mp.prec)
+    forms, center = _shell_forms(theta, eps, m, mp.prec)
     points, _ = ellipsoid_points(forms, center, mp.sqrt(3), hp)
     x1_of = itemgetter(2, 3)
     points.sort(key=x1_of)

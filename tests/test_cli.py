@@ -193,7 +193,7 @@ def test_non_finite_and_non_unitary_inputs_exit_3(capsys):
     code, out, err = run(capsys, "synth", "--matrix", "1", "0", "0", "2",
                          "--eps", "1e-3")
     assert code == 3 and not out and "unitary" in err
-    for theta in ("pi/0", "3pi/0"):
+    for theta in ("pi/0", "3pi/0", "1/0", "0/0"):
         code, out, err = run(capsys, "synth-diag", "--theta", theta,
                              "--eps", "1e-3")
         assert code == 3 and not out and "zero denominator" in err

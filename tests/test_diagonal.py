@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from mpmath import mp, mpf
 
-from icogate.diagonal import (DiagonalProblem, _fold_theta, solve_shell,
+import icogate.diagonal
+from icogate.diagonal import (DiagonalTarget, _fold_theta, solve_shell,
                               solve_x23, synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import GoldenInt, embed, eta_power, eta_valuation
@@ -11,10 +14,10 @@ from icogate.unitary import distance, precision_for, u_of_theta
 BITS = 160
 
 
-def brute_x1(prob):
+def brute_x1(theta, eps, m):
     """Direct scan of a safely oversized (a, b) box against the solve_x1
     inequalities, at the same precision the solver uses."""
-    theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+    theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     hm = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), mpf(m) / 2)
     s, c = mp.sin(theta), mp.cos(theta)
@@ -34,15 +37,15 @@ def brute_x1(prob):
     return out
 
 
-def x0_box(prob):
+def x0_box(theta, m):
     """Every (a, b) of the shell's x0 scans, as (x, x_plus * cos(theta),
     |x_plus|, |x_minus|).  Each x1's box grows with the square roots of
     its slack, which are largest, sqrt(ep) and sqrt(em), at x1 = 0, so
     this one box holds them all, and it is embedded only once."""
-    ep = mp.power(embed(eta_power(1), "plus", mp.prec), prob.m_exp)
-    em = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), prob.m_exp)
+    ep = mp.power(embed(eta_power(1), "plus", mp.prec), m)
+    em = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), m)
     sp, sm = mp.sqrt(ep), mp.sqrt(em)
-    c = mp.cos(mpf(prob.theta))
+    c = mp.cos(mpf(theta))
     box_d = int(mp.floor((sp + sm) / mp.sqrt(5))) + 2
     box_a = int(mp.floor(sp + box_d * 1.7)) + 2
     out = []
@@ -54,10 +57,10 @@ def x0_box(prob):
     return out
 
 
-def brute_x0(prob, x1, box):
+def brute_x0(theta, eps, m, x1, box):
     """The x0 of x0_box that pass the solve_x0 inequalities for x1, at
     the same precision the solver uses."""
-    theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+    theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     s = mp.sin(theta)
     x1p = embed(x1, "plus", mp.prec)
@@ -72,19 +75,19 @@ def brute_x0(prob, x1, box):
             if lo_f <= xpc <= hi_f and xp <= sp and xm <= sm}
 
 
-def brute_pairs(prob):
+def brute_pairs(theta, eps, m):
     """The pairs the two scans accept, in the search order: x1 by
     distance from the band centre, then x0 by decreasing trace overlap,
     ties by coordinates."""
-    theta, eps, m = mpf(prob.theta), mpf(prob.epsilon), prob.m_exp
+    theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     s, c = mp.sin(theta), mp.cos(theta)
     mu = hp * (1 - eps ** 2) * s
-    box = x0_box(prob)
+    box = x0_box(theta, m)
     out = []
-    for x1 in brute_x1(prob):
+    for x1 in brute_x1(theta, eps, m):
         x1p = embed(x1, "plus", mp.prec)
-        for x0 in brute_x0(prob, x1, box):
+        for x0 in brute_x0(theta, eps, m, x1, box):
             overlap = embed(x0, "plus", mp.prec) * c + x1p * s
             out.append(((abs(x1p - mu), (x1.a, x1.b), -overlap, (x0.a, x0.b)),
                         (x0, x1)))
@@ -102,12 +105,11 @@ def test_solve_x1_matches_brute_force(theta, eps, m):
     """Every x1 that solve_shell pairs passes the x1 scan, each x1 forms
     one run of pairs, and the runs go centre-out."""
     with mp.workprec(BITS):
-        prob = DiagonalProblem(theta, eps, m)
-        pairs = solve_shell(prob)
+        pairs = solve_shell(DiagonalTarget(theta, eps), m)
         got = [x1 for i, (_, x1) in enumerate(pairs)
                if i == 0 or pairs[i - 1][1] != x1]
         assert len(got) == len(set(got))
-        assert set(got) <= brute_x1(prob)
+        assert set(got) <= brute_x1(theta, eps, m)
         # center-out ordering, ties up to representation noise
         mu = (mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
               * (1 - mpf(eps) ** 2) * mp.sin(theta))
@@ -123,9 +125,8 @@ def test_solve_x0_matches_brute_force(m):
     """For every x1 of the x1 scan, solve_shell pairs it with exactly
     the x0 of the x0 scan, by decreasing trace overlap."""
     with mp.workprec(BITS):
-        prob = DiagonalProblem(0.4, 0.35, m)
-        pairs = solve_shell(prob)
-        assert pairs == brute_pairs(prob)
+        pairs = solve_shell(DiagonalTarget(0.4, 0.35), m)
+        assert pairs == brute_pairs(0.4, 0.35, m)
         if m >= 1:
             assert pairs
 
@@ -145,21 +146,22 @@ def test_solve_x0_matches_brute_force(m):
 ])
 def test_solve_shell_matches_brute_force(theta, eps, m):
     with mp.workprec(BITS):
-        prob = DiagonalProblem(theta, eps, m)
-        pairs = solve_shell(prob)
-        assert pairs == brute_pairs(prob)
+        pairs = solve_shell(DiagonalTarget(theta, eps), m)
+        assert pairs == brute_pairs(theta, eps, m)
         if m >= 2:
             assert pairs
 
 
 def test_solve_shell_warm_start_agrees():
-    # one search's shells, reduced from the previous shell's transform
-    # and from scratch
+    # one search's shells through one target, each reduced from the
+    # previous shell's transform, and each through a fresh target
     with mp.workprec(precision_for(1e-6)):
-        warm = {}
+        theta, eps = mp.pi / 8, mpf("1e-6")
+        reused = DiagonalTarget(theta, eps)
         for m in range(12):
-            prob = DiagonalProblem(mp.pi / 8, mpf("1e-6"), m)
-            assert solve_shell(prob, warm) == solve_shell(prob)
+            assert solve_shell(reused, m) == solve_shell(
+                DiagonalTarget(theta, eps), m)
+            assert reused.transform is not None
 
 
 def test_solve_x23_zero_residual():
@@ -209,13 +211,48 @@ def test_synth_large_angle_reports_true_distance():
 
 def test_problem_validation():
     with pytest.raises(MalformedInput):
-        DiagonalProblem(0.1, 0, 2)
+        DiagonalTarget(0.1, 0)
     with pytest.raises(MalformedInput):
-        DiagonalProblem(0.1, 1.5, 2)
+        DiagonalTarget(0.1, 1.5)
+    for m in (-1, 2.5, "2"):
+        with pytest.raises(MalformedInput):
+            solve_shell(DiagonalTarget(0.1, 0.5), m)
     with pytest.raises(MalformedInput):
-        DiagonalProblem(0.1, 0.5, -1)
-    with pytest.raises(MalformedInput):
-        DiagonalProblem(mp.pi, 0.5, 2)  # cos < 0: not folded
+        DiagonalTarget(mp.pi, 0.5)  # cos < 0: not folded
+
+
+@pytest.mark.parametrize("eps,floor", [
+    (1e-3, 52), (2.0 ** -10, 52), (0.5, 34), (0.3, 36), (1e-6, 72),
+    (1e-10, 99),
+])
+def test_precision_floor(eps, floor):
+    # the floor is the least p >= 2 log2(1/eps) + 32, read from eps's
+    # exact mantissa; at it the reported distance is the word's own
+    assert floor == math.ceil(2 * math.log2(1 / eps) + 32)
+    for bits in (0, 8, floor - 1):
+        with pytest.raises(MalformedInput):
+            synth_diagonal(0.4, eps, precision_bits=bits)
+    with mp.workprec(floor - 1), pytest.raises(MalformedInput):
+        DiagonalTarget(0.4, eps)
+    with mp.workprec(floor):
+        DiagonalTarget(0.4, eps)
+    _, word, achieved = synth_diagonal(0.4, eps, precision_bits=floor)
+    with mp.workprec(300):
+        true = distance(u_of_theta(mpf(0.4), 300), evaluate_word(word, 300))
+    assert true < eps and abs(achieved - true) < mpf(2) ** (-floor // 2)
+
+
+def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
+    solved = []
+
+    def counted(target, m):
+        solved.append(m)
+        return solve_shell(target, m)
+
+    monkeypatch.setattr(icogate.diagonal, "solve_shell", counted)
+    _, word, _ = synth_diagonal(mp.pi / 8, 1e-4)
+    assert solved == list(range(8))
+    assert word.tau_count == 7
 
 
 def test_synth_identity_at_zero():

@@ -18,7 +18,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate.diagonal import DiagonalProblem, solve_shell
+from icogate.diagonal import DiagonalTarget, solve_shell
 from icogate.general import candidate_norms
 from icogate.unitary import precision_for
 from shell_oracle import oracle_norms, oracle_shell
@@ -82,8 +82,8 @@ def norm_cases(count, seed):
 @pytest.mark.parametrize("theta,eps,m", diagonal_cases(64, 1))
 def test_solve_shell_replays_mpf_filters(theta, eps, m):
     with mp.workprec(precision_for(eps)):
-        prob = DiagonalProblem(theta, eps, m)
-        assert solve_shell(prob) == oracle_shell(prob)
+        assert solve_shell(DiagonalTarget(theta, eps), m) == oracle_shell(
+            theta, eps, m)
 
 
 @pytest.mark.parametrize("theta,eps,m", [(0.0, 0.1, 3)] + deep_cases(12, 3))
@@ -92,8 +92,8 @@ def test_solve_shell_replays_deep_and_odd_shells(theta, eps, m):
     # their error through the deepest shells searches reach; at
     # theta = 0 with m odd no x0 lies on the slab edge
     with mp.workprec(precision_for(eps)):
-        prob = DiagonalProblem(theta, eps, m)
-        assert solve_shell(prob) == oracle_shell(prob)
+        assert solve_shell(DiagonalTarget(theta, eps), m) == oracle_shell(
+            theta, eps, m)
 
 
 @pytest.mark.parametrize("k,abs_alpha,eps", norm_cases(40, 2))
@@ -112,8 +112,9 @@ def test_solve_shell_replays_the_cap_corner(eps, m, bits):
     # cap, the band, the slab and the disk at once, where the cap meets
     # the circle; whether the mpf tests keep it is decided by rounding
     with mp.workprec(bits):
-        prob = DiagonalProblem(mp.asin(1 - mpf(eps) ** 2), eps, m)
-        assert solve_shell(prob) == oracle_shell(prob)
+        theta = mp.asin(1 - mpf(eps) ** 2)
+        assert solve_shell(DiagonalTarget(theta, eps), m) == oracle_shell(
+            theta, eps, m)
 
 
 @pytest.mark.parametrize("eps,m,bits", [
@@ -124,5 +125,6 @@ def test_solve_shell_replays_the_disk_edge(eps, m, bits):
     # residual: the disk's edge alone, which the mpf test keeps or
     # drops by rounding (here it keeps it at 100 and 114 bits)
     with mp.workprec(bits):
-        prob = DiagonalProblem(mpf(eps) / 10, eps, m)
-        assert solve_shell(prob) == oracle_shell(prob)
+        theta = mpf(eps) / 10
+        assert solve_shell(DiagonalTarget(theta, eps), m) == oracle_shell(
+            theta, eps, m)

@@ -259,7 +259,16 @@ def test_route_words(monkeypatch, route):
             tuning["rejected"] += 1
             raise
 
+    peels = 0
+    peel = icogate.general.exact_synthesize
+
+    def counted_peel(q):
+        nonlocal peels
+        peels += 1
+        return peel(q)
+
     monkeypatch.setattr(icogate.general, "tune_diagonals", counted)
+    monkeypatch.setattr(icogate.general, "exact_synthesize", counted_peel)
     rows, bits, cfg = route_target(route)
     report = synth_general(ProjUnitary(rows, bits), cfg)
     assert str(report.word) == ROUTE_WORDS[route]
@@ -267,3 +276,5 @@ def test_route_words(monkeypatch, route):
     assert sandwich == (tuning["calls"] > 0)
     assert sandwich == (route not in ("C60 snap", "diagonal", "j-route"))
     assert (tuning["rejected"] > 0) == (route == "rejected tuning")
+    # a central element is peeled only once its tuning is accepted
+    assert peels == tuning["calls"] - tuning["rejected"]
