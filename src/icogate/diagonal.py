@@ -392,8 +392,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         raise MalformedInput("epsilon must be in (0, 1)")
     if not mp.isfinite(theta):
         raise MalformedInput(f"theta must be finite, got {theta}")
-    bits = (precision_for(float(eps)) if precision_bits is None
-            else precision_bits)
+    bits = precision_for(eps) if precision_bits is None else precision_bits
     _check_precision(bits, eps)
     with mp.workprec(bits):
         t = _fold_theta(theta)

@@ -30,7 +30,7 @@ from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
-from .diagonal import solve_x23, synth_diagonal
+from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
@@ -40,7 +40,7 @@ from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
                          scaled_ellipsoid_points)
 from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
-from .sots import sots_exact
+from .sots import decide, sots_exact
 from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
                       quaternion_distance, require_unitary, to_quaternion,
                       tune_diagonals, tuning_constant)
@@ -185,16 +185,20 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
 def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     """Quaternion with reduced norm exactly eta^k and x0^2 + x1^2 = s.
 
-    Returns None when s or eta^k - s has no two-square certificate, so
-    the caller can move on to the next candidate; Abandoned propagates
+    Returns None when s or eta^k - s is not a sum of two squares, so
+    the caller can move on to the next candidate; both are decided,
+    s first, before either certificate is built.  Abandoned propagates
     for the caller to count.
     """
+    rest = eta_power(k) - s
     try:
-        x0, x1 = sots_exact(s)
+        s_primes = decide(s)
+        rest_primes = decide(rest)
     except NotRepresentable:
         return None
-    pair = solve_x23(k, x0, x1)
-    return None if pair is None else GoldenQuat(x0, x1, *pair)
+    x0, x1 = sots_exact(s, primes=s_primes)
+    x2, x3 = sots_exact(rest, primes=rest_primes)
+    return GoldenQuat(x0, x1, x2, x3)
 
 
 def _snap(table: C60Table, target) -> tuple[str, object]:
@@ -243,11 +247,11 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     """
     require_unitary(g)
     eps = cfg.internal_epsilon()
-    bits = precision_for(float(eps))
+    bits = precision_for(eps)
     if mpf(2) ** (-(g.precision_bits // 2)) > eps / 8:
         raise PrecisionInsufficient(
             f"target stored at {g.precision_bits} bits cannot certify "
-            f"distances at {float(eps):.3g}")
+            f"distances at {mp.nstr(eps, 3)}")
     stats = {"abandoned": 0}
     wbits = max(g.precision_bits, bits)
     table = generate_c60()

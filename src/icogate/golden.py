@@ -465,14 +465,16 @@ class GoldenFactorization:
         return out
 
 
-def factor(x: GoldenInt) -> GoldenFactorization:
+def factor(x: GoldenInt, primes: dict[int, int] | None = None
+           ) -> GoldenFactorization:
     """Factor x into canonical irreducibles (plus a unit in front).
 
     Works through the rational prime factorization of N(x): inert primes
     divide x directly, split primes contribute via split_prime and its
-    conjugate.  Raises Abandoned when the integer factorization runs out
-    of its Pollard-rho budget, which synthesis loops treat as "skip this
-    candidate".
+    conjugate.  primes, the prime factors of |N(x)| (a factor_int
+    result), is taken as given when a caller has them already.  Raises
+    Abandoned when the integer factorization runs out of its Pollard-rho
+    budget, which synthesis loops treat as "skip this candidate".
     """
     if not x:
         raise MalformedInput("cannot factor 0")
@@ -480,7 +482,7 @@ def factor(x: GoldenInt) -> GoldenFactorization:
     out: list[tuple[GoldenInt, int]] = []
     rest = x
     if n > 1:
-        for p in sorted(factor_int(n)):
+        for p in sorted(factor_int(n) if primes is None else primes):
             if p == 5:
                 pi_list = [SQRT5_IRREDUCIBLE]
             elif p % 5 in (2, 3):

@@ -1,14 +1,24 @@
 """Writing elements of Z[phi] as sums of two squares.
 
-The route goes through Z[i,phi]: if s^2 + t^2 = x then (s + ti) is a
-factor of x there, so candidates come from GCDs of x with elements of
-the form r + i*c.  Per irreducible u the recipe depends on the residue
-class of its associated prime p modulo 20; the classes 11 and 19 have
-no recipe (and indeed no representation when the multiplicity is odd).
-Composing per-irreducible representations uses the two-squares product
-identity, and a final unit of the form +-phi^M is absorbed by parity:
-phi^even is a square, phi^odd leaves a representation of x*phi instead
-of x ("twist").  Callers that need x itself exactly treat the twisted
+Deciding needs only integers: x = a + b*phi != 0 is a sum of two squares
+iff it is totally nonnegative and every rational prime p = 11, 19
+(mod 20) has an even exponent in N(x) and an even exponent in gcd(a, b).
+Such a p splits as pi*pi' with residue field F_p, where -1 is not a
+square, so pi and pi' each need even multiplicity; v_pi + v_pi' =
+v_p(N(x)) and min(v_pi, v_pi') = v_p(gcd(a, b)), so both are even
+exactly when those two exponents are.  Every other irreducible is a sum
+of two squares up to a unit, and the leftover unit of a totally
+nonnegative x is totally positive, i.e. phi^(2n), a square.  decide
+applies this test; the certificate below is built only for x that pass.
+
+The certificate goes through Z[i,phi]: if s^2 + t^2 = x then (s + ti)
+is a factor of x there, so candidates come from GCDs of x with elements
+of the form r + i*c.  Per irreducible u the recipe depends on the
+residue class of its associated prime p modulo 20.  Composing
+per-irreducible representations uses the two-squares product identity,
+and a final unit of the form +-phi^M is absorbed by parity: phi^even is
+a square, phi^odd leaves a representation of x*phi instead of x
+("twist").  Callers that need x itself exactly treat the twisted
 outcome as failure; no element has both x and x*phi representable.
 """
 
@@ -30,15 +40,18 @@ from .golden import (
     factor,
     norm,
     phi_power,
+    sign_minus,
+    sign_plus,
     tonelli_shanks,
     unit_decompose,
 )
-from .intfactor import is_probable_prime
+from .intfactor import factor_int, is_probable_prime
 
 __all__ = [
     "SotsResult",
     "associated_prime",
     "sots_irreducible",
+    "decide",
     "sots",
     "sots_exact",
     "GOOD_RESIDUES",
@@ -46,6 +59,9 @@ __all__ = [
 
 # residue classes mod 20 of associated primes we can decompose
 GOOD_RESIDUES = frozenset({1, 3, 7, 9, 13, 17})
+# residue classes mod 20 of the split primes whose irreducibles are
+# not sums of two squares
+_BAD_RESIDUES = (11, 19)
 
 
 @dataclass(frozen=True)
@@ -99,10 +115,10 @@ def _even_nonquintic_root(p: int) -> int:
     raise AssertionError("no valid lift of sqrt(-5); arithmetic bug")
 
 
-def _piece(u: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
-    """(s, t) with s^2 + t^2 an associate of u (the exact value is
-    whatever the GCD produces; callers reconcile units globally)."""
-    p = associated_prime(u)
+def _piece(u: GoldenInt, p: int) -> tuple[GoldenInt, GoldenInt]:
+    """(s, t) with s^2 + t^2 an associate of u, whose associated prime
+    is p (the exact value is whatever the GCD produces; callers
+    reconcile units globally)."""
     if p == 2:
         return (ONE, ONE)
     if p == 5:
@@ -110,7 +126,7 @@ def _piece(u: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
             return (PHI, ONE)  # phi^2 + 1 = 2 + phi = sqrt5 * phi
         return (SQRT5_IRREDUCIBLE, ZERO)  # u ~ 5 itself
     cls = p % 20
-    if cls in (11, 19):
+    if cls in _BAD_RESIDUES:
         raise UnsupportedResidue(
             f"associated prime {p} = {cls} (mod 20) has no decomposition")
     if p % 4 == 1:
@@ -151,46 +167,74 @@ def sots_irreducible(u: GoldenInt) -> SotsResult:
     through by phi-powers walks that to u itself when the leftover
     exponent is even, and to u*phi when odd.
     """
-    s, t = _piece(u)
+    s, t = _piece(u, associated_prime(u))
     return _absorb_unit(u, s, t)
 
 
-def sots(x: GoldenInt) -> SotsResult:
-    """Represent x or x*phi as a sum of two squares, if the
-    factor-by-factor criteria allow it.
-
-    An irreducible factor passes if its associated prime is 2 or 5, or
-    lies in a good class mod 20, or simply occurs with even
-    multiplicity.  Odd-multiplicity factors contribute one piece each;
-    pieces compose by (s,t)*(s',t') = (ss'-tt', st'+ts').  The leftover
-    unit is +-phi^M exactly and is absorbed by parity.
-    """
+def decide(x: GoldenInt) -> dict[int, int]:
+    """The factorization {p: e} of |N(x)| when x is a sum of two squares
+    (the module docstring's test); NotRepresentable otherwise, with
+    UnsupportedResidue for the residue obstruction.  Abandoned
+    propagates from factoring the norm."""
     if not x:
-        raise MalformedInput("sots(0): use sots_exact for the zero case")
+        return {}
+    if sign_plus(x) < 0 or sign_minus(x) < 0:
+        raise NotRepresentable(f"{x!r} is not totally nonnegative")
+    n = abs(norm(x))
+    primes = factor_int(n) if n > 1 else {}
+    content = math.gcd(x.a, x.b)
+    for p, e in primes.items():
+        if p % 20 not in _BAD_RESIDUES:
+            continue
+        v = 0
+        while content % p == 0:
+            content //= p
+            v += 1
+        if e % 2 or v % 2:
+            raise UnsupportedResidue(
+                f"{x!r}: an irreducible over {p} = {p % 20} (mod 20) "
+                "has odd multiplicity")
+    return primes
+
+
+def _represent(x: GoldenInt, primes: dict[int, int]) -> SotsResult:
+    """Compose the pieces of x's odd-multiplicity factors by
+    (s,t)*(s',t') = (ss'-tt', st'+ts') and absorb the leftover unit;
+    primes is |N(x)|'s factorization, which x has passed."""
     square = ONE
     s_acc, t_acc = ONE, ZERO
-    for u, mult in factor(x).factors:
+    for u, mult in factor(x, primes).factors:
         square = square * u ** (mult // 2)
         if mult % 2 == 0:
             continue
-        p = associated_prime(u)
-        if p not in (2, 5) and p % 20 not in GOOD_RESIDUES:
-            raise UnsupportedResidue(
-                f"factor {u!r} (associated prime {p}) with odd multiplicity")
-        s, t = _piece(u)
+        n = abs(norm(u))  # p, or p^2 for an inert p
+        s, t = _piece(u, n if n in primes else math.isqrt(n))
         s_acc, t_acc = s_acc * s - t_acc * t, s_acc * t + t_acc * s
     return _absorb_unit(x, s_acc * square, t_acc * square)
 
 
-def sots_exact(x: GoldenInt) -> tuple[GoldenInt, GoldenInt]:
-    """(s, t) with s^2 + t^2 = x exactly, or NotRepresentable.
+def sots(x: GoldenInt) -> SotsResult:
+    """Represent x or x*phi as a sum of two squares.
 
-    A twisted result means x*phi is representable but x is not, so it
-    counts as failure here; synthesis moves on to its next candidate.
+    x*phi has the content and |N| of x, so deciding x*phi when
+    sigma_-(x) < 0 decides the twist, with the same primes.
     """
     if not x:
+        raise MalformedInput("sots(0): use sots_exact for the zero case")
+    return _represent(x, decide(x if sign_minus(x) >= 0 else x * PHI))
+
+
+def sots_exact(x: GoldenInt, *, primes: dict[int, int] | None = None
+               ) -> tuple[GoldenInt, GoldenInt]:
+    """(s, t) with s^2 + t^2 = x exactly, or NotRepresentable.
+
+    primes, when given, is decide(x) from a caller that has already
+    decided x, so its norm is not factored twice.
+    """
+    if primes is None:
+        primes = decide(x)
+    if not x:
         return (ZERO, ZERO)
-    result = sots(x)
-    if result.twist != "plain":
-        raise NotRepresentable(f"only {x!r}*phi is a sum of two squares")
+    result = _represent(x, primes)
+    assert result.twist == "plain", "a totally nonnegative x twisted"
     return (result.s, result.t)

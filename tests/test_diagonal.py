@@ -312,6 +312,13 @@ def test_synth_budget_exhaustion():
         synth_diagonal(0.4, 1e-6, m_cap=1)
 
 
+def test_synth_epsilon_below_the_float_range():
+    # precision_for(mpf("1e-400")) is 4083 bits; the m = 0 shell is
+    # searched and the cap ends the search
+    with pytest.raises(BudgetExhausted):
+        synth_diagonal(0.3, mpf("1e-400"), m_cap=0)
+
+
 def test_synth_rejects_bad_epsilon():
     with pytest.raises(MalformedInput):
         synth_diagonal(0.3, 0)

@@ -4,11 +4,13 @@ import random
 import pytest
 from mpmath import mp, mpf
 
+from icogate import general
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
-                            PrecisionInsufficient)
+                            NotRepresentable, PrecisionInsufficient)
 from icogate.general import (SynthConfig, SynthReport, build_central,
                              candidate_norms, synth_general)
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
+from icogate.sots import decide
 from icogate.icosian import (RHO, GateWord, GoldenQuat, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              word_to_quat)
@@ -112,6 +114,53 @@ def test_build_central_unrepresentable_is_none():
     # odd multiplicity), so s = eta at k = 1 leaves eta - s = 0 fine but
     # the first certificate must fail.
     assert build_central(1, eta_power(1)) is None
+
+
+def test_build_central_decides_both_before_building(monkeypatch):
+    """A candidate s that is a sum of two squares while eta^k - s is
+    not gets no certificate: both are decided first."""
+    k = 2
+    found = []
+    for a in range(-40, 41):
+        for b in range(0, 41):
+            s = GoldenInt(a, b)
+            rest = eta_power(k) - s
+            if abs(s.norm()) <= 1 or min(sign_plus(s), sign_minus(s),
+                                          sign_plus(rest),
+                                          sign_minus(rest)) < 0:
+                continue
+            try:
+                decide(s)
+            except NotRepresentable:
+                continue
+            try:
+                decide(rest)
+            except NotRepresentable:
+                found.append(s)
+    assert len(found) >= 5
+    built = []
+    real = general.sots_exact
+
+    def counted(x, **kwargs):
+        built.append(x)
+        return real(x, **kwargs)
+
+    monkeypatch.setattr(general, "sots_exact", counted)
+    for s in found:
+        assert build_central(k, s) is None
+    assert built == []
+    q = build_central(0, GoldenInt(1, 0))
+    assert q is not None and built == [GoldenInt(1, 0), ZERO]
+
+
+def test_epsilon_below_the_float_range_sets_its_own_precision():
+    # precision_for takes the mpf itself: 1e-400 is positive
+    assert precision_for(mpf("1e-400")) == 4083
+    for eps in (0.3, 1e-3, 1e-10, 2.0 ** -60):
+        assert precision_for(mpf(eps)) == precision_for(eps)
+    g = ProjUnitary([[1, 0], [0, 1]], 53)
+    with pytest.raises(PrecisionInsufficient):
+        synth_general(g, SynthConfig(epsilon=mpf("1e-400"), k_cap=0))
 
 
 def test_config_validation():

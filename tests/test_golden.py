@@ -296,6 +296,23 @@ def test_factor_round_trip():
         done += 1
 
 
+def test_factor_takes_the_primes_it_is_handed(monkeypatch):
+    import icogate.golden as golden
+    from icogate.intfactor import factor_int
+
+    rng = random.Random(37)
+    xs = [x for x in (rand_elt(rng, 700) for _ in range(200))
+          if abs(norm(x)) > 1]
+    expected = [factor(x) for x in xs]
+    primes = [factor_int(abs(norm(x))) for x in xs]
+
+    def refuse(n):
+        raise AssertionError("norm factored again")
+
+    monkeypatch.setattr(golden, "factor_int", refuse)
+    assert [factor(x, p) for x, p in zip(xs, primes)] == expected
+
+
 def test_factor_rejects_zero():
     with pytest.raises(MalformedInput):
         factor(GoldenInt(0, 0))

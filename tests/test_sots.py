@@ -10,12 +10,14 @@ from icogate.errors import (
     NotRepresentable,
     UnsupportedResidue,
 )
+from icogate import sots as sots_module
 from icogate.golden import (ETA, PHI, GoldenInt, factor, norm, sign_minus,
                             sign_plus)
-from icogate.intfactor import small_primes
+from icogate.intfactor import factor_int, small_primes
 from icogate.sots import (
     GOOD_RESIDUES,
     associated_prime,
+    decide,
     sots,
     sots_exact,
     sots_irreducible,
@@ -190,3 +192,93 @@ def test_split_prime_above_a_million_is_not_abandoned():
     assert 62450981 in {abs(norm(u)) for u, _ in factor(x).factors}
     s, t = sots_exact(x)
     assert s * s + t * t == x
+
+
+# irreducibles over 11 and 19, both totally positive
+PI_11 = GoldenInt(3, 1)
+PI_19 = GoldenInt(4, 1)
+
+
+def test_decide_matches_brute_force_on_a_box():
+    """The integer test accepts exactly the sums of two squares among
+    every element with both embeddings at most 40, and every accepted
+    element gets a certificate from the primes it returns."""
+    table = representable_values(40)
+    box = embedding_box(40)
+    accepted = 0
+    for x in box:
+        try:
+            primes = decide(x)
+        except NotRepresentable:
+            assert x not in table, x
+            continue
+        assert x in table or not x, x
+        assert primes == (factor_int(abs(norm(x))) if abs(norm(x)) > 1
+                          else {})
+        s, t = sots_exact(x, primes=primes)
+        assert s * s + t * t == x
+        accepted += 1
+    assert accepted == len(table)
+
+
+@pytest.mark.parametrize("x, verdict", [
+    (GoldenInt(11), "residue"),        # pi*pi': v_11(N) = 2, content 11
+    (GoldenInt(121), "sum"),
+    (PI_11 * PI_11, "sum"),            # v_11(N) = 2, content 1
+    (GoldenInt(11) * PI_11, "residue"),  # v_11(N) = 3
+    (PI_11 * PI_19, "residue"),        # v_11(N) = v_19(N) = 1
+    (GoldenInt(11) * PI_11 ** 2 * PI_19 ** 2, "residue"),  # content 11
+    (GoldenInt(121) * PI_19 ** 4 * ETA ** 2, "sum"),
+    (GoldenInt(-2), "sign"),
+    (PHI, "sign"),                     # sigma_- < 0; phi * phi is a square
+    (GoldenInt(-1, 2), "sign"),        # sqrt5
+    (PI_11 * PI_11 * PHI, "sign"),
+    (GoldenInt(0, -1) * PI_11, "sign"),
+])
+def test_decide_planted_cases(x, verdict):
+    if verdict == "sum":
+        s, t = sots_exact(x, primes=decide(x))
+        assert s * s + t * t == x
+        return
+    with pytest.raises(NotRepresentable) as info:
+        decide(x)
+    assert isinstance(info.value, UnsupportedResidue) == (verdict == "residue")
+    with pytest.raises(NotRepresentable):
+        sots_exact(x)
+
+
+def test_sots_exact_rejects_without_building(monkeypatch):
+    """A non-representable element is rejected from its norm's rational
+    factorization: no factoring in Z[phi], no gcd in Z[i, phi]."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sots_module, "factor",
+                        counted("factor", sots_module.factor))
+    monkeypatch.setattr(sots_module, "gcd_ne",
+                        counted("gcd_ne", sots_module.gcd_ne))
+    for x in (ETA, GoldenInt(11), GoldenInt(11) * PI_11, PI_11 * PI_19,
+              GoldenInt(-2), GoldenInt(-1, 2)):
+        with pytest.raises(NotRepresentable):
+            sots_exact(x)
+    assert calls == []
+    s, t = sots_exact(GoldenInt(29) * GoldenInt(7))
+    assert s * s + t * t == GoldenInt(203)
+    assert calls.count("factor") == 1 and "gcd_ne" in calls
+
+
+def test_pieces_take_the_associated_prime_from_the_norm(monkeypatch):
+    # the factorization already names each factor's rational prime
+    def refuse(u):
+        raise AssertionError("associated_prime recomputed")
+
+    monkeypatch.setattr(sots_module, "associated_prime", refuse)
+    for x in (GoldenInt(2 * 5 * 7 * 13), GoldenInt(29) * GoldenInt(41),
+              ETA * ETA * GoldenInt(3, 1) ** 2 * GoldenInt(2, 1)):
+        s, t = sots_exact(x)
+        assert s * s + t * t == x
