@@ -29,6 +29,20 @@ reach of one of its edges (solve_shell).  The target also carries the
 lattice reduction from shell to shell.  The integer ellipsoid needs
 p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
 log2(1/eps) + 64; a target or a search asked for less is rejected.
+
+Most shells below the one that succeeds hold no pair, and the search
+skips them unsolved.  Multiplying x0 and x1 by eta multiplies h by
+sigma_+(eta) and h_minus by sigma_-(eta) > 0, so L_{m+2}(eta z) = L_m(z)
+with the same centre (solve_shell).  A pair of shell m lies inside
+L_m's radius sqrt(3) + 1/257, and both embeddings of eta x0 and eta x1
+are at most h_{m+2} in size, so their coordinates are too, within the
+bound grid_scale is given for shell m + 2: eta z is among shell m + 2's
+lattice points.  So when shell M's integer ellipsoid holds none,
+solve_shell returns [] for every m <= M of M's parity.  synth_diagonal
+probes one shell of each parity for a first point, from the highest
+whose ellipsoid volume, (9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by
+the determinant of L_m, is at most 1, stepping down two shells while a
+probe finds one, and skips every shell that an empty probe covers.
 """
 
 from __future__ import annotations
@@ -226,45 +240,21 @@ def solve_shell(target: DiagonalTarget, m: int
     """
     if not isinstance(m, int) or m < 0:
         raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
+    points, hp_2p = _pose_shell(target, m)
     p, two_p = target.p, 2 * target.p
-    k, odd = divmod(m, 2)
-    eta_k = eta_power(k)
-    hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
-    if odd:
-        hp_2p = (hp_2p * target.root_eta) >> two_p
-        root_59 = 59 ** k * target.root_59
-    else:
-        root_59 = 59 ** k << two_p
     cap_2p = (hp_2p * target.cap_p) >> p
     s_p, c_p, phi_p = target.s_p, target.c_p, target.phi_p
     mu_p = (cap_2p * s_p) >> two_p
     w_p = (hp_2p * c_p * target.band_p) >> (3 * p)
-    h_int = hp_2p >> two_p
-    tol = (h_int + 3) << 6
+    tol = ((hp_2p >> two_p) + 3) << 6
     tol_2p = tol << p
-
-    e = grid_scale(4, h_int + 1)
-    eps2, k2 = target.eps2, target.k2
-    r_den, t_den = hp_2p * eps2, hp_2p * target.band_p
-    g = (hp_2p << e) // root_59
-    # the minus embedding of phi is 1 - phi
-    g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
-        root_59 << two_p)
-    basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den, g3, g4)
-             for r, t, g3, g4 in zip(target.r_num, target.t_num,
-                                     (g, g_phi, 0, 0), (0, 0, g, g_phi))]
-    center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
-    points, target.transform = scaled_ellipsoid_points(
-        basis, center, e, 3, target.transform)
-
     shell = cache(partial(_shell, target, m))
-    eta_m = eta_k * eta_k * ETA if odd else eta_k * eta_k
+    eta_m = eta_power(m)
     ea, eb = eta_m.a, eta_m.b
     s, c = target.s, target.c
     x1_of = itemgetter(2, 3)
-    points.sort(key=x1_of)
     rows = []
-    for (a1, b1), group in groupby(points, key=x1_of):
+    for (a1, b1), group in groupby(sorted(points, key=x1_of), key=x1_of):
         # z1 = eta^m - x1^2, with x1^2 = a1^2 + b1^2 + (2 a1 b1 + b1^2) phi
         bb = b1 * b1
         za, zb = ea - a1 * a1 - bb, eb - 2 * a1 * b1 - bb
@@ -308,6 +298,35 @@ def solve_shell(target: DiagonalTarget, m: int
     rows = margin_sorted(
         rows, tol, lambda row: abs(embed(row[2], "plus", p) - shell()[5]))
     return [(x0, x1) for _, _, x1, pairs in rows for _, _, x0 in pairs]
+
+
+def _pose_shell(target: DiagonalTarget, m: int):
+    """Shell m's integer ellipsoid, as solve_shell poses it: its lattice
+    points, as a lazy iterator, and h at scale 2^2p.  The reduction
+    starts from target.transform and leaves its own there."""
+    p, two_p = target.p, 2 * target.p
+    k, odd = divmod(m, 2)
+    eta_k = eta_power(k)
+    hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
+    if odd:
+        hp_2p = (hp_2p * target.root_eta) >> two_p
+        root_59 = 59 ** k * target.root_59
+    else:
+        root_59 = 59 ** k << two_p
+    e = grid_scale(4, (hp_2p >> two_p) + 1)
+    eps2, k2 = target.eps2, target.k2
+    r_den, t_den = hp_2p * eps2, hp_2p * target.band_p
+    g = (hp_2p << e) // root_59
+    # the minus embedding of phi is 1 - phi
+    g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
+        root_59 << two_p)
+    basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den, g3, g4)
+             for r, t, g3, g4 in zip(target.r_num, target.t_num,
+                                     (g, g_phi, 0, 0), (0, 0, g, g_phi))]
+    center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
+    points, target.transform = scaled_ellipsoid_points(
+        basis, center, e, 3, target.transform)
+    return points, hp_2p
 
 
 def _mpf_x1_test(x1: GoldenInt, sh) -> bool:
@@ -408,7 +427,17 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
         posed = DiagonalTarget(t, eps)
+        # the highest shell whose ellipsoid has volume at most 1
+        top = min(m_cap, int(mp.floor(-mp.log(
+            9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59))))
+        last_empty = {}
+        for m in (top, top - 1):
+            while m >= 0 and next(_pose_shell(posed, m)[0], None) is not None:
+                m -= 2
+            last_empty[m % 2] = m
         for m in range(m_cap + 1):
+            if m <= last_empty[m % 2]:
+                continue
             for x0, x1 in solve_shell(posed, m):
                 try:
                     pair = solve_x23(m, x0, x1)

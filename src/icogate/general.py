@@ -9,7 +9,9 @@ a planar lattice band of width ~ eta^k * epsilon, enumerated exactly as
 one 2-D lattice problem (candidate_norms).  The band first contains
 representable points when 59^k * epsilon reaches O(1), so k lands at
 log_59(1/eps) + O(1): one third of the tau budget, with the remaining
-two thirds split between the diagonal words.
+two thirds split between the diagonal words.  Band k + 1 is eta times
+band k, so one probe of a band that finds no lattice point proves every
+band below it empty, and the search skips them (candidate_norms).
 
 Targets that are already close to a diagonal rotation (or to a diagonal
 times the antidiagonal unit j) skip the sandwich and go straight to the
@@ -40,7 +42,7 @@ from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
                          scaled_ellipsoid_points)
 from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
-from .sots import decide, sots_exact
+from .sots import decide, screen, sots_exact
 from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
                       quaternion_distance, require_unitary, to_quaternion,
                       tune_diagonals, tuning_constant)
@@ -132,7 +134,22 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     farther than tol from the band edge takes the integer answer; one
     within tol runs the mpf test (s = 0 lies exactly on the strict edge
     of candidate_norms(0, 0.5, 0.5) and is left out), and margin_sorted
-    computes the mpf keys of neighbours within 2 tol.
+    computes the mpf keys of neighbours within 2 tol, for a run only
+    when the consumer reaches it.
+
+    Band k + 1 is eta times band k: eta^k, the centre and the half-width
+    grow by the embeddings of eta, so the forms L_k that normalise band
+    k's box satisfy L_{k+1}(eta z) = L_k(z), with the same centre.  A
+    candidate s of band k lies in L_k's disk up to working-precision
+    rounding, inside the 1/257 margin, and eta s has both embeddings
+    within those of eta^{k+1}, so coordinates within the bound
+    grid_scale is given for band k + 1: eta s is among band k + 1's
+    lattice points.  So when band K's integer ellipse holds none,
+    candidate_norms(k) is empty for every k <= K.  synth_general probes
+    one band for a first point, from the highest whose ellipse area,
+    pi (hi - lo) sigma_minus(eta^k) / (2 sqrt 5) for the box [lo, hi] of
+    sigma_plus(s), is at most 1, stepping down one band while a probe
+    finds one, and skips every band that the empty probe covers.
     """
     if not 0 < abs_alpha < 1:
         raise MalformedInput("abs_alpha must be in (0, 1)")
@@ -141,23 +158,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
         raise MalformedInput("epsilon must be in (0, 1)")
     if k < 0:
         raise MalformedInput("k must be nonnegative")
-    ek = eta_power(k)
-    hp = embed(ek, "plus", mp.prec)
-    hm = embed(ek, "minus", mp.prec)
-    center = a * a * hp
-    half = eps * a * hp
-    lo = max(center - half, mpf(0))
-    hi = min(hp, center + half)
-    # (sigma_plus(s) - mid) / w_plus and (sigma_minus(s) - hm/2) / (hm/2)
-    # as forms on (a, b); qualifying points have |a|, |b| <= hp + hm
-    w_plus, w_minus = (hi - lo) / 2, hm / 2
-    php = embed(PHI, "plus", mp.prec)
-    phm = embed(PHI, "minus", mp.prec)
-    e = grid_scale(2, int(hp + hm) + 1)
-    basis = [[fixed_point(1 / w_plus, e), fixed_point(1 / w_minus, e)],
-             [fixed_point(php / w_plus, e), fixed_point(phm / w_minus, e)]]
-    scaled_center = [fixed_point((lo + hi) / 2 / w_plus, e), 1 << e]
-    points, _ = scaled_ellipsoid_points(basis, scaled_center, e, 2)
+    points, ek, hp, center, half = _pose_band(k, a, eps)
     p = mp.prec
     phi_p = phi_fixed(p)
     center_p, half_p = fixed_point(center, p), fixed_point(half, p)
@@ -182,18 +183,43 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     yield from (s for _, _, s in found)
 
 
+def _pose_band(k: int, a, eps):
+    """Band k's integer ellipse, as candidate_norms poses it: its lattice
+    points, as a lazy iterator, then eta^k, sigma_plus(eta^k) and the
+    band's centre and half-width in mpf."""
+    ek = eta_power(k)
+    hp = embed(ek, "plus", mp.prec)
+    hm = embed(ek, "minus", mp.prec)
+    center = a * a * hp
+    half = eps * a * hp
+    lo = max(center - half, mpf(0))
+    hi = min(hp, center + half)
+    # (sigma_plus(s) - mid) / w_plus and (sigma_minus(s) - hm/2) / (hm/2)
+    # as forms on (a, b); qualifying points have |a|, |b| <= hp + hm
+    w_plus, w_minus = (hi - lo) / 2, hm / 2
+    php = embed(PHI, "plus", mp.prec)
+    phm = embed(PHI, "minus", mp.prec)
+    e = grid_scale(2, int(hp + hm) + 1)
+    basis = [[fixed_point(1 / w_plus, e), fixed_point(1 / w_minus, e)],
+             [fixed_point(php / w_plus, e), fixed_point(phm / w_minus, e)]]
+    scaled_center = [fixed_point((lo + hi) / 2 / w_plus, e), 1 << e]
+    points, _ = scaled_ellipsoid_points(basis, scaled_center, e, 2)
+    return points, ek, hp, center, half
+
+
 def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     """Quaternion with reduced norm exactly eta^k and x0^2 + x1^2 = s.
 
     Returns None when s or eta^k - s is not a sum of two squares, so
-    the caller can move on to the next candidate; both are decided,
-    s first, before either certificate is built.  Abandoned propagates
-    for the caller to count.
+    the caller can move on to the next candidate; both are screened
+    before rho runs on either, and decided, s first, before either
+    certificate is built.  Abandoned propagates for the caller to count.
     """
     rest = eta_power(k) - s
     try:
-        s_primes = decide(s)
-        rest_primes = decide(rest)
+        s_screened, rest_screened = screen(s), screen(rest)
+        s_primes = decide(s, s_screened)
+        rest_primes = decide(rest, rest_screened)
     except NotRepresentable:
         return None
     x0, x1 = sots_exact(s, primes=s_primes)
@@ -308,8 +334,17 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         if k_cap is None:
             k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
         outer_eps = mpf("0.6") * eps
+        # the highest band whose ellipse has area at most 1; width is
+        # (hi - lo) / sigma_plus(eta^k), the same for every band
+        width = (min(1, abs_a ** 2 + eps * abs_a)
+                 - max(0, abs_a ** 2 - eps * abs_a))
+        last_empty = min(k_cap, int(mp.floor(mp.log(
+            2 * mp.sqrt(5) / (mp.pi * width), 59))))
+        while (last_empty >= 0 and next(_pose_band(last_empty, abs_a, eps)[0],
+                                        None) is not None):
+            last_empty -= 1
         best = None
-        for k in range(k_cap + 1):
+        for k in range(last_empty + 1, k_cap + 1):
             for s in candidate_norms(k, abs_a, eps):
                 try:
                     q = build_central(k, s)

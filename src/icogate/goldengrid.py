@@ -60,7 +60,9 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
     S / 256, which absorbs that drift and leaves the 1/257.
 
     start, a transform to begin the reduction from, is passed on to
-    lattice_points.  Returns (points, transform) as lattice_points does.
+    lattice_points.  Returns (points, transform) as lattice_points
+    does: the points as a lazy iterator, so a caller that needs only to
+    know whether the ellipsoid holds a point stops at the first.
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)
@@ -88,7 +90,7 @@ def phi_fixed(scale: int) -> int:
 
 
 def margin_sorted(items, tol: int, exact_key):
-    """items in the order of (exact_key(item), item[1]).
+    """Yield items in the order of (exact_key(item), item[1]).
 
     Each item is a tuple (key, tiebreak, ...) whose integer key is
     within tol of exact_key(item) at the caller's scale (so exact_key
@@ -97,16 +99,16 @@ def margin_sorted(items, tol: int, exact_key):
     wherever two neighbouring keys differ by more than 2 tol.  Items of
     different runs then have exact keys in the same order as their
     keys, since each exact key is within tol of its key; so only a run
-    of more than one item is re-sorted, by (exact_key, tiebreak), and
-    exact_key is called only for the items of such runs.
+    of more than one item is re-sorted, by (exact_key, tiebreak), when
+    the consumer reaches it, and exact_key is called only for the items
+    of such runs that are reached.
     """
     items = sorted(items, key=itemgetter(0, 1))
-    out, start = [], 0
+    start = 0
     for i in range(1, len(items) + 1):
         if i == len(items) or items[i][0] - items[i - 1][0] > 2 * tol:
             run = items[start:i]
             if len(run) > 1:
                 run.sort(key=lambda item: (exact_key(item), item[1]))
-            out.extend(run)
+            yield from run
             start = i
-    return out

@@ -105,16 +105,13 @@ def _brent_rho(n: int, c: int, budget: int) -> tuple[int, int]:
     return g, used
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Factor a positive integer into {prime: multiplicity}.
-
-    Trial division below 10^5, then Brent-Pollard rho on what remains,
-    trying c = 1, 2, ... per cofactor.  Raises Abandoned if the rho
-    budget runs out, so norm-level callers can simply skip the
-    candidate that produced an unlucky cofactor.
-    """
+def trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """({p: e}, m) with n = m * prod p^e, for a positive integer n: the
+    primes below 10^5 with their exponents, and the cofactor m, which
+    holds each of its primes with its full exponent in n (m is 1 or a
+    prime when the division stops at p^2 > m)."""
     if n <= 0:
-        raise ValueError("factor_int expects a positive integer")
+        raise ValueError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}
     for p in small_primes():
         if p * p > n:
@@ -122,9 +119,17 @@ def factor_int(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n == 1:
-        return out
-    stack = [n]
+    return out, n
+
+
+def factor_cofactor(primes: dict[int, int], m: int) -> dict[int, int]:
+    """primes with the factorization of the cofactor m added, for
+    (primes, m) = trial_divide(n): Brent-Pollard rho on m, trying
+    c = 1, 2, ... per cofactor.  Raises Abandoned if the rho budget runs
+    out, so norm-level callers can simply skip the candidate that
+    produced an unlucky cofactor."""
+    out = dict(primes)
+    stack = [m]
     remaining = RHO_ITERATION_BUDGET
     while stack:
         m = stack.pop()
@@ -145,6 +150,13 @@ def factor_int(n: int) -> dict[int, int]:
         stack.append(g)
         stack.append(m // g)
     return out
+
+
+def factor_int(n: int) -> dict[int, int]:
+    """Factor a positive integer into {prime: multiplicity}: trial
+    division below 10^5, then factor_cofactor (which may raise
+    Abandoned)."""
+    return factor_cofactor(*trial_divide(n))
 
 
 def tonelli_shanks(a: int, p: int) -> int:

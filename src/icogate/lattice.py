@@ -1,7 +1,7 @@
 """Exact integer lattice points in an ellipsoid.
 
 lattice_points takes a problem already scaled to integers (a basis of
-Z^n's image, a centre and a squared radius, all integers) and returns
+Z^n's image, a centre and a squared radius, all integers) and yields
 every lattice point inside, found by LLL reduction and Fincke-Pohst
 enumeration in exact integer arithmetic, so no bound is ever rounded.
 goldengrid poses the Z[phi] searches of the synthesis layers as such
@@ -28,8 +28,9 @@ def lattice_points(basis, center, radius_sq, start=None):
     the reduction begins from start * basis, which is nearly reduced
     already.
 
-    Returns (points, transform): the points as tuples in the original
-    basis coordinates, in no particular order, and the unimodular
+    Returns (points, transform): an iterator over the points as tuples
+    in the original basis coordinates, in no particular order, each
+    found only when the iterator reaches it, and the unimodular
     transform U with U * basis the reduced basis.
     """
     n = len(basis)
@@ -46,8 +47,7 @@ def lattice_points(basis, center, radius_sq, start=None):
         for i in range(1, j):
             u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
         lam_c[j] = u
-    points = list(_fincke_pohst(d, lam, lam_c, radius_sq, transform))
-    return points, transform
+    return _fincke_pohst(d, lam, lam_c, radius_sq, transform), transform
 
 
 def _dot(u, v):

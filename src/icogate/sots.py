@@ -11,6 +11,13 @@ of two squares up to a unit, and the leftover unit of a totally
 nonnegative x is totally positive, i.e. phi^(2n), a square.  decide
 applies this test; the certificate below is built only for x that pass.
 
+Part of the test needs no Pollard rho.  Trial division below 10^5
+leaves a cofactor m of N(x) that holds each of its primes with its
+full exponent.  If m = 3 (mod 4), some prime p = 3 (mod 4) has an odd
+exponent in m, so in N(x).  An inert prime (3, 7 mod 20) has an even
+one, its norm being p^2, so p = 11 or 19 (mod 20) and x fails.  screen
+makes this check before decide factors m.
+
 The certificate goes through Z[i,phi]: if s^2 + t^2 = x then (s + ti)
 is a factor of x there, so candidates come from GCDs of x with elements
 of the form r + i*c.  Per irreducible u the recipe depends on the
@@ -45,12 +52,13 @@ from .golden import (
     tonelli_shanks,
     unit_decompose,
 )
-from .intfactor import factor_int, is_probable_prime
+from .intfactor import factor_cofactor, is_probable_prime, trial_divide
 
 __all__ = [
     "SotsResult",
     "associated_prime",
     "sots_irreducible",
+    "screen",
     "decide",
     "sots",
     "sots_exact",
@@ -171,17 +179,30 @@ def sots_irreducible(u: GoldenInt) -> SotsResult:
     return _absorb_unit(u, s, t)
 
 
-def decide(x: GoldenInt) -> dict[int, int]:
+def screen(x: GoldenInt) -> tuple[dict[int, int], int]:
+    """trial_divide(|N(x)|) for a totally nonnegative x whose cofactor
+    is not 3 (mod 4); NotRepresentable otherwise, with
+    UnsupportedResidue for the cofactor (module docstring).  Runs no
+    Pollard rho."""
+    if not x:
+        return {}, 1
+    if sign_plus(x) < 0 or sign_minus(x) < 0:
+        raise NotRepresentable(f"{x!r} is not totally nonnegative")
+    primes, m = trial_divide(abs(norm(x)))
+    if m % 4 == 3:
+        raise UnsupportedResidue(
+            f"{x!r}: the norm's cofactor {m} is 3 (mod 4)")
+    return primes, m
+
+
+def decide(x: GoldenInt, screened: tuple[dict[int, int], int] | None = None
+           ) -> dict[int, int]:
     """The factorization {p: e} of |N(x)| when x is a sum of two squares
     (the module docstring's test); NotRepresentable otherwise, with
     UnsupportedResidue for the residue obstruction.  Abandoned
-    propagates from factoring the norm."""
-    if not x:
-        return {}
-    if sign_plus(x) < 0 or sign_minus(x) < 0:
-        raise NotRepresentable(f"{x!r} is not totally nonnegative")
-    n = abs(norm(x))
-    primes = factor_int(n) if n > 1 else {}
+    propagates from factoring the norm.  screened, when given, is
+    screen(x) from a caller that has already screened x."""
+    primes = factor_cofactor(*(screen(x) if screened is None else screened))
     content = math.gcd(x.a, x.b)
     for p, e in primes.items():
         if p % 20 not in _BAD_RESIDUES:

@@ -47,7 +47,8 @@ def ellipsoid_points(forms, center, radius, bound, start=None):
     basis = [[fixed_point(row[j], e) for row in forms] for j in range(n)]
     scaled_center = [fixed_point(c, e) for c in center]
     r = int(mp.ceil(mp.ldexp(radius, e))) + (1 << (e - 8))
-    return lattice_points(basis, scaled_center, r * r, start)
+    points, transform = lattice_points(basis, scaled_center, r * r, start)
+    return list(points), transform
 
 
 def _eta_pow(m_half_exp, which):

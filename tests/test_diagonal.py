@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -242,7 +246,9 @@ def test_precision_floor(eps, floor):
     assert true < eps and abs(achieved - true) < mpf(2) ** (-floor // 2)
 
 
-def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
+def solved_shells(monkeypatch, theta, eps):
+    """The shells synth_diagonal(theta, eps) solves, in order, and the
+    word it returns."""
     solved = []
 
     def counted(target, m):
@@ -250,9 +256,80 @@ def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
         return solve_shell(target, m)
 
     monkeypatch.setattr(icogate.diagonal, "solve_shell", counted)
-    _, word, _ = synth_diagonal(mp.pi / 8, 1e-4)
-    assert solved == list(range(8))
+    _, word, _ = synth_diagonal(theta, eps)
+    monkeypatch.undo()
+    return solved, word
+
+
+def assert_skipped_shells_empty(theta, eps, solved):
+    """Each shell is solved at most once, in increasing order, and every
+    shell below the last that the search skipped holds no pair."""
+    assert solved == sorted(set(solved))
+    with mp.workprec(precision_for(eps)):
+        target = DiagonalTarget(_fold_theta(mpf(theta)), eps)
+        for m in set(range(max(solved, default=-1))) - set(solved):
+            assert solve_shell(target, m) == [], m
+
+
+def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
+    # shells 6 and 5 are probed empty, which covers 0 to 6; shell 7 wins
+    solved, word = solved_shells(monkeypatch, mp.pi / 8, 1e-4)
+    assert_skipped_shells_empty(mp.pi / 8, 1e-4, solved)
+    assert solved == [7]
     assert word.tau_count == 7
+
+
+@pytest.mark.parametrize("theta, eps", [
+    (0.3, 1e-6), (mpf(0), 1e-6), (mp.pi / 4 + 5e-4, 1e-3),
+    (mp.atan(mp.phi), 1e-4), (-1.2, 1e-5),
+])
+def test_probes_skip_only_empty_shells(monkeypatch, theta, eps):
+    solved, word = solved_shells(monkeypatch, theta, eps)
+    assert_skipped_shells_empty(theta, eps, solved)
+    assert solved and word.tau_count <= solved[-1]
+
+
+# the first shells with pairs; shell m + 2's ellipsoid holds 1e4 to 4e4
+# lattice points
+@pytest.mark.parametrize("theta, eps, shells", [
+    (0.3, 0.02, (2, 3)), (0, 0.02, (2, 3)), (0, 0.05, (1, 2)),
+    (mp.pi / 4 - 1e-7, 0.02, (2, 3)), (mp.atan(mp.phi), 5e-3, (3, 4)),
+    (mp.atan(mp.phi), 0.05, (1, 2)),
+])
+def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
+    """eta (x0, x1) is a lattice point of shell m + 2's integer ellipsoid
+    for every pair of shell m: the proof that lets a probe skip shells."""
+    eta = eta_power(1)
+    with mp.workprec(precision_for(eps)):
+        target = DiagonalTarget(theta, eps)
+        total = 0
+        for m in shells:
+            pairs = solve_shell(target, m)
+            points = set(icogate.diagonal._pose_shell(target, m + 2)[0])
+            for x0, x1 in pairs:
+                y0, y1 = eta * x0, eta * x1
+                assert (y0.a, y0.b, y1.a, y1.b) in points, (m, x0, x1)
+            total += len(pairs)
+        assert total > 0
+
+
+def test_degenerate_angles_probe_without_listing_a_shell():
+    """At theta = 0 and 1e-30 every even shell's ellipsoid holds a long
+    run of lattice points; the probes stop at the first, so the search
+    stays small under a 1 GB address-space limit."""
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from icogate.diagonal import synth_diagonal\n"
+        "_, word, _ = synth_diagonal(float(sys.argv[1]), 1e-20)\n"
+        "print(word.tau_count)\n")
+    path = str(Path(icogate.__file__).parents[1])
+    for theta in ("0", "1e-30"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, theta], capture_output=True,
+            text=True, timeout=30, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
 
 def test_synth_identity_at_zero():

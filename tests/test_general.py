@@ -85,6 +85,56 @@ def test_candidate_norms_validates_input():
                 list(candidate_norms(0, 0.5, eps))
 
 
+@pytest.mark.parametrize("k,abs_alpha,eps", [
+    (0, 0.9999, 0.01), (1, None, 0.2), (2, None, 0.05),
+    (2, 0.31, 0.05), (3, 0.83, 0.02),
+    (3, 0.999, 0.01),
+])
+def test_eta_maps_each_band_into_the_next(k, abs_alpha, eps):
+    """eta s is a lattice point of band k + 1's integer ellipse for every
+    candidate s of band k, the tie |alpha|^2 = 1/2 (None) included: the
+    proof that lets a probe skip bands."""
+    eta = eta_power(1)
+    with mp.workprec(BITS):
+        a = mp.sqrt(mpf(1) / 2) if abs_alpha is None else mpf(abs_alpha)
+        e = mpf(eps)
+        got = list(candidate_norms(k, a, e))
+        points = set(general._pose_band(k + 1, a, e)[0])
+        for s in got:
+            t = eta * s
+            assert (t.a, t.b) in points, s
+        assert got
+
+
+@pytest.mark.parametrize("seed, eps", [(None, 1e-4), (None, 1e-7),
+                                       (3, 1e-3), (4, 1e-5)])
+def test_probes_skip_only_empty_bands(monkeypatch, seed, eps):
+    """synth_general solves each band at most once, in increasing order,
+    and every band below the first it solves holds no candidate; H
+    (seed None) has the exact tie |alpha|^2 = 1/2."""
+    bits = precision_for(eps)
+    if seed is None:
+        g = named_gate("H", bits)
+    else:
+        g = haar_target(random.Random(seed), bits)
+    solved = []
+    real = general.candidate_norms
+
+    def counted(k, abs_alpha, epsilon):
+        solved.append((k, abs_alpha, epsilon, mp.prec))
+        return real(k, abs_alpha, epsilon)
+
+    monkeypatch.setattr(general, "candidate_norms", counted)
+    synth_general(g, SynthConfig(eps))
+    monkeypatch.undo()
+    ks = [k for k, _, _, _ in solved]
+    assert ks and ks == sorted(set(ks))
+    _, abs_alpha, epsilon, prec = solved[0]
+    with mp.workprec(prec):
+        for k in range(ks[0]):
+            assert list(candidate_norms(k, abs_alpha, epsilon)) == [], k
+
+
 def test_build_central_unit_shell():
     q = build_central(0, GoldenInt(1, 0))
     assert q is not None and q.nrd() == GoldenInt(1, 0)

@@ -11,7 +11,8 @@ from mpmath import mp
 
 from band_oracle import band_scan
 from icogate.general import candidate_norms
-from icogate.goldengrid import grid_scale, scaled_ellipsoid_points
+from icogate.goldengrid import (grid_scale, margin_sorted,
+                                scaled_ellipsoid_points)
 from icogate.lattice import lattice_points
 from icogate.unitary import precision_for
 
@@ -93,6 +94,7 @@ def test_lattice_points_match_brute_force(n, span, radius_sq):
     for _ in range(12):
         basis, center = random_problem(rng, n, span, radius_sq)
         points, transform = lattice_points(basis, center, radius_sq)
+        points = list(points)
         expected = brute_points(basis, center, radius_sq)
         assert sorted(points) == expected
         total += len(expected)
@@ -109,10 +111,36 @@ def test_lattice_points_warm_start_agrees_with_cold_start():
             nearby = [[v + rng.randint(-1, 1) for v in row] for row in basis]
             if not small_box(nearby, 120):
                 continue
-            cold, _ = lattice_points(nearby, center, 120)
-            warm, _ = lattice_points(nearby, center, 120, transform)
+            cold = list(lattice_points(nearby, center, 120)[0])
+            warm = list(lattice_points(nearby, center, 120, transform)[0])
             assert sorted(warm) == sorted(cold)
             assert sorted(cold) == brute_points(nearby, center, 120)
+
+
+def test_lattice_points_yield_lazily():
+    # a probe reads one point of a ball holding about 9 * 10^5
+    points, _ = lattice_points([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                               [0, 0, 0], 60 ** 2)
+    assert iter(points) is points
+    assert len(next(points)) == 3
+
+
+def test_margin_sorted_resolves_a_run_only_when_reached():
+    # keys within 2 tol of each other form one run; each run's exact
+    # keys are computed when the consumer reaches its first item
+    items = [(0, (0,), 3), (1, (1,), 1), (10, (2,), 5), (11, (3,), 4)]
+    computed = []
+
+    def exact_key(item):
+        computed.append(item[1])
+        return item[2]
+
+    ordered = margin_sorted(items, 1, exact_key)
+    assert computed == []
+    assert next(ordered) == items[1]
+    assert computed == [(0,), (1,)]
+    assert list(ordered) == [items[0], items[3], items[2]]
+    assert computed == [(0,), (1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("basis", [

@@ -10,14 +10,18 @@ from icogate.errors import (
     NotRepresentable,
     UnsupportedResidue,
 )
+from icogate import intfactor
 from icogate import sots as sots_module
-from icogate.golden import (ETA, PHI, GoldenInt, factor, norm, sign_minus,
-                            sign_plus)
-from icogate.intfactor import factor_int, small_primes
+from icogate.golden import (ETA, PHI, GoldenInt, eta_power, factor, norm,
+                            sign_minus, sign_plus, split_prime)
+from icogate.general import build_central
+from icogate.intfactor import (factor_int, is_probable_prime, small_primes,
+                               trial_divide)
 from icogate.sots import (
     GOOD_RESIDUES,
     associated_prime,
     decide,
+    screen,
     sots,
     sots_exact,
     sots_irreducible,
@@ -245,6 +249,128 @@ def test_decide_planted_cases(x, verdict):
     assert isinstance(info.value, UnsupportedResidue) == (verdict == "residue")
     with pytest.raises(NotRepresentable):
         sots_exact(x)
+
+
+def old_verdict(x, primes):
+    """decide's verdict before the cofactor screen, from |N(x)|'s
+    factorization: "sign", "residue" or "sum"."""
+    if sign_plus(x) < 0 or sign_minus(x) < 0:
+        return "sign"
+    content = math.gcd(x.a, x.b)
+    for p, e in primes.items():
+        if p % 20 in (11, 19):
+            v = 0
+            while content % p == 0:
+                content //= p
+                v += 1
+            if e % 2 or v % 2:
+                return "residue"
+    return "sum"
+
+
+def verdict(x):
+    try:
+        decide(x)
+    except UnsupportedResidue:
+        return "residue"
+    except NotRepresentable:
+        return "sign"
+    return "sum"
+
+
+def count_rho(monkeypatch):
+    """A list that records every _brent_rho call from now on."""
+    calls = []
+    real = intfactor._brent_rho
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(intfactor, "_brent_rho", counted)
+    return calls
+
+
+def prime_above(n, residues):
+    while not (n % 20 in residues and is_probable_prime(n)):
+        n += 1
+    return n
+
+
+def totally_positive(x):
+    x = -x if sign_plus(x) < 0 else x
+    return x * PHI if sign_minus(x) < 0 else x
+
+
+@pytest.mark.parametrize("bad", [11, 19])
+@pytest.mark.parametrize("good", [1, 9])
+@pytest.mark.parametrize("extra", [GoldenInt(1), ETA, GoldenInt(3)])
+def test_decide_rejects_a_planted_cofactor_without_rho(monkeypatch, bad,
+                                                       good, extra):
+    """N(x) carries p p' with p = 11 or 19 (mod 20) and p' = 1 (mod 4),
+    both above 2^40: the cofactor is 3 (mod 4), so decide rejects x
+    before any rho, with the verdict the full factorization gives."""
+    p = prime_above(2 ** 40, {bad})
+    q = prime_above(2 ** 41, {good})
+    x = totally_positive(split_prime(p) * split_prime(q) * extra)
+    primes = factor_int(abs(norm(x)) // (p * q))
+    primes.update({p: 1, q: 1})
+    calls = count_rho(monkeypatch)
+    assert verdict(x) == old_verdict(x, primes) == "residue"
+    assert calls == []
+
+
+def test_decide_verdicts_match_the_full_factorization(monkeypatch):
+    """On seeded elements whose norms have large prime factors, decide
+    gives the verdict of the full factorization, and runs no rho when
+    the cofactor is 3 (mod 4)."""
+    rng = random.Random(23)
+    screened = 0
+    for _ in range(300):
+        x = GoldenInt(rng.randint(-2 ** 24, 2 ** 24),
+                      rng.randint(-2 ** 24, 2 ** 24))
+        if not x:
+            continue
+        calls = count_rho(monkeypatch)
+        got = verdict(x)
+        monkeypatch.undo()
+        assert got == old_verdict(x, factor_int(abs(norm(x)))), x
+        if got != "sign" and trial_divide(abs(norm(x)))[1] % 4 == 3:
+            assert got == "residue" and calls == [], x
+            screened += 1
+    assert screened > 20
+
+
+def test_build_central_screens_both_before_any_rho(monkeypatch):
+    """A candidate s whose norm needs rho, with eta^k - s rejected by its
+    cofactor, is turned down before rho runs on either."""
+    k = 12
+    ek = eta_power(k)
+    phi = (1 + 5 ** 0.5) / 2
+    rng = random.Random(7)
+    for _ in range(10_000):
+        # both embeddings uniform in [0, sigma(eta^k)], then rounded
+        plus = rng.uniform(0, (7 + 5 * phi) ** k)
+        minus = rng.uniform(0, (7 + 5 * (1 - phi)) ** k)
+        b = round((plus - minus) / 5 ** 0.5)
+        s = GoldenInt(round(plus - b * phi), b)
+        try:
+            cofactor = screen(s)[1]
+        except NotRepresentable:
+            continue
+        if cofactor == 1 or is_probable_prime(cofactor):
+            continue
+        try:
+            screen(ek - s)
+        except UnsupportedResidue:
+            break
+        except NotRepresentable:
+            continue
+    else:
+        raise AssertionError("no candidate found")
+    calls = count_rho(monkeypatch)
+    assert build_central(k, s) is None
+    assert calls == []
 
 
 def test_sots_exact_rejects_without_building(monkeypatch):
