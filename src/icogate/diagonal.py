@@ -31,18 +31,20 @@ p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
 log2(1/eps) + 64; a target or a search asked for less is rejected.
 
 Most shells below the one that succeeds hold no pair, and the search
-skips them unsolved.  Multiplying x0 and x1 by eta multiplies h by
-sigma_+(eta) and h_minus by sigma_-(eta) > 0, so L_{m+2}(eta z) = L_m(z)
-with the same centre (solve_shell).  A pair of shell m lies inside
-L_m's radius sqrt(3) + 1/257, and both embeddings of eta x0 and eta x1
-are at most h_{m+2} in size, so their coordinates are too, within the
-bound grid_scale is given for shell m + 2: eta z is among shell m + 2's
-lattice points.  So when shell M's integer ellipsoid holds none,
-solve_shell returns [] for every m <= M of M's parity.  synth_diagonal
-probes one shell of each parity for a first point, from the highest
-whose ellipsoid volume, (9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by
-the determinant of L_m, is at most 1, stepping down two shells while a
-probe finds one, and skips every shell that an empty probe covers.
+skips them unsolved.  Shell m + 2's h and h_minus are shell m's times
+sigma_+(eta) and sigma_-(eta) > 0, the factors by which eta scales the
+embeddings of x0 and x1, so L_{m+2}(eta z) = L_m(z) with the same
+centre (solve_shell's forms).  A pair of shell m lies inside L_m's
+radius sqrt(3) + 1/257 with both embeddings of x0 and x1 at most h in
+size, so those of eta x0 and eta x1 are at most h_{m+2}, and their
+coordinates too, within the bound grid_scale is given for shell m + 2:
+eta z is among shell m + 2's lattice points.  So when shell M's
+integer ellipsoid holds none, solve_shell returns [] for every m <= M
+of M's parity.  synth_diagonal probes one shell of each parity for a
+first point, from the highest whose ellipsoid volume,
+(9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by the determinant of L_m, is
+at most 1, stepping down two shells while a probe finds one, and skips
+every shell that an empty probe covers.
 """
 
 from __future__ import annotations
