@@ -340,8 +340,8 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                  - max(0, abs_a ** 2 - eps * abs_a))
         last_empty = min(k_cap, int(mp.floor(mp.log(
             2 * mp.sqrt(5) / (mp.pi * width), 59))))
-        while (last_empty >= 0 and next(_pose_band(last_empty, abs_a, eps)[0],
-                                        None) is not None):
+        while last_empty >= 0 and next(
+                _pose_band(last_empty, abs_a, eps)[0], None) is not None:
             last_empty -= 1
         best = None
         for k in range(last_empty + 1, k_cap + 1):
