@@ -9,7 +9,8 @@ sums of two squares.
 
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power, factor,
                             norm, phi_power, split_prime, unit_decompose)
-from icogate.sots import sots, sots_exact
+from icogate.errors import NotRepresentable
+from icogate.sots import sots_exact
 
 print("== the golden ring ==")
 x = GoldenInt(3, 4)  # 3 + 4 phi
@@ -45,17 +46,21 @@ print(f"round-trip ok: {fac.value() == y}")
 print()
 
 print("== sums of two squares ==")
-for v in (GoldenInt(5, 0), GoldenInt(4, 1), ETA, GoldenInt(2, 1)):
+for v in (GoldenInt(5, 0), GoldenInt(4, 1), ETA, GoldenInt(2, 1),
+          GoldenInt(-1, 2)):
     try:
         s, t = sots_exact(v)
+    except NotRepresentable as exc:
+        reason = type(exc).__name__
+    else:
+        assert s * s + t * t == v
         print(f"{v} = ({s})^2 + ({t})^2")
-    except Exception:
-        r = None
-        try:
-            r = sots(v)
-        except Exception as exc:
-            print(f"{v}: not representable at either twist "
-                  f"({type(exc).__name__})")
-        if r is not None:
-            print(f"{v}: only ({v})*phi = ({r.s})^2 + ({r.t})^2 works "
-                  f"(the golden-twist dichotomy)")
+        continue
+    try:
+        s, t = sots_exact(v * PHI)
+    except NotRepresentable:
+        print(f"{v}: not representable at either twist ({reason})")
+        continue
+    assert s * s + t * t == v * PHI
+    print(f"{v}: only ({v})*phi = ({s})^2 + ({t})^2 works "
+          f"(the golden-twist dichotomy)")

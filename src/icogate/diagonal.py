@@ -413,6 +413,8 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         raise MalformedInput("epsilon must be in (0, 1)")
     if not mp.isfinite(theta):
         raise MalformedInput(f"theta must be finite, got {theta}")
+    if m_cap is not None and (not isinstance(m_cap, int) or m_cap < 0):
+        raise MalformedInput("m_cap must be a nonnegative int")
     bits = precision_for(eps) if precision_bits is None else precision_bits
     _check_precision(bits, eps)
     with mp.workprec(bits):

@@ -75,8 +75,9 @@ class SynthConfig:
     def __post_init__(self):
         if not 0 < self.epsilon < self.delta:
             raise MalformedInput("need 0 < epsilon < delta")
-        if self.k_cap is not None and self.k_cap < 0:
-            raise MalformedInput("k_cap must be nonnegative")
+        if self.k_cap is not None and (not isinstance(self.k_cap, int)
+                                       or self.k_cap < 0):
+            raise MalformedInput("k_cap must be a nonnegative int")
 
     def internal_epsilon(self):
         if self.strict:
@@ -156,8 +157,8 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     a, eps = mpf(abs_alpha), mpf(epsilon)
     if not 0 < eps < 1:
         raise MalformedInput("epsilon must be in (0, 1)")
-    if k < 0:
-        raise MalformedInput("k must be nonnegative")
+    if not isinstance(k, int) or k < 0:
+        raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
     points, ek, hp, center, half = _pose_band(k, a, eps)
     p = mp.prec
     phi_p = phi_fixed(p)

@@ -471,8 +471,8 @@ def factor(x: GoldenInt, primes: dict[int, int] | None = None
 
     Works through the rational prime factorization of N(x): inert primes
     divide x directly, split primes contribute via split_prime and its
-    conjugate.  primes, the prime factors of |N(x)| (a factor_int
-    result), is taken as given when a caller has them already.  Raises
+    conjugate.  primes, |N(x)|'s factorization from factor_int or
+    sots.decide, is taken as given when a caller has it already.  Raises
     Abandoned when the integer factorization runs out of its Pollard-rho
     budget, which synthesis loops treat as "skip this candidate".
     """

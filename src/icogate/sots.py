@@ -21,20 +21,17 @@ makes this check before decide factors m.
 The certificate goes through Z[i,phi]: if s^2 + t^2 = x then (s + ti)
 is a factor of x there, so candidates come from GCDs of x with elements
 of the form r + i*c.  Per irreducible u the recipe depends on the
-residue class of its associated prime p modulo 20.  Composing
-per-irreducible representations uses the two-squares product identity,
-and a final unit of the form +-phi^M is absorbed by parity: phi^even is
-a square, phi^odd leaves a representation of x*phi instead of x
-("twist").  Callers that need x itself exactly treat the twisted
-outcome as failure; no element has both x and x*phi representable.
+residue class of its associated prime p modulo 20.  Per-irreducible
+representations compose by the two-squares product identity, and the
+leftover unit, phi^(2n) for an x that passed decide, is absorbed as the
+square of phi^n.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import MalformedInput, NotRepresentable, UnsupportedResidue
+from .errors import NotRepresentable, UnsupportedResidue
 from .gaussgolden import gcd_ne
 from .golden import (
     ONE,
@@ -52,53 +49,13 @@ from .golden import (
     tonelli_shanks,
     unit_decompose,
 )
-from .intfactor import factor_cofactor, is_probable_prime, trial_divide
+from .intfactor import factor_cofactor, trial_divide
 
-__all__ = [
-    "SotsResult",
-    "associated_prime",
-    "sots_irreducible",
-    "screen",
-    "decide",
-    "sots",
-    "sots_exact",
-    "GOOD_RESIDUES",
-]
+__all__ = ["screen", "decide", "sots_exact"]
 
-# residue classes mod 20 of associated primes we can decompose
-GOOD_RESIDUES = frozenset({1, 3, 7, 9, 13, 17})
 # residue classes mod 20 of the split primes whose irreducibles are
 # not sums of two squares
 _BAD_RESIDUES = (11, 19)
-
-
-@dataclass(frozen=True)
-class SotsResult:
-    s: GoldenInt
-    t: GoldenInt
-    twist: str  # "plain": s^2+t^2 = x; "phi": s^2+t^2 = x*phi
-
-    def value(self) -> GoldenInt:
-        return self.s * self.s + self.t * self.t
-
-
-def associated_prime(u: GoldenInt) -> int:
-    """Least prime factor of norm(u) for irreducible u.
-
-    |norm| is p for split/ramified irreducibles and p^2 for inert
-    rational primes, so this is either |norm| or its square root.
-    """
-    n = abs(norm(u))
-    if n <= 1:
-        raise MalformedInput(f"{u!r} is a unit or zero, not irreducible")
-    r = math.isqrt(n)
-    if r * r == n:
-        if not is_probable_prime(r):
-            raise MalformedInput(f"{u!r} is not irreducible")
-        return r
-    if not is_probable_prime(n):
-        raise MalformedInput(f"{u!r} is not irreducible")
-    return n
 
 
 def _even_root(p: int, a: int) -> int:
@@ -150,35 +107,6 @@ def _piece(u: GoldenInt, p: int) -> tuple[GoldenInt, GoldenInt]:
     return (s, t)
 
 
-def _absorb_unit(x: GoldenInt, s: GoldenInt, t: GoldenInt) -> SotsResult:
-    """Rescale (s, t), whose s^2 + t^2 equals x up to a unit +-phi^m,
-    into a representation of x itself when m is even and of x*phi when
-    m is odd (the twist).  A minus sign proves x is not totally
-    nonnegative, hence not representable at either twist."""
-    ratio = exact_div(x, s * s + t * t)
-    if ratio is None or abs(norm(ratio)) != 1:
-        raise AssertionError("two-squares value is not an associate")
-    sign, m = unit_decompose(ratio)
-    if sign < 0:
-        raise NotRepresentable(f"{x!r} is not totally nonnegative")
-    shift = phi_power((m + 1) // 2)
-    result = SotsResult(s * shift, t * shift, "phi" if m % 2 else "plain")
-    assert result.value() == (x * PHI if m % 2 else x)
-    return result
-
-
-def sots_irreducible(u: GoldenInt) -> SotsResult:
-    """Represent u or u*phi as a sum of two squares, for irreducible u
-    (the rational primes 2 and 5 are also accepted).
-
-    The raw GCD output represents some associate of u; multiplying
-    through by phi-powers walks that to u itself when the leftover
-    exponent is even, and to u*phi when odd.
-    """
-    s, t = _piece(u, associated_prime(u))
-    return _absorb_unit(u, s, t)
-
-
 def screen(x: GoldenInt) -> tuple[dict[int, int], int]:
     """trial_divide(|N(x)|) for a totally nonnegative x whose cofactor
     is not 3 (mod 4); NotRepresentable otherwise, with
@@ -218,7 +146,8 @@ def decide(x: GoldenInt, screened: tuple[dict[int, int], int] | None = None
     return primes
 
 
-def _represent(x: GoldenInt, primes: dict[int, int]) -> SotsResult:
+def _represent(x: GoldenInt, primes: dict[int, int]
+               ) -> tuple[GoldenInt, GoldenInt]:
     """Compose the pieces of x's odd-multiplicity factors by
     (s,t)*(s',t') = (ss'-tt', st'+ts') and absorb the leftover unit;
     primes is |N(x)|'s factorization, which x has passed."""
@@ -231,18 +160,16 @@ def _represent(x: GoldenInt, primes: dict[int, int]) -> SotsResult:
         n = abs(norm(u))  # p, or p^2 for an inert p
         s, t = _piece(u, n if n in primes else math.isqrt(n))
         s_acc, t_acc = s_acc * s - t_acc * t, s_acc * t + t_acc * s
-    return _absorb_unit(x, s_acc * square, t_acc * square)
-
-
-def sots(x: GoldenInt) -> SotsResult:
-    """Represent x or x*phi as a sum of two squares.
-
-    x*phi has the content and |N| of x, so deciding x*phi when
-    sigma_-(x) < 0 decides the twist, with the same primes.
-    """
-    if not x:
-        raise MalformedInput("sots(0): use sots_exact for the zero case")
-    return _represent(x, decide(x if sign_minus(x) >= 0 else x * PHI))
+    s, t = s_acc * square, t_acc * square
+    ratio = exact_div(x, s * s + t * t)
+    if ratio is None or abs(norm(ratio)) != 1:
+        raise AssertionError("two-squares value is not an associate")
+    sign, m = unit_decompose(ratio)
+    if sign < 0 or m % 2:
+        raise AssertionError(f"{x!r} passed decide with leftover unit "
+                             f"{ratio!r}")
+    shift = phi_power(m // 2)
+    return (s * shift, t * shift)
 
 
 def sots_exact(x: GoldenInt, *, primes: dict[int, int] | None = None
@@ -256,6 +183,4 @@ def sots_exact(x: GoldenInt, *, primes: dict[int, int] | None = None
         primes = decide(x)
     if not x:
         return (ZERO, ZERO)
-    result = _represent(x, primes)
-    assert result.twist == "plain", "a totally nonnegative x twisted"
-    return (result.s, result.t)
+    return _represent(x, primes)

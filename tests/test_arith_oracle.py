@@ -169,7 +169,9 @@ def test_gcd_and_divmod_ne_match_oracle_on_random_elements():
 
 def test_gcd_ne_matches_oracle_on_sots_probes(monkeypatch):
     # the (u, probe) pairs sots._piece hands to gcd_ne: x + i or
-    # x + i*sqrt5 against an irreducible above p, over every good class
+    # x + i*sqrt5 against an irreducible above p, over every good class;
+    # N(p phi^2j) = p^2, so decide's answer {p: 2} is passed rather than
+    # left to Pollard rho on p^2
     calls = []
 
     def recording_gcd_ne(alpha, beta):
@@ -178,15 +180,18 @@ def test_gcd_ne_matches_oracle_on_sots_probes(monkeypatch):
 
     monkeypatch.setattr(sots, "gcd_ne", recording_gcd_ne)
     rng = random.Random(101)
-    seen = {cls: 0 for cls in sots.GOOD_RESIDUES}
+    seen = {cls: 0 for cls in (1, 3, 7, 9, 13, 17)}
+    pieces = 0
     while min(seen.values()) < 6:
         p = rng.randrange(3, 2**rng.choice((10, 30, 60)))
         if p % 20 not in seen or not is_probable_prime(p):
             continue
         seen[p % 20] += 1
-        u = split_prime(p) if p % 5 in (1, 4) else GoldenInt(p)
-        sots.sots_irreducible(u * phi_power(rng.randint(-20, 20)))
-    assert len(calls) == sum(seen.values())
+        pieces += 2 if p % 5 in (1, 4) else 1  # split, or inert
+        x = GoldenInt(p) * phi_power(2 * rng.randint(-10, 10))
+        s, t = sots.sots_exact(x, primes={p: 2})
+        assert s * s + t * t == x
+    assert len(calls) == pieces
     for alpha, beta in calls:
         _assert_ne_matches_oracle(GaussGoldenInt(*alpha),
                                   GaussGoldenInt(*beta))

@@ -221,6 +221,8 @@ def test_problem_validation():
     for m in (-1, 2.5, "2"):
         with pytest.raises(MalformedInput):
             solve_shell(DiagonalTarget(0.1, 0.5), m)
+        with pytest.raises(MalformedInput):
+            synth_diagonal(0.3, 1e-3, m_cap=m)
     with pytest.raises(MalformedInput):
         DiagonalTarget(mp.pi, 0.5)  # cos < 0: not folded
 

@@ -78,8 +78,9 @@ def test_candidate_norms_validates_input():
             list(candidate_norms(0, 1.0, 0.1))
         with pytest.raises(MalformedInput):
             list(candidate_norms(0, 0.0, 0.1))
-        with pytest.raises(MalformedInput):
-            list(candidate_norms(-1, 0.5, 0.1))
+        for k in (-1, 2.5, "2"):
+            with pytest.raises(MalformedInput):
+                list(candidate_norms(k, 0.5, 0.1))
         for eps in (0.0, -0.1, 1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(MalformedInput):
                 list(candidate_norms(0, 0.5, eps))
@@ -218,8 +219,9 @@ def test_config_validation():
         SynthConfig(0.0)
     with pytest.raises(MalformedInput):
         SynthConfig(0.6)  # epsilon >= delta
-    with pytest.raises(MalformedInput):
-        SynthConfig(1e-3, k_cap=-1)
+    for k_cap in (-1, 2.5, "2"):
+        with pytest.raises(MalformedInput):
+            SynthConfig(1e-3, k_cap=k_cap)
 
 
 def test_snap_to_group_element():

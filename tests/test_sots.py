@@ -5,11 +5,7 @@ import random
 
 import pytest
 
-from icogate.errors import (
-    MalformedInput,
-    NotRepresentable,
-    UnsupportedResidue,
-)
+from icogate.errors import NotRepresentable, UnsupportedResidue
 from icogate import intfactor
 from icogate import sots as sots_module
 from icogate.golden import (ETA, PHI, GoldenInt, eta_power, factor, norm,
@@ -17,15 +13,7 @@ from icogate.golden import (ETA, PHI, GoldenInt, eta_power, factor, norm,
 from icogate.general import build_central
 from icogate.intfactor import (factor_int, is_probable_prime, small_primes,
                                trial_divide)
-from icogate.sots import (
-    GOOD_RESIDUES,
-    associated_prime,
-    decide,
-    screen,
-    sots,
-    sots_exact,
-    sots_irreducible,
-)
+from icogate.sots import decide, screen, sots_exact
 
 
 def embeddings_bounded(x, bound):
@@ -67,71 +55,38 @@ def representable_values(bound):
     return values
 
 
-def test_associated_prime_examples():
-    assert associated_prime(GoldenInt(2, 0)) == 2
-    assert associated_prime(GoldenInt(3, 1)) == 11
-    assert associated_prime(GoldenInt(-1, 2)) == 5
-    assert associated_prime(ETA) == 59
-    with pytest.raises(MalformedInput):
-        associated_prime(GoldenInt(4, 0))
-    with pytest.raises(MalformedInput):
-        associated_prime(GoldenInt(1, 0))
-
-
-def test_sots_irreducible_examples():
-    r = sots_irreducible(GoldenInt(2, 0))
-    assert (r.s, r.t, r.twist) == (GoldenInt(1, 0), GoldenInt(1, 0), "plain")
-
-    r = sots_irreducible(GoldenInt(5, 0))
-    assert (r.s, r.t, r.twist) == (GoldenInt(-1, 2), GoldenInt(0, 0), "plain")
+def test_sots_exact_on_irreducibles():
+    # 2 and 5 ramify; 29 = 9 (mod 20) splits; 13 = 13 (mod 20) stays
+    # inert; 7 = 7 (mod 20) takes the sqrt(-5) pathway
+    assert sots_exact(GoldenInt(5)) == (GoldenInt(-1, 2), GoldenInt(0))
+    for x in (GoldenInt(2), GoldenInt(7), GoldenInt(13),
+              totally_positive(split_prime(29)),
+              totally_positive(split_prime(29).conj())):
+        s, t = sots_exact(x)
+        assert s * s + t * t == x
 
     with pytest.raises(UnsupportedResidue):
-        sots_irreducible(ETA)  # 59 = 19 (mod 20)
+        sots_exact(ETA)  # 59 = 19 (mod 20)
 
 
-def test_sots_irreducible_sqrt5_twists():
-    # sqrt5 itself is not totally nonnegative; sqrt5 * phi = 2 + phi is
-    r = sots_irreducible(GoldenInt(-1, 2))
-    assert r.twist == "phi"
-    assert r.value() == GoldenInt(-1, 2) * PHI
-
-
-def test_sots_irreducible_split_and_inert():
-    # 29 = 9 (mod 20) splits in Z[phi]; 13 = 13 (mod 20) stays inert
-    from icogate.golden import split_prime
-
-    u = split_prime(29)
-    r = sots_irreducible(u)
-    assert r.value() == (u if r.twist == "plain" else u * PHI)
-
-    r = sots_irreducible(GoldenInt(13, 0))
-    assert r.value() == (GoldenInt(13, 0) if r.twist == "plain"
-                         else GoldenInt(13, 0) * PHI)
-
-    # 7 = 7 (mod 20): the sqrt(-5) pathway
-    r = sots_irreducible(GoldenInt(7, 0))
-    assert r.value() == (GoldenInt(7, 0) if r.twist == "plain"
-                         else GoldenInt(7, 0) * PHI)
+def test_sots_exact_sqrt5_dichotomy():
+    # sqrt5 is not totally nonnegative; sqrt5 * phi = 2 + phi is
+    with pytest.raises(NotRepresentable):
+        sots_exact(GoldenInt(-1, 2))
+    s, t = sots_exact(GoldenInt(-1, 2) * PHI)
+    assert s * s + t * t == GoldenInt(2, 1)
 
 
 def test_sots_examples():
-    r = sots(GoldenInt(4, 0))
-    assert (r.s, r.t, r.twist) == (GoldenInt(2, 0), GoldenInt(0, 0), "plain")
-
-    r = sots(GoldenInt(2, 0))
-    assert (r.s, r.t, r.twist) == (GoldenInt(1, 0), GoldenInt(1, 0), "plain")
-
-    r = sots(GoldenInt(10, 0))
-    assert r.twist == "plain"
-    assert r.value() == GoldenInt(10, 0)
-
-    with pytest.raises(MalformedInput):
-        sots(GoldenInt(0, 0))
+    assert sots_exact(GoldenInt(4)) == (GoldenInt(2), GoldenInt(0))
+    assert sots_exact(GoldenInt(2)) == (GoldenInt(1), GoldenInt(1))
+    s, t = sots_exact(GoldenInt(10))
+    assert s * s + t * t == GoldenInt(10)
 
 
 def test_sots_rejects_negative():
     with pytest.raises(NotRepresentable):
-        sots(GoldenInt(-2, 0))
+        sots_exact(GoldenInt(-2, 0))
 
 
 def test_sots_exact_examples():
@@ -183,7 +138,8 @@ def test_lemma6_dichotomy_small_region():
 def test_good_residue_density():
     # about three quarters of primes land in the supported classes
     primes = [p for p in small_primes() if p < 10**4]
-    good = sum(1 for p in primes if p % 20 in GOOD_RESIDUES or p in (2, 5))
+    good = sum(1 for p in primes
+               if p % 20 in {1, 3, 7, 9, 13, 17} or p in (2, 5))
     frac = good / len(primes)
     assert 0.72 < frac < 0.78
 
@@ -398,12 +354,8 @@ def test_sots_exact_rejects_without_building(monkeypatch):
     assert calls.count("factor") == 1 and "gcd_ne" in calls
 
 
-def test_pieces_take_the_associated_prime_from_the_norm(monkeypatch):
+def test_pieces_take_the_associated_prime_from_the_norm():
     # the factorization already names each factor's rational prime
-    def refuse(u):
-        raise AssertionError("associated_prime recomputed")
-
-    monkeypatch.setattr(sots_module, "associated_prime", refuse)
     for x in (GoldenInt(2 * 5 * 7 * 13), GoldenInt(29) * GoldenInt(41),
               ETA * ETA * GoldenInt(3, 1) ** 2 * GoldenInt(2, 1)):
         s, t = sots_exact(x)
