@@ -55,18 +55,23 @@ def representable_values(bound):
     return values
 
 
-def test_sots_exact_on_irreducibles():
-    # 2 and 5 ramify; 29 = 9 (mod 20) splits; 13 = 13 (mod 20) stays
-    # inert; 7 = 7 (mod 20) takes the sqrt(-5) pathway
+def test_sots_irreducible_examples():
+    # 2 and 5 ramify in Z[phi]
+    assert sots_exact(GoldenInt(2)) == (GoldenInt(1), GoldenInt(1))
     assert sots_exact(GoldenInt(5)) == (GoldenInt(-1, 2), GoldenInt(0))
-    for x in (GoldenInt(2), GoldenInt(7), GoldenInt(13),
-              totally_positive(split_prime(29)),
-              totally_positive(split_prime(29).conj())):
-        s, t = sots_exact(x)
-        assert s * s + t * t == x
 
     with pytest.raises(UnsupportedResidue):
         sots_exact(ETA)  # 59 = 19 (mod 20)
+
+
+def test_sots_irreducible_split_and_inert():
+    # 29 = 9 (mod 20) splits; 13 = 13 (mod 20) stays inert; 7 = 7 (mod 20)
+    # takes the sqrt(-5) pathway
+    for x in (totally_positive(split_prime(29)),
+              totally_positive(split_prime(29).conj()),
+              GoldenInt(13), GoldenInt(7)):
+        s, t = sots_exact(x)
+        assert s * s + t * t == x
 
 
 def test_sots_exact_sqrt5_dichotomy():
