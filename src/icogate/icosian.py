@@ -12,11 +12,12 @@ tau-count by one.
 
 The cofactor is chosen in Z[phi]/(eta) = F_59, where phi maps to 34
 (34^2 - 34 - 1 = 19*59 and 7 + 5*34 = 3*59).  eta is prime, so it
-divides a coordinate exactly when the coordinate's residue is 0, and
-gamma*c*tau is divisible by eta exactly when the Hamilton product of
-the residues of gamma and of c*tau vanishes in F_59^4.  The 60 products
-c*tau and their residues are fixed, so each tau costs a scan of small
-integer products and one exact division by eta.
+divides a coordinate exactly when the coordinate's residue is 0.  Mod
+eta the quaternions are the 2x2 matrices over F_59, and gamma*c*tau is
+divisible by eta exactly when the image line of c*tau is the kernel
+line of gamma.  The 60 lines of the products c*tau are distinct and
+fixed, so each tau costs one kernel-line lookup and one exact division
+by eta.
 
 The loop needs no canonical().  A scalar prime to eta does not change
 which cofactor works, and the scalars that reach gamma from a word are
@@ -255,12 +256,24 @@ def _residue_key(q: GoldenQuat) -> tuple[int, ...]:
     return tuple(v * inv % _ETA_PRIME for v in res)
 
 
-def _right_mul_rows(h: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Rows M with M g = g*h (Hamilton product) for g, h in F_59^4."""
-    h0, h1, h2, h3 = h
-    n1, n2, n3 = (_ETA_PRIME - v for v in (h1, h2, h3))
-    return ((h0, n1, n2, n3), (h1, h0, h3, n2),
-            (h2, n3, h0, h1), (h3, h2, n1, h0))
+def _image(res: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The 2x2 matrix over F_59 of residues (g0, g1, g2, g3), as its
+    entries (m00, m01, m10, m11), under i -> [[0, 1], [-1, 0]] and
+    j -> [[3, 7], [7, -3]] (3^2 + 7^2 = -1 mod 59), so k = ij ->
+    [[7, -3], [-3, -7]] and det = g0^2 + g1^2 + g2^2 + g3^2."""
+    g0, g1, g2, g3 = res
+    s, t = 3 * g2 + 7 * g3, 7 * g2 - 3 * g3
+    return ((g0 + s) % _ETA_PRIME, (g1 + t) % _ETA_PRIME,
+            (t - g1) % _ETA_PRIME, (g0 - s) % _ETA_PRIME)
+
+
+_INVERSES = (0,) + tuple(pow(u, -1, _ETA_PRIME) for u in range(1, _ETA_PRIME))
+
+
+def _line(u: int, v: int) -> int:
+    """The point of P^1(F_59) of the line through (u, v) != (0, 0), for
+    u in 0 .. 58: v/u, or 59 when u = 0."""
+    return v * _INVERSES[u] % _ETA_PRIME if u else _ETA_PRIME
 
 
 def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
@@ -275,7 +288,7 @@ class C60Table:
     the shortest {r, s}-word the breadth-first closure found, its
     inverse word, its point of PU(2) as a float unit quaternion (for a
     nearest-element screen), and the peeling entries exact_synthesize
-    scans."""
+    looks up by line."""
 
     __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
                  "_peel")
@@ -291,16 +304,16 @@ class C60Table:
             raise IcogateError("C60 elements share a residue key mod eta")
         self._inverse = {q: by_key[_residue_key(q.conjugate())]
                          for q, _ in elements}
-        # identity last: its inverse word is empty, which only the
-        # outermost segments may carry, and a letter-bearing cofactor
-        # that also peels is always the right choice for inner positions
-        ordered = sorted(elements, key=lambda entry: entry[1] == "")
-        # each entry: the residue test for c*tau, c*tau*conj(eta) as
-        # flat coordinates, and the word for c^-1
-        self._peel = tuple(
-            (_right_mul_rows(_residues((c * TAU).coords())),
-             (c * TAU * ETA.conj()).coords(), self._inverse[c])
-            for c, _ in ordered)
+        # indexed by the image line of c*tau mod eta (a nonzero column):
+        # c*tau*conj(eta) as flat coordinates, and the word for c^-1
+        peel = {}
+        for c, _ in elements:
+            m00, m01, m10, m11 = _image(_residues((c * TAU).coords()))
+            key = _line(m00, m10) if m00 or m10 else _line(m01, m11)
+            peel[key] = ((c * TAU * ETA.conj()).coords(), self._inverse[c])
+        if len(peel) != _ETA_PRIME + 1:
+            raise IcogateError("two C60 cofactors share a line mod eta")
+        self._peel = tuple(peel[key] for key in range(_ETA_PRIME + 1))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -444,9 +457,12 @@ def _strip_twos(flat: tuple[int, ...]) -> tuple[int, ...]:
     """A flat quaternion divided by the largest power of 2 dividing
     every coordinate (2 is prime in Z[phi]: it divides a + b*phi iff a
     and b are even)."""
-    if any(v & 1 for v in flat):
+    a0, b0, a1, b1, a2, b2, a3, b3 = flat
+    # the lowest set bit of the OR is the common power of 2
+    low = a0 | b0 | a1 | b1 | a2 | b2 | a3 | b3
+    if low & 1:
         return flat
-    shift = min((v & -v).bit_length() for v in flat if v) - 1
+    shift = (low & -low).bit_length() - 1
     return tuple(v >> shift for v in flat)
 
 
@@ -455,43 +471,41 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     exactly k taus.  Raises NotInGroup when q is not in the projective
     image of the order's unit lattice.
 
-    Exactly one cofactor peels at every step.  gamma starts primitive
-    (canonical divides out its content) and stays so: the quotient
-    gamma*c*tau/eta times the conjugate of c*tau is gamma*nrd(c), and
-    nrd(c) is a unit times a power of 2, so a prime dividing the
-    quotient's content is 2, which the strip removes, or divides gamma.
-    Hence gamma's residues mod eta are never all 0.  Mod eta the
-    quaternions are the 2x2 matrices over F_59, where a nonzero gamma
-    with eta | nrd(gamma) has rank 1, and so has tau: gamma*c*tau
-    vanishes exactly when c maps the image line of tau onto the kernel
-    line of gamma.  C60 = A5 embeds in PGL_2(F_59) (the table checks
-    that its 60 residue keys differ), and none of its nonidentity
-    elements fixes a line: A5 is simple, so it lies in PSL_2(F_59), and
-    a lift to SL_2 of an element of order 2, 3 or 5 that fixed a line
-    would have an eigenvalue in F_59 of order 3, 4, 5, 6 or 10, none of
-    which divides 58.  So C60 acts simply transitively on the 60 lines
-    of F_59^2, and exactly one c peels.  The first two AssertionErrors
-    below guard that invariant; a quaternion outside the group always
+    Mod eta the quaternions are M_2(F_59) (see _image), where det is nrd
+    mod eta.  gamma starts primitive (canonical) and stays so: the
+    quotient gamma*c*tau/eta times conj(c*tau) is gamma*nrd(c), nrd(c)
+    is a unit times a power of 2, so a prime dividing the quotient's
+    content is 2, which the strip removes, or divides gamma.  So while
+    eta | nrd(gamma), gamma's image has rank 1, as has tau's, and
+    gamma*c*tau vanishes exactly when c maps the image line of tau onto
+    gamma's kernel line.  C60 = A5 lies in PSL_2(F_59), and none of its
+    nonidentity elements fixes a line: a lift to SL_2 of an element of
+    order 2, 3 or 5 that did would have an eigenvalue in F_59 of order
+    3, 4, 5, 6 or 10, none of which divides 58.  So C60 acts simply
+    transitively on the 60 lines (C60Table checks it), and the kernel
+    line picks the one c that peels.  A peel divides nrd by eta, times
+    nrd(c) and the strip's powers of 4, all prime to eta, so det != 0
+    ends the loop after exactly k peels.  The AssertionErrors guard
+    primitivity and the exact division; a quaternion outside the group
     reaches the final lookup.
     """
     table = generate_c60()
-    gamma = canonical(q)
-    k = tau_count(gamma)
-    flat = gamma.coords()
+    peel = table._peel
+    flat = canonical(q).coords()
     tails: list[str] = []
-    for _ in range(k):
-        g0, g1, g2, g3 = _residues(flat)
-        if not (g0 or g1 or g2 or g3):
+    while True:
+        res = _residues(flat)
+        m00, m01, m10, m11 = _image(res)
+        if (m00 * m11 - m01 * m10) % _ETA_PRIME:
+            break
+        if not any(res):
             raise AssertionError("eta divides the content of gamma, which "
                                  "stays primitive; arithmetic bug")
-        for rows, c_tau_eta_bar, inverse in table._peel:
-            if all((m0 * g0 + m1 * g1 + m2 * g2 + m3 * g3) % _ETA_PRIME == 0
-                   for m0, m1, m2, m3 in rows):
-                break
+        # the kernel line of rank-1 gamma: orthogonal to a nonzero row
+        if m00 or m01:
+            c_tau_eta_bar, inverse = peel[_line(m01, -m00)]
         else:
-            raise AssertionError("no C60 cofactor peels a tau, though C60 "
-                                 "acts simply transitively on the lines "
-                                 "mod eta; arithmetic bug")
+            c_tau_eta_bar, inverse = peel[_line(m11, -m10)]
         # gamma*c*tau/eta = gamma*c*tau*conj(eta)/59
         product = _hamilton(flat, c_tau_eta_bar)
         if any(v % _ETA_PRIME for v in product):

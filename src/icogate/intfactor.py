@@ -125,9 +125,10 @@ def trial_divide(n: int) -> tuple[dict[int, int], int]:
 def factor_cofactor(primes: dict[int, int], m: int) -> dict[int, int]:
     """primes with the factorization of the cofactor m added, for
     (primes, m) = trial_divide(n): Brent-Pollard rho on m, trying
-    c = 1, 2, ... per cofactor.  Raises Abandoned if the rho budget runs
-    out, so norm-level callers can simply skip the candidate that
-    produced an unlucky cofactor."""
+    c = 1, 2, ... per cofactor.  A composite square is split at its root
+    first, since rho needs about sqrt(p) steps to split p^2.  Raises
+    Abandoned if the rho budget runs out, so norm-level callers can
+    simply skip the candidate that produced an unlucky cofactor."""
     out = dict(primes)
     stack = [m]
     remaining = RHO_ITERATION_BUDGET
@@ -137,6 +138,10 @@ def factor_cofactor(primes: dict[int, int], m: int) -> dict[int, int]:
             continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack += (root, root)
             continue
         g, c = m, 0
         while g == m:

@@ -6,8 +6,9 @@ from peel_oracle import peel_oracle
 from icogate.errors import MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
-                             canonical, evaluate_word, exact_synthesize,
-                             generate_c60, tau_count, word_to_quat)
+                             _image, _residues, canonical, evaluate_word,
+                             exact_synthesize, generate_c60, tau_count,
+                             word_to_quat)
 from icogate.unitary import ProjUnitary, distance
 
 PROJ_TOL = 1e-15
@@ -293,9 +294,49 @@ def test_peeling_unique():
             gamma = canonical(GoldenQuat(*parts))
 
 
+def mat_mul_mod_eta(m, n):
+    """Product of 2x2 matrices over F_59 given as (m00, m01, m10, m11)."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return ((a * e + b * g) % 59, (a * f + b * h) % 59,
+            (c * e + d * g) % 59, (c * f + d * h) % 59)
+
+
+def line_key(u, v):
+    """The point of P^1(F_59) of the line through (u, v): v/u, or 59."""
+    return v * pow(u, -1, 59) % 59 if u % 59 else 59
+
+
+def test_image_mod_eta_is_multiplicative_with_det_nrd():
+    assert _image(_residues(ONE_QUAT.coords())) == (1, 0, 0, 1)
+    rng = random.Random(11)
+    for _ in range(200):
+        g, h = rand_quat(rng, 60), rand_quat(rng, 60)
+        ig, ih = _image(_residues(g.coords())), _image(_residues(h.coords()))
+        assert _image(_residues((g * h).coords())) == mat_mul_mod_eta(ig, ih)
+        m00, m01, m10, m11 = ig
+        n = g.nrd()
+        assert (m00 * m11 - m01 * m10) % 59 == (n.a + 34 * n.b) % 59
+
+
+def test_peel_table_is_keyed_by_the_image_line_of_c_tau():
+    table = generate_c60()
+    keys = set()
+    for c, _ in table:
+        m00, m01, m10, m11 = _image(_residues((c * TAU).coords()))
+        assert (m00 * m11 - m01 * m10) % 59 == 0
+        key = line_key(m00, m10) if m00 or m10 else line_key(m01, m11)
+        keys.add(key)
+        assert table._peel[key] == ((c * TAU * ETA.conj()).coords(),
+                                    table.inverse_word_for(c))
+    assert keys == set(range(60))
+    assert len(table._peel) == 60
+
+
 def test_exact_synthesize_matches_trial_division():
-    """Each cofactor exact_synthesize picks by residue mod eta is the one
-    trial division finds, step by step; non-group inputs fail alike."""
+    """Each cofactor exact_synthesize picks by kernel line mod eta is the
+    one trial division finds, step by step, on short and 30-50-tau words,
+    scaled by units and powers of 2; non-group inputs fail alike."""
     rng = random.Random(10)
     words = [w for _, w in generate_c60()]
     scalar_seg = "rsrrsrsrrsrs" * 2  # a nonempty segment equal to 1 in C60
@@ -303,10 +344,16 @@ def test_exact_synthesize_matches_trial_division():
     cases += [GateWord.parse(text) for text in (
         "(rs)t(srs)t()", "()t(r)t(s)", "()t()", f"(r)t({scalar_seg})t(s)",
         f"()t(rr)t({scalar_seg})t(s)t()")]
-    quats = [word_to_quat(w) for w in cases]
+    long_words = [random_word(rng, words, k) for k in (30, 37, 44, 50)]
+    quats = [word_to_quat(w) for w in cases + long_words]
+    quats += [word_to_quat(w) * phi_power(n)
+              for w, n in zip(long_words, (-40, -17, 23, 40))]
+    quats += [word_to_quat(w) * 2**j for w, j in zip(long_words, (1, 6))]
     m = GoldenQuat(1, 1, 0, 0)  # nrd 2: no word reaches it
-    quats += [m, TAU * m, TAU * m * TAU, m * TAU * RHO * TAU * m,
-              TAU * GoldenQuat(1, GoldenInt(0, 1), 1, 0)]
+    quats += [m, TAU * m, m * TAU, TAU * m * TAU, m * TAU * RHO * TAU * m,
+              TAU * GoldenQuat(1, GoldenInt(0, 1), 1, 0),
+              word_to_quat(long_words[0]) * m * TAU * phi_power(9),
+              m * word_to_quat(long_words[1]) * 2]
     for q in quats:
         expected = reference_synthesize(q)
         if isinstance(expected, Exception):

@@ -56,6 +56,18 @@ def test_is_probable_prime(n, prime):
     assert is_probable_prime(n) is prime
 
 
+P60 = 576460752303423619  # a 60-bit prime
+
+
+def test_factor_int_splits_squares_without_rho(monkeypatch):
+    # rho needs about sqrt(P60) = 2^30 steps to split P60^2, and abandoned
+    # it; the root comes first, so no budget at all is needed
+    assert factor_int(P60 * P60) == {P60: 2}
+    monkeypatch.setattr(intfactor, "RHO_ITERATION_BUDGET", 0)
+    assert factor_int(P60 * P60) == {P60: 2}
+    assert factor_int(3 * P60**4) == {3: 1, P60: 4}
+
+
 def test_factor_int_abandons_on_every_call(monkeypatch):
     monkeypatch.setattr(intfactor, "RHO_ITERATION_BUDGET", 100)
     n = (10**9 + 7) * (10**9 + 9)  # balanced, about 60 bits

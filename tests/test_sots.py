@@ -9,7 +9,7 @@ from icogate.errors import NotRepresentable, UnsupportedResidue
 from icogate import intfactor
 from icogate import sots as sots_module
 from icogate.golden import (ETA, PHI, GoldenInt, eta_power, factor, norm,
-                            sign_minus, sign_plus, split_prime)
+                            phi_power, sign_minus, sign_plus, split_prime)
 from icogate.general import build_central
 from icogate.intfactor import (factor_int, is_probable_prime, small_primes,
                                trial_divide)
@@ -157,6 +157,16 @@ def test_split_prime_above_a_million_is_not_abandoned():
     assert 62450981 in {abs(norm(u)) for u, _ in factor(x).factors}
     s, t = sots_exact(x)
     assert s * s + t * t == x
+
+
+@pytest.mark.parametrize("p", [576460752303423649, 576460752303423761])
+def test_sots_exact_certifies_a_60_bit_split_prime(p):
+    # p = 9, 1 (mod 20) splits in Z[phi]; the norm p^2 is a square that
+    # rho alone would need about 2^30 steps to split
+    for j in (0, 3, -2):
+        x = GoldenInt(p) * phi_power(2 * j)
+        s, t = sots_exact(x)
+        assert s * s + t * t == x
 
 
 # irreducibles over 11 and 19, both totally positive
