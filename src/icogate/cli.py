@@ -94,6 +94,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 def _report_payload(report: SynthReport, epsilon: float, elapsed: float) -> dict:
     return {
         "word": report.word.to_json(),
+        "tau_count": report.word.tau_count,
         "central_tau": report.central_tau,
         "outer_tau": list(report.outer_tau),
         "achieved": float(report.achieved),
@@ -133,14 +134,18 @@ def _cmd_synth_diag(args) -> int:
     bits = precision_for(args.eps)
     with mp.workprec(bits):
         theta = parse_angle(args.theta)
+    stats = {"abandoned": 0}
     start = time.perf_counter()
-    q, word, achieved = synth_diagonal(theta, args.eps, precision_bits=bits)
+    q, word, achieved = synth_diagonal(theta, args.eps, precision_bits=bits,
+                                       stats=stats)
     elapsed = time.perf_counter() - start
     m = tau_count(q)
     payload = {
         "word": word.to_json(),
+        "tau_count": word.tau_count,
         "achieved": float(achieved),
         "m": m,
+        "abandoned_count": stats["abandoned"],
         "epsilon": args.eps,
         "elapsed_seconds": round(elapsed, 3),
     }
@@ -149,6 +154,7 @@ def _cmd_synth_diag(args) -> int:
         f"tau-count   {word.tau_count}",
         f"achieved    {mp.nstr(achieved, 6)}",
         f"m           {m}",
+        f"abandoned   {stats['abandoned']}",
         f"elapsed     {elapsed:.2f}s",
     ])
     return 0

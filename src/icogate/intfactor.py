@@ -19,6 +19,9 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIME_BOUND = 100_000
 _small_primes: list[int] | None = None
+# trial_divide's runs of consecutive small primes, each with its product
+_BLOCK_LENGTH = 32
+_prime_blocks: list[tuple[int, tuple[int, ...]]] | None = None
 
 # Iteration budget for a full Pollard rho factorization: the one effort
 # limit under which synthesis abandons a candidate.
@@ -37,6 +40,18 @@ def small_primes() -> list[int]:
                 sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
         _small_primes = [i for i in range(bound) if sieve[i]]
     return _small_primes
+
+
+def _blocks() -> list[tuple[int, tuple[int, ...]]]:
+    """(product, run) for the small primes in runs of _BLOCK_LENGTH,
+    built on first use."""
+    global _prime_blocks
+    if _prime_blocks is None:
+        primes = small_primes()
+        runs = (tuple(primes[i:i + _BLOCK_LENGTH])
+                for i in range(0, len(primes), _BLOCK_LENGTH))
+        _prime_blocks = [(math.prod(run), run) for run in runs]
+    return _prime_blocks
 
 
 def is_probable_prime(n: int) -> bool:
@@ -109,16 +124,34 @@ def trial_divide(n: int) -> tuple[dict[int, int], int]:
     """({p: e}, m) with n = m * prod p^e, for a positive integer n: the
     primes below 10^5 with their exponents, and the cofactor m, which
     holds each of its primes with its full exponent in n (m is 1 or a
-    prime when the division stops at p^2 > m)."""
+    prime when the division stops at p^2 > m).
+
+    The result is that of dividing by each prime in turn until p^2
+    exceeds what is left, dict order included.  But a run of primes
+    that one gcd with its product shows prime to n is skipped whole,
+    and in the other runs only the primes dividing that gcd are tried:
+    a skipped prime changes nothing, and the stop it would have made
+    is made at the next prime tried, in its run or the next."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     out: dict[int, int] = {}
-    for p in small_primes():
-        if p * p > n:
+    for product, run in _blocks():
+        if run[0] * run[0] > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in run:
+            if g % p:
+                continue
+            if p * p > n:
+                return out, n
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+            g //= p
+            if g == 1:
+                break
     return out, n
 
 

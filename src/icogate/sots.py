@@ -11,12 +11,19 @@ of two squares up to a unit, and the leftover unit of a totally
 nonnegative x is totally positive, i.e. phi^(2n), a square.  decide
 applies this test; the certificate below is built only for x that pass.
 
-Part of the test needs no Pollard rho.  Trial division below 10^5
-leaves a cofactor m of N(x) that holds each of its primes with its
-full exponent.  If m = 3 (mod 4), some prime p = 3 (mod 4) has an odd
-exponent in m, so in N(x).  An inert prime (3, 7 mod 20) has an even
-one, its norm being p^2, so p = 11 or 19 (mod 20) and x fails.  screen
-makes this check before decide factors m.
+Part of the test needs no Pollard rho.  If x = s^2 + t^2, then x is
+the norm of s + ti from Q(i, sqrt5) to Q(sqrt5), so N(x) is its norm
+to Q, taken through Q(i) instead: (s + ti)(s' + t'i) = A + Bi with
+A = ss' - tt' and B = st' + s't in Z (' the Galois conjugate), and
+N(x) = A^2 + B^2.  So every prime p = 3 (mod 4) has an even exponent
+in N(x), and the odd part of N(x) is 1 (mod 4).  screen rejects x with
+UnsupportedResidue (i) when the odd part of N(x) is 3 (mod 4), before
+any division, and (ii) when a prime p = 3 (mod 4) below 10^5 has an
+odd exponent, after trial division and before decide runs rho on the
+cofactor.  The verdict is the one decide gives: an inert prime (3, 7
+mod 20) has an even exponent, its norm being p^2, so the odd exponent
+belongs to some p = 11 or 19 (mod 20).  A cofactor 3 (mod 4) is caught
+by (i) or (ii).
 
 The certificate goes through Z[i,phi]: if s^2 + t^2 = x then (s + ti)
 is a factor of x there, so candidates come from GCDs of x with elements
@@ -108,18 +115,23 @@ def _piece(u: GoldenInt, p: int) -> tuple[GoldenInt, GoldenInt]:
 
 
 def screen(x: GoldenInt) -> tuple[dict[int, int], int]:
-    """trial_divide(|N(x)|) for a totally nonnegative x whose cofactor
-    is not 3 (mod 4); NotRepresentable otherwise, with
-    UnsupportedResidue for the cofactor (module docstring).  Runs no
-    Pollard rho."""
+    """trial_divide(N(x)) for a totally nonnegative x that passes rules
+    (i) and (ii) of the module docstring; NotRepresentable otherwise,
+    with UnsupportedResidue for the rules.  Rule (i) runs before any
+    division, and no Pollard rho runs."""
     if not x:
         return {}, 1
     if sign_plus(x) < 0 or sign_minus(x) < 0:
         raise NotRepresentable(f"{x!r} is not totally nonnegative")
-    primes, m = trial_divide(abs(norm(x)))
-    if m % 4 == 3:
-        raise UnsupportedResidue(
-            f"{x!r}: the norm's cofactor {m} is 3 (mod 4)")
+    n = norm(x)  # positive: x is totally positive
+    if n // (n & -n) % 4 == 3:
+        raise UnsupportedResidue(f"{x!r}: the odd part of N(x) = {n} is "
+                                 "3 (mod 4)")
+    primes, m = trial_divide(n)
+    for p, e in primes.items():
+        if e % 2 and p % 4 == 3:
+            raise UnsupportedResidue(
+                f"{x!r}: {p} = 3 (mod 4) has odd exponent {e} in N(x)")
     return primes, m
 
 

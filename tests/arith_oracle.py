@@ -9,7 +9,9 @@ from dropping unused helpers, taking the quaternion as an argument,
 spelling GoldenQuat's own product, scaling, negation and reduced norm
 through GoldenInt operators, and computing the quartic norm down the
 tower as N(alpha * complex_conj(alpha)): every step builds GoldenInt
-and GaussGoldenInt values.  Both must agree exactly on every input.
+and GaussGoldenInt values.  intfactor.trial_divide skips runs of primes
+by one gcd each; trial_divide here is the prime-by-prime walk it
+replaced.  Both must agree exactly on every input.
 """
 
 from icogate.golden import (PHI, SQRT5_IRREDUCIBLE, ZERO, GoldenInt,
@@ -17,6 +19,7 @@ from icogate.golden import (PHI, SQRT5_IRREDUCIBLE, ZERO, GoldenInt,
                             phi_power)
 from icogate.errors import MalformedInput
 from icogate.icosian import GoldenQuat
+from icogate.intfactor import small_primes
 
 
 # --- golden.py ---
@@ -60,6 +63,21 @@ def canonical_associate(x):
     if out == GoldenInt(2, 1):  # the norm-5 ramified class
         return SQRT5_IRREDUCIBLE
     return out
+
+
+# --- intfactor.py ---
+
+def trial_divide(n):
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    out = {}
+    for p in small_primes():
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    return out, n
 
 
 # --- icosian.py ---

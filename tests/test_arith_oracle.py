@@ -3,6 +3,8 @@ replaced (arith_oracle.py): results must agree exactly."""
 
 import random
 
+import pytest
+
 import arith_oracle as oracle
 from arith_oracle import GaussGoldenInt
 from icogate import sots
@@ -12,7 +14,7 @@ from icogate.golden import (ETA, GoldenInt, canonical_associate,
                             euclid_divmod, gcd, phi_power, split_prime)
 from icogate.icosian import (RHO, SIGMA, TAU, GateWord, GoldenQuat,
                              canonical, word_to_quat)
-from icogate.intfactor import is_probable_prime
+from icogate.intfactor import is_probable_prime, trial_divide
 
 RAMIFIED = GoldenInt(2, 1)  # 2 + phi = sqrt5 * phi, the class above 5
 
@@ -55,6 +57,40 @@ def test_quaternion_product_and_norm_match_oracle():
         assert -p == GoldenQuat(-x0, -x1, -x2, -x3)
         assert p - q == GoldenQuat(*(u - v for u, v in zip(p.parts(),
                                                            q.parts())))
+
+
+def _assert_trial_divide_matches_oracle(n):
+    got, want = trial_divide(n), oracle.trial_divide(n)
+    # dict equality ignores order, so the items are compared as lists
+    assert (list(got[0].items()), got[1]) == (list(want[0].items()),
+                                              want[1]), n
+
+
+def test_trial_divide_matches_oracle_on_seeded_inputs():
+    rng = random.Random(103)
+    for _ in range(300):
+        if rng.random() < 0.5:
+            n = rng.randrange(1, 2**80)
+        else:
+            # mostly small primes, a few of them repeated, times a
+            # random cofactor
+            n = 1
+            for _ in range(rng.randint(1, 8)):
+                p = rng.choice((2, 3, 5, 11, 19, 59, 131, 137, 99991))
+                n *= p if n * p < 2**60 else 1
+            n *= rng.randrange(1, 2**80 // n)
+        _assert_trial_divide_matches_oracle(n)
+
+
+@pytest.mark.parametrize("n", [
+    1, 2, 3, 4, 99991, 99991**2, 99989 * 99991, 2**61 - 1,
+    99991 * (2**61 - 1), (10**5 + 3)**2,
+    # the walk stops inside the first run of 32 primes (2 ... 131):
+    # at 101, which divides nothing, and at 127, which divides n
+    2 * 3 * 10007, 2 * 127,
+])
+def test_trial_divide_matches_oracle_on_planted_inputs(n):
+    _assert_trial_divide_matches_oracle(n)
 
 
 def test_canonical_matches_oracle():

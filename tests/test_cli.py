@@ -83,7 +83,8 @@ def test_synth_diag_text_output(capsys):
     code, out, _ = run(capsys, "synth-diag", "--theta", "pi/8",
                        "--eps", "1e-3")
     assert code == 0
-    for field in ("word", "tau-count", "achieved", "m ", "elapsed"):
+    for field in ("word", "tau-count", "achieved", "m ", "abandoned",
+                  "elapsed"):
         assert field in out
 
 
@@ -93,6 +94,7 @@ def test_synth_json_word_reproduces_achieved(capsys):
     assert code == 0
     payload = json.loads(out)
     word = GateWord.from_json(payload["word"])
+    assert payload["tau_count"] == word.tau_count
     with mp.workprec(200):
         d = distance(named_gate("H", 200), evaluate_word(word, 200))
         assert abs(d - mpf(payload["achieved"])) <= mpf(payload["achieved"]) / 100
@@ -139,6 +141,9 @@ def test_synth_diag_true_distance_below_eps(capsys, theta, exact, eps):
         d = quaternion_distance(target, q.to_vector(bits))
     assert d < eps
     assert abs(d - mpf(payload["achieved"])) <= d / 100
+    assert payload["tau_count"] == GateWord.from_json(
+        payload["word"]).tau_count
+    assert payload["abandoned_count"] >= 0
 
 
 def test_synth_matrix_entry_parsing(capsys):

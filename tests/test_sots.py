@@ -10,10 +10,11 @@ from icogate import intfactor
 from icogate import sots as sots_module
 from icogate.golden import (ETA, PHI, GoldenInt, eta_power, factor, norm,
                             phi_power, sign_minus, sign_plus, split_prime)
-from icogate.general import build_central
+from icogate.general import SynthConfig, build_central, synth_general
 from icogate.intfactor import (factor_int, is_probable_prime, small_primes,
                                trial_divide)
 from icogate.sots import decide, screen, sots_exact
+from icogate.unitary import named_gate, precision_for
 
 
 def embeddings_bounded(x, bound):
@@ -249,17 +250,21 @@ def verdict(x):
     return "sum"
 
 
-def count_rho(monkeypatch):
-    """A list that records every _brent_rho call from now on."""
+def count_calls(monkeypatch, module, name):
+    """A list that records every call of module.name from now on."""
     calls = []
-    real = intfactor._brent_rho
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(intfactor, "_brent_rho", counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_rho(monkeypatch):
+    return count_calls(monkeypatch, intfactor, "_brent_rho")
 
 
 def prime_above(n, residues):
@@ -375,3 +380,56 @@ def test_pieces_take_the_associated_prime_from_the_norm():
               ETA * ETA * GoldenInt(3, 1) ** 2 * GoldenInt(2, 1)):
         s, t = sots_exact(x)
         assert s * s + t * t == x
+
+
+def test_screen_never_rejects_a_sum_of_two_squares():
+    """N(s^2 + t^2) = A^2 + B^2, so neither rule of screen can fire."""
+    rng = random.Random(29)
+    for _ in range(300):
+        s, t = (GoldenInt(rng.randint(-2 ** 20, 2 ** 20),
+                          rng.randint(-2 ** 20, 2 ** 20)) for _ in range(2))
+        x = s * s + t * t
+        primes, m = screen(x)
+        assert math.prod(p ** e for p, e in primes.items()) * m == norm(x)
+
+
+@pytest.mark.parametrize("x", [
+    PI_11,                             # N = 11
+    GoldenInt(2) * PI_19,              # N = 4 * 19
+    ETA * GoldenInt(29),               # N = 59 * 29^2
+    GoldenInt(3) * PI_11 ** 3,         # N = 9 * 11^3
+])
+def test_screen_rejects_an_odd_part_3_mod_4_before_dividing(monkeypatch, x):
+    calls = count_calls(monkeypatch, sots_module, "trial_divide")
+    with pytest.raises(UnsupportedResidue):
+        screen(x)
+    assert calls == []
+    monkeypatch.undo()
+    assert verdict(x) == old_verdict(x, factor_int(norm(x))) == "residue"
+
+
+def test_screen_rejects_an_odd_small_prime_3_mod_4_without_rho(monkeypatch):
+    """N(x) = 11 * 19 * q1 * q2 has odd part 1 (mod 4) and the composite
+    cofactor q1 * q2 after trial division; 11 and 19 have odd exponents,
+    so x is rejected before rho runs on q1 * q2."""
+    q1 = prime_above(2 ** 40, {1})
+    q2 = prime_above(2 ** 41, {9})
+    x = totally_positive(PI_11 * PI_19 * split_prime(q1) * split_prime(q2))
+    assert trial_divide(norm(x)) == ({11: 1, 19: 1}, q1 * q2)
+    calls = count_rho(monkeypatch)
+    assert verdict(x) == "residue"
+    assert calls == []
+    assert old_verdict(x, {11: 1, 19: 1, q1: 1, q2: 1}) == "residue"
+
+
+def test_deep_central_search_keeps_rho_off_rejected_norms(monkeypatch):
+    """synth_general on H at 1e-30 decides its central norms and the
+    outer diagonals' residuals with fewer than 10 rho hunts (65 when
+    only a cofactor 3 (mod 4) was screened), and finds the same word
+    length at the same shell."""
+    calls = count_rho(monkeypatch)
+    eps = 1e-30
+    report = synth_general(named_gate("H", precision_for(eps)),
+                           SynthConfig(eps))
+    assert (report.k, report.word.tau_count) == (19, 122)
+    assert len(calls) < 10
