@@ -20,16 +20,27 @@ fixed, so each tau costs one kernel-line lookup and one exact division
 by eta.
 
 The loop needs no canonical().  A scalar prime to eta does not change
-which cofactor works, and the scalars that reach gamma from a word are
-units and powers of 2 (the representatives have reduced norm 4,
-4*phi^2 or phi^2).  A parity test strips common factors of 2, and no
-other prime ever divides gamma's content (see exact_synthesize).  The
+which cofactor works, so exact_synthesize only strips the input's
+common powers of 2 (a parity test) and its eta-content (while every
+coordinate is divisible by eta); any other content rides along.  From
+then on eta never divides gamma's content (see exact_synthesize).  The
 unit gamma carries needs no rebalancing either:
 each step divides the reduced norm by eta (about 15.1 and 3.9 under
 the two embeddings) and multiplies it by nrd(c) (at most 10.5 and 4),
 so apart from the powers of 2 the strip removes, the norm and with it
 the coefficients shrink as the taus go; on 300 random words of up to
-60 taus no coefficient outgrew those of the canonical input.
+60 taus, as word_to_quat gives them, no coefficient outgrew 1.12 times
+the input's largest.
+
+The residual left after the last tau, and every other C60 question on
+the hot path (C60Table.word_for and inverse_word_for on a quaternion
+whose reduced norm is prime to eta), is answered by the residue key mod
+eta: C60 embeds in PGL_2(F_59), so the key names at most one class,
+and the six 2x2 minors x_i*y_j - x_j*y_i against that class's stored
+element y vanish exactly when x is a scalar multiple of y (y is
+primitive, so the scalar lies in Z[phi]).  canonical() is left to the
+CLI's display, the closure, error messages and lookups whose reduced
+norm eta divides.
 """
 
 from __future__ import annotations
@@ -39,6 +50,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from mpmath import mp
 
@@ -247,10 +259,10 @@ def _residues(flat: tuple[int, ...]) -> tuple[int, int, int, int]:
             (a3 + _PHI_MOD_ETA * b3) % _ETA_PRIME)
 
 
-def _residue_key(q: GoldenQuat) -> tuple[int, ...]:
-    """The residues of q scaled so that the first nonzero one is 1: the
-    image of q's projective class in PGL_2(F_59)."""
-    res = _residues(q.coords())
+def _residue_key(res: tuple[int, int, int, int]) -> tuple[int, ...]:
+    """Nonzero residues (see _residues) scaled so that the first nonzero
+    one is 1: the image of the quaternion's projective class in
+    PGL_2(F_59) when its reduced norm is prime to eta."""
     lead = next(v for v in res if v)
     inv = pow(lead, -1, _ETA_PRIME)
     return tuple(v * inv % _ETA_PRIME for v in res)
@@ -276,6 +288,19 @@ def _line(u: int, v: int) -> int:
     return v * _INVERSES[u] % _ETA_PRIME if u else _ETA_PRIME
 
 
+def _proportional(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
+    """Whether flat quaternions x and y are proportional over Q(phi):
+    every 2x2 minor x_i*y_j - x_j*y_i vanishes in Z[phi], where
+    (a + b*phi)(c + d*phi) = ac + bd + (ad + bc + bd)*phi."""
+    for i, j in combinations((0, 2, 4, 6), 2):
+        a, b, c, d = x[i], x[i + 1], y[j], y[j + 1]
+        e, f, g, h = x[j], x[j + 1], y[i], y[i + 1]
+        if (a * c + b * d != e * g + f * h
+                or a * d + b * c + b * d != e * h + f * g + f * h):
+            return False
+    return True
+
+
 def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
     """sigma_+(q) / |sigma_+(q)| in floats, for small coordinates."""
     v = [x.a + x.b * _PHI_FLOAT for x in q.parts()]
@@ -291,19 +316,19 @@ class C60Table:
     looks up by line."""
 
     __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
-                 "_peel")
+                 "_by_key", "_peel")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
         self.unit_vectors = tuple(_float_unit(q) for q, _ in elements)
         self._word_map = dict(elements)
         # C60 embeds in PGL_2(F_59), so the residue keys name the classes
-        # and conjugating a key finds the inverse without canonical()
-        by_key = {_residue_key(q): word for q, word in elements}
-        if len(by_key) != len(elements):
+        # and word_for finds each inverse without canonical()
+        self._by_key = {_residue_key(_residues(q.coords())): q
+                        for q, _ in elements}
+        if len(self._by_key) != len(elements):
             raise IcogateError("C60 elements share a residue key mod eta")
-        self._inverse = {q: by_key[_residue_key(q.conjugate())]
-                         for q, _ in elements}
+        self._inverse = {q: self.word_for(q.conjugate()) for q, _ in elements}
         # indexed by the image line of c*tau mod eta (a nonzero column):
         # c*tau*conj(eta) as flat coordinates, and the word for c^-1
         peel = {}
@@ -321,14 +346,31 @@ class C60Table:
     def __iter__(self):
         return iter(self.elements)
 
+    def _member(self, q: GoldenQuat) -> GoldenQuat | None:
+        """The stored element of q's class, or None when q is not a C60
+        element.  When eta divides nrd(q) (det 0 mod eta) q is zero, an
+        eta-multiple of an element or outside C60, and canonical()
+        decides; otherwise the residue key names the one candidate and
+        the minors confirm it."""
+        flat = q.coords()
+        res = _residues(flat)
+        if sum(v * v for v in res) % _ETA_PRIME == 0:
+            q = canonical(q)
+            return q if q in self._word_map else None
+        e = self._by_key.get(_residue_key(res))
+        if e is None or not _proportional(flat, e.coords()):
+            return None
+        return e
+
     def word_for(self, q: GoldenQuat) -> str | None:
-        return self._word_map.get(canonical(q))
+        e = self._member(q)
+        return None if e is None else self._word_map[e]
 
     def inverse_word_for(self, q: GoldenQuat) -> str:
-        word = self._inverse.get(canonical(q))
-        if word is None:
+        e = self._member(q)
+        if e is None:
             raise NotInGroup(f"{q!r} is not a C60 element")
-        return word
+        return self._inverse[e]
 
 
 @lru_cache(maxsize=None)
@@ -423,29 +465,31 @@ _GENERATORS = {"r": RHO, "s": SIGMA, "t": TAU}
 
 
 def _is_scalar_segment(seg: str) -> bool:
-    """Whether an {r, s}-segment is the identity of C60."""
-    return generate_c60().word_for(word_to_quat(GateWord((seg,)))) == ""
+    """Whether an {r, s}-segment is the identity of C60: its product is
+    a nonzero quaternion, which is a scalar exactly when its i, j and k
+    coordinates vanish."""
+    return not any(_piece(seg, False)[2:])
 
 
 @lru_cache(maxsize=1024)
-def _piece_quat(seg: str, after_tau: bool) -> GoldenQuat:
-    """Exact product of the piece (seg), or t(seg) when after_tau.
-    Words repeat few pieces (exact_synthesize emits one shortest word
-    per C60 element), so the store stays small."""
-    q = TAU if after_tau else ONE_QUAT
+def _piece(seg: str, after_tau: bool) -> tuple[int, ...]:
+    """Exact product of the piece (seg), or t(seg) when after_tau, as
+    flat coordinates.  Words repeat few pieces (exact_synthesize emits
+    one shortest word per C60 element), so the store stays small."""
+    flat = (TAU if after_tau else ONE_QUAT).coords()
     for ch in seg:
-        q = q * _GENERATORS[ch]
-    return q
+        flat = _hamilton(flat, _GENERATORS[ch].coords())
+    return flat
 
 
 def word_to_quat(word: GateWord) -> GoldenQuat:
     """Exact quaternion product of the word's letters, taken as one
     product per tau of the pieces (seg0), t(seg1), ..."""
     first, *rest = word.segments
-    q = _piece_quat(first, False)
+    flat = _piece(first, False)
     for seg in rest:
-        q = q * _piece_quat(seg, True)
-    return q
+        flat = _hamilton(flat, _piece(seg, True))
+    return GoldenQuat._from_coords(flat)
 
 
 def evaluate_word(word: GateWord,
@@ -466,17 +510,21 @@ def _strip_twos(flat: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v >> shift for v in flat)
 
 
+_ETA_BAR = (ONE_QUAT * ETA.conj()).coords()  # conj(eta) = 12 - 5*phi
+
+
 def exact_synthesize(q: GoldenQuat) -> GateWord:
     """Factor q (with nrd a unit times eta^k) into a gate word with
     exactly k taus.  Raises NotInGroup when q is not in the projective
-    image of the order's unit lattice.
+    image of the order's unit lattice, and MalformedInput when q is 0.
 
     Mod eta the quaternions are M_2(F_59) (see _image), where det is nrd
-    mod eta.  gamma starts primitive (canonical) and stays so: the
-    quotient gamma*c*tau/eta times conj(c*tau) is gamma*nrd(c), nrd(c)
-    is a unit times a power of 2, so a prime dividing the quotient's
-    content is 2, which the strip removes, or divides gamma.  So while
-    eta | nrd(gamma), gamma's image has rank 1, as has tau's, and
+    mod eta.  gamma starts as q with its common powers of 2 and its
+    eta-content divided out (gamma/eta = gamma*conj(eta)/59), and eta
+    never again divides gamma's content: if eta^2 divided gamma*c*tau,
+    multiplying by conj(c*tau) would give eta | gamma*nrd(c), and
+    nrd(c), a unit times a power of 2, is prime to eta, so eta | gamma.
+    So while eta | nrd(gamma), gamma's image has rank 1, as has tau's, and
     gamma*c*tau vanishes exactly when c maps the image line of tau onto
     gamma's kernel line.  C60 = A5 lies in PSL_2(F_59), and none of its
     nonidentity elements fixes a line: a lift to SL_2 of an element of
@@ -485,13 +533,19 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     transitively on the 60 lines (C60Table checks it), and the kernel
     line picks the one c that peels.  A peel divides nrd by eta, times
     nrd(c) and the strip's powers of 4, all prime to eta, so det != 0
-    ends the loop after exactly k peels.  The AssertionErrors guard
-    primitivity and the exact division; a quaternion outside the group
-    reaches the final lookup.
+    ends the loop after exactly k peels.  The residual's class is found
+    by its residue key and confirmed by the minors (C60Table.word_for).
+    The AssertionErrors guard the eta-content invariant and the exact
+    division; a quaternion outside the group reaches the final lookup.
     """
     table = generate_c60()
     peel = table._peel
-    flat = canonical(q).coords()
+    flat = q.coords()
+    if not any(flat):
+        raise MalformedInput("zero quaternion has no projective class")
+    flat = _strip_twos(flat)
+    while not any(_residues(flat)):
+        flat = tuple(v // _ETA_PRIME for v in _hamilton(flat, _ETA_BAR))
     tails: list[str] = []
     while True:
         res = _residues(flat)
@@ -500,7 +554,8 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
             break
         if not any(res):
             raise AssertionError("eta divides the content of gamma, which "
-                                 "stays primitive; arithmetic bug")
+                                 "the peels keep prime to eta; arithmetic "
+                                 "bug")
         # the kernel line of rank-1 gamma: orthogonal to a nonzero row
         if m00 or m01:
             c_tau_eta_bar, inverse = peel[_line(m01, -m00)]

@@ -51,6 +51,18 @@ def test_exact_identity_gives_empty_word(capsys):
     assert "tau-count   0" in out
 
 
+def test_exact_quat_with_eta_content(capsys):
+    # 14 + 10phi = 2*eta is a scalar; (7 + 5phi)(1, 1, 1, 1) = eta*rho
+    code, out, _ = run(capsys, "exact", "--quat", "14,10", "0,0", "0,0", "0,0")
+    assert code == 0
+    assert "word        ()" in out
+    code, out, _ = run(capsys, "exact", "--quat", "7,5", "7,5", "7,5", "7,5")
+    assert code == 0
+    assert "word        (r)" in out
+    code, out, err = run(capsys, "exact", "--quat", "0,0", "0,0", "0,0", "0,0")
+    assert code == 3 and not out and "zero quaternion" in err
+
+
 def test_exact_word_roundtrip(capsys):
     code, out, _ = run(capsys, "exact", "--word", "(r)t(srs)")
     assert code == 0

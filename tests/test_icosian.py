@@ -1,14 +1,16 @@
 import random
+from itertools import product
 
 import pytest
 
 from peel_oracle import peel_oracle
+from icogate import icosian
 from icogate.errors import MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
-                             _image, _residues, canonical, evaluate_word,
-                             exact_synthesize, generate_c60, tau_count,
-                             word_to_quat)
+                             _image, _is_scalar_segment, _residues, canonical,
+                             evaluate_word, exact_synthesize, generate_c60,
+                             tau_count, word_to_quat)
 from icogate.unitary import ProjUnitary, distance
 
 PROJ_TOL = 1e-15
@@ -130,6 +132,55 @@ def test_c60_inverse_words():
         assert inv == table.word_for(q.conjugate())
     with pytest.raises(NotInGroup):
         table.inverse_word_for(TAU)
+
+
+def test_c60_lookups_match_the_canonical_oracle():
+    """word_for, inverse_word_for and _is_scalar_segment find classes by
+    residue key mod eta and the minors; each answer must be the one
+    canonical() and the word map give, on members scaled by units,
+    powers of 2 and eta, 11 and sqrt5, on quaternions sharing a member's
+    key, on every {r, s}-segment up to length 6 and on non-members."""
+    table = generate_c60()
+
+    def oracle(q):
+        return table._word_map.get(canonical(q))
+
+    def check(q):
+        word = oracle(q)
+        assert table.word_for(q) == word, q
+        if word is None:
+            with pytest.raises(NotInGroup):
+                table.inverse_word_for(q)
+        else:
+            assert table.inverse_word_for(q) == oracle(q.conjugate()), q
+
+    scalars = [sign * phi_power(n) for n in range(-40, 41) for sign in (1, -1)]
+    scalars += [GoldenInt(2**k, 0) for k in range(1, 6)]
+    scalars += [ETA**k for k in range(1, 4)]
+    scalars += [GoldenInt(11, 0), GoldenInt(-1, 2),
+                ETA * GoldenInt(-1, 2) * phi_power(-7) * 4]
+    rng = random.Random(12)
+    for e, _ in table:
+        for scalar in scalars:
+            check(e * scalar)
+        # the same residues as e, so the same key: the minors must refuse
+        for _ in range(3):
+            check(e + rand_quat(rng, 50) * ETA)
+    for length in range(7):
+        for letters in product("rs", repeat=length):
+            seg = "".join(letters)
+            q = word_to_quat(GateWord((seg,)))
+            check(q)
+            assert _is_scalar_segment(seg) == (oracle(q) == ""), seg
+    m = GoldenQuat(1, 1, 0, 0)
+    for q in (TAU, m, m * TAU, TAU * m, TAU * phi_power(5), TAU * ETA,
+              TAU * GoldenInt(11, 0)):
+        assert oracle(q) is None
+        check(q)
+    zero = GoldenQuat(0, 0, 0, 0)
+    for lookup in (table.word_for, table.inverse_word_for):
+        with pytest.raises(MalformedInput):
+            lookup(zero)
 
 
 def test_c60_deterministic():
@@ -367,3 +418,30 @@ def test_exact_synthesize_matches_trial_division():
         for step in range(1, got.tau_count + 1):
             assert got.segments[-step] == expected.segments[-step], step
         assert got == expected
+
+
+def test_exact_synthesize_is_scalar_invariant_without_canonical(monkeypatch):
+    """A word times eta^k, phi^n, 2^j or 11 factors to the same word as
+    the word itself, which trial division also finds, and none of these
+    calls needs canonical(): the exact layer strips 2s and eta-content
+    and finds the residual's class by its residue key."""
+    rng = random.Random(13)
+    words = [w for _, w in generate_c60()]
+    quats = [word_to_quat(random_word(rng, words, k)) for k in (30, 41, 50)]
+    expected = [reference_synthesize(q) for q in quats]
+    scalars = [ETA, ETA**3, phi_power(-33), phi_power(28), GoldenInt(2, 0),
+               GoldenInt(2**9, 0), GoldenInt(11, 0),
+               ETA**2 * phi_power(-5) * 2**4 * 11]
+
+    def refuse(q):
+        raise AssertionError("canonical() on the exact layer's hot path")
+
+    monkeypatch.setattr(icosian, "canonical", refuse)
+    for q, word in zip(quats, expected):
+        assert word.tau_count == tau_count(q)
+        for scaled in [q] + [q * scalar for scalar in scalars]:
+            assert exact_synthesize(scaled) == word
+    assert exact_synthesize(GoldenQuat(ETA * 2, 0, 0, 0)) == GateWord(("",))
+    assert exact_synthesize(RHO * ETA) == GateWord(("r",))
+    with pytest.raises(MalformedInput):
+        exact_synthesize(GoldenQuat(0, 0, 0, 0))

@@ -25,10 +25,12 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 import icogate.general
+import icogate.icosian
 from icogate.cli import main
 from icogate.diagonal import synth_diagonal
 from icogate.errors import HypothesisViolation
 from icogate.general import SynthConfig, synth_general
+from icogate.icosian import generate_c60
 from icogate.unitary import ProjUnitary
 
 
@@ -171,6 +173,21 @@ def test_haar_words():
     bits = working_bits(1e-3)
     words = [general_word(rows, bits, 1e-3) for rows in haar_rows(1, 8)]
     assert words == HAAR_SEED_1
+
+
+def test_synth_general_words_without_canonical(monkeypatch):
+    """synth_general needs no canonical(): the C60 tails, the snap and
+    exact_synthesize all find classes by their residue key mod eta."""
+    generate_c60()  # the closure itself runs on canonical()
+
+    def refuse(q):
+        raise AssertionError("canonical() on synth_general's path")
+
+    monkeypatch.setattr(icogate.icosian, "canonical", refuse)
+    assert hadamard(1e-6) == DEEP_HADAMARD[1e-6]
+    bits = working_bits(1e-3)
+    words = [general_word(rows, bits, 1e-3) for rows in haar_rows(1, 3)]
+    assert words == HAAR_SEED_1[:3]
 
 
 @pytest.mark.parametrize("theta", ["0", "pi/8"])
