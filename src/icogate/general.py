@@ -28,7 +28,6 @@ and the tuning lemma reads its phases from 4-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
@@ -50,8 +49,6 @@ from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
 
 __all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
            "synth_general"]
-
-_J_QUAT = GoldenQuat(0, 0, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -231,14 +228,6 @@ def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     return GoldenQuat(x0, x1, x2, x3)
 
 
-@lru_cache(maxsize=None)
-def _c60_with_tails() -> tuple[C60Table, str, str]:
-    """The C60 table with the two C60 tails synth_general appends: the
-    word for j (the j-route) and the word for rho^-1 (the rho twist)."""
-    table = generate_c60()
-    return table, table.word_for(_J_QUAT), table.inverse_word_for(RHO)
-
-
 def _snap(table: C60Table, target) -> tuple[str, object]:
     """The C60 element nearest the unit quaternion target, as (segment,
     distance): the first in table order with the strictly smallest
@@ -292,7 +281,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             f"distances at {mp.nstr(eps, 3)}")
     stats = {"abandoned": 0}
     wbits = max(g.precision_bits, bits)
-    table, j_seg, rho_inverse_seg = _c60_with_tails()
+    table = generate_c60()
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
         best_seg, best_d = _snap(table, target)
@@ -316,8 +305,9 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         # g itself, then g j^-1 = (g2, g3, -g0, -g1), as a diagonal
         # rotation times a C60 tail
         g0, g1, g2, g3 = target
+        j_quat = GoldenQuat(0, 0, 1, 0)
         routes = ((target, ONE_QUAT, ""),
-                  ((g2, g3, -g0, -g1), _J_QUAT, j_seg))
+                  ((g2, g3, -g0, -g1), j_quat, table.j_word))
         for h, tail_quat, tail_seg in routes:
             theta_h = mp.atan2(h[1], h[0])
             d_h = measure(h, (mp.cos(theta_h), mp.sin(theta_h), 0, 0))
@@ -338,7 +328,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             with mp.workprec(wbits):
                 g_work = tuple(x / 2 for x in _int_hamilton(
                     *target, *RHO.to_vector(wbits)))
-            tail = GateWord((rho_inverse_seg,))
+            tail = GateWord((table.rho_inverse_word,))
             abs_a = mp.hypot(g_work[0], g_work[1])
 
         k_cap = cfg.k_cap

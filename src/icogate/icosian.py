@@ -38,9 +38,10 @@ whose reduced norm is prime to eta), is answered by the residue key mod
 eta: C60 embeds in PGL_2(F_59), so the key names at most one class,
 and the six 2x2 minors x_i*y_j - x_j*y_i against that class's stored
 element y vanish exactly when x is a scalar multiple of y (y is
-primitive, so the scalar lies in Z[phi]).  canonical() is left to the
-CLI's display, the closure, error messages and lookups whose reduced
-norm eta divides.
+primitive, so the scalar lies in Z[phi]).  The lookups strip the
+eta-content first, as exact_synthesize does, so a multiple of an
+element always has its reduced norm prime to eta.  canonical() is left
+to the CLI's display, the closure and error messages.
 """
 
 from __future__ import annotations
@@ -301,6 +302,18 @@ def _proportional(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
     return True
 
 
+_ETA_BAR = (ONE_QUAT * ETA.conj()).coords()  # conj(eta) = 12 - 5*phi
+
+
+def _strip_eta(flat: tuple[int, ...]) -> tuple[int, ...]:
+    """A nonzero flat quaternion divided by the largest power of eta
+    dividing every coordinate (eta is prime: it divides a coordinate
+    exactly when the residue is 0), as x/eta = x*conj(eta)/59."""
+    while not any(_residues(flat)):
+        flat = tuple(v // _ETA_PRIME for v in _hamilton(flat, _ETA_BAR))
+    return flat
+
+
 def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
     """sigma_+(q) / |sigma_+(q)| in floats, for small coordinates."""
     v = [x.a + x.b * _PHI_FLOAT for x in q.parts()]
@@ -316,7 +329,7 @@ class C60Table:
     looks up by line."""
 
     __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
-                 "_by_key", "_peel")
+                 "_by_key", "_peel", "j_word", "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
@@ -328,7 +341,12 @@ class C60Table:
                         for q, _ in elements}
         if len(self._by_key) != len(elements):
             raise IcogateError("C60 elements share a residue key mod eta")
-        self._inverse = {q: self.word_for(q.conjugate()) for q, _ in elements}
+        self._inverse = {}
+        for q, _ in elements:
+            inverse = self.word_for(q.conjugate())
+            if inverse is None:
+                raise IcogateError(f"the inverse of {q!r} is not in the table")
+            self._inverse[q] = inverse
         # indexed by the image line of c*tau mod eta (a nonzero column):
         # c*tau*conj(eta) as flat coordinates, and the word for c^-1
         peel = {}
@@ -339,6 +357,11 @@ class C60Table:
         if len(peel) != _ETA_PRIME + 1:
             raise IcogateError("two C60 cofactors share a line mod eta")
         self._peel = tuple(peel[key] for key in range(_ETA_PRIME + 1))
+        # the C60 tails synth_general appends to its routes
+        self.j_word = self.word_for(GoldenQuat(0, 0, 1, 0))
+        if self.j_word is None:
+            raise IcogateError("j is not in the table")
+        self.rho_inverse_word = self.inverse_word_for(RHO)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -348,15 +371,17 @@ class C60Table:
 
     def _member(self, q: GoldenQuat) -> GoldenQuat | None:
         """The stored element of q's class, or None when q is not a C60
-        element.  When eta divides nrd(q) (det 0 mod eta) q is zero, an
-        eta-multiple of an element or outside C60, and canonical()
-        decides; otherwise the residue key names the one candidate and
-        the minors confirm it."""
+        element.  With its eta-content stripped, a multiple of an element
+        has nrd prime to eta (det != 0 mod eta), so the residue key names
+        the one candidate and the minors confirm it; det 0 means q is
+        outside C60."""
         flat = q.coords()
+        if not any(flat):
+            raise MalformedInput("zero quaternion has no projective class")
+        flat = _strip_eta(flat)
         res = _residues(flat)
         if sum(v * v for v in res) % _ETA_PRIME == 0:
-            q = canonical(q)
-            return q if q in self._word_map else None
+            return None
         e = self._by_key.get(_residue_key(res))
         if e is None or not _proportional(flat, e.coords()):
             return None
@@ -510,9 +535,6 @@ def _strip_twos(flat: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(v >> shift for v in flat)
 
 
-_ETA_BAR = (ONE_QUAT * ETA.conj()).coords()  # conj(eta) = 12 - 5*phi
-
-
 def exact_synthesize(q: GoldenQuat) -> GateWord:
     """Factor q (with nrd a unit times eta^k) into a gate word with
     exactly k taus.  Raises NotInGroup when q is not in the projective
@@ -543,9 +565,7 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     flat = q.coords()
     if not any(flat):
         raise MalformedInput("zero quaternion has no projective class")
-    flat = _strip_twos(flat)
-    while not any(_residues(flat)):
-        flat = tuple(v // _ETA_PRIME for v in _hamilton(flat, _ETA_BAR))
+    flat = _strip_eta(_strip_twos(flat))
     tails: list[str] = []
     while True:
         res = _residues(flat)

@@ -5,10 +5,10 @@ import pytest
 
 from peel_oracle import peel_oracle
 from icogate import icosian
-from icogate.errors import MalformedInput, NotInGroup
+from icogate.errors import IcogateError, MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
-from icogate.icosian import (GateWord, GoldenQuat, ONE_QUAT, RHO, SIGMA, TAU,
-                             _image, _is_scalar_segment, _residues, canonical,
+from icogate.icosian import (C60Table, GateWord, GoldenQuat, ONE_QUAT, RHO,
+                             SIGMA, TAU, _image, _is_scalar_segment, _residues, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              tau_count, word_to_quat)
 from icogate.unitary import ProjUnitary, distance
@@ -181,6 +181,13 @@ def test_c60_lookups_match_the_canonical_oracle():
     for lookup in (table.word_for, table.inverse_word_for):
         with pytest.raises(MalformedInput):
             lookup(zero)
+
+
+def test_c60_table_refuses_a_missing_inverse():
+    # rho has order 3, so without it rho^-1 has no inverse in the table
+    elements = tuple((q, w) for q, w in generate_c60() if w != "r")
+    with pytest.raises(IcogateError, match="inverse"):
+        C60Table(elements)
 
 
 def test_c60_deterministic():
