@@ -22,13 +22,13 @@ Pollard-rho budget, the only abandonment rule.
 
 A search is posed once, as a DiagonalTarget, at the working precision
 p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
-itself.  sin(theta) and cos(theta) are computed once per target in mpf,
-each shell is posed from them and from the exact eta^m in integers, and
-the mpf bounds of a shell are computed only for a point within rounding
-reach of one of its edges (solve_shell).  The target also carries the
-lattice reduction from shell to shell.  The integer ellipsoid needs
-p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
-log2(1/eps) + 64; a target or a search asked for less is rejected.
+itself.  sin(theta) and cos(theta) are computed once per target in mpf
+and rounded to scale 2^p; each shell is posed from them and from the
+exact eta^m in integers, and decided in integers alone (solve_shell).
+The target also carries the lattice reduction from shell to shell.
+The integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
+precision_for(eps) exceeds by log2(1/eps) + 64; a target or a search
+asked for less is rejected.
 
 Most shells below the one that succeeds hold no pair, and the search
 skips them unsolved.  Shell m + 2's h and h_minus are shell m's times
@@ -49,7 +49,6 @@ every shell that an empty probe covers.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, partial
 from itertools import groupby
 from math import isqrt
 from operator import itemgetter
@@ -58,21 +57,14 @@ from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotInGroup, NotRepresentable)
-from .golden import ETA, GoldenInt, _sign_of, embed, eta_power
-from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
+from .golden import GoldenInt, _sign_of, eta_power
+from .goldengrid import (fixed_point, grid_scale, phi_fixed,
                          scaled_ellipsoid_points)
 from .icosian import GateWord, GoldenQuat, exact_synthesize
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
 __all__ = ["DiagonalTarget", "solve_shell", "solve_x23", "synth_diagonal"]
-
-
-@lru_cache(maxsize=256)
-def _eta_pow(m_half_exp: int, which: str, prec: int):
-    """(sigma eta)^(m_half_exp / 2) at precision prec."""
-    with mp.workprec(prec):
-        return mp.power(embed(ETA, which, prec), mpf(m_half_exp) / 2)
 
 
 def _check_precision(bits: int, eps) -> None:
@@ -91,9 +83,9 @@ class DiagonalTarget:
     working precision p = mp.prec for every shell of it (solve_shell).
 
     theta must have cos(theta) > 0, 0 < epsilon < 1, and p must be at
-    least 2 log2(1/eps) + 32; otherwise MalformedInput.  s and c are
-    sin(theta) and cos(theta) as mpf values, s_p and c_p their images
-    at scale 2^p.  epsilon is read exactly, as eps^2 = eps2 / 2^k2, so
+    least 2 log2(1/eps) + 32; otherwise MalformedInput.  s_p and c_p
+    are sin(theta) and cos(theta), computed in mpf, at scale 2^p.
+    epsilon is read exactly, as eps^2 = eps2 / 2^k2, so
     cap_p = floor((1 - eps^2) 2^p) and
     band_p = floor(eps sqrt(2 - eps^2) 2^p) are off by less than 1.
     root_eta and root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale
@@ -105,23 +97,23 @@ class DiagonalTarget:
     lattice transform of the last shell solved, None before the first.
     """
 
-    __slots__ = ("p", "eps", "s", "c", "s_p", "c_p", "phi_p",
-                 "eps2", "k2", "cap_p", "band_p", "root_eta", "root_59",
-                 "r_num", "t_num", "transform")
+    __slots__ = ("p", "s_p", "c_p", "phi_p", "eps2", "k2", "cap_p",
+                 "band_p", "root_eta", "root_59", "r_num", "t_num",
+                 "transform")
 
     def __init__(self, theta, epsilon):
         p = self.p = mp.prec
-        theta, self.eps = mpf(theta), mpf(epsilon)
-        if not 0 < self.eps < 1:
+        theta, eps = mpf(theta), mpf(epsilon)
+        if not 0 < eps < 1:
             raise MalformedInput("epsilon must be in (0, 1)")
-        _check_precision(p, self.eps)
-        self.s, self.c = mp.sin(theta), mp.cos(theta)
-        if not self.c > 0:
+        _check_precision(p, eps)
+        s, c = mp.sin(theta), mp.cos(theta)
+        if not c > 0:
             raise MalformedInput("theta must be folded so cos(theta) > 0")
-        s_p = self.s_p = fixed_point(self.s, p)
-        c_p = self.c_p = fixed_point(self.c, p)
+        s_p = self.s_p = fixed_point(s, p)
+        c_p = self.c_p = fixed_point(c, p)
         phi_p = self.phi_p = phi_fixed(p)
-        man, exp = self.eps.man_exp
+        man, exp = eps.man_exp
         eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
         self.cap_p = (((1 << k2) - eps2) << p) >> k2
         self.band_p = isqrt((eps2 * ((2 << k2) - eps2) << (2 * p)) >> (2 * k2))
@@ -134,24 +126,11 @@ class DiagonalTarget:
         self.transform = None
 
 
-def _shell(target: DiagonalTarget, m: int):
-    """Shell m's bounds as mpf values at the working precision: the
-    reference that solve_shell's integer decisions reproduce."""
-    p = target.p
-    with mp.workprec(p):
-        eps, s, c = target.eps, target.s, target.c
-        hp = _eta_pow(m, "plus", p)
-        hm = _eta_pow(m, "minus", p)
-        cap = hp * (1 - eps ** 2)
-        mu = cap * s
-        w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
-    return hp, hm, s, c, cap, mu, w
-
-
 def solve_shell(target: DiagonalTarget, m: int
                 ) -> list[tuple[GoldenInt, GoldenInt]]:
-    """Every pair (x0, x1) of shell m of target, in the order the search
-    tries them.  For h = (sigma_+ eta)^{m/2} a pair qualifies when
+    """Every pair (x0, x1) of shell m of target, and the pairs within
+    rounding of its edges, in the order the search tries them.  For
+    h = (sigma_+ eta)^{m/2} a pair qualifies when
 
         sigma_pm(eta^m - x1^2) >= 0,  sigma_pm(eta^m - x1^2 - x0^2) >= 0
         x1 sin(theta) <= h (1 - eps^2)
@@ -163,7 +142,8 @@ def solve_shell(target: DiagonalTarget, m: int
     sorted by |x1 - h (1 - eps^2) sin(theta)| (x1 nearest the band
     centre first), then by decreasing trace overlap x0 cos(theta) +
     x1 sin(theta), so the first x0 of an x1 gives the smallest
-    distance; ties go by coordinates.
+    distance; both keys are taken at scale 2^p (below), and their ties
+    go by coordinates.
 
     m must be a nonnegative int (MalformedInput).  The target carries
     the lattice reduction from shell to shell: each shell's reduction
@@ -197,48 +177,31 @@ def solve_shell(target: DiagonalTarget, m: int
     than 2^(e + 3 - p) / (h eps^2) < 2^(27 - p) / eps^2; that is below
     1/2 when p >= 2 log2(1/eps) + 32.  h and 59^{m/2} are off by a
     relative 2^(2 - 2p), which moves an entry by less than 1/2 while
-    h < 2^(2p - 28), true of every shell a search reaches.  A pair the
-    mpf tests keep misses each of the true inequalities by at most
-    23 u H (below), a 2^(8 - p) / eps^2 part of its half-width at most,
-    so it lies inside the entry's radius sqrt(3) + 1/257.
+    h < 2^(2p - 28), true of every shell a search reaches.  A pair
+    that misses each true inequality by less than 72 u H (every pair
+    kept below) misses it by a 2^(10 - p) / eps^2 part of its
+    half-width at most, so it lies inside the entry's radius
+    sqrt(3) + 1/257.
 
-    Every decision is the one the mpf form of these tests makes at the
-    working precision p (h, sin, cos and the other bounds being the mpf
-    values of _shell, the embeddings mpf(a) + mpf(b) * phi), made in
-    integers where that is certain:
-
-    - The disks are exact signs of eta^m - x1^2 and eta^m - x1^2 - x0^2.
-      A zero residual, which occurs only at (x0, x1) = (+-eta^{m/2}, 0)
-      or (0, +-eta^{m/2}), is a tie and runs the mpf test.  Off a tie
-      the exact sign is the mpf answer whenever
-      (sigma_+ eta)^m 59^{m/2} 2^5 (m + 17) < 2^p: a nonzero residual z
-      has |sigma_+ z| |sigma_- z| = |N(z)| >= 1, and the embedding the
-      other disk accepts is at most (sigma eta)^m, so the one under test
-      is at least 1/(sigma_+ eta)^m away from 0, while the mpf tests
-      round within (5m + 116) 2^-p 59^{m/2} of it (the minus embedding
-      loses the size of the coordinates, up to h, to cancellation).  At
-      precision_for(eps) and eps >= 1e-10 that covers every shell up
-      to ten past log_59(1/eps^3), where searches end; past it, a
-      residual inside the mpf rounding gets the exact answer.
-    - The cap, band and slab tests and both sort keys are made at scale
-      2^p (goldengrid).  After the disks, |sigma_pm x| <= h for x = x0,
-      x1, so both coordinates of x are at most h in size.  Let u = 2^-p
-      and H = (h's integer >> 2p) + 3 >= h + 1.  The mpf plus embedding
-      is within 9 u H of the true one (phi off by 3 u, three roundings),
-      a product with sin or cos within 11 u H, and an mpf test value (a
-      slab edge minus the overlap, the cap minus x1 sin, the band
-      half-width minus |x1 - mu|) or key within 23 u H.  On the integer
-      side, in real units: the embedding is off by less than u H, s_p
-      and c_p by 3u/2 (an mpf sin or cos within u, then a rounding),
-      cap_p and band_p by u, h by a relative 2^(2 - 2p); so cap is
-      within u H, mu within 7 u H / 2, w within 3 u H, x1 sin within
-      5 u H / 2, and a test value or key within 15 u H / 2.  The two
-      differ by at most 31 u H, inside tol = 64 u H (tol << p for the
-      values at scale 2^2p).  A point farther than tol from an edge
-      takes the integer answer; one within tol (x0 = eta at theta = 0,
-      m = 2 lies exactly on the slab edge) runs the mpf test, and
-      margin_sorted computes the mpf keys of neighbours within 2 tol.
-      The mpf values of _shell are computed only then.
+    The disks are exact signs of eta^m - x1^2 and eta^m - x1^2 - x0^2;
+    a zero residual, at (+-eta^{m/2}, 0) or (0, +-eta^{m/2}), is kept.
+    The other tests and both keys are made at scale 2^p (goldengrid).
+    After the disks both coordinates of x0 and x1 are at most h in
+    size; with u = 2^-p and H = (h's integer >> 2p) + 3 >= h + 1, each
+    integer test value (a slab edge minus the overlap, the cap minus
+    x1 sin, the band half-width minus |x1 - mu|) and key is within
+    15 u H / 2 of the exact one (the embedding is off by less than
+    u H, s_p and c_p by 3u/2, cap_p and band_p by u, h by a relative
+    2^(2 - 2p)).  A pair is kept when each test value is at least
+    -tol, tol = 64 u H (tol << p at scale 2^2p): so is every
+    qualifying pair, and every pair the same tests keep in mpf at
+    precision p, whose values are within 23 u H of the exact ones and
+    so within 31 u H < tol of the integer ones (their disks agree with
+    the exact signs off a zero residual while
+    (sigma_+ eta)^m 59^{m/2} 2^5 (m + 17) < 2^p, which holds ten
+    shells past where searches end at precision_for(eps) and
+    eps >= 1e-10).  Whether a pair near an edge is close enough is
+    left to the exact distance synth_diagonal measures.
     """
     if not isinstance(m, int) or m < 0:
         raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
@@ -250,10 +213,8 @@ def solve_shell(target: DiagonalTarget, m: int
     w_p = (hp_2p * c_p * target.band_p) >> (3 * p)
     tol = ((hp_2p >> two_p) + 3) << 6
     tol_2p = tol << p
-    shell = cache(partial(_shell, target, m))
     eta_m = eta_power(m)
     ea, eb = eta_m.a, eta_m.b
-    s, c = target.s, target.c
     x1_of = itemgetter(2, 3)
     rows = []
     for (a1, b1), group in groupby(sorted(points, key=x1_of), key=x1_of):
@@ -261,45 +222,28 @@ def solve_shell(target: DiagonalTarget, m: int
         bb = b1 * b1
         za, zb = ea - a1 * a1 - bb, eb - 2 * a1 * b1 - bb
         u = 2 * za + zb
-        disk = min(_sign_of(u, zb), _sign_of(u, -zb))
-        if disk < 0:
+        if _sign_of(u, zb) < 0 or _sign_of(u, -zb) < 0:
             continue
         x1p = (a1 << p) + b1 * phi_p
         x1s = x1p * s_p
-        below_cap = cap_2p - x1s
-        in_band = w_p - abs(x1p - mu_p)
-        if below_cap < -tol_2p or in_band < -tol:
-            continue
-        x1 = GoldenInt(a1, b1)
-        if ((disk == 0 or below_cap <= tol_2p or in_band <= tol)
-                and not _mpf_x1_test(x1, shell())):
+        band_key = abs(x1p - mu_p)
+        if cap_2p - x1s < -tol_2p or w_p - band_key < -tol:
             continue
         pairs = []
         for a0, b0, _, _ in group:
             bb = b0 * b0
             ya, yb = za - a0 * a0 - bb, zb - 2 * a0 * b0 - bb
             u = 2 * ya + yb
-            disk = min(_sign_of(u, yb), _sign_of(u, -yb))
-            if disk < 0:
+            if _sign_of(u, yb) < 0 or _sign_of(u, -yb) < 0:
                 continue
             overlap = ((a0 << p) + b0 * phi_p) * c_p + x1s
-            lo, hi = overlap - cap_2p, hp_2p - overlap
-            if lo < -tol_2p or hi < -tol_2p:
+            if overlap - cap_2p < -tol_2p or hp_2p - overlap < -tol_2p:
                 continue
-            x0 = GoldenInt(a0, b0)
-            if ((disk == 0 or lo <= tol_2p or hi <= tol_2p)
-                    and not _mpf_x0_test(m, x0, x1, shell())):
-                continue
-            pairs.append((-overlap, (a0, b0), x0))
+            pairs.append((-overlap, a0, b0))
         if pairs:
-            pairs = margin_sorted(
-                pairs, tol_2p,
-                lambda pair, x1=x1: -(embed(pair[2], "plus", p) * c
-                                      + embed(x1, "plus", p) * s))
-            rows.append((abs(x1p - mu_p), (a1, b1), x1, pairs))
-    rows = margin_sorted(
-        rows, tol, lambda row: abs(embed(row[2], "plus", p) - shell()[5]))
-    return [(x0, x1) for _, _, x1, pairs in rows for _, _, x0 in pairs]
+            rows.append((band_key, a1, b1, sorted(pairs)))
+    return [(GoldenInt(a0, b0), GoldenInt(a1, b1))
+            for _, a1, b1, pairs in sorted(rows) for _, a0, b0 in pairs]
 
 
 def _pose_shell(target: DiagonalTarget, m: int):
@@ -329,31 +273,6 @@ def _pose_shell(target: DiagonalTarget, m: int):
     points, target.transform = scaled_ellipsoid_points(
         basis, center, e, 3, target.transform)
     return points, hp_2p
-
-
-def _mpf_x1_test(x1: GoldenInt, sh) -> bool:
-    """solve_shell's tests on x1 alone, in mpf at working precision."""
-    hp, hm, s, c, cap, mu, w = sh
-    x1p = embed(x1, "plus", mp.prec)
-    x1m = embed(x1, "minus", mp.prec)
-    return (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
-            and abs(x1p - mu) <= w)
-
-
-def _mpf_x0_test(m: int, x0: GoldenInt, x1: GoldenInt, sh) -> bool:
-    """solve_shell's tests on x0 given x1, in mpf at working precision."""
-    hp, hm, s, c, cap, mu, w = sh
-    ep = _eta_pow(2 * m, "plus", mp.prec)
-    em = _eta_pow(2 * m, "minus", mp.prec)
-    x1p = embed(x1, "plus", mp.prec)
-    x1m = embed(x1, "minus", mp.prec)
-    sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
-    sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
-    x0p = embed(x0, "plus", mp.prec)
-    x0m = embed(x0, "minus", mp.prec)
-    # cos(theta) > 0: the fidelity slab is a plus-side interval
-    return (cap - x1p * s <= x0p * c <= hp - x1p * s
-            and abs(x0p) <= sp and abs(x0m) <= sm)
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -398,7 +317,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     when the solution has golden content, e.g. the identity at theta=0).
     achieved is measured on the quaternion, which the word equals up to
     a scalar, against the unit quaternion (cos t, sin t, 0, 0) of the
-    folded angle t; only a candidate within epsilon is factored.
+    folded angle t at the working precision p, off by less than
+    2^(5 - p) / eps near epsilon, so only a candidate measured below
+    epsilon by more than that, and so truly within it, is factored.
     Raises BudgetExhausted if no shell up to the cap (default
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
     The search runs at precision_bits, precision_for(epsilon) when
@@ -415,6 +336,8 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         raise MalformedInput(f"theta must be finite, got {theta}")
     if m_cap is not None and (not isinstance(m_cap, int) or m_cap < 0):
         raise MalformedInput("m_cap must be a nonnegative int")
+    if precision_bits is not None and not isinstance(precision_bits, int):
+        raise MalformedInput("precision_bits must be an int")
     bits = precision_for(eps) if precision_bits is None else precision_bits
     _check_precision(bits, eps)
     with mp.workprec(bits):
@@ -424,9 +347,10 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         # it whenever it is already close enough; this covers exact
         # cos(theta) = 0 and the nearby regime where the search bands
         # (whose widths scale with cos(theta)) degenerate.
+        within = eps - mp.ldexp(1, 5 - bits) / eps
         q = GoldenQuat(0, 1, 0, 0)
         achieved = quaternion_distance(target, q.to_vector(bits))
-        if achieved < eps:
+        if achieved < within:
             return q, exact_synthesize(q), achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
@@ -453,7 +377,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                     continue
                 q = GoldenQuat(x0, x1, *pair)
                 achieved = quaternion_distance(target, q.to_vector(bits))
-                if achieved < eps:
+                if achieved < within:
                     try:
                         return q, exact_synthesize(q), achieved
                     except NotInGroup:

@@ -38,7 +38,7 @@ from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      PrecisionInsufficient)
 from .golden import (PHI, GoldenInt, _int_hamilton, embed, eta_power,
                      sign_minus, sign_plus)
-from .goldengrid import (fixed_point, grid_scale, margin_sorted, phi_fixed,
+from .goldengrid import (fixed_point, grid_scale, phi_fixed,
                          scaled_ellipsoid_points)
 from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
@@ -114,29 +114,27 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
 
     Yields every s in Z[phi] with both embeddings inside
     [0, embedding of eta^k] and sigma_plus(s) in the band
-    |sigma_plus(s) - |alpha|^2 eta^k| < eps * |alpha| * eta^k, nearest
-    the band center first (ties by coordinates).  The band's box,
-    normalised to the square [-1, 1]^2 in the embeddings of
-    s = a + b*phi, lies in the disk of radius sqrt(2), whose lattice
-    points goldengrid.scaled_ellipsoid_points finds exactly, from mpf
-    forms that fixed_point rounds to within the 2 it allows (1/2), its
-    1/257 radius margin covering their working-precision rounding.
+    |sigma_plus(s) - |alpha|^2 eta^k| < eps * |alpha| * eta^k, and
+    those within rounding of the band's edges (below), nearest the band
+    center first by the distance at scale 2^p, ties by coordinates.
+    The band's box, normalised to the square [-1, 1]^2 in the
+    embeddings of s = a + b*phi, lies in the disk of radius sqrt(2),
+    whose lattice points goldengrid.scaled_ellipsoid_points finds
+    exactly, from mpf forms that fixed_point rounds to within the 2 it
+    allows (1/2), its 1/257 radius margin covering their
+    working-precision rounding.
 
-    The box is decided by exact signs of s and eta^k - s.  The band and
-    the sort key are the mpf test and key at the working precision p
-    (the centre, the half-width and sigma_plus(s) as mpf values),
-    decided at scale 2^p (goldengrid): inside the box both coordinates
-    of s are at most sigma_plus(eta^k) in size, so with H its floor
-    plus 2 and u = 2^-p the mpf distance |sigma_plus(s) - centre| is
-    within 11 u H of the true one (embedding 9 u H, one subtraction),
-    and the integer distance |(a << p) + b phi_fixed(p) - centre| is
-    within H + 1/2 units of 2^-p of it, so with the scaled half-width
-    the integer test is within tol = 64 u H of the mpf one.  A point
-    farther than tol from the band edge takes the integer answer; one
-    within tol runs the mpf test (s = 0 lies exactly on the strict edge
-    of candidate_norms(0, 0.5, 0.5) and is left out), and margin_sorted
-    computes the mpf keys of neighbours within 2 tol, for a run only
-    when the consumer reaches it.
+    The box is decided by exact signs of s and eta^k - s, the band and
+    the sort key at scale 2^p (goldengrid).  Inside the box both
+    coordinates of s are at most sigma_plus(eta^k) in size; with H its
+    floor plus 2 and u = 2^-p, the integer test value is within 24 u H
+    of the exact one (the mpf centre and half-width within 11 u H each,
+    the integer distance |(a << p) + b phi_fixed(p) - centre_p| within
+    (H + 1/2) u of |sigma_plus(s) - centre|) and within 13 u H of the
+    same test made in mpf at precision p.  Every s whose integer test
+    value is at least -tol, tol = 64 u H, is yielded (s = 0 on the
+    strict edge of candidate_norms(0, 0.5, 0.5) included): every s in
+    the band, and every s the mpf test keeps.
 
     Band k + 1 is eta times band k: eta^k, the centre and the half-width
     grow by the embeddings of eta, so the forms L_k that normalise band
@@ -173,15 +171,9 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
         if sign_plus(r) < 0 or sign_minus(r) < 0:
             continue
         dist = abs((c << p) + d * phi_p - center_p)
-        if dist >= half_p + tol:
-            continue
-        if (dist >= half_p - tol
-                and not abs(embed(s, "plus", p) - center) < half):
-            continue
-        found.append((dist, (c, d), s))
-    found = margin_sorted(found, tol,
-                          lambda item: abs(embed(item[2], "plus", p) - center))
-    yield from (s for _, _, s in found)
+        if half_p - dist >= -tol:
+            found.append((dist, c, d, s))
+    yield from (s for _, _, _, s in sorted(found))
 
 
 def _pose_band(k: int, a, eps):

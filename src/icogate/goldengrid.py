@@ -21,27 +21,24 @@ golden.sign_minus).  A test against a real bound of the region is
 made at the one scale 2^p of the working precision p: the point's
 plus embedding as the integer (a << p) + b * phi_fixed(p), the bound
 as an integer at that scale (fixed_point of its mpf value, or a
-product of such integers and exact ones), and the caller proves in its
-docstring a margin tol within which that integer difference agrees
-with the same test evaluated on the bound's mpf value at precision p.
-A point farther than tol from the edge is decided by the integer
-comparison; a point within tol of it (an exact tie included) is
-decided by the mpf test itself, so the result is the mpf answer either
-way.  Sort keys work the same way through margin_sorted.
+product of such integers and exact ones).  The caller proves in its
+docstring a margin tol that bounds the integer value's error, and
+keeps every point whose integer test value is at least -tol, so no
+point of the region is lost; points are ordered by integer keys, then
+by coordinates.  What is kept near an edge is a candidate, and the
+caller's exact check of its result decides it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-from operator import itemgetter
 
 from mpmath import mp
 
 from .lattice import lattice_points
 
-__all__ = ["fixed_point", "grid_scale", "margin_sorted", "phi_fixed",
-           "scaled_ellipsoid_points"]
+__all__ = ["fixed_point", "grid_scale", "phi_fixed", "scaled_ellipsoid_points"]
 
 
 def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
@@ -88,27 +85,3 @@ def phi_fixed(scale: int) -> int:
     than |b|."""
     return ((1 << scale) + isqrt(5 << (2 * scale))) >> 1
 
-
-def margin_sorted(items, tol: int, exact_key):
-    """Yield items in the order of (exact_key(item), item[1]).
-
-    Each item is a tuple (key, tiebreak, ...) whose integer key is
-    within tol of exact_key(item) at the caller's scale (so exact_key
-    returns an mpf, key its fixed-point image), and whose tiebreaks are
-    distinct.  The items are sorted by (key, tiebreak) and cut into runs
-    wherever two neighbouring keys differ by more than 2 tol.  Items of
-    different runs then have exact keys in the same order as their
-    keys, since each exact key is within tol of its key; so only a run
-    of more than one item is re-sorted, by (exact_key, tiebreak), when
-    the consumer reaches it, and exact_key is called only for the items
-    of such runs that are reached.
-    """
-    items = sorted(items, key=itemgetter(0, 1))
-    start = 0
-    for i in range(1, len(items) + 1):
-        if i == len(items) or items[i][0] - items[i - 1][0] > 2 * tol:
-            run = items[start:i]
-            if len(run) > 1:
-                run.sort(key=lambda item: (exact_key(item), item[1]))
-            yield from run
-            start = i

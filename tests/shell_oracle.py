@@ -1,14 +1,22 @@
-"""Reference filters for replaying the grid searches.
+"""Reference filters for replaying the grid searches, and the checks
+that hold the searches to them.
 
 diagonal.solve_shell and general.candidate_norms decide their points in
-integers and fall back to mpf arithmetic only near an edge.  The
-functions here are the filters as they stood before that (commit
-522b15f), verbatim: every point that ellipsoid_points returns is
-embedded at working precision, tested with mpf comparisons and sorted
-by mpf keys.  ellipsoid_points is goldengrid's mpf entry as it stood
-at commit ac28085, verbatim: it rounds mpf forms to an integer lattice
-problem at its own scale.  Each side's ellipsoid holds every point the
-filters keep, so the two must agree list for list.
+integers at scale 2^p alone, keeping every point within a margin tol of
+an edge.  The functions here are the filters as they stood before the
+integer decisions (commit 522b15f), verbatim: every point that
+ellipsoid_points returns is embedded at working precision, tested with
+mpf comparisons and sorted by mpf keys.  ellipsoid_points is
+goldengrid's mpf entry as it stood at commit ac28085, verbatim: it
+rounds mpf forms to an integer lattice problem at its own scale.  Each
+side's ellipsoid holds every point the filters keep.
+
+assert_covers_shell and assert_covers_norms check a search's output
+against such a reference: it holds every point the reference keeps,
+each point it adds lies within tol of an edge of the region, and its
+order is the sort by the search's integer keys, then by coordinates.
+The edges, and the true values the integer keys stand for, are
+recomputed in mpf at twice the working precision.
 """
 
 from itertools import groupby
@@ -16,9 +24,11 @@ from operator import itemgetter
 
 from mpmath import mp, mpf
 
+from icogate.diagonal import _pose_shell
+from icogate.general import _pose_band
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
                             sign_minus, sign_plus)
-from icogate.goldengrid import fixed_point
+from icogate.goldengrid import fixed_point, phi_fixed
 from icogate.lattice import lattice_points
 
 
@@ -169,3 +179,79 @@ def oracle_norms(k, abs_alpha, epsilon):
             found.append((dist, (c, d), s))
     found.sort(key=lambda item: item[:2])
     return [s for _, _, s in found]
+
+
+def _plus_p(x, p):
+    """x's plus embedding at scale 2^p, as the searches take it."""
+    return (x.a << p) + x.b * phi_fixed(p)
+
+
+def assert_covers_shell(got, target, theta, eps, m, want):
+    """got, solve_shell(target, m), holds every pair of want, which
+    oracle_shell or a brute force gives; every pair it adds lies within
+    tol = 64 u H of an edge of shell m, a zero residual of a disk
+    included; and it is sorted by the integer band key, the pair's
+    coordinates of x1, the integer overlap (decreasing) and those of
+    x0.  Each integer key is within tol of its true value."""
+    p = mp.prec
+    assert len(set(got)) == len(got)
+    want = set(want)
+    assert want <= set(got)
+    hp_2p = _pose_shell(target, m)[1]
+    mu_p = (((hp_2p * target.cap_p) >> p) * target.s_p) >> (2 * p)
+    keys = {}
+    for x0, x1 in got:
+        x1p = _plus_p(x1, p)
+        keys[x0, x1] = (abs(x1p - mu_p), (x1.a, x1.b),
+                        -(_plus_p(x0, p) * target.c_p + x1p * target.s_p),
+                        (x0.a, x0.b))
+    assert got == sorted(got, key=keys.__getitem__)
+    tol = mp.ldexp(((hp_2p >> (2 * p)) + 3) << 6, -p)
+    eta_m = eta_power(m)
+    with mp.workprec(2 * p):
+        e, theta = mpf(eps), mpf(theta)
+        s, c = mp.sin(theta), mp.cos(theta)
+        h = embed(ETA, "plus", 2 * p) ** (mpf(m) / 2)
+        cap = h * (1 - e ** 2)
+        mu = cap * s
+        w = h * c * mp.sqrt(2 - e ** 2) * e
+        for x0, x1 in got:
+            x0p, x1p = embed(x0, "plus", 2 * p), embed(x1, "plus", 2 * p)
+            r = x0p * c + x1p * s
+            band_key, _, overlap_key, _ = keys[x0, x1]
+            assert abs(mp.ldexp(band_key, -p) - abs(x1p - mu)) <= tol
+            assert abs(mp.ldexp(-overlap_key, -2 * p) - r) <= tol
+            if (x0, x1) in want:
+                continue
+            z1 = eta_m - x1 * x1
+            signs = [sign(z) for z in (z1, z1 - x0 * x0)
+                     for sign in (sign_plus, sign_minus)]
+            margins = [cap - x1p * s, w - abs(x1p - mu), r - cap, h - r]
+            assert min(signs) >= 0 and min(margins) >= -tol
+            assert 0 in signs or min(margins) <= tol, (x0, x1)
+
+
+def assert_covers_norms(got, k, abs_alpha, epsilon, want):
+    """got, list(candidate_norms(k, abs_alpha, epsilon)), holds every
+    s of want, which oracle_norms or a scan gives; every s it adds lies
+    within tol = 64 u H of the band's edge; and it is sorted by the
+    integer distance from the band centre, then by coordinates.  Each
+    integer distance is within tol of the true one."""
+    p = mp.prec
+    a, eps = mpf(abs_alpha), mpf(epsilon)
+    assert len(set(got)) == len(got)
+    want = set(want)
+    assert want <= set(got)
+    center_p = fixed_point(_pose_band(k, a, eps)[3], p)
+    keys = {s: (abs(_plus_p(s, p) - center_p), s.a, s.b) for s in got}
+    assert got == sorted(got, key=keys.__getitem__)
+    ek = eta_power(k)
+    with mp.workprec(2 * p):
+        hp = embed(ek, "plus", 2 * p)
+        tol = mp.ldexp((int(hp) + 2) << 6, -p)
+        center, half = a * a * hp, eps * a * hp
+        for s in got:
+            dist = abs(embed(s, "plus", 2 * p) - center)
+            assert abs(mp.ldexp(keys[s][0], -p) - dist) <= tol
+            if s not in want:
+                assert abs(dist - half) <= tol, s

@@ -130,16 +130,24 @@ def test_synth_deterministic_for_seed():
     assert outputs[0] == outputs[1]
 
 
+with mp.workprec(400):
+    # sin(theta) = 1 - eps^2 for eps = 0.05: u(pi/2), and the shell
+    # pairs (0, eta^{m/2}) at the cap's corner, lie at distance eps
+    CAP_CORNER = mp.nstr(mp.asin(1 - mpf(0.05) ** 2), 80)
+
+
 @pytest.mark.parametrize("theta, exact, eps", [
     ("pi/8", lambda: mp.pi / 8, 1e-20),
     ("0.3", lambda: mpf("0.3"), 1e-20),
     ("1e30", lambda: mpf(10) ** 30, 1e-6),
     ("1000001pi/8", lambda: 1000001 * mp.pi / 8, 1e-10),
-], ids=["pi/8", "0.3", "1e30", "1000001pi/8"])
+    (CAP_CORNER, lambda: mpf(CAP_CORNER), 0.05),
+], ids=["pi/8", "0.3", "1e30", "1000001pi/8", "cap-corner"])
 def test_synth_diag_true_distance_below_eps(capsys, theta, exact, eps):
     """The word is within eps of u(theta) for the exact theta, measured
     at twice the working precision, and achieved reports that
-    distance."""
+    distance; at the cap corner a word at distance eps itself is
+    refused."""
     code, out, _ = run(capsys, "synth-diag", "--theta", theta,
                        "--eps", str(eps), "--json")
     assert code == 0

@@ -223,6 +223,10 @@ def test_problem_validation():
             solve_shell(DiagonalTarget(0.1, 0.5), m)
         with pytest.raises(MalformedInput):
             synth_diagonal(0.3, 1e-3, m_cap=m)
+        with pytest.raises(MalformedInput):
+            synth_diagonal(0.3, 1e-3, precision_bits=m)
+    with pytest.raises(MalformedInput):
+        synth_diagonal(0.3, 1e-3, precision_bits=200.5)
     with pytest.raises(MalformedInput):
         DiagonalTarget(mp.pi, 0.5)  # cos < 0: not folded
 

@@ -11,8 +11,7 @@ from mpmath import mp
 
 from band_oracle import band_scan
 from icogate.general import candidate_norms
-from icogate.goldengrid import (grid_scale, margin_sorted,
-                                scaled_ellipsoid_points)
+from icogate.goldengrid import grid_scale, scaled_ellipsoid_points
 from icogate.lattice import lattice_points
 from icogate.unitary import precision_for
 
@@ -123,24 +122,6 @@ def test_lattice_points_yield_lazily():
                                [0, 0, 0], 60 ** 2)
     assert iter(points) is points
     assert len(next(points)) == 3
-
-
-def test_margin_sorted_resolves_a_run_only_when_reached():
-    # keys within 2 tol of each other form one run; each run's exact
-    # keys are computed when the consumer reaches its first item
-    items = [(0, (0,), 3), (1, (1,), 1), (10, (2,), 5), (11, (3,), 4)]
-    computed = []
-
-    def exact_key(item):
-        computed.append(item[1])
-        return item[2]
-
-    ordered = margin_sorted(items, 1, exact_key)
-    assert computed == []
-    assert next(ordered) == items[1]
-    assert computed == [(0,), (1,)]
-    assert list(ordered) == [items[0], items[3], items[2]]
-    assert computed == [(0,), (1,), (2,), (3,)]
 
 
 @pytest.mark.parametrize("basis", [
