@@ -10,10 +10,10 @@ target is built at icogate's working precision for its eps,
 ceil(3 log2(1/eps)) + 96 bits, as the benchmark builds it.  The pins
 were recorded from commit 522b15f; a change to the search order or to
 any filter of the grid layers that moves a word fails here.  H at 1e-6
-was re-recorded when the grid searches came to order points by their
-integer keys alone: its band holds the exact tie s vs. eta^k - s,
-which mpf rounding used to break and coordinates now do (27 taus
-before and after).
+was re-recorded at commit 0890758, where the grid searches came to
+order points by their integer keys alone: its band holds the exact tie
+s vs. eta^k - s, which mpf rounding used to break and coordinates now
+do (27 taus before and after).
 
 The route pins cover the branches of synth_general that those targets
 never take: the C60 snap, the diagonal and j-routes, the rho twist at
