@@ -15,10 +15,11 @@ chance of being representable.
 
 Each shell needs cos(theta) > 0, so that the fidelity slab on x0 is a
 plus-embedding interval.  synth_diagonal folds theta into
-[-pi/2, pi/2) and snaps to the C60 element u(pi/2) before any shell
-when theta is near the quarter turn, which covers the folded angle
--pi/2.  A residual is skipped when its factorization runs out of the
-Pollard-rho budget, the only abandonment rule.
+[-pi/2, pi/2) and first returns the nearest C60 element, a 0-tau word,
+when it is within eps (C60Table.nearest); u(pi/2) is one, so the folded
+angle -pi/2 snaps at distance 0.  A residual is skipped when its
+factorization runs out of the Pollard-rho budget, the only abandonment
+rule.
 
 A search is posed once, as a DiagonalTarget, at the working precision
 p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
@@ -60,7 +61,7 @@ from .errors import (Abandoned, BudgetExhausted, MalformedInput,
 from .golden import GoldenInt, _sign_of, eta_power
 from .goldengrid import (fixed_point, grid_scale, phi_fixed,
                          scaled_ellipsoid_points)
-from .icosian import GateWord, GoldenQuat, exact_synthesize
+from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
@@ -311,15 +312,16 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                    ) -> tuple[GoldenQuat, GateWord, object]:
     """Approximate u(theta) to distance < epsilon, shortest shell first.
 
-    Returns (quaternion, word, achieved distance).  The quaternion
-    satisfies nrd = eta^m exactly for the winning exponent m; the word
-    factors its primitive part, so its tau-count is at most m (less
-    when the solution has golden content, e.g. the identity at theta=0).
+    Returns (quaternion, word, achieved distance).  The nearest C60
+    element, when within epsilon, comes first: a 0-tau word and the
+    table's element, whose nrd is a unit times a power of 4.  Otherwise
+    the quaternion has nrd = eta^m exactly for the winning exponent m;
+    the word factors its primitive part, so its tau-count is at most m.
     achieved is measured on the quaternion, which the word equals up to
     a scalar, against the unit quaternion (cos t, sin t, 0, 0) of the
     folded angle t at the working precision p, off by less than
     2^(5 - p) / eps near epsilon, so only a candidate measured below
-    epsilon by more than that, and so truly within it, is factored.
+    epsilon by more than that, and so truly within it, is returned.
     Raises BudgetExhausted if no shell up to the cap (default
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
     The search runs at precision_bits, precision_for(epsilon) when
@@ -343,15 +345,10 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     with mp.workprec(bits):
         t = _fold_theta(theta)
         target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
-        # u(+-pi/2) = diag(i, -i) projectively, a C60 element.  Snap to
-        # it whenever it is already close enough; this covers exact
-        # cos(theta) = 0 and the nearby regime where the search bands
-        # (whose widths scale with cos(theta)) degenerate.
         within = eps - mp.ldexp(1, 5 - bits) / eps
-        q = GoldenQuat(0, 1, 0, 0)
-        achieved = quaternion_distance(target, q.to_vector(bits))
+        q, seg, achieved = generate_c60().nearest(target)
         if achieved < within:
-            return q, exact_synthesize(q), achieved
+            return q, GateWord((seg,)), achieved
         if m_cap is None:
             m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
         posed = DiagonalTarget(t, eps)

@@ -40,7 +40,7 @@ from .golden import (PHI, GoldenInt, _int_hamilton, embed, eta_power,
                      sign_minus, sign_plus)
 from .goldengrid import (fixed_point, grid_scale, phi_fixed,
                          scaled_ellipsoid_points)
-from .icosian import (ONE_QUAT, RHO, C60Table, GateWord, GoldenQuat,
+from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import decide, screen, sots_exact
 from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
@@ -220,37 +220,18 @@ def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
     return GoldenQuat(x0, x1, x2, x3)
 
 
-def _snap(table: C60Table, target) -> tuple[str, object]:
-    """The C60 element nearest the unit quaternion target, as (segment,
-    distance): the first in table order with the strictly smallest
-    distance.  Float dot products against the table's unit vectors
-    screen the 60; only those within 1e-9 of the best float score (a
-    window far wider than float round-off, so it holds every element
-    that can tie the best) are measured at working precision."""
-    tf = [float(x) for x in target]
-    scores = [abs(sum(a * b for a, b in zip(tf, v)))
-              for v in table.unit_vectors]
-    top = max(scores)
-    best_seg, best_d = "", mp.inf
-    for (q, seg), score in zip(table, scores):
-        if score >= top - 1e-9:
-            d = quaternion_distance(target, q.to_vector(mp.prec))
-            if d < best_d:
-                best_seg, best_d = seg, d
-    return best_seg, best_d
-
-
 def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     """Approximate g over the gate set to the configured accuracy.
 
-    Routing, cheapest first: snap to a C60 element if one is already
-    within epsilon; peel off a diagonal rotation (or a diagonal times
-    the antidiagonal unit j) when the remainder is below epsilon / 2;
-    otherwise run the sandwich search, twisting by rho first whenever
-    |alpha| sits too close to 0 or 1 for the tuning lemma.  The outer
-    diagonals get budget 0.6 * epsilon each, so any in-band candidate
-    beats (C + 2) * epsilon and the 1.5 * epsilon stopping rule is
-    reachable as soon as the shell makes the band spacing fine enough.
+    Routing, cheapest first: snap to the nearest C60 element (a 0-tau
+    word, C60Table.nearest) when it is within epsilon; peel off a
+    diagonal rotation (or a diagonal times the antidiagonal unit j)
+    when the remainder is below epsilon / 2; otherwise run the sandwich
+    search, twisting by rho first whenever |alpha| sits too close to 0
+    or 1 for the tuning lemma.  The outer diagonals get budget
+    0.6 * epsilon each, so any in-band candidate beats (C + 2) * epsilon
+    and the 1.5 * epsilon stopping rule is reachable as soon as the
+    shell makes the band spacing fine enough.
 
     Every distance is measured against g as a unit quaternion, at the
     larger of g's and the working precision.
@@ -276,7 +257,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     table = generate_c60()
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
-        best_seg, best_d = _snap(table, target)
+        _, best_seg, best_d = table.nearest(target)
 
     def measure(h, q):
         with mp.workprec(wbits):

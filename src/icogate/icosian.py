@@ -59,7 +59,8 @@ from .errors import IcogateError, MalformedInput, NotInGroup
 from .golden import (_PHI_FLOAT, ETA, GoldenInt, ONE, PHI, ZERO,
                      _balancing_power, _coerce, _gcd_pair, _hamilton, embed,
                      eta_valuation, exact_div, phi_power)
-from .unitary import DEFAULT_PRECISION_BITS, ProjUnitary
+from .unitary import (DEFAULT_PRECISION_BITS, ProjUnitary,
+                      quaternion_distance)
 
 __all__ = [
     "GoldenQuat", "RHO", "SIGMA", "TAU", "ONE_QUAT",
@@ -368,6 +369,21 @@ class C60Table:
 
     def __iter__(self):
         return iter(self.elements)
+
+    def nearest(self, target) -> tuple[GoldenQuat, str, object]:
+        """The element nearest the unit quaternion target, as (element,
+        segment, distance): the first in table order with the strictly
+        smallest distance.  Float dot products against the unit vectors
+        screen the 60; only those within 1e-9 of the best float score (a
+        window far wider than float round-off, so it holds every element
+        that can tie the best) are measured at working precision."""
+        t0, t1, t2, t3 = map(float, target)
+        scores = [abs(t0 * v0 + t1 * v1 + t2 * v2 + t3 * v3)
+                  for v0, v1, v2, v3 in self.unit_vectors]
+        top = max(scores)
+        return min(((q, seg, quaternion_distance(target, q.to_vector(mp.prec)))
+                    for (q, seg), score in zip(self.elements, scores)
+                    if score >= top - 1e-9), key=lambda e: e[2])
 
     def _member(self, q: GoldenQuat) -> GoldenQuat | None:
         """The stored element of q's class, or None when q is not a C60

@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp, mpf
 
 import icogate.diagonal
-from icogate.diagonal import (DiagonalTarget, _fold_theta, solve_shell,
-                              solve_x23, synth_diagonal)
+from icogate.diagonal import (DiagonalTarget, _fold_theta, _pose_shell,
+                              solve_shell, solve_x23, synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import GoldenInt, embed, eta_power, eta_valuation
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
@@ -285,12 +285,40 @@ def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
     assert word.tau_count == 7
 
 
+def top_shell(eps):
+    """The highest shell whose ellipsoid has volume at most 1, where
+    synth_diagonal's probes start."""
+    eps = mpf(eps)
+    return int(mp.floor(-mp.log(
+        9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59)))
+
+
+def unprobed_shells(theta, eps):
+    """The shells up to the top one that synth_diagonal's probes leave
+    to solve_shell, with the probes driven directly: from the top shell
+    down each parity while the first lattice point of _pose_shell
+    exists."""
+    with mp.workprec(precision_for(eps)):
+        target = DiagonalTarget(_fold_theta(mpf(theta)), eps)
+        top = top_shell(eps)
+        last_empty = {}
+        for m in (top, top - 1):
+            while m >= 0 and next(_pose_shell(target, m)[0], None) is not None:
+                m -= 2
+            last_empty[m % 2] = m
+    return [m for m in range(top + 1) if m > last_empty[m % 2]]
+
+
 @pytest.mark.parametrize("theta, eps", [
     (0.3, 1e-6), (mpf(0), 1e-6), (mp.pi / 4 + 5e-4, 1e-3),
     (mp.atan(mp.phi), 1e-4), (-1.2, 1e-5),
 ])
 def test_probes_skip_only_empty_shells(monkeypatch, theta, eps):
     solved, word = solved_shells(monkeypatch, theta, eps)
+    if theta == 0:
+        # the snap returns the identity before any shell is posed
+        assert solved == [] and word.tau_count == 0
+        solved = unprobed_shells(theta, eps)
     assert_skipped_shells_empty(theta, eps, solved)
     assert solved and word.tau_count <= solved[-1]
 
@@ -311,7 +339,7 @@ def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
         total = 0
         for m in shells:
             pairs = solve_shell(target, m)
-            points = set(icogate.diagonal._pose_shell(target, m + 2)[0])
+            points = set(_pose_shell(target, m + 2)[0])
             for x0, x1 in pairs:
                 y0, y1 = eta * x0, eta * x1
                 assert (y0.a, y0.b, y1.a, y1.b) in points, (m, x0, x1)
@@ -321,21 +349,31 @@ def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
 
 def test_degenerate_angles_probe_without_listing_a_shell():
     """At theta = 0 and 1e-30 every even shell's ellipsoid holds a long
-    run of lattice points; the probes stop at the first, so the search
-    stays small under a 1 GB address-space limit."""
+    run of lattice points; the probes stop at the first, so they stay
+    small under a 1 GB address-space limit.  synth_diagonal snaps both
+    angles to the identity before any shell is posed, so the probes are
+    driven directly, from the top shell down."""
     code = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from icogate.diagonal import synth_diagonal\n"
-        "_, word, _ = synth_diagonal(float(sys.argv[1]), 1e-20)\n"
-        "print(word.tau_count)\n")
+        "from mpmath import mp, mpf\n"
+        "from icogate.diagonal import DiagonalTarget, _pose_shell\n"
+        "from icogate.unitary import precision_for\n"
+        "with mp.workprec(precision_for(1e-20)):\n"
+        "    target = DiagonalTarget(mpf(sys.argv[1]), 1e-20)\n"
+        "    for m in range(int(sys.argv[2]), -1, -1):\n"
+        "        if next(_pose_shell(target, m)[0], None) is not None:\n"
+        "            print(m)\n")
+    with mp.workprec(precision_for(1e-20)):
+        top = top_shell(1e-20)
     path = str(Path(icogate.__file__).parents[1])
     for theta in ("0", "1e-30"):
         proc = subprocess.run(
-            [sys.executable, "-c", code, theta], capture_output=True,
-            text=True, timeout=30, env=dict(os.environ, PYTHONPATH=path))
+            [sys.executable, "-c", code, theta, str(top)],
+            capture_output=True, text=True, timeout=30,
+            env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"]
+        assert set(range(0, top + 1, 2)) <= set(map(int, proc.stdout.split()))
 
 
 def test_synth_identity_at_zero():

@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf
 
 from icogate import general
+from icogate.diagonal import synth_diagonal
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
                             NotRepresentable, PrecisionInsufficient)
 from icogate.general import (SynthConfig, SynthReport, build_central,
@@ -389,14 +390,25 @@ def snap_cases():
             tilt = u_of_alpha_beta(mp.expj(mpf(rng.uniform(-1, 1)) * 1e-4),
                                    mpf(rng.uniform(-1, 1)) * 1e-4, BITS)
         yield q.to_unitary(BITS) @ tilt, 1e-3
+    # diagonal targets, given by their angle, through synth_diagonal;
+    # at u(1.1) the nearest element (rsrsrr) lies at 0.2285
+    yield 1.1, 0.3
+    for _ in range(6):
+        yield round(rng.uniform(-1.5, 1.5), 3), 0.3
 
 
 @pytest.mark.parametrize("g,eps", list(snap_cases()))
 def test_snap_matches_full_scan(g, eps):
-    r = synth_general(g, SynthConfig(eps))
+    if isinstance(g, ProjUnitary):
+        r = synth_general(g, SynthConfig(eps))
+        word, achieved = r.word, r.achieved
+    else:
+        _, word, achieved = synth_diagonal(g, eps, precision_bits=BITS)
+        with mp.workprec(BITS):
+            g = u_of_theta(mpf(g), BITS)
     seg, d = scan_snap(g, BITS)
-    assert r.word == GateWord((seg,))
-    assert abs(r.achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
+    assert word == GateWord((seg,))
+    assert abs(achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
 
 
 def test_snap_on_an_exact_tie():
