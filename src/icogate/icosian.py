@@ -6,18 +6,27 @@ have reduced norm a unit times a rational square, so they project to
 elements of the icosahedral group C60, while tau has reduced norm
 eta = 7 + 5*phi.  Any quaternion whose reduced norm is eta^k (times a
 unit) factors as xi_0 tau xi_1 tau ... tau xi_k with the xi_i in C60,
-and the factorization is found greedily: exactly one right cofactor
-c*tau makes the product divisible by eta, and dividing by eta drops the
-tau-count by one.
+and the factorization is found greedily, two taus at a time: exactly
+one right cofactor c1*tau*c2*tau with c2 != 1 makes the product
+divisible by eta^2, and dividing by eta^2 drops the tau-count by two.
+An odd count ends with the one cofactor c*tau that makes the product
+divisible by eta.
 
-The cofactor is chosen in Z[phi]/(eta) = F_59, where phi maps to 34
-(34^2 - 34 - 1 = 19*59 and 7 + 5*34 = 3*59).  eta is prime, so it
-divides a coordinate exactly when the coordinate's residue is 0.  Mod
-eta the quaternions are the 2x2 matrices over F_59, and gamma*c*tau is
-divisible by eta exactly when the image line of c*tau is the kernel
-line of gamma.  The 60 lines of the products c*tau are distinct and
-fixed, so each tau costs one kernel-line lookup and one exact division
-by eta.
+The cofactors are chosen in Z[phi]/(eta^2) = Z/59^2, where phi maps to
+329, the Hensel lift of the root 34 of x^2 - x - 1 mod 59 that eta maps
+to 0 (7 + 5*34 = 3*59).  eta is prime, so eta^n divides a coordinate
+exactly when its residue mod 59^n is 0.  Mod eta^2 the quaternions are
+the 2x2 matrices over Z/59^2, with det the reduced norm, and gamma*P is
+divisible by eta^2 exactly when the image line of P = c1*tau*c2*tau is
+the kernel line of gamma mod eta^2.  Lines mod 59^n are the paths of
+length n from the root of the 60-regular tree of PGL_2(Q_59)
+(Parzanchevski-Sarnak, arXiv:1704.02106): the 60
+lines mod eta name c1 (the image line of c1*tau), and over each lie 59
+lines mod eta^2, one for each c2 != 1 (c2 = 1 steps back: tau*tau =
+-eta).  So the 3,540 non-backtracking pairs fill P^1(Z/59^2), and each
+pair of taus costs one kernel-line lookup in a 3,540-entry table (built
+on the first such peel), one Hamilton product and one exact division
+by eta^2; an odd last tau costs the same in the 60 lines mod eta.
 
 The loop needs no canonical().  A scalar prime to eta does not change
 which cofactor works, so exact_synthesize only strips the input's
@@ -25,7 +34,7 @@ common powers of 2 (a parity test) and its eta-content (while every
 coordinate is divisible by eta); any other content rides along.  From
 then on eta never divides gamma's content (see exact_synthesize).  The
 unit gamma carries needs no rebalancing either:
-each step divides the reduced norm by eta (about 15.1 and 3.9 under
+each tau divides the reduced norm by eta (about 15.1 and 3.9 under
 the two embeddings) and multiplies it by nrd(c) (at most 10.5 and 4),
 so apart from the powers of 2 the strip removes, the norm and with it
 the coefficients shrink as the taus go; on 300 random words of up to
@@ -249,16 +258,22 @@ def tau_count(q: GoldenQuat) -> int:
 
 _ETA_PRIME = 59
 _PHI_MOD_ETA = 34  # the root of x^2 - x - 1 mod 59 that eta maps to 0
+_J_MOD_ETA = 3  # 3^2 + 7^2 = -1 mod 59
+# Z[phi]/eta^2 = Z/59^2: 329 is the Hensel lift of 34 (329^2 - 329 - 1
+# = 31 * 59^2) and 2894 = 3 mod 59 has 2894^2 + 7^2 = -1 mod 59^2
+_ETA_SQUARED = _ETA_PRIME ** 2
+_PHI_MOD_ETA2 = 329
+_J_MOD_ETA2 = 2894
 
 
-def _residues(flat: tuple[int, ...]) -> tuple[int, int, int, int]:
+def _residues(flat: tuple[int, ...], modulus: int = _ETA_PRIME,
+              phi: int = _PHI_MOD_ETA) -> tuple[int, int, int, int]:
     """The coordinates of a flat quaternion (see GoldenQuat) reduced
-    mod eta, as elements of F_59."""
+    mod eta, as elements of F_59, or mod eta^2 (modulus 59^2 with phi
+    its image 329), as elements of Z/59^2."""
     a0, b0, a1, b1, a2, b2, a3, b3 = flat
-    return ((a0 + _PHI_MOD_ETA * b0) % _ETA_PRIME,
-            (a1 + _PHI_MOD_ETA * b1) % _ETA_PRIME,
-            (a2 + _PHI_MOD_ETA * b2) % _ETA_PRIME,
-            (a3 + _PHI_MOD_ETA * b3) % _ETA_PRIME)
+    return ((a0 + phi * b0) % modulus, (a1 + phi * b1) % modulus,
+            (a2 + phi * b2) % modulus, (a3 + phi * b3) % modulus)
 
 
 def _residue_key(res: tuple[int, int, int, int]) -> tuple[int, ...]:
@@ -270,24 +285,41 @@ def _residue_key(res: tuple[int, int, int, int]) -> tuple[int, ...]:
     return tuple(v * inv % _ETA_PRIME for v in res)
 
 
-def _image(res: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
-    """The 2x2 matrix over F_59 of residues (g0, g1, g2, g3), as its
-    entries (m00, m01, m10, m11), under i -> [[0, 1], [-1, 0]] and
-    j -> [[3, 7], [7, -3]] (3^2 + 7^2 = -1 mod 59), so k = ij ->
-    [[7, -3], [-3, -7]] and det = g0^2 + g1^2 + g2^2 + g3^2."""
+def _image(res: tuple[int, int, int, int], modulus: int = _ETA_PRIME,
+           j: int = _J_MOD_ETA) -> tuple[int, int, int, int]:
+    """The 2x2 matrix of residues (g0, g1, g2, g3) mod modulus (59 or
+    59^2), as its entries (m00, m01, m10, m11), under
+    i -> [[0, 1], [-1, 0]] and j -> [[j, 7], [7, -j]] (j^2 + 7^2 = -1),
+    so k = ij -> [[7, -j], [-j, -7]] and det = g0^2 + g1^2 + g2^2 + g3^2."""
     g0, g1, g2, g3 = res
-    s, t = 3 * g2 + 7 * g3, 7 * g2 - 3 * g3
-    return ((g0 + s) % _ETA_PRIME, (g1 + t) % _ETA_PRIME,
-            (t - g1) % _ETA_PRIME, (g0 - s) % _ETA_PRIME)
+    s, t = j * g2 + 7 * g3, 7 * g2 - j * g3
+    return ((g0 + s) % modulus, (g1 + t) % modulus,
+            (t - g1) % modulus, (g0 - s) % modulus)
 
 
 _INVERSES = (0,) + tuple(pow(u, -1, _ETA_PRIME) for u in range(1, _ETA_PRIME))
 
 
-def _line(u: int, v: int) -> int:
-    """The point of P^1(F_59) of the line through (u, v) != (0, 0), for
-    u in 0 .. 58: v/u, or 59 when u = 0."""
-    return v * _INVERSES[u] % _ETA_PRIME if u else _ETA_PRIME
+def _line(u: int, v: int, modulus: int = _ETA_PRIME) -> int:
+    """The point of P^1(Z/modulus), modulus 59 or 59^2, of the line
+    through (u, v), which is nonzero mod 59: v/u when u is a unit
+    (0 .. modulus - 1), else modulus + (u/v)/59.  The inverse mod 59 is
+    lifted to modulus by one Newton step, i*(2 - u*i)."""
+    if u % _ETA_PRIME:
+        i = _INVERSES[u % _ETA_PRIME]
+        return v * i * (2 - u * i) % modulus
+    i = _INVERSES[v % _ETA_PRIME]
+    return modulus + u * i * (2 - v * i) % modulus // _ETA_PRIME
+
+
+def _image_line(res: tuple[int, int, int, int], modulus: int = _ETA_PRIME,
+                j: int = _J_MOD_ETA) -> int:
+    """The image line (see _line) of a matrix of rank 1 mod 59 and
+    det 0 mod modulus: its column that is nonzero mod 59."""
+    m00, m01, m10, m11 = _image(res, modulus, j)
+    if m00 % _ETA_PRIME or m10 % _ETA_PRIME:
+        return _line(m00, m10, modulus)
+    return _line(m01, m11, modulus)
 
 
 def _proportional(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -327,10 +359,11 @@ class C60Table:
     the shortest {r, s}-word the breadth-first closure found, its
     inverse word, its point of PU(2) as a float unit quaternion (for a
     nearest-element screen), and the peeling entries exact_synthesize
-    looks up by line."""
+    looks up by line (see peel_table)."""
 
     __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
-                 "_by_key", "_peel", "j_word", "rho_inverse_word")
+                 "_by_key", "_i_twins", "_peel", "_pairs", "j_word",
+                 "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
@@ -348,16 +381,28 @@ class C60Table:
             if inverse is None:
                 raise IcogateError(f"the inverse of {q!r} is not in the table")
             self._inverse[q] = inverse
-        # indexed by the image line of c*tau mod eta (a nonzero column):
-        # c*tau*conj(eta) as flat coordinates, and the word for c^-1
+        # the later element of each pair q, (q0, q1, -q2, -q3) (conjugates
+        # by i, which is in C60) whose stored coordinates agree up to sign
+        index = {q.coords(): n for n, (q, _) in enumerate(elements)}
+        twins = set()
+        for n, (q, _) in enumerate(elements):
+            a0, b0, a1, b1, *rest = q.coords()
+            twin = (a0, b0, a1, b1, *(-v for v in rest))
+            m = index.get(twin, index.get(tuple(-v for v in twin)))
+            if m is not None and m < n:
+                twins.add(n)
+        self._i_twins = frozenset(twins)
+        # indexed by the image line of c*tau mod eta: the flat
+        # coordinates of c*tau*conj(eta), then the word for c^-1
         peel = {}
         for c, _ in elements:
-            m00, m01, m10, m11 = _image(_residues((c * TAU).coords()))
-            key = _line(m00, m10) if m00 or m10 else _line(m01, m11)
-            peel[key] = ((c * TAU * ETA.conj()).coords(), self._inverse[c])
+            c_tau = _hamilton(c.coords(), TAU.coords())
+            peel[_image_line(_residues(c_tau))] = (
+                _hamilton(c_tau, _ETA_BAR) + (self._inverse[c],))
         if len(peel) != _ETA_PRIME + 1:
             raise IcogateError("two C60 cofactors share a line mod eta")
         self._peel = tuple(peel[key] for key in range(_ETA_PRIME + 1))
+        self._pairs = None  # built by the first two-tau peel
         # the C60 tails synth_general appends to its routes
         self.j_word = self.word_for(GoldenQuat(0, 0, 1, 0))
         if self.j_word is None:
@@ -376,14 +421,66 @@ class C60Table:
         smallest distance.  Float dot products against the unit vectors
         screen the 60; only those within 1e-9 of the best float score (a
         window far wider than float round-off, so it holds every element
-        that can tie the best) are measured at working precision."""
+        that can tie the best) are measured at working precision.  When
+        the target's j and k parts are exactly 0, q and its twin
+        (q0, q1, -q2, -q3) have the same score and bit-identical
+        distances (the dot products are summed exactly), so only the
+        first of the two is measured."""
         t0, t1, t2, t3 = map(float, target)
         scores = [abs(t0 * v0 + t1 * v1 + t2 * v2 + t3 * v3)
                   for v0, v1, v2, v3 in self.unit_vectors]
         top = max(scores)
+        skip = () if target[2] or target[3] else self._i_twins
         return min(((q, seg, quaternion_distance(target, q.to_vector(mp.prec)))
-                    for (q, seg), score in zip(self.elements, scores)
-                    if score >= top - 1e-9), key=lambda e: e[2])
+                    for n, ((q, seg), score)
+                    in enumerate(zip(self.elements, scores))
+                    if score >= top - 1e-9 and n not in skip),
+                   key=lambda e: e[2])
+
+    def peel_table(self, modulus: int) -> tuple[tuple, ...]:
+        """The entries exact_synthesize peels by, indexed by line (see
+        _line): mod 59, for each c the flat coordinates of
+        c*tau*conj(eta) and the word for c^-1; mod 59^2, for each of the
+        3,540 non-backtracking pairs (c1, c2) those of
+        c1*tau*c2*tau*conj(eta)^2 and the words for c1^-1 and c2^-1.
+        The pair table is built on first use, not with the closure."""
+        if modulus == _ETA_PRIME:
+            return self._peel
+        if self._pairs is None:
+            self._pairs = self._build_pairs()
+        return self._pairs
+
+    def _build_pairs(self) -> tuple[tuple, ...]:
+        """The pair entries of peel_table, from the 60 flat pieces c*tau
+        (and c*tau*conj(eta)^2 on the right).  c1*tau*c2*tau is divisible
+        by eta for the 60 pairs with c2 = 1 (tau*tau = -eta); every other
+        pair has rank 1 mod eta and so a primitive image line mod eta^2,
+        and exactly 3,540 distinct lines are required (see
+        exact_synthesize).  Equal coordinates share one int object, which
+        keeps the table near 0.5 MB."""
+        eta_bar2 = _hamilton(_ETA_BAR, _ETA_BAR)
+        lefts = [(_hamilton(c.coords(), TAU.coords()), self._inverse[c])
+                 for c, _ in self.elements]
+        rights = [(_hamilton(c_tau, eta_bar2), inverse)
+                  for c_tau, inverse in lefts]
+        size = _ETA_SQUARED + _ETA_PRIME
+        pairs: list[tuple | None] = [None] * size
+        shared: dict[int, int] = {}
+        for left, first in lefts:
+            for right, second in rights:
+                flat = _hamilton(left, right)
+                res = _residues(flat, _ETA_SQUARED, _PHI_MOD_ETA2)
+                if not any(v % _ETA_PRIME for v in res):
+                    continue  # backtracking
+                key = _image_line(res, _ETA_SQUARED, _J_MOD_ETA2)
+                if pairs[key] is not None:
+                    raise IcogateError("two non-backtracking pairs share a "
+                                       "line mod eta^2")
+                pairs[key] = (*(shared.setdefault(v, v) for v in flat),
+                              first, second)
+        if None in pairs:
+            raise IcogateError("a line mod eta^2 has no non-backtracking pair")
+        return tuple(pairs)
 
     def _member(self, q: GoldenQuat) -> GoldenQuat | None:
         """The stored element of q's class, or None when q is not a C60
@@ -556,54 +653,76 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     exactly k taus.  Raises NotInGroup when q is not in the projective
     image of the order's unit lattice, and MalformedInput when q is 0.
 
-    Mod eta the quaternions are M_2(F_59) (see _image), where det is nrd
-    mod eta.  gamma starts as q with its common powers of 2 and its
-    eta-content divided out (gamma/eta = gamma*conj(eta)/59), and eta
-    never again divides gamma's content: if eta^2 divided gamma*c*tau,
-    multiplying by conj(c*tau) would give eta | gamma*nrd(c), and
-    nrd(c), a unit times a power of 2, is prime to eta, so eta | gamma.
-    So while eta | nrd(gamma), gamma's image has rank 1, as has tau's, and
-    gamma*c*tau vanishes exactly when c maps the image line of tau onto
-    gamma's kernel line.  C60 = A5 lies in PSL_2(F_59), and none of its
-    nonidentity elements fixes a line: a lift to SL_2 of an element of
-    order 2, 3 or 5 that did would have an eigenvalue in F_59 of order
-    3, 4, 5, 6 or 10, none of which divides 58.  So C60 acts simply
-    transitively on the 60 lines (C60Table checks it), and the kernel
-    line picks the one c that peels.  A peel divides nrd by eta, times
-    nrd(c) and the strip's powers of 4, all prime to eta, so det != 0
-    ends the loop after exactly k peels.  The residual's class is found
-    by its residue key and confirmed by the minors (C60Table.word_for).
-    The AssertionErrors guard the eta-content invariant and the exact
-    division; a quaternion outside the group reaches the final lookup.
+    gamma starts as q with its common powers of 2 and its eta-content
+    divided out (gamma/eta = gamma*conj(eta)/59), and eta never again
+    divides gamma's content: if eta^(n+1) divided gamma*P for a peeled
+    cofactor P of n taus, multiplying by conj(P) would give
+    eta | gamma*nrd(c1)...nrd(c_n), and nrd(c), a unit times a power of
+    2, is prime to eta, so eta | gamma.
+
+    Mod eta^2 the quaternions are M_2(Z/59^2) (see _image; phi maps to
+    329, the Hensel lift of 34, and j to [[2894, 7], [7, -2894]]), where
+    det is nrd mod eta^2.  While eta^2 divides nrd(gamma), gamma has
+    rank 1 mod eta, and gamma*adj(gamma) = det = 0 mod eta^2 puts its
+    kernel line mod eta^2 in the adjugate: (m01, -m00) beside a row that
+    is nonzero mod eta, else (m11, -m10), primitive either way.  gamma*P
+    vanishes mod eta^2 exactly when the image line of P = c1*tau*c2*tau
+    is that kernel line.  C60 = A5 lies in PSL_2(F_59), and none of its
+    nonidentity elements fixes a line mod eta: a lift to SL_2 of an
+    element of order 2, 3 or 5 that did would have an eigenvalue in
+    F_59 of order 3, 4, 5, 6 or 10, none of which divides 58.  So C60
+    acts simply transitively on the 60 lines mod eta, and P's line mod
+    eta, the image line of c1*tau, names c1.  P vanishes mod eta exactly
+    when c2 fixes tau's image line, which is tau's kernel line
+    (tau*tau = -eta): when c2 = 1.  For c2 != 1, conj(P) kills P's image
+    line mod eta^2 (conj(P)*P = nrd(P)), so another P' = c1*tau*c2'*tau
+    on the same line would give eta^2 | conj(P')*P =
+    nrd(c1)*eta*conj(tau)*conj(c2')*c2*tau, and conj(c2')*c2 would fix
+    tau's image line: c2' = c2.  The 60*59 pairs with c2 != 1 thus have
+    distinct lines, all 3,540 points of P^1(Z/59^2) (C60Table checks the
+    count), and the kernel line picks the one pair that peels.  An odd
+    k ends with the same step mod eta for P = c*tau.  A peel of n taus
+    divides nrd by eta^n, times nrd of the c's and the strip's powers of
+    4, all prime to eta, so det != 0 mod eta^2, then mod eta, ends the
+    loops after exactly k taus.  The pair's c1 is the cofactor a single
+    step mod eta would peel and its c2 the next one, so the word is the
+    one tau-by-tau peeling finds.  The residual's class is found by its
+    residue key and confirmed by the minors (C60Table.word_for).  The
+    AssertionErrors guard the eta-content invariant and the exact
+    division by eta^n; a quaternion outside the group reaches the final
+    lookup.
     """
     table = generate_c60()
-    peel = table._peel
     flat = q.coords()
     if not any(flat):
         raise MalformedInput("zero quaternion has no projective class")
     flat = _strip_eta(_strip_twos(flat))
     tails: list[str] = []
-    while True:
-        res = _residues(flat)
-        m00, m01, m10, m11 = _image(res)
-        if (m00 * m11 - m01 * m10) % _ETA_PRIME:
-            break
-        if not any(res):
-            raise AssertionError("eta divides the content of gamma, which "
-                                 "the peels keep prime to eta; arithmetic "
-                                 "bug")
-        # the kernel line of rank-1 gamma: orthogonal to a nonzero row
-        if m00 or m01:
-            c_tau_eta_bar, inverse = peel[_line(m01, -m00)]
-        else:
-            c_tau_eta_bar, inverse = peel[_line(m11, -m10)]
-        # gamma*c*tau/eta = gamma*c*tau*conj(eta)/59
-        product = _hamilton(flat, c_tau_eta_bar)
-        if any(v % _ETA_PRIME for v in product):
-            raise AssertionError("eta divides the residues but not the "
-                                 "product; arithmetic bug")
-        flat = _strip_twos(tuple(v // _ETA_PRIME for v in product))
-        tails.append(inverse)
+    for modulus, phi, j in ((_ETA_SQUARED, _PHI_MOD_ETA2, _J_MOD_ETA2),
+                            (_ETA_PRIME, _PHI_MOD_ETA, _J_MOD_ETA)):
+        while True:
+            m00, m01, m10, m11 = _image(_residues(flat, modulus, phi),
+                                        modulus, j)
+            if (m00 * m11 - m01 * m10) % modulus:
+                break
+            # gamma's kernel line: orthogonal to a row nonzero mod eta
+            if m00 % _ETA_PRIME or m01 % _ETA_PRIME:
+                key = _line(m01, -m00, modulus)
+            elif m10 % _ETA_PRIME or m11 % _ETA_PRIME:
+                key = _line(m11, -m10, modulus)
+            else:
+                raise AssertionError("eta divides the content of gamma, "
+                                     "which the peels keep prime to eta; "
+                                     "arithmetic bug")
+            entry = table.peel_table(modulus)[key]
+            # gamma*P/eta^n = gamma*P*conj(eta)^n/59^n for the entry's
+            # P = c*tau (n = 1) or c1*tau*c2*tau (n = 2)
+            product = _hamilton(flat, entry[:8])
+            if any(v % modulus for v in product):
+                raise AssertionError("eta^n divides the residues but not "
+                                     "the product; arithmetic bug")
+            flat = _strip_twos(tuple(v // modulus for v in product))
+            tails += entry[8:]
     gamma = GoldenQuat._from_coords(flat)
     base = table.word_for(gamma)
     if base is None:

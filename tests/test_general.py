@@ -4,7 +4,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate import general
+from icogate import general, icosian
 from icogate.diagonal import synth_diagonal
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
                             NotRepresentable, PrecisionInsufficient)
@@ -409,6 +409,36 @@ def test_snap_matches_full_scan(g, eps):
     seg, d = scan_snap(g, BITS)
     assert word == GateWord((seg,))
     assert abs(achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.2, -0.4, 0.3])
+def test_snap_measures_one_of_each_diagonal_twin(theta, monkeypatch):
+    """For a target with zero j and k parts, q and (q0, q1, -q2, -q3)
+    (conjugation by i, which is in C60) tie bit for bit, so the snap
+    measures one of them; at u(0.7), u(1.2) and u(-0.4) the nearest
+    element has such a twin, at u(0.3) it has none.  A j part of 1e-30
+    breaks the tie, and then both twins are measured."""
+    calls = []
+
+    def counting(g, q):
+        calls.append(1)
+        return real(g, q)
+
+    real = icosian.quaternion_distance
+    monkeypatch.setattr(icosian, "quaternion_distance", counting)
+    table = generate_c60()
+    with mp.workprec(BITS):
+        t = mpf(theta)
+        target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
+        q, seg, d = table.nearest(target)
+        assert len(calls) == 1
+        best_seg, best_d = scan_snap(u_of_theta(t, BITS), BITS)
+        assert seg == best_seg
+        assert abs(d ** 2 - best_d ** 2) < mpf(2) ** (8 - BITS)
+        calls.clear()
+        tilted = (target[0], target[1], mpf("1e-30"), mpf(0))
+        assert table.nearest(tilted)[1] == seg
+        assert len(calls) == (1 if theta == 0.3 else 2)
 
 
 def test_snap_on_an_exact_tie():

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -352,12 +356,13 @@ def test_peeling_unique():
             gamma = canonical(GoldenQuat(*parts))
 
 
-def mat_mul_mod_eta(m, n):
-    """Product of 2x2 matrices over F_59 given as (m00, m01, m10, m11)."""
+def mat_mul_mod_eta(m, n, modulus=59):
+    """Product of 2x2 matrices over Z/modulus (F_59 by default) given as
+    (m00, m01, m10, m11)."""
     a, b, c, d = m
     e, f, g, h = n
-    return ((a * e + b * g) % 59, (a * f + b * h) % 59,
-            (c * e + d * g) % 59, (c * f + d * h) % 59)
+    return ((a * e + b * g) % modulus, (a * f + b * h) % modulus,
+            (c * e + d * g) % modulus, (c * f + d * h) % modulus)
 
 
 def line_key(u, v):
@@ -385,10 +390,83 @@ def test_peel_table_is_keyed_by_the_image_line_of_c_tau():
         assert (m00 * m11 - m01 * m10) % 59 == 0
         key = line_key(m00, m10) if m00 or m10 else line_key(m01, m11)
         keys.add(key)
-        assert table._peel[key] == ((c * TAU * ETA.conj()).coords(),
-                                    table.inverse_word_for(c))
+        assert table._peel[key] == ((c * TAU * ETA.conj()).coords()
+                                    + (table.inverse_word_for(c),))
     assert keys == set(range(60))
     assert len(table._peel) == 60
+
+
+M2 = 59 * 59
+
+
+def image_mod_eta2(q):
+    """q's 2x2 matrix over Z/59^2, from the lifts phi -> 329 and
+    j -> [[2894, 7], [7, -2894]] (i -> [[0, 1], [-1, 0]], k = ij)."""
+    g0, g1, g2, g3 = ((x.a + 329 * x.b) % M2 for x in q.parts())
+    s, t = 2894 * g2 + 7 * g3, 7 * g2 - 2894 * g3
+    return ((g0 + s) % M2, (g1 + t) % M2, (t - g1) % M2, (g0 - s) % M2)
+
+
+def line_key_mod_eta2(u, v):
+    """The point of P^1(Z/59^2) of the line through (u, v), which is
+    nonzero mod 59: v/u for a unit u, else 3481 + (u/v)/59."""
+    if u % 59:
+        return v * pow(u, -1, M2) % M2
+    return M2 + (u * pow(v, -1, M2) % M2) // 59
+
+
+def test_lifts_mod_eta_squared():
+    phi, j = icosian._PHI_MOD_ETA2, icosian._J_MOD_ETA2
+    assert (phi, j) == (329, 2894)
+    assert (phi * phi - phi - 1) % M2 == 0 and phi % 59 == 34
+    assert (j * j + 7 * 7 + 1) % M2 == 0 and j % 59 == 3
+    assert (ETA.a + phi * ETA.b) % M2 == 59 * 28  # eta, not eta^2
+
+
+def test_image_mod_eta_squared_is_multiplicative_with_det_nrd():
+    assert image_mod_eta2(ONE_QUAT) == (1, 0, 0, 1)
+    rng = random.Random(12)
+    for _ in range(200):
+        g, h = rand_quat(rng, 60), rand_quat(rng, 60)
+        ig, ih = image_mod_eta2(g), image_mod_eta2(h)
+        assert image_mod_eta2(g * h) == mat_mul_mod_eta(ig, ih, M2)
+        m00, m01, m10, m11 = ig
+        n = g.nrd()
+        assert (m00 * m11 - m01 * m10) % M2 == (n.a + 329 * n.b) % M2
+        # the module's own residues and image agree
+        assert icosian._image(icosian._residues(g.coords(), M2, 329),
+                              M2, 2894) == ig
+
+
+def test_pair_table_is_keyed_by_the_image_line_mod_eta_squared():
+    """c1*tau*c2*tau is divisible by eta for exactly 60 of the 3,600
+    pairs, those with c2 = 1; the other 3,540 have 3,540 distinct image
+    lines mod eta^2, and the pair table holds each pair's product times
+    conj(eta)^2 and the words for c1^-1 and c2^-1 at its line."""
+    table = generate_c60()
+    pairs = table.peel_table(M2)
+    assert len(pairs) == 3540
+    c_taus = [(c, c * TAU) for c, _ in table]
+    backtracking, keys = 0, set()
+    for c1, left in c_taus:
+        for c2, right in c_taus:
+            p = left * right
+            if all(exact_div(x, ETA) is not None for x in p.parts()):
+                assert table.word_for(c2) == ""
+                backtracking += 1
+                continue
+            m00, m01, m10, m11 = image_mod_eta2(p)
+            assert (m00 * m11 - m01 * m10) % M2 == 0
+            if m00 % 59 or m10 % 59:
+                key = line_key_mod_eta2(m00, m10)
+            else:
+                key = line_key_mod_eta2(m01, m11)
+            keys.add(key)
+            assert pairs[key] == ((p * ETA.conj() ** 2).coords()
+                                  + (table.inverse_word_for(c1),
+                                     table.inverse_word_for(c2)))
+    assert backtracking == 60
+    assert keys == set(range(3540))
 
 
 def test_exact_synthesize_matches_trial_division():
@@ -413,18 +491,91 @@ def test_exact_synthesize_matches_trial_division():
               word_to_quat(long_words[0]) * m * TAU * phi_power(9),
               m * word_to_quat(long_words[1]) * 2]
     for q in quats:
-        expected = reference_synthesize(q)
-        if isinstance(expected, Exception):
-            with pytest.raises(type(expected)) as info:
-                exact_synthesize(q)
-            assert type(info.value) is type(expected)
-            assert str(info.value) == str(expected)
-            continue
-        got = exact_synthesize(q)
-        assert got.tau_count == expected.tau_count
-        for step in range(1, got.tau_count + 1):
-            assert got.segments[-step] == expected.segments[-step], step
-        assert got == expected
+        assert_matches_reference(q)
+
+
+def assert_matches_reference(q):
+    """exact_synthesize(q) gives reference_synthesize's word, tail by
+    tail, or raises its error, type and message alike."""
+    expected = reference_synthesize(q)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            exact_synthesize(q)
+        assert type(info.value) is type(expected)
+        assert str(info.value) == str(expected)
+        return
+    got = exact_synthesize(q)
+    assert got.tau_count == expected.tau_count
+    for step in range(1, got.tau_count + 1):
+        assert got.segments[-step] == expected.segments[-step], step
+    assert got == expected
+
+
+def reduced_word_quat(rng, k):
+    """The quaternion of a random k-tau word whose reduced norm keeps
+    all k factors of eta."""
+    words = [w for _, w in generate_c60()]
+    while True:
+        q = word_to_quat(random_word(rng, words, k))
+        if tau_count(q) == k:
+            return q
+
+
+def test_exact_synthesize_peels_pairs_then_one_step():
+    """Pairs of taus peel mod eta^2 and an odd count ends with one step
+    mod eta: every tau count 0..13, and 50, matches trial division, and
+    so do an odd and an even input outside the group with
+    eta-valuation at least 2."""
+    rng = random.Random(14)
+    quats = [reduced_word_quat(rng, k) for k in [*range(14), 50]]
+    m = GoldenQuat(1, 1, 0, 0)  # nrd 2: no word reaches it
+    odd = TAU * m * TAU * SIGMA * TAU
+    even = m * TAU * RHO * TAU * SIGMA * TAU * m * TAU
+    assert [tau_count(x) for x in (odd, even)] == [3, 4]
+    assert all(isinstance(reference_synthesize(x), NotInGroup)
+               for x in (odd, even))
+    for q in quats + [odd, even]:
+        assert_matches_reference(q)
+
+
+def test_exact_synthesize_makes_one_product_per_two_taus(monkeypatch):
+    """A primitive k-tau input costs ceil(k/2) Hamilton products: one
+    per pair of taus and one for an odd last tau."""
+    rng = random.Random(15)
+    counts = [*range(14), 49, 50]
+    quats = [reduced_word_quat(rng, k) for k in counts]
+    generate_c60().peel_table(M2)  # the lazy build makes products too
+    calls = []
+
+    def counting(p, q):
+        calls.append(1)
+        return real(p, q)
+
+    real = icosian._hamilton
+    monkeypatch.setattr(icosian, "_hamilton", counting)
+    for k, q in zip(counts, quats):
+        calls.clear()
+        assert exact_synthesize(q).tau_count == k
+        assert len(calls) == (k + 1) // 2, k
+
+
+def test_pair_table_is_built_on_the_first_two_tau_peel():
+    """Importing the CLI and building C60 leave the pair table unbuilt,
+    and so does a one-tau peel; the first two-tau peel builds it."""
+    code = "\n".join((
+        "import icogate.cli",
+        "from icogate.icosian import RHO, TAU, exact_synthesize, "
+        "generate_c60",
+        "table = generate_c60()",
+        "assert table._pairs is None",
+        "exact_synthesize(TAU * RHO)",
+        "assert table._pairs is None",
+        "exact_synthesize(TAU * RHO * TAU)",
+        "assert len(table._pairs) == 3540"))
+    path = str(Path(icosian.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
 
 
 def test_exact_synthesize_is_scalar_invariant_without_canonical(monkeypatch):
