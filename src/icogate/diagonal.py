@@ -3,23 +3,24 @@
 The approximating quaternion gamma = (x0, x1, x2, x3) must satisfy
 x0^2 + x1^2 + x2^2 + x3^2 = eta^m exactly with (x0 + i x1)/eta^{m/2}
 close to e^{i theta}.  Searching shortest-first in m, each shell's
-candidate pairs (x0, x1) in Z[phi]^2 = Z^4 are the lattice points of
-one 4-dimensional ellipsoid around the plus-side eps-cap times the
-minus-side disk (solve_shell, enumerated exactly by
-goldengrid.scaled_ellipsoid_points), so the work per shell tracks the
+candidates are the pairs (x0, x1) in Z[phi]^2 = Z^4 within eps of
+u(theta) whose residual eta^m - x0^2 - x1^2 is totally nonnegative
+(solve_shell).  They are kept from the lattice points of one
+4-dimensional ellipsoid around the plus-side eps-cap times the
+minus-side disk, enumerated exactly by
+goldengrid.scaled_ellipsoid_points, so the work per shell tracks the
 number of pairs rather than the eps^(-1/2) values x1 can take alone.
 (x2, x3) is a sum-of-two-squares certificate for the exact residual.
 Success at exponent m gives a word with exactly m taus, and m lands at
 (1+o(1))*log_59(1/eps^3) because each residual has a roughly constant
 chance of being representable.
 
-Each shell needs cos(theta) > 0, so that the fidelity slab on x0 is a
-plus-embedding interval.  synth_diagonal folds theta into
-[-pi/2, pi/2) and first returns the nearest C60 element, a 0-tau word,
-when it is within eps (C60Table.nearest); u(pi/2) is one, so the folded
-angle -pi/2 snaps at distance 0.  A residual is skipped when its
-factorization runs out of the Pollard-rho budget, the only abandonment
-rule.
+Each shell is posed for a folded angle, cos(theta) > 0: synth_diagonal
+folds theta into [-pi/2, pi/2) and first returns the nearest C60
+element, a 0-tau word, when it is within eps (C60Table.nearest);
+u(pi/2) is one, so the folded angle -pi/2 snaps at distance 0.  A
+residual is skipped when its factorization runs out of the Pollard-rho
+budget, the only abandonment rule.
 
 A search is posed once, as a DiagonalTarget, at the working precision
 p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
@@ -50,9 +51,7 @@ every shell that an empty probe covers.
 
 from __future__ import annotations
 
-from itertools import groupby
 from math import isqrt
-from operator import itemgetter
 
 from mpmath import mp, mpf
 
@@ -83,23 +82,25 @@ class DiagonalTarget:
     """One search: approximate u(theta) to epsilon, posed once at the
     working precision p = mp.prec for every shell of it (solve_shell).
 
-    theta must have cos(theta) > 0, 0 < epsilon < 1, and p must be at
-    least 2 log2(1/eps) + 32; otherwise MalformedInput.  s_p and c_p
-    are sin(theta) and cos(theta), computed in mpf, at scale 2^p.
-    epsilon is read exactly, as eps^2 = eps2 / 2^k2, so
-    cap_p = floor((1 - eps^2) 2^p) and
-    band_p = floor(eps sqrt(2 - eps^2) 2^p) are off by less than 1.
+    Its shells' pairs are those within eps of u(theta) whose residual
+    is totally nonnegative.  theta must have cos(theta) > 0,
+    0 < epsilon < 1, and p must be at least 2 log2(1/eps) + 32;
+    otherwise MalformedInput.  s_p and c_p are sin(theta) and
+    cos(theta), computed in mpf, at scale 2^p.  epsilon is read
+    exactly, as eps^2 = eps2 / 2^k2, so cap_p = floor((1 - eps^2) 2^p)
+    and sin_delta_p = floor(eps sqrt(2 - eps^2) 2^p), cos(delta) and
+    sin(delta) for the cap's half-angle delta, are off by less than 1.
     root_eta and root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale
     2^2p, each within 1 below.  r_num and t_num are the coefficients of
     (c, s) and (-s, c) on z = (a0, b0, a1, b1), that is
     (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its plus
     embedding, at scale 2^2p: shell 0's plus-side forms up to the
-    factors 2 / eps^2 and 1 / (eps sqrt(2 - eps^2)).  transform is the
+    factors 2 / eps^2 and 1 / sin(delta).  transform is the
     lattice transform of the last shell solved, None before the first.
     """
 
     __slots__ = ("p", "s_p", "c_p", "phi_p", "eps2", "k2", "cap_p",
-                 "band_p", "root_eta", "root_59", "r_num", "t_num",
+                 "sin_delta_p", "root_eta", "root_59", "r_num", "t_num",
                  "transform")
 
     def __init__(self, theta, epsilon):
@@ -117,7 +118,8 @@ class DiagonalTarget:
         man, exp = eps.man_exp
         eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
         self.cap_p = (((1 << k2) - eps2) << p) >> k2
-        self.band_p = isqrt((eps2 * ((2 << k2) - eps2) << (2 * p)) >> (2 * k2))
+        self.sin_delta_p = isqrt(
+            (eps2 * ((2 << k2) - eps2) << (2 * p)) >> (2 * k2))
         two_p = 2 * p
         sigma_eta = (7 << two_p) + 5 * phi_fixed(two_p)
         self.root_eta = isqrt(sigma_eta << two_p)
@@ -130,21 +132,24 @@ class DiagonalTarget:
 def solve_shell(target: DiagonalTarget, m: int
                 ) -> list[tuple[GoldenInt, GoldenInt]]:
     """Every pair (x0, x1) of shell m of target, and the pairs within
-    rounding of its edges, in the order the search tries them.  For
+    rounding of its edge, in the order the search tries them.  For
     h = (sigma_+ eta)^{m/2} a pair qualifies when
 
-        sigma_pm(eta^m - x1^2) >= 0,  sigma_pm(eta^m - x1^2 - x0^2) >= 0
-        x1 sin(theta) <= h (1 - eps^2)
-        |x1 - h (1 - eps^2) sin(theta)| <= h cos(theta) sqrt(2-eps^2) eps
-        h (1 - eps^2) <= x0 cos(theta) + x1 sin(theta) <= h
+        sigma_pm(eta^m - x0^2 - x1^2) >= 0
+        x0 cos(theta) + x1 sin(theta) >= h (1 - eps^2)
 
-    (the disks, the cap, the band and the fidelity slab; x0 and x1
-    stand for their plus embeddings after the first line).  Pairs are
-    sorted by |x1 - h (1 - eps^2) sin(theta)| (x1 nearest the band
-    centre first), then by decreasing trace overlap x0 cos(theta) +
-    x1 sin(theta), so the first x0 of an x1 gives the smallest
-    distance; both keys are taken at scale 2^p (below), and their ties
-    go by coordinates.
+    (the residual's disks and the fidelity slab; x0 and x1 stand for
+    their plus embeddings in the second): completed by any (x2, x3),
+    the quaternion is within eps of u(theta).  The disks imply x1's
+    own, sigma_pm(eta^m - x1^2) >= 0, and the overlap
+    x0 cos(theta) + x1 sin(theta) is at most |(x0, x1)| <= h, so the
+    plus side (x0, x1) lies in the eps-cap of the disk of radius h,
+    between the angles theta +- delta, cos(delta) = 1 - eps^2.  Pairs
+    are sorted by |x1 - mu| for mu = h (1 - eps^2) sin(theta), the
+    midpoint of h sin(theta +- delta) (x1 nearest the cap's centre
+    first), then by decreasing overlap, so the first x0 of an x1 gives
+    the smallest distance; both keys are taken at scale 2^p (below),
+    and their ties go by coordinates.
 
     m must be a nonnegative int (MalformedInput).  The target carries
     the lattice reduction from shell to shell: each shell's reduction
@@ -154,19 +159,18 @@ def solve_shell(target: DiagonalTarget, m: int
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
     times root_eta >> 2p when m is odd; 1/h_minus = h / 59^{m/2} needs
-    no minus embedding, so nothing cancels.  Every other value is an
-    integer multiple of the target's constants: cap = h cap_p,
-    mu = cap s_p, w = h c_p band_p, each shifted to its scale.
+    no minus embedding, so nothing cancels.  The slab's edge
+    cap = h cap_p and mu = cap s_p are shifted to their scales.
 
     The candidates are the points of Z[phi]^2 = Z^4 inside one
     ellipsoid.  On the plus side (sigma_+ x0, sigma_+ x1) lies in the
     eps-cap, whose rotated coordinates r = x0 c + x1 s and
     t = x1 c - x0 s satisfy r in [h (1 - eps^2), h] and, since
-    |x|^2 <= h^2, |t| <= h eps sqrt(2 - eps^2); on the minus side
+    |x|^2 <= h^2, |t| <= h sin(delta); on the minus side
     (sigma_- x0, sigma_- x1) lies in the disk of radius h_minus.
     Normalising the rectangle and the disk to unit size, their product
     sits inside |L z - c| <= sqrt(3), where L's rows are
-    r_num 2 / (h eps^2), t_num / (h eps sqrt(2 - eps^2)),
+    r_num 2 / (h eps^2), t_num / (h sin(delta)),
     (1, phi_-, 0, 0) / h_minus and (0, 0, 1, phi_-) / h_minus, and
     c = ((2 - eps^2) / eps^2, 0, 0, 0); a qualifying z has every
     |z_j| <= h.  Each integer of the basis and the centre handed to
@@ -179,72 +183,53 @@ def solve_shell(target: DiagonalTarget, m: int
     1/2 when p >= 2 log2(1/eps) + 32.  h and 59^{m/2} are off by a
     relative 2^(2 - 2p), which moves an entry by less than 1/2 while
     h < 2^(2p - 28), true of every shell a search reaches.  A pair
-    that misses each true inequality by less than 72 u H (every pair
-    kept below) misses it by a 2^(10 - p) / eps^2 part of its
-    half-width at most, so it lies inside the entry's radius
-    sqrt(3) + 1/257.
+    within its disks that misses the slab by less than 72 u H (every
+    pair kept below) misses each side of the rectangle by a
+    2^(10 - p) / eps^2 part of its half-width at most, so it lies
+    inside the entry's radius sqrt(3) + 1/257.
 
-    The disks are exact signs of eta^m - x1^2 and eta^m - x1^2 - x0^2;
-    a zero residual, at (+-eta^{m/2}, 0) or (0, +-eta^{m/2}), is kept.
-    The other tests and both keys are made at scale 2^p (goldengrid).
-    After the disks both coordinates of x0 and x1 are at most h in
-    size; with u = 2^-p and H = (h's integer >> 2p) + 3 >= h + 1, each
-    integer test value (a slab edge minus the overlap, the cap minus
-    x1 sin, the band half-width minus |x1 - mu|) and key is within
-    15 u H / 2 of the exact one (the embedding is off by less than
-    u H, s_p and c_p by 3u/2, cap_p and band_p by u, h by a relative
-    2^(2 - 2p)).  A pair is kept when each test value is at least
-    -tol, tol = 64 u H (tol << p at scale 2^2p): so is every
-    qualifying pair, and every pair the same tests keep in mpf at
-    precision p, whose values are within 23 u H of the exact ones and
-    so within 31 u H < tol of the integer ones (their disks agree with
-    the exact signs off a zero residual while
-    (sigma_+ eta)^m 59^{m/2} 2^5 (m + 17) < 2^p, which holds ten
-    shells past where searches end at precision_for(eps) and
-    eps >= 1e-10).  Whether a pair near an edge is close enough is
-    left to the exact distance synth_diagonal measures.
+    The disks are exact signs of eta^m - x0^2 - x1^2, computed once per
+    point, and a zero residual is kept.  The slab test and both keys
+    are made at scale 2^p (goldengrid).  Within the disks both
+    coordinates of x0 and x1 are at most h in size; with u = 2^-p and
+    H = (h's integer >> 2p) + 3 >= h + 1, the integer slab value (the
+    overlap minus cap) and each key are within 15 u H / 2 of the exact
+    ones (the embedding is off by less than u H, s_p and c_p by 3u/2,
+    cap_p by u, h by a relative 2^(2 - 2p)).  A pair is kept when its
+    slab value is at least -tol, tol = 64 u H (tol << p at scale
+    2^2p): so is every qualifying pair, and every pair within its
+    disks whose slab value, computed in mpf at precision p, is at
+    least 0, since that value is within 23 u H of the exact one and so
+    within 31 u H < tol of the integer one.  Whether a pair near the
+    edge is close enough is left to the exact distance synth_diagonal
+    measures.
     """
     if not isinstance(m, int) or m < 0:
         raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
     points, hp_2p = _pose_shell(target, m)
-    p, two_p = target.p, 2 * target.p
+    p = target.p
     cap_2p = (hp_2p * target.cap_p) >> p
     s_p, c_p, phi_p = target.s_p, target.c_p, target.phi_p
-    mu_p = (cap_2p * s_p) >> two_p
-    w_p = (hp_2p * c_p * target.band_p) >> (3 * p)
-    tol = ((hp_2p >> two_p) + 3) << 6
-    tol_2p = tol << p
+    mu_p = (cap_2p * s_p) >> (2 * p)
+    floor_2p = cap_2p - (((hp_2p >> (2 * p)) + 3) << (6 + p))
     eta_m = eta_power(m)
     ea, eb = eta_m.a, eta_m.b
-    x1_of = itemgetter(2, 3)
-    rows = []
-    for (a1, b1), group in groupby(sorted(points, key=x1_of), key=x1_of):
-        # z1 = eta^m - x1^2, with x1^2 = a1^2 + b1^2 + (2 a1 b1 + b1^2) phi
-        bb = b1 * b1
-        za, zb = ea - a1 * a1 - bb, eb - 2 * a1 * b1 - bb
-        u = 2 * za + zb
-        if _sign_of(u, zb) < 0 or _sign_of(u, -zb) < 0:
+    kept = []
+    for a0, b0, a1, b1 in points:
+        # y = eta^m - x0^2 - x1^2, with x^2 = a^2 + b^2 + (2 a b + b^2) phi
+        bb0, bb1 = b0 * b0, b1 * b1
+        ya = ea - a0 * a0 - bb0 - a1 * a1 - bb1
+        yb = eb - 2 * (a0 * b0 + a1 * b1) - bb0 - bb1
+        u = 2 * ya + yb
+        if _sign_of(u, yb) < 0 or _sign_of(u, -yb) < 0:
             continue
         x1p = (a1 << p) + b1 * phi_p
-        x1s = x1p * s_p
-        band_key = abs(x1p - mu_p)
-        if cap_2p - x1s < -tol_2p or w_p - band_key < -tol:
-            continue
-        pairs = []
-        for a0, b0, _, _ in group:
-            bb = b0 * b0
-            ya, yb = za - a0 * a0 - bb, zb - 2 * a0 * b0 - bb
-            u = 2 * ya + yb
-            if _sign_of(u, yb) < 0 or _sign_of(u, -yb) < 0:
-                continue
-            overlap = ((a0 << p) + b0 * phi_p) * c_p + x1s
-            if overlap - cap_2p < -tol_2p or hp_2p - overlap < -tol_2p:
-                continue
-            pairs.append((-overlap, a0, b0))
-        if pairs:
-            rows.append((band_key, a1, b1, sorted(pairs)))
+        overlap = ((a0 << p) + b0 * phi_p) * c_p + x1p * s_p
+        if overlap >= floor_2p:
+            kept.append((abs(x1p - mu_p), a1, b1, -overlap, a0, b0))
+    kept.sort()
     return [(GoldenInt(a0, b0), GoldenInt(a1, b1))
-            for _, a1, b1, pairs in sorted(rows) for _, a0, b0 in pairs]
+            for _, a1, b1, _, a0, b0 in kept]
 
 
 def _pose_shell(target: DiagonalTarget, m: int):
@@ -262,7 +247,7 @@ def _pose_shell(target: DiagonalTarget, m: int):
         root_59 = 59 ** k << two_p
     e = grid_scale(4, (hp_2p >> two_p) + 1)
     eps2, k2 = target.eps2, target.k2
-    r_den, t_den = hp_2p * eps2, hp_2p * target.band_p
+    r_den, t_den = hp_2p * eps2, hp_2p * target.sin_delta_p
     g = (hp_2p << e) // root_59
     # the minus embedding of phi is 1 - phi
     g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 
 from mpmath import mp, mpf
 
@@ -57,13 +58,18 @@ _PHI_FLOAT = (1.0 + 5.0**0.5) / 2.0
 
 
 class GoldenInt:
-    """An element a + b*phi of Z[phi]."""
+    """An element a + b*phi of Z[phi].  a and b must be integers
+    (operator.index); anything else raises MalformedInput."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a: int, b: int = 0):
-        self.a = int(a)
-        self.b = int(b)
+        try:
+            self.a = index(a)
+            self.b = index(b)
+        except TypeError:
+            raise MalformedInput(
+                f"not an integer coordinate: {a!r}, {b!r}") from None
 
     def __repr__(self) -> str:
         return f"GoldenInt({self.a}, {self.b})"

@@ -218,7 +218,6 @@ def quaternion_distance(g, q):
 class TuningAngles:
     theta1: object
     theta2: object
-    bound_constant: object
 
 
 def tuning_constant():
@@ -253,7 +252,7 @@ def tune_diagonals(gamma1, gamma2) -> TuningAngles:
             "diagonal pipeline instead")
     da = mp.atan2(x1, x0) - mp.atan2(y1, y0)
     db = mp.atan2(x3, x2) - mp.atan2(y3, y2)
-    return TuningAngles((da + db) / 2, (da - db) / 2, tuning_constant())
+    return TuningAngles((da + db) / 2, (da - db) / 2)
 
 
 # --- named gates and entry parsing ---

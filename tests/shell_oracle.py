@@ -3,13 +3,17 @@ that hold the searches to them.
 
 diagonal.solve_shell and general.candidate_norms decide their points in
 integers at scale 2^p alone, keeping every point within a margin tol of
-an edge.  The functions here are the filters as they stood before the
-integer decisions (commit 522b15f), verbatim: every point that
-ellipsoid_points returns is embedded at working precision, tested with
-mpf comparisons and sorted by mpf keys.  ellipsoid_points is
-goldengrid's mpf entry as it stood at commit ac28085, verbatim: it
-rounds mpf forms to an integer lattice problem at its own scale.  Each
-side's ellipsoid holds every point the filters keep.
+an edge.  The functions here decide the same regions in mpf: every
+point that ellipsoid_points returns is embedded at working precision,
+tested with mpf comparisons and sorted by mpf keys.  oracle_norms is
+the filter as it stood before the integer decisions (commit 522b15f),
+verbatim.  oracle_shell keeps a pair of shell m when its residual
+eta^m - x0^2 - x1^2 is totally nonnegative, by exact signs, and its
+overlap x0 cos(theta) + x1 sin(theta) is at least h (1 - eps^2): the
+pair is within eps of u(theta).  ellipsoid_points is goldengrid's mpf
+entry as it stood at commit ac28085, verbatim: it rounds mpf forms to
+an integer lattice problem at its own scale.  Each side's ellipsoid
+holds every point the filters keep.
 
 assert_covers_shell and assert_covers_norms check a search's output
 against such a reference: it holds every point the reference keeps,
@@ -18,9 +22,6 @@ order is the sort by the search's integer keys, then by coordinates.
 The edges, and the true values the integer keys stand for, are
 recomputed in mpf at twice the working precision.
 """
-
-from itertools import groupby
-from operator import itemgetter
 
 from mpmath import mp, mpf
 
@@ -73,11 +74,7 @@ def _shell(theta, eps, m, prec):
         hm = _eta_pow(m, "minus")
         s, c = mp.sin(theta), mp.cos(theta)
         cap = hp * (1 - eps ** 2)
-        mu = cap * s
-        w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
-        ep = _eta_pow(2 * m, "plus")
-        em = _eta_pow(2 * m, "minus")
-    return hp, hm, s, c, cap, mu, w, ep, em
+    return hp, hm, s, c, cap
 
 
 def _shell_forms(theta, eps, m, prec):
@@ -95,7 +92,7 @@ def _shell_forms(theta, eps, m, prec):
 
     Returns (forms, center) for ellipsoid_points.
     """
-    hp, hm, s, c, cap, mu, w, _, _ = _shell(theta, eps, m, prec)
+    hp, hm, s, c, cap = _shell(theta, eps, m, prec)
     with mp.workprec(prec):
         eps = mpf(eps)
         half_r = (hp - cap) / 2
@@ -116,34 +113,24 @@ def _shell_forms(theta, eps, m, prec):
 
 
 def oracle_shell(theta, eps, m):
-    """solve_shell(DiagonalTarget(theta, eps), m) by mpf filters and
-    keys."""
-    hp, hm, s, c, cap, mu, w, ep, em = _shell(theta, eps, m, mp.prec)
+    """solve_shell(DiagonalTarget(theta, eps), m) by exact disks and an
+    mpf slab and keys."""
+    hp, hm, s, c, cap = _shell(theta, eps, m, mp.prec)
     forms, center = _shell_forms(theta, eps, m, mp.prec)
     points, _ = ellipsoid_points(forms, center, mp.sqrt(3), hp)
-    x1_of = itemgetter(2, 3)
-    points.sort(key=x1_of)
+    eta_m = eta_power(m)
+    mu = cap * s
     out = []
-    for (a1, b1), group in groupby(points, key=x1_of):
-        x1 = GoldenInt(a1, b1)
-        x1p = embed(x1, "plus", mp.prec)
-        x1m = embed(x1, "minus", mp.prec)
-        if not (x1p * s <= cap and abs(x1p) <= hp and abs(x1m) <= hm
-                and abs(x1p - mu) <= w):
+    for a0, b0, a1, b1 in points:
+        x0, x1 = GoldenInt(a0, b0), GoldenInt(a1, b1)
+        y = eta_m - x0 * x0 - x1 * x1
+        if sign_plus(y) < 0 or sign_minus(y) < 0:
             continue
-        sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
-        sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
-        lo_f = cap - x1p * s
-        hi_f = hp - x1p * s
-        for a0, b0, _, _ in group:
-            x0 = GoldenInt(a0, b0)
-            x0p = embed(x0, "plus", mp.prec)
-            x0m = embed(x0, "minus", mp.prec)
-            # cos(theta) > 0: the fidelity slab is a plus-side interval
-            if lo_f <= x0p * c <= hi_f and abs(x0p) <= sp and abs(x0m) <= sm:
-                overlap = x0p * c + x1p * s
-                out.append(((abs(x1p - mu), (a1, b1), -overlap, (a0, b0)),
-                            (x0, x1)))
+        x1p = embed(x1, "plus", mp.prec)
+        overlap = embed(x0, "plus", mp.prec) * c + x1p * s
+        if overlap >= cap:
+            out.append(((abs(x1p - mu), (a1, b1), -overlap, (a0, b0)),
+                        (x0, x1)))
     out.sort(key=lambda item: item[0])
     return [pair for _, pair in out]
 
@@ -188,11 +175,12 @@ def _plus_p(x, p):
 
 def assert_covers_shell(got, target, theta, eps, m, want):
     """got, solve_shell(target, m), holds every pair of want, which
-    oracle_shell or a brute force gives; every pair it adds lies within
-    tol = 64 u H of an edge of shell m, a zero residual of a disk
-    included; and it is sorted by the integer band key, the pair's
-    coordinates of x1, the integer overlap (decreasing) and those of
-    x0.  Each integer key is within tol of its true value."""
+    oracle_shell or a brute force gives; every pair it adds has a
+    totally nonnegative residual and lies within tol = 64 u H of the
+    slab's edge, or has a zero residual; and it is sorted by the
+    integer band key, the pair's coordinates of x1, the integer overlap
+    (decreasing) and those of x0.  Each integer key is within tol of
+    its true value."""
     p = mp.prec
     assert len(set(got)) == len(got)
     want = set(want)
@@ -214,7 +202,6 @@ def assert_covers_shell(got, target, theta, eps, m, want):
         h = embed(ETA, "plus", 2 * p) ** (mpf(m) / 2)
         cap = h * (1 - e ** 2)
         mu = cap * s
-        w = h * c * mp.sqrt(2 - e ** 2) * e
         for x0, x1 in got:
             x0p, x1p = embed(x0, "plus", 2 * p), embed(x1, "plus", 2 * p)
             r = x0p * c + x1p * s
@@ -223,12 +210,10 @@ def assert_covers_shell(got, target, theta, eps, m, want):
             assert abs(mp.ldexp(-overlap_key, -2 * p) - r) <= tol
             if (x0, x1) in want:
                 continue
-            z1 = eta_m - x1 * x1
-            signs = [sign(z) for z in (z1, z1 - x0 * x0)
-                     for sign in (sign_plus, sign_minus)]
-            margins = [cap - x1p * s, w - abs(x1p - mu), r - cap, h - r]
-            assert min(signs) >= 0 and min(margins) >= -tol
-            assert 0 in signs or min(margins) <= tol, (x0, x1)
+            y = eta_m - x0 * x0 - x1 * x1
+            signs = [sign_plus(y), sign_minus(y)]
+            assert min(signs) >= 0 and r - cap >= -tol
+            assert 0 in signs or r - cap <= tol, (x0, x1)
 
 
 def assert_covers_norms(got, k, abs_alpha, epsilon, want):

@@ -11,32 +11,45 @@ import icogate.diagonal
 from icogate.diagonal import (DiagonalTarget, _fold_theta, _pose_shell,
                               solve_shell, solve_x23, synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
-from icogate.golden import GoldenInt, embed, eta_power, eta_valuation
+from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
+                            sign_minus, sign_plus)
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
 from icogate.unitary import distance, precision_for, u_of_theta
 
 BITS = 160
 
 
+def cap_x1_range(theta, eps, hp):
+    """The plus embeddings x1 takes on the eps-cap of the disk of radius
+    hp around angle theta: hp sin over [theta - delta, theta + delta]
+    within the quarter turns, cos(delta) = 1 - eps^2."""
+    delta = mp.acos(1 - eps ** 2)
+    return (hp * mp.sin(max(theta - delta, -mp.pi / 2)),
+            hp * mp.sin(min(theta + delta, mp.pi / 2)))
+
+
+def totally_nonnegative(x):
+    return sign_plus(x) >= 0 and sign_minus(x) >= 0
+
+
 def brute_x1(theta, eps, m):
-    """Direct scan of a safely oversized (a, b) box against the solve_x1
-    inequalities, at the same precision the solver uses."""
+    """Direct scan of a safely oversized (a, b) box for the x1 of the
+    cap's x1-range, widened by a rounding margin, with eta^m - x1^2
+    totally nonnegative: every x1 of a pair within eps is among them."""
     theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     hm = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), mpf(m) / 2)
-    s, c = mp.sin(theta), mp.cos(theta)
-    mu = hp * (1 - eps ** 2) * s
-    w = hp * abs(c) * mp.sqrt(2 - eps ** 2) * eps
+    lo, hi = cap_x1_range(theta, eps, hp)
+    slack = mp.ldexp(hp, 8 - mp.prec)
+    eta_m = eta_power(m)
     box_d = int(mp.floor((hp + hm) / mp.sqrt(5))) + 2
     box_a = int(mp.floor(hp + box_d * 1.7)) + 2
     out = set()
     for a in range(-box_a, box_a + 1):
         for b in range(-box_d, box_d + 1):
             x = GoldenInt(a, b)
-            xp = embed(x, "plus", mp.prec)
-            xm = embed(x, "minus", mp.prec)
-            if (xp * s <= hp * (1 - eps ** 2) and abs(xp) <= hp
-                    and abs(xm) <= hm and abs(xp - mu) <= w):
+            if (lo - slack <= embed(x, "plus", mp.prec) <= hi + slack
+                    and totally_nonnegative(eta_m - x * x)):
                 out.add(x)
     return out
 
@@ -62,8 +75,11 @@ def x0_box(theta, m):
 
 
 def brute_x0(theta, eps, m, x1, box):
-    """The x0 of x0_box that pass the solve_x0 inequalities for x1, at
-    the same precision the solver uses."""
+    """The x0 of x0_box that make (x0, x1) a pair of shell m: the
+    residual eta^m - x0^2 - x1^2 totally nonnegative, by exact signs,
+    and the overlap at least h (1 - eps^2), at the same precision the
+    solver uses.  mpf disks widened by a rounding margin pick the x0
+    whose signs are taken."""
     theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     s = mp.sin(theta)
@@ -71,18 +87,20 @@ def brute_x0(theta, eps, m, x1, box):
     x1m = embed(x1, "minus", mp.prec)
     ep = mp.power(embed(eta_power(1), "plus", mp.prec), m)
     em = mp.power(abs(embed(eta_power(1), "minus", mp.prec)), m)
-    sp = mp.sqrt(max(mpf(0), ep - x1p ** 2))
-    sm = mp.sqrt(max(mpf(0), em - x1m ** 2))
+    slack = mp.ldexp(hp, 8 - mp.prec)
+    sp = mp.sqrt(max(mpf(0), ep - x1p ** 2)) + slack
+    sm = mp.sqrt(max(mpf(0), em - x1m ** 2)) + slack
     lo_f = hp * (1 - eps ** 2) - x1p * s
-    hi_f = hp - x1p * s
+    z1 = eta_power(m) - x1 * x1
     return {x for x, xpc, xp, xm in box
-            if lo_f <= xpc <= hi_f and xp <= sp and xm <= sm}
+            if lo_f <= xpc and xp <= sp and xm <= sm
+            and totally_nonnegative(z1 - x * x)}
 
 
 def brute_pairs(theta, eps, m):
-    """The pairs the two scans accept, in the search order: x1 by
-    distance from the band centre, then x0 by decreasing trace overlap,
-    ties by coordinates."""
+    """The pairs within eps with a totally nonnegative residual, in the
+    search order: x1 by distance from the centre of the cap's x1-range,
+    then x0 by decreasing trace overlap, ties by coordinates."""
     theta, eps = mpf(theta), mpf(eps)
     hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
     s, c = mp.sin(theta), mp.cos(theta)
@@ -106,8 +124,9 @@ def brute_pairs(theta, eps, m):
     (0.3926990817, 0.15, 4),
 ])
 def test_solve_x1_matches_brute_force(theta, eps, m):
-    """Every x1 that solve_shell pairs passes the x1 scan, each x1 forms
-    one run of pairs, and the runs go centre-out."""
+    """Every x1 that solve_shell pairs lies in the cap's x1-range with
+    eta^m - x1^2 totally nonnegative, each x1 forms one run of pairs,
+    and the runs go centre-out."""
     with mp.workprec(BITS):
         pairs = solve_shell(DiagonalTarget(theta, eps), m)
         got = [x1 for i, (_, x1) in enumerate(pairs)
@@ -126,8 +145,8 @@ def test_solve_x1_matches_brute_force(theta, eps, m):
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 def test_solve_x0_matches_brute_force(m):
-    """For every x1 of the x1 scan, solve_shell pairs it with exactly
-    the x0 of the x0 scan, by decreasing trace overlap."""
+    """For every x1 of the cap's x1-range, solve_shell pairs it with
+    exactly the x0 of the x0 scan, by decreasing trace overlap."""
     with mp.workprec(BITS):
         pairs = solve_shell(DiagonalTarget(0.4, 0.35), m)
         assert pairs == brute_pairs(0.4, 0.35, m)
@@ -154,6 +173,20 @@ def test_solve_shell_matches_brute_force(theta, eps, m):
         assert pairs == brute_pairs(theta, eps, m)
         if m >= 2:
             assert pairs
+
+
+def test_solve_shell_keeps_pairs_past_the_old_band():
+    # past pi/2 - delta, cos(delta) = 1 - eps^2, the eps-cap reaches
+    # x1 = h at the quarter turn, above h sin(theta + delta), the edge of
+    # the band |x1 - mu| <= w that once cut pairs within eps
+    theta, eps, m = 1.5698963268, 0.05, 4
+    with mp.workprec(BITS):
+        pairs = solve_shell(DiagonalTarget(theta, eps), m)
+        want = brute_pairs(theta, eps, m)
+        assert set(want) <= set(pairs)
+        hp = mp.power(embed(eta_power(1), "plus", mp.prec), mpf(m) / 2)
+        edge = hp * mp.sin(theta + mp.acos(1 - mpf(eps) ** 2))
+        assert any(embed(x1, "plus", mp.prec) > edge for _, x1 in want)
 
 
 def test_solve_shell_warm_start_agrees():

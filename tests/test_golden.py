@@ -46,6 +46,15 @@ def test_basic_arithmetic():
     assert PHI * PHI == PHI + 1
 
 
+def test_coordinates_must_be_integers():
+    # int() would truncate these: 2.7 + 0.9 phi read as 2, and 2.5 as 2,
+    # which sots_exact then wrote as 1^2 + 1^2
+    for a, b in [(2.7, 0.9), (2.5, 0), (2, 0.5), ("3", 0), (None, 0)]:
+        with pytest.raises(MalformedInput):
+            GoldenInt(a, b)
+    assert GoldenInt(True, 2) == GoldenInt(1, 2)
+
+
 def test_norm_and_conj_examples():
     assert norm(ETA) == 59
     assert norm(GoldenInt(0, 1)) == -1

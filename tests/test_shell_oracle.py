@@ -1,18 +1,18 @@
-"""solve_shell and candidate_norms against the mpf filters they replace.
+"""solve_shell and candidate_norms against mpf filters of their regions.
 
-shell_oracle holds the filters as they stood before the integer
-decisions, and the mpf ellipsoid solve_shell used before it posed its
-shells in integers.  The searches now decide in integers alone and keep
-every point within tol of an edge, so each must return every point the
-filters keep, add only points within tol of an edge, and order its
-points by its integer keys, then by coordinates (shell_oracle's
-assert_covers_shell and assert_covers_norms).  The shells are seeded:
-eps log-uniform in [1e-10, 0.3], theta uniform, exactly 0 or within
-1e-2 of the quarter turn, |alpha| uniform or 1/sqrt(2), and m (k for
-the norms) from about the first shell whose region holds one lattice
-point to a few shells past it, each at the working precision synthesis
-uses for its eps.  The deep shells take eps = 1e-20 and 1e-30 with m
-from one before that first shell to one after it.
+shell_oracle holds the filters, and the mpf ellipsoid solve_shell used
+before it posed its shells in integers.  The searches decide in
+integers alone and keep every point within tol of an edge, so each must
+return every point the filters keep, add only points within tol of an
+edge, and order its points by its integer keys, then by coordinates
+(shell_oracle's assert_covers_shell and assert_covers_norms).  The
+shells are seeded: eps log-uniform in [1e-10, 0.3], theta uniform,
+exactly 0 or within 1e-2 of the quarter turn, |alpha| uniform or
+1/sqrt(2), and m (k for the norms) from about the first shell whose
+region holds one lattice point to a few shells past it, each at the
+working precision synthesis uses for its eps.  The deep shells take
+eps = 1e-20 and 1e-30 with m from one before that first shell to one
+after it.
 """
 
 import math
@@ -21,8 +21,9 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate.diagonal import DiagonalTarget, solve_shell
+from icogate.diagonal import DiagonalTarget, _pose_shell, solve_shell
 from icogate.general import candidate_norms
+from icogate.golden import ETA, embed, eta_power, sign_minus, sign_plus
 from icogate.unitary import precision_for
 from shell_oracle import (assert_covers_norms, assert_covers_shell,
                           oracle_norms, oracle_shell)
@@ -95,6 +96,40 @@ def test_solve_shell_replays_mpf_filters(theta, eps, m):
         check_shell(theta, eps, m)
 
 
+@pytest.mark.parametrize("theta,eps,m", [
+    (theta, eps, m) for theta, eps, m in diagonal_cases(64, 1)
+    if abs(theta) < math.pi / 2 - 2 * math.asin(eps / math.sqrt(2))])
+def test_solve_shell_pairs_meet_the_dropped_tests(theta, eps, m):
+    # below pi/2 - delta, cos(delta) = 1 - eps^2, the residual's disks
+    # and the slab imply the tests solve_shell no longer makes: x1's
+    # disks, the upper slab r <= h, the cap x1 sin(theta) <= h (1 - eps^2)
+    # and the band |x1 - mu| <= w, whose edges mu +- w = h sin(theta +-
+    # delta) bound the cap's x1-range.  A pair kept less than 72 u H
+    # below the slab widens that range by less than 2 tol / sin(delta).
+    with mp.workprec(precision_for(eps)):
+        p = mp.prec
+        target = DiagonalTarget(theta, eps)
+        got = solve_shell(target, m)
+        tol = mp.ldexp(((_pose_shell(target, m)[1] >> (2 * p)) + 3) << 6, -p)
+        eta_m = eta_power(m)
+        with mp.workprec(2 * p):
+            e, t = mpf(eps), mpf(theta)
+            s, c = mp.sin(t), mp.cos(t)
+            h = embed(ETA, "plus", 2 * p) ** (mpf(m) / 2)
+            cap = h * (1 - e ** 2)
+            mu = cap * s
+            sin_delta = e * mp.sqrt(2 - e ** 2)
+            w = h * c * sin_delta
+            for x0, x1 in got:
+                z1 = eta_m - x1 * x1
+                assert sign_plus(z1) >= 0 and sign_minus(z1) >= 0
+                x1p = embed(x1, "plus", 2 * p)
+                r = embed(x0, "plus", 2 * p) * c + x1p * s
+                slack = tol if r >= cap else 2 * tol / sin_delta
+                margins = [cap - x1p * s, w - abs(x1p - mu), h - r]
+                assert min(margins) >= -slack, (x0, x1)
+
+
 @pytest.mark.parametrize("theta,eps,m", [(0.0, 0.1, 3)] + deep_cases(12, 3))
 def test_solve_shell_replays_deep_and_odd_shells(theta, eps, m):
     # m = 32 .. 53: the integer eta powers and their square roots carry
@@ -117,8 +152,8 @@ def test_candidate_norms_replays_mpf_filters(k, abs_alpha, eps):
 ])
 def test_solve_shell_replays_the_cap_corner(eps, m, bits):
     # sin(theta) = 1 - eps^2 puts (0, eta^{m/2}) on the edges of the
-    # cap, the band, the slab and the disk at once, where the cap meets
-    # the circle; whether the mpf tests keep it is decided by rounding
+    # slab and the disk at once, where the cap meets the circle; whether
+    # the mpf slab keeps it is decided by rounding
     with mp.workprec(bits):
         theta = mp.asin(1 - mpf(eps) ** 2)
         check_shell(theta, eps, m)
