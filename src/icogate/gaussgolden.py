@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInput
-from .golden import _hamilton_i
+from .golden import GoldenInt, _balancing_power, _hamilton_i, phi_power
 
 __all__ = [
     "quartic_norm",
@@ -29,11 +29,6 @@ __all__ = [
     "norm_upper_bound",
     "verify_norm_euclidean",
 ]
-
-
-def _mul(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:
-    """The product in Z[i,phi] of two (w, x, y, z) tuples."""
-    return _hamilton_i(alpha, beta)
 
 
 def quartic_norm(alpha: tuple[int, ...]) -> int:
@@ -51,8 +46,8 @@ def _times_conj_tower(alpha: tuple[int, ...], beta: tuple[int, ...]
     # dividing the result by quartic_norm(beta) gives alpha/beta in Q(i,phi)
     w, x, y, z = beta
     bc = (w, x, -y, -z)
-    g0, g1, _, _ = _mul(beta, bc)  # lies in Z[phi], totally nonnegative
-    return _mul(_mul(alpha, bc), (g0 + g1, -g1, 0, 0))
+    g0, g1, _, _ = _hamilton_i(beta, bc)  # in Z[phi], totally nonnegative
+    return _hamilton_i(_hamilton_i(alpha, bc), (g0 + g1, -g1, 0, 0))
 
 
 def euclid_divmod_ne(alpha: tuple[int, ...], beta: tuple[int, ...]
@@ -93,7 +88,7 @@ def euclid_divmod_ne(alpha: tuple[int, ...], beta: tuple[int, ...]
             shifted[i] += fsign[i]
             candidates.append(tuple(shifted))
     for q in candidates:
-        r = tuple(a - b for a, b in zip(alpha, _mul(q, beta)))
+        r = tuple(a - b for a, b in zip(alpha, _hamilton_i(q, beta)))
         if quartic_norm(r) < n:
             return q, r
     raise AssertionError("norm-Euclidean division failed, against the "
@@ -101,33 +96,41 @@ def euclid_divmod_ne(alpha: tuple[int, ...], beta: tuple[int, ...]
 
 
 def canonical_associate_ne(alpha: tuple[int, ...]) -> tuple[int, ...]:
-    """Distinguished associate: minimal coordinate max-norm over the
-    unit multiples i^a phi^e (e in {-1,0,1}), ties broken
-    lexicographically; iterated to a fixed point so the result is
-    idempotent even when a longer phi-walk pays off.
+    """Distinguished associate: the unit multiple of least key
+    (max |coordinate|, coordinates), so associates share it.
 
-    The candidates are coordinate maps of (w, x, y, z), in the order
-    phi^-1, 1, phi, each followed by its multiples by i, -1 and -i:
-    phi sends (w, x, y, z) to (x, w + x, z, y + z), phi^-1 to
-    (x - w, w, z - y, y) and i to (-y, -z, w, x)."""
+    The units are i^a phi^e: a unit u has u*conj(u) = phi^(2m), a
+    totally positive unit of Z[phi], so u/phi^m has all conjugates of
+    absolute value 1 and is a root of unity, and of the cyclotomic
+    fields of degree at most 4 Q(i, sqrt5) holds only Q and Q(i).  For
+    alpha = A + B*i, g = alpha*conj(alpha) = A^2 + B^2 has
+    s(g) = s(A)^2 + s(B)^2 under each real embedding s; i permutes A
+    and B up to sign, and phi^e scales the plus embeddings by phi^e and
+    the minus ones by phi^-e.  So by golden.canonical_associate's bounds
+    on one coordinate, at e = n_b + t, for n_b the real balance point of
+    g*phi^(2e) and K = quartic_norm(alpha)^(1/4), the largest coordinate
+    M of alpha*phi^e has K*phi^(|t| - 2)/sqrt2 <= M <= K*phi^|t|.  Some
+    e has |t| <= 1/2 and M <= K*phi^(1/2), which M exceeds once
+    |t| > 5/2 + log_phi(sqrt2) = 3.22, and n0 = _balancing_power(g) // 2
+    lies within 3/4 of n_b, so n0 - 8 .. n0 + 8 holds every minimizer.
+    The scan multiplies by phi as (w, x, y, z) -> (x, w + x, z, y + z)
+    and by i as (w, x, y, z) -> (-y, -z, w, x)."""
     if not any(alpha):
         return alpha
-    cur = alpha
-    cur_key = (max(map(abs, cur)), cur)
-    while True:
-        w, x, y, z = cur
-        best = None
-        for b in ((x - w, w, z - y, y), cur, (x, w + x, z, y + z)):
-            bw, bx, by, bz = b
-            for v in (b, (-by, -bz, bw, bx), (-bw, -bx, -by, -bz),
-                      (by, bz, -bw, -bx)):
-                key = (max(map(abs, v)), v)
-                if best is None or key < best:
-                    best = key
-        if best >= cur_key:
-            return cur
-        cur_key = best
-        cur = best[1]
+    w, x, y, z = alpha
+    g0, g1, _, _ = _hamilton_i(alpha, (w, x, -y, -z))
+    p = phi_power(_balancing_power(GoldenInt(g0, g1)) // 2 - 8)
+    w, x, y, z = _hamilton_i(alpha, (p.a, p.b, 0, 0))
+    best = None
+    for _ in range(17):
+        m = max(abs(w), abs(x), abs(y), abs(z))  # the same for all four
+        if best is None or m <= best[0]:
+            for v in ((w, x, y, z), (-y, -z, w, x), (-w, -x, -y, -z),
+                      (y, z, -w, -x)):
+                if best is None or (m, v) < best:
+                    best = (m, v)
+        w, x, y, z = x, w + x, z, y + z
+    return best[1]
 
 
 def gcd_ne(alpha: tuple[int, ...], beta: tuple[int, ...]) -> tuple[int, ...]:

@@ -9,8 +9,9 @@ unit) factors as xi_0 tau xi_1 tau ... tau xi_k with the xi_i in C60,
 and the factorization is found greedily, two taus at a time: exactly
 one right cofactor c1*tau*c2*tau with c2 != 1 makes the product
 divisible by eta^2, and dividing by eta^2 drops the tau-count by two.
-An odd count ends with the one cofactor c*tau that makes the product
-divisible by eta.
+tau is a pure quaternion, so tau^-1 = -tau/eta and gamma is tau^-1 times
+tau*gamma: with one tau left, tau*gamma has two (or eta-content), so
+the pairs factor odd counts too.
 
 The cofactors are chosen in Z[phi]/(eta^2) = Z/59^2, where phi maps to
 329, the Hensel lift of the root 34 of x^2 - x - 1 mod 59 that eta maps
@@ -26,7 +27,7 @@ lines mod eta^2, one for each c2 != 1 (c2 = 1 steps back: tau*tau =
 -eta).  So the 3,540 non-backtracking pairs fill P^1(Z/59^2), and each
 pair of taus costs one kernel-line lookup in a 3,540-entry table (built
 on the first such peel), one Hamilton product and one exact division
-by eta^2; an odd last tau costs the same in the 60 lines mod eta.
+by eta^2; an odd tau costs tau*gamma and a pair peel or division.
 
 The loop needs no canonical().  A scalar prime to eta does not change
 which cofactor works, so exact_synthesize only strips the input's
@@ -258,9 +259,8 @@ def tau_count(q: GoldenQuat) -> int:
 
 _ETA_PRIME = 59
 _PHI_MOD_ETA = 34  # the root of x^2 - x - 1 mod 59 that eta maps to 0
-_J_MOD_ETA = 3  # 3^2 + 7^2 = -1 mod 59
 # Z[phi]/eta^2 = Z/59^2: 329 is the Hensel lift of 34 (329^2 - 329 - 1
-# = 31 * 59^2) and 2894 = 3 mod 59 has 2894^2 + 7^2 = -1 mod 59^2
+# = 31 * 59^2) and 2894 has 2894^2 + 7^2 = -1 mod 59^2
 _ETA_SQUARED = _ETA_PRIME ** 2
 _PHI_MOD_ETA2 = 329
 _J_MOD_ETA2 = 2894
@@ -285,41 +285,30 @@ def _residue_key(res: tuple[int, int, int, int]) -> tuple[int, ...]:
     return tuple(v * inv % _ETA_PRIME for v in res)
 
 
-def _image(res: tuple[int, int, int, int], modulus: int = _ETA_PRIME,
-           j: int = _J_MOD_ETA) -> tuple[int, int, int, int]:
-    """The 2x2 matrix of residues (g0, g1, g2, g3) mod modulus (59 or
-    59^2), as its entries (m00, m01, m10, m11), under
-    i -> [[0, 1], [-1, 0]] and j -> [[j, 7], [7, -j]] (j^2 + 7^2 = -1),
+def _image(res: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """The 2x2 matrix over Z/59^2 of residues (g0, g1, g2, g3) mod
+    59^2, as its entries (m00, m01, m10, m11), under i -> [[0, 1],
+    [-1, 0]] and j -> [[j, 7], [7, -j]] with j = 2894 (j^2 + 7^2 = -1),
     so k = ij -> [[7, -j], [-j, -7]] and det = g0^2 + g1^2 + g2^2 + g3^2."""
     g0, g1, g2, g3 = res
-    s, t = j * g2 + 7 * g3, 7 * g2 - j * g3
-    return ((g0 + s) % modulus, (g1 + t) % modulus,
-            (t - g1) % modulus, (g0 - s) % modulus)
+    s, t = _J_MOD_ETA2 * g2 + 7 * g3, 7 * g2 - _J_MOD_ETA2 * g3
+    return ((g0 + s) % _ETA_SQUARED, (g1 + t) % _ETA_SQUARED,
+            (t - g1) % _ETA_SQUARED, (g0 - s) % _ETA_SQUARED)
 
 
 _INVERSES = (0,) + tuple(pow(u, -1, _ETA_PRIME) for u in range(1, _ETA_PRIME))
 
 
-def _line(u: int, v: int, modulus: int = _ETA_PRIME) -> int:
-    """The point of P^1(Z/modulus), modulus 59 or 59^2, of the line
-    through (u, v), which is nonzero mod 59: v/u when u is a unit
-    (0 .. modulus - 1), else modulus + (u/v)/59.  The inverse mod 59 is
-    lifted to modulus by one Newton step, i*(2 - u*i)."""
+def _line(u: int, v: int) -> int:
+    """The point of P^1(Z/59^2) of the line through (u, v), which is
+    nonzero mod 59: v/u when u is a unit (0 .. 59^2 - 1), else
+    59^2 + (u/v)/59.  The inverse mod 59 is lifted to 59^2 by one
+    Newton step, i*(2 - u*i)."""
     if u % _ETA_PRIME:
         i = _INVERSES[u % _ETA_PRIME]
-        return v * i * (2 - u * i) % modulus
+        return v * i * (2 - u * i) % _ETA_SQUARED
     i = _INVERSES[v % _ETA_PRIME]
-    return modulus + u * i * (2 - v * i) % modulus // _ETA_PRIME
-
-
-def _image_line(res: tuple[int, int, int, int], modulus: int = _ETA_PRIME,
-                j: int = _J_MOD_ETA) -> int:
-    """The image line (see _line) of a matrix of rank 1 mod 59 and
-    det 0 mod modulus: its column that is nonzero mod 59."""
-    m00, m01, m10, m11 = _image(res, modulus, j)
-    if m00 % _ETA_PRIME or m10 % _ETA_PRIME:
-        return _line(m00, m10, modulus)
-    return _line(m01, m11, modulus)
+    return _ETA_SQUARED + u * i * (2 - v * i) % _ETA_SQUARED // _ETA_PRIME
 
 
 def _proportional(x: tuple[int, ...], y: tuple[int, ...]) -> bool:
@@ -358,11 +347,11 @@ class C60Table:
     """The 60 projective classes generated by rho and sigma, each with
     the shortest {r, s}-word the breadth-first closure found, its
     inverse word, its point of PU(2) as a float unit quaternion (for a
-    nearest-element screen), and the peeling entries exact_synthesize
+    nearest-element screen), and the pair entries exact_synthesize
     looks up by line (see peel_table)."""
 
     __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
-                 "_by_key", "_i_twins", "_peel", "_pairs", "j_word",
+                 "_by_key", "_i_twins", "_pairs", "j_word",
                  "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
@@ -392,16 +381,6 @@ class C60Table:
             if m is not None and m < n:
                 twins.add(n)
         self._i_twins = frozenset(twins)
-        # indexed by the image line of c*tau mod eta: the flat
-        # coordinates of c*tau*conj(eta), then the word for c^-1
-        peel = {}
-        for c, _ in elements:
-            c_tau = _hamilton(c.coords(), TAU.coords())
-            peel[_image_line(_residues(c_tau))] = (
-                _hamilton(c_tau, _ETA_BAR) + (self._inverse[c],))
-        if len(peel) != _ETA_PRIME + 1:
-            raise IcogateError("two C60 cofactors share a line mod eta")
-        self._peel = tuple(peel[key] for key in range(_ETA_PRIME + 1))
         self._pairs = None  # built by the first two-tau peel
         # the C60 tails synth_general appends to its routes
         self.j_word = self.word_for(GoldenQuat(0, 0, 1, 0))
@@ -437,27 +416,20 @@ class C60Table:
                     if score >= top - 1e-9 and n not in skip),
                    key=lambda e: e[2])
 
-    def peel_table(self, modulus: int) -> tuple[tuple, ...]:
-        """The entries exact_synthesize peels by, indexed by line (see
-        _line): mod 59, for each c the flat coordinates of
-        c*tau*conj(eta) and the word for c^-1; mod 59^2, for each of the
-        3,540 non-backtracking pairs (c1, c2) those of
-        c1*tau*c2*tau*conj(eta)^2 and the words for c1^-1 and c2^-1.
-        The pair table is built on first use, not with the closure."""
-        if modulus == _ETA_PRIME:
-            return self._peel
-        if self._pairs is None:
-            self._pairs = self._build_pairs()
-        return self._pairs
-
-    def _build_pairs(self) -> tuple[tuple, ...]:
-        """The pair entries of peel_table, from the 60 flat pieces c*tau
-        (and c*tau*conj(eta)^2 on the right).  c1*tau*c2*tau is divisible
-        by eta for the 60 pairs with c2 = 1 (tau*tau = -eta); every other
-        pair has rank 1 mod eta and so a primitive image line mod eta^2,
-        and exactly 3,540 distinct lines are required (see
-        exact_synthesize).  Equal coordinates share one int object, which
-        keeps the table near 0.5 MB."""
+    def peel_table(self) -> tuple[tuple, ...]:
+        """The entries exact_synthesize peels by, indexed by line mod
+        59^2 (see _line): for each of the 3,540 non-backtracking pairs
+        (c1, c2) the flat coordinates of c1*tau*c2*tau*conj(eta)^2 and
+        the words for c1^-1 and c2^-1.  Built on first use, not with the
+        closure, from the 60 flat pieces c*tau (and c*tau*conj(eta)^2 on
+        the right).  c1*tau*c2*tau is divisible by eta for the 60 pairs
+        with c2 = 1 (tau*tau = -eta); every other pair has rank 1 mod eta
+        and so a primitive image line mod eta^2, and exactly 3,540
+        distinct lines are required (see exact_synthesize).  Equal
+        coordinates share one int object, which keeps the table near
+        0.5 MB."""
+        if self._pairs is not None:
+            return self._pairs
         eta_bar2 = _hamilton(_ETA_BAR, _ETA_BAR)
         lefts = [(_hamilton(c.coords(), TAU.coords()), self._inverse[c])
                  for c, _ in self.elements]
@@ -472,7 +444,10 @@ class C60Table:
                 res = _residues(flat, _ETA_SQUARED, _PHI_MOD_ETA2)
                 if not any(v % _ETA_PRIME for v in res):
                     continue  # backtracking
-                key = _image_line(res, _ETA_SQUARED, _J_MOD_ETA2)
+                # the image line: the column nonzero mod eta
+                m00, m01, m10, m11 = _image(res)
+                key = (_line(m00, m10) if m00 % _ETA_PRIME or m10 % _ETA_PRIME
+                       else _line(m01, m11))
                 if pairs[key] is not None:
                     raise IcogateError("two non-backtracking pairs share a "
                                        "line mod eta^2")
@@ -480,7 +455,8 @@ class C60Table:
                               first, second)
         if None in pairs:
             raise IcogateError("a line mod eta^2 has no non-backtracking pair")
-        return tuple(pairs)
+        self._pairs = tuple(pairs)
+        return self._pairs
 
     def _member(self, q: GoldenQuat) -> GoldenQuat | None:
         """The stored element of q's class, or None when q is not a C60
@@ -650,15 +626,16 @@ def _strip_twos(flat: tuple[int, ...]) -> tuple[int, ...]:
 
 def exact_synthesize(q: GoldenQuat) -> GateWord:
     """Factor q (with nrd a unit times eta^k) into a gate word with
-    exactly k taus.  Raises NotInGroup when q is not in the projective
-    image of the order's unit lattice, and MalformedInput when q is 0.
+    exactly k taus.  Raises NotInGroup, naming canonical(q), when q is
+    not in the projective image of the order's unit lattice, and
+    MalformedInput when q is 0.
 
     gamma starts as q with its common powers of 2 and its eta-content
     divided out (gamma/eta = gamma*conj(eta)/59), and eta never again
-    divides gamma's content: if eta^(n+1) divided gamma*P for a peeled
-    cofactor P of n taus, multiplying by conj(P) would give
-    eta | gamma*nrd(c1)...nrd(c_n), and nrd(c), a unit times a power of
-    2, is prime to eta, so eta | gamma.
+    divides gamma's content: if eta^3 divided gamma*P for a peeled
+    cofactor P = c1*tau*c2*tau, multiplying by conj(P) would give
+    eta | gamma*nrd(c1)*nrd(c2), and nrd(c), a unit times a power of 2,
+    is prime to eta, so eta | gamma.
 
     Mod eta^2 the quaternions are M_2(Z/59^2) (see _image; phi maps to
     329, the Hensel lift of 34, and j to [[2894, 7], [7, -2894]]), where
@@ -680,17 +657,25 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
     nrd(c1)*eta*conj(tau)*conj(c2')*c2*tau, and conj(c2')*c2 would fix
     tau's image line: c2' = c2.  The 60*59 pairs with c2 != 1 thus have
     distinct lines, all 3,540 points of P^1(Z/59^2) (C60Table checks the
-    count), and the kernel line picks the one pair that peels.  An odd
-    k ends with the same step mod eta for P = c*tau.  A peel of n taus
-    divides nrd by eta^n, times nrd of the c's and the strip's powers of
-    4, all prime to eta, so det != 0 mod eta^2, then mod eta, ends the
-    loops after exactly k taus.  The pair's c1 is the cofactor a single
-    step mod eta would peel and its c2 the next one, so the word is the
-    one tau-by-tau peeling finds.  The residual's class is found by its
+    count), and the kernel line picks the one pair that peels.
+
+    det = 0 mod eta but not mod eta^2 leaves one tau: gamma = xi*tau*xi'.
+    tau is pure, so tau^-1 = -tau/eta, and the odd step, taken once
+    (the eta-valuation is even after it), replaces gamma by tau*gamma =
+    tau*xi*tau*xi' with its eta-content stripped: eta if xi = 1
+    (tau*tau = -eta), and never 2, which is prime to nrd(tau).  The word
+    is tau, then tau*gamma's word, which opens with an empty segment
+    exactly when a pair peel follows (xi != 1); the two taus then
+    cancel.  A peel divides nrd by eta^2, up to units and powers of 2,
+    so the loop ends at det != 0 mod eta after k taus, on the unique
+    non-backtracking path in the tree; each class has one table word, so
+    the word is the one tau-by-tau peeling finds.  It costs k/2 Hamilton
+    products for even k, (k - 1)/2 + 2 for odd k (tau*gamma, then a pair
+    peel or the division by eta).  The residual's class is found by its
     residue key and confirmed by the minors (C60Table.word_for).  The
-    AssertionErrors guard the eta-content invariant and the exact
-    division by eta^n; a quaternion outside the group reaches the final
-    lookup.
+    AssertionErrors guard the eta-content invariant, the exact division
+    and the single odd step; a quaternion outside the group reaches the
+    final lookup.
     """
     table = generate_c60()
     flat = q.coords()
@@ -698,33 +683,41 @@ def exact_synthesize(q: GoldenQuat) -> GateWord:
         raise MalformedInput("zero quaternion has no projective class")
     flat = _strip_eta(_strip_twos(flat))
     tails: list[str] = []
-    for modulus, phi, j in ((_ETA_SQUARED, _PHI_MOD_ETA2, _J_MOD_ETA2),
-                            (_ETA_PRIME, _PHI_MOD_ETA, _J_MOD_ETA)):
-        while True:
-            m00, m01, m10, m11 = _image(_residues(flat, modulus, phi),
-                                        modulus, j)
-            if (m00 * m11 - m01 * m10) % modulus:
-                break
-            # gamma's kernel line: orthogonal to a row nonzero mod eta
-            if m00 % _ETA_PRIME or m01 % _ETA_PRIME:
-                key = _line(m01, -m00, modulus)
-            elif m10 % _ETA_PRIME or m11 % _ETA_PRIME:
-                key = _line(m11, -m10, modulus)
-            else:
-                raise AssertionError("eta divides the content of gamma, "
-                                     "which the peels keep prime to eta; "
-                                     "arithmetic bug")
-            entry = table.peel_table(modulus)[key]
-            # gamma*P/eta^n = gamma*P*conj(eta)^n/59^n for the entry's
-            # P = c*tau (n = 1) or c1*tau*c2*tau (n = 2)
-            product = _hamilton(flat, entry[:8])
-            if any(v % modulus for v in product):
-                raise AssertionError("eta^n divides the residues but not "
-                                     "the product; arithmetic bug")
-            flat = _strip_twos(tuple(v // modulus for v in product))
-            tails += entry[8:]
-    gamma = GoldenQuat._from_coords(flat)
-    base = table.word_for(gamma)
+    odd = False
+    while True:
+        m00, m01, m10, m11 = _image(_residues(flat, _ETA_SQUARED,
+                                              _PHI_MOD_ETA2))
+        det = (m00 * m11 - m01 * m10) % _ETA_SQUARED
+        if det % _ETA_PRIME:
+            break
+        if det:
+            if odd:
+                raise AssertionError("a second odd tau; arithmetic bug")
+            odd = True
+            flat = _strip_eta(_hamilton(TAU.coords(), flat))
+            continue
+        # gamma's kernel line: orthogonal to a row nonzero mod eta
+        if m00 % _ETA_PRIME or m01 % _ETA_PRIME:
+            key = _line(m01, -m00)
+        elif m10 % _ETA_PRIME or m11 % _ETA_PRIME:
+            key = _line(m11, -m10)
+        else:
+            raise AssertionError("eta divides the content of gamma, "
+                                 "which the peels keep prime to eta; "
+                                 "arithmetic bug")
+        entry = table.peel_table()[key]
+        # gamma*P/eta^2 = gamma*P*conj(eta)^2/59^2 for the entry's
+        # P = c1*tau*c2*tau
+        product = _hamilton(flat, entry[:8])
+        if any(v % _ETA_SQUARED for v in product):
+            raise AssertionError("eta^2 divides the residues but not the "
+                                 "product; arithmetic bug")
+        flat = _strip_twos(tuple(v // _ETA_SQUARED for v in product))
+        tails += entry[8:]
+    base = table.word_for(GoldenQuat._from_coords(flat))
     if base is None:
-        raise NotInGroup(f"residual {canonical(gamma)!r} is outside C60")
-    return GateWord(tuple([base] + tails[::-1]))
+        raise NotInGroup(f"{canonical(q)!r} is not in the gate group")
+    segments = [base] + tails[::-1]
+    if odd:
+        segments = segments[1:] if base == "" and tails else [""] + segments
+    return GateWord(tuple(segments))

@@ -2,16 +2,18 @@
 
 GoldenQuat keeps its coordinates as eight ints, golden.gcd and
 canonical_associate run on int pairs, and Z[i, phi] elements are
-(w, x, y, z) int tuples multiplied by golden's Hamilton kernel, with
-canonical_associate_ne forming its candidates as coordinate maps.  The
+(w, x, y, z) int tuples multiplied by golden's Hamilton kernel.  The
 functions here are the object versions they replaced, verbatim apart
 from dropping unused helpers, taking the quaternion as an argument,
 spelling GoldenQuat's own product, scaling, negation and reduced norm
 through GoldenInt operators, and computing the quartic norm down the
 tower as N(alpha * complex_conj(alpha)): every step builds GoldenInt
-and GaussGoldenInt values.  intfactor.trial_divide skips runs of primes
-by one gcd each; trial_divide here is the prime-by-prime walk it
-replaced.  Both must agree exactly on every input.
+and GaussGoldenInt values.  Two are not: canonical_associate_ne here
+is a brute force over the unit multiples in a window four times as
+wide as gaussgolden's, centred by exact integer bisection, and
+intfactor.trial_divide skips runs of primes by one gcd each, while
+trial_divide here is the prime-by-prime walk it replaced.  Both sides
+must agree exactly on every input.
 """
 
 from icogate.golden import (PHI, SQRT5_IRREDUCIBLE, ZERO, GoldenInt,
@@ -294,30 +296,37 @@ def gcd_ne(alpha, beta):
     return canonical_associate_ne(alpha)
 
 
-_PHI_NE = GaussGoldenInt(0, 1, 0, 0)
-_PHI_NE_INV = GaussGoldenInt(-1, 1, 0, 0)
-
-
-def _assoc_candidates(alpha):
-    for p in (_PHI_NE_INV, GaussGoldenInt(1), _PHI_NE):
-        base = alpha * p
-        yield base
-        yield base * I_UNIT
-        yield -base
-        yield -(base * I_UNIT)
+def _balance(alpha):
+    """The least e at which g*phi^(2e), for g = alpha*complex_conj(alpha)
+    in Z[phi], has its plus embedding at least its minus one: sigma_plus
+    - sigma_minus of a + b*phi is b*sqrt5, and g is totally positive, so
+    b grows with e.  Bisection over a range that the bit length of g
+    bounds (the ratio of the embeddings is at most sigma_plus(g)^2)."""
+    g = (alpha * alpha.complex_conj()).re
+    lo = -(max(abs(g.a), abs(g.b)).bit_length() + 8)
+    hi = -lo
+    assert (g * phi_power(2 * lo)).b < 0 <= (g * phi_power(2 * hi)).b
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (g * phi_power(2 * mid)).b < 0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def canonical_associate_ne(alpha):
+    """Brute force: the least (max |coordinate|, coordinates) over the
+    unit multiples alpha * i^a * phi^e with e within 32 of the balance
+    point, four times the reach of gaussgolden's window."""
     if not alpha:
         return alpha
-
-    def key(v):
-        c = v.coords()
-        return (max(abs(u) for u in c), c)
-
-    current = alpha
-    while True:
-        best = min(_assoc_candidates(current), key=key)
-        if key(best) >= key(current):
-            return current
-        current = best
+    centre = _balance(alpha)
+    candidates = []
+    for e in range(centre - 32, centre + 33):
+        v = alpha * phi_power(e)
+        for _ in range(4):
+            candidates.append(v)
+            v = v * I_UNIT
+    return min(candidates,
+               key=lambda v: (max(abs(u) for u in v.coords()), v.coords()))

@@ -12,7 +12,7 @@ from icogate import icosian
 from icogate.errors import IcogateError, MalformedInput, NotInGroup
 from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
 from icogate.icosian import (C60Table, GateWord, GoldenQuat, ONE_QUAT, RHO,
-                             SIGMA, TAU, _image, _is_scalar_segment, _residues, canonical,
+                             SIGMA, TAU, _is_scalar_segment, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              tau_count, word_to_quat)
 from icogate.unitary import ProjUnitary, distance
@@ -35,7 +35,7 @@ def reference_synthesize(q):
         gamma = canonical(gamma * (cands[0] * TAU))
     base = table.word_for(gamma)
     if base is None:
-        return NotInGroup(f"residual {gamma!r} is outside C60")
+        return NotInGroup(f"{canonical(q)!r} is not in the gate group")
     return GateWord(tuple([base] + tails[::-1]))
 
 
@@ -365,37 +365,6 @@ def mat_mul_mod_eta(m, n, modulus=59):
             (c * e + d * g) % modulus, (c * f + d * h) % modulus)
 
 
-def line_key(u, v):
-    """The point of P^1(F_59) of the line through (u, v): v/u, or 59."""
-    return v * pow(u, -1, 59) % 59 if u % 59 else 59
-
-
-def test_image_mod_eta_is_multiplicative_with_det_nrd():
-    assert _image(_residues(ONE_QUAT.coords())) == (1, 0, 0, 1)
-    rng = random.Random(11)
-    for _ in range(200):
-        g, h = rand_quat(rng, 60), rand_quat(rng, 60)
-        ig, ih = _image(_residues(g.coords())), _image(_residues(h.coords()))
-        assert _image(_residues((g * h).coords())) == mat_mul_mod_eta(ig, ih)
-        m00, m01, m10, m11 = ig
-        n = g.nrd()
-        assert (m00 * m11 - m01 * m10) % 59 == (n.a + 34 * n.b) % 59
-
-
-def test_peel_table_is_keyed_by_the_image_line_of_c_tau():
-    table = generate_c60()
-    keys = set()
-    for c, _ in table:
-        m00, m01, m10, m11 = _image(_residues((c * TAU).coords()))
-        assert (m00 * m11 - m01 * m10) % 59 == 0
-        key = line_key(m00, m10) if m00 or m10 else line_key(m01, m11)
-        keys.add(key)
-        assert table._peel[key] == ((c * TAU * ETA.conj()).coords()
-                                    + (table.inverse_word_for(c),))
-    assert keys == set(range(60))
-    assert len(table._peel) == 60
-
-
 M2 = 59 * 59
 
 
@@ -434,8 +403,7 @@ def test_image_mod_eta_squared_is_multiplicative_with_det_nrd():
         n = g.nrd()
         assert (m00 * m11 - m01 * m10) % M2 == (n.a + 329 * n.b) % M2
         # the module's own residues and image agree
-        assert icosian._image(icosian._residues(g.coords(), M2, 329),
-                              M2, 2894) == ig
+        assert icosian._image(icosian._residues(g.coords(), M2, 329)) == ig
 
 
 def test_pair_table_is_keyed_by_the_image_line_mod_eta_squared():
@@ -444,7 +412,7 @@ def test_pair_table_is_keyed_by_the_image_line_mod_eta_squared():
     lines mod eta^2, and the pair table holds each pair's product times
     conj(eta)^2 and the words for c1^-1 and c2^-1 at its line."""
     table = generate_c60()
-    pairs = table.peel_table(M2)
+    pairs = table.peel_table()
     assert len(pairs) == 3540
     c_taus = [(c, c * TAU) for c, _ in table]
     backtracking, keys = 0, set()
@@ -522,10 +490,10 @@ def reduced_word_quat(rng, k):
 
 
 def test_exact_synthesize_peels_pairs_then_one_step():
-    """Pairs of taus peel mod eta^2 and an odd count ends with one step
-    mod eta: every tau count 0..13, and 50, matches trial division, and
-    so do an odd and an even input outside the group with
-    eta-valuation at least 2."""
+    """Pairs of taus peel mod eta^2 and an odd count takes one odd step,
+    gamma -> tau*gamma: every tau count 0..13, and 50, matches trial
+    division, and so do an odd and an even input outside the group with
+    eta-valuation at least 2, message and all."""
     rng = random.Random(14)
     quats = [reduced_word_quat(rng, k) for k in [*range(14), 50]]
     m = GoldenQuat(1, 1, 0, 0)  # nrd 2: no word reaches it
@@ -538,13 +506,25 @@ def test_exact_synthesize_peels_pairs_then_one_step():
         assert_matches_reference(q)
 
 
+def test_exact_synthesize_factors_every_one_tau_word():
+    """(w1)t(w2) for every pair of table words, all 3,600, factors to
+    exactly (w1, w2): through the odd step's division by eta when w1 is
+    empty, through its pair peel otherwise."""
+    words = [w for _, w in generate_c60()]
+    for w1 in words:
+        for w2 in words:
+            word = GateWord((w1, w2))
+            assert exact_synthesize(word_to_quat(word)) == word, word
+
+
 def test_exact_synthesize_makes_one_product_per_two_taus(monkeypatch):
-    """A primitive k-tau input costs ceil(k/2) Hamilton products: one
-    per pair of taus and one for an odd last tau."""
+    """A primitive k-tau input costs one Hamilton product per pair of
+    taus, k // 2, and an odd k two more: tau*gamma, then a pair peel or
+    the division of the eta-content it leaves."""
     rng = random.Random(15)
     counts = [*range(14), 49, 50]
     quats = [reduced_word_quat(rng, k) for k in counts]
-    generate_c60().peel_table(M2)  # the lazy build makes products too
+    generate_c60().peel_table()  # the lazy build makes products too
     calls = []
 
     def counting(p, q):
@@ -556,12 +536,14 @@ def test_exact_synthesize_makes_one_product_per_two_taus(monkeypatch):
     for k, q in zip(counts, quats):
         calls.clear()
         assert exact_synthesize(q).tau_count == k
-        assert len(calls) == (k + 1) // 2, k
+        assert len(calls) == k // 2 + 2 * (k % 2), k
 
 
 def test_pair_table_is_built_on_the_first_two_tau_peel():
     """Importing the CLI and building C60 leave the pair table unbuilt,
-    and so does a one-tau peel; the first two-tau peel builds it."""
+    and so does tau*rho, whose odd step leaves eta-content
+    (tau*tau*rho = -eta*rho); rho*tau, whose odd step leaves two taus,
+    builds it."""
     code = "\n".join((
         "import icogate.cli",
         "from icogate.icosian import RHO, TAU, exact_synthesize, "
@@ -570,7 +552,7 @@ def test_pair_table_is_built_on_the_first_two_tau_peel():
         "assert table._pairs is None",
         "exact_synthesize(TAU * RHO)",
         "assert table._pairs is None",
-        "exact_synthesize(TAU * RHO * TAU)",
+        "exact_synthesize(RHO * TAU)",
         "assert len(table._pairs) == 3540"))
     path = str(Path(icosian.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=path)

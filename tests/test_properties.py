@@ -10,9 +10,9 @@ import math
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from icogate.gaussgolden import _mul, quartic_norm
+from icogate.gaussgolden import quartic_norm
 from icogate.general import SynthConfig, synth_general
-from icogate.golden import ONE, ZERO, GoldenInt, euclid_divmod
+from icogate.golden import ONE, ZERO, GoldenInt, _hamilton_i, euclid_divmod
 from icogate.icosian import (GateWord, canonical, evaluate_word,
                              exact_synthesize, generate_c60, tau_count,
                              word_to_quat)
@@ -77,20 +77,22 @@ def test_word_quat_word_round_trip(word):
 def test_gauss_golden_ring_axioms(x, y, z):
     # (w, x, y, z) tuples under golden's Hamilton kernel
     assert add(add(x, y), z) == add(x, add(y, z))
-    assert _mul(_mul(x, y), z) == _mul(x, _mul(y, z))
+    assert (_hamilton_i(_hamilton_i(x, y), z)
+            == _hamilton_i(x, _hamilton_i(y, z)))
     assert add(x, y) == add(y, x)
-    assert _mul(x, y) == _mul(y, x)
-    assert _mul(x, add(y, z)) == add(_mul(x, y), _mul(x, z))
-    assert add(x, ZERO_NE) == x and _mul(x, ONE_NE) == x
+    assert _hamilton_i(x, y) == _hamilton_i(y, x)
+    assert (_hamilton_i(x, add(y, z))
+            == add(_hamilton_i(x, y), _hamilton_i(x, z)))
+    assert add(x, ZERO_NE) == x and _hamilton_i(x, ONE_NE) == x
     assert add(x, neg(x)) == ZERO_NE
-    assert _mul(I_NE, I_NE) == neg(ONE_NE)
-    assert _mul(PHI_NE, PHI_NE) == add(PHI_NE, ONE_NE)
+    assert _hamilton_i(I_NE, I_NE) == neg(ONE_NE)
+    assert _hamilton_i(PHI_NE, PHI_NE) == add(PHI_NE, ONE_NE)
     # both conjugations are ring automorphisms, and the quartic norm
     # (the norm down to Z) is multiplicative
     for conj in (complex_conj, golden_conj):
-        assert conj(_mul(x, y)) == _mul(conj(x), conj(y))
+        assert conj(_hamilton_i(x, y)) == _hamilton_i(conj(x), conj(y))
         assert conj(add(x, y)) == add(conj(x), conj(y))
-    assert quartic_norm(_mul(x, y)) == quartic_norm(x) * quartic_norm(y)
+    assert quartic_norm(_hamilton_i(x, y)) == quartic_norm(x) * quartic_norm(y)
 
 
 HAAR_EPS = 1e-3
