@@ -24,11 +24,16 @@ budget, the only abandonment rule.
 
 A search is posed once, as a DiagonalTarget, at the working precision
 p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
-itself.  sin(theta) and cos(theta) are computed once per target in mpf
-and rounded to scale 2^p; each shell is posed from them and from the
-exact eta^m in integers, and decided in integers alone (solve_shell).
-The target also carries the lattice reduction from shell to shell.
-The integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
+itself.  What eps and p fix (the accept margin, the shell cap, the top
+shell and the cap's integer constants) is built once per (eps, p) and
+shared by every search there (_Accuracy).  sin(theta) and cos(theta)
+are computed once per search in mpf, measure the C60 snap and are
+rounded to scale 2^p; each shell is posed from them and from the exact
+eta^m in integers, and decided in integers alone (solve_shell).  Each
+shell is reduced once per search: the target keeps every shell it has
+reduced, so a shell that a probe reduced is enumerated again when it
+is solved, and each new reduction starts from the last one's
+transform.  The integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
 precision_for(eps) exceeds by log2(1/eps) + 64; a target or a search
 asked for less is rejected.
 
@@ -51,6 +56,7 @@ every shell that an empty probe covers.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import isqrt
 
 from mpmath import mp, mpf
@@ -78,43 +84,42 @@ def _check_precision(bits: int, eps) -> None:
                              f"{floor} bits of working precision, got {bits}")
 
 
-class DiagonalTarget:
-    """One search: approximate u(theta) to epsilon, posed once at the
-    working precision p = mp.prec for every shell of it (solve_shell).
+def _top_shell(eps) -> int:
+    """The highest shell whose ellipsoid has volume at most 1,
+    (9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by the determinant of L_m,
+    at the working precision: where synth_diagonal's probes start."""
+    return int(mp.floor(-mp.log(
+        9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59)))
 
-    Its shells' pairs are those within eps of u(theta) whose residual
-    is totally nonnegative.  theta must have cos(theta) > 0,
-    0 < epsilon < 1, and p must be at least 2 log2(1/eps) + 32;
-    otherwise MalformedInput.  s_p and c_p are sin(theta) and
-    cos(theta), computed in mpf, at scale 2^p.  epsilon is read
-    exactly, as eps^2 = eps2 / 2^k2, so cap_p = floor((1 - eps^2) 2^p)
-    and sin_delta_p = floor(eps sqrt(2 - eps^2) 2^p), cos(delta) and
-    sin(delta) for the cap's half-angle delta, are off by less than 1.
-    root_eta and root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale
-    2^2p, each within 1 below.  r_num and t_num are the coefficients of
-    (c, s) and (-s, c) on z = (a0, b0, a1, b1), that is
-    (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its plus
-    embedding, at scale 2^2p: shell 0's plus-side forms up to the
-    factors 2 / eps^2 and 1 / sin(delta).  transform is the
-    lattice transform of the last shell solved, None before the first.
+
+class _Accuracy:
+    """The part of a search that epsilon and the working precision p
+    fix, whatever the angle: built once per (eps, p) by _accuracy and
+    shared by every search there, such as synth_general's two outer
+    diagonals for all of its central candidates.
+
+    p must be at least 2 log2(1/eps) + 32 (MalformedInput).  within is
+    eps less the margin 2^(5 - p) / eps that synth_diagonal wants a
+    candidate below, m_cap the default shell cap
+    ceil(log_59(1/eps^3)) + 12 and top _top_shell(eps).  epsilon is
+    read exactly, as eps^2 = eps2 / 2^k2, so cap_p =
+    floor((1 - eps^2) 2^p) and sin_delta_p =
+    floor(eps sqrt(2 - eps^2) 2^p), cos(delta) and sin(delta) for the
+    cap's half-angle delta, are off by less than 1.  root_eta and
+    root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale 2^2p, each
+    within 1 below, and phi_p is phi_fixed(p).
     """
 
-    __slots__ = ("p", "s_p", "c_p", "phi_p", "eps2", "k2", "cap_p",
-                 "sin_delta_p", "root_eta", "root_59", "r_num", "t_num",
-                 "transform")
+    __slots__ = ("within", "m_cap", "top", "phi_p", "eps2", "k2", "cap_p",
+                 "sin_delta_p", "root_eta", "root_59")
 
-    def __init__(self, theta, epsilon):
-        p = self.p = mp.prec
-        theta, eps = mpf(theta), mpf(epsilon)
-        if not 0 < eps < 1:
-            raise MalformedInput("epsilon must be in (0, 1)")
+    def __init__(self, eps, p: int):
         _check_precision(p, eps)
-        s, c = mp.sin(theta), mp.cos(theta)
-        if not c > 0:
-            raise MalformedInput("theta must be folded so cos(theta) > 0")
-        s_p = self.s_p = fixed_point(s, p)
-        c_p = self.c_p = fixed_point(c, p)
-        phi_p = self.phi_p = phi_fixed(p)
+        with mp.workprec(p):
+            self.within = eps - mp.ldexp(1, 5 - p) / eps
+            self.m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
+            self.top = _top_shell(eps)
+        self.phi_p = phi_fixed(p)
         man, exp = eps.man_exp
         eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
         self.cap_p = (((1 << k2) - eps2) << p) >> k2
@@ -124,9 +129,52 @@ class DiagonalTarget:
         sigma_eta = (7 << two_p) + 5 * phi_fixed(two_p)
         self.root_eta = isqrt(sigma_eta << two_p)
         self.root_59 = isqrt(59 << (2 * two_p))
+
+
+@lru_cache(maxsize=32)
+def _accuracy(eps, p: int) -> _Accuracy:
+    return _Accuracy(eps, p)
+
+
+class DiagonalTarget:
+    """One search: approximate u(theta) to epsilon, posed once at the
+    working precision p = mp.prec for every shell of it (solve_shell).
+
+    Its shells' pairs are those within eps of u(theta) whose residual
+    is totally nonnegative.  theta must have cos(theta) > 0,
+    0 < epsilon < 1, and p must be at least 2 log2(1/eps) + 32;
+    otherwise MalformedInput.  accuracy is the search's _Accuracy, the
+    part that eps and p fix.  s_p and c_p are sin(theta) and
+    cos(theta), computed in mpf, at scale 2^p; sin_cos, when given,
+    is that pair already computed at p, so a caller that measured
+    against it computes neither again.  r_num and t_num are the
+    coefficients of (c, s) and (-s, c) on z = (a0, b0, a1, b1), that
+    is (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its
+    plus embedding, at scale 2^2p: shell 0's plus-side forms up to the
+    factors 2 / eps^2 and 1 / sin(delta).  transform is the lattice
+    transform of the last shell reduced, None before the first, and
+    shells holds each shell reduced so far (_pose_shell).
+    """
+
+    __slots__ = ("p", "accuracy", "s_p", "c_p", "r_num", "t_num",
+                 "transform", "shells")
+
+    def __init__(self, theta, epsilon, sin_cos=None):
+        p = self.p = mp.prec
+        theta, eps = mpf(theta), mpf(epsilon)
+        if not 0 < eps < 1:
+            raise MalformedInput("epsilon must be in (0, 1)")
+        self.accuracy = _accuracy(eps, p)
+        s, c = (mp.sin(theta), mp.cos(theta)) if sin_cos is None else sin_cos
+        if not c > 0:
+            raise MalformedInput("theta must be folded so cos(theta) > 0")
+        s_p = self.s_p = fixed_point(s, p)
+        c_p = self.c_p = fixed_point(c, p)
+        phi_p = self.accuracy.phi_p
         self.r_num = (c_p << p, c_p * phi_p, s_p << p, s_p * phi_p)
         self.t_num = (-s_p << p, -s_p * phi_p, c_p << p, c_p * phi_p)
         self.transform = None
+        self.shells = {}
 
 
 def solve_shell(target: DiagonalTarget, m: int
@@ -151,10 +199,10 @@ def solve_shell(target: DiagonalTarget, m: int
     the smallest distance; both keys are taken at scale 2^p (below),
     and their ties go by coordinates.
 
-    m must be a nonnegative int (MalformedInput).  The target carries
-    the lattice reduction from shell to shell: each shell's reduction
-    starts from the transform the last one left in target.transform,
-    and the pairs do not depend on it.
+    m must be a nonnegative int (MalformedInput).  The target keeps
+    each shell's reduction (_pose_shell), and each new one starts from
+    the transform the last one left in target.transform; the pairs do
+    not depend on either.
 
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
@@ -207,9 +255,9 @@ def solve_shell(target: DiagonalTarget, m: int
     if not isinstance(m, int) or m < 0:
         raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
     points, hp_2p = _pose_shell(target, m)
-    p = target.p
-    cap_2p = (hp_2p * target.cap_p) >> p
-    s_p, c_p, phi_p = target.s_p, target.c_p, target.phi_p
+    p, accuracy = target.p, target.accuracy
+    cap_2p = (hp_2p * accuracy.cap_p) >> p
+    s_p, c_p, phi_p = target.s_p, target.c_p, accuracy.phi_p
     mu_p = (cap_2p * s_p) >> (2 * p)
     floor_2p = cap_2p - (((hp_2p >> (2 * p)) + 3) << (6 + p))
     eta_m = eta_power(m)
@@ -234,31 +282,40 @@ def solve_shell(target: DiagonalTarget, m: int
 
 def _pose_shell(target: DiagonalTarget, m: int):
     """Shell m's integer ellipsoid, as solve_shell poses it: its lattice
-    points, as a lazy iterator, and h at scale 2^2p.  The reduction
-    starts from target.transform and leaves its own there."""
-    p, two_p = target.p, 2 * target.p
-    k, odd = divmod(m, 2)
-    eta_k = eta_power(k)
-    hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
-    if odd:
-        hp_2p = (hp_2p * target.root_eta) >> two_p
-        root_59 = 59 ** k * target.root_59
-    else:
-        root_59 = 59 ** k << two_p
-    e = grid_scale(4, (hp_2p >> two_p) + 1)
-    eps2, k2 = target.eps2, target.k2
-    r_den, t_den = hp_2p * eps2, hp_2p * target.sin_delta_p
-    g = (hp_2p << e) // root_59
-    # the minus embedding of phi is 1 - phi
-    g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
-        root_59 << two_p)
-    basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den, g3, g4)
-             for r, t, g3, g4 in zip(target.r_num, target.t_num,
-                                     (g, g_phi, 0, 0), (0, 0, g, g_phi))]
-    center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
-    points, target.transform = scaled_ellipsoid_points(
-        basis, center, e, 3, target.transform)
-    return points, hp_2p
+    points, as a lazy iterator, and h at scale 2^2p.  Each shell is
+    reduced once per target: the first call starts the reduction from
+    target.transform, leaves its own there and keeps the reduced shell
+    in target.shells, and every later call enumerates that one again,
+    so a shell that a probe posed is not reduced twice when solved."""
+    shell = target.shells.get(m)
+    if shell is None:
+        accuracy = target.accuracy
+        p, two_p = target.p, 2 * target.p
+        k, odd = divmod(m, 2)
+        eta_k = eta_power(k)
+        hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
+        if odd:
+            hp_2p = (hp_2p * accuracy.root_eta) >> two_p
+            root_59 = 59 ** k * accuracy.root_59
+        else:
+            root_59 = 59 ** k << two_p
+        e = grid_scale(4, (hp_2p >> two_p) + 1)
+        eps2, k2 = accuracy.eps2, accuracy.k2
+        r_den, t_den = hp_2p * eps2, hp_2p * accuracy.sin_delta_p
+        g = (hp_2p << e) // root_59
+        # the minus embedding of phi is 1 - phi
+        g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
+            root_59 << two_p)
+        basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den,
+                  g3, g4)
+                 for r, t, g3, g4 in zip(target.r_num, target.t_num,
+                                         (g, g_phi, 0, 0), (0, 0, g, g_phi))]
+        center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
+        points, target.transform = scaled_ellipsoid_points(
+            basis, center, e, 3, target.transform)
+        shell = target.shells[m] = points, hp_2p
+    points, hp_2p = shell
+    return iter(points), hp_2p
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -326,20 +383,18 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     if precision_bits is not None and not isinstance(precision_bits, int):
         raise MalformedInput("precision_bits must be an int")
     bits = precision_for(eps) if precision_bits is None else precision_bits
-    _check_precision(bits, eps)
     with mp.workprec(bits):
+        accuracy = _accuracy(mpf(eps), bits)
         t = _fold_theta(theta)
-        target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
-        within = eps - mp.ldexp(1, 5 - bits) / eps
+        s, c = mp.sin(t), mp.cos(t)
+        target = (c, s, mpf(0), mpf(0))
         q, seg, achieved = generate_c60().nearest(target)
-        if achieved < within:
+        if achieved < accuracy.within:
             return q, GateWord((seg,)), achieved
         if m_cap is None:
-            m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
-        posed = DiagonalTarget(t, eps)
-        # the highest shell whose ellipsoid has volume at most 1
-        top = min(m_cap, int(mp.floor(-mp.log(
-            9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59))))
+            m_cap = accuracy.m_cap
+        posed = DiagonalTarget(t, eps, (s, c))
+        top = min(m_cap, accuracy.top)
         last_empty = {}
         for m in (top, top - 1):
             while m >= 0 and next(_pose_shell(posed, m)[0], None) is not None:
@@ -359,7 +414,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                     continue
                 q = GoldenQuat(x0, x1, *pair)
                 achieved = quaternion_distance(target, q.to_vector(bits))
-                if achieved < within:
+                if achieved < accuracy.within:
                     try:
                         return q, exact_synthesize(q), achieved
                     except NotInGroup:

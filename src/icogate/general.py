@@ -28,6 +28,7 @@ and the tuning lemma reads its phases from 4-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
@@ -36,8 +37,8 @@ from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotInGroup, NotRepresentable,
                      PrecisionInsufficient)
-from .golden import (PHI, GoldenInt, _int_hamilton, embed, eta_power,
-                     sign_minus, sign_plus)
+from .golden import (GoldenInt, _int_hamilton, embed, eta_power, sign_minus,
+                     sign_plus)
 from .goldengrid import (fixed_point, grid_scale, phi_fixed,
                          scaled_ellipsoid_points)
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
@@ -120,9 +121,21 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     The band's box, normalised to the square [-1, 1]^2 in the
     embeddings of s = a + b*phi, lies in the disk of radius sqrt(2),
     whose lattice points goldengrid.scaled_ellipsoid_points finds
-    exactly, from mpf forms that fixed_point rounds to within the 2 it
-    allows (1/2), its 1/257 radius margin covering their
-    working-precision rounding.
+    exactly.  The disk is posed in integers (_pose_band): from
+    sigma_plus(eta^k) at scale 2^2p, read off the exact eta^k,
+    59^k = sigma_plus(eta^k) sigma_minus(eta^k), and the target's
+    2 / width and (lo + hi) / width of the normalised box [lo, hi] of
+    sigma_plus(s) / sigma_plus(eta^k), rounded from mpf to scale 2^p
+    once per target (_Band).  Each integer is one floor division and
+    lies within 2 of 2^e times the entry of the forms that the mpf
+    width and midpoint give while sigma_plus(eta^k) < 2^(p - 24): the
+    floor loses less than 1, and a rounding at scale 2^p moves an entry
+    by at most 2^(e - p - 1) phi, with e at most
+    log2 sigma_plus(eta^k) + 23.  The working-precision rounding of
+    that width and midpoint, and the tol below, move a kept point's
+    normalised coordinates by less than 2^(10 - p) / (eps |alpha|),
+    inside the 1/257 radius margin while eps |alpha| > 2^(20 - p).
+    Both conditions hold on every band synth_general searches.
 
     The box is decided by exact signs of s and eta^k - s, the band and
     the sort key at scale 2^p (goldengrid).  Inside the box both
@@ -176,28 +189,72 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     yield from (s for _, _, _, s in sorted(found))
 
 
+class _Band:
+    """The part of a central search that |alpha| = a, epsilon and the
+    working precision p fix, whatever the band.  _band keeps the one
+    for the last (a, eps, p) asked for, so synth_general's probes and
+    every candidate_norms call of one target share it.
+
+    Band k's box is sigma_plus(s) in hp [lo, hi] and sigma_minus(s) in
+    [0, hm], for hp and hm the embeddings of eta^k and
+    [lo, hi] = [max(0, a^2 - eps a), min(1, a^2 + eps a)] (width
+    hi - lo); a2 and ea are a^2 and eps a in mpf.  inv_w_p and mid_p
+    are 2 / width and (lo + hi) / width at scale 2^p, from mpf, each
+    off by 1/2 from its mpf value.  top is the highest band whose
+    ellipse has area at most 1, pi (hi - lo) hp hm / (2 sqrt 5) with
+    hp hm = 59^k, where synth_general's probes start.  bands holds
+    each band posed so far (_pose_band).
+    """
+
+    __slots__ = ("a2", "ea", "inv_w_p", "mid_p", "top", "bands")
+
+    def __init__(self, a, eps):
+        p = mp.prec
+        a2, ea = self.a2, self.ea = a * a, eps * a
+        lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
+        width = hi - lo
+        self.inv_w_p = fixed_point(2 / width, p)
+        self.mid_p = fixed_point((lo + hi) / width, p)
+        self.top = int(mp.floor(mp.log(2 * mp.sqrt(5) / (mp.pi * width), 59)))
+        self.bands = {}
+
+
+@lru_cache(maxsize=1)
+def _band(a, eps, p: int) -> _Band:
+    with mp.workprec(p):
+        return _Band(a, eps)
+
+
 def _pose_band(k: int, a, eps):
     """Band k's integer ellipse, as candidate_norms poses it: its lattice
     points, as a lazy iterator, then eta^k, sigma_plus(eta^k) and the
-    band's centre and half-width in mpf."""
-    ek = eta_power(k)
-    hp = embed(ek, "plus", mp.prec)
-    hm = embed(ek, "minus", mp.prec)
-    center = a * a * hp
-    half = eps * a * hp
-    lo = max(center - half, mpf(0))
-    hi = min(hp, center + half)
-    # (sigma_plus(s) - mid) / w_plus and (sigma_minus(s) - hm/2) / (hm/2)
-    # as forms on (a, b); qualifying points have |a|, |b| <= hp + hm
-    w_plus, w_minus = (hi - lo) / 2, hm / 2
-    php = embed(PHI, "plus", mp.prec)
-    phm = embed(PHI, "minus", mp.prec)
-    e = grid_scale(2, int(hp + hm) + 1)
-    basis = [[fixed_point(1 / w_plus, e), fixed_point(1 / w_minus, e)],
-             [fixed_point(php / w_plus, e), fixed_point(phm / w_minus, e)]]
-    scaled_center = [fixed_point((lo + hi) / 2 / w_plus, e), 1 << e]
-    points, _ = scaled_ellipsoid_points(basis, scaled_center, e, 2)
-    return points, ek, hp, center, half
+    band's centre a^2 sigma_plus(eta^k) and half-width
+    eps a sigma_plus(eta^k) in mpf.  Each band is posed and reduced
+    once per (a, eps, p) and kept in its _Band, so a band that a probe
+    posed is enumerated again, not reduced again, when it is solved."""
+    band = _band(a, eps, mp.prec)
+    posed = band.bands.get(k)
+    if posed is None:
+        p, two_p = mp.prec, 2 * mp.prec
+        ek = eta_power(k)
+        phi_2p = phi_fixed(two_p)
+        hp_2p = (ek.a << two_p) + ek.b * phi_2p
+        # hm = 59^k / hp <= hp bounds the minus side
+        e = grid_scale(2, 2 * (hp_2p >> two_p) + 2)
+        inv_w_p, norm_2p = band.inv_w_p, 59 ** k << two_p
+        # the forms ((a + b phi) / hp - (lo + hi) / 2) 2 / width and
+        # (a + b (1 - phi)) 2 / hm - 1, with 2 / hm = 2 hp / 59^k
+        basis = [[(inv_w_p << (e + p)) // hp_2p,
+                  (hp_2p << (e + 1)) // norm_2p],
+                 [(inv_w_p * phi_2p << e) // (hp_2p << p),
+                  (hp_2p * ((1 << two_p) - phi_2p) << (e + 1))
+                  // (norm_2p << two_p)]]
+        center = [(band.mid_p << e) >> p, 1 << e]
+        points, _ = scaled_ellipsoid_points(basis, center, e, 2)
+        hp = embed(ek, "plus", p)
+        posed = band.bands[k] = points, ek, hp, band.a2 * hp, band.ea * hp
+    points, *rest = posed
+    return (iter(points), *rest)
 
 
 def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
@@ -282,10 +339,12 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         routes = ((target, ONE_QUAT, ""),
                   ((g2, g3, -g0, -g1), j_quat, table.j_word))
         for h, tail_quat, tail_seg in routes:
-            theta_h = mp.atan2(h[1], h[0])
-            d_h = measure(h, (mp.cos(theta_h), mp.sin(theta_h), 0, 0))
+            # the distance from the unit h to the nearest diagonal
+            # rotation, (h0, h1, 0, 0) / |(h0, h1)|
+            with mp.workprec(wbits):
+                d_h = mp.sqrt(max(0, 1 - mp.hypot(h[0], h[1])))
             if d_h < eps / 2:
-                q_d, w_d = diagonal(theta_h, eps - d_h)
+                q_d, w_d = diagonal(mp.atan2(h[1], h[0]), eps - d_h)
                 word = w_d.concat(GateWord((tail_seg,)))
                 achieved = measure(target, (q_d * tail_quat).to_vector(wbits))
                 return SynthReport(word, 0, (word.tau_count, 0), achieved,
@@ -308,12 +367,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         if k_cap is None:
             k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
         outer_eps = mpf("0.6") * eps
-        # the highest band whose ellipse has area at most 1; width is
-        # (hi - lo) / sigma_plus(eta^k), the same for every band
-        width = (min(1, abs_a ** 2 + eps * abs_a)
-                 - max(0, abs_a ** 2 - eps * abs_a))
-        last_empty = min(k_cap, int(mp.floor(mp.log(
-            2 * mp.sqrt(5) / (mp.pi * width), 59))))
+        last_empty = min(k_cap, _band(abs_a, eps, bits).top)
         while last_empty >= 0 and next(
                 _pose_band(last_empty, abs_a, eps)[0], None) is not None:
             last_empty -= 1

@@ -528,6 +528,9 @@ def eta_valuation(x: GoldenInt) -> int:
         k += 1
 
 
+@lru_cache(maxsize=256, typed=True)
 def eta_power(m: int) -> GoldenInt:
-    """eta^m as an exact element."""
+    """eta^m as an exact element, memoized: a search asks for the same
+    few powers at every shell, pair and band, and a GoldenInt is never
+    changed once built."""
     return ETA**m

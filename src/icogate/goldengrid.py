@@ -10,9 +10,10 @@ by an ellipsoid |L z - c| <= r in the coordinates z of
 Z[phi]^(n/2) = Z^n, scales L and c to integers at a scale grid_scale
 picks, and hands the integer basis and centre to
 scaled_ellipsoid_points, which solves the problem exactly with
-lattice.lattice_points.  General synthesis rounds mpf forms with
-fixed_point; diagonal synthesis, whose shells are one problem rescaled
-by powers of eta, scales them in integer arithmetic.
+lattice.lattice_points.  Both searches pose one problem per target,
+rescaled by powers of eta from band to band and shell to shell, so
+each rounds its target's few mpf constants with fixed_point once and
+scales them by the exact eta^k in integer arithmetic.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
@@ -58,8 +59,10 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
 
     start, a transform to begin the reduction from, is passed on to
     lattice_points.  Returns (points, transform) as lattice_points
-    does: the points as a lazy iterator, so a caller that needs only to
-    know whether the ellipsoid holds a point stops at the first.
+    does: the points as a lazy, re-iterable enumeration, so a caller
+    that needs only to know whether the ellipsoid holds a point stops
+    at the first, and one that needs them all later enumerates them
+    again without a second reduction.
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)

@@ -343,20 +343,27 @@ def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
     return tuple(x / n for x in v)
 
 
+# working precisions whose element vectors a C60Table keeps at once
+_VECTOR_PRECISIONS = 16
+
+
 class C60Table:
     """The 60 projective classes generated by rho and sigma, each with
     the shortest {r, s}-word the breadth-first closure found, its
     inverse word, its point of PU(2) as a float unit quaternion (for a
-    nearest-element screen), and the pair entries exact_synthesize
-    looks up by line (see peel_table)."""
+    nearest-element screen) and as the real quaternion to_vector(p) at
+    each working precision p a snap has used (built on the first snap
+    at p, for at most _VECTOR_PRECISIONS precisions at a time), and the
+    pair entries exact_synthesize looks up by line (see peel_table)."""
 
-    __slots__ = ("elements", "unit_vectors", "_word_map", "_inverse",
-                 "_by_key", "_i_twins", "_pairs", "j_word",
+    __slots__ = ("elements", "unit_vectors", "_vectors", "_word_map",
+                 "_inverse", "_by_key", "_i_twins", "_pairs", "j_word",
                  "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
         self.unit_vectors = tuple(_float_unit(q) for q, _ in elements)
+        self._vectors: dict[int, tuple] = {}
         self._word_map = dict(elements)
         # C60 embeds in PGL_2(F_59), so the residue keys name the classes
         # and word_for finds each inverse without canonical()
@@ -410,7 +417,13 @@ class C60Table:
                   for v0, v1, v2, v3 in self.unit_vectors]
         top = max(scores)
         skip = () if target[2] or target[3] else self._i_twins
-        return min(((q, seg, quaternion_distance(target, q.to_vector(mp.prec)))
+        vectors = self._vectors.get(mp.prec)
+        if vectors is None:
+            if len(self._vectors) >= _VECTOR_PRECISIONS:
+                self._vectors.clear()
+            vectors = self._vectors[mp.prec] = tuple(
+                q.to_vector(mp.prec) for q, _ in self.elements)
+        return min(((q, seg, quaternion_distance(target, vectors[n]))
                     for n, ((q, seg), score)
                     in enumerate(zip(self.elements, scores))
                     if score >= top - 1e-9 and n not in skip),

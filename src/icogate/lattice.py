@@ -28,10 +28,13 @@ def lattice_points(basis, center, radius_sq, start=None):
     the reduction begins from start * basis, which is nearly reduced
     already.
 
-    Returns (points, transform): an iterator over the points as tuples
-    in the original basis coordinates, in no particular order, each
-    found only when the iterator reaches it, and the unimodular
-    transform U with U * basis the reduced basis.
+    Returns (points, transform): the points as tuples in the original
+    basis coordinates, in no particular order, and the unimodular
+    transform U with U * basis the reduced basis.  points is lazy and
+    re-iterable: each iter() starts a fresh enumeration over the one
+    reduction, and finds each point only when it reaches it, so a
+    caller can read the first point now and the whole set later
+    without reducing twice.
     """
     n = len(basis)
     if start is None:
@@ -47,7 +50,20 @@ def lattice_points(basis, center, radius_sq, start=None):
         for i in range(1, j):
             u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
         lam_c[j] = u
-    return _fincke_pohst(d, lam, lam_c, radius_sq, transform), transform
+    return _Points(d, lam, lam_c, radius_sq, transform), transform
+
+
+class _Points:
+    """The lattice points of one reduced ellipsoid: iter() runs the
+    Fincke-Pohst enumeration afresh over the stored reduction."""
+
+    __slots__ = ("_reduction",)
+
+    def __init__(self, *reduction):
+        self._reduction = reduction
+
+    def __iter__(self):
+        return _fincke_pohst(*self._reduction)
 
 
 def _dot(u, v):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from mpmath import mp, mpc, mpf
 
@@ -220,8 +221,9 @@ class TuningAngles:
     theta2: object
 
 
+@lru_cache(maxsize=1)
 def tuning_constant():
-    """C = sqrt(1/2 + ((2+delta)/epsilon0)^2 / 2)."""
+    """C = sqrt(1/2 + ((2+delta)/epsilon0)^2 / 2), computed once."""
     with mp.workprec(64):
         return mp.sqrt(mpf(1) / 2 + ((2 + mpf(DELTA)) / mpf(EPSILON0)) ** 2 / 2)
 

@@ -186,7 +186,7 @@ def assert_covers_shell(got, target, theta, eps, m, want):
     want = set(want)
     assert want <= set(got)
     hp_2p = _pose_shell(target, m)[1]
-    mu_p = (((hp_2p * target.cap_p) >> p) * target.s_p) >> (2 * p)
+    mu_p = (((hp_2p * target.accuracy.cap_p) >> p) * target.s_p) >> (2 * p)
     keys = {}
     for x0, x1 in got:
         x1p = _plus_p(x1, p)

@@ -9,7 +9,8 @@ from mpmath import mp, mpf
 
 import icogate.diagonal
 from icogate.diagonal import (DiagonalTarget, _fold_theta, _pose_shell,
-                              solve_shell, solve_x23, synth_diagonal)
+                              _top_shell, solve_shell, solve_x23,
+                              synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
@@ -191,13 +192,19 @@ def test_solve_shell_keeps_pairs_past_the_old_band():
 
 def test_solve_shell_warm_start_agrees():
     # one search's shells through one target, each reduced from the
-    # previous shell's transform, and each through a fresh target
+    # previous shell's transform; through a target whose shells were all
+    # probed first, top down, so each is solved from the probe's
+    # reduction; and each through a fresh target
     with mp.workprec(precision_for(1e-6)):
         theta, eps = mp.pi / 8, mpf("1e-6")
         reused = DiagonalTarget(theta, eps)
+        probed = DiagonalTarget(theta, eps)
+        for m in range(11, -1, -1):
+            next(_pose_shell(probed, m)[0], None)
         for m in range(12):
-            assert solve_shell(reused, m) == solve_shell(
-                DiagonalTarget(theta, eps), m)
+            fresh = solve_shell(DiagonalTarget(theta, eps), m)
+            assert solve_shell(reused, m) == fresh
+            assert solve_shell(probed, m) == fresh
             assert reused.transform is not None
 
 
@@ -318,14 +325,6 @@ def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
     assert word.tau_count == 7
 
 
-def top_shell(eps):
-    """The highest shell whose ellipsoid has volume at most 1, where
-    synth_diagonal's probes start."""
-    eps = mpf(eps)
-    return int(mp.floor(-mp.log(
-        9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59)))
-
-
 def unprobed_shells(theta, eps):
     """The shells up to the top one that synth_diagonal's probes leave
     to solve_shell, with the probes driven directly: from the top shell
@@ -333,7 +332,7 @@ def unprobed_shells(theta, eps):
     exists."""
     with mp.workprec(precision_for(eps)):
         target = DiagonalTarget(_fold_theta(mpf(theta)), eps)
-        top = top_shell(eps)
+        top = _top_shell(mpf(eps))
         last_empty = {}
         for m in (top, top - 1):
             while m >= 0 and next(_pose_shell(target, m)[0], None) is not None:
@@ -398,7 +397,7 @@ def test_degenerate_angles_probe_without_listing_a_shell():
         "        if next(_pose_shell(target, m)[0], None) is not None:\n"
         "            print(m)\n")
     with mp.workprec(precision_for(1e-20)):
-        top = top_shell(1e-20)
+        top = _top_shell(mpf("1e-20"))
     path = str(Path(icogate.__file__).parents[1])
     for theta in ("0", "1e-30"):
         proc = subprocess.run(

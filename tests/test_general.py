@@ -4,7 +4,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate import general, icosian
+from icogate import diagonal, general, icosian, lattice
 from icogate.diagonal import synth_diagonal
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
                             NotRepresentable, PrecisionInsufficient)
@@ -135,6 +135,55 @@ def test_probes_skip_only_empty_bands(monkeypatch, seed, eps):
     with mp.workprec(prec):
         for k in range(ks[0]):
             assert list(candidate_norms(k, abs_alpha, epsilon)) == [], k
+
+
+def test_each_shell_and_band_is_reduced_once(monkeypatch):
+    """A search reduces each of its shells once, and a general target
+    each of its bands once: a shell or band that a probe reduced is
+    enumerated again, not reduced again, when it is solved.  Every
+    lattice reduction is charged to the shell or band being posed; u(pi/8)
+    at 1e-8 and the Haar target of seed 4 at 1e-4 each pose one shell or
+    band twice, H at 1e-7 none."""
+    posing, reductions, poses, targets = [], [], [], []
+    real_lll = lattice._lll
+    real_shell, real_band = diagonal._pose_shell, general._pose_band
+
+    def lll(b, h):
+        reductions.append(posing[-1])
+        return real_lll(b, h)
+
+    def pose(key, fn, *args):
+        posing.append(key)
+        poses.append(key)
+        try:
+            return fn(*args)
+        finally:
+            posing.pop()
+
+    def shell(target, m):
+        targets.append(target)  # keeps each search's id its own
+        return pose(("shell", id(target), m), real_shell, target, m)
+
+    def band(k, a, eps):
+        return pose(("band", a, eps, mp.prec, k), real_band, k, a, eps)
+
+    monkeypatch.setattr(lattice, "_lll", lll)
+    monkeypatch.setattr(diagonal, "_pose_shell", shell)
+    monkeypatch.setattr(general, "_pose_band", band)
+    general._band.cache_clear()
+    haar = haar_target(random.Random(4), precision_for(1e-4))
+    runs = [lambda: synth_diagonal(mp.pi / 8, 1e-8),
+            lambda: synth_general(named_gate("H", precision_for(1e-7)),
+                                  SynthConfig(1e-7)),
+            lambda: synth_general(haar, SynthConfig(1e-4))]
+    for run, reused in zip(runs, ("shell", None, "band")):
+        poses.clear()
+        reductions.clear()
+        run()
+        assert reductions and set(reductions) <= set(poses)
+        assert len(reductions) == len(set(reductions))
+        twice = {key[0] for key in poses if poses.count(key) > 1}
+        assert twice == ({reused} if reused else set())
 
 
 def test_build_central_unit_shell():

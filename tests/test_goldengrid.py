@@ -117,11 +117,13 @@ def test_lattice_points_warm_start_agrees_with_cold_start():
 
 
 def test_lattice_points_yield_lazily():
-    # a probe reads one point of a ball holding about 9 * 10^5
+    # a probe reads one point of a ball holding about 9 * 10^5, and each
+    # pass over the one reduction starts the enumeration afresh
     points, _ = lattice_points([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                [0, 0, 0], 60 ** 2)
-    assert iter(points) is points
-    assert len(next(points)) == 3
+    first = next(iter(points))
+    assert len(first) == 3
+    assert next(iter(points)) == first
 
 
 @pytest.mark.parametrize("basis", [

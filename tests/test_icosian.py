@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from mpmath import mp, mpf
 
 from peel_oracle import peel_oracle
 from icogate import icosian
@@ -15,7 +17,7 @@ from icogate.icosian import (C60Table, GateWord, GoldenQuat, ONE_QUAT, RHO,
                              SIGMA, TAU, _is_scalar_segment, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              tau_count, word_to_quat)
-from icogate.unitary import ProjUnitary, distance
+from icogate.unitary import ProjUnitary, distance, quaternion_distance
 
 PROJ_TOL = 1e-15
 
@@ -192,6 +194,36 @@ def test_c60_table_refuses_a_missing_inverse():
     elements = tuple((q, w) for q, w in generate_c60() if w != "r")
     with pytest.raises(IcogateError, match="inverse"):
         C60Table(elements)
+
+
+def test_c60_snap_matches_a_fresh_measurement_of_all_60():
+    """C60Table.nearest against every element measured with a fresh
+    to_vector at the working precision: the same element, segment and
+    distance, the first in table order on a tie.  The precision switches
+    within the process, so a vector kept from another precision would
+    measure differently."""
+    table = generate_c60()
+
+    def brute(target):
+        best = None
+        for q, seg in table:
+            d = quaternion_distance(target, q.to_vector(mp.prec))
+            if best is None or d < best[2]:
+                best = (q, seg, d)
+        return best
+
+    rng = random.Random(60)
+    points = [[rng.gauss(0, 1) for _ in range(4)] for _ in range(8)]
+    points += [[math.cos(t), math.sin(t), 0, 0]
+               for t in (0, 0.3, 0.7, 1.2, -0.4, math.pi / 2)]
+    points += [q.to_vector(53) for q, _ in list(table)[::12]]
+    for p in (64, 128, 300, 64, 300, 128):
+        with mp.workprec(p):
+            for v in points:
+                v = [mpf(x) for x in v]
+                norm = mp.sqrt(mp.fdot(v, v))
+                target = tuple(x / norm for x in v)
+                assert table.nearest(target) == brute(target)
 
 
 def test_c60_deterministic():
