@@ -12,7 +12,8 @@ The package is layered bottom-up:
   icosian      -- the binary icosahedral group and exact factoring
   unitary      -- big-float PU(2) numerics and diagonal tuning
   lattice      -- exact integer lattice points in an ellipsoid
-  goldengrid   -- Z[phi] embedding problems posed as lattice problems
+  goldengrid   -- Z[phi] searches as families of lattice problems, each
+                  reduced once, warm-started, skipped when proven empty
   diagonal     -- approximate synthesis of diagonal rotations
   general      -- approximate synthesis of arbitrary unitaries
   cli          -- the icogate command line tool

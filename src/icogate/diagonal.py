@@ -29,11 +29,8 @@ shell and the cap's integer constants) is built once per (eps, p) and
 shared by every search there (_Accuracy).  sin(theta) and cos(theta)
 are computed once per search in mpf, measure the C60 snap and are
 rounded to scale 2^p; each shell is posed from them and from the exact
-eta^m in integers, and decided in integers alone (solve_shell).  Each
-shell is reduced once per search: the target keeps every shell it has
-reduced, so a shell that a probe reduced is enumerated again when it
-is solved, and each new reduction starts from the last one's
-transform.  The integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
+eta^m in integers, and decided in integers alone (solve_shell).  The
+integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
 precision_for(eps) exceeds by log2(1/eps) + 64; a target or a search
 asked for less is rejected.
 
@@ -47,11 +44,10 @@ size, so those of eta x0 and eta x1 are at most h_{m+2}, and their
 coordinates too, within the bound grid_scale is given for shell m + 2:
 eta z is among shell m + 2's lattice points.  So when shell M's
 integer ellipsoid holds none, solve_shell returns [] for every m <= M
-of M's parity.  synth_diagonal probes one shell of each parity for a
-first point, from the highest whose ellipsoid volume,
-(9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by the determinant of L_m, is
-at most 1, stepping down two shells while a probe finds one, and skips
-every shell that an empty probe covers.
+of M's parity, and synth_diagonal searches the target's shells in
+steps of 2 (goldengrid.LatticeFamily.search), probing down from the
+highest whose ellipsoid volume, (9 pi^2 / 20) sqrt(2 - eps^2) 59^m
+eps^3 by the determinant of L_m, is at most 1.
 """
 
 from __future__ import annotations
@@ -64,8 +60,7 @@ from mpmath import mp, mpf
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotInGroup, NotRepresentable)
 from .golden import GoldenInt, _sign_of, eta_power
-from .goldengrid import (fixed_point, grid_scale, phi_fixed,
-                         scaled_ellipsoid_points)
+from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
@@ -136,7 +131,7 @@ def _accuracy(eps, p: int) -> _Accuracy:
     return _Accuracy(eps, p)
 
 
-class DiagonalTarget:
+class DiagonalTarget(LatticeFamily):
     """One search: approximate u(theta) to epsilon, posed once at the
     working precision p = mp.prec for every shell of it (solve_shell).
 
@@ -151,15 +146,13 @@ class DiagonalTarget:
     coefficients of (c, s) and (-s, c) on z = (a0, b0, a1, b1), that
     is (c, c phi, s, s phi) and (-s, -s phi, c, c phi) with phi its
     plus embedding, at scale 2^2p: shell 0's plus-side forms up to the
-    factors 2 / eps^2 and 1 / sin(delta).  transform is the lattice
-    transform of the last shell reduced, None before the first, and
-    shells holds each shell reduced so far (_pose_shell).
+    factors 2 / eps^2 and 1 / sin(delta).
     """
 
-    __slots__ = ("p", "accuracy", "s_p", "c_p", "r_num", "t_num",
-                 "transform", "shells")
+    __slots__ = ("p", "accuracy", "s_p", "c_p", "r_num", "t_num")
 
     def __init__(self, theta, epsilon, sin_cos=None):
+        super().__init__()
         p = self.p = mp.prec
         theta, eps = mpf(theta), mpf(epsilon)
         if not 0 < eps < 1:
@@ -173,8 +166,32 @@ class DiagonalTarget:
         phi_p = self.accuracy.phi_p
         self.r_num = (c_p << p, c_p * phi_p, s_p << p, s_p * phi_p)
         self.t_num = (-s_p << p, -s_p * phi_p, c_p << p, c_p * phi_p)
-        self.transform = None
-        self.shells = {}
+
+    def pose(self, m: int):
+        """Shell m's integer ellipsoid as solve_shell poses it, with h
+        at scale 2^2p as its data."""
+        accuracy, p, two_p = self.accuracy, self.p, 2 * self.p
+        k, odd = divmod(m, 2)
+        eta_k = eta_power(k)
+        hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
+        if odd:
+            hp_2p = (hp_2p * accuracy.root_eta) >> two_p
+            root_59 = 59 ** k * accuracy.root_59
+        else:
+            root_59 = 59 ** k << two_p
+        e = grid_scale(4, (hp_2p >> two_p) + 1)
+        eps2, k2 = accuracy.eps2, accuracy.k2
+        r_den, t_den = hp_2p * eps2, hp_2p * accuracy.sin_delta_p
+        g = (hp_2p << e) // root_59
+        # the minus embedding of phi is 1 - phi
+        g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
+            root_59 << two_p)
+        basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den,
+                  g3, g4)
+                 for r, t, g3, g4 in zip(self.r_num, self.t_num,
+                                         (g, g_phi, 0, 0), (0, 0, g, g_phi))]
+        center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
+        return basis, center, e, 3, hp_2p
 
 
 def solve_shell(target: DiagonalTarget, m: int
@@ -199,10 +216,7 @@ def solve_shell(target: DiagonalTarget, m: int
     the smallest distance; both keys are taken at scale 2^p (below),
     and their ties go by coordinates.
 
-    m must be a nonnegative int (MalformedInput).  The target keeps
-    each shell's reduction (_pose_shell), and each new one starts from
-    the transform the last one left in target.transform; the pairs do
-    not depend on either.
+    m must be a nonnegative int (MalformedInput).
 
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
@@ -254,7 +268,7 @@ def solve_shell(target: DiagonalTarget, m: int
     """
     if not isinstance(m, int) or m < 0:
         raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
-    points, hp_2p = _pose_shell(target, m)
+    points, hp_2p = target.problem(m)
     p, accuracy = target.p, target.accuracy
     cap_2p = (hp_2p * accuracy.cap_p) >> p
     s_p, c_p, phi_p = target.s_p, target.c_p, accuracy.phi_p
@@ -278,44 +292,6 @@ def solve_shell(target: DiagonalTarget, m: int
     kept.sort()
     return [(GoldenInt(a0, b0), GoldenInt(a1, b1))
             for _, a1, b1, _, a0, b0 in kept]
-
-
-def _pose_shell(target: DiagonalTarget, m: int):
-    """Shell m's integer ellipsoid, as solve_shell poses it: its lattice
-    points, as a lazy iterator, and h at scale 2^2p.  Each shell is
-    reduced once per target: the first call starts the reduction from
-    target.transform, leaves its own there and keeps the reduced shell
-    in target.shells, and every later call enumerates that one again,
-    so a shell that a probe posed is not reduced twice when solved."""
-    shell = target.shells.get(m)
-    if shell is None:
-        accuracy = target.accuracy
-        p, two_p = target.p, 2 * target.p
-        k, odd = divmod(m, 2)
-        eta_k = eta_power(k)
-        hp_2p = (eta_k.a << two_p) + eta_k.b * phi_fixed(two_p)
-        if odd:
-            hp_2p = (hp_2p * accuracy.root_eta) >> two_p
-            root_59 = 59 ** k * accuracy.root_59
-        else:
-            root_59 = 59 ** k << two_p
-        e = grid_scale(4, (hp_2p >> two_p) + 1)
-        eps2, k2 = accuracy.eps2, accuracy.k2
-        r_den, t_den = hp_2p * eps2, hp_2p * accuracy.sin_delta_p
-        g = (hp_2p << e) // root_59
-        # the minus embedding of phi is 1 - phi
-        g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
-            root_59 << two_p)
-        basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den,
-                  g3, g4)
-                 for r, t, g3, g4 in zip(target.r_num, target.t_num,
-                                         (g, g_phi, 0, 0), (0, 0, g, g_phi))]
-        center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
-        points, target.transform = scaled_ellipsoid_points(
-            basis, center, e, 3, target.transform)
-        shell = target.shells[m] = points, hp_2p
-    points, hp_2p = shell
-    return iter(points), hp_2p
 
 
 def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
@@ -394,15 +370,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         if m_cap is None:
             m_cap = accuracy.m_cap
         posed = DiagonalTarget(t, eps, (s, c))
-        top = min(m_cap, accuracy.top)
-        last_empty = {}
-        for m in (top, top - 1):
-            while m >= 0 and next(_pose_shell(posed, m)[0], None) is not None:
-                m -= 2
-            last_empty[m % 2] = m
-        for m in range(m_cap + 1):
-            if m <= last_empty[m % 2]:
-                continue
+        for m in posed.search(accuracy.top, m_cap, 2):
             for x0, x1 in solve_shell(posed, m):
                 try:
                     pair = solve_x23(m, x0, x1)

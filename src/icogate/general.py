@@ -39,8 +39,7 @@ from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      PrecisionInsufficient)
 from .golden import (GoldenInt, _int_hamilton, embed, eta_power, sign_minus,
                      sign_plus)
-from .goldengrid import (fixed_point, grid_scale, phi_fixed,
-                         scaled_ellipsoid_points)
+from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import decide, screen, sots_exact
@@ -121,7 +120,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     The band's box, normalised to the square [-1, 1]^2 in the
     embeddings of s = a + b*phi, lies in the disk of radius sqrt(2),
     whose lattice points goldengrid.scaled_ellipsoid_points finds
-    exactly.  The disk is posed in integers (_pose_band): from
+    exactly.  The disk is posed in integers (_Band.pose): from
     sigma_plus(eta^k) at scale 2^2p, read off the exact eta^k,
     59^k = sigma_plus(eta^k) sigma_minus(eta^k), and the target's
     2 / width and (lo + hi) / width of the normalised box [lo, hi] of
@@ -157,11 +156,8 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     within those of eta^{k+1}, so coordinates within the bound
     grid_scale is given for band k + 1: eta s is among band k + 1's
     lattice points.  So when band K's integer ellipse holds none,
-    candidate_norms(k) is empty for every k <= K.  synth_general probes
-    one band for a first point, from the highest whose ellipse area,
-    pi (hi - lo) sigma_minus(eta^k) / (2 sqrt 5) for the box [lo, hi] of
-    sigma_plus(s), is at most 1, stepping down one band while a probe
-    finds one, and skips every band that the empty probe covers.
+    candidate_norms(k) is empty for every k <= K, and synth_general
+    searches the bands in steps of 1 (LatticeFamily.search).
     """
     if not 0 < abs_alpha < 1:
         raise MalformedInput("abs_alpha must be in (0, 1)")
@@ -170,7 +166,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
         raise MalformedInput("epsilon must be in (0, 1)")
     if not isinstance(k, int) or k < 0:
         raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
-    points, ek, hp, center, half = _pose_band(k, a, eps)
+    points, (ek, hp, center, half) = _band(a, eps, mp.prec).problem(k)
     p = mp.prec
     phi_p = phi_fixed(p)
     center_p, half_p = fixed_point(center, p), fixed_point(half, p)
@@ -189,7 +185,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     yield from (s for _, _, _, s in sorted(found))
 
 
-class _Band:
+class _Band(LatticeFamily):
     """The part of a central search that |alpha| = a, epsilon and the
     working precision p fix, whatever the band.  _band keeps the one
     for the last (a, eps, p) asked for, so synth_general's probes and
@@ -202,13 +198,13 @@ class _Band:
     are 2 / width and (lo + hi) / width at scale 2^p, from mpf, each
     off by 1/2 from its mpf value.  top is the highest band whose
     ellipse has area at most 1, pi (hi - lo) hp hm / (2 sqrt 5) with
-    hp hm = 59^k, where synth_general's probes start.  bands holds
-    each band posed so far (_pose_band).
+    hp hm = 59^k, where synth_general's probes start.
     """
 
-    __slots__ = ("a2", "ea", "inv_w_p", "mid_p", "top", "bands")
+    __slots__ = ("a2", "ea", "inv_w_p", "mid_p", "top")
 
     def __init__(self, a, eps):
+        super().__init__()
         p = mp.prec
         a2, ea = self.a2, self.ea = a * a, eps * a
         lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
@@ -216,32 +212,17 @@ class _Band:
         self.inv_w_p = fixed_point(2 / width, p)
         self.mid_p = fixed_point((lo + hi) / width, p)
         self.top = int(mp.floor(mp.log(2 * mp.sqrt(5) / (mp.pi * width), 59)))
-        self.bands = {}
 
-
-@lru_cache(maxsize=1)
-def _band(a, eps, p: int) -> _Band:
-    with mp.workprec(p):
-        return _Band(a, eps)
-
-
-def _pose_band(k: int, a, eps):
-    """Band k's integer ellipse, as candidate_norms poses it: its lattice
-    points, as a lazy iterator, then eta^k, sigma_plus(eta^k) and the
-    band's centre a^2 sigma_plus(eta^k) and half-width
-    eps a sigma_plus(eta^k) in mpf.  Each band is posed and reduced
-    once per (a, eps, p) and kept in its _Band, so a band that a probe
-    posed is enumerated again, not reduced again, when it is solved."""
-    band = _band(a, eps, mp.prec)
-    posed = band.bands.get(k)
-    if posed is None:
+    def pose(self, k: int):
+        """Band k's integer ellipse as candidate_norms poses it; its data
+        are eta^k, hp = sigma_plus(eta^k), a^2 hp and eps a hp in mpf."""
         p, two_p = mp.prec, 2 * mp.prec
         ek = eta_power(k)
         phi_2p = phi_fixed(two_p)
         hp_2p = (ek.a << two_p) + ek.b * phi_2p
         # hm = 59^k / hp <= hp bounds the minus side
         e = grid_scale(2, 2 * (hp_2p >> two_p) + 2)
-        inv_w_p, norm_2p = band.inv_w_p, 59 ** k << two_p
+        inv_w_p, norm_2p = self.inv_w_p, 59 ** k << two_p
         # the forms ((a + b phi) / hp - (lo + hi) / 2) 2 / width and
         # (a + b (1 - phi)) 2 / hm - 1, with 2 / hm = 2 hp / 59^k
         basis = [[(inv_w_p << (e + p)) // hp_2p,
@@ -249,12 +230,15 @@ def _pose_band(k: int, a, eps):
                  [(inv_w_p * phi_2p << e) // (hp_2p << p),
                   (hp_2p * ((1 << two_p) - phi_2p) << (e + 1))
                   // (norm_2p << two_p)]]
-        center = [(band.mid_p << e) >> p, 1 << e]
-        points, _ = scaled_ellipsoid_points(basis, center, e, 2)
+        center = [(self.mid_p << e) >> p, 1 << e]
         hp = embed(ek, "plus", p)
-        posed = band.bands[k] = points, ek, hp, band.a2 * hp, band.ea * hp
-    points, *rest = posed
-    return (iter(points), *rest)
+        return basis, center, e, 2, (ek, hp, self.a2 * hp, self.ea * hp)
+
+
+@lru_cache(maxsize=1)
+def _band(a, eps, p: int) -> _Band:
+    with mp.workprec(p):
+        return _Band(a, eps)
 
 
 def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
@@ -367,12 +351,9 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         if k_cap is None:
             k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
         outer_eps = mpf("0.6") * eps
-        last_empty = min(k_cap, _band(abs_a, eps, bits).top)
-        while last_empty >= 0 and next(
-                _pose_band(last_empty, abs_a, eps)[0], None) is not None:
-            last_empty -= 1
+        bands = _band(abs_a, eps, bits)
         best = None
-        for k in range(last_empty + 1, k_cap + 1):
+        for k in bands.search(bands.top, k_cap, 1):
             for s in candidate_norms(k, abs_a, eps):
                 try:
                     q = build_central(k, s)

@@ -10,10 +10,9 @@ by an ellipsoid |L z - c| <= r in the coordinates z of
 Z[phi]^(n/2) = Z^n, scales L and c to integers at a scale grid_scale
 picks, and hands the integer basis and centre to
 scaled_ellipsoid_points, which solves the problem exactly with
-lattice.lattice_points.  Both searches pose one problem per target,
-rescaled by powers of eta from band to band and shell to shell, so
-each rounds its target's few mpf constants with fixed_point once and
-scales them by the exact eta^k in integer arithmetic.
+lattice.lattice_points.  Each search is a LatticeFamily, one
+problem per power of eta, so it rounds its few mpf constants with
+fixed_point once and scales them by the exact eta^k in integers.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
@@ -39,7 +38,8 @@ from mpmath import mp
 
 from .lattice import lattice_points
 
-__all__ = ["fixed_point", "grid_scale", "phi_fixed", "scaled_ellipsoid_points"]
+__all__ = ["LatticeFamily", "fixed_point", "grid_scale", "phi_fixed",
+           "scaled_ellipsoid_points"]
 
 
 def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
@@ -66,6 +66,47 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)
+
+
+class LatticeFamily:
+    """The problems k = 0, 1, 2, ... of one search, one region scaled
+    by powers of eta.  A subclass's pose(k) gives problem k as (basis,
+    center, scale, radius_sq, data) for scaled_ellipsoid_points, data
+    being what its caller reads besides the points.  problem(k)
+    reduces problem k once, when first asked for, from the transform
+    the last reduction left (None before the first), and keeps it, so
+    a problem that a probe reduced is enumerated again, not reduced
+    again, when it is solved; the points, which callers order by their
+    own keys, do not depend on the start.  search presumes what the
+    subclass proves of its pose: that eta maps each solution of problem
+    k to a lattice point of problem k + step, so an empty problem K
+    proves every k <= K of its residue mod step empty.
+    """
+
+    __slots__ = ("transform", "_problems")
+
+    def __init__(self):
+        self.transform, self._problems = None, {}
+
+    def problem(self, k: int):
+        """(points, data) of problem k, the points lazy and re-iterable."""
+        if k not in self._problems:
+            basis, center, scale, radius_sq, data = self.pose(k)
+            points, self.transform = scaled_ellipsoid_points(
+                basis, center, scale, radius_sq, self.transform)
+            self._problems[k] = points, data
+        return self._problems[k]
+
+    def search(self, top: int, cap: int, step: int):
+        """Every k <= cap in increasing order but those an empty probe
+        covers: per residue mod step, from min(top, cap) down in steps
+        of step, the first problem that holds no point."""
+        last_empty = {}
+        for k in range(min(top, cap), min(top, cap) - step, -1):
+            while k >= 0 and next(iter(self.problem(k)[0]), None) is not None:
+                k -= step
+            last_empty[k % step] = k
+        return (k for k in range(cap + 1) if k > last_empty[k % step])
 
 
 def grid_scale(n: int, bound: int) -> int:

@@ -67,8 +67,8 @@ from mpmath import mp
 
 from .errors import IcogateError, MalformedInput, NotInGroup
 from .golden import (_PHI_FLOAT, ETA, GoldenInt, ONE, PHI, ZERO,
-                     _balancing_power, _coerce, _gcd_pair, _hamilton, embed,
-                     eta_valuation, exact_div, phi_power)
+                     _balancing_power, _coerce, _gcd_pair, _hamilton,
+                     _phi_embedded, eta_valuation, exact_div, phi_power)
 from .unitary import (DEFAULT_PRECISION_BITS, ProjUnitary,
                       quaternion_distance)
 
@@ -173,7 +173,10 @@ class GoldenQuat:
     def to_vector(self, precision_bits: int) -> tuple:
         """The plus embeddings of the four coordinates: the real
         quaternion sigma_+(q), a multiple of a point of PU(2)."""
-        return tuple(embed(x, "plus", precision_bits) for x in self.parts())
+        phi, flat = _phi_embedded("plus", precision_bits), self._flat
+        with mp.workprec(precision_bits):
+            return tuple(mp.mpf(a) + mp.mpf(b) * phi
+                         for a, b in zip(flat[::2], flat[1::2]))
 
     def to_unitary(self, precision_bits: int = DEFAULT_PRECISION_BITS
                    ) -> ProjUnitary:

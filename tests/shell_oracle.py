@@ -25,8 +25,7 @@ recomputed in mpf at twice the working precision.
 
 from mpmath import mp, mpf
 
-from icogate.diagonal import _pose_shell
-from icogate.general import _pose_band
+from icogate.general import _band
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
                             sign_minus, sign_plus)
 from icogate.goldengrid import fixed_point, phi_fixed
@@ -185,7 +184,7 @@ def assert_covers_shell(got, target, theta, eps, m, want):
     assert len(set(got)) == len(got)
     want = set(want)
     assert want <= set(got)
-    hp_2p = _pose_shell(target, m)[1]
+    hp_2p = target.problem(m)[1]
     mu_p = (((hp_2p * target.accuracy.cap_p) >> p) * target.s_p) >> (2 * p)
     keys = {}
     for x0, x1 in got:
@@ -227,7 +226,7 @@ def assert_covers_norms(got, k, abs_alpha, epsilon, want):
     assert len(set(got)) == len(got)
     want = set(want)
     assert want <= set(got)
-    center_p = fixed_point(_pose_band(k, a, eps)[3], p)
+    center_p = fixed_point(_band(a, eps, p).problem(k)[1][2], p)
     keys = {s: (abs(_plus_p(s, p) - center_p), s.a, s.b) for s in got}
     assert got == sorted(got, key=keys.__getitem__)
     ek = eta_power(k)

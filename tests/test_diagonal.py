@@ -8,9 +8,8 @@ import pytest
 from mpmath import mp, mpf
 
 import icogate.diagonal
-from icogate.diagonal import (DiagonalTarget, _fold_theta, _pose_shell,
-                              _top_shell, solve_shell, solve_x23,
-                              synth_diagonal)
+from icogate.diagonal import (DiagonalTarget, _fold_theta, _top_shell,
+                              solve_shell, solve_x23, synth_diagonal)
 from icogate.errors import BudgetExhausted, MalformedInput
 from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
@@ -200,7 +199,7 @@ def test_solve_shell_warm_start_agrees():
         reused = DiagonalTarget(theta, eps)
         probed = DiagonalTarget(theta, eps)
         for m in range(11, -1, -1):
-            next(_pose_shell(probed, m)[0], None)
+            next(iter(probed.problem(m)[0]), None)
         for m in range(12):
             fresh = solve_shell(DiagonalTarget(theta, eps), m)
             assert solve_shell(reused, m) == fresh
@@ -327,18 +326,12 @@ def test_synth_solves_every_shell_through_solve_shell(monkeypatch):
 
 def unprobed_shells(theta, eps):
     """The shells up to the top one that synth_diagonal's probes leave
-    to solve_shell, with the probes driven directly: from the top shell
-    down each parity while the first lattice point of _pose_shell
-    exists."""
+    to solve_shell, with the target's search driven directly up to the
+    top shell."""
     with mp.workprec(precision_for(eps)):
         target = DiagonalTarget(_fold_theta(mpf(theta)), eps)
         top = _top_shell(mpf(eps))
-        last_empty = {}
-        for m in (top, top - 1):
-            while m >= 0 and next(_pose_shell(target, m)[0], None) is not None:
-                m -= 2
-            last_empty[m % 2] = m
-    return [m for m in range(top + 1) if m > last_empty[m % 2]]
+        return list(target.search(top, top, 2))
 
 
 @pytest.mark.parametrize("theta, eps", [
@@ -371,7 +364,7 @@ def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
         total = 0
         for m in shells:
             pairs = solve_shell(target, m)
-            points = set(_pose_shell(target, m + 2)[0])
+            points = set(target.problem(m + 2)[0])
             for x0, x1 in pairs:
                 y0, y1 = eta * x0, eta * x1
                 assert (y0.a, y0.b, y1.a, y1.b) in points, (m, x0, x1)
@@ -389,12 +382,12 @@ def test_degenerate_angles_probe_without_listing_a_shell():
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from mpmath import mp, mpf\n"
-        "from icogate.diagonal import DiagonalTarget, _pose_shell\n"
+        "from icogate.diagonal import DiagonalTarget\n"
         "from icogate.unitary import precision_for\n"
         "with mp.workprec(precision_for(1e-20)):\n"
         "    target = DiagonalTarget(mpf(sys.argv[1]), 1e-20)\n"
         "    for m in range(int(sys.argv[2]), -1, -1):\n"
-        "        if next(_pose_shell(target, m)[0], None) is not None:\n"
+        "        if next(iter(target.problem(m)[0]), None) is not None:\n"
         "            print(m)\n")
     with mp.workprec(precision_for(1e-20)):
         top = _top_shell(mpf("1e-20"))

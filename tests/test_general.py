@@ -4,7 +4,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate import diagonal, general, icosian, lattice
+from icogate import diagonal, general, goldengrid, icosian, lattice
 from icogate.diagonal import synth_diagonal
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
                             NotRepresentable, PrecisionInsufficient)
@@ -101,7 +101,7 @@ def test_eta_maps_each_band_into_the_next(k, abs_alpha, eps):
         a = mp.sqrt(mpf(1) / 2) if abs_alpha is None else mpf(abs_alpha)
         e = mpf(eps)
         got = list(candidate_norms(k, a, e))
-        points = set(general._pose_band(k + 1, a, e)[0])
+        points = set(general._band(a, e, mp.prec).problem(k + 1)[0])
         for s in got:
             t = eta * s
             assert (t.a, t.b) in points, s
@@ -137,39 +137,91 @@ def test_probes_skip_only_empty_bands(monkeypatch, seed, eps):
             assert list(candidate_norms(k, abs_alpha, epsilon)) == [], k
 
 
+def shell_family(theta, eps):
+    """A diagonal target's family of shells, the top shell, the step
+    eta-scaling proves and the solve of shell m on a fresh family."""
+    theta = diagonal._fold_theta(mpf(theta))
+
+    def solve(m):
+        return diagonal.solve_shell(diagonal.DiagonalTarget(theta, eps), m)
+
+    target = diagonal.DiagonalTarget(theta, eps)
+    return target, target.accuracy.top, 2, solve
+
+
+def band_family(abs_alpha, eps):
+    """The same for a central target's family of bands."""
+    a, e = mpf(abs_alpha), mpf(eps)
+
+    def solve(k):
+        general._band.cache_clear()
+        return list(candidate_norms(k, a, e))
+
+    band = general._band(a, e, mp.prec)
+    return band, band.top, 1, solve
+
+
+@pytest.mark.parametrize("family, x, eps", [
+    (shell_family, 0.3, 1e-6), (shell_family, 0, 1e-6),
+    (shell_family, mp.pi / 4 + 5e-4, 1e-3),
+    (shell_family, mp.atan(mp.phi), 1e-4), (shell_family, -1.2, 1e-5),
+    (band_family, 0.31, 1e-5), (band_family, mp.sqrt(0.5), 1e-7),
+])
+def test_search_skips_only_empty_problems(family, x, eps):
+    """search yields problems in increasing order up to its cap, and
+    every problem it skips is empty when solved on a fresh family."""
+    with mp.workprec(precision_for(eps)):
+        searched, top, step, solve = family(x, eps)
+        cap = top + step
+        ks = list(searched.search(top, cap, step))
+        assert ks == sorted(set(ks)) and ks[-1] == cap
+        for k in set(range(cap + 1)) - set(ks):
+            assert solve(k) == [], k
+
+
+@pytest.mark.parametrize("abs_alpha, eps", [
+    (0.31, 1e-5), (mp.sqrt(0.5), 1e-7), (0.999, 1e-4)])
+def test_band_warm_start_agrees(abs_alpha, eps):
+    """A band family reduces each band from the last one's transform;
+    down from two bands above the top, the warm reductions hold the
+    lattice points of cold ones."""
+    with mp.workprec(precision_for(eps)):
+        a, e = mpf(abs_alpha), mpf(eps)
+        warm, total = general._Band(a, e), 0
+        for k in range(warm.top + 2, -1, -1):
+            points = set(warm.problem(k)[0])
+            assert points == set(general._Band(a, e).problem(k)[0]), k
+            total += len(points)
+        assert warm.transform is not None and total
+
+
 def test_each_shell_and_band_is_reduced_once(monkeypatch):
     """A search reduces each of its shells once, and a general target
     each of its bands once: a shell or band that a probe reduced is
     enumerated again, not reduced again, when it is solved.  Every
-    lattice reduction is charged to the shell or band being posed; u(pi/8)
+    lattice reduction is charged to the shell or band asked for; u(pi/8)
     at 1e-8 and the Haar target of seed 4 at 1e-4 each pose one shell or
     band twice, H at 1e-7 none."""
-    posing, reductions, poses, targets = [], [], [], []
+    posing, reductions, poses, families = [], [], [], []
     real_lll = lattice._lll
-    real_shell, real_band = diagonal._pose_shell, general._pose_band
+    real_problem = goldengrid.LatticeFamily.problem
 
     def lll(b, h):
         reductions.append(posing[-1])
         return real_lll(b, h)
 
-    def pose(key, fn, *args):
-        posing.append(key)
-        poses.append(key)
+    def problem(family, k):
+        families.append(family)  # keeps each family's id its own
+        kind = "shell" if isinstance(family, diagonal.DiagonalTarget) else "band"
+        posing.append((kind, id(family), k))
+        poses.append(posing[-1])
         try:
-            return fn(*args)
+            return real_problem(family, k)
         finally:
             posing.pop()
 
-    def shell(target, m):
-        targets.append(target)  # keeps each search's id its own
-        return pose(("shell", id(target), m), real_shell, target, m)
-
-    def band(k, a, eps):
-        return pose(("band", a, eps, mp.prec, k), real_band, k, a, eps)
-
     monkeypatch.setattr(lattice, "_lll", lll)
-    monkeypatch.setattr(diagonal, "_pose_shell", shell)
-    monkeypatch.setattr(general, "_pose_band", band)
+    monkeypatch.setattr(goldengrid.LatticeFamily, "problem", problem)
     general._band.cache_clear()
     haar = haar_target(random.Random(4), precision_for(1e-4))
     runs = [lambda: synth_diagonal(mp.pi / 8, 1e-8),

@@ -12,7 +12,8 @@ from mpmath import mp, mpf
 from peel_oracle import peel_oracle
 from icogate import icosian
 from icogate.errors import IcogateError, MalformedInput, NotInGroup
-from icogate.golden import ETA, GoldenInt, eta_valuation, exact_div, phi_power
+from icogate.golden import (ETA, GoldenInt, embed, eta_valuation, exact_div,
+                            phi_power)
 from icogate.icosian import (C60Table, GateWord, GoldenQuat, ONE_QUAT, RHO,
                              SIGMA, TAU, _is_scalar_segment, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
@@ -109,6 +110,20 @@ def test_to_unitary_matches_known_matrices():
     assert distance(ident, eye) < PROJ_TOL
     rho_ref = ProjUnitary(((1, 1), (1j, -1j)))
     assert distance(RHO.to_unitary(), rho_ref) < PROJ_TOL
+
+
+@pytest.mark.parametrize("bits", [53, 64, 128, 300])
+def test_to_vector_is_embed_of_each_coordinate(bits):
+    # read off the flat ints, each coordinate is golden.embed's to the bit
+    rng = random.Random(bits)
+    quats = [RHO, SIGMA, TAU, GoldenQuat(0, 0, 0, 0)] + [
+        GoldenQuat(*(GoldenInt(rng.randint(-2 ** 60, 2 ** 60),
+                               rng.randint(-2 ** 60, 2 ** 60))
+                     for _ in range(4))) for _ in range(50)]
+    for q in quats:
+        got = q.to_vector(bits)
+        want = tuple(embed(x, "plus", bits) for x in q.parts())
+        assert [v._mpf_ for v in got] == [v._mpf_ for v in want], q
 
 
 def test_c60_table():

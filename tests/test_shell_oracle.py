@@ -21,7 +21,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate.diagonal import DiagonalTarget, _pose_shell, solve_shell
+from icogate.diagonal import DiagonalTarget, solve_shell
 from icogate.general import candidate_norms
 from icogate.golden import ETA, embed, eta_power, sign_minus, sign_plus
 from icogate.unitary import precision_for
@@ -110,7 +110,7 @@ def test_solve_shell_pairs_meet_the_dropped_tests(theta, eps, m):
         p = mp.prec
         target = DiagonalTarget(theta, eps)
         got = solve_shell(target, m)
-        tol = mp.ldexp(((_pose_shell(target, m)[1] >> (2 * p)) + 3) << 6, -p)
+        tol = mp.ldexp(((target.problem(m)[1] >> (2 * p)) + 3) << 6, -p)
         eta_m = eta_power(m)
         with mp.workprec(2 * p):
             e, t = mpf(eps), mpf(theta)
