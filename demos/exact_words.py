@@ -9,7 +9,7 @@ one of the 60 tau-free classes lets the next tau divide out.
 
 import random
 
-from icogate.icosian import (RHO, SIGMA, TAU, GateWord, GoldenQuat, canonical,
+from icogate.icosian import (RHO, SIGMA, TAU, GateWord, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              tau_count, word_to_quat)
 from icogate.unitary import distance

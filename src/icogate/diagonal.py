@@ -58,7 +58,7 @@ from math import isqrt
 from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
-                     NotInGroup, NotRepresentable)
+                     NotRepresentable)
 from .golden import GoldenInt, _sign_of, eta_power
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
@@ -335,6 +335,8 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     table's element, whose nrd is a unit times a power of 4.  Otherwise
     the quaternion has nrd = eta^m exactly for the winning exponent m;
     the word factors its primitive part, so its tau-count is at most m.
+    It lies in the icosian order, so it is a word (super golden gates,
+    Parzanchevski-Sarnak): exact_synthesize cannot refuse it.
     achieved is measured on the quaternion, which the word equals up to
     a scalar, against the unit quaternion (cos t, sin t, 0, 0) of the
     folded angle t at the working precision p, off by less than
@@ -383,10 +385,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                 q = GoldenQuat(x0, x1, *pair)
                 achieved = quaternion_distance(target, q.to_vector(bits))
                 if achieved < accuracy.within:
-                    try:
-                        return q, exact_synthesize(q), achieved
-                    except NotInGroup:
-                        continue
+                    return q, exact_synthesize(q), achieved
     raise BudgetExhausted(
         f"no approximation of u({theta}) within {epsilon} "
         f"up to eta-exponent {m_cap}")

@@ -1,11 +1,11 @@
 """Exception types shared across the compiler.
 
 Recoverable conditions (abandoned factorizations, unrepresentable sums
-of squares, quaternions outside the gate group) get their own classes so
-that search loops can catch them narrowly and move on to the next
-candidate.  The one effort limit that abandons a factorization is the
-Pollard-rho iteration budget (intfactor.RHO_ITERATION_BUDGET); prime
-size is not limited, since square roots modulo a prime stay cheap.
+of squares) get their own classes so that search loops can catch them
+narrowly and move on to the next candidate.  The one effort limit that
+abandons a factorization is the Pollard-rho iteration budget
+(intfactor.RHO_ITERATION_BUDGET); prime size is not limited, since
+square roots modulo a prime stay cheap.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class InertPrime(IcogateError):
 class Abandoned(IcogateError):
     """A factorization gave up: its Pollard-rho iteration budget ran out.
 
-    This is a recoverable skip signal: the caller is expected to move on
-    to the next candidate rather than abort.
+    Only that budget raises it (intfactor.factor_cofactor); the caller
+    is expected to move on to the next candidate rather than abort.
     """
 
 
@@ -46,7 +46,8 @@ class UnsupportedResidue(NotRepresentable):
 
 
 class NotInGroup(IcogateError):
-    """Quaternion does not lie in the gate group lattice."""
+    """Raised for an input outside the gate group: a quaternion that no
+    gate word equals up to a scalar.  No search candidate is one."""
 
 
 class HypothesisViolation(IcogateError):

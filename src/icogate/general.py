@@ -35,8 +35,7 @@ from mpmath import mp, mpf
 
 from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
-                     MalformedInput, NotInGroup, NotRepresentable,
-                     PrecisionInsufficient)
+                     MalformedInput, NotRepresentable, PrecisionInsufficient)
 from .golden import (GoldenInt, _int_hamilton, embed, eta_power, sign_minus,
                      sign_plus)
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
@@ -281,6 +280,9 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     q1 * central * q2, times conj(rho) when twisted), which the word
     equals up to a Z[phi] scalar.
 
+    exact_synthesize cannot refuse a central candidate: an icosian with
+    nrd eta^k, it is a word (super golden gates, Parzanchevski-Sarnak).
+
     Raises BudgetExhausted past k_cap, PrecisionInsufficient when the
     target matrix is stored too coarsely to certify distances at
     epsilon, and MalformedInput when it is not a scalar multiple of a
@@ -357,24 +359,17 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             for s in candidate_norms(k, abs_a, eps):
                 try:
                     q = build_central(k, s)
+                    if q is None:
+                        continue
+                    with mp.workprec(wbits):
+                        tuned = tune_diagonals(g_work, q.to_vector(wbits))
+                    central = exact_synthesize(q)
+                    q1, w1 = diagonal(tuned.theta1, outer_eps)
+                    q2, w2 = diagonal(tuned.theta2, outer_eps)
                 except Abandoned:
                     stats["abandoned"] += 1
                     continue
-                if q is None:
-                    continue
-                try:
-                    with mp.workprec(wbits):
-                        tuned = tune_diagonals(g_work, q.to_vector(wbits))
-                except HypothesisViolation:
-                    continue
-                try:
-                    central = exact_synthesize(q)
-                except NotInGroup:
-                    continue
-                try:
-                    q1, w1 = diagonal(tuned.theta1, outer_eps)
-                    q2, w2 = diagonal(tuned.theta2, outer_eps)
-                except BudgetExhausted:
+                except (HypothesisViolation, BudgetExhausted):
                     continue
                 word = w1.concat(central).concat(w2)
                 product = q1 * q * q2

@@ -24,7 +24,7 @@ from operator import index
 
 from mpmath import mp, mpf
 
-from .errors import Abandoned, InertPrime, MalformedInput
+from .errors import InertPrime, MalformedInput
 from .intfactor import factor_int, tonelli_shanks
 
 __all__ = [
@@ -478,9 +478,9 @@ def factor(x: GoldenInt, primes: dict[int, int] | None = None
     Works through the rational prime factorization of N(x): inert primes
     divide x directly, split primes contribute via split_prime and its
     conjugate.  primes, |N(x)|'s factorization from factor_int or
-    sots.decide, is taken as given when a caller has it already.  Raises
-    Abandoned when the integer factorization runs out of its Pollard-rho
-    budget, which synthesis loops treat as "skip this candidate".
+    sots.decide, is taken as given when a caller has it already; without
+    it factor_int may give up with Abandoned.  The AssertionError on a
+    leftover non-unit guards that primes is all of |N(x)|'s factorization.
     """
     if not x:
         raise MalformedInput("cannot factor 0")
@@ -510,7 +510,7 @@ def factor(x: GoldenInt, primes: dict[int, int] | None = None
                 if mult:
                     out.append((pi, mult))
     if abs(rest.norm()) != 1:
-        raise Abandoned(f"leftover non-unit {rest!r} while factoring {x!r}")
+        raise AssertionError(f"leftover non-unit {rest!r} factoring {x!r}")
     out.sort(key=lambda fm: (abs(fm[0].norm()), fm[0].a, fm[0].b))
     return GoldenFactorization(unit=rest, factors=tuple(out))
 

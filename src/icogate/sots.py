@@ -43,10 +43,8 @@ from .gaussgolden import gcd_ne
 from .golden import (
     ONE,
     PHI,
-    SQRT5_IRREDUCIBLE,
     ZERO,
     GoldenInt,
-    canonical_associate,
     exact_div,
     factor,
     norm,
@@ -94,9 +92,7 @@ def _piece(u: GoldenInt, p: int) -> tuple[GoldenInt, GoldenInt]:
     if p == 2:
         return (ONE, ONE)
     if p == 5:
-        if canonical_associate(u) == SQRT5_IRREDUCIBLE:
-            return (PHI, ONE)  # phi^2 + 1 = 2 + phi = sqrt5 * phi
-        return (SQRT5_IRREDUCIBLE, ZERO)  # u ~ 5 itself
+        return (PHI, ONE)  # phi^2 + 1 = 2 + phi = sqrt5 * phi
     cls = p % 20
     if cls in _BAD_RESIDUES:
         raise UnsupportedResidue(

@@ -11,7 +11,7 @@ from icogate import sots
 from icogate.gaussgolden import (canonical_associate_ne, euclid_divmod_ne,
                                  gcd_ne, quartic_norm)
 from icogate.golden import (ETA, GoldenInt, _hamilton_i, canonical_associate,
-                            euclid_divmod, gcd, phi_power, split_prime)
+                            euclid_divmod, gcd, phi_power)
 from icogate.icosian import (RHO, SIGMA, TAU, GateWord, GoldenQuat,
                              canonical, word_to_quat)
 from icogate.intfactor import is_probable_prime, trial_divide

@@ -10,7 +10,7 @@ from mpmath import mp, mpf
 import icogate.diagonal
 from icogate.diagonal import (DiagonalTarget, _fold_theta, _top_shell,
                               solve_shell, solve_x23, synth_diagonal)
-from icogate.errors import BudgetExhausted, MalformedInput
+from icogate.errors import BudgetExhausted, MalformedInput, NotInGroup
 from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
@@ -456,6 +456,18 @@ def test_synth_verifies_against_target():
 def test_synth_budget_exhaustion():
     with pytest.raises(BudgetExhausted):
         synth_diagonal(0.4, 1e-6, m_cap=1)
+
+
+def test_synth_lets_not_in_group_propagate(monkeypatch):
+    # a candidate is in Z[phi]^4 with nrd eta^m, so it is a word (super
+    # golden gates) and a refusal from exact_synthesize is an error,
+    # not a skip
+    def refuse(q):
+        raise NotInGroup(f"{canonical(q)!r} is not in the gate group")
+
+    monkeypatch.setattr(icogate.diagonal, "exact_synthesize", refuse)
+    with pytest.raises(NotInGroup):
+        synth_diagonal(0.7, 1e-3)
 
 
 def test_synth_epsilon_below_the_float_range():

@@ -6,18 +6,18 @@ from mpmath import mp, mpf
 
 from icogate import diagonal, general, goldengrid, icosian, lattice
 from icogate.diagonal import synth_diagonal
-from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
+from icogate.errors import (BudgetExhausted, MalformedInput, NotInGroup,
                             NotRepresentable, PrecisionInsufficient)
-from icogate.general import (SynthConfig, SynthReport, build_central,
-                             candidate_norms, synth_general)
+from icogate.general import (SynthConfig, build_central, candidate_norms,
+                             synth_general)
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
 from icogate.sots import decide
 from icogate.icosian import (RHO, GateWord, GoldenQuat, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              word_to_quat)
 from icogate.unitary import (ProjUnitary, distance, named_gate,
-                             precision_for, to_alpha_beta, tuning_constant,
-                             u_of_alpha_beta, u_of_theta)
+                             precision_for, tuning_constant, u_of_alpha_beta,
+                             u_of_theta)
 from shell_oracle import assert_covers_norms
 
 BITS = 160
@@ -412,6 +412,19 @@ def test_budget_exhausted_at_zero_cap():
     g = named_gate("H", BITS)
     with pytest.raises(BudgetExhausted):
         synth_general(g, SynthConfig(1e-6, k_cap=0))
+
+
+@pytest.mark.parametrize("module", [general, diagonal])
+def test_synth_lets_not_in_group_propagate(monkeypatch, module):
+    # the central candidate (general) and the outer diagonals' candidates
+    # (diagonal) are words by the super golden gate property, so a
+    # refusal from exact_synthesize propagates instead of being skipped
+    def refuse(q):
+        raise NotInGroup(f"{canonical(q)!r} is not in the gate group")
+
+    monkeypatch.setattr(module, "exact_synthesize", refuse)
+    with pytest.raises(NotInGroup):
+        synth_general(named_gate("H", BITS), SynthConfig(1e-3))
 
 
 def test_coarse_target_raises_precision_error():

@@ -322,6 +322,15 @@ def test_factor_takes_the_primes_it_is_handed(monkeypatch):
     assert [factor(x, p) for x, p in zip(xs, primes)] == expected
 
 
+def test_factor_asserts_on_incomplete_primes():
+    # primes must be |N(x)|'s factorization: a prime left out leaves a
+    # non-unit, an arithmetic error rather than an abandonment
+    x = GoldenInt(11 * 13, 0)
+    assert factor(x, {11: 2, 13: 2}).value() == x
+    with pytest.raises(AssertionError, match="leftover non-unit"):
+        factor(x, {11: 2})
+
+
 def test_factor_rejects_zero():
     with pytest.raises(MalformedInput):
         factor(GoldenInt(0, 0))

@@ -3,7 +3,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -632,3 +632,46 @@ def test_exact_synthesize_is_scalar_invariant_without_canonical(monkeypatch):
     assert exact_synthesize(RHO * ETA) == GateWord(("r",))
     with pytest.raises(MalformedInput):
         exact_synthesize(GoldenQuat(0, 0, 0, 0))
+
+
+def norm_eta_power_quats(m):
+    """Every x in Z[phi]^4 with x0^2 + x1^2 + x2^2 + x3^2 = eta^m
+    exactly: coordinates from the box their embeddings are bounded by
+    (sigma_pm(xi)^2 <= sigma_pm(eta)^m), pairs (x0, x1) grouped by
+    x0^2 + x1^2, each group joined with the pairs of eta^m - s."""
+    target = ETA**m
+    plus, minus = (math.sqrt(embed(target, side, 53)) + 1e-9
+                   for side in ("plus", "minus"))
+    phi = (1 + math.sqrt(5)) / 2
+    b_max = int((plus + minus) / math.sqrt(5)) + 1
+    a_max = int(plus + b_max * phi) + 1
+    values = [GoldenInt(a, b) for b in range(-b_max, b_max + 1)
+              for a in range(-a_max, a_max + 1)
+              if abs(a + b * phi) <= plus and abs(a + b - b * phi) <= minus]
+    pairs = {}
+    for x0, x1 in product(values, repeat=2):
+        pairs.setdefault(x0 * x0 + x1 * x1, []).append((x0, x1))
+    return [GoldenQuat(*head, *tail)
+            for s, heads in pairs.items()
+            for tail in pairs.get(target - s, ())
+            for head in heads]
+
+
+@pytest.mark.parametrize("m, count", [(0, 8), (1, 480), (2, 28328)])
+def test_every_quaternion_of_norm_eta_power_is_a_word(m, count):
+    """Brute-force oracle of the super golden gate property
+    (Parzanchevski-Sarnak, arXiv:1704.02106): every x in Z[phi]^4 with
+    nrd(x) = eta^m, m <= 2, lies in the icosian order, and
+    exact_synthesize factors it, with no NotInGroup, into m - 2j taus
+    for x's eta-content j, into a word whose product is a Z[phi]
+    multiple of x.  These are the candidates the searches hand it."""
+    quats = norm_eta_power_quats(m)
+    assert len(quats) == len(set(quats)) == count
+    for x in quats:
+        content = min(eta_valuation(c) for c in x.parts() if c)
+        word = exact_synthesize(x)
+        assert word.tau_count == m - 2 * content, x
+        y = word_to_quat(word).parts()
+        parts = x.parts()
+        assert all(parts[i] * y[j] == parts[j] * y[i]
+                   for i, j in combinations(range(4), 2)), x
