@@ -6,8 +6,8 @@ close to e^{i theta}.  Searching shortest-first in m, each shell's
 candidates are the pairs (x0, x1) in Z[phi]^2 = Z^4 within eps of
 u(theta) whose residual eta^m - x0^2 - x1^2 is totally nonnegative
 (solve_shell).  They are kept from the lattice points of one
-4-dimensional ellipsoid around the plus-side eps-cap times the
-minus-side disk, enumerated exactly by
+4-dimensional ellipsoid around a disk about the plus-side eps-cap
+times the minus-side disk, enumerated exactly by
 goldengrid.scaled_ellipsoid_points, so the work per shell tracks the
 number of pairs rather than the eps^(-1/2) values x1 can take alone.
 (x2, x3) is a sum-of-two-squares certificate for the exact residual.
@@ -39,14 +39,14 @@ skips them unsolved.  Shell m + 2's h and h_minus are shell m's times
 sigma_+(eta) and sigma_-(eta) > 0, the factors by which eta scales the
 embeddings of x0 and x1, so L_{m+2}(eta z) = L_m(z) with the same
 centre (solve_shell's forms).  A pair of shell m lies inside L_m's
-radius sqrt(3) + 1/257 with both embeddings of x0 and x1 at most h in
+radius sqrt(2) + 1/257 with both embeddings of x0 and x1 at most h in
 size, so those of eta x0 and eta x1 are at most h_{m+2}, and their
 coordinates too, within the bound grid_scale is given for shell m + 2:
 eta z is among shell m + 2's lattice points.  So when shell M's
 integer ellipsoid holds none, solve_shell returns [] for every m <= M
 of M's parity, and synth_diagonal searches the target's shells in
 steps of 2 (goldengrid.LatticeFamily.search), probing down from the
-highest whose ellipsoid volume, (9 pi^2 / 20) sqrt(2 - eps^2) 59^m
+highest whose ellipsoid volume, (5 pi^2 / 16) sqrt(2 - eps^2) 59^m
 eps^3 by the determinant of L_m, is at most 1.
 """
 
@@ -81,10 +81,10 @@ def _check_precision(bits: int, eps) -> None:
 
 def _top_shell(eps) -> int:
     """The highest shell whose ellipsoid has volume at most 1,
-    (9 pi^2 / 20) sqrt(2 - eps^2) 59^m eps^3 by the determinant of L_m,
+    (5 pi^2 / 16) sqrt(2 - eps^2) 59^m eps^3 by the determinant of L_m,
     at the working precision: where synth_diagonal's probes start."""
     return int(mp.floor(-mp.log(
-        9 * mp.pi ** 2 / 20 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59)))
+        5 * mp.pi ** 2 / 16 * mp.sqrt(2 - eps ** 2) * eps ** 3, 59)))
 
 
 class _Accuracy:
@@ -181,17 +181,17 @@ class DiagonalTarget(LatticeFamily):
             root_59 = 59 ** k << two_p
         e = grid_scale(4, (hp_2p >> two_p) + 1)
         eps2, k2 = accuracy.eps2, accuracy.k2
-        r_den, t_den = hp_2p * eps2, hp_2p * accuracy.sin_delta_p
+        r_den, t_den = 5 * hp_2p * eps2, 5 * hp_2p * accuracy.sin_delta_p
         g = (hp_2p << e) // root_59
         # the minus embedding of phi is 1 - phi
         g_phi = (hp_2p * ((1 << two_p) - phi_fixed(two_p)) << e) // (
             root_59 << two_p)
-        basis = [((r << (k2 + 1 + e)) // r_den, (t << (e + p)) // t_den,
+        basis = [((r << (k2 + 3 + e)) // r_den, (t << (e + p + 2)) // t_den,
                   g3, g4)
                  for r, t, g3, g4 in zip(self.r_num, self.t_num,
                                          (g, g_phi, 0, 0), (0, 0, g, g_phi))]
-        center = ((((2 << k2) - eps2) << e) // eps2, 0, 0, 0)
-        return basis, center, e, 3, hp_2p
+        center = ((((8 << k2) - 5 * eps2) << e) // (5 * eps2), 0, 0, 0)
+        return basis, center, e, 2, hp_2p
 
 
 def solve_shell(target: DiagonalTarget, m: int
@@ -226,15 +226,21 @@ def solve_shell(target: DiagonalTarget, m: int
 
     The candidates are the points of Z[phi]^2 = Z^4 inside one
     ellipsoid.  On the plus side (sigma_+ x0, sigma_+ x1) lies in the
-    eps-cap, whose rotated coordinates r = x0 c + x1 s and
-    t = x1 c - x0 s satisfy r in [h (1 - eps^2), h] and, since
-    |x|^2 <= h^2, |t| <= h sin(delta); on the minus side
-    (sigma_- x0, sigma_- x1) lies in the disk of radius h_minus.
-    Normalising the rectangle and the disk to unit size, their product
-    sits inside |L z - c| <= sqrt(3), where L's rows are
-    r_num 2 / (h eps^2), t_num / (h sin(delta)),
+    eps-cap.  In its rotated coordinates r = x0 c + x1 s and
+    t = x1 c - x0 s, normalised as r' = 2 r / (h eps^2) -
+    (2 - eps^2) / eps^2 and t' = t / (h sin(delta)), the slab is
+    r' >= -1, and |x|^2 <= h^2 gives t'^2 <= 1 and
+    r' <= 1 - a t'^2 with a = 2 - eps^2.  The cap lies in the disk
+    (r' + 1/4)^2 + t'^2 <= 25/16, which passes through (1, 0) and
+    (-1, +-1): the sum is convex in r', is 9/16 + t'^2 at r' = -1,
+    and at r' = 1 - a t'^2 is 25/16 + t'^2 (a^2 t'^2 - 5a/2 + 1),
+    at most 25/16 since a t'^2 <= a <= 5/2 - 1/a for 1/2 <= a <= 2.
+    On the minus side (sigma_- x0, sigma_- x1) lies in the disk of
+    radius h_minus.  Scaling the plus disk by 4/5 and the minus disk to
+    unit size, their product sits inside |L z - c| <= sqrt(2), where
+    L's rows are r_num 8 / (5 h eps^2), t_num 4 / (5 h sin(delta)),
     (1, phi_-, 0, 0) / h_minus and (0, 0, 1, phi_-) / h_minus, and
-    c = ((2 - eps^2) / eps^2, 0, 0, 0); a qualifying z has every
+    c = ((8 - 5 eps^2) / (5 eps^2), 0, 0, 0); a qualifying z has every
     |z_j| <= h.  Each integer of the basis and the centre handed to
     goldengrid.scaled_ellipsoid_points at scale 2^e is one floor
     division of the target's constants by h, by 59^{m/2} or by eps2,
@@ -245,10 +251,14 @@ def solve_shell(target: DiagonalTarget, m: int
     1/2 when p >= 2 log2(1/eps) + 32.  h and 59^{m/2} are off by a
     relative 2^(2 - 2p), which moves an entry by less than 1/2 while
     h < 2^(2p - 28), true of every shell a search reaches.  A pair
-    within its disks that misses the slab by less than 72 u H (every
-    pair kept below) misses each side of the rectangle by a
-    2^(10 - p) / eps^2 part of its half-width at most, so it lies
-    inside the entry's radius sqrt(3) + 1/257.
+    within its disks that misses the slab by xi < 72 u H (every pair
+    kept below) has r' >= -1 - e with e = 2 xi / (h eps^2) <
+    2^(10 - p) / eps^2 <= 2^-22 (H <= 4h), and t'^2 <= 1 + e, since
+    t^2 <= h^2 - r^2 and sin(delta)^2 >= eps^2.  At r' = -1 - e the
+    plus disk's sum is at most (3/4 + e)^2 + 1 + e, and at
+    r' = 1 - a t'^2 at most 25/16 + (1 + e) a^2 e, both below
+    25/16 + 4 e (1 + e); so |L z - c|^2 < 2 + 3e, and the pair lies
+    inside the entry's radius sqrt(2) + 1/257.
 
     The disks are exact signs of eta^m - x0^2 - x1^2, computed once per
     point, and a zero residual is kept.  The slab test and both keys

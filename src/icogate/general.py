@@ -36,8 +36,7 @@ from mpmath import mp, mpf
 from .diagonal import synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
                      MalformedInput, NotRepresentable, PrecisionInsufficient)
-from .golden import (GoldenInt, _int_hamilton, embed, eta_power, sign_minus,
-                     sign_plus)
+from .golden import GoldenInt, _int_hamilton, _sign_of, embed, eta_power
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
@@ -135,8 +134,13 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     inside the 1/257 radius margin while eps |alpha| > 2^(20 - p).
     Both conditions hold on every band synth_general searches.
 
-    The box is decided by exact signs of s and eta^k - s, the band and
-    the sort key at scale 2^p (goldengrid).  Inside the box both
+    The band and the sort key are taken at scale 2^p (goldengrid), the
+    box by exact signs of s and eta^k - s.  Only the integer distance
+    from the band centre is computed for every point; the points within
+    the band's tolerance are sorted by it, and the box is decided on
+    their coordinates as each is reached, so a caller that stops at
+    its first good candidate leaves the rest undecided, and a GoldenInt
+    is built only for an s yielded.  Inside the box both
     coordinates of s are at most sigma_plus(eta^k) in size; with H its
     floor plus 2 and u = 2^-p, the integer test value is within 24 u H
     of the exact one (the mpf centre and half-width within 11 u H each,
@@ -169,19 +173,16 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     p = mp.prec
     phi_p = phi_fixed(p)
     center_p, half_p = fixed_point(center, p), fixed_point(half, p)
-    tol = (int(hp) + 2) << 6
-    found = []
-    for c, d in points:
-        s = GoldenInt(c, d)
-        if sign_plus(s) < 0 or sign_minus(s) < 0:
-            continue
-        r = ek - s
-        if sign_plus(r) < 0 or sign_minus(r) < 0:
-            continue
-        dist = abs((c << p) + d * phi_p - center_p)
-        if half_p - dist >= -tol:
-            found.append((dist, c, d, s))
-    yield from (s for _, _, _, s in sorted(found))
+    reach = half_p + ((int(hp) + 2) << 6)
+    near = sorted((dist, c, d) for c, d in points
+                  if (dist := abs((c << p) + d * phi_p - center_p)) <= reach)
+    for _, c, d in near:
+        # the signs of both embeddings of s = c + d phi and of eta^k - s
+        u, ra, rb = 2 * c + d, ek.a - c, ek.b - d
+        v = 2 * ra + rb
+        if (_sign_of(u, d) >= 0 and _sign_of(u, -d) >= 0
+                and _sign_of(v, rb) >= 0 and _sign_of(v, -rb) >= 0):
+            yield GoldenInt(c, d)
 
 
 class _Band(LatticeFamily):

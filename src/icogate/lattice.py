@@ -11,7 +11,7 @@ problems.
 from __future__ import annotations
 
 from math import isqrt
-from operator import add
+from operator import add, mul
 
 __all__ = ["lattice_points"]
 
@@ -39,14 +39,15 @@ def lattice_points(basis, center, radius_sq, start=None):
     n = len(basis)
     if start is None:
         start = [[int(i == j) for j in range(n)] for i in range(n)]
-    rows = [[_dot(row, col) for col in zip(*basis)] for row in start]
+    cols = list(zip(*basis))
+    rows = [[sum(map(mul, row, col)) for col in cols] for row in start]
     rows, transform, d, lam = _lll(rows, [list(r) for r in start])
     transform = transform[1:]
     # lam_c[j] = d_{j-1} <center, b*_j>, by the same recurrence that
     # gives the lambda of a basis vector
     lam_c = [0] * (n + 1)
     for j in range(1, n + 1):
-        u = _dot(center, rows[j])
+        u = sum(map(mul, center, rows[j]))
         for i in range(1, j):
             u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
         lam_c[j] = u
@@ -66,10 +67,6 @@ class _Points:
         return _fincke_pohst(*self._reduction)
 
 
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
 def _lll(b, h):
     """Integral LLL with delta = 99/100 (Cohen, GTM 138, Alg. 2.6.7).
 
@@ -77,58 +74,61 @@ def _lll(b, h):
     h as well.  Returns 1-based (b, h, d, lam): d[j] is the Gram
     determinant of the first j rows (d[0] = 1), and lam[k][j] =
     d[j] * mu_kj, both integers, so B_j = d[j] / d[j-1] is the squared
-    length of the j-th Gram-Schmidt vector."""
+    length of the j-th Gram-Schmidt vector.  The size reduction of row
+    k against row l (REDI) and the swap of rows k - 1 and k (SWAPI)
+    are written out in the loop."""
     n = len(b)
     b, h = [None] + b, [None] + h
     d = [1] + [0] * n
     lam = [[0] * (n + 1) for _ in range(n + 1)]
-
-    def reduce(k, l):
-        if 2 * abs(lam[k][l]) > d[l]:
-            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-            lam[k][l] -= q * d[l]
-            for i in range(1, l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap(k):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        h[k], h[k - 1] = h[k - 1], h[k]
-        for j in range(1, k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lk = lam[k][k - 1]
-        new_d = (d[k - 2] * d[k] + lk * lk) // d[k - 1]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k] * lam[i][k - 1] - lk * t) // d[k - 1]
-            lam[i][k - 1] = (new_d * t + lk * lam[i][k]) // d[k]
-        d[k - 1] = new_d
-
     k, kmax = 1, 0
     while k <= n:
+        lam_k = lam[k]
         if k > kmax:
             kmax = k
+            bk = b[k]
             for j in range(1, k + 1):
-                u = _dot(b[k], b[j])
+                u = sum(map(mul, bk, b[j]))
+                lam_j = lam[j]
                 for i in range(1, j):
-                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                    u = (d[i] * u - lam_k[i] * lam_j[i]) // d[i - 1]
                 if j < k:
-                    lam[k][j] = u
+                    lam_k[j] = u
                 else:
                     d[k] = u
             if d[k] == 0:
                 raise ValueError("lattice basis is linearly dependent")
-        if k > 1:
-            reduce(k, k - 1)
-            if (100 * d[k] * d[k - 2]
-                    < 99 * d[k - 1] ** 2 - 100 * lam[k][k - 1] ** 2):
-                swap(k)
-                k = max(2, k - 1)
-                continue
-            for l in range(k - 2, 0, -1):
-                reduce(k, l)
-        k += 1
+        # size-reduce row k against rows k - 1, ..., 1; after the first,
+        # swap rows k - 1 and k instead when they fail Lovasz's test
+        for l in range(k - 1, 0, -1):
+            dl, lkl = d[l], lam_k[l]
+            if 2 * abs(lkl) > dl:
+                q = (2 * lkl + dl) // (2 * dl)
+                b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+                h[k] = [x - q * y for x, y in zip(h[k], h[l])]
+                lkl = lam_k[l] = lkl - q * dl
+                lam_l = lam[l]
+                for i in range(1, l):
+                    lam_k[i] -= q * lam_l[i]
+            if l == k - 1 and (100 * d[k] * d[l - 1]
+                               < 99 * dl * dl - 100 * lkl * lkl):
+                b[k], b[l] = b[l], b[k]
+                h[k], h[l] = h[l], h[k]
+                lam_l = lam[l]
+                for j in range(1, l):
+                    lam_k[j], lam_l[j] = lam_l[j], lam_k[j]
+                new_d = (d[l - 1] * d[k] + lkl * lkl) // dl
+                dk = d[k]
+                for i in range(k + 1, kmax + 1):
+                    lam_i = lam[i]
+                    t = lam_i[k]
+                    lam_i[k] = (dk * lam_i[l] - lkl * t) // dl
+                    lam_i[l] = (new_d * t + lkl * lam_i[k]) // dk
+                d[l] = new_d
+                k = max(2, l)
+                break
+        else:
+            k += 1
     return b, h, d, lam
 
 

@@ -15,6 +15,7 @@ from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
 from icogate.unitary import distance, precision_for, u_of_theta
+from test_goldengrid import _inverse_and_det
 
 BITS = 160
 
@@ -370,6 +371,26 @@ def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
                 assert (y0.a, y0.b, y1.a, y1.b) in points, (m, x0, x1)
             total += len(pairs)
         assert total > 0
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-20, 4.2e-5, 8.9e-13])
+def test_top_shell_is_the_last_with_volume_at_most_one(eps):
+    """_top_shell(eps) is the highest shell whose ellipsoid, as
+    DiagonalTarget.pose(m) poses it at scale 2^e, has volume at most 1:
+    the 4-ball's (pi^2 / 2) radius_sq^2 times 2^(4e) over the exact
+    determinant of the integer basis.  So its constant cannot drift
+    from the pose; at 4.2e-5 and 8.9e-13 the top shell's volume is
+    above 25/36, so a constant 36/25 times too large moves the top."""
+    with mp.workprec(precision_for(eps)):
+        target = DiagonalTarget(0.3, eps)
+        top = _top_shell(mpf(eps))
+
+        def volume(m):
+            basis, _, e, radius_sq, _ = target.pose(m)
+            return (mp.pi ** 2 / 2 * radius_sq ** 2 * mp.ldexp(1, 4 * e)
+                    / abs(_inverse_and_det(basis)[1]))
+
+        assert volume(top) <= 1 < volume(top + 1)
 
 
 def test_degenerate_angles_probe_without_listing_a_shell():

@@ -200,7 +200,7 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
     each of its bands once: a shell or band that a probe reduced is
     enumerated again, not reduced again, when it is solved.  Every
     lattice reduction is charged to the shell or band asked for; u(pi/8)
-    at 1e-8 and the Haar target of seed 4 at 1e-4 each pose one shell or
+    at 1e-7 and the Haar target of seed 4 at 1e-4 each pose one shell or
     band twice, H at 1e-7 none."""
     posing, reductions, poses, families = [], [], [], []
     real_lll = lattice._lll
@@ -224,7 +224,7 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
     monkeypatch.setattr(goldengrid.LatticeFamily, "problem", problem)
     general._band.cache_clear()
     haar = haar_target(random.Random(4), precision_for(1e-4))
-    runs = [lambda: synth_diagonal(mp.pi / 8, 1e-8),
+    runs = [lambda: synth_diagonal(mp.pi / 8, 1e-7),
             lambda: synth_general(named_gate("H", precision_for(1e-7)),
                                   SynthConfig(1e-7)),
             lambda: synth_general(haar, SynthConfig(1e-4))]

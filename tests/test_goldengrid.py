@@ -1,6 +1,7 @@
 """The exact lattice solver, the integer-posed ellipsoid entry and the
 norm band that general synthesis enumerates with them, each against a
-scan that uses no lattice reduction."""
+scan that uses no lattice reduction, and the LLL reduction against its
+definition over the rationals."""
 
 import itertools
 import random
@@ -12,7 +13,7 @@ from mpmath import mp
 from band_oracle import band_scan
 from icogate.general import candidate_norms
 from icogate.goldengrid import grid_scale, scaled_ellipsoid_points
-from icogate.lattice import lattice_points
+from icogate.lattice import _lll, lattice_points
 from icogate.unitary import precision_for
 
 
@@ -124,6 +125,62 @@ def test_lattice_points_yield_lazily():
     first = next(iter(points))
     assert len(first) == 3
     assert next(iter(points)) == first
+
+
+def _gram_schmidt(rows):
+    """The squared lengths B_j of the rows' Gram-Schmidt vectors and
+    the coefficients mu[k][j], over the rationals."""
+    star, mu, lengths = [], [], []
+    for row in rows:
+        v, coeffs = [Fraction(x) for x in row], []
+        for w, b in zip(star, lengths):
+            coeffs.append(sum(x * y for x, y in zip(row, w)) / b)
+            v = [x - coeffs[-1] * y for x, y in zip(v, w)]
+        star.append(v)
+        mu.append(coeffs)
+        lengths.append(sum(x * x for x in v))
+    return lengths, mu
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lll_reduces_cold_and_warm(n):
+    """_lll, from the identity and from the transform a nearby basis
+    left (lattice_points's start), returns a unimodular transform U
+    with U * basis its rows, rows that are size-reduced,
+    2 |lam_kj| <= d_j, and meet Lovasz's condition at delta = 99/100;
+    d and lam are the rows' exact Gram-Schmidt data, checked over the
+    rationals, and lattice_points returns the same U."""
+    rng = random.Random(n * 31)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(30):
+        span = 2 ** rng.choice((3, 12, 40))
+        basis = [[rng.randint(-span, span) for _ in range(n)]
+                 for _ in range(n)]
+        if not _inverse_and_det(basis)[1]:
+            continue
+        nearby = [[v + rng.randint(-span // 8, span // 8) for v in row]
+                  for row in basis]
+        starts = [identity]
+        if _inverse_and_det(nearby)[1]:
+            starts.append(lattice_points(nearby, [0] * n, 1)[1])
+        for start in starts:
+            rows = [[sum(a * b for a, b in zip(row, col))
+                     for col in zip(*basis)] for row in start]
+            b, h, d, lam = _lll(rows, [list(r) for r in start])
+            b, h = b[1:], h[1:]
+            assert abs(_inverse_and_det(h)[1]) == 1
+            assert b == [[sum(a * c for a, c in zip(row, col))
+                          for col in zip(*basis)] for row in h]
+            assert lattice_points(basis, [0] * n, 1, start)[1] == h
+            lengths, mu = _gram_schmidt(b)
+            for k in range(n):
+                assert d[k + 1] == d[k] * lengths[k]
+                for j in range(k):
+                    assert lam[k + 1][j + 1] == d[j + 1] * mu[k][j]
+                    assert 2 * abs(lam[k + 1][j + 1]) <= d[j + 1]
+                if k:
+                    lovasz = Fraction(99, 100) - mu[k][k - 1] ** 2
+                    assert lengths[k] >= lovasz * lengths[k - 1]
 
 
 @pytest.mark.parametrize("basis", [

@@ -12,7 +12,9 @@ exactly 0 or within 1e-2 of the quarter turn, |alpha| uniform or
 region holds one lattice point to a few shells past it, each at the
 working precision synthesis uses for its eps.  The deep shells take
 eps = 1e-20 and 1e-30 with m from one before that first shell to one
-after it.
+after it.  The ellipsoid-edge cases put pairs on or near the edge of
+solve_shell's ellipsoid: theta = 0, sin(theta) = +-(1 - eps^2), and
+theta a few eps from the quarter turn.
 """
 
 import math
@@ -23,7 +25,8 @@ from mpmath import mp, mpf
 
 from icogate.diagonal import DiagonalTarget, solve_shell
 from icogate.general import candidate_norms
-from icogate.golden import ETA, embed, eta_power, sign_minus, sign_plus
+from icogate.golden import (ETA, ZERO, embed, eta_power, sign_minus,
+                            sign_plus)
 from icogate.unitary import precision_for
 from shell_oracle import (assert_covers_norms, assert_covers_shell,
                           oracle_norms, oracle_shell)
@@ -169,3 +172,39 @@ def test_solve_shell_replays_the_disk_edge(eps, m, bits):
     with mp.workprec(bits):
         theta = mpf(eps) / 10
         check_shell(theta, eps, m)
+
+
+def corner_cases():
+    # (side, j, eps, m): theta = side (pi/2 - j eps), 0 when j = 0, and
+    # side asin(1 - eps^2) when j is None
+    cases = []
+    for eps, ms in ((0.05, (2, 3, 4)), (0.01, (4, 5)), (1e-3, (6, 7))):
+        cases += [(1, 0, eps, m) for m in ms]
+        cases += [(side, j, eps, m) for side in (1, -1)
+                  for j in (None, 1, 1.42, 2) for m in ms]
+    return cases
+
+
+@pytest.mark.parametrize("side,j,eps,m", corner_cases())
+def test_solve_shell_replays_the_ellipsoid_edge(side, j, eps, m):
+    # in solve_shell's normalised plus coordinates r' and t' the
+    # ellipsoid's plus disk passes through (1, 0) and (-1, +-1), and a
+    # pair there with a zero residual has its minus side on the minus
+    # disk's edge too: it lies on the edge of the whole ellipsoid.
+    # (eta^{m/2}, 0) is at (1, 0) when theta = 0, and (0, +-eta^{m/2})
+    # at (-1, +-1) when sin(theta) = +-(1 - eps^2); a few eps from the
+    # quarter turn the cap's corners hold pairs near (-1, +-1)
+    with mp.workprec(precision_for(eps)):
+        e = mpf(eps)
+        if j is None:
+            theta = side * mp.asin(1 - e ** 2)
+        else:
+            theta = side * (mp.pi / 2 - j * e) if j else mpf(0)
+        target = DiagonalTarget(theta, eps)
+        got = solve_shell(target, m)
+        assert_covers_shell(got, target, theta, eps, m,
+                            oracle_shell(theta, eps, m))
+        if m % 2 == 0 and not j:
+            edge = eta_power(m // 2)
+            corner = (ZERO, side * edge) if j is None else (edge, ZERO)
+            assert corner in got
