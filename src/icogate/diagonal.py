@@ -93,7 +93,8 @@ class _Accuracy:
     shared by every search there, such as synth_general's two outer
     diagonals for all of its central candidates.
 
-    p must be at least 2 log2(1/eps) + 32 (MalformedInput).  within is
+    eps must lie in (0, 1) and p be at least 2 log2(1/eps) + 32
+    (MalformedInput), checked here alone.  within is
     eps less the margin 2^(5 - p) / eps that synth_diagonal wants a
     candidate below, m_cap the default shell cap
     ceil(log_59(1/eps^3)) + 12 and top _top_shell(eps).  epsilon is
@@ -102,19 +103,20 @@ class _Accuracy:
     floor(eps sqrt(2 - eps^2) 2^p), cos(delta) and sin(delta) for the
     cap's half-angle delta, are off by less than 1.  root_eta and
     root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale 2^2p, each
-    within 1 below, and phi_p is phi_fixed(p).
+    within 1 below.
     """
 
-    __slots__ = ("within", "m_cap", "top", "phi_p", "eps2", "k2", "cap_p",
+    __slots__ = ("within", "m_cap", "top", "eps2", "k2", "cap_p",
                  "sin_delta_p", "root_eta", "root_59")
 
     def __init__(self, eps, p: int):
+        if not 0 < eps < 1:
+            raise MalformedInput("epsilon must be in (0, 1)")
         _check_precision(p, eps)
         with mp.workprec(p):
             self.within = eps - mp.ldexp(1, 5 - p) / eps
             self.m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
             self.top = _top_shell(eps)
-        self.phi_p = phi_fixed(p)
         man, exp = eps.man_exp
         eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
         self.cap_p = (((1 << k2) - eps2) << p) >> k2
@@ -136,10 +138,10 @@ class DiagonalTarget(LatticeFamily):
     working precision p = mp.prec for every shell of it (solve_shell).
 
     Its shells' pairs are those within eps of u(theta) whose residual
-    is totally nonnegative.  theta must have cos(theta) > 0,
-    0 < epsilon < 1, and p must be at least 2 log2(1/eps) + 32;
-    otherwise MalformedInput.  accuracy is the search's _Accuracy, the
-    part that eps and p fix.  s_p and c_p are sin(theta) and
+    is totally nonnegative.  theta must have cos(theta) > 0
+    (MalformedInput), and accuracy, the search's _Accuracy, checks eps
+    and p; it gives the top shell, and eta-scaling proves step = 2
+    (the module docstring).  s_p and c_p are sin(theta) and
     cos(theta), computed in mpf, at scale 2^p; sin_cos, when given,
     is that pair already computed at p, so a caller that measured
     against it computes neither again.  r_num and t_num are the
@@ -150,20 +152,19 @@ class DiagonalTarget(LatticeFamily):
     """
 
     __slots__ = ("p", "accuracy", "s_p", "c_p", "r_num", "t_num")
+    step = 2
 
     def __init__(self, theta, epsilon, sin_cos=None):
-        super().__init__()
         p = self.p = mp.prec
-        theta, eps = mpf(theta), mpf(epsilon)
-        if not 0 < eps < 1:
-            raise MalformedInput("epsilon must be in (0, 1)")
-        self.accuracy = _accuracy(eps, p)
+        theta = mpf(theta)
+        self.accuracy = _accuracy(mpf(epsilon), p)
+        super().__init__(self.accuracy.top)
         s, c = (mp.sin(theta), mp.cos(theta)) if sin_cos is None else sin_cos
         if not c > 0:
             raise MalformedInput("theta must be folded so cos(theta) > 0")
         s_p = self.s_p = fixed_point(s, p)
         c_p = self.c_p = fixed_point(c, p)
-        phi_p = self.accuracy.phi_p
+        phi_p = phi_fixed(p)
         self.r_num = (c_p << p, c_p * phi_p, s_p << p, s_p * phi_p)
         self.t_num = (-s_p << p, -s_p * phi_p, c_p << p, c_p * phi_p)
 
@@ -216,7 +217,7 @@ def solve_shell(target: DiagonalTarget, m: int
     the smallest distance; both keys are taken at scale 2^p (below),
     and their ties go by coordinates.
 
-    m must be a nonnegative int (MalformedInput).
+    m must be a nonnegative int (MalformedInput, LatticeFamily.problem).
 
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
@@ -276,12 +277,10 @@ def solve_shell(target: DiagonalTarget, m: int
     edge is close enough is left to the exact distance synth_diagonal
     measures.
     """
-    if not isinstance(m, int) or m < 0:
-        raise MalformedInput(f"m must be a nonnegative int, got {m!r}")
     points, hp_2p = target.problem(m)
-    p, accuracy = target.p, target.accuracy
-    cap_2p = (hp_2p * accuracy.cap_p) >> p
-    s_p, c_p, phi_p = target.s_p, target.c_p, accuracy.phi_p
+    p = target.p
+    cap_2p = (hp_2p * target.accuracy.cap_p) >> p
+    s_p, c_p, phi_p = target.s_p, target.c_p, phi_fixed(p)
     mu_p = (cap_2p * s_p) >> (2 * p)
     floor_2p = cap_2p - (((hp_2p >> (2 * p)) + 3) << (6 + p))
     eta_m = eta_power(m)
@@ -362,8 +361,6 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     budget, so callers can report how much work was discarded.
     """
     eps = mpf(epsilon)
-    if not 0 < eps < 1:
-        raise MalformedInput("epsilon must be in (0, 1)")
     if not mp.isfinite(theta):
         raise MalformedInput(f"theta must be finite, got {theta}")
     if m_cap is not None and (not isinstance(m_cap, int) or m_cap < 0):
@@ -382,7 +379,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         if m_cap is None:
             m_cap = accuracy.m_cap
         posed = DiagonalTarget(t, eps, (s, c))
-        for m in posed.search(accuracy.top, m_cap, 2):
+        for m in posed.search(m_cap):
             for x0, x1 in solve_shell(posed, m):
                 try:
                     pair = solve_x23(m, x0, x1)

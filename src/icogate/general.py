@@ -28,7 +28,6 @@ and the tuning lemma reads its phases from 4-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
@@ -45,8 +44,8 @@ from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
                       quaternion_distance, require_unitary, to_quaternion,
                       tune_diagonals, tuning_constant)
 
-__all__ = ["SynthConfig", "SynthReport", "candidate_norms", "build_central",
-           "synth_general"]
+__all__ = ["SynthConfig", "SynthReport", "CentralBand", "candidate_norms",
+           "build_central", "synth_general"]
 
 
 @dataclass(frozen=True)
@@ -107,8 +106,71 @@ class SynthReport:
         return self.word.tau_count
 
 
-def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
-    """Norm candidates s = x0^2 + x1^2 for a central element at shell k.
+class CentralBand(LatticeFamily):
+    """The norm bands of one central search, posed once, when built, at
+    the working precision p = mp.prec then, whatever the band
+    (candidate_norms).  |alpha| = a and epsilon must lie in (0, 1)
+    (MalformedInput).
+
+    Band k's box is sigma_plus(s) in hp [lo, hi] and sigma_minus(s) in
+    [0, hm], for hp and hm the embeddings of eta^k and
+    [lo, hi] = [max(0, a^2 - eps a), min(1, a^2 + eps a)] (width
+    hi - lo); a2 and ea are a^2 and eps a in mpf.  inv_w_p and mid_p
+    are 2 / width and (lo + hi) / width at scale 2^p, from mpf, each
+    off by 1/2 from its mpf value.  top is the highest band whose
+    ellipse has area at most 1, pi (hi - lo) hp hm / (2 sqrt 5) with
+    hp hm = 59^k, where search's probes start, and eta-scaling proves
+    step = 1 (candidate_norms).
+    """
+
+    __slots__ = ("p", "a2", "ea", "inv_w_p", "mid_p")
+    step = 1
+
+    def __init__(self, abs_alpha, epsilon):
+        p = self.p = mp.prec
+        a, eps = mpf(abs_alpha), mpf(epsilon)
+        if not 0 < a < 1:
+            raise MalformedInput("abs_alpha must be in (0, 1)")
+        if not 0 < eps < 1:
+            raise MalformedInput("epsilon must be in (0, 1)")
+        a2, ea = self.a2, self.ea = a * a, eps * a
+        lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
+        width = hi - lo
+        self.inv_w_p = fixed_point(2 / width, p)
+        self.mid_p = fixed_point((lo + hi) / width, p)
+        super().__init__(int(mp.floor(
+            mp.log(2 * mp.sqrt(5) / (mp.pi * width), 59))))
+
+    def pose(self, k: int):
+        """Band k's integer ellipse as candidate_norms poses it; its data
+        are eta^k and, at scale 2^p, the band's centre a^2 hp and reach,
+        its half-width eps a hp plus candidate_norms' tol, for
+        hp = sigma_plus(eta^k)."""
+        p, two_p = self.p, 2 * self.p
+        ek = eta_power(k)
+        phi_2p = phi_fixed(two_p)
+        hp_2p = (ek.a << two_p) + ek.b * phi_2p
+        # hm = 59^k / hp <= hp bounds the minus side
+        e = grid_scale(2, 2 * (hp_2p >> two_p) + 2)
+        inv_w_p, norm_2p = self.inv_w_p, 59 ** k << two_p
+        # the forms ((a + b phi) / hp - (lo + hi) / 2) 2 / width and
+        # (a + b (1 - phi)) 2 / hm - 1, with 2 / hm = 2 hp / 59^k
+        basis = [[(inv_w_p << (e + p)) // hp_2p,
+                  (hp_2p << (e + 1)) // norm_2p],
+                 [(inv_w_p * phi_2p << e) // (hp_2p << p),
+                  (hp_2p * ((1 << two_p) - phi_2p) << (e + 1))
+                  // (norm_2p << two_p)]]
+        center = [(self.mid_p << e) >> p, 1 << e]
+        with mp.workprec(p):
+            hp = embed(ek, "plus", p)
+            reach = fixed_point(self.ea * hp, p) + ((int(hp) + 2) << 6)
+            return basis, center, e, 2, (ek, fixed_point(self.a2 * hp, p),
+                                         reach)
+
+
+def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
+    """Norm candidates s = x0^2 + x1^2 for a central element at shell k:
+    band k of a target's CentralBand.
 
     Yields every s in Z[phi] with both embeddings inside
     [0, embedding of eta^k] and sigma_plus(s) in the band
@@ -118,13 +180,13 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     The band's box, normalised to the square [-1, 1]^2 in the
     embeddings of s = a + b*phi, lies in the disk of radius sqrt(2),
     whose lattice points goldengrid.scaled_ellipsoid_points finds
-    exactly.  The disk is posed in integers (_Band.pose): from
+    exactly.  The disk is posed in integers (CentralBand.pose): from
     sigma_plus(eta^k) at scale 2^2p, read off the exact eta^k,
     59^k = sigma_plus(eta^k) sigma_minus(eta^k), and the target's
     2 / width and (lo + hi) / width of the normalised box [lo, hi] of
     sigma_plus(s) / sigma_plus(eta^k), rounded from mpf to scale 2^p
-    once per target (_Band).  Each integer is one floor division and
-    lies within 2 of 2^e times the entry of the forms that the mpf
+    once per target (CentralBand).  Each integer is one floor division
+    and lies within 2 of 2^e times the entry of the forms that the mpf
     width and midpoint give while sigma_plus(eta^k) < 2^(p - 24): the
     floor loses less than 1, and a rounding at scale 2^p moves an entry
     by at most 2^(e - p - 1) phi, with e at most
@@ -148,7 +210,7 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     (H + 1/2) u of |sigma_plus(s) - centre|) and within 13 u H of the
     same test made in mpf at precision p.  Every s whose integer test
     value is at least -tol, tol = 64 u H, is yielded (s = 0 on the
-    strict edge of candidate_norms(0, 0.5, 0.5) included): every s in
+    strict edge of band 0 at |alpha| = eps = 0.5 included): every s in
     the band, and every s the mpf test keeps.
 
     Band k + 1 is eta times band k: eta^k, the centre and the half-width
@@ -158,22 +220,13 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
     rounding, inside the 1/257 margin, and eta s has both embeddings
     within those of eta^{k+1}, so coordinates within the bound
     grid_scale is given for band k + 1: eta s is among band k + 1's
-    lattice points.  So when band K's integer ellipse holds none,
-    candidate_norms(k) is empty for every k <= K, and synth_general
-    searches the bands in steps of 1 (LatticeFamily.search).
+    lattice points.  So when band K's integer ellipse holds none, every
+    band k <= K is empty, and synth_general searches the bands in steps
+    of 1 (LatticeFamily.search).
     """
-    if not 0 < abs_alpha < 1:
-        raise MalformedInput("abs_alpha must be in (0, 1)")
-    a, eps = mpf(abs_alpha), mpf(epsilon)
-    if not 0 < eps < 1:
-        raise MalformedInput("epsilon must be in (0, 1)")
-    if not isinstance(k, int) or k < 0:
-        raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
-    points, (ek, hp, center, half) = _band(a, eps, mp.prec).problem(k)
-    p = mp.prec
+    points, (ek, center_p, reach) = band.problem(k)
+    p = band.p
     phi_p = phi_fixed(p)
-    center_p, half_p = fixed_point(center, p), fixed_point(half, p)
-    reach = half_p + ((int(hp) + 2) << 6)
     near = sorted((dist, c, d) for c, d in points
                   if (dist := abs((c << p) + d * phi_p - center_p)) <= reach)
     for _, c, d in near:
@@ -183,62 +236,6 @@ def candidate_norms(k: int, abs_alpha, epsilon) -> Iterator[GoldenInt]:
         if (_sign_of(u, d) >= 0 and _sign_of(u, -d) >= 0
                 and _sign_of(v, rb) >= 0 and _sign_of(v, -rb) >= 0):
             yield GoldenInt(c, d)
-
-
-class _Band(LatticeFamily):
-    """The part of a central search that |alpha| = a, epsilon and the
-    working precision p fix, whatever the band.  _band keeps the one
-    for the last (a, eps, p) asked for, so synth_general's probes and
-    every candidate_norms call of one target share it.
-
-    Band k's box is sigma_plus(s) in hp [lo, hi] and sigma_minus(s) in
-    [0, hm], for hp and hm the embeddings of eta^k and
-    [lo, hi] = [max(0, a^2 - eps a), min(1, a^2 + eps a)] (width
-    hi - lo); a2 and ea are a^2 and eps a in mpf.  inv_w_p and mid_p
-    are 2 / width and (lo + hi) / width at scale 2^p, from mpf, each
-    off by 1/2 from its mpf value.  top is the highest band whose
-    ellipse has area at most 1, pi (hi - lo) hp hm / (2 sqrt 5) with
-    hp hm = 59^k, where synth_general's probes start.
-    """
-
-    __slots__ = ("a2", "ea", "inv_w_p", "mid_p", "top")
-
-    def __init__(self, a, eps):
-        super().__init__()
-        p = mp.prec
-        a2, ea = self.a2, self.ea = a * a, eps * a
-        lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
-        width = hi - lo
-        self.inv_w_p = fixed_point(2 / width, p)
-        self.mid_p = fixed_point((lo + hi) / width, p)
-        self.top = int(mp.floor(mp.log(2 * mp.sqrt(5) / (mp.pi * width), 59)))
-
-    def pose(self, k: int):
-        """Band k's integer ellipse as candidate_norms poses it; its data
-        are eta^k, hp = sigma_plus(eta^k), a^2 hp and eps a hp in mpf."""
-        p, two_p = mp.prec, 2 * mp.prec
-        ek = eta_power(k)
-        phi_2p = phi_fixed(two_p)
-        hp_2p = (ek.a << two_p) + ek.b * phi_2p
-        # hm = 59^k / hp <= hp bounds the minus side
-        e = grid_scale(2, 2 * (hp_2p >> two_p) + 2)
-        inv_w_p, norm_2p = self.inv_w_p, 59 ** k << two_p
-        # the forms ((a + b phi) / hp - (lo + hi) / 2) 2 / width and
-        # (a + b (1 - phi)) 2 / hm - 1, with 2 / hm = 2 hp / 59^k
-        basis = [[(inv_w_p << (e + p)) // hp_2p,
-                  (hp_2p << (e + 1)) // norm_2p],
-                 [(inv_w_p * phi_2p << e) // (hp_2p << p),
-                  (hp_2p * ((1 << two_p) - phi_2p) << (e + 1))
-                  // (norm_2p << two_p)]]
-        center = [(self.mid_p << e) >> p, 1 << e]
-        hp = embed(ek, "plus", p)
-        return basis, center, e, 2, (ek, hp, self.a2 * hp, self.ea * hp)
-
-
-@lru_cache(maxsize=1)
-def _band(a, eps, p: int) -> _Band:
-    with mp.workprec(p):
-        return _Band(a, eps)
 
 
 def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
@@ -354,10 +351,10 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         if k_cap is None:
             k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
         outer_eps = mpf("0.6") * eps
-        bands = _band(abs_a, eps, bits)
+        bands = CentralBand(abs_a, eps)
         best = None
-        for k in bands.search(bands.top, k_cap, 1):
-            for s in candidate_norms(k, abs_a, eps):
+        for k in bands.search(k_cap):
+            for s in candidate_norms(bands, k):
                 try:
                     q = build_central(k, s)
                     if q is None:

@@ -31,13 +31,11 @@ __all__ = [
     "GoldenInt",
     "GoldenFactorization",
     "PHI",
-    "PHI_INV",
     "ETA",
     "ONE",
     "ZERO",
     "SQRT5_IRREDUCIBLE",
     "norm",
-    "galois_conj",
     "embed",
     "sign_plus",
     "sign_minus",
@@ -45,9 +43,7 @@ __all__ = [
     "gcd",
     "canonical_associate",
     "unit_decompose",
-    "tonelli_shanks",
     "split_prime",
-    "InertPrime",
     "factor",
     "eta_valuation",
     "eta_power",
@@ -159,7 +155,6 @@ def _coerce(x) -> GoldenInt | None:
 ZERO = GoldenInt(0, 0)
 ONE = GoldenInt(1, 0)
 PHI = GoldenInt(0, 1)
-PHI_INV = GoldenInt(-1, 1)  # phi^-1 = phi - 1
 ETA = GoldenInt(7, 5)  # norm 59
 # The representative used for the ramified prime: 5 = (-1 + 2 phi)^2.
 SQRT5_IRREDUCIBLE = GoldenInt(-1, 2)
@@ -207,10 +202,6 @@ def _int_hamilton(a0, a1, a2, a3, b0, b1, b2, b3):
 def norm(x: GoldenInt) -> int:
     """Field norm a^2 + ab - b^2 (can be negative)."""
     return x.norm()
-
-
-def galois_conj(x: GoldenInt) -> GoldenInt:
-    return x.conj()
 
 
 @lru_cache(maxsize=64)

@@ -36,6 +36,7 @@ from math import isqrt
 
 from mpmath import mp
 
+from .errors import MalformedInput
 from .lattice import lattice_points
 
 __all__ = ["LatticeFamily", "fixed_point", "grid_scale", "phi_fixed",
@@ -70,26 +71,30 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
 
 class LatticeFamily:
     """The problems k = 0, 1, 2, ... of one search, one region scaled
-    by powers of eta.  A subclass's pose(k) gives problem k as (basis,
-    center, scale, radius_sq, data) for scaled_ellipsoid_points, data
-    being what its caller reads besides the points.  problem(k)
-    reduces problem k once, when first asked for, from the transform
-    the last reduction left (None before the first), and keeps it, so
-    a problem that a probe reduced is enumerated again, not reduced
-    again, when it is solved; the points, which callers order by their
-    own keys, do not depend on the start.  search presumes what the
-    subclass proves of its pose: that eta maps each solution of problem
-    k to a lattice point of problem k + step, so an empty problem K
-    proves every k <= K of its residue mod step empty.
+    by powers of eta.  A subclass checks its inputs and fixes what its
+    problems share when it is built, sets top, the problem its search
+    probes first, and step, and proves that eta maps each solution of
+    problem k to a lattice point of problem k + step.  Its pose(k)
+    gives problem k as (basis, center, scale, radius_sq, data) for
+    scaled_ellipsoid_points, data being what its caller reads besides
+    the points.  problem(k) reduces problem k once, when first asked
+    for, from the transform the last reduction left (None before the
+    first), and keeps it, so a problem that a probe reduced is
+    enumerated again, not reduced again, when it is solved; the
+    points, which callers order by their own keys, do not depend on
+    the start.
     """
 
-    __slots__ = ("transform", "_problems")
+    __slots__ = ("transform", "_problems", "top")
 
-    def __init__(self):
-        self.transform, self._problems = None, {}
+    def __init__(self, top: int):
+        self.transform, self._problems, self.top = None, {}, top
 
     def problem(self, k: int):
-        """(points, data) of problem k, the points lazy and re-iterable."""
+        """(points, data) of problem k, the points lazy and re-iterable;
+        k must be a nonnegative int (MalformedInput)."""
+        if not isinstance(k, int) or k < 0:
+            raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
         if k not in self._problems:
             basis, center, scale, radius_sq, data = self.pose(k)
             points, self.transform = scaled_ellipsoid_points(
@@ -97,12 +102,12 @@ class LatticeFamily:
             self._problems[k] = points, data
         return self._problems[k]
 
-    def search(self, top: int, cap: int, step: int):
+    def search(self, cap: int):
         """Every k <= cap in increasing order but those an empty probe
         covers: per residue mod step, from min(top, cap) down in steps
         of step, the first problem that holds no point."""
-        last_empty = {}
-        for k in range(min(top, cap), min(top, cap) - step, -1):
+        top, step, last_empty = min(self.top, cap), self.step, {}
+        for k in range(top, top - step, -1):
             while k >= 0 and next(iter(self.problem(k)[0]), None) is not None:
                 k -= step
             last_empty[k % step] = k

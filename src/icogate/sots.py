@@ -51,10 +51,9 @@ from .golden import (
     phi_power,
     sign_minus,
     sign_plus,
-    tonelli_shanks,
     unit_decompose,
 )
-from .intfactor import factor_cofactor, trial_divide
+from .intfactor import factor_cofactor, tonelli_shanks, trial_divide
 
 __all__ = ["screen", "decide", "sots_exact"]
 

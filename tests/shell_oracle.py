@@ -25,7 +25,7 @@ recomputed in mpf at twice the working precision.
 
 from mpmath import mp, mpf
 
-from icogate.general import _band
+from icogate.general import CentralBand
 from icogate.golden import (ETA, PHI, GoldenInt, embed, eta_power,
                             sign_minus, sign_plus)
 from icogate.goldengrid import fixed_point, phi_fixed
@@ -135,8 +135,8 @@ def oracle_shell(theta, eps, m):
 
 
 def oracle_norms(k, abs_alpha, epsilon):
-    """list(candidate_norms(k, abs_alpha, epsilon)) by mpf filters and
-    keys."""
+    """list(candidate_norms(CentralBand(abs_alpha, epsilon), k)) by mpf
+    filters and keys."""
     a = mpf(abs_alpha)
     eps = mpf(epsilon)
     ek = eta_power(k)
@@ -216,17 +216,18 @@ def assert_covers_shell(got, target, theta, eps, m, want):
 
 
 def assert_covers_norms(got, k, abs_alpha, epsilon, want):
-    """got, list(candidate_norms(k, abs_alpha, epsilon)), holds every
-    s of want, which oracle_norms or a scan gives; every s it adds lies
-    within tol = 64 u H of the band's edge; and it is sorted by the
-    integer distance from the band centre, then by coordinates.  Each
-    integer distance is within tol of the true one."""
+    """got, list(candidate_norms(CentralBand(abs_alpha, epsilon), k)),
+    holds every s of want, which oracle_norms or a scan gives; every s
+    it adds lies within tol = 64 u H of the band's edge; and it is
+    sorted by the integer distance from the band centre, then by
+    coordinates.  Each integer distance is within tol of the true
+    one."""
     p = mp.prec
     a, eps = mpf(abs_alpha), mpf(epsilon)
     assert len(set(got)) == len(got)
     want = set(want)
     assert want <= set(got)
-    center_p = fixed_point(_band(a, eps, p).problem(k)[1][2], p)
+    center_p = CentralBand(a, eps).problem(k)[1][1]
     keys = {s: (abs(_plus_p(s, p) - center_p), s.a, s.b) for s in got}
     assert got == sorted(got, key=keys.__getitem__)
     ek = eta_power(k)

@@ -19,7 +19,8 @@ from band_oracle import band, band_scan
 from peel_oracle import peel_oracle
 from icogate.cli import main
 from icogate.errors import InertPrime, NotRepresentable
-from icogate.general import SynthConfig, candidate_norms, synth_general
+from icogate.general import (CentralBand, SynthConfig, candidate_norms,
+                             synth_general)
 from icogate.golden import (GoldenInt, PHI, eta_valuation, factor,
                             sign_minus, sign_plus, split_prime)
 from icogate.icosian import (TAU, GateWord, canonical, exact_synthesize,
@@ -260,7 +261,7 @@ def test_criterion_7_lattice_oracle(capsys):
             _, _, lo, hi, hm = band(k, abs_alpha, eps)
             widths = sorted((hi - lo, hm))
             unbalanced += widths[1] >= 64 * widths[0]
-            got = list(candidate_norms(k, abs_alpha, eps))
+            got = list(candidate_norms(CentralBand(abs_alpha, eps), k))
             expected = band_scan(k, abs_alpha, eps)
         points += len(expected)
         if got != expected:

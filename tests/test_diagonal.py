@@ -332,7 +332,7 @@ def unprobed_shells(theta, eps):
     with mp.workprec(precision_for(eps)):
         target = DiagonalTarget(_fold_theta(mpf(theta)), eps)
         top = _top_shell(mpf(eps))
-        return list(target.search(top, top, 2))
+        return list(target.search(top))
 
 
 @pytest.mark.parametrize("theta, eps", [

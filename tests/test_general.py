@@ -8,8 +8,8 @@ from icogate import diagonal, general, goldengrid, icosian, lattice
 from icogate.diagonal import synth_diagonal
 from icogate.errors import (BudgetExhausted, MalformedInput, NotInGroup,
                             NotRepresentable, PrecisionInsufficient)
-from icogate.general import (SynthConfig, build_central, candidate_norms,
-                             synth_general)
+from icogate.general import (CentralBand, SynthConfig, build_central,
+                             candidate_norms, synth_general)
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
 from icogate.sots import decide
 from icogate.icosian import (RHO, GateWord, GoldenQuat, canonical,
@@ -62,7 +62,7 @@ def test_candidate_norms_matches_brute_force(k, abs_alpha, eps):
     # every norm of the scan, only edge points beside it, in the order
     # of the integer distance from the band centre
     with mp.workprec(BITS):
-        got = list(candidate_norms(k, abs_alpha, eps))
+        got = list(candidate_norms(CentralBand(abs_alpha, eps), k))
         assert_covers_norms(got, k, abs_alpha, eps,
                             brute_norms(k, abs_alpha, eps))
 
@@ -70,21 +70,49 @@ def test_candidate_norms_matches_brute_force(k, abs_alpha, eps):
 def test_candidate_norms_alpha_near_one_includes_unit():
     # |alpha| -> 1 puts sigma_plus = 1 itself inside the band at k = 0
     with mp.workprec(BITS):
-        assert GoldenInt(1, 0) in set(candidate_norms(0, 0.9999, 0.01))
+        assert GoldenInt(1, 0) in set(
+            candidate_norms(CentralBand(0.9999, 0.01), 0))
 
 
 def test_candidate_norms_validates_input():
+    # a band family checks |alpha| and epsilon when it is built, before
+    # any band is posed or any candidate asked for
     with mp.workprec(BITS):
-        with pytest.raises(MalformedInput):
-            list(candidate_norms(0, 1.0, 0.1))
-        with pytest.raises(MalformedInput):
-            list(candidate_norms(0, 0.0, 0.1))
-        for k in (-1, 2.5, "2"):
+        for abs_alpha in (1.0, 0.0, math.nan):
             with pytest.raises(MalformedInput):
-                list(candidate_norms(k, 0.5, 0.1))
+                CentralBand(abs_alpha, 0.1)
         for eps in (0.0, -0.1, 1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(MalformedInput):
-                list(candidate_norms(0, 0.5, eps))
+                CentralBand(0.5, eps)
+
+
+def test_problem_checks_k_in_both_families():
+    with mp.workprec(BITS):
+        families = (diagonal.DiagonalTarget(0.1, 0.5), CentralBand(0.5, 0.1))
+        for family in families:
+            for k in (-1, 2.5, "2"):
+                with pytest.raises(MalformedInput):
+                    family.problem(k)
+
+
+@pytest.mark.parametrize("make, eps", [
+    (lambda eps: diagonal.DiagonalTarget(0.3, eps), 1e-6),
+    (lambda eps: CentralBand(0.31, eps), 1e-5)])
+def test_each_family_poses_at_its_own_precision(make, eps):
+    """A family poses every problem at the working precision it was
+    built at: asked first under another precision, problem(k) gives the
+    points and data it gives under its own."""
+    p1 = precision_for(eps)
+    for p2 in (p1 - 24, p1 + 40):
+        with mp.workprec(p1):
+            home, away = make(eps), make(eps)
+            k = home.top + home.step
+            points, data = home.problem(k)
+            want = list(points), data
+        with mp.workprec(p2):
+            points, data = away.problem(k)
+            got = list(points), data
+        assert want[0] and got == want, p2
 
 
 @pytest.mark.parametrize("k,abs_alpha,eps", [
@@ -100,8 +128,9 @@ def test_eta_maps_each_band_into_the_next(k, abs_alpha, eps):
     with mp.workprec(BITS):
         a = mp.sqrt(mpf(1) / 2) if abs_alpha is None else mpf(abs_alpha)
         e = mpf(eps)
-        got = list(candidate_norms(k, a, e))
-        points = set(general._band(a, e, mp.prec).problem(k + 1)[0])
+        band = CentralBand(a, e)
+        got = list(candidate_norms(band, k))
+        points = set(band.problem(k + 1)[0])
         for s in got:
             t = eta * s
             assert (t.a, t.b) in points, s
@@ -122,19 +151,19 @@ def test_probes_skip_only_empty_bands(monkeypatch, seed, eps):
     solved = []
     real = general.candidate_norms
 
-    def counted(k, abs_alpha, epsilon):
-        solved.append((k, abs_alpha, epsilon, mp.prec))
-        return real(k, abs_alpha, epsilon)
+    def counted(band, k):
+        solved.append((band, k))
+        return real(band, k)
 
     monkeypatch.setattr(general, "candidate_norms", counted)
     synth_general(g, SynthConfig(eps))
     monkeypatch.undo()
-    ks = [k for k, _, _, _ in solved]
+    ks = [k for _, k in solved]
     assert ks and ks == sorted(set(ks))
-    _, abs_alpha, epsilon, prec = solved[0]
-    with mp.workprec(prec):
-        for k in range(ks[0]):
-            assert list(candidate_norms(k, abs_alpha, epsilon)) == [], k
+    band = solved[0][0]
+    assert all(b is band for b, _ in solved)
+    for k in range(ks[0]):
+        assert list(candidate_norms(band, k)) == [], k
 
 
 def shell_family(theta, eps):
@@ -146,7 +175,7 @@ def shell_family(theta, eps):
         return diagonal.solve_shell(diagonal.DiagonalTarget(theta, eps), m)
 
     target = diagonal.DiagonalTarget(theta, eps)
-    return target, target.accuracy.top, 2, solve
+    return target, diagonal._top_shell(mpf(eps)), 2, solve
 
 
 def band_family(abs_alpha, eps):
@@ -154,10 +183,9 @@ def band_family(abs_alpha, eps):
     a, e = mpf(abs_alpha), mpf(eps)
 
     def solve(k):
-        general._band.cache_clear()
-        return list(candidate_norms(k, a, e))
+        return list(candidate_norms(CentralBand(a, e), k))
 
-    band = general._band(a, e, mp.prec)
+    band = CentralBand(a, e)
     return band, band.top, 1, solve
 
 
@@ -172,8 +200,9 @@ def test_search_skips_only_empty_problems(family, x, eps):
     every problem it skips is empty when solved on a fresh family."""
     with mp.workprec(precision_for(eps)):
         searched, top, step, solve = family(x, eps)
+        assert (searched.top, searched.step) == (top, step)
         cap = top + step
-        ks = list(searched.search(top, cap, step))
+        ks = list(searched.search(cap))
         assert ks == sorted(set(ks)) and ks[-1] == cap
         for k in set(range(cap + 1)) - set(ks):
             assert solve(k) == [], k
@@ -187,10 +216,10 @@ def test_band_warm_start_agrees(abs_alpha, eps):
     lattice points of cold ones."""
     with mp.workprec(precision_for(eps)):
         a, e = mpf(abs_alpha), mpf(eps)
-        warm, total = general._Band(a, e), 0
+        warm, total = CentralBand(a, e), 0
         for k in range(warm.top + 2, -1, -1):
             points = set(warm.problem(k)[0])
-            assert points == set(general._Band(a, e).problem(k)[0]), k
+            assert points == set(CentralBand(a, e).problem(k)[0]), k
             total += len(points)
         assert warm.transform is not None and total
 
@@ -222,7 +251,6 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
 
     monkeypatch.setattr(lattice, "_lll", lll)
     monkeypatch.setattr(goldengrid.LatticeFamily, "problem", problem)
-    general._band.cache_clear()
     haar = haar_target(random.Random(4), precision_for(1e-4))
     runs = [lambda: synth_diagonal(mp.pi / 8, 1e-7),
             lambda: synth_general(named_gate("H", precision_for(1e-7)),
@@ -251,7 +279,7 @@ def test_build_central_unit_shell():
 def test_build_central_eta_shell():
     with mp.workprec(BITS):
         produced = 0
-        for s in candidate_norms(1, 0.7, 0.4):
+        for s in candidate_norms(CentralBand(0.7, 0.4), 1):
             q = build_central(1, s)
             if q is None:
                 continue

@@ -11,7 +11,7 @@ import pytest
 from mpmath import mp
 
 from band_oracle import band_scan
-from icogate.general import candidate_norms
+from icogate.general import CentralBand, candidate_norms
 from icogate.goldengrid import grid_scale, scaled_ellipsoid_points
 from icogate.lattice import _lll, lattice_points
 from icogate.unitary import precision_for
@@ -230,7 +230,7 @@ def test_scaled_ellipsoid_points_hold_the_exact_ellipsoid(n, bound):
 def test_candidate_norms_thin_bands_match_row_scan(k, abs_alpha, eps):
     # the minus side is 10^4 to 10^12 times wider than the plus side
     with mp.workprec(precision_for(eps)):
-        got = list(candidate_norms(k, abs_alpha, eps))
+        got = list(candidate_norms(CentralBand(abs_alpha, eps), k))
         expected = band_scan(k, abs_alpha, eps)
     assert expected
     assert got == expected

@@ -24,7 +24,7 @@ import pytest
 from mpmath import mp, mpf
 
 from icogate.diagonal import DiagonalTarget, solve_shell
-from icogate.general import candidate_norms
+from icogate.general import CentralBand, candidate_norms
 from icogate.golden import (ETA, ZERO, embed, eta_power, sign_minus,
                             sign_plus)
 from icogate.unitary import precision_for
@@ -145,8 +145,9 @@ def test_solve_shell_replays_deep_and_odd_shells(theta, eps, m):
 @pytest.mark.parametrize("k,abs_alpha,eps", norm_cases(40, 2))
 def test_candidate_norms_replays_mpf_filters(k, abs_alpha, eps):
     with mp.workprec(precision_for(eps)):
-        assert_covers_norms(list(candidate_norms(k, abs_alpha, eps)),
-                            k, abs_alpha, eps, oracle_norms(k, abs_alpha, eps))
+        got = list(candidate_norms(CentralBand(abs_alpha, eps), k))
+        assert_covers_norms(got, k, abs_alpha, eps,
+                            oracle_norms(k, abs_alpha, eps))
 
 
 @pytest.mark.parametrize("eps,m,bits", [
