@@ -65,7 +65,7 @@ from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
-__all__ = ["DiagonalTarget", "solve_shell", "solve_x23", "synth_diagonal"]
+__all__ = ["DiagonalTarget", "solve_shell", "synth_diagonal"]
 
 
 def _check_precision(bits: int, eps) -> None:
@@ -303,20 +303,6 @@ def solve_shell(target: DiagonalTarget, m: int
             for _, a1, b1, _, a0, b0 in kept]
 
 
-def solve_x23(m_exp: int, x0: GoldenInt, x1: GoldenInt
-              ) -> tuple[GoldenInt, GoldenInt] | None:
-    """Certificate (x2, x3) with x0^2 + x1^2 + x2^2 + x3^2 = eta^m_exp,
-    or None when the residual is not a sum of two squares.  Abandoned
-    factorizations propagate for the caller to count."""
-    residual = eta_power(m_exp) - x0 * x0 - x1 * x1
-    try:
-        x2, x3 = sots_exact(residual)
-    except NotRepresentable:
-        return None
-    assert x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 == eta_power(m_exp)
-    return x2, x3
-
-
 def _fold_theta(theta):
     """Reduce mod pi (projective period) into [-pi/2, pi/2).
 
@@ -380,16 +366,18 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
             m_cap = accuracy.m_cap
         posed = DiagonalTarget(t, eps, (s, c))
         for m in posed.search(m_cap):
+            eta_m = eta_power(m)
             for x0, x1 in solve_shell(posed, m):
                 try:
-                    pair = solve_x23(m, x0, x1)
+                    x2, x3 = sots_exact(eta_m - x0 * x0 - x1 * x1)
                 except Abandoned:
                     if stats is not None:
                         stats["abandoned"] = stats.get("abandoned", 0) + 1
                     continue
-                if pair is None:
+                except NotRepresentable:
                     continue
-                q = GoldenQuat(x0, x1, *pair)
+                assert x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3 == eta_m
+                q = GoldenQuat(x0, x1, x2, x3)
                 achieved = quaternion_distance(target, q.to_vector(bits))
                 if achieved < accuracy.within:
                     return q, exact_synthesize(q), achieved

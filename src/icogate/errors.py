@@ -51,7 +51,10 @@ class NotInGroup(IcogateError):
 
 
 class HypothesisViolation(IcogateError):
-    """Inputs to a tuning routine violate its stated hypotheses."""
+    """Inputs to a tuning routine violate its stated hypotheses.
+
+    Only direct callers of unitary.tune_diagonals meet it: synth_general
+    poses every central candidate within them."""
 
 
 class BudgetExhausted(IcogateError):

@@ -27,22 +27,22 @@ and the tuning lemma reads its phases from 4-vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
 from .diagonal import synth_diagonal
-from .errors import (Abandoned, BudgetExhausted, HypothesisViolation,
-                     MalformedInput, NotRepresentable, PrecisionInsufficient)
+from .errors import (Abandoned, BudgetExhausted, MalformedInput,
+                     NotRepresentable, PrecisionInsufficient)
 from .golden import GoldenInt, _int_hamilton, _sign_of, embed, eta_power
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
 from .sots import decide, screen, sots_exact
-from .unitary import (DELTA, EPSILON0, ProjUnitary, precision_for,
-                      quaternion_distance, require_unitary, to_quaternion,
-                      tune_diagonals, tuning_constant)
+from .unitary import (DELTA, EPSILON0, ProjUnitary, near_unit_circle,
+                      precision_for, quaternion_distance, require_unitary,
+                      to_quaternion, tune_diagonals, tuning_constant)
 
 __all__ = ["SynthConfig", "SynthReport", "CentralBand", "candidate_norms",
            "build_central", "synth_general"]
@@ -52,15 +52,15 @@ __all__ = ["SynthConfig", "SynthReport", "CentralBand", "candidate_norms",
 class SynthConfig:
     """Knobs for synth_general.
 
-    Default mode treats epsilon as the working accuracy: the guarantee
-    is achieved < (C + 2) * epsilon with C the tuning constant, and the
-    search actually stops once the measured distance beats
-    1.5 * epsilon (a couple of shells past the first nonempty band make
-    the tuning term negligible, so this costs O(1) extra taus).  Strict
-    mode shrinks the internal epsilon to epsilon / (C + 2) up front so
-    the guarantee itself lands under the requested value.  delta and
-    epsilon0 are the tuning lemma's constants, the same for every
-    search.
+    Default mode treats epsilon as the working accuracy and returns only
+    a word measured below 1.5 * epsilon (a couple of shells past the
+    first nonempty band make the tuning term negligible, so this costs
+    O(1) extra taus).  Strict mode shrinks the internal epsilon to
+    epsilon / (C + 2) up front, C the tuning constant, and returns only
+    a word measured below (C + 2) times that, the requested value.
+    Either mode raises BudgetExhausted when no word meets its goal up
+    to k_cap.  delta and epsilon0 are the tuning lemma's constants, the
+    same for every search.
     """
 
     epsilon: float
@@ -238,21 +238,19 @@ def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
             yield GoldenInt(c, d)
 
 
-def build_central(k: int, s: GoldenInt) -> GoldenQuat | None:
+def build_central(k: int, s: GoldenInt) -> GoldenQuat:
     """Quaternion with reduced norm exactly eta^k and x0^2 + x1^2 = s.
 
-    Returns None when s or eta^k - s is not a sum of two squares, so
-    the caller can move on to the next candidate; both are screened
-    before rho runs on either, and decided, s first, before either
-    certificate is built.  Abandoned propagates for the caller to count.
+    Raises NotRepresentable when s or eta^k - s is not a sum of two
+    squares, so the caller can move on to the next candidate; both are
+    screened before rho runs on either, and decided, s first, before
+    either certificate is built.  Abandoned propagates for the caller
+    to count.
     """
     rest = eta_power(k) - s
-    try:
-        s_screened, rest_screened = screen(s), screen(rest)
-        s_primes = decide(s, s_screened)
-        rest_primes = decide(rest, rest_screened)
-    except NotRepresentable:
-        return None
+    s_screened, rest_screened = screen(s), screen(rest)
+    s_primes = decide(s, s_screened)
+    rest_primes = decide(rest, rest_screened)
     x0, x1 = sots_exact(s, primes=s_primes)
     x2, x3 = sots_exact(rest, primes=rest_primes)
     return GoldenQuat(x0, x1, x2, x3)
@@ -268,8 +266,21 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     search, twisting by rho first whenever |alpha| sits too close to 0
     or 1 for the tuning lemma.  The outer diagonals get budget
     0.6 * epsilon each, so any in-band candidate beats (C + 2) * epsilon
-    and the 1.5 * epsilon stopping rule is reachable as soon as the
-    shell makes the band spacing fine enough.
+    and the 1.5 * epsilon goal is reachable as soon as the shell makes
+    the band spacing fine enough.  A word is returned only when its
+    measured distance meets the goal (SynthConfig).
+
+    The twist is decided on |alpha| = hypot(g0, g1) and epsilon0 at
+    the larger precision, the values tune_diagonals tests, so no
+    central candidate breaks the lemma's hypotheses: an untwisted
+    |alpha_1| has |alpha_1|^2 below 1 - epsilon0^2 by the twist test
+    itself, a twisted one has |alpha_1|^2 within epsilon0 of 1/2, and
+    the band puts |alpha_2|^2 within epsilon |alpha_1| of
+    |alpha_1|^2 (candidate_norms), so ||alpha_1| - |alpha_2|| < epsilon
+    < delta, as SynthConfig requires.  A candidate either completes to
+    a word or raises: NotRepresentable (build_central) and
+    BudgetExhausted (an outer diagonal) skip it, and Abandoned is
+    counted and skips it.
 
     Every distance is measured against g as a unit quaternion, at the
     larger of g's and the working precision.
@@ -281,10 +292,10 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     exact_synthesize cannot refuse a central candidate: an icosian with
     nrd eta^k, it is a word (super golden gates, Parzanchevski-Sarnak).
 
-    Raises BudgetExhausted past k_cap, PrecisionInsufficient when the
-    target matrix is stored too coarsely to certify distances at
-    epsilon, and MalformedInput when it is not a scalar multiple of a
-    unitary.
+    Raises BudgetExhausted when no word meets the goal up to central
+    shell k_cap, PrecisionInsufficient when the target matrix is stored
+    too coarsely to certify distances at epsilon, and MalformedInput
+    when it is not a scalar multiple of a unitary.
     """
     require_unitary(g)
     eps = cfg.internal_epsilon()
@@ -306,8 +317,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
 
     with mp.workprec(bits):
         eps = mpf(eps)
-        bound = (tuning_constant() + 2) * eps
-        goal = bound if cfg.strict else mpf("1.5") * eps
+        goal = ((tuning_constant() + 2) if cfg.strict else mpf("1.5")) * eps
         if best_d < eps:
             return SynthReport(GateWord((best_seg,)), 0, (0, 0), best_d, 0, 0)
 
@@ -334,31 +344,25 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 return SynthReport(word, 0, (word.tau_count, 0), achieved,
                                    0, stats["abandoned"])
 
-        # the mpc rounds g0 and g1 to bits, so for a target stored at more
-        # bits the tuning lemma (at wbits) can read |alpha| differently
         g_work, tail = target, None
-        abs_a = abs(mp.mpc(g0, g1))
-        eps0 = mpf(cfg.epsilon0)
-        if abs_a <= eps0 or abs_a ** 2 >= 1 - eps0 ** 2:
-            # rho has reduced norm 4, so target * rho / 2 is a unit
-            with mp.workprec(wbits):
+        with mp.workprec(wbits):
+            abs_a = mp.hypot(g0, g1)
+            if abs_a <= mpf(EPSILON0) or near_unit_circle(abs_a):
+                # rho has reduced norm 4, so target * rho / 2 is a unit
                 g_work = tuple(x / 2 for x in _int_hamilton(
                     *target, *RHO.to_vector(wbits)))
-            tail = GateWord((table.rho_inverse_word,))
-            abs_a = mp.hypot(g_work[0], g_work[1])
+                tail = GateWord((table.rho_inverse_word,))
+                abs_a = mp.hypot(g_work[0], g_work[1])
 
         k_cap = cfg.k_cap
         if k_cap is None:
             k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
         outer_eps = mpf("0.6") * eps
         bands = CentralBand(abs_a, eps)
-        best = None
         for k in bands.search(k_cap):
             for s in candidate_norms(bands, k):
                 try:
                     q = build_central(k, s)
-                    if q is None:
-                        continue
                     with mp.workprec(wbits):
                         tuned = tune_diagonals(g_work, q.to_vector(wbits))
                     central = exact_synthesize(q)
@@ -367,7 +371,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 except Abandoned:
                     stats["abandoned"] += 1
                     continue
-                except (HypothesisViolation, BudgetExhausted):
+                except (NotRepresentable, BudgetExhausted):
                     continue
                 word = w1.concat(central).concat(w2)
                 product = q1 * q * q2
@@ -375,15 +379,9 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                     word = word.concat(tail)
                     product = product * RHO.conjugate()
                 achieved = measure(target, product.to_vector(wbits))
-                report = SynthReport(word, central.tau_count,
-                                     (w1.tau_count, w2.tau_count), achieved,
-                                     k, stats["abandoned"])
                 if achieved < goal:
-                    return report
-                if achieved < bound and (best is None
-                                         or achieved < best.achieved):
-                    best = report
-        if best is not None:
-            return replace(best, abandoned_count=stats["abandoned"])
+                    return SynthReport(word, central.tau_count,
+                                       (w1.tau_count, w2.tau_count),
+                                       achieved, k, stats["abandoned"])
     raise BudgetExhausted(
         f"no approximation within {cfg.epsilon} up to central shell {k_cap}")

@@ -42,6 +42,7 @@ __all__ = [
     "to_quaternion",
     "quaternion_distance",
     "tune_diagonals",
+    "near_unit_circle",
     "named_gate",
     "parse_complex",
     "GATE_NAMES",
@@ -228,6 +229,12 @@ def tuning_constant():
         return mp.sqrt(mpf(1) / 2 + ((2 + mpf(DELTA)) / mpf(EPSILON0)) ** 2 / 2)
 
 
+def near_unit_circle(abs_alpha) -> bool:
+    """Whether |alpha|^2 >= 1 - epsilon0^2 at the working precision: the
+    tuning lemma needs one of its two |alpha| below that."""
+    return abs_alpha ** 2 >= 1 - mpf(EPSILON0) ** 2
+
+
 def tune_diagonals(gamma1, gamma2) -> TuningAngles:
     """Diagonal rotations aligning gamma2 with gamma1, at the working
     precision.
@@ -248,7 +255,7 @@ def tune_diagonals(gamma1, gamma2) -> TuningAngles:
     abs_a2 /= mp.hypot(abs_a2, mp.hypot(y2, y3))
     if abs(abs_a1 - abs_a2) >= DELTA:
         raise HypothesisViolation("| |alpha1| - |alpha2| | exceeds delta")
-    if min(abs_a1, abs_a2) ** 2 >= 1 - mpf(EPSILON0) ** 2:
+    if near_unit_circle(min(abs_a1, abs_a2)):
         raise HypothesisViolation(
             "both alphas too close to the unit circle; use the "
             "diagonal pipeline instead")

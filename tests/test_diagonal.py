@@ -9,11 +9,13 @@ from mpmath import mp, mpf
 
 import icogate.diagonal
 from icogate.diagonal import (DiagonalTarget, _fold_theta, _top_shell,
-                              solve_shell, solve_x23, synth_diagonal)
-from icogate.errors import BudgetExhausted, MalformedInput, NotInGroup
+                              solve_shell, synth_diagonal)
+from icogate.errors import (BudgetExhausted, MalformedInput, NotInGroup,
+                            NotRepresentable)
 from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
+from icogate.sots import sots_exact
 from icogate.unitary import distance, precision_for, u_of_theta
 from test_goldengrid import _inverse_and_det
 
@@ -208,28 +210,32 @@ def test_solve_shell_warm_start_agrees():
             assert reused.transform is not None
 
 
-def test_solve_x23_zero_residual():
+# synth_diagonal completes a pair (x0, x1) of shell m by
+# sots_exact(eta^m - x0^2 - x1^2), skipping it on NotRepresentable
+
+
+def test_zero_residual_certificate():
     # eta^0 - 1^2 - 0^2 = 0
-    pair = solve_x23(0, GoldenInt(1), GoldenInt(0))
-    assert pair == (GoldenInt(0), GoldenInt(0))
+    assert sots_exact(GoldenInt(0)) == (GoldenInt(0), GoldenInt(0))
 
 
-def test_solve_x23_unit_residual():
+def test_unit_residual_certificate():
     # eta^0 - 0 - 0 = 1 = 1^2 + 0^2
-    pair = solve_x23(0, GoldenInt(0), GoldenInt(0))
-    x2, x3 = pair
+    x2, x3 = sots_exact(GoldenInt(1))
     assert x2 * x2 + x3 * x3 == GoldenInt(1)
 
 
-def test_solve_x23_rejects_eta():
+def test_eta_residual_not_representable():
     # eta has norm 59 = 3 mod 4 to odd multiplicity: not a sum of two
-    # squares, so the m=1 shell with x0 = x1 = 0 must report None
-    assert solve_x23(1, GoldenInt(0), GoldenInt(0)) is None
+    # squares, so the m=1 shell with x0 = x1 = 0 has no certificate
+    with pytest.raises(NotRepresentable):
+        sots_exact(eta_power(1))
 
 
-def test_solve_x23_rejects_negative_residual():
+def test_negative_residual_not_representable():
     # eta^0 - 2^2 < 0 in both embeddings
-    assert solve_x23(0, GoldenInt(2), GoldenInt(0)) is None
+    with pytest.raises(NotRepresentable):
+        sots_exact(GoldenInt(1 - 4))
 
 
 def test_fold_theta_period_and_range():

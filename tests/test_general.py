@@ -268,10 +268,10 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
 
 def test_build_central_unit_shell():
     q = build_central(0, GoldenInt(1, 0))
-    assert q is not None and q.nrd() == GoldenInt(1, 0)
+    assert q.nrd() == GoldenInt(1, 0)
     assert canonical(q) == canonical(GoldenQuat(1, 0, 0, 0))
     q = build_central(0, ZERO)
-    assert q is not None and q.nrd() == GoldenInt(1, 0)
+    assert q.nrd() == GoldenInt(1, 0)
     # 0 = x0^2 + x1^2 and 1 = x2^2 + x3^2: a pure right unit
     assert q.parts()[0] == ZERO and q.parts()[1] == ZERO
 
@@ -280,8 +280,9 @@ def test_build_central_eta_shell():
     with mp.workprec(BITS):
         produced = 0
         for s in candidate_norms(CentralBand(0.7, 0.4), 1):
-            q = build_central(1, s)
-            if q is None:
+            try:
+                q = build_central(1, s)
+            except NotRepresentable:
                 continue
             produced += 1
             assert q.nrd() == eta_power(1)
@@ -290,11 +291,12 @@ def test_build_central_eta_shell():
         assert produced > 0
 
 
-def test_build_central_unrepresentable_is_none():
+def test_build_central_unrepresentable_raises():
     # eta itself is not a sum of two squares (its norm 59 is 3 mod 4 to
     # odd multiplicity), so s = eta at k = 1 leaves eta - s = 0 fine but
     # the first certificate must fail.
-    assert build_central(1, eta_power(1)) is None
+    with pytest.raises(NotRepresentable):
+        build_central(1, eta_power(1))
 
 
 def test_build_central_decides_both_before_building(monkeypatch):
@@ -328,10 +330,11 @@ def test_build_central_decides_both_before_building(monkeypatch):
 
     monkeypatch.setattr(general, "sots_exact", counted)
     for s in found:
-        assert build_central(k, s) is None
+        with pytest.raises(NotRepresentable):
+            build_central(k, s)
     assert built == []
-    q = build_central(0, GoldenInt(1, 0))
-    assert q is not None and built == [GoldenInt(1, 0), ZERO]
+    build_central(0, GoldenInt(1, 0))
+    assert built == [GoldenInt(1, 0), ZERO]
 
 
 def test_epsilon_below_the_float_range_sets_its_own_precision():
@@ -440,6 +443,16 @@ def test_budget_exhausted_at_zero_cap():
     g = named_gate("H", BITS)
     with pytest.raises(BudgetExhausted):
         synth_general(g, SynthConfig(1e-6, k_cap=0))
+
+
+def test_default_mode_returns_no_word_at_its_goal_or_above(monkeypatch):
+    # every candidate measured at 2 eps misses the 1.5 eps goal, though
+    # it beats (C + 2) eps: no word is returned, up to the cap
+    eps = mpf("1e-3")
+    monkeypatch.setattr(general, "quaternion_distance",
+                        lambda g, q: 2 * eps)
+    with pytest.raises(BudgetExhausted):
+        synth_general(named_gate("H", BITS), SynthConfig(1e-3, k_cap=3))
 
 
 @pytest.mark.parametrize("module", [general, diagonal])

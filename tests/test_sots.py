@@ -345,7 +345,8 @@ def test_build_central_screens_both_before_any_rho(monkeypatch):
     else:
         raise AssertionError("no candidate found")
     calls = count_rho(monkeypatch)
-    assert build_central(k, s) is None
+    with pytest.raises(UnsupportedResidue):
+        build_central(k, s)
     assert calls == []
 
 

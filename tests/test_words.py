@@ -17,8 +17,14 @@ do (27 taus before and after).
 
 The route pins cover the branches of synth_general that those targets
 never take: the C60 snap, the diagonal and j-routes, the rho twist at
-either end of |alpha|, a tuning the lemma's hypotheses reject, and
-strict mode.  They were recorded from commit ac28085.
+either end of |alpha|, two targets stored above the working precision
+with |alpha|^2 on either side of 1 - epsilon0^2 by less than the
+working precision resolves, and strict mode.  They were recorded from commit ac28085,
+apart from those two.  Since the rho twist is decided on the |alpha|
+the tuning lemma reads, at the stored precision, no tuning on any
+route is rejected; that moved the first of the two from 16 taus
+(untwisted, 31 tunings with 14 rejected) to 14, and the second, added
+then, gives the word it gave before.
 """
 
 import json
@@ -32,7 +38,6 @@ import icogate.general
 import icogate.icosian
 from icogate.cli import main
 from icogate.diagonal import synth_diagonal
-from icogate.errors import HypothesisViolation
 from icogate.general import SynthConfig, synth_general
 from icogate.icosian import generate_c60
 from icogate.unitary import ProjUnitary
@@ -211,14 +216,20 @@ def sandwich_rows(abs_alpha, arg_alpha, arg_beta, bits):
         return ((alpha, beta), (-mp.conj(beta), mp.conj(alpha)))
 
 
+STORED_ABOVE = ("twist at the stored precision",
+                "no twist at the stored precision")
+
+
 def route_target(route):
-    """(rows, bits, config) of the route pin's target.  The tuning one
-    is stored 64 bits above the working precision, with |alpha|^2
-    within rounding of 1 - epsilon0^2: below it at the working
-    precision, so there is no rho twist, and not below it at the
-    stored precision, where the tuning lemma reads |alpha|."""
+    """(rows, bits, config) of the route pin's target.  The STORED_ABOVE
+    ones are stored 64 bits above the working precision, with |alpha|^2
+    within rounding of 1 - epsilon0^2: the first below it at the working
+    precision and not below it at the stored precision, where the twist
+    and the tuning lemma read |alpha|, so it is twisted; the second
+    2^(19 - bits) below sqrt(1 - epsilon0^2), a gap only the stored
+    precision resolves, so it is not."""
     eps = 1e-2 if route == "strict" else 1e-3
-    bits = working_bits(eps) + (64 if route == "rejected tuning" else 0)
+    bits = working_bits(eps) + (64 if route in STORED_ABOVE else 0)
     with mp.workprec(bits):
         tiny = mpf("1e-4")
         quarter = mp.pi / 4 + tiny
@@ -229,9 +240,12 @@ def route_target(route):
             "j-route": (mp.sin(tiny), mpf("0.7"), mpf("0.5")),
             "rho twist, small alpha": (mpf("0.03"), mpf("0.4"), mpf("-1.2")),
             "rho twist, large alpha": (mpf("0.999"), mpf("0.9"), mpf("2")),
-            "rejected tuning": (
+            "twist at the stored precision": (
                 mpf("0.998749217771908945650067440037408353801563866778"
                     "315472274761"),
+                mpf(-1.2190670044149767), mpf("2")),
+            "no twist at the stored precision": (
+                mp.sqrt(1 - mpf(0.05) ** 2) - mp.ldexp(1, 19 - bits),
                 mpf(-1.2190670044149767), mpf("2")),
             "strict": (mpf("0.6"), mpf("0.5"), mpf("-2")),
         }[route]
@@ -255,10 +269,14 @@ ROUTE_WORDS = {
         "(rsrrsrsrr)t(srsrs)t(rrsrrsrsrr)t(rrsrrs)t(rrsr)t(s)"
         "t(rrsrsrsrrsrsrrsr)t(rsrrsrsrs)t(rsrrsrsrsrsrrsrs)t(rsrs)"
         "t(rrsrrsrs)t(rsrsrr)t(rsrs)t(rsrsrsrr)"),
-    "rejected tuning": (
-        "(srsrrsrsr)t(rsrrs)t(rsrs)t(rrsrrsrs)t(srrsrs)t(rsrsrr)"
-        "t(rrsrsrrsrs)t(srrsrs)t(srr)t(rsrrsrsrs)t(rrsrsrrsrrrs)"
-        "t(rsrrsrsrrsrs)t(srrs)t(rsrsr)t(rsrrsr)t(s)t(rrsrs)"),
+    "twist at the stored precision": (
+        "(srsr)t(rsrrsrsr)t(rsr)t(srs)t(srrsrs)t(rrsrrs)"
+        "t(srrsrssrrsrsrrsr)t(rsrrsrsr)t(srs)t(rsrrsrsrrsrsrsrrsrs)"
+        "t(rsrrsrsrrsrs)t(rsrrsrsrr)t(srrsrs)t(rsrrsrsrrs)t(srrsrsrrrr)"),
+    "no twist at the stored precision": (
+        "(rrs)t(rrsrrsrs)t(srr)t(rr)t(rrsrsrs)t(rrsrrsr)t(rsrsrrsrrsrs)"
+        "t(rrs)t(rrsrrsr)t(rrsrrsrsrrsrrs)t(rsrsrrsr)t(srrsr)t(s)"
+        "t(rsrrsr)t(srrsrsrs)t(srsrrsrsrrs)"),
     "strict": (
         "(srsrrsr)t(rrsrrsrsrs)t(rrsrsr)t(rsrsrr)t(srs)t(srsrrsrsr)"
         "t(srs)t(srsrss)t(rsrrsrsrrs)t(rrsrsrrsr)t(rsrrsrsrrsrsrrsr)"
@@ -269,16 +287,14 @@ ROUTE_WORDS = {
 
 @pytest.mark.parametrize("route", list(ROUTE_WORDS))
 def test_route_words(monkeypatch, route):
-    tuning = {"calls": 0, "rejected": 0}
+    tunings = []
     tune = icogate.general.tune_diagonals
 
-    def counted(*args):
-        tuning["calls"] += 1
-        try:
-            return tune(*args)
-        except HypothesisViolation:
-            tuning["rejected"] += 1
-            raise
+    def counted(gamma1, gamma2):
+        # a HypothesisViolation would propagate and fail the test
+        tuned = tune(gamma1, gamma2)
+        tunings.append(mp.hypot(gamma1[0], gamma1[1]))
+        return tuned
 
     peels = 0
     peel = icogate.general.exact_synthesize
@@ -294,8 +310,10 @@ def test_route_words(monkeypatch, route):
     report = synth_general(ProjUnitary(rows, bits), cfg)
     assert str(report.word) == ROUTE_WORDS[route]
     sandwich = report.k > 0
-    assert sandwich == (tuning["calls"] > 0)
+    assert sandwich == bool(tunings)
     assert sandwich == (route not in ("C60 snap", "diagonal", "j-route"))
-    assert (tuning["rejected"] > 0) == (route == "rejected tuning")
-    # a central element is peeled only once its tuning is accepted
-    assert peels == tuning["calls"] - tuning["rejected"]
+    # the rho twist puts |alpha_1|^2 within epsilon0 of 1/2
+    twisted = {abs(a * a - mpf(1) / 2) <= 0.05 for a in tunings}
+    assert twisted <= {route.startswith(("rho twist", "twist"))}
+    # a central element is peeled once per tuning
+    assert peels == len(tunings)
