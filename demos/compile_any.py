@@ -14,8 +14,7 @@ from mpmath import mp, mpf
 
 from icogate.general import SynthConfig, synth_general
 from icogate.icosian import RHO, evaluate_word
-from icogate.unitary import (distance, named_gate, tuning_constant,
-                             u_of_alpha_beta)
+from icogate.unitary import distance, named_gate, u_of_alpha_beta
 
 
 def show(label, g, eps, **cfg):
@@ -51,9 +50,8 @@ r = show("random @ 1e-6", g, 1e-6)
 print()
 
 print("== strict mode ==")
-c = tuning_constant()
-print(f"default mode promises achieved < (C+2)*eps with C+2 = "
-      f"{mp.nstr(c + 2, 4)}, and stops at 1.5*eps measured;")
-print("strict mode divides eps by C+2 so the proven bound itself meets "
-      "the request:")
-show("H strict @ 1e-4", named_gate("H", 200), 1e-4, strict=True)
+print("default mode stops at the first word measured below 1.5*eps;")
+print("strict mode runs the same search and stops at the first word "
+      "measured below eps, less the measurement margin:")
+show("H default @ 1e-5", named_gate("H", 200), 1e-5)
+show("H strict @ 1e-5", named_gate("H", 200), 1e-5, strict=True)

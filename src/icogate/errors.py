@@ -62,4 +62,4 @@ class BudgetExhausted(IcogateError):
 
 
 class PrecisionInsufficient(IcogateError):
-    """Working precision cannot resolve the verification multiply-back."""
+    """The target is stored too coarsely to certify distances at epsilon."""

@@ -42,7 +42,7 @@ from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
 from .sots import decide, screen, sots_exact
 from .unitary import (DELTA, EPSILON0, ProjUnitary, near_unit_circle,
                       precision_for, quaternion_distance, require_unitary,
-                      to_quaternion, tune_diagonals, tuning_constant)
+                      to_quaternion, tune_diagonals)
 
 __all__ = ["SynthConfig", "SynthReport", "CentralBand", "candidate_norms",
            "build_central", "synth_general"]
@@ -52,12 +52,14 @@ __all__ = ["SynthConfig", "SynthReport", "CentralBand", "candidate_norms",
 class SynthConfig:
     """Knobs for synth_general.
 
-    Default mode treats epsilon as the working accuracy and returns only
-    a word measured below 1.5 * epsilon (a couple of shells past the
+    Both modes run one search at epsilon.  Default mode returns only a
+    word measured below 1.5 * epsilon (a couple of shells past the
     first nonempty band make the tuning term negligible, so this costs
-    O(1) extra taus).  Strict mode shrinks the internal epsilon to
-    epsilon / (C + 2) up front, C the tuning constant, and returns only
-    a word measured below (C + 2) times that, the requested value.
+    O(1) extra taus).  Strict mode returns only a word measured below
+    epsilon less the margin 2^(5 - p) / epsilon by which a distance
+    measured at precision p, the larger of the target's and the working
+    precision, may be off near epsilon (synth_diagonal), so a strict
+    word is truly within epsilon.
     Either mode raises BudgetExhausted when no word meets its goal up
     to k_cap.  delta and epsilon0 are the tuning lemma's constants, the
     same for every search.
@@ -75,12 +77,6 @@ class SynthConfig:
         if self.k_cap is not None and (not isinstance(self.k_cap, int)
                                        or self.k_cap < 0):
             raise MalformedInput("k_cap must be a nonnegative int")
-
-    def internal_epsilon(self):
-        if self.strict:
-            c = tuning_constant()
-            return mpf(self.epsilon) / (c + 2)
-        return mpf(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -109,8 +105,9 @@ class SynthReport:
 class CentralBand(LatticeFamily):
     """The norm bands of one central search, posed once, when built, at
     the working precision p = mp.prec then, whatever the band
-    (candidate_norms).  |alpha| = a and epsilon must lie in (0, 1)
-    (MalformedInput).
+    (candidate_norms).  |alpha| = a and epsilon must lie in (0, 1), and
+    eps a above 2^(20 - p), the hypothesis of candidate_norms' rounding
+    bounds (MalformedInput).
 
     Band k's box is sigma_plus(s) in hp [lo, hi] and sigma_minus(s) in
     [0, hm], for hp and hm the embeddings of eta^k and
@@ -134,6 +131,8 @@ class CentralBand(LatticeFamily):
         if not 0 < eps < 1:
             raise MalformedInput("epsilon must be in (0, 1)")
         a2, ea = self.a2, self.ea = a * a, eps * a
+        if ea <= mp.ldexp(1, 20 - p):
+            raise MalformedInput(f"epsilon * |alpha| needs more than {p} bits")
         lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
         width = hi - lo
         self.inv_w_p = fixed_point(2 / width, p)
@@ -259,16 +258,16 @@ def build_central(k: int, s: GoldenInt) -> GoldenQuat:
 def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     """Approximate g over the gate set to the configured accuracy.
 
-    Routing, cheapest first: snap to the nearest C60 element (a 0-tau
-    word, C60Table.nearest) when it is within epsilon; peel off a
-    diagonal rotation (or a diagonal times the antidiagonal unit j)
-    when the remainder is below epsilon / 2; otherwise run the sandwich
-    search, twisting by rho first whenever |alpha| sits too close to 0
-    or 1 for the tuning lemma.  The outer diagonals get budget
-    0.6 * epsilon each, so any in-band candidate beats (C + 2) * epsilon
-    and the 1.5 * epsilon goal is reachable as soon as the shell makes
-    the band spacing fine enough.  A word is returned only when its
-    measured distance meets the goal (SynthConfig).
+    Routing, cheapest first, the same in both modes: snap to the
+    nearest C60 element (a 0-tau word, C60Table.nearest) when it is
+    within epsilon; peel off a diagonal rotation (or a diagonal times
+    the antidiagonal unit j) when the remainder is below epsilon / 2;
+    otherwise run the sandwich search, twisting by rho first whenever
+    |alpha| sits too close to 0 or 1 for the tuning lemma.  The outer
+    diagonals get budget 0.6 * epsilon each.  A word, the snap's
+    included, is returned only when its measured distance meets the
+    mode's goal (SynthConfig); a route whose word misses it falls
+    through to the next.
 
     The twist is decided on |alpha| = hypot(g0, g1) and epsilon0 at
     the larger precision, the values tune_diagonals tests, so no
@@ -298,7 +297,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     when it is not a scalar multiple of a unitary.
     """
     require_unitary(g)
-    eps = cfg.internal_epsilon()
+    eps = mpf(cfg.epsilon)
     bits = precision_for(eps)
     if mpf(2) ** (-(g.precision_bits // 2)) > eps / 8:
         raise PrecisionInsufficient(
@@ -310,15 +309,15 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
         _, best_seg, best_d = table.nearest(target)
+        goal = (eps - mp.ldexp(1, 5 - wbits) / eps if cfg.strict
+                else mpf("1.5") * eps)
 
     def measure(h, q):
         with mp.workprec(wbits):
             return quaternion_distance(h, q)
 
     with mp.workprec(bits):
-        eps = mpf(eps)
-        goal = ((tuning_constant() + 2) if cfg.strict else mpf("1.5")) * eps
-        if best_d < eps:
+        if best_d < min(eps, goal):
             return SynthReport(GateWord((best_seg,)), 0, (0, 0), best_d, 0, 0)
 
         def diagonal(theta, budget) -> tuple[GoldenQuat, GateWord]:
@@ -341,8 +340,9 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 q_d, w_d = diagonal(mp.atan2(h[1], h[0]), eps - d_h)
                 word = w_d.concat(GateWord((tail_seg,)))
                 achieved = measure(target, (q_d * tail_quat).to_vector(wbits))
-                return SynthReport(word, 0, (word.tau_count, 0), achieved,
-                                   0, stats["abandoned"])
+                if achieved < goal:
+                    return SynthReport(word, 0, (word.tau_count, 0),
+                                       achieved, 0, stats["abandoned"])
 
         g_work, tail = target, None
         with mp.workprec(wbits):

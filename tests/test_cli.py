@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -273,3 +274,14 @@ def test_selftest_green(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_selftest_checks_the_default_goal(capsys, monkeypatch):
+    """Default mode returns only a word measured below 1.5 eps, so a
+    general report at 2e-3 for eps 1e-3 fails the selftest."""
+    synth = cli.synth_general
+    monkeypatch.setattr(cli, "synth_general", lambda g, cfg: replace(
+        synth(g, cfg), achieved=mpf("2e-3")))
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL general synthesis at 1e-3" in out.splitlines()

@@ -86,6 +86,22 @@ def test_candidate_norms_validates_input():
                 CentralBand(0.5, eps)
 
 
+def test_central_band_checks_its_precision():
+    """A band needs eps |alpha| > 2^(20 - p), the hypothesis of
+    candidate_norms' rounding bounds: at 24 bits eps 1e-5 is refused,
+    as DiagonalTarget refuses it, and at 60 bits the edge
+    eps |alpha| = 2^-40 is refused and 2^-39 is not."""
+    with mp.workprec(24):
+        with pytest.raises(MalformedInput):
+            CentralBand(0.5, 1e-5)
+        with pytest.raises(MalformedInput):
+            diagonal.DiagonalTarget(0.3, 1e-5)
+    with mp.workprec(60):
+        with pytest.raises(MalformedInput):
+            CentralBand(0.5, 2.0 ** -39)
+        assert CentralBand(0.5, 2.0 ** -38).p == 60
+
+
 def test_problem_checks_k_in_both_families():
     with mp.workprec(BITS):
         families = (diagonal.DiagonalTarget(0.1, 0.5), CentralBand(0.5, 0.1))
@@ -496,8 +512,9 @@ def test_halting_scale():
 @pytest.mark.parametrize("eps", [1e-6, 1e-12])
 def test_deep_hadamard(eps):
     # outer diagonals at 0.6 eps; achieved is recomputed from the word at
-    # twice the working precision.  At 1e-6 the band holds the exact tie
-    # s vs. eta^k - s, which the integer order breaks by coordinates
+    # twice the working precision.  At 1e-6 band 4 holds a mirror pair
+    # s, eta^4 - s about the exact centre, which the rounding of the mpf
+    # centre orders
     bits = precision_for(eps)
     r = synth_general(named_gate("H", 2 * bits), SynthConfig(eps))
     with mp.workprec(2 * bits):
