@@ -21,20 +21,22 @@ print(f"{'eps':>8}  {'tau':>4}  {'achieved':>10}  {'log59(1/eps^3)':>14}  time")
 for eps in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
     start = time.perf_counter()
     with mp.workprec(precision_for(eps)):
-        q, word, achieved = synth_diagonal(mp.pi / 8, eps)
+        report = synth_diagonal(mp.pi / 8, eps)
     elapsed = time.perf_counter() - start
     theory = 3 * mp.log(1 / mp.mpf(eps)) / mp.log(59)
-    print(f"{eps:>8.0e}  {word.tau_count:>4}  {mp.nstr(achieved, 3):>10}  "
+    print(f"{eps:>8.0e}  {report.tau_count:>4}  "
+          f"{mp.nstr(report.achieved, 3):>10}  "
           f"{mp.nstr(theory, 3):>14}  {elapsed:.2f}s")
 
 print()
 eps = 1e-5
 with mp.workprec(precision_for(eps)):
-    q, word, achieved = synth_diagonal(mp.pi / 8, eps)
-    print(f"the eps = {eps:g} word, {word.tau_count} taus "
-          f"(norm shell eta^{eta_valuation(q.nrd())}):")
-    print(f"  {word}")
-    coords = ", ".join(str(p) for p in q.parts())
+    report = synth_diagonal(mp.pi / 8, eps)
+    print(f"the eps = {eps:g} word, {report.tau_count} taus "
+          f"(norm shell eta^{eta_valuation(report.quaternion.nrd())}):")
+    print(f"  {report.word}")
+    coords = ", ".join(str(p) for p in report.quaternion.parts())
     print(f"its quaternion: ({coords})")
-    d = distance(u_of_theta(mp.pi / 8, mp.prec), evaluate_word(word, mp.prec))
+    d = distance(u_of_theta(mp.pi / 8, mp.prec),
+                 evaluate_word(report.word, mp.prec))
     print(f"re-evaluated distance: {mp.nstr(d, 6)}")

@@ -24,10 +24,11 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
+from . import __version__
 from .errors import BudgetExhausted, IcogateError, MalformedInput
 from .gaussgolden import verify_norm_euclidean
-from .general import SynthConfig, SynthReport, synth_general
-from .diagonal import synth_diagonal
+from .general import SynthConfig, synth_general
+from .diagonal import SynthReport, synth_diagonal
 from .golden import GoldenInt
 from .icosian import (GateWord, GoldenQuat, canonical, exact_synthesize,
                       generate_c60, tau_count, word_to_quat)
@@ -92,6 +93,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _report_payload(report: SynthReport, epsilon: float, elapsed: float) -> dict:
+    # precision_bits and version are what a replay needs besides the input
     return {
         "word": report.word.to_json(),
         "tau_count": report.word.tau_count,
@@ -99,9 +101,12 @@ def _report_payload(report: SynthReport, epsilon: float, elapsed: float) -> dict
         "outer_tau": list(report.outer_tau),
         "achieved": float(report.achieved),
         "k": report.k,
+        "m": tau_count(report.quaternion),
         "abandoned_count": report.abandoned_count,
         "epsilon": epsilon,
         "elapsed_seconds": round(elapsed, 3),
+        "precision_bits": precision_for(epsilon),
+        "version": __version__,
     }
 
 
@@ -134,27 +139,16 @@ def _cmd_synth_diag(args) -> int:
     bits = precision_for(args.eps)
     with mp.workprec(bits):
         theta = parse_angle(args.theta)
-    stats = {"abandoned": 0}
     start = time.perf_counter()
-    q, word, achieved = synth_diagonal(theta, args.eps, precision_bits=bits,
-                                       stats=stats)
+    report = synth_diagonal(theta, args.eps, precision_bits=bits)
     elapsed = time.perf_counter() - start
-    m = tau_count(q)
-    payload = {
-        "word": word.to_json(),
-        "tau_count": word.tau_count,
-        "achieved": float(achieved),
-        "m": m,
-        "abandoned_count": stats["abandoned"],
-        "epsilon": args.eps,
-        "elapsed_seconds": round(elapsed, 3),
-    }
+    payload = _report_payload(report, args.eps, elapsed)
     _emit(args, payload, [
-        f"word        {word}",
-        f"tau-count   {word.tau_count}",
-        f"achieved    {mp.nstr(achieved, 6)}",
-        f"m           {m}",
-        f"abandoned   {stats['abandoned']}",
+        f"word        {report.word}",
+        f"tau-count   {report.word.tau_count}",
+        f"achieved    {mp.nstr(report.achieved, 6)}",
+        f"m           {payload['m']}",
+        f"abandoned   {report.abandoned_count}",
         f"elapsed     {elapsed:.2f}s",
     ])
     return 0
@@ -216,8 +210,8 @@ def _selftest_checks():
                 and again.tau_count == tau_count(q))
     yield "exact synthesis round-trip", roundtrip
     def diag():
-        _, word, achieved = synth_diagonal(mp.pi / 8, 1e-3)
-        return achieved < mpf("1e-3") and word.tau_count <= 10
+        report = synth_diagonal(mp.pi / 8, 1e-3)
+        return report.achieved < mpf("1e-3") and report.tau_count <= 10
     yield "diagonal synthesis at 1e-3", diag
     def general():
         report = synth_general(named_gate("H", 160), SynthConfig(1e-3))
@@ -300,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except MalformedInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,6 +52,7 @@ eps^3 by the determinant of L_m, is at most 1.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -65,7 +66,7 @@ from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
-__all__ = ["DiagonalTarget", "solve_shell", "synth_diagonal"]
+__all__ = ["SynthReport", "DiagonalTarget", "solve_shell", "synth_diagonal"]
 
 
 def _check_precision(bits: int, eps) -> None:
@@ -319,14 +320,40 @@ def _fold_theta(theta):
     return t
 
 
+@dataclass(frozen=True)
+class SynthReport:
+    """What synth_diagonal and general.synth_general return: the word,
+    the exact quaternion achieved was measured on (the word up to a
+    Z[phi] scalar) and where its taus went: central_tau and outer_tau
+    count the pieces before seam cancellation (word.tau_count can be
+    smaller), k is the central shell (0 without one), abandoned_count
+    the factorizations that ran out of their Pollard-rho budget."""
+
+    word: GateWord
+    quaternion: GoldenQuat
+    achieved: object
+    central_tau: int
+    outer_tau: tuple[int, int]
+    k: int
+    abandoned_count: int
+
+    @property
+    def tau_count(self) -> int:
+        return self.word.tau_count
+
+    def __iter__(self):
+        """(quaternion, word, achieved), for the benchmark's unpacking
+        alone (bench/run.py, bench/test_check.py); delete this once the
+        benchmark reads fields."""
+        return iter((self.quaternion, self.word, self.achieved))
+
+
 def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
-                   precision_bits: int | None = None,
-                   stats: dict | None = None
-                   ) -> tuple[GoldenQuat, GateWord, object]:
+                   precision_bits: int | None = None) -> SynthReport:
     """Approximate u(theta) to distance < epsilon, shortest shell first.
 
-    Returns (quaternion, word, achieved distance).  The nearest C60
-    element, when within epsilon, comes first: a 0-tau word and the
+    Returns a SynthReport, its word the one outer piece.  The nearest
+    C60 element, when within epsilon, comes first: a 0-tau word and the
     table's element, whose nrd is a unit times a power of 4.  Otherwise
     the quaternion has nrd = eta^m exactly for the winning exponent m;
     the word factors its primitive part, so its tau-count is at most m.
@@ -341,10 +368,7 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
     The search runs at precision_bits, precision_for(epsilon) when
     None; fewer than 2 log2(1/eps) + 32 raise MalformedInput.
-
-    When ``stats`` is given, its "abandoned" entry is incremented for
-    every residual whose factorization ran out of its Pollard-rho
-    budget, so callers can report how much work was discarded.
+    abandoned_count counts the residuals skipped for their rho budget.
     """
     eps = mpf(epsilon)
     if not mp.isfinite(theta):
@@ -361,18 +385,18 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         target = (c, s, mpf(0), mpf(0))
         q, seg, achieved = generate_c60().nearest(target)
         if achieved < accuracy.within:
-            return q, GateWord((seg,)), achieved
+            return SynthReport(GateWord((seg,)), q, achieved, 0, (0, 0), 0, 0)
         if m_cap is None:
             m_cap = accuracy.m_cap
         posed = DiagonalTarget(t, eps, (s, c))
+        abandoned = 0
         for m in posed.search(m_cap):
             eta_m = eta_power(m)
             for x0, x1 in solve_shell(posed, m):
                 try:
                     x2, x3 = sots_exact(eta_m - x0 * x0 - x1 * x1)
                 except Abandoned:
-                    if stats is not None:
-                        stats["abandoned"] = stats.get("abandoned", 0) + 1
+                    abandoned += 1
                     continue
                 except NotRepresentable:
                     continue
@@ -380,7 +404,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
                 q = GoldenQuat(x0, x1, x2, x3)
                 achieved = quaternion_distance(target, q.to_vector(bits))
                 if achieved < accuracy.within:
-                    return q, exact_synthesize(q), achieved
+                    word = exact_synthesize(q)
+                    return SynthReport(word, q, achieved, 0,
+                                       (word.tau_count, 0), 0, abandoned)
     raise BudgetExhausted(
         f"no approximation of u({theta}) within {epsilon} "
         f"up to eta-exponent {m_cap}")

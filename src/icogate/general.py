@@ -32,7 +32,7 @@ from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
-from .diagonal import synth_diagonal
+from .diagonal import SynthReport, synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotRepresentable, PrecisionInsufficient)
 from .golden import GoldenInt, _int_hamilton, _sign_of, embed, eta_power
@@ -77,29 +77,6 @@ class SynthConfig:
         if self.k_cap is not None and (not isinstance(self.k_cap, int)
                                        or self.k_cap < 0):
             raise MalformedInput("k_cap must be a nonnegative int")
-
-
-@dataclass(frozen=True)
-class SynthReport:
-    """Where a synthesized word spent its taus, and how close it got.
-
-    central_tau and outer_tau count the word pieces before seam
-    cancellation; word.tau_count can be slightly smaller.  k is the
-    central shell exponent (0 for targets that never needed a central
-    element), and abandoned_count totals every factorization that ran
-    out of its Pollard-rho budget along the way.
-    """
-
-    word: GateWord
-    central_tau: int
-    outer_tau: tuple[int, int]
-    achieved: object
-    k: int
-    abandoned_count: int
-
-    @property
-    def tau_count(self) -> int:
-        return self.word.tau_count
 
 
 class CentralBand(LatticeFamily):
@@ -279,14 +256,16 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     < delta, as SynthConfig requires.  A candidate either completes to
     a word or raises: NotRepresentable (build_central) and
     BudgetExhausted (an outer diagonal) skip it, and Abandoned is
-    counted and skips it.
+    counted and skips it.  An outer diagonal's abandoned_count is added
+    when it returns, so one that raises BudgetExhausted goes uncounted
+    (no input is known to reach that).
 
     Every distance is measured against g as a unit quaternion, at the
     larger of g's and the working precision.
-    A word's achieved distance is taken on the exact product of its
-    pieces' quaternions (the diagonal's q, times j on the j-route;
-    q1 * central * q2, times conj(rho) when twisted), which the word
-    equals up to a Z[phi] scalar.
+    achieved is taken on the report's quaternion, the exact product of
+    the pieces (the snap's element; the diagonal's, times j on the
+    j-route; q1 * central * q2, times conj(rho) when twisted), which the
+    word equals up to a Z[phi] scalar.
 
     exact_synthesize cannot refuse a central candidate: an icosian with
     nrd eta^k, it is a word (super golden gates, Parzanchevski-Sarnak).
@@ -303,12 +282,11 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
         raise PrecisionInsufficient(
             f"target stored at {g.precision_bits} bits cannot certify "
             f"distances at {mp.nstr(eps, 3)}")
-    stats = {"abandoned": 0}
     wbits = max(g.precision_bits, bits)
     table = generate_c60()
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
-        _, best_seg, best_d = table.nearest(target)
+        best_q, best_seg, best_d = table.nearest(target)
         goal = (eps - mp.ldexp(1, 5 - wbits) / eps if cfg.strict
                 else mpf("1.5") * eps)
 
@@ -318,12 +296,10 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
 
     with mp.workprec(bits):
         if best_d < min(eps, goal):
-            return SynthReport(GateWord((best_seg,)), 0, (0, 0), best_d, 0, 0)
+            return SynthReport(GateWord((best_seg,)), best_q, best_d, 0,
+                               (0, 0), 0, 0)
 
-        def diagonal(theta, budget) -> tuple[GoldenQuat, GateWord]:
-            q, word, _ = synth_diagonal(theta, budget, precision_bits=bits,
-                                        stats=stats)
-            return q, word
+        abandoned = 0
 
         # g itself, then g j^-1 = (g2, g3, -g0, -g1), as a diagonal
         # rotation times a C60 tail
@@ -337,12 +313,15 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
             with mp.workprec(wbits):
                 d_h = mp.sqrt(max(0, 1 - mp.hypot(h[0], h[1])))
             if d_h < eps / 2:
-                q_d, w_d = diagonal(mp.atan2(h[1], h[0]), eps - d_h)
-                word = w_d.concat(GateWord((tail_seg,)))
-                achieved = measure(target, (q_d * tail_quat).to_vector(wbits))
+                diag = synth_diagonal(mp.atan2(h[1], h[0]), eps - d_h,
+                                      precision_bits=bits)
+                abandoned += diag.abandoned_count
+                word = diag.word.concat(GateWord((tail_seg,)))
+                product = diag.quaternion * tail_quat
+                achieved = measure(target, product.to_vector(wbits))
                 if achieved < goal:
-                    return SynthReport(word, 0, (word.tau_count, 0),
-                                       achieved, 0, stats["abandoned"])
+                    return SynthReport(word, product, achieved, 0,
+                                       (word.tau_count, 0), 0, abandoned)
 
         g_work, tail = target, None
         with mp.workprec(wbits):
@@ -366,22 +345,27 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                     with mp.workprec(wbits):
                         tuned = tune_diagonals(g_work, q.to_vector(wbits))
                     central = exact_synthesize(q)
-                    q1, w1 = diagonal(tuned.theta1, outer_eps)
-                    q2, w2 = diagonal(tuned.theta2, outer_eps)
+                    d1 = synth_diagonal(tuned.theta1, outer_eps,
+                                        precision_bits=bits)
+                    abandoned += d1.abandoned_count
+                    d2 = synth_diagonal(tuned.theta2, outer_eps,
+                                        precision_bits=bits)
+                    abandoned += d2.abandoned_count
                 except Abandoned:
-                    stats["abandoned"] += 1
+                    abandoned += 1
                     continue
                 except (NotRepresentable, BudgetExhausted):
                     continue
-                word = w1.concat(central).concat(w2)
-                product = q1 * q * q2
+                word = d1.word.concat(central).concat(d2.word)
+                product = d1.quaternion * q * d2.quaternion
                 if tail is not None:
                     word = word.concat(tail)
                     product = product * RHO.conjugate()
                 achieved = measure(target, product.to_vector(wbits))
                 if achieved < goal:
-                    return SynthReport(word, central.tau_count,
-                                       (w1.tau_count, w2.tau_count),
-                                       achieved, k, stats["abandoned"])
+                    return SynthReport(word, product, achieved,
+                                       central.tau_count,
+                                       (d1.tau_count, d2.tau_count), k,
+                                       abandoned)
     raise BudgetExhausted(
         f"no approximation within {cfg.epsilon} up to central shell {k_cap}")

@@ -486,10 +486,8 @@ def factor(x: GoldenInt, primes: dict[int, int] | None = None
                 pi_list = [GoldenInt(p, 0)]
             else:
                 pi = split_prime(p)
-                # split_prime's gcd is already canonical
+                # split_prime's gcd is canonical; its conjugate is no associate
                 pi_list = [pi, canonical_associate(pi.conj())]
-                if pi_list[0] == pi_list[1]:
-                    pi_list = pi_list[:1]
             for pi in pi_list:
                 mult = 0
                 while True:

@@ -114,6 +114,27 @@ def test_synth_json_word_reproduces_achieved(capsys):
     assert payload["central_tau"] + sum(payload["outer_tau"]) >= word.tau_count
 
 
+@pytest.mark.parametrize("argv", [("synth", "--gate", "H"),
+                                  ("synth-diag", "--theta", "pi/8")],
+                         ids=["synth", "synth-diag"])
+def test_synth_json_is_one_report_with_its_replay_fields(capsys, argv):
+    """Both subcommands emit the same keys: the report's, the shell m of
+    its quaternion, and the precision and version a replay needs."""
+    code, out, _ = run(capsys, *argv, "--eps", "1e-6", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert set(payload) == {
+        "word", "tau_count", "central_tau", "outer_tau", "achieved", "k",
+        "m", "abandoned_count", "epsilon", "elapsed_seconds",
+        "precision_bits", "version"}
+    assert payload["precision_bits"] == precision_for(1e-6)
+    assert payload["version"] == icogate.__version__
+    assert payload["tau_count"] <= payload["m"]
+    if argv[0] == "synth-diag":
+        assert payload["outer_tau"] == [payload["tau_count"], 0]
+        assert payload["central_tau"] == payload["k"] == 0
+
+
 def test_synth_deterministic_for_seed():
     """The word, k and achieved depend on the input alone: two fresh
     interpreters with different hash seeds agree."""

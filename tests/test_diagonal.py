@@ -252,11 +252,12 @@ def test_synth_large_angle_reports_true_distance():
     # folding 1e400 mod pi needs ~1330 more bits than the working
     # precision; achieved must be the distance to u(1e400) itself
     theta = mpf("1e400")
-    _, word, achieved = synth_diagonal(theta, 1e-3)
+    report = synth_diagonal(theta, 1e-3)
     with mp.workprec(2000):
-        true = distance(u_of_theta(theta, 2000), evaluate_word(word, 2000))
+        true = distance(u_of_theta(theta, 2000),
+                        evaluate_word(report.word, 2000))
     assert true < 1e-3
-    assert abs(achieved - true) < mpf(2) ** -60
+    assert abs(report.achieved - true) < mpf(2) ** -60
 
 
 def test_problem_validation():
@@ -292,10 +293,12 @@ def test_precision_floor(eps, floor):
         DiagonalTarget(0.4, eps)
     with mp.workprec(floor):
         DiagonalTarget(0.4, eps)
-    _, word, achieved = synth_diagonal(0.4, eps, precision_bits=floor)
+    report = synth_diagonal(0.4, eps, precision_bits=floor)
     with mp.workprec(300):
-        true = distance(u_of_theta(mpf(0.4), 300), evaluate_word(word, 300))
-    assert true < eps and abs(achieved - true) < mpf(2) ** (-floor // 2)
+        true = distance(u_of_theta(mpf(0.4), 300),
+                        evaluate_word(report.word, 300))
+    assert true < eps
+    assert abs(report.achieved - true) < mpf(2) ** (-floor // 2)
 
 
 def solved_shells(monkeypatch, theta, eps):
@@ -308,9 +311,9 @@ def solved_shells(monkeypatch, theta, eps):
         return solve_shell(target, m)
 
     monkeypatch.setattr(icogate.diagonal, "solve_shell", counted)
-    _, word, _ = synth_diagonal(theta, eps)
+    report = synth_diagonal(theta, eps)
     monkeypatch.undo()
-    return solved, word
+    return solved, report.word
 
 
 def assert_skipped_shells_empty(theta, eps, solved):
@@ -429,31 +432,32 @@ def test_degenerate_angles_probe_without_listing_a_shell():
 
 
 def test_synth_identity_at_zero():
-    q, word, achieved = synth_diagonal(0, 1e-3)
-    assert word.tau_count == 0
-    assert achieved == 0
-    assert canonical(q) == canonical(GoldenQuat(1, 0, 0, 0))
+    report = synth_diagonal(0, 1e-3)
+    assert report.tau_count == 0
+    assert report.achieved == 0
+    assert canonical(report.quaternion) == canonical(GoldenQuat(1, 0, 0, 0))
 
 
 def test_synth_snaps_to_quarter_turn():
     # u(pi/2) = diag(i, -i) is in C60; nearby angles snap to it
-    q, word, achieved = synth_diagonal(mp.pi / 2, 1e-6)
-    assert word.tau_count == 0
-    assert achieved < 1e-12
-    q2, word2, achieved2 = synth_diagonal(mp.pi / 2 + 1e-9, 1e-6)
-    assert word2.tau_count == 0
-    assert achieved2 < 1e-6
+    report = synth_diagonal(mp.pi / 2, 1e-6)
+    assert report.tau_count == 0
+    assert report.achieved < 1e-12
+    report2 = synth_diagonal(mp.pi / 2 + 1e-9, 1e-6)
+    assert report2.tau_count == 0
+    assert report2.achieved < 1e-6
 
 
 def test_synth_pi_over_4():
-    q, word, achieved = synth_diagonal(mp.pi / 4, 1e-4)
-    assert achieved < 1e-4
-    assert word.tau_count >= 1
+    report = synth_diagonal(mp.pi / 4, 1e-4)
+    assert report.achieved < 1e-4
+    assert report.tau_count >= 1
 
 
 def test_synth_word_and_quat_agree():
     bits = precision_for(1e-5)
-    q, word, achieved = synth_diagonal(-0.3, 1e-5)
+    report = synth_diagonal(-0.3, 1e-5)
+    q, word, achieved = report.quaternion, report.word, report.achieved
     assert achieved < 1e-5
     with mp.workprec(bits):
         gap = distance(evaluate_word(word, bits), q.to_unitary(bits))
@@ -476,8 +480,8 @@ def test_synth_verifies_against_target():
     # the winner must satisfy the advertised bound, not just the shell
     # feasibility conditions
     for theta, eps in [(0.7, 1e-3), (1.2, 1e-3)]:
-        _, _, achieved = synth_diagonal(theta, eps)
-        assert achieved < eps
+        report = synth_diagonal(theta, eps)
+        assert report.achieved < eps
 
 
 def test_synth_budget_exhaustion():
@@ -517,9 +521,9 @@ def test_tau_count_tracks_epsilon():
     # never above the cap that the m-loop enforces
     taus = []
     for theta in (0.35, 0.8, 1.1, -0.6):
-        _, word, achieved = synth_diagonal(theta, 1e-3)
-        assert achieved < 1e-3
-        taus.append(word.tau_count)
+        report = synth_diagonal(theta, 1e-3)
+        assert report.achieved < 1e-3
+        taus.append(report.tau_count)
     cap = int(mp.ceil(3 * mp.log(10 ** 3) / mp.log(59))) + 12
     assert all(t <= cap for t in taus)
     taus.sort()
@@ -533,9 +537,9 @@ def test_synth_deep_t_gate():
     bits = precision_for(eps)
     with mp.workprec(2 * bits):
         theta = mp.pi / 8
-    _, word, achieved = synth_diagonal(theta, eps)
+    report = synth_diagonal(theta, eps)
     with mp.workprec(2 * bits):
         true = distance(u_of_theta(theta, 2 * bits),
-                        evaluate_word(word, 2 * bits))
+                        evaluate_word(report.word, 2 * bits))
         assert true < eps
-        assert abs(true - achieved) < mpf(2) ** (-bits // 2)
+        assert abs(true - report.achieved) < mpf(2) ** (-bits // 2)

@@ -4,10 +4,12 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate import diagonal, general, goldengrid, icosian, lattice
+from icogate import (diagonal, general, goldengrid, icosian, intfactor,
+                     lattice, sots)
 from icogate.diagonal import synth_diagonal
-from icogate.errors import (BudgetExhausted, MalformedInput, NotInGroup,
-                            NotRepresentable, PrecisionInsufficient)
+from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
+                            NotInGroup, NotRepresentable,
+                            PrecisionInsufficient)
 from icogate.general import (CentralBand, SynthConfig, build_central,
                              candidate_norms, synth_general)
 from icogate.golden import GoldenInt, ZERO, embed, eta_power, sign_minus, sign_plus
@@ -484,6 +486,36 @@ def test_synth_lets_not_in_group_propagate(monkeypatch, module):
         synth_general(named_gate("H", BITS), SynthConfig(1e-3))
 
 
+@pytest.mark.parametrize("pipeline, expected", [("general", 8),
+                                                ("diagonal", 2)])
+def test_abandoned_count_is_every_abandonment_raised(monkeypatch, pipeline,
+                                                      expected):
+    """With a Pollard-rho budget of 1 iteration, H at 1e-15 abandons 6
+    central candidates in build_central and 2 residuals in its outer
+    diagonals, and u(pi/8) at 1e-20 abandons 2 residuals: the report
+    counts every Abandoned that factor_cofactor raises under the call."""
+    monkeypatch.setattr(intfactor, "RHO_ITERATION_BUDGET", 1)
+    raised = []
+    factor_cofactor = sots.factor_cofactor
+
+    def counted(*args):
+        try:
+            return factor_cofactor(*args)
+        except Abandoned:
+            raised.append(args)
+            raise
+
+    monkeypatch.setattr(sots, "factor_cofactor", counted)
+    if pipeline == "general":
+        r = synth_general(named_gate("H", precision_for(1e-15)),
+                          SynthConfig(1e-15))
+    else:
+        with mp.workprec(precision_for(1e-20)):
+            theta = mp.pi / 8
+        r = synth_diagonal(theta, 1e-20)
+    assert r.abandoned_count == len(raised) == expected
+
+
 def test_coarse_target_raises_precision_error():
     g = named_gate("H", 40)
     with pytest.raises(PrecisionInsufficient):
@@ -573,14 +605,13 @@ def snap_cases():
 def test_snap_matches_full_scan(g, eps):
     if isinstance(g, ProjUnitary):
         r = synth_general(g, SynthConfig(eps))
-        word, achieved = r.word, r.achieved
     else:
-        _, word, achieved = synth_diagonal(g, eps, precision_bits=BITS)
+        r = synth_diagonal(g, eps, precision_bits=BITS)
         with mp.workprec(BITS):
             g = u_of_theta(mpf(g), BITS)
     seg, d = scan_snap(g, BITS)
-    assert word == GateWord((seg,))
-    assert abs(achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
+    assert r.word == GateWord((seg,))
+    assert abs(r.achieved ** 2 - d ** 2) < mpf(2) ** (8 - BITS)
 
 
 @pytest.mark.parametrize("theta", [0.7, 1.2, -0.4, 0.3])
@@ -671,6 +702,8 @@ def test_achieved_is_the_words_distance_on_every_route(route):
         assert r.k == 0 and r.tau_count > 0
     else:
         assert r.k > 0
+    # the report's quaternion is the word up to a Z[phi] scalar
+    assert canonical(r.quaternion) == canonical(word_to_quat(r.word))
     with mp.workprec(2 * bits):
         true = distance(g, evaluate_word(r.word, 2 * bits))
         assert abs(true ** 2 - r.achieved ** 2) < mpf(2) ** (8 - bits)

@@ -248,6 +248,19 @@ def test_split_prime_examples():
     assert canonical_associate(split_prime(11)) == GoldenInt(3, 1)
 
 
+def test_split_primes_factor_into_two_non_associates():
+    # golden.factor divides by split_prime(p) and the canonical associate
+    # of its conjugate as two distinct irreducibles: for the 1490 split
+    # primes among the first 3000 primes they are never equal
+    from icogate.intfactor import small_primes
+
+    split = [p for p in small_primes()[:3000] if p % 5 in (1, 4)]
+    assert len(split) == 1490
+    for p in split:
+        pi = split_prime(p)
+        assert pi != canonical_associate(pi.conj()), p
+
+
 def test_split_prime_below_1000():
     from icogate.intfactor import small_primes
 

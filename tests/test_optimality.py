@@ -150,7 +150,7 @@ def seeded_targets(count=200, seed=11):
 
 def oracle_pairs():
     """(fewest taus, synth_diagonal taus) for every seeded target."""
-    return [(fewest_taus(theta, eps), synth_diagonal(theta, eps)[1].tau_count)
+    return [(fewest_taus(theta, eps), synth_diagonal(theta, eps).tau_count)
             for theta, eps in seeded_targets()]
 
 

@@ -59,8 +59,8 @@ def working_bits(eps):
 def u_pi_8(eps):
     with mp.workprec(working_bits(eps)):
         theta = mp.pi * 1 / 8
-    _, word, _ = synth_diagonal(theta, eps, precision_bits=working_bits(eps))
-    return str(word)
+    return str(synth_diagonal(theta, eps,
+                              precision_bits=working_bits(eps)).word)
 
 
 def general_word(rows, bits, eps):
