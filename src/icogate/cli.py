@@ -8,9 +8,9 @@ Subcommands map one-to-one onto the library pipelines:
   verify-ne   -- the finite norm-Euclidean verification for Z[i, phi]
   selftest    -- quick end-to-end invariant checks
 
-Exit codes: 0 success, 1 selftest failure, 2 depth budget exhausted,
-3 malformed or unsatisfiable input.  synth and synth-diag work at
-precision_for(--eps), as the library does.
+Exit codes: 0 success, 1 selftest failure or verify-ne violations,
+2 depth budget exhausted, 3 malformed or unsatisfiable input.  synth
+and synth-diag work at precision_for(--eps), as the library does.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ chance of being representable.
 
 Each shell is posed for a folded angle, cos(theta) > 0: synth_diagonal
 folds theta into [-pi/2, pi/2) and first returns the nearest C60
-element, a 0-tau word, when it is within eps (C60Table.nearest);
+element, a 0-tau word, when it is within eps (C60Table.snap);
 u(pi/2) is one, so the folded angle -pi/2 snaps at distance 0.  A
 residual is skipped when its factorization runs out of the Pollard-rho
 budget, the only abandonment rule.
@@ -383,8 +383,9 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
         t = _fold_theta(theta)
         s, c = mp.sin(t), mp.cos(t)
         target = (c, s, mpf(0), mpf(0))
-        q, seg, achieved = generate_c60().nearest(target)
-        if achieved < accuracy.within:
+        snapped = generate_c60().snap(target, accuracy.within)
+        if snapped is not None:
+            q, seg, achieved = snapped
             return SynthReport(GateWord((seg,)), q, achieved, 0, (0, 0), 0, 0)
         if m_cap is None:
             m_cap = accuracy.m_cap

@@ -236,7 +236,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     """Approximate g over the gate set to the configured accuracy.
 
     Routing, cheapest first, the same in both modes: snap to the
-    nearest C60 element (a 0-tau word, C60Table.nearest) when it is
+    nearest C60 element (a 0-tau word, C60Table.snap) when it is
     within epsilon; peel off a diagonal rotation (or a diagonal times
     the antidiagonal unit j) when the remainder is below epsilon / 2;
     otherwise run the sandwich search, twisting by rho first whenever
@@ -286,19 +286,18 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     table = generate_c60()
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
-        best_q, best_seg, best_d = table.nearest(target)
         goal = (eps - mp.ldexp(1, 5 - wbits) / eps if cfg.strict
                 else mpf("1.5") * eps)
+        snapped = table.snap(target, min(eps, goal))
+    if snapped is not None:
+        q, seg, achieved = snapped
+        return SynthReport(GateWord((seg,)), q, achieved, 0, (0, 0), 0, 0)
 
     def measure(h, q):
         with mp.workprec(wbits):
             return quaternion_distance(h, q)
 
     with mp.workprec(bits):
-        if best_d < min(eps, goal):
-            return SynthReport(GateWord((best_seg,)), best_q, best_d, 0,
-                               (0, 0), 0, 0)
-
         abandoned = 0
 
         # g itself, then g j^-1 = (g2, g3, -g0, -g1), as a diagonal

@@ -206,8 +206,9 @@ def norm(x: GoldenInt) -> int:
 
 @lru_cache(maxsize=64)
 def _phi_embedded(which: str, precision_bits: int):
-    """phi under the requested embedding, memoized per precision (embed
-    sits on the hot path of lattice scans)."""
+    """phi under the requested embedding, memoized per precision:
+    GoldenQuat.to_vector reads it for every candidate it measures, and
+    embed for every central band CentralBand.pose poses."""
     with mp.workprec(precision_bits):
         root = mp.sqrt(5)
         return (1 + root) / 2 if which == "plus" else (1 - root) / 2

@@ -346,27 +346,19 @@ def _float_unit(q: GoldenQuat) -> tuple[float, ...]:
     return tuple(x / n for x in v)
 
 
-# working precisions whose element vectors a C60Table keeps at once
-_VECTOR_PRECISIONS = 16
-
-
 class C60Table:
     """The 60 projective classes generated by rho and sigma, each with
     the shortest {r, s}-word the breadth-first closure found, its
-    inverse word, its point of PU(2) as a float unit quaternion (for a
-    nearest-element screen) and as the real quaternion to_vector(p) at
-    each working precision p a snap has used (built on the first snap
-    at p, for at most _VECTOR_PRECISIONS precisions at a time), and the
-    pair entries exact_synthesize looks up by line (see peel_table)."""
+    inverse word, its point of PU(2) as a float unit quaternion (the
+    snap's screen), and the pair entries exact_synthesize looks up by
+    line (see peel_table)."""
 
-    __slots__ = ("elements", "unit_vectors", "_vectors", "_word_map",
-                 "_inverse", "_by_key", "_i_twins", "_pairs", "j_word",
-                 "rho_inverse_word")
+    __slots__ = ("elements", "float_units", "_word_map", "_inverse",
+                 "_by_key", "_pairs", "j_word", "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
-        self.unit_vectors = tuple(_float_unit(q) for q, _ in elements)
-        self._vectors: dict[int, tuple] = {}
+        self.float_units = tuple(_float_unit(q) for q, _ in elements)
         self._word_map = dict(elements)
         # C60 embeds in PGL_2(F_59), so the residue keys name the classes
         # and word_for finds each inverse without canonical()
@@ -380,17 +372,6 @@ class C60Table:
             if inverse is None:
                 raise IcogateError(f"the inverse of {q!r} is not in the table")
             self._inverse[q] = inverse
-        # the later element of each pair q, (q0, q1, -q2, -q3) (conjugates
-        # by i, which is in C60) whose stored coordinates agree up to sign
-        index = {q.coords(): n for n, (q, _) in enumerate(elements)}
-        twins = set()
-        for n, (q, _) in enumerate(elements):
-            a0, b0, a1, b1, *rest = q.coords()
-            twin = (a0, b0, a1, b1, *(-v for v in rest))
-            m = index.get(twin, index.get(tuple(-v for v in twin)))
-            if m is not None and m < n:
-                twins.add(n)
-        self._i_twins = frozenset(twins)
         self._pairs = None  # built by the first two-tau peel
         # the C60 tails synth_general appends to its routes
         self.j_word = self.word_for(GoldenQuat(0, 0, 1, 0))
@@ -404,33 +385,30 @@ class C60Table:
     def __iter__(self):
         return iter(self.elements)
 
-    def nearest(self, target) -> tuple[GoldenQuat, str, object]:
+    def snap(self, target, bound) -> tuple[GoldenQuat, str, object] | None:
         """The element nearest the unit quaternion target, as (element,
-        segment, distance): the first in table order with the strictly
-        smallest distance.  Float dot products against the unit vectors
-        screen the 60; only those within 1e-9 of the best float score (a
-        window far wider than float round-off, so it holds every element
-        that can tie the best) are measured at working precision.  When
-        the target's j and k parts are exactly 0, q and its twin
-        (q0, q1, -q2, -q3) have the same score and bit-identical
-        distances (the dot products are summed exactly), so only the
-        first of the two is measured."""
+        segment, distance), when that distance is below bound, else
+        None; on a tie, the first in table order.  Float dot products
+        against float_units score the 60 within 2^-40 of
+        |<target, q/|q|>| (each factor is rounded to doubles, off by a
+        few 2^-53), and a distance is sqrt(1 - that), so when
+        1 - top > bound^2 + 2^-40 no element is within bound and none
+        is measured.  Otherwise those within 1e-9 of the top score (a
+        window far wider than float round-off, so it holds every
+        element that can tie the best) are measured at the working
+        precision."""
         t0, t1, t2, t3 = map(float, target)
         scores = [abs(t0 * v0 + t1 * v1 + t2 * v2 + t3 * v3)
-                  for v0, v1, v2, v3 in self.unit_vectors]
+                  for v0, v1, v2, v3 in self.float_units]
         top = max(scores)
-        skip = () if target[2] or target[3] else self._i_twins
-        vectors = self._vectors.get(mp.prec)
-        if vectors is None:
-            if len(self._vectors) >= _VECTOR_PRECISIONS:
-                self._vectors.clear()
-            vectors = self._vectors[mp.prec] = tuple(
-                q.to_vector(mp.prec) for q, _ in self.elements)
-        return min(((q, seg, quaternion_distance(target, vectors[n]))
-                    for n, ((q, seg), score)
-                    in enumerate(zip(self.elements, scores))
-                    if score >= top - 1e-9 and n not in skip),
+        if 1 - top > bound ** 2 + 2 ** -40:
+            return None
+        best = min(((q, seg, quaternion_distance(target,
+                                                 q.to_vector(mp.prec)))
+                    for (q, seg), score in zip(self.elements, scores)
+                    if score >= top - 1e-9),
                    key=lambda e: e[2])
+        return best if best[2] < bound else None
 
     def peel_table(self) -> tuple[tuple, ...]:
         """The entries exact_synthesize peels by, indexed by line mod

@@ -615,12 +615,14 @@ def test_snap_matches_full_scan(g, eps):
 
 
 @pytest.mark.parametrize("theta", [0.7, 1.2, -0.4, 0.3])
-def test_snap_measures_one_of_each_diagonal_twin(theta, monkeypatch):
-    """For a target with zero j and k parts, q and (q0, q1, -q2, -q3)
-    (conjugation by i, which is in C60) tie bit for bit, so the snap
-    measures one of them; at u(0.7), u(1.2) and u(-0.4) the nearest
-    element has such a twin, at u(0.3) it has none.  A j part of 1e-30
-    breaks the tie, and then both twins are measured."""
+def test_snap_screens_far_diagonal_targets_unmeasured(theta, monkeypatch):
+    """With a bound above 1, the snap at u(theta), and at u(theta)
+    with a j part of 1e-30, returns the full scan's segment and
+    distance.  At u(0.7), u(1.2) and u(-0.4) the nearest element ties
+    bit for bit with its twin (q0, q1, -q2, -q3), its conjugate by i;
+    at u(0.3) it has none.  Every element lies farther than 1e-3 from
+    these targets, so with bound 1e-3 the float screen returns None
+    before any distance is measured."""
     calls = []
 
     def counting(g, q):
@@ -633,15 +635,16 @@ def test_snap_measures_one_of_each_diagonal_twin(theta, monkeypatch):
     with mp.workprec(BITS):
         t = mpf(theta)
         target = (mp.cos(t), mp.sin(t), mpf(0), mpf(0))
-        q, seg, d = table.nearest(target)
-        assert len(calls) == 1
-        best_seg, best_d = scan_snap(u_of_theta(t, BITS), BITS)
-        assert seg == best_seg
-        assert abs(d ** 2 - best_d ** 2) < mpf(2) ** (8 - BITS)
-        calls.clear()
         tilted = (target[0], target[1], mpf("1e-30"), mpf(0))
-        assert table.nearest(tilted)[1] == seg
-        assert len(calls) == (1 if theta == 0.3 else 2)
+        for g in (target, tilted):
+            q, seg, d = table.snap(g, 2)
+            best_seg, best_d = scan_snap(quat_target(g, BITS), BITS)
+            assert seg == best_seg
+            assert abs(d ** 2 - best_d ** 2) < mpf(2) ** (8 - BITS)
+        calls.clear()
+        for g in (target, tilted):
+            assert table.snap(g, mpf("1e-3")) is None
+        assert not calls
 
 
 def test_snap_on_an_exact_tie():

@@ -212,11 +212,14 @@ def test_c60_table_refuses_a_missing_inverse():
 
 
 def test_c60_snap_matches_a_fresh_measurement_of_all_60():
-    """C60Table.nearest against every element measured with a fresh
-    to_vector at the working precision: the same element, segment and
-    distance, the first in table order on a tie.  The precision switches
-    within the process, so a vector kept from another precision would
-    measure differently."""
+    """C60Table.snap against every element measured with a fresh
+    to_vector at the working precision: with brute-force distance d,
+    snap(t, 2) and snap(t, d + 2^-(p/2)) give the same element, segment
+    and distance, the first in table order on a tie, and snap(t, d)
+    gives None.  The targets include the diagonal twin ties u(0.7),
+    u(1.2) and u(-0.4), and the precision switches among 19 values
+    within the process, so nothing kept from another precision can
+    measure in its place."""
     table = generate_c60()
 
     def brute(target):
@@ -232,13 +235,18 @@ def test_c60_snap_matches_a_fresh_measurement_of_all_60():
     points += [[math.cos(t), math.sin(t), 0, 0]
                for t in (0, 0.3, 0.7, 1.2, -0.4, math.pi / 2)]
     points += [q.to_vector(53) for q, _ in list(table)[::12]]
-    for p in (64, 128, 300, 64, 300, 128):
+    precisions = [64 + 13 * n for n in range(19)]
+    for p in precisions + precisions[::-5]:
         with mp.workprec(p):
             for v in points:
                 v = [mpf(x) for x in v]
                 norm = mp.sqrt(mp.fdot(v, v))
                 target = tuple(x / norm for x in v)
-                assert table.nearest(target) == brute(target)
+                best = brute(target)
+                d = best[2]
+                assert table.snap(target, 2) == best
+                assert table.snap(target, d) is None
+                assert table.snap(target, d + mpf(2) ** -(p // 2)) == best
 
 
 def test_c60_deterministic():
