@@ -24,15 +24,15 @@ budget, the only abandonment rule.
 
 A search is posed once, as a DiagonalTarget, at the working precision
 p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
-itself.  What eps and p fix (the accept margin, the shell cap, the top
-shell and the cap's integer constants) is built once per (eps, p) and
-shared by every search there (_Accuracy).  sin(theta) and cos(theta)
-are computed once per search in mpf, measure the C60 snap and are
-rounded to scale 2^p; each shell is posed from them and from the exact
-eta^m in integers, and decided in integers alone (solve_shell).  The
-integer ellipsoid needs p >= 2 log2(1/eps) + 32, which
-precision_for(eps) exceeds by log2(1/eps) + 64; a target or a search
-asked for less is rejected.
+itself.  What eps and p fix (the accept margin, both searches' default
+caps, the top shell and the cap's integer constants) is built once per
+(eps, p) and shared by every search there (_Accuracy).  sin(theta)
+and cos(theta) are computed once per search in mpf, measure the C60
+snap and are rounded to scale 2^p; each shell is posed from them and
+from the exact eta^m in integers, and decided in integers alone
+(solve_shell).  The integer ellipsoid needs p >= 2 log2(1/eps) + 32,
+which precision_for(eps) exceeds by log2(1/eps) + 64; a target or a
+search asked for less is rejected.
 
 Most shells below the one that succeeds hold no pair, and the search
 skips them unsolved.  Shell m + 2's h and h_minus are shell m's times
@@ -60,24 +60,13 @@ from mpmath import mp, mpf
 
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotRepresentable)
-from .golden import GoldenInt, _sign_of, eta_power
+from .golden import GoldenInt, _totally_nonnegative, eta_power
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import GateWord, GoldenQuat, exact_synthesize, generate_c60
 from .sots import sots_exact
 from .unitary import precision_for, quaternion_distance
 
 __all__ = ["SynthReport", "DiagonalTarget", "solve_shell", "synth_diagonal"]
-
-
-def _check_precision(bits: int, eps) -> None:
-    """Reject a working precision below 2 log2(1/eps) + 32 bits, the
-    floor of the integer ellipsoid (solve_shell).  With eps = man 2^exp
-    read exactly, it is the least p with man^2 2^(p - 32) >= 2^(-2 exp)."""
-    man, exp = eps.man_exp
-    floor = 33 - 2 * exp - (man * man).bit_length()
-    if bits < floor:
-        raise MalformedInput(f"epsilon {mp.nstr(eps, 3)} needs at least "
-                             f"{floor} bits of working precision, got {bits}")
 
 
 def _top_shell(eps) -> int:
@@ -92,33 +81,42 @@ class _Accuracy:
     """The part of a search that epsilon and the working precision p
     fix, whatever the angle: built once per (eps, p) by _accuracy and
     shared by every search there, such as synth_general's two outer
-    diagonals for all of its central candidates.
+    diagonals for all of its central candidates; the one home of the
+    accept margin and the default caps that both searches use.
 
-    eps must lie in (0, 1) and p be at least 2 log2(1/eps) + 32
-    (MalformedInput), checked here alone.  within is
-    eps less the margin 2^(5 - p) / eps that synth_diagonal wants a
-    candidate below, m_cap the default shell cap
-    ceil(log_59(1/eps^3)) + 12 and top _top_shell(eps).  epsilon is
-    read exactly, as eps^2 = eps2 / 2^k2, so cap_p =
-    floor((1 - eps^2) 2^p) and sin_delta_p =
+    eps must lie in (0, 1) and p be at least 2 log2(1/eps) + 32, the
+    floor of the integer ellipsoid (solve_shell; MalformedInput),
+    checked here alone.  within is eps less the margin 2^(5 - p) / eps
+    by which a distance measured at precision p may be off near eps,
+    so a word measured below it is truly within eps.  k_cap and m_cap,
+    the default central and diagonal shell caps, are
+    ceil(log_59(1/eps)) + 12 and ceil(log_59(1/eps^3)) + 12, and top is
+    _top_shell(eps).  epsilon is read exactly, as eps^2 = eps2 / 2^k2,
+    so cap_p = floor((1 - eps^2) 2^p) and sin_delta_p =
     floor(eps sqrt(2 - eps^2) 2^p), cos(delta) and sin(delta) for the
     cap's half-angle delta, are off by less than 1.  root_eta and
     root_59 are sqrt(sigma_+ eta) and sqrt(59) at scale 2^2p, each
     within 1 below.
     """
 
-    __slots__ = ("within", "m_cap", "top", "eps2", "k2", "cap_p",
+    __slots__ = ("within", "k_cap", "m_cap", "top", "eps2", "k2", "cap_p",
                  "sin_delta_p", "root_eta", "root_59")
 
     def __init__(self, eps, p: int):
         if not 0 < eps < 1:
             raise MalformedInput("epsilon must be in (0, 1)")
-        _check_precision(p, eps)
+        # with eps = man 2^exp, the least p with man^2 2^(p - 32) >= 2^(-2 exp)
+        man, exp = eps.man_exp
+        floor = 33 - 2 * exp - (man * man).bit_length()
+        if p < floor:
+            raise MalformedInput(f"epsilon {mp.nstr(eps, 3)} needs at least "
+                                 f"{floor} bits of working precision, got {p}")
         with mp.workprec(p):
             self.within = eps - mp.ldexp(1, 5 - p) / eps
-            self.m_cap = int(mp.ceil(3 * mp.log(1 / eps) / mp.log(59))) + 12
+            log_inv = mp.log(1 / eps)
+            self.k_cap, self.m_cap = (int(mp.ceil(x / mp.log(59))) + 12
+                                      for x in (log_inv, 3 * log_inv))
             self.top = _top_shell(eps)
-        man, exp = eps.man_exp
         eps2, k2 = self.eps2, self.k2 = man * man, -2 * exp
         self.cap_p = (((1 << k2) - eps2) << p) >> k2
         self.sin_delta_p = isqrt(
@@ -292,8 +290,7 @@ def solve_shell(target: DiagonalTarget, m: int
         bb0, bb1 = b0 * b0, b1 * b1
         ya = ea - a0 * a0 - bb0 - a1 * a1 - bb1
         yb = eb - 2 * (a0 * b0 + a1 * b1) - bb0 - bb1
-        u = 2 * ya + yb
-        if _sign_of(u, yb) < 0 or _sign_of(u, -yb) < 0:
+        if not _totally_nonnegative(ya, yb):
             continue
         x1p = (a1 << p) + b1 * phi_p
         overlap = ((a0 << p) + b0 * phi_p) * c_p + x1p * s_p
@@ -361,11 +358,10 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     Parzanchevski-Sarnak): exact_synthesize cannot refuse it.
     achieved is measured on the quaternion, which the word equals up to
     a scalar, against the unit quaternion (cos t, sin t, 0, 0) of the
-    folded angle t at the working precision p, off by less than
-    2^(5 - p) / eps near epsilon, so only a candidate measured below
-    epsilon by more than that, and so truly within it, is returned.
-    Raises BudgetExhausted if no shell up to the cap (default
-    ceil(log_59(1/eps^3)) + 12) produces a verified approximation.
+    folded angle t at the working precision, and only a candidate
+    measured below _Accuracy.within, and so truly within epsilon, is
+    returned.  Raises BudgetExhausted if no shell up to m_cap (default
+    _Accuracy.m_cap) produces a verified approximation.
     The search runs at precision_bits, precision_for(epsilon) when
     None; fewer than 2 log2(1/eps) + 32 raise MalformedInput.
     abandoned_count counts the residuals skipped for their rho budget.

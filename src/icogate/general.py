@@ -32,10 +32,11 @@ from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
 
-from .diagonal import SynthReport, synth_diagonal
+from .diagonal import SynthReport, _accuracy, synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotRepresentable, PrecisionInsufficient)
-from .golden import GoldenInt, _int_hamilton, _sign_of, embed, eta_power
+from .golden import (GoldenInt, _int_hamilton, _totally_nonnegative, embed,
+                     eta_power)
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
@@ -56,13 +57,11 @@ class SynthConfig:
     word measured below 1.5 * epsilon (a couple of shells past the
     first nonempty band make the tuning term negligible, so this costs
     O(1) extra taus).  Strict mode returns only a word measured below
-    epsilon less the margin 2^(5 - p) / epsilon by which a distance
-    measured at precision p, the larger of the target's and the working
-    precision, may be off near epsilon (synth_diagonal), so a strict
-    word is truly within epsilon.
+    diagonal._Accuracy.within at the larger of the target's and the
+    working precision, so a strict word is truly within epsilon.
     Either mode raises BudgetExhausted when no word meets its goal up
-    to k_cap.  delta and epsilon0 are the tuning lemma's constants, the
-    same for every search.
+    to k_cap (default _Accuracy.k_cap).  delta and epsilon0 are the
+    tuning lemma's constants, the same for every search.
     """
 
     epsilon: float
@@ -206,11 +205,8 @@ def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
     near = sorted((dist, c, d) for c, d in points
                   if (dist := abs((c << p) + d * phi_p - center_p)) <= reach)
     for _, c, d in near:
-        # the signs of both embeddings of s = c + d phi and of eta^k - s
-        u, ra, rb = 2 * c + d, ek.a - c, ek.b - d
-        v = 2 * ra + rb
-        if (_sign_of(u, d) >= 0 and _sign_of(u, -d) >= 0
-                and _sign_of(v, rb) >= 0 and _sign_of(v, -rb) >= 0):
+        if (_totally_nonnegative(c, d)
+                and _totally_nonnegative(ek.a - c, ek.b - d)):
             yield GoldenInt(c, d)
 
 
@@ -243,8 +239,8 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     |alpha| sits too close to 0 or 1 for the tuning lemma.  The outer
     diagonals get budget 0.6 * epsilon each.  A word, the snap's
     included, is returned only when its measured distance meets the
-    mode's goal (SynthConfig); a route whose word misses it falls
-    through to the next.
+    mode's goal (SynthConfig, diagonal._Accuracy); a route whose word
+    misses it falls through to the next.
 
     The twist is decided on |alpha| = hypot(g0, g1) and epsilon0 at
     the larger precision, the values tune_diagonals tests, so no
@@ -286,7 +282,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
     table = generate_c60()
     with mp.workprec(wbits):
         target = to_quaternion(ProjUnitary(g.entries, wbits))
-        goal = (eps - mp.ldexp(1, 5 - wbits) / eps if cfg.strict
+        goal = (_accuracy(eps, wbits).within if cfg.strict
                 else mpf("1.5") * eps)
         snapped = table.snap(target, min(eps, goal))
     if snapped is not None:
@@ -332,9 +328,7 @@ def synth_general(g: ProjUnitary, cfg: SynthConfig) -> SynthReport:
                 tail = GateWord((table.rho_inverse_word,))
                 abs_a = mp.hypot(g_work[0], g_work[1])
 
-        k_cap = cfg.k_cap
-        if k_cap is None:
-            k_cap = int(mp.ceil(mp.log(1 / eps) / mp.log(59))) + 12
+        k_cap = _accuracy(eps, bits).k_cap if cfg.k_cap is None else cfg.k_cap
         outer_eps = mpf("0.6") * eps
         bands = CentralBand(abs_a, eps)
         for k in bands.search(k_cap):

@@ -236,6 +236,12 @@ def sign_minus(x: GoldenInt) -> int:
     return _sign_of(2 * x.a + x.b, -x.b)
 
 
+def _totally_nonnegative(a: int, b: int) -> bool:
+    """Whether both embeddings of a + b*phi are >= 0, exactly."""
+    u = 2 * a + b
+    return _sign_of(u, b) >= 0 and _sign_of(u, -b) >= 0
+
+
 def _sign_of(u: int, v: int) -> int:
     # sign of u + v*sqrt(5)
     if u >= 0 and v >= 0:

@@ -396,11 +396,13 @@ class C60Table:
         is measured.  Otherwise those within 1e-9 of the top score (a
         window far wider than float round-off, so it holds every
         element that can tie the best) are measured at the working
-        precision."""
+        precision.  A target that is not finite raises MalformedInput."""
         t0, t1, t2, t3 = map(float, target)
         scores = [abs(t0 * v0 + t1 * v1 + t2 * v2 + t3 * v3)
                   for v0, v1, v2, v3 in self.float_units]
         top = max(scores)
+        if not math.isfinite(top):
+            raise MalformedInput("snap needs a finite target")
         if 1 - top > bound ** 2 + 2 ** -40:
             return None
         best = min(((q, seg, quaternion_distance(target,

@@ -45,12 +45,11 @@ from .golden import (
     PHI,
     ZERO,
     GoldenInt,
+    _totally_nonnegative,
     exact_div,
     factor,
     norm,
     phi_power,
-    sign_minus,
-    sign_plus,
     unit_decompose,
 )
 from .intfactor import factor_cofactor, tonelli_shanks, trial_divide
@@ -116,7 +115,7 @@ def screen(x: GoldenInt) -> tuple[dict[int, int], int]:
     division, and no Pollard rho runs."""
     if not x:
         return {}, 1
-    if sign_plus(x) < 0 or sign_minus(x) < 0:
+    if not _totally_nonnegative(x.a, x.b):
         raise NotRepresentable(f"{x!r} is not totally nonnegative")
     n = norm(x)  # positive: x is totally positive
     if n // (n & -n) % 4 == 3:

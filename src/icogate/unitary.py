@@ -208,11 +208,14 @@ def quaternion_distance(g, q):
     between the matrices of the unit 4-vector g and of the real 4-vector
     q, which may carry any nonzero scale.  Both dot products are summed
     exactly before rounding, and a radicand that round-off pushes below
-    0 reads as 0."""
+    0 reads as 0; a NaN or infinite one, from a component that is not
+    finite, raises MalformedInput."""
     norm = mp.sqrt(mp.fdot(q, q))
     if norm == 0:
         raise MalformedInput("zero quaternion has no distance")
     val = 1 - abs(mp.fdot(g, q)) / norm
+    if not mp.isfinite(val):
+        raise MalformedInput("distance needs finite quaternions")
     return mp.sqrt(val) if val > 0 else mpf(0)
 
 

@@ -463,6 +463,27 @@ def test_budget_exhausted_at_zero_cap():
         synth_general(g, SynthConfig(1e-6, k_cap=0))
 
 
+@pytest.mark.parametrize("eps,caps", [
+    (1e-3, (18, 14)), (1e-7, (24, 16)), (1e-12, (33, 19)),
+])
+def test_default_caps(monkeypatch, eps, caps):
+    # the default shell caps, ceil(log_59(1/eps^3)) + 12 for the diagonal
+    # search and ceil(log_59(1/eps)) + 12 for the central one, read off
+    # the search each hands its cap to; no shell is searched
+    seen = []
+
+    def search(self, cap):
+        seen.append(cap)
+        return iter(())
+
+    monkeypatch.setattr(goldengrid.LatticeFamily, "search", search)
+    with pytest.raises(BudgetExhausted):
+        synth_diagonal(0.3, eps)
+    with pytest.raises(BudgetExhausted):
+        synth_general(named_gate("H", 256), SynthConfig(eps))
+    assert tuple(seen) == caps
+
+
 def test_default_mode_returns_no_word_at_its_goal_or_above(monkeypatch):
     # every candidate measured at 2 eps misses the 1.5 eps goal, though
     # it beats (C + 2) eps: no word is returned, up to the cap

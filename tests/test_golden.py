@@ -9,6 +9,7 @@ from icogate.golden import (
     ETA,
     PHI,
     GoldenInt,
+    _totally_nonnegative,
     canonical_associate,
     embed,
     eta_valuation,
@@ -90,11 +91,17 @@ def test_exact_signs_match_embedding():
     cases = [rand_elt(rng, 10**9) for _ in range(200)]
     cases += [GoldenInt(0, 0), GoldenInt(1, -1), GoldenInt(-1, 1),
               GoldenInt(10**40, -(10**40)), GoldenInt(5, -8), GoldenInt(-8, 13)]
+    # +-phi^n: one embedding is tiny and u^2 - 5 v^2 = +-4, the tightest
+    # case of the integer sign test
+    cases += [s * phi_power(n) for n in range(-60, 61) for s in (1, -1)]
     for x in cases:
+        signs = []
         for sgn, w in ((sign_plus, "plus"), (sign_minus, "minus")):
             v = embed(x, w, 200)
             expected = 0 if v == 0 else (1 if v > 0 else -1)
             assert sgn(x) == expected, (x, w)
+            signs.append(expected)
+        assert _totally_nonnegative(x.a, x.b) == (min(signs) >= 0), x
 
 
 def test_euclid_divmod_example():

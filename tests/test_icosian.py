@@ -247,6 +247,10 @@ def test_c60_snap_matches_a_fresh_measurement_of_all_60():
                 assert table.snap(target, 2) == best
                 assert table.snap(target, d) is None
                 assert table.snap(target, d + mpf(2) ** -(p // 2)) == best
+    # a target that is not finite has no nearest element
+    for target in ((mp.nan, 0, 0, 0), (mp.inf, 0, 0, 0)):
+        with pytest.raises(MalformedInput):
+            table.snap(target, mpf("1e-3"))
 
 
 def test_c60_deterministic():

@@ -129,6 +129,11 @@ def test_quaternion_distance_matches_matrix_distance():
             assert abs(d ** 2 - ref ** 2) < mpf(2) ** (8 - bits)
     with pytest.raises(MalformedInput):
         quaternion_distance(v, [0, 0, 0, 0])
+    # a NaN radicand is not round-off and must not read as distance 0
+    for g, q in (((mp.nan, 0, 0, 0), (1, 0, 0, 0)),
+                 ((1, 0, 0, 0), (mp.inf, 0, 0, 0))):
+        with pytest.raises(MalformedInput):
+            quaternion_distance(g, q)
 
 
 def test_to_alpha_beta_antidiagonal():
