@@ -237,9 +237,10 @@ def sign_minus(x: GoldenInt) -> int:
 
 
 def _totally_nonnegative(a: int, b: int) -> bool:
-    """Whether both embeddings of a + b*phi are >= 0, exactly."""
+    """Whether both embeddings of a + b*phi, (u +- b*sqrt5)/2 with
+    u = 2a + b, are >= 0, exactly: whether u >= |b|*sqrt5."""
     u = 2 * a + b
-    return _sign_of(u, b) >= 0 and _sign_of(u, -b) >= 0
+    return u >= 0 and u * u >= 5 * b * b
 
 
 def _sign_of(u: int, v: int) -> int:

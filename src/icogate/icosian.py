@@ -26,8 +26,16 @@ lines mod eta name c1 (the image line of c1*tau), and over each lie 59
 lines mod eta^2, one for each c2 != 1 (c2 = 1 steps back: tau*tau =
 -eta).  So the 3,540 non-backtracking pairs fill P^1(Z/59^2), and each
 pair of taus costs one kernel-line lookup in a 3,540-entry table (built
-on the first such peel), one Hamilton product and one exact division
-by eta^2; an odd tau costs tau*gamma and a pair peel or division.
+on first use), one Hamilton product and one exact division by eta^2;
+an odd tau costs tau*gamma and a pair peel or division.
+
+word_to_quat, the opposite direction, also spends one Hamilton product
+per pair of taus.  Each {r, s}-segment's product is a Z[phi] scalar
+times one of the 60 stored elements (memoized per segment), and the
+3,600 products c1*tau*c2*tau of stored elements are tabulated in the
+same build as the peel entries, which are those products times
+conj(eta)^2.  So a pair of taus costs one lookup and one product, an
+odd tau at most one more, and the scalars are multiplied in once.
 
 The loop needs no canonical().  A scalar prime to eta does not change
 which cofactor works, so exact_synthesize only strips the input's
@@ -350,29 +358,29 @@ class C60Table:
     """The 60 projective classes generated by rho and sigma, each with
     the shortest {r, s}-word the breadth-first closure found, its
     inverse word, its point of PU(2) as a float unit quaternion (the
-    snap's screen), and the pair entries exact_synthesize looks up by
-    line (see peel_table)."""
+    snap's screen), and the two-tau products word_to_quat multiplies by
+    and exact_synthesize peels by (see product_table and peel_table)."""
 
-    __slots__ = ("elements", "float_units", "_word_map", "_inverse",
-                 "_by_key", "_pairs", "j_word", "rho_inverse_word")
+    __slots__ = ("elements", "float_units", "_inverse", "_by_key",
+                 "_products", "_pairs", "j_word", "rho_inverse_word")
 
     def __init__(self, elements: tuple[tuple[GoldenQuat, str], ...]):
         self.elements = elements
         self.float_units = tuple(_float_unit(q) for q, _ in elements)
-        self._word_map = dict(elements)
         # C60 embeds in PGL_2(F_59), so the residue keys name the classes
         # and word_for finds each inverse without canonical()
-        self._by_key = {_residue_key(_residues(q.coords())): q
-                        for q, _ in elements}
+        self._by_key = {_residue_key(_residues(q.coords())): i
+                        for i, (q, _) in enumerate(elements)}
         if len(self._by_key) != len(elements):
             raise IcogateError("C60 elements share a residue key mod eta")
-        self._inverse = {}
+        self._inverse = []
         for q, _ in elements:
             inverse = self.word_for(q.conjugate())
             if inverse is None:
                 raise IcogateError(f"the inverse of {q!r} is not in the table")
-            self._inverse[q] = inverse
-        self._pairs = None  # built by the first two-tau peel
+            self._inverse.append(inverse)
+        # both two-tau tables are built together, on first use
+        self._products = self._pairs = None
         # the C60 tails synth_general appends to its routes
         self.j_word = self.word_for(GoldenQuat(0, 0, 1, 0))
         if self.j_word is None:
@@ -412,31 +420,45 @@ class C60Table:
                    key=lambda e: e[2])
         return best if best[2] < bound else None
 
+    def product_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """The flat coordinates of c1*tau*c2*tau for every pair of
+        stored elements, indexed [c1][c2] by table order; where c2 is
+        the identity class (a scalar) the entry is -eta*c2*c1, since
+        tau*tau = -eta.  Built with peel_table, on first use."""
+        if self._products is None:
+            self._build_two_tau()
+        return self._products
+
     def peel_table(self) -> tuple[tuple, ...]:
         """The entries exact_synthesize peels by, indexed by line mod
         59^2 (see _line): for each of the 3,540 non-backtracking pairs
         (c1, c2) the flat coordinates of c1*tau*c2*tau*conj(eta)^2 and
-        the words for c1^-1 and c2^-1.  Built on first use, not with the
-        closure, from the 60 flat pieces c*tau (and c*tau*conj(eta)^2 on
-        the right).  c1*tau*c2*tau is divisible by eta for the 60 pairs
-        with c2 = 1 (tau*tau = -eta); every other pair has rank 1 mod eta
-        and so a primitive image line mod eta^2, and exactly 3,540
-        distinct lines are required (see exact_synthesize).  Equal
-        coordinates share one int object, which keeps the table near
-        0.5 MB."""
-        if self._pairs is not None:
-            return self._pairs
+        the words for c1^-1 and c2^-1.  c1*tau*c2*tau is divisible by
+        eta for the 60 pairs with c2 = 1 (tau*tau = -eta); every other
+        pair has rank 1 mod eta and so a primitive image line mod eta^2,
+        and exactly 3,540 distinct lines are required (see
+        exact_synthesize).  Built with product_table, on first use."""
+        if self._pairs is None:
+            self._build_two_tau()
+        return self._pairs
+
+    def _build_two_tau(self) -> None:
+        """Both two-tau tables, from the 60 flat pieces c*tau: each
+        product entry is left*right, and each peel entry that entry
+        times conj(eta)^2 at its image line (conj(eta) is a unit mod
+        eta^2, so the line is the product's).  Equal coordinates share
+        one int object, which keeps the two tables near 1 MB."""
         eta_bar2 = _hamilton(_ETA_BAR, _ETA_BAR)
-        lefts = [(_hamilton(c.coords(), TAU.coords()), self._inverse[c])
-                 for c, _ in self.elements]
-        rights = [(_hamilton(c_tau, eta_bar2), inverse)
-                  for c_tau, inverse in lefts]
-        size = _ETA_SQUARED + _ETA_PRIME
-        pairs: list[tuple | None] = [None] * size
+        pieces = [_hamilton(c.coords(), TAU.coords()) for c, _ in self.elements]
+        pairs: list[tuple | None] = [None] * (_ETA_SQUARED + _ETA_PRIME)
         shared: dict[int, int] = {}
-        for left, first in lefts:
-            for right, second in rights:
-                flat = _hamilton(left, right)
+        products = []
+        for left, first in zip(pieces, self._inverse):
+            row = []
+            for right, second in zip(pieces, self._inverse):
+                flat = tuple(shared.setdefault(v, v)
+                             for v in _hamilton(left, right))
+                row.append(flat)
                 res = _residues(flat, _ETA_SQUARED, _PHI_MOD_ETA2)
                 if not any(v % _ETA_PRIME for v in res):
                     continue  # backtracking
@@ -447,15 +469,16 @@ class C60Table:
                 if pairs[key] is not None:
                     raise IcogateError("two non-backtracking pairs share a "
                                        "line mod eta^2")
-                pairs[key] = (*(shared.setdefault(v, v) for v in flat),
+                pairs[key] = (*(shared.setdefault(v, v)
+                                for v in _hamilton(flat, eta_bar2)),
                               first, second)
+            products.append(tuple(row))
         if None in pairs:
             raise IcogateError("a line mod eta^2 has no non-backtracking pair")
-        self._pairs = tuple(pairs)
-        return self._pairs
+        self._products, self._pairs = tuple(products), tuple(pairs)
 
-    def _member(self, q: GoldenQuat) -> GoldenQuat | None:
-        """The stored element of q's class, or None when q is not a C60
+    def _member(self, q: GoldenQuat) -> int | None:
+        """The table index of q's class, or None when q is not a C60
         element.  With its eta-content stripped, a multiple of an element
         has nrd prime to eta (det != 0 mod eta), so the residue key names
         the one candidate and the minors confirm it; det 0 means q is
@@ -467,20 +490,20 @@ class C60Table:
         res = _residues(flat)
         if sum(v * v for v in res) % _ETA_PRIME == 0:
             return None
-        e = self._by_key.get(_residue_key(res))
-        if e is None or not _proportional(flat, e.coords()):
+        i = self._by_key.get(_residue_key(res))
+        if i is None or not _proportional(flat, self.elements[i][0].coords()):
             return None
-        return e
+        return i
 
     def word_for(self, q: GoldenQuat) -> str | None:
-        e = self._member(q)
-        return None if e is None else self._word_map[e]
+        i = self._member(q)
+        return None if i is None else self.elements[i][1]
 
     def inverse_word_for(self, q: GoldenQuat) -> str:
-        e = self._member(q)
-        if e is None:
+        i = self._member(q)
+        if i is None:
             raise NotInGroup(f"{q!r} is not a C60 element")
-        return self._inverse[e]
+        return self._inverse[i]
 
 
 @lru_cache(maxsize=None)
@@ -571,35 +594,59 @@ class GateWord:
         return GateWord(tuple(merged))
 
 
-_GENERATORS = {"r": RHO, "s": SIGMA, "t": TAU}
+_GENERATORS = {"r": RHO, "s": SIGMA}
 
 
 def _is_scalar_segment(seg: str) -> bool:
-    """Whether an {r, s}-segment is the identity of C60: its product is
-    a nonzero quaternion, which is a scalar exactly when its i, j and k
-    coordinates vanish."""
-    return not any(_piece(seg, False)[2:])
+    """Whether an {r, s}-segment is the identity of C60, the one class
+    whose table word is empty."""
+    return not generate_c60().elements[_piece(seg)[0]][1]
 
 
 @lru_cache(maxsize=1024)
-def _piece(seg: str, after_tau: bool) -> tuple[int, ...]:
-    """Exact product of the piece (seg), or t(seg) when after_tau, as
-    flat coordinates.  Words repeat few pieces (exact_synthesize emits
-    one shortest word per C60 element), so the store stays small."""
-    flat = (TAU if after_tau else ONE_QUAT).coords()
+def _piece(seg: str) -> tuple[int, int, int]:
+    """The class of an {r, s}-segment's exact product, as (i, a, b):
+    the product is (a + b*phi) times generate_c60()'s element i.  Words
+    repeat few segments (exact_synthesize emits one shortest word per
+    C60 element), so the store stays small."""
+    flat = ONE_QUAT.coords()
     for ch in seg:
         flat = _hamilton(flat, _GENERATORS[ch].coords())
-    return flat
+    table = generate_c60()
+    i = table._member(GoldenQuat._from_coords(flat))
+    e = table.elements[i][0].coords()
+    j = next(j for j in (0, 2, 4, 6) if e[j] or e[j + 1])
+    scalar = exact_div(GoldenInt(flat[j], flat[j + 1]),
+                       GoldenInt(e[j], e[j + 1]))
+    return i, scalar.a, scalar.b
 
 
 def word_to_quat(word: GateWord) -> GoldenQuat:
-    """Exact quaternion product of the word's letters, taken as one
-    product per tau of the pieces (seg0), t(seg1), ..."""
-    first, *rest = word.segments
-    flat = _piece(first, False)
-    for seg in rest:
-        flat = _hamilton(flat, _piece(seg, True))
-    return GoldenQuat._from_coords(flat)
+    """Exact quaternion product of the word's letters, taken one
+    Hamilton product per pair of taus.  With each segment a scalar times
+    a stored element (see _piece), (seg0)t(seg1)t is a scalar times a
+    product_table entry: the pairs are multiplied together, after an
+    odd count's (seg0)t and before the last segment, one product each,
+    and the scalars are multiplied in once, at the end."""
+    table = generate_c60()
+    pieces = [_piece(seg) for seg in word.segments]
+    classes = [i for i, _, _ in pieces]
+    odd = (len(classes) - 1) % 2
+    flat = (_hamilton(table.elements[classes[0]][0].coords(), TAU.coords())
+            if odd else None)
+    if len(classes) > 2:  # a pair of taus: the table is built on first use
+        products = table.product_table()
+        for c1, c2 in zip(classes[odd:-1:2], classes[odd + 1::2]):
+            pair = products[c1][c2]
+            flat = pair if flat is None else _hamilton(flat, pair)
+    last = table.elements[classes[-1]][0].coords()
+    flat = last if flat is None else _hamilton(flat, last)
+    sa, sb = 1, 0
+    for _, a, b in pieces:
+        bb = sb * b
+        sa, sb = sa * a + bb, sa * b + sb * a + bb
+    return GoldenQuat._from_coords(
+        _hamilton(flat, (sa, sb, 0, 0, 0, 0, 0, 0)))
 
 
 def evaluate_word(word: GateWord,

@@ -162,9 +162,10 @@ def test_c60_lookups_match_the_canonical_oracle():
     powers of 2 and eta, 11 and sqrt5, on quaternions sharing a member's
     key, on every {r, s}-segment up to length 6 and on non-members."""
     table = generate_c60()
+    words = dict(table)
 
     def oracle(q):
-        return table._word_map.get(canonical(q))
+        return words.get(canonical(q))
 
     def check(q):
         word = oracle(q)
@@ -347,18 +348,83 @@ def random_word(rng, seg_pool, k):
 
 
 def test_word_to_quat_is_the_letter_product():
-    # word_to_quat multiplies whole pieces; the result must still be the
-    # exact product of the letters, scalar and all
+    """word_to_quat multiplies two-tau products of stored elements and
+    the segments' scalars; the result must still be the exact product
+    of the letters, scalar and all: on random words, on every tau-count
+    0..50 with empty and nonempty first and last segments (odd counts
+    take the odd tau first), and with scalar inner segments (rrr, ss),
+    whose pairs are scalar multiples of the first element."""
     rng = random.Random(7)
     letters = {"r": RHO, "s": SIGMA, "t": TAU}
-    for _ in range(40):
-        segs = [""] + ["".join(rng.choice("rs") for _ in range(rng.randint(1, 6)))
-                       for _ in range(rng.randint(0, 12))] + [""]
-        word = GateWord(tuple(segs[rng.randint(0, 1):]))
+
+    def check(word):
         expected = ONE_QUAT
         for ch in str(word).replace("(", "").replace(")", ""):
             expected = expected * letters[ch]
-        assert word_to_quat(word) == expected
+        assert word_to_quat(word) == expected, word
+
+    for _ in range(40):
+        segs = [""] + ["".join(rng.choice("rs") for _ in range(rng.randint(1, 6)))
+                       for _ in range(rng.randint(0, 12))] + [""]
+        check(GateWord(tuple(segs[rng.randint(0, 1):])))
+    # a scalar as the second segment of a pair, even and odd counts, and
+    # as the first
+    for text in ("(r)t(rrr)t(s)", "()t(ss)t()", "()t(r)t(ss)t()",
+                 "(s)t(r)t(rrr)t(rs)t(ss)t()", "()t(rrr)t(s)t(ss)t(rrr)"):
+        check(GateWord.parse(text))
+    inner = ["rrr", "ss", "r", "rs", "srr", "rsrsr"]
+    for taus in range(51):
+        for first, last in (("", ""), ("rs", "s"), ("", "r"), ("srs", "")):
+            if not taus:
+                check(GateWord((first + last,)))
+                continue
+            middle = [rng.choice(inner) for _ in range(taus - 1)]
+            check(GateWord((first, *middle, last)))
+
+
+def test_product_table_is_built_once_with_the_peel_table():
+    """generate_c60() leaves both two-tau tables unbuilt, and so does a
+    one-tau word; the first pair of taus builds both, once.  Each
+    product entry is the Hamilton product c1*tau*c2*tau (-eta*c2*c1
+    when c2 is the identity class, a scalar), each of the 3,540 peel
+    entries is its pair's product entry times conj(eta)^2, and equal
+    coordinates share one int object."""
+    code = "\n".join((
+        "from icogate.icosian import GateWord, generate_c60, word_to_quat",
+        "table = generate_c60()",
+        "assert table._products is None and table._pairs is None",
+        "word_to_quat(GateWord(('rs', 'r')))",
+        "assert table._products is None and table._pairs is None",
+        "word_to_quat(GateWord(('rs', 'r', 's')))",
+        "products, pairs = table.product_table(), table.peel_table()",
+        "assert len(products) == 60 and len(pairs) == 3540",
+        "word_to_quat(GateWord(('rs', 'r', 's', 'r', 'ss')))",
+        "assert table.product_table() is products",
+        "assert table.peel_table() is pairs"))
+    path = str(Path(icosian.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=120)
+
+    table = generate_c60()
+    products = table.product_table()
+    peels = {entry[8:]: entry[:8] for entry in table.peel_table()}
+    assert len(peels) == 3540
+    eta_bar2 = ETA.conj() ** 2
+    for (c1, _), row in zip(table, products):
+        assert len(row) == 60
+        for (c2, _), flat in zip(table, row):
+            p = c1 * TAU * c2 * TAU
+            assert flat == p.coords()
+            if table.word_for(c2) == "":
+                assert p == c1 * -ETA * c2
+                continue
+            tails = (table.inverse_word_for(c1), table.inverse_word_for(c2))
+            assert peels[tails] == (p * eta_bar2).coords()
+    shared = {}
+    for flat in [*(f for row in products for f in row), *peels.values()]:
+        for v in flat:
+            assert shared.setdefault(v, v) is v
 
 
 def test_evaluate_word_basics():
