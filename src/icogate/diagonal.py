@@ -27,12 +27,11 @@ p that mp.prec holds then; synth_diagonal sets it to precision_for(eps)
 itself.  What eps and p fix (the accept margin, both searches' default
 caps, the top shell and the cap's integer constants) is built once per
 (eps, p) and shared by every search there (_Accuracy).  sin(theta)
-and cos(theta) are computed once per search in mpf, measure the C60
-snap and are rounded to scale 2^p; each shell is posed from them and
-from the exact eta^m in integers, and decided in integers alone
-(solve_shell).  The integer ellipsoid needs p >= 2 log2(1/eps) + 32,
-which precision_for(eps) exceeds by log2(1/eps) + 64; a target or a
-search asked for less is rejected.
+and cos(theta), computed once per search in mpf, measure the C60 snap
+and are rounded to scale 2^p; each shell is posed and decided from
+them in integers alone (goldengrid).  The integer ellipsoid needs
+p >= 2 log2(1/eps) + 32, which precision_for(eps) exceeds by
+log2(1/eps) + 64; a target or a search asked for less is rejected.
 
 Most shells below the one that succeeds hold no pair, and the search
 skips them unsolved.  Shell m + 2's h and h_minus are shell m's times
@@ -191,7 +190,7 @@ class DiagonalTarget(LatticeFamily):
                  for r, t, g3, g4 in zip(self.r_num, self.t_num,
                                          (g, g_phi, 0, 0), (0, 0, g, g_phi))]
         center = ((((8 << k2) - 5 * eps2) << e) // (5 * eps2), 0, 0, 0)
-        return basis, center, e, 2, hp_2p
+        return basis, center, e, hp_2p
 
 
 def solve_shell(target: DiagonalTarget, m: int
@@ -213,16 +212,16 @@ def solve_shell(target: DiagonalTarget, m: int
     are sorted by |x1 - mu| for mu = h (1 - eps^2) sin(theta), the
     midpoint of h sin(theta +- delta) (x1 nearest the cap's centre
     first), then by decreasing overlap, so the first x0 of an x1 gives
-    the smallest distance; both keys are taken at scale 2^p (below),
-    and their ties go by coordinates.
+    the smallest distance; both keys are exact integers (below), and
+    their true ties go by coordinates.
 
     m must be a nonnegative int (MalformedInput, LatticeFamily.problem).
 
     The shell is posed in integers.  With k = floor(m/2), h is the plus
     embedding of the exact eta^k at scale 2^2p, (a << 2p) + b phi_2p,
     times root_eta >> 2p when m is odd; 1/h_minus = h / 59^{m/2} needs
-    no minus embedding, so nothing cancels.  The slab's edge
-    cap = h cap_p and mu = cap s_p are shifted to their scales.
+    no minus embedding, so nothing cancels.  The slab's edge h cap_p is
+    floored to scale 2^2p, and mu = h cap_p s_p kept whole at 2^4p.
 
     The candidates are the points of Z[phi]^2 = Z^4 inside one
     ellipsoid.  On the plus side (sigma_+ x0, sigma_+ x1) lies in the
@@ -261,8 +260,7 @@ def solve_shell(target: DiagonalTarget, m: int
     inside the entry's radius sqrt(2) + 1/257.
 
     The disks are exact signs of eta^m - x0^2 - x1^2, computed once per
-    point, and a zero residual is kept.  The slab test and both keys
-    are made at scale 2^p (goldengrid).  Within the disks both
+    point, and a zero residual is kept.  Within the disks both
     coordinates of x0 and x1 are at most h in size; with u = 2^-p and
     H = (h's integer >> 2p) + 3 >= h + 1, the integer slab value (the
     overlap minus cap) and each key are within 15 u H / 2 of the exact
@@ -277,10 +275,10 @@ def solve_shell(target: DiagonalTarget, m: int
     measures.
     """
     points, hp_2p = target.problem(m)
-    p = target.p
-    cap_2p = (hp_2p * target.accuracy.cap_p) >> p
+    p, cap_p = target.p, target.accuracy.cap_p
+    cap_2p = (hp_2p * cap_p) >> p
     s_p, c_p, phi_p = target.s_p, target.c_p, phi_fixed(p)
-    mu_p = (cap_2p * s_p) >> (2 * p)
+    mu_4p = hp_2p * cap_p * s_p
     floor_2p = cap_2p - (((hp_2p >> (2 * p)) + 3) << (6 + p))
     eta_m = eta_power(m)
     ea, eb = eta_m.a, eta_m.b
@@ -295,7 +293,8 @@ def solve_shell(target: DiagonalTarget, m: int
         x1p = (a1 << p) + b1 * phi_p
         overlap = ((a0 << p) + b0 * phi_p) * c_p + x1p * s_p
         if overlap >= floor_2p:
-            kept.append((abs(x1p - mu_p), a1, b1, -overlap, a0, b0))
+            kept.append((abs((x1p << 3 * p) - mu_4p), a1, b1, -overlap,
+                         a0, b0))
     kept.sort()
     return [(GoldenInt(a0, b0), GoldenInt(a1, b1))
             for _, a1, b1, _, a0, b0 in kept]
@@ -366,9 +365,12 @@ def synth_diagonal(theta, epsilon, *, m_cap: int | None = None,
     None; fewer than 2 log2(1/eps) + 32 raise MalformedInput.
     abandoned_count counts the residuals skipped for their rho budget.
     """
-    eps = mpf(epsilon)
-    if not mp.isfinite(theta):
-        raise MalformedInput(f"theta must be finite, got {theta}")
+    try:
+        eps = mpf(epsilon)
+        if not mp.isfinite(mpf(theta)):
+            raise MalformedInput(f"theta must be finite, got {theta}")
+    except (TypeError, ValueError):
+        raise MalformedInput("theta and epsilon must be real") from None
     if m_cap is not None and (not isinstance(m_cap, int) or m_cap < 0):
         raise MalformedInput("m_cap must be a nonnegative int")
     if precision_bits is not None and not isinstance(precision_bits, int):

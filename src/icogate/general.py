@@ -28,6 +28,7 @@ and the tuning lemma reads its phases from 4-vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import ClassVar, Iterator
 
 from mpmath import mp, mpf
@@ -35,8 +36,7 @@ from mpmath import mp, mpf
 from .diagonal import SynthReport, _accuracy, synth_diagonal
 from .errors import (Abandoned, BudgetExhausted, MalformedInput,
                      NotRepresentable, PrecisionInsufficient)
-from .golden import (GoldenInt, _int_hamilton, _totally_nonnegative, embed,
-                     eta_power)
+from .golden import GoldenInt, _int_hamilton, _totally_nonnegative, eta_power
 from .goldengrid import LatticeFamily, fixed_point, grid_scale, phi_fixed
 from .icosian import (ONE_QUAT, RHO, GateWord, GoldenQuat,
                       exact_synthesize, generate_c60)
@@ -71,8 +71,9 @@ class SynthConfig:
     epsilon0: ClassVar[float] = EPSILON0
 
     def __post_init__(self):
-        if not 0 < self.epsilon < self.delta:
-            raise MalformedInput("need 0 < epsilon < delta")
+        if not (isinstance(self.epsilon, Real)
+                and 0 < self.epsilon < self.delta):
+            raise MalformedInput("need a real 0 < epsilon < delta")
         if self.k_cap is not None and (not isinstance(self.k_cap, int)
                                        or self.k_cap < 0):
             raise MalformedInput("k_cap must be a nonnegative int")
@@ -88,15 +89,15 @@ class CentralBand(LatticeFamily):
     Band k's box is sigma_plus(s) in hp [lo, hi] and sigma_minus(s) in
     [0, hm], for hp and hm the embeddings of eta^k and
     [lo, hi] = [max(0, a^2 - eps a), min(1, a^2 + eps a)] (width
-    hi - lo); a2 and ea are a^2 and eps a in mpf.  inv_w_p and mid_p
-    are 2 / width and (lo + hi) / width at scale 2^p, from mpf, each
-    off by 1/2 from its mpf value.  top is the highest band whose
+    hi - lo); a2_p, ea_p, inv_w_p and mid_p are a^2, eps a, 2 / width
+    and (lo + hi) / width at scale 2^p, each off by 1/2 from its mpf
+    value, and no band rounds again.  top is the highest band whose
     ellipse has area at most 1, pi (hi - lo) hp hm / (2 sqrt 5) with
     hp hm = 59^k, where search's probes start, and eta-scaling proves
     step = 1 (candidate_norms).
     """
 
-    __slots__ = ("p", "a2", "ea", "inv_w_p", "mid_p")
+    __slots__ = ("p", "a2_p", "ea_p", "inv_w_p", "mid_p")
     step = 1
 
     def __init__(self, abs_alpha, epsilon):
@@ -106,23 +107,24 @@ class CentralBand(LatticeFamily):
             raise MalformedInput("abs_alpha must be in (0, 1)")
         if not 0 < eps < 1:
             raise MalformedInput("epsilon must be in (0, 1)")
-        a2, ea = self.a2, self.ea = a * a, eps * a
+        a2, ea = a * a, eps * a
         if ea <= mp.ldexp(1, 20 - p):
             raise MalformedInput(f"epsilon * |alpha| needs more than {p} bits")
         lo, hi = max(mpf(0), a2 - ea), min(mpf(1), a2 + ea)
         width = hi - lo
-        self.inv_w_p = fixed_point(2 / width, p)
-        self.mid_p = fixed_point((lo + hi) / width, p)
+        self.a2_p, self.ea_p, self.inv_w_p, self.mid_p = (
+            fixed_point(x, p) for x in (a2, ea, 2 / width, (lo + hi) / width))
         super().__init__(int(mp.floor(
             mp.log(2 * mp.sqrt(5) / (mp.pi * width), 59))))
 
     def pose(self, k: int):
         """Band k's integer ellipse as candidate_norms poses it; its data
-        are eta^k and, at scale 2^p, the band's centre a^2 hp and reach,
+        are eta^k and, at scale 2^2p, the band's centre a^2 hp and reach,
         its half-width eps a hp plus candidate_norms' tol, for
-        hp = sigma_plus(eta^k)."""
+        hp = sigma_plus(eta^k) at scale 2^p."""
         p, two_p = self.p, 2 * self.p
         ek = eta_power(k)
+        hp_p = (ek.a << p) + ek.b * phi_fixed(p)
         phi_2p = phi_fixed(two_p)
         hp_2p = (ek.a << two_p) + ek.b * phi_2p
         # hm = 59^k / hp <= hp bounds the minus side
@@ -136,11 +138,8 @@ class CentralBand(LatticeFamily):
                   (hp_2p * ((1 << two_p) - phi_2p) << (e + 1))
                   // (norm_2p << two_p)]]
         center = [(self.mid_p << e) >> p, 1 << e]
-        with mp.workprec(p):
-            hp = embed(ek, "plus", p)
-            reach = fixed_point(self.ea * hp, p) + ((int(hp) + 2) << 6)
-            return basis, center, e, 2, (ek, fixed_point(self.a2 * hp, p),
-                                         reach)
+        reach = self.ea_p * hp_p + (((hp_p >> p) + 2) << (6 + p))
+        return basis, center, e, (ek, self.a2_p * hp_p, reach)
 
 
 def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
@@ -151,7 +150,7 @@ def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
     [0, embedding of eta^k] and sigma_plus(s) in the band
     |sigma_plus(s) - |alpha|^2 eta^k| < eps * |alpha| * eta^k, and
     those within rounding of the band's edges (below), nearest the band
-    center first by the distance at scale 2^p, ties by coordinates.
+    center first by the exact integer key below, ties by coordinates.
     The band's box, normalised to the square [-1, 1]^2 in the
     embeddings of s = a + b*phi, lies in the disk of radius sqrt(2),
     whose lattice points goldengrid.scaled_ellipsoid_points finds
@@ -171,22 +170,22 @@ def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
     inside the 1/257 radius margin while eps |alpha| > 2^(20 - p).
     Both conditions hold on every band synth_general searches.
 
-    The band and the sort key are taken at scale 2^p (goldengrid), the
-    box by exact signs of s and eta^k - s.  Only the integer distance
-    from the band centre is computed for every point; the points within
-    the band's tolerance are sorted by it, and the box is decided on
-    their coordinates as each is reached, so a caller that stops at
-    its first good candidate leaves the rest undecided, and a GoldenInt
-    is built only for an s yielded.  Inside the box both
-    coordinates of s are at most sigma_plus(eta^k) in size; with H its
-    floor plus 2 and u = 2^-p, the integer test value is within 24 u H
-    of the exact one (the mpf centre and half-width within 11 u H each,
-    the integer distance |(a << p) + b phi_fixed(p) - centre_p| within
-    (H + 1/2) u of |sigma_plus(s) - centre|) and within 13 u H of the
-    same test made in mpf at precision p.  Every s whose integer test
-    value is at least -tol, tol = 64 u H, is yielded (s = 0 on the
-    strict edge of band 0 at |alpha| = eps = 0.5 included): every s in
-    the band, and every s the mpf test keeps.
+    The band and the key are exact integer functions of s and the
+    target's constants (goldengrid); the box, exact signs of s and
+    eta^k - s, is decided in key order for the points within reach.
+    With sigma_p(x) = (x.a << p) + x.b phi_fixed(p) and hp_p =
+    sigma_p(eta^k), the centre is a2_p hp_p, the half-width ea_p hp_p
+    and s's key |(sigma_p(s) << p) - centre|, all at scale 2^2p; as
+    sigma_p is additive, at a2_p = 2^(p - 1) each mirror s, eta^k - s
+    ties and goes by coordinates.  In the box the coordinates of s and
+    eta^k are at most hp = sigma_plus(eta^k) < H = (hp_p >> p) + 2, so
+    with u = 2^-p sigma_p is within H of 2^p times the embedding, and
+    a2_p, ea_p <= 2^p within 1 of 2^p a^2 and 2^p eps a: the integer
+    test value, half-width less key, is within 5 u H of the exact one
+    and 29 u H of the test in mpf at precision p, itself 24 u H off.
+    Every s whose integer test value is at least -tol, tol = 64 u H, is
+    yielded (s = 0 on the strict edge of band 0 at |alpha| = eps = 0.5
+    included): every s in the band, and every s the mpf test keeps.
 
     Band k + 1 is eta times band k: eta^k, the centre and the half-width
     grow by the embeddings of eta, so the forms L_k that normalise band
@@ -199,11 +198,11 @@ def candidate_norms(band: CentralBand, k: int) -> Iterator[GoldenInt]:
     band k <= K is empty, and synth_general searches the bands in steps
     of 1 (LatticeFamily.search).
     """
-    points, (ek, center_p, reach) = band.problem(k)
-    p = band.p
-    phi_p = phi_fixed(p)
+    points, (ek, center, reach) = band.problem(k)
+    two_p, phi_pp = 2 * band.p, phi_fixed(band.p) << band.p
     near = sorted((dist, c, d) for c, d in points
-                  if (dist := abs((c << p) + d * phi_p - center_p)) <= reach)
+                  if (dist := abs((c << two_p) + d * phi_pp - center))
+                  <= reach)
     for _, c, d in near:
         if (_totally_nonnegative(c, d)
                 and _totally_nonnegative(ek.a - c, ek.b - d)):

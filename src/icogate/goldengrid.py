@@ -6,27 +6,27 @@ both synthesis searches are lattice-point problems: general synthesis
 wants the norms s = x0^2 + x1^2 in a band of the (sigma_+, sigma_-)
 plane (n = 2), diagonal synthesis the pairs (x0, x1) of a shell
 (n = 4).  Each caller normalises its region to unit size, bounds it
-by an ellipsoid |L z - c| <= r in the coordinates z of
+by an ellipsoid |L z - c| <= sqrt(RADIUS_SQ) in the coordinates z of
 Z[phi]^(n/2) = Z^n, scales L and c to integers at a scale grid_scale
 picks, and hands the integer basis and centre to
 scaled_ellipsoid_points, which solves the problem exactly with
-lattice.lattice_points.  Each search is a LatticeFamily, one
-problem per power of eta, so it rounds its few mpf constants with
-fixed_point once and scales them by the exact eta^k in integers.
+lattice.lattice_points.  Each search is a LatticeFamily, one problem
+per power of eta, posed in integers alone from the exact eta^k and the
+few mpf constants it rounds with fixed_point once, when built.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
-test on the sign of an element of Z[phi] is exact (golden.sign_plus,
-golden.sign_minus).  A test against a real bound of the region is
-made at the one scale 2^p of the working precision p: the point's
-plus embedding as the integer (a << p) + b * phi_fixed(p), the bound
-as an integer at that scale (fixed_point of its mpf value, or a
-product of such integers and exact ones).  The caller proves in its
-docstring a margin tol that bounds the integer value's error, and
-keeps every point whose integer test value is at least -tol, so no
-point of the region is lost; points are ordered by integer keys, then
-by coordinates.  What is kept near an edge is a candidate, and the
-caller's exact check of its result decides it.
+test on the sign of an element of Z[phi] is exact
+(golden._totally_nonnegative).  Every test against a real bound of the
+region, and every sort key, is an exact integer function of the point
+and the family's constants, with no mpf work per problem: the point's
+plus embedding is (a << p) + b * phi_fixed(p) at the scale 2^p of the
+working precision p, a bound is a product of the constants and eta^k's
+embedding, and the point is shifted to the bound's scale.  The caller
+proves a margin tol on the integer value's error and keeps every point
+whose test value is at least -tol, so no point of the region is lost.
+Points go by their keys, a true tie by coordinates.  What is kept near
+an edge is a candidate, and the caller's exact check decides it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from mpmath import mp
 from .errors import MalformedInput
 from .lattice import lattice_points
 
-__all__ = ["LatticeFamily", "fixed_point", "grid_scale", "phi_fixed",
-           "scaled_ellipsoid_points"]
+__all__ = ["LatticeFamily", "RADIUS_SQ", "fixed_point", "grid_scale",
+           "phi_fixed", "scaled_ellipsoid_points"]
+
+RADIUS_SQ = 2
 
 
 def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
@@ -59,11 +61,8 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
     S / 256, which absorbs that drift and leaves the 1/257.
 
     start, a transform to begin the reduction from, is passed on to
-    lattice_points.  Returns (points, transform) as lattice_points
-    does: the points as a lazy, re-iterable enumeration, so a caller
-    that needs only to know whether the ellipsoid holds a point stops
-    at the first, and one that needs them all later enumerates them
-    again without a second reduction.
+    lattice_points, whose (points, transform), the points lazy and
+    re-iterable, is returned.
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)
@@ -75,14 +74,14 @@ class LatticeFamily:
     problems share when it is built, sets top, the problem its search
     probes first, and step, and proves that eta maps each solution of
     problem k to a lattice point of problem k + step.  Its pose(k)
-    gives problem k as (basis, center, scale, radius_sq, data) for
-    scaled_ellipsoid_points, data being what its caller reads besides
-    the points.  problem(k) reduces problem k once, when first asked
-    for, from the transform the last reduction left (None before the
-    first), and keeps it, so a problem that a probe reduced is
-    enumerated again, not reduced again, when it is solved; the
-    points, which callers order by their own keys, do not depend on
-    the start.
+    gives problem k as (basis, center, scale, data), an ellipsoid of
+    radius_sq = RADIUS_SQ for scaled_ellipsoid_points, data being what
+    its caller reads besides the points.  problem(k) reduces problem k
+    once, when first asked for, from the transform the last reduction
+    left (None before the first), and keeps it, so a problem that a
+    probe reduced is enumerated again, not reduced again, when it is
+    solved; the points, which callers order by their own keys, do not
+    depend on the start.
     """
 
     __slots__ = ("transform", "_problems", "top")
@@ -96,9 +95,9 @@ class LatticeFamily:
         if not isinstance(k, int) or k < 0:
             raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
         if k not in self._problems:
-            basis, center, scale, radius_sq, data = self.pose(k)
+            basis, center, scale, data = self.pose(k)
             points, self.transform = scaled_ellipsoid_points(
-                basis, center, scale, radius_sq, self.transform)
+                basis, center, scale, RADIUS_SQ, self.transform)
             self._problems[k] = points, data
         return self._problems[k]
 

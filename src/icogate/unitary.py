@@ -75,11 +75,12 @@ class ProjUnitary:
     __slots__ = ("entries", "precision_bits")
 
     def __init__(self, entries, precision_bits: int = DEFAULT_PRECISION_BITS):
-        with mp.workprec(precision_bits):
-            self.entries = tuple(tuple(mpc(v) for v in row) for row in entries)
-        self.precision_bits = precision_bits
-        if len(self.entries) != 2 or any(len(r) != 2 for r in self.entries):
-            raise MalformedInput("expected a 2x2 matrix")
+        try:
+            with mp.workprec(precision_bits):
+                (a, b), (c, d) = ((mpc(x), mpc(y)) for x, y in entries)
+        except (TypeError, ValueError):
+            raise MalformedInput("expected a 2x2 matrix of numbers") from None
+        self.entries, self.precision_bits = ((a, b), (c, d)), precision_bits
 
     def __repr__(self) -> str:
         (a, b), (c, d) = self.entries

@@ -1,8 +1,8 @@
 """Reference filters for replaying the grid searches, and the checks
 that hold the searches to them.
 
-diagonal.solve_shell and general.candidate_norms decide their points in
-integers at scale 2^p alone, keeping every point within a margin tol of
+diagonal.solve_shell and general.candidate_norms decide and order their
+points in integers alone, keeping every point within a margin tol of
 an edge.  The functions here decide the same regions in mpf: every
 point that ellipsoid_points returns is embedded at working precision,
 tested with mpf comparisons and sorted by mpf keys.  oracle_norms is
@@ -177,19 +177,19 @@ def assert_covers_shell(got, target, theta, eps, m, want):
     oracle_shell or a brute force gives; every pair it adds has a
     totally nonnegative residual and lies within tol = 64 u H of the
     slab's edge, or has a zero residual; and it is sorted by the
-    integer band key, the pair's coordinates of x1, the integer overlap
-    (decreasing) and those of x0.  Each integer key is within tol of
-    its true value."""
+    integer band key at scale 2^4p, the pair's coordinates of x1, the
+    integer overlap at 2^2p (decreasing) and those of x0.  Each integer
+    key is within tol of its true value."""
     p = mp.prec
     assert len(set(got)) == len(got)
     want = set(want)
     assert want <= set(got)
     hp_2p = target.problem(m)[1]
-    mu_p = (((hp_2p * target.accuracy.cap_p) >> p) * target.s_p) >> (2 * p)
+    mu_4p = hp_2p * target.accuracy.cap_p * target.s_p
     keys = {}
     for x0, x1 in got:
         x1p = _plus_p(x1, p)
-        keys[x0, x1] = (abs(x1p - mu_p), (x1.a, x1.b),
+        keys[x0, x1] = (abs((x1p << 3 * p) - mu_4p), (x1.a, x1.b),
                         -(_plus_p(x0, p) * target.c_p + x1p * target.s_p),
                         (x0.a, x0.b))
     assert got == sorted(got, key=keys.__getitem__)
@@ -205,7 +205,7 @@ def assert_covers_shell(got, target, theta, eps, m, want):
             x0p, x1p = embed(x0, "plus", 2 * p), embed(x1, "plus", 2 * p)
             r = x0p * c + x1p * s
             band_key, _, overlap_key, _ = keys[x0, x1]
-            assert abs(mp.ldexp(band_key, -p) - abs(x1p - mu)) <= tol
+            assert abs(mp.ldexp(band_key, -4 * p) - abs(x1p - mu)) <= tol
             assert abs(mp.ldexp(-overlap_key, -2 * p) - r) <= tol
             if (x0, x1) in want:
                 continue
@@ -219,16 +219,17 @@ def assert_covers_norms(got, k, abs_alpha, epsilon, want):
     """got, list(candidate_norms(CentralBand(abs_alpha, epsilon), k)),
     holds every s of want, which oracle_norms or a scan gives; every s
     it adds lies within tol = 64 u H of the band's edge; and it is
-    sorted by the integer distance from the band centre, then by
-    coordinates.  Each integer distance is within tol of the true
-    one."""
+    sorted by the integer distance from the band centre at scale 2^2p,
+    then by coordinates.  Each integer distance is within tol of the
+    true one."""
     p = mp.prec
     a, eps = mpf(abs_alpha), mpf(epsilon)
     assert len(set(got)) == len(got)
     want = set(want)
     assert want <= set(got)
-    center_p = CentralBand(a, eps).problem(k)[1][1]
-    keys = {s: (abs(_plus_p(s, p) - center_p), s.a, s.b) for s in got}
+    center_2p = CentralBand(a, eps).problem(k)[1][1]
+    keys = {s: (abs((_plus_p(s, p) << p) - center_2p), s.a, s.b)
+            for s in got}
     assert got == sorted(got, key=keys.__getitem__)
     ek = eta_power(k)
     with mp.workprec(2 * p):
@@ -237,6 +238,6 @@ def assert_covers_norms(got, k, abs_alpha, epsilon, want):
         center, half = a * a * hp, eps * a * hp
         for s in got:
             dist = abs(embed(s, "plus", 2 * p) - center)
-            assert abs(mp.ldexp(keys[s][0], -p) - dist) <= tol
+            assert abs(mp.ldexp(keys[s][0], -2 * p) - dist) <= tol
             if s not in want:
                 assert abs(dist - half) <= tol, s

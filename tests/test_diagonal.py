@@ -14,6 +14,7 @@ from icogate.errors import (BudgetExhausted, MalformedInput, NotInGroup,
                             NotRepresentable)
 from icogate.golden import (GoldenInt, embed, eta_power, eta_valuation,
                             sign_minus, sign_plus)
+from icogate.goldengrid import RADIUS_SQ
 from icogate.icosian import GoldenQuat, canonical, evaluate_word
 from icogate.sots import sots_exact
 from icogate.unitary import distance, precision_for, u_of_theta
@@ -386,7 +387,7 @@ def test_eta_maps_each_shell_into_the_next_but_one(theta, eps, shells):
 def test_top_shell_is_the_last_with_volume_at_most_one(eps):
     """_top_shell(eps) is the highest shell whose ellipsoid, as
     DiagonalTarget.pose(m) poses it at scale 2^e, has volume at most 1:
-    the 4-ball's (pi^2 / 2) radius_sq^2 times 2^(4e) over the exact
+    the 4-ball's (pi^2 / 2) RADIUS_SQ^2 times 2^(4e) over the exact
     determinant of the integer basis.  So its constant cannot drift
     from the pose; at 4.2e-5 and 8.9e-13 the top shell's volume is
     above 25/36, so a constant 36/25 times too large moves the top."""
@@ -395,8 +396,8 @@ def test_top_shell_is_the_last_with_volume_at_most_one(eps):
         top = _top_shell(mpf(eps))
 
         def volume(m):
-            basis, _, e, radius_sq, _ = target.pose(m)
-            return (mp.pi ** 2 / 2 * radius_sq ** 2 * mp.ldexp(1, 4 * e)
+            basis, _, e, _ = target.pose(m)
+            return (mp.pi ** 2 / 2 * RADIUS_SQ ** 2 * mp.ldexp(1, 4 * e)
                     / abs(_inverse_and_det(basis)[1]))
 
         assert volume(top) <= 1 < volume(top + 1)
@@ -513,6 +514,9 @@ def test_synth_rejects_bad_epsilon():
         synth_diagonal(0.3, 0)
     with pytest.raises(MalformedInput):
         synth_diagonal(0.3, 1.0)
+    for theta, eps in ((None, 1e-3), (0.3, None), (1j, 1e-3)):
+        with pytest.raises(MalformedInput):
+            synth_diagonal(theta, eps)
 
 
 def test_tau_count_tracks_epsilon():

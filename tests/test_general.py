@@ -4,8 +4,8 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from icogate import (diagonal, general, goldengrid, icosian, intfactor,
-                     lattice, sots)
+from icogate import (diagonal, general, golden, goldengrid, icosian,
+                     intfactor, lattice, sots)
 from icogate.diagonal import synth_diagonal
 from icogate.errors import (Abandoned, BudgetExhausted, MalformedInput,
                             NotInGroup, NotRepresentable,
@@ -17,9 +17,10 @@ from icogate.sots import decide
 from icogate.icosian import (RHO, GateWord, GoldenQuat, canonical,
                              evaluate_word, exact_synthesize, generate_c60,
                              word_to_quat)
+from icogate.goldengrid import phi_fixed
 from icogate.unitary import (ProjUnitary, distance, named_gate,
-                             precision_for, tuning_constant, u_of_alpha_beta,
-                             u_of_theta)
+                             precision_for, to_quaternion, tuning_constant,
+                             u_of_alpha_beta, u_of_theta)
 from shell_oracle import assert_covers_norms
 
 BITS = 160
@@ -131,6 +132,56 @@ def test_each_family_poses_at_its_own_precision(make, eps):
             points, data = away.problem(k)
             got = list(points), data
         assert want[0] and got == want, p2
+
+
+def test_posing_is_integer_only(monkeypatch):
+    """Both families round their mpf constants once, when built, and
+    pose every problem from them in integers: with every attribute of
+    mp refused in the modules that pose, pose(k) answers for every k up
+    to top + 3."""
+    with mp.workprec(precision_for(1e-6)):
+        families = (diagonal.DiagonalTarget(0.3, 1e-6),
+                    CentralBand(0.6, 1e-6))
+
+    class Refused:
+        def __getattr__(self, name):
+            raise AssertionError(f"mp.{name} read while posing")
+
+    for module in (general, golden, goldengrid, diagonal):
+        monkeypatch.setattr(module, "mp", Refused())
+    for family in families:
+        for k in range(family.top + 4):
+            family.pose(k)
+
+
+def test_mirror_pairs_of_a_half_band_tie_by_coordinates():
+    """For H at 1e-6, |alpha|^2 = 1/2 rounds to a2_p = 2^(p - 1), so the
+    band centre is hp_p / 2 and each s of bands 4, 5 and 6 has its
+    mirror eta^k - s at an equal exact key: candidate_norms yields the
+    pair in coordinate order, 7206 + 11570 phi before 7295 + 11515 phi
+    in band 4."""
+    bits = precision_for(1e-6)
+    with mp.workprec(bits):
+        g0, g1, _, _ = to_quaternion(named_gate("H", bits))
+        band = CentralBand(mp.hypot(g0, g1), 1e-6)
+    p = band.p
+    assert band.a2_p == 1 << (p - 1)
+
+    def key(x, center):
+        # sigma_plus(x) at scale 2^p, shifted to the centre's 2^2p
+        return abs((((x.a << p) + x.b * phi_fixed(p)) << p) - center)
+
+    for k in (4, 5, 6):
+        center = band.problem(k)[1][1]
+        got = list(candidate_norms(band, k))
+        at = {s: i for i, s in enumerate(got)}
+        assert len(at) == len(got) > 0
+        for s in got:
+            mirror = eta_power(k) - s
+            assert key(s, center) == key(mirror, center)
+            assert (at[s] < at[mirror]) == ((s.a, s.b) < (mirror.a, mirror.b))
+        if k == 4:
+            assert at[GoldenInt(7206, 11570)] < at[GoldenInt(7295, 11515)]
 
 
 @pytest.mark.parametrize("k,abs_alpha,eps", [
@@ -370,6 +421,9 @@ def test_config_validation():
         SynthConfig(0.0)
     with pytest.raises(MalformedInput):
         SynthConfig(0.6)  # epsilon >= delta
+    for epsilon in ("0.1", None, 1e-3j):
+        with pytest.raises(MalformedInput):
+            SynthConfig(epsilon)
     for k_cap in (-1, 2.5, "2"):
         with pytest.raises(MalformedInput):
             SynthConfig(1e-3, k_cap=k_cap)

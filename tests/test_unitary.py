@@ -56,6 +56,10 @@ def test_distance_rejects_nan_and_non_unitary():
     # |tr| = 3 > 2 sqrt|det| = 2.83: far beyond round-off, not clamped
     with pytest.raises(MalformedInput):
         distance(ident, ProjUnitary([[1, 0], [0, 2]]))
+    # entries that are not numbers are malformed, not a TypeError
+    for rows in ([1, 2], [[1, 2], [3, None]], [[1, 2], [3, "x"]]):
+        with pytest.raises(MalformedInput):
+            ProjUnitary(rows)
 
 
 def test_metric_axioms():

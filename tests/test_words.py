@@ -11,13 +11,13 @@ ceil(3 log2(1/eps)) + 96 bits, as the benchmark builds it.  The pins
 were recorded from commit 522b15f; a change to the search order or to
 any filter of the grid layers that moves a word fails here.  H at 1e-6
 was re-recorded at commit 0890758, where the grid searches came to
-order points by their integer keys alone (27 taus before and after).
-Its band k = 4 holds a mirror pair about the exact centre,
-s = 7206 + 11570 phi and eta^4 - s = 7295 + 11515 phi, whose integer
-distances from the band centre at scale 2^156 differ by 101,054 units:
-the rounding of the mpf centre orders them, not their coordinates.  A
-centre posed in integers from |alpha|^2 at scale 2^p orders them the
-other way and moves the word (27 taus either way).
+order points by their integer keys alone (27 taus before and after),
+and again when the band centre came to be posed in integers from
+|alpha|^2 at scale 2^p (27 taus before and after).  |alpha|^2 = 1/2
+rounds to exactly 2^(p - 1), so each mirror pair about the centre,
+such as s = 7206 + 11570 phi and eta^4 - s = 7295 + 11515 phi in band
+k = 4, has equal exact integer keys and goes by coordinates; before,
+the rounding of an mpf centre ordered it the other way.
 
 The route pins cover the branches of synth_general that those targets
 never take: the C60 snap, the diagonal and j-routes, the rho twist at
@@ -116,10 +116,10 @@ DEEP_DIAGONAL = {
 DEEP_HADAMARD = {
     1e-06: (
         "(rsrsr)t(rrs)t(rrsrrsr)t(rsrrsrsr)t(srsr)t(srrsrsr)t(srrsrsrs)"
-        "t(rsrrsrsr)t(srsrrsr)t(srs)t(srrsr)t(rrsrrsrrsrsrs)t(rsrrsrs)"
-        "t(srrsrs)t(rsrsrr)t(rsrs)t(rrsrsrsrsrrsrs)t(rrsrrsrs)"
-        "t(rsrrsrsrr)t(srrsrsr)t(rsrsrr)t(rsrrsr)t(rsrrsrsrrsr)"
-        "t(rrsrsrr)t(rrsrsrrsrs)t(rsr)t(rrsrrsrsr)t(rsrsrrs)"),
+        "t(rsrrsrsr)t(srsrrsr)t(srs)t(srrsr)t(rrsrrssrrsr)t(rsrrsrs)"
+        "t(srrsrs)t(rsrsrr)t(rsrs)t(rrsrrsrsrrrsrsrrs)t(rrsrrsrsr)"
+        "t(rrsrr)t(srrsrsrrsr)t(rsrrsr)t(rsrrsrsrrsr)t(rrsrsrr)"
+        "t(rrsrsrs)t(rrsrrsrs)t(rsrrsrsrr)t(srrsrsr)t(rs)"),
     1e-07: (
         "(srsrrsrsr)t(rrsrr)t(rr)t(rsrsrrs)t(rsrsrr)t(rrsrsr)"
         "t(srrsrsrs)t(r)t(rsrrs)t(srsrrsrsrr)t(rrsrrsrs)t(rsrsrr)"
