@@ -13,7 +13,8 @@ The package is layered bottom-up:
   unitary      -- big-float PU(2) numerics and diagonal tuning
   lattice      -- exact integer lattice points in an ellipsoid
   goldengrid   -- Z[phi] searches as families of lattice problems, each
-                  reduced once, warm-started, skipped when proven empty
+                  reduced when asked for, warm-started from the last,
+                  skipped when proven empty
   diagonal     -- approximate synthesis of diagonal rotations
   general      -- approximate synthesis of arbitrary unitaries
   cli          -- the icogate command line tool

@@ -154,8 +154,11 @@ class DiagonalTarget(LatticeFamily):
 
     def __init__(self, theta, epsilon, sin_cos=None):
         p = self.p = mp.prec
-        theta = mpf(theta)
-        self.accuracy = _accuracy(mpf(epsilon), p)
+        try:
+            theta, eps = mpf(theta), mpf(epsilon)
+        except (TypeError, ValueError):
+            raise MalformedInput("theta and epsilon must be real") from None
+        self.accuracy = _accuracy(eps, p)
         super().__init__(self.accuracy.top)
         s, c = (mp.sin(theta), mp.cos(theta)) if sin_cos is None else sin_cos
         if not c > 0:

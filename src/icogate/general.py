@@ -102,7 +102,10 @@ class CentralBand(LatticeFamily):
 
     def __init__(self, abs_alpha, epsilon):
         p = self.p = mp.prec
-        a, eps = mpf(abs_alpha), mpf(epsilon)
+        try:
+            a, eps = mpf(abs_alpha), mpf(epsilon)
+        except (TypeError, ValueError):
+            raise MalformedInput("abs_alpha and epsilon must be real") from None
         if not 0 < a < 1:
             raise MalformedInput("abs_alpha must be in (0, 1)")
         if not 0 < eps < 1:

@@ -12,7 +12,9 @@ picks, and hands the integer basis and centre to
 scaled_ellipsoid_points, which solves the problem exactly with
 lattice.lattice_points.  Each search is a LatticeFamily, one problem
 per power of eta, posed in integers alone from the exact eta^k and the
-few mpf constants it rounds with fixed_point once, when built.
+few mpf constants it rounds with fixed_point once, when built, and
+reduced each time it is asked for, from the transform the last
+reduction left.
 
 The ellipsoid may hold points outside the region, so each caller then
 decides its region's own predicates in integers, point by point.  A
@@ -61,8 +63,8 @@ def scaled_ellipsoid_points(basis, center, scale: int, radius_sq: int,
     S / 256, which absorbs that drift and leaves the 1/257.
 
     start, a transform to begin the reduction from, is passed on to
-    lattice_points, whose (points, transform), the points lazy and
-    re-iterable, is returned.
+    lattice_points, whose (points, transform), the points a one-pass
+    lazy iterator, is returned.
     """
     r = isqrt(radius_sq << (2 * scale)) + 1 + (1 << (scale - 8))
     return lattice_points(basis, center, r * r, start)
@@ -76,30 +78,27 @@ class LatticeFamily:
     problem k to a lattice point of problem k + step.  Its pose(k)
     gives problem k as (basis, center, scale, data), an ellipsoid of
     radius_sq = RADIUS_SQ for scaled_ellipsoid_points, data being what
-    its caller reads besides the points.  problem(k) reduces problem k
-    once, when first asked for, from the transform the last reduction
-    left (None before the first), and keeps it, so a problem that a
-    probe reduced is enumerated again, not reduced again, when it is
-    solved; the points, which callers order by their own keys, do not
-    depend on the start.
+    its caller reads besides the points.  Each problem(k) poses problem
+    k and reduces it from the transform the last reduction left (None
+    before the first), which is nearly reduced already; the family
+    keeps that transform alone, and the points, which callers order by
+    their own keys, do not depend on the start.
     """
 
-    __slots__ = ("transform", "_problems", "top")
+    __slots__ = ("transform", "top")
 
     def __init__(self, top: int):
-        self.transform, self._problems, self.top = None, {}, top
+        self.transform, self.top = None, top
 
     def problem(self, k: int):
-        """(points, data) of problem k, the points lazy and re-iterable;
-        k must be a nonnegative int (MalformedInput)."""
+        """(points, data) of problem k, the points a one-pass lazy
+        iterator; k must be a nonnegative int (MalformedInput)."""
         if not isinstance(k, int) or k < 0:
             raise MalformedInput(f"k must be a nonnegative int, got {k!r}")
-        if k not in self._problems:
-            basis, center, scale, data = self.pose(k)
-            points, self.transform = scaled_ellipsoid_points(
-                basis, center, scale, RADIUS_SQ, self.transform)
-            self._problems[k] = points, data
-        return self._problems[k]
+        basis, center, scale, data = self.pose(k)
+        points, self.transform = scaled_ellipsoid_points(
+            basis, center, scale, RADIUS_SQ, self.transform)
+        return points, data
 
     def search(self, cap: int):
         """Every k <= cap in increasing order but those an empty probe
@@ -107,7 +106,7 @@ class LatticeFamily:
         of step, the first problem that holds no point."""
         top, step, last_empty = min(self.top, cap), self.step, {}
         for k in range(top, top - step, -1):
-            while k >= 0 and next(iter(self.problem(k)[0]), None) is not None:
+            while k >= 0 and next(self.problem(k)[0], None) is not None:
                 k -= step
             last_empty[k % step] = k
         return (k for k in range(cap + 1) if k > last_empty[k % step])

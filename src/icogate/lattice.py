@@ -30,11 +30,9 @@ def lattice_points(basis, center, radius_sq, start=None):
 
     Returns (points, transform): the points as tuples in the original
     basis coordinates, in no particular order, and the unimodular
-    transform U with U * basis the reduced basis.  points is lazy and
-    re-iterable: each iter() starts a fresh enumeration over the one
-    reduction, and finds each point only when it reaches it, so a
-    caller can read the first point now and the whole set later
-    without reducing twice.
+    transform U with U * basis the reduced basis.  points is a one-pass
+    iterator that finds each point only when it reaches it, so a probe
+    that reads one point enumerates no further.
     """
     n = len(basis)
     if start is None:
@@ -51,20 +49,7 @@ def lattice_points(basis, center, radius_sq, start=None):
         for i in range(1, j):
             u = (d[i] * u - lam_c[i] * lam[j][i]) // d[i - 1]
         lam_c[j] = u
-    return _Points(d, lam, lam_c, radius_sq, transform), transform
-
-
-class _Points:
-    """The lattice points of one reduced ellipsoid: iter() runs the
-    Fincke-Pohst enumeration afresh over the stored reduction."""
-
-    __slots__ = ("_reduction",)
-
-    def __init__(self, *reduction):
-        self._reduction = reduction
-
-    def __iter__(self):
-        return _fincke_pohst(*self._reduction)
+    return _fincke_pohst(d, lam, lam_c, radius_sq, transform), transform
 
 
 def _lll(b, h):

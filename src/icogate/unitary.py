@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 from mpmath import mp, mpc, mpf
 
@@ -60,10 +61,11 @@ def precision_for(epsilon: float) -> int:
 
     Synthesis at accuracy eps manipulates numbers of size eta^k with
     k ~ log_59(1/eps^3); 3*log2(1/eps) bits cover the dynamic range and
-    the constant keeps a healthy mantissa after cancellation.
+    the constant keeps a healthy mantissa after cancellation.  epsilon
+    must be a positive finite real (MalformedInput).
     """
-    if not 0 < epsilon < mp.inf:
-        raise MalformedInput("epsilon must be positive and finite")
+    if not (isinstance(epsilon, Real) and 0 < epsilon < mp.inf):
+        raise MalformedInput("epsilon must be a positive finite real")
     with mp.workprec(64):
         bits = int(mp.ceil(3 * mp.log(1 / mpf(epsilon), 2)))
     return max(bits, 0) + 96
@@ -275,6 +277,8 @@ GATE_NAMES = ("H", "T", "S", "X", "Y", "Z")
 
 def named_gate(name: str, precision_bits: int = DEFAULT_PRECISION_BITS
                ) -> ProjUnitary:
+    if not (isinstance(name, str) and isinstance(precision_bits, int)):
+        raise MalformedInput("name must be a str and precision_bits an int")
     name = name.upper()
     with mp.workprec(precision_bits):
         if name == "H":

@@ -196,8 +196,8 @@ def test_solve_shell_keeps_pairs_past_the_old_band():
 def test_solve_shell_warm_start_agrees():
     # one search's shells through one target, each reduced from the
     # previous shell's transform; through a target whose shells were all
-    # probed first, top down, so each is solved from the probe's
-    # reduction; and each through a fresh target
+    # probed first, top down, so the solves start from the last probe's
+    # transform; and each through a fresh target
     with mp.workprec(precision_for(1e-6)):
         theta, eps = mp.pi / 8, mpf("1e-6")
         reused = DiagonalTarget(theta, eps)
@@ -277,6 +277,9 @@ def test_problem_validation():
         synth_diagonal(0.3, 1e-3, precision_bits=200.5)
     with pytest.raises(MalformedInput):
         DiagonalTarget(mp.pi, 0.5)  # cos < 0: not folded
+    for theta, eps in ((0.3, None), (None, 1e-3)):
+        with pytest.raises(MalformedInput):
+            DiagonalTarget(theta, eps)
 
 
 @pytest.mark.parametrize("eps,floor", [

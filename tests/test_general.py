@@ -87,6 +87,11 @@ def test_candidate_norms_validates_input():
         for eps in (0.0, -0.1, 1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(MalformedInput):
                 CentralBand(0.5, eps)
+        # values mpf cannot read are malformed, not a TypeError or
+        # ValueError
+        for abs_alpha, eps in ((None, 0.1), (0.5, "0.1x")):
+            with pytest.raises(MalformedInput):
+                CentralBand(abs_alpha, eps)
 
 
 def test_central_band_checks_its_precision():
@@ -293,11 +298,11 @@ def test_band_warm_start_agrees(abs_alpha, eps):
         assert warm.transform is not None and total
 
 
-def test_each_shell_and_band_is_reduced_once(monkeypatch):
-    """A search reduces each of its shells once, and a general target
-    each of its bands once: a shell or band that a probe reduced is
-    enumerated again, not reduced again, when it is solved.  Every
-    lattice reduction is charged to the shell or band asked for; u(pi/8)
+def test_each_problem_call_reduces_once(monkeypatch):
+    """Every lattice reduction of a search happens inside a call of
+    LatticeFamily.problem, and each call reduces exactly once: a family
+    keeps no problem, so a shell or band that a probe reduced is
+    reduced again, from the last transform, when it is solved.  u(pi/8)
     at 1e-7 and the Haar target of seed 4 at 1e-4 each pose one shell or
     band twice, H at 1e-7 none."""
     posing, reductions, poses, families = [], [], [], []
@@ -305,13 +310,15 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
     real_problem = goldengrid.LatticeFamily.problem
 
     def lll(b, h):
+        assert posing, "a lattice reduction outside problem()"
         reductions.append(posing[-1])
         return real_lll(b, h)
 
     def problem(family, k):
         families.append(family)  # keeps each family's id its own
         kind = "shell" if isinstance(family, diagonal.DiagonalTarget) else "band"
-        posing.append((kind, id(family), k))
+        # the call's index makes each call's key its own
+        posing.append((kind, id(family), k, len(poses)))
         poses.append(posing[-1])
         try:
             return real_problem(family, k)
@@ -329,9 +336,9 @@ def test_each_shell_and_band_is_reduced_once(monkeypatch):
         poses.clear()
         reductions.clear()
         run()
-        assert reductions and set(reductions) <= set(poses)
-        assert len(reductions) == len(set(reductions))
-        twice = {key[0] for key in poses if poses.count(key) > 1}
+        assert poses and reductions == poses
+        asked = [key[:3] for key in poses]
+        twice = {key[0] for key in asked if asked.count(key) > 1}
         assert twice == ({reused} if reused else set())
 
 

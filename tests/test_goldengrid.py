@@ -118,13 +118,15 @@ def test_lattice_points_warm_start_agrees_with_cold_start():
 
 
 def test_lattice_points_yield_lazily():
-    # a probe reads one point of a ball holding about 9 * 10^5, and each
-    # pass over the one reduction starts the enumeration afresh
+    # a probe reads one point of a ball holding about 9 * 10^5; the
+    # points are one pass over the one reduction, an iterator that
+    # resumes where the probe stopped
     points, _ = lattice_points([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
                                [0, 0, 0], 60 ** 2)
-    first = next(iter(points))
+    assert iter(points) is points
+    first = next(points)
     assert len(first) == 3
-    assert next(iter(points)) == first
+    assert next(points) != first
 
 
 def _gram_schmidt(rows):

@@ -245,8 +245,9 @@ def test_tuning_bound_on_random_pairs():
 def test_precision_for():
     assert precision_for(1e-10) >= 3 * 33 + 96
     assert precision_for(0.5) >= 96
-    with pytest.raises(MalformedInput):
-        precision_for(0)
+    for eps in (0, None, "1e-3"):
+        with pytest.raises(MalformedInput):
+            precision_for(eps)
 
 
 def test_named_gates():
@@ -261,8 +262,9 @@ def test_named_gates():
     assert float(distance(s @ s, named_gate("Z"))) < 1e-15
     x, y, z = (named_gate(n) for n in "XYZ")
     assert float(distance(x @ y, z)) < 1e-15  # up to phase
-    with pytest.raises(MalformedInput):
-        named_gate("Q")
+    for args in (("Q",), ("H", "x"), (None,)):
+        with pytest.raises(MalformedInput):
+            named_gate(*args)
 
 
 def test_parse_complex():
